@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, NumericalError
-from .numerics import HermitianPD, chol_logdet_quad, _load_stack
+from .numerics import HermitianPD, _load_stack, chol_logdet_quad, cholesky_logdet_solve
 
 logger = logging.getLogger(__name__)
 
@@ -165,7 +165,7 @@ def cacg_log_pdf(b: HermitianPD, y: np.ndarray) -> float:
     if abs(float(np.linalg.norm(y)) - 1.0) > 1e-3:
         raise InvalidInputError("cACG density is defined for unit vectors only")
     c = b.dim
-    logdet, quad = chol_logdet_quad(b.entries, y)
+    logdet, quad = cholesky_logdet_solve(b, y)
     if quad <= 0.0:
         raise NumericalError("nonpositive quadratic form after loading")
     return (
@@ -178,12 +178,19 @@ def cacg_log_pdf(b: HermitianPD, y: np.ndarray) -> float:
 
 
 def _freq_major(data: np.ndarray) -> np.ndarray:
-    # (C, T, F) -> (F, C, T) view for batched per-frequency linear algebra
-    return np.transpose(data, (2, 0, 1))
+    # (C, T, F) -> (F, C, T) for batched per-frequency linear algebra; a
+    # contiguous copy, because matmul reaches BLAS only on unit-stride matrices
+    return np.ascontiguousarray(np.transpose(data, (2, 0, 1)))
 
 
-def cacg_log_pdf_stack(covariances: np.ndarray, x: StftTensor) -> np.ndarray:
-    """(K, T, F) log densities for a (K, F, C, C) covariance stack."""
+def cacg_log_pdf_stack(covariances: np.ndarray, x: StftTensor):
+    """Log densities for a (K, F, C, C) covariance stack.
+
+    Returns:
+        ``(log_pdf, quad)``: the (K, T, F) log densities and the (K, F, T)
+        quadratic forms ``y^H B^{-1} y`` behind them, which the Tyler update
+        of these covariances (:func:`cacg_m_step`) takes as ``quad``.
+    """
     c = x.num_channels
     y = _freq_major(x.data)  # (F, C, T)
     logdet, quad = chol_logdet_quad(covariances, y[None])  # (K, F), (K, F, T)
@@ -191,7 +198,12 @@ def cacg_log_pdf_stack(covariances: np.ndarray, x: StftTensor) -> np.ndarray:
         raise NumericalError("nonpositive quadratic form in batched cACG density")
     const = math.lgamma(c) - math.log(2.0) - c * math.log(math.pi)
     out = const - logdet[:, :, None] - c * np.log(quad)
-    return np.transpose(out, (0, 2, 1))
+    return np.transpose(out, (0, 2, 1)), quad
+
+
+def quad_forms(covariances: np.ndarray, x: StftTensor) -> np.ndarray:
+    """(K, F, T) quadratic forms ``y^H B^{-1} y`` of a (K, F, C, C) stack."""
+    return chol_logdet_quad(covariances, _freq_major(x.data)[None])[1]
 
 
 def _check_normalized(x: StftTensor):
@@ -208,6 +220,7 @@ def cacg_m_step(
     x: StftTensor,
     posterior: PosteriorTensor,
     prev: list[SpatialComponent],
+    quad: np.ndarray | None = None,
 ) -> list[SpatialComponent]:
     """One Tyler fixed-point update of all spatial covariances.
 
@@ -215,15 +228,27 @@ def cacg_m_step(
     then symmetrized, diagonally loaded and trace-normalized to C.
     Frequencies with zero responsibility mass keep the previous covariance
     and are flagged inactive.
+
+    Args:
+        x: unit-normalized observations.
+        posterior: responsibilities of the E-step.
+        prev: the previous covariances ``B_prev``.
+        quad: (K, F, T) quadratic forms ``~y^H B_prev^{-1} ~y`` of the
+            previous covariances, as the E-step that evaluated them returns
+            (:func:`cacg_log_pdf_stack`); computed here when not given.
     """
     _check_normalized(x)
     c = x.num_channels
     gamma = posterior.gamma  # (K, T, F)
     prev_stack = stack_covariances(prev)  # (K, F, C, C)
+    if quad is None:
+        quad = quad_forms(prev_stack, x)
     y = _freq_major(x.data)  # (F, C, T)
-    _, quad = chol_logdet_quad(prev_stack, y[None])  # (K, F, T)
-    weights = np.transpose(gamma, (0, 2, 1)) / quad  # (K, F, T)
-    numer = np.einsum("kft,fit,fjt->kfij", weights, y, y.conj())
+    y_h = np.conj(np.swapaxes(y, -1, -2))  # (F, T, C)
+    numer = np.empty(prev_stack.shape, dtype=complex)
+    for k in range(numer.shape[0]):
+        weights = gamma[k].T / quad[k]  # (F, T)
+        numer[k] = (weights[:, None, :] * y) @ y_h
     denom = gamma.sum(axis=1)  # (K, F)
     inactive = denom == 0.0
     safe = np.where(inactive, 1.0, denom)
@@ -248,13 +273,14 @@ def update_pi(gamma: np.ndarray) -> np.ndarray:
 
 
 def _e_step(covariances, pi, x):
+    log_pdf, quad = cacg_log_pdf_stack(covariances, x)
     with np.errstate(divide="ignore"):
-        logits = np.log(pi)[:, :, None] + cacg_log_pdf_stack(covariances, x)
+        logits = np.log(pi)[:, :, None] + log_pdf
     shift = logits.max(axis=0, keepdims=True)
     with np.errstate(divide="ignore"):
         norm = np.log(np.exp(logits - shift).sum(axis=0, keepdims=True)) + shift
     gamma = np.exp(logits - norm)
-    return gamma, float(norm.sum())
+    return gamma, float(norm.sum()), quad
 
 
 def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
@@ -263,7 +289,8 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     The run starts with an M-step on the initial posterior (previous
     covariances are the identity), then alternates E- and M-steps. Priors are
     frequency-independent and time-dependent, updated as the frequency mean
-    of the posterior.
+    of the posterior. Each M-step reuses the quadratic forms of the E-step
+    before it, so every covariance is factorized once per iteration.
 
     Returns:
         ``(components, posterior, loglik_trace)``.
@@ -282,8 +309,8 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     trace = []
     gamma = init_gamma.gamma
     for _ in range(iterations):
-        gamma, ll = _e_step(stack_covariances(components), pi, x)
+        gamma, ll, quad = _e_step(stack_covariances(components), pi, x)
         trace.append(ll)
         pi = update_pi(gamma)
-        components = cacg_m_step(x, PosteriorTensor(gamma, pi), components)
+        components = cacg_m_step(x, PosteriorTensor(gamma, pi), components, quad=quad)
     return components, PosteriorTensor(gamma, pi), np.asarray(trace)

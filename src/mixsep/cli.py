@@ -117,10 +117,10 @@ def cmd_run(config_path, jobs: int | None = None, seed: int | None = None) -> in
             print(f"error: {ident}: {exc}", file=sys.stderr)
             return 1
         rttm.write_rttm(out_dir / "hyp.rttm", diarization.turns(), ident)
-        sample_rate = frontend.read_wav(str(audio_path)).sample_rate
         for label, wave in sorted(speaker_audio.items()):
             frontend.write_wav(
-                out_dir / f"{label}.wav", frontend.AudioBuffer(wave[None, :], sample_rate)
+                out_dir / f"{label}.wav",
+                frontend.AudioBuffer(wave[None, :], report["sample_rate"]),
             )
         for outcome in report["segments"]:
             if outcome.get("error"):

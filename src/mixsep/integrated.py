@@ -81,17 +81,18 @@ def _vmf_log_term(model: JointModel, embeddings: EmbeddingSequence) -> np.ndarra
 
 
 def _joint_e_step(x: StftTensor, embeddings: EmbeddingSequence, model: JointModel):
+    log_pdf, quad = _cacg.cacg_log_pdf_stack(_cacg.stack_covariances(model.spatial), x)
     with np.errstate(divide="ignore"):
         logits = (
             np.log(model.pi)[:, :, None]
-            + _cacg.cacg_log_pdf_stack(_cacg.stack_covariances(model.spatial), x)
+            + log_pdf
             + _vmf_log_term(model, embeddings)[:, :, None]
         )
     shift = logits.max(axis=0, keepdims=True)
     with np.errstate(divide="ignore"):
         norm = np.log(np.exp(logits - shift).sum(axis=0, keepdims=True)) + shift
     gamma = np.exp(logits - norm)
-    return gamma, float(norm.sum())
+    return gamma, float(norm.sum()), quad
 
 
 def joint_e_step(
@@ -106,7 +107,7 @@ def joint_e_step(
         raise InvalidInputError("embedding frames do not match STFT frames")
     if model.pi.shape[1] != x.num_frames:
         raise InvalidInputError("model priors do not match STFT frames")
-    gamma, _ = _joint_e_step(x, embeddings, model)
+    gamma, _, _ = _joint_e_step(x, embeddings, model)
     return PosteriorTensor(gamma, model.pi)
 
 
@@ -118,6 +119,7 @@ def joint_m_step(
     kappa_max: float = 35.0,
     rng: np.random.Generator | None = None,
     freeze_spatial: bool = False,
+    quad: np.ndarray | None = None,
 ) -> JointModel:
     """Decoupled M-steps of both models plus the tied prior update.
 
@@ -125,11 +127,13 @@ def joint_m_step(
     per-bin posteriors; spectral components are refitted with the
     frequency-summed posteriors; the prior becomes the frequency mean.
     A noise component keeps kappa pinned at 0 (no embedding identity).
+    ``quad`` holds the (K, F, T) quadratic forms of ``model.spatial`` when
+    the caller has them (see :func:`cacg.cacg_m_step`).
     """
     if freeze_spatial:
         spatial = model.spatial
     else:
-        spatial = _cacg.cacg_m_step(x, posterior, model.spatial)
+        spatial = _cacg.cacg_m_step(x, posterior, model.spatial, quad=quad)
     gbar = posterior.gamma.sum(axis=2)  # (K, T)
     spectral = _vmf.vmf_m_step(embeddings, gbar, kappa_max, rng)
     if model.noise_index is not None:
@@ -137,6 +141,22 @@ def joint_m_step(
         spectral[k] = SpectralComponent(model.spectral[k].mu, 0.0)
     pi = _cacg.update_pi(posterior.gamma)
     return JointModel(spatial, spectral, pi, model.noise_index)
+
+
+def _index_after_removal(keep: int, remove: int) -> int:
+    return keep if keep < remove else keep - 1
+
+
+def _fused_quad(quad: np.ndarray, event: FusionEvent, model: JointModel, x: StftTensor):
+    """Quadratic forms of the fused model's covariances from the pre-fusion ones.
+
+    The removed component's row goes; the kept component's covariance is
+    now the mass-weighted average, so only its row is computed again.
+    """
+    quad = np.delete(quad, event.removed, axis=0)
+    kept = _index_after_removal(event.kept, event.removed)
+    quad[kept] = _cacg.quad_forms(model.spatial[kept].covariances[None], x)[0]
+    return quad
 
 
 def _fuse_pair(
@@ -154,7 +174,7 @@ def _fuse_pair(
     w_j = 1.0 - w_i
 
     gamma = np.delete(posterior.gamma, remove, axis=0)
-    keep_after = keep if keep < remove else keep - 1
+    keep_after = _index_after_removal(keep, remove)
     gamma[keep_after] = posterior.gamma[keep] + posterior.gamma[remove]
     pi = np.delete(model.pi, remove, axis=0)
     pi[keep_after] = model.pi[keep] + model.pi[remove]
@@ -292,7 +312,10 @@ def joint_em(
     alternates E- and M-steps. After each E-step (from ``fusion_start`` on)
     the configured fusion check may merge one pair of components. The
     log-likelihood trace is non-decreasing between iterations with an equal
-    component count; fusion steps may move the value.
+    component count; fusion steps may move the value. Each M-step weights
+    the Tyler update by the quadratic forms of the E-step before it, so
+    every covariance is factorized once per iteration; after a fusion only
+    the kept component's forms are computed again.
 
     Returns:
         ``(model, posterior, fusion_events, loglik_trace)``.
@@ -316,7 +339,7 @@ def joint_em(
     trace = []
     posterior = init
     for it in range(config.iterations):
-        gamma, ll = _joint_e_step(x, embeddings, model)
+        gamma, ll, quad = _joint_e_step(x, embeddings, model)
         trace.append(ll)
         posterior = PosteriorTensor(gamma, model.pi)
         if config.fusion != "none" and it >= config.fusion_start:
@@ -336,6 +359,7 @@ def joint_em(
             if event is not None:
                 logger.debug("fused components %d <- %d at iteration %d", event.kept, event.removed, it)
                 events.append(event)
+                quad = _fused_quad(quad, event, model, x)
         model = joint_m_step(
             x,
             embeddings,
@@ -344,6 +368,7 @@ def joint_em(
             kappa_max=config.kappa_max,
             rng=rng,
             freeze_spatial=config.freeze_spatial,
+            quad=quad,
         )
     return model, PosteriorTensor(posterior.gamma, model.pi), events, np.asarray(trace)
 

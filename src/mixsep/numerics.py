@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
 from .errors import InvalidInputError, NumericalError
 
@@ -87,11 +87,30 @@ def chol_with_loading(mats: np.ndarray) -> np.ndarray:
     raise NumericalError("Cholesky factorization failed after maximum diagonal loading")
 
 
+def _tril_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a (..., C, C) lower-triangular stack by forward substitution."""
+    c = lower.shape[-1]
+    inv = np.zeros_like(lower)
+    for i in range(c):
+        row = -np.einsum("...j,...jk->...k", lower[..., i, :i], inv[..., :i, :])
+        row[..., i] += 1.0
+        inv[..., i, :] = row / lower[..., i, i, None]
+    return inv
+
+
 def chol_logdet_quad(mats: np.ndarray, rhs: np.ndarray):
     """Log-determinants and quadratic forms for Hermitian PD stacks.
 
     Computes ``logdet(M)`` and ``Re(v^H M^{-1} v)`` for every matrix of the
-    stack and every right-hand-side column, via a single Cholesky pass.
+    stack and every right-hand-side column from one Cholesky factorization
+    per matrix: the C x C factor is inverted once and applied with
+    ``matmul``, one slice of the leading axis at a time, so the (..., C, T)
+    products of a broadcast right-hand side never exist all at once.
+
+    For a covariance stack and the observations, ``quad`` holds the
+    quadratic forms that the Tyler update of those covariances weights by
+    (``cacg.cacg_m_step``), so the EM keeps the E-step's ``quad`` and passes
+    it on instead of factorizing the same covariances again.
 
     Args:
         mats: (..., C, C) Hermitian stack.
@@ -112,8 +131,15 @@ def chol_logdet_quad(mats: np.ndarray, rhs: np.ndarray):
     L = chol_with_loading(mats)
     diag = np.einsum("...ii->...i", L).real
     logdet = 2.0 * np.log(diag).sum(axis=-1)
-    z = np.linalg.solve(L, np.broadcast_to(rhs, L.shape[:-2] + rhs.shape[-2:]))
-    quad = (z.real**2 + z.imag**2).sum(axis=-2)
+    batch = np.broadcast_shapes(L.shape[:-2], rhs.shape[:-2])
+    linv = np.broadcast_to(_tril_inverse(L), batch + L.shape[-2:])
+    rhs = np.broadcast_to(rhs, batch + rhs.shape[-2:])
+    quad = np.empty(batch + rhs.shape[-1:])
+    for i in np.ndindex(batch[:1]):
+        z = linv[i] @ rhs[i]
+        quad[i] = np.einsum("...ct,...ct->...t", z.real, z.real) + np.einsum(
+            "...ct,...ct->...t", z.imag, z.imag
+        )
     if single:
         quad = quad[..., 0]
     return logdet, quad
@@ -137,6 +163,9 @@ def psd_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def cholesky_logdet_solve(m: HermitianPD, v: np.ndarray):
     """Evaluate ``log det(M)`` and ``Re(v^H M^{-1} v)`` in one factorization.
 
+    The scalar reference for :func:`chol_logdet_quad`: one factor, one
+    triangular solve.
+
     Args:
         m: Hermitian PD matrix.
         v: complex vector of matching dimension.
@@ -147,8 +176,12 @@ def cholesky_logdet_solve(m: HermitianPD, v: np.ndarray):
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1 or v.shape[0] != m.dim:
         raise InvalidInputError(f"vector of dim {v.shape} does not match matrix dim {m.dim}")
-    logdet, quad = chol_logdet_quad(m.entries, v)
-    return float(logdet), float(quad)
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError("non-finite entries in right-hand side")
+    L = chol_with_loading(m.entries)
+    z = linalg.solve_triangular(L, v, lower=True)
+    logdet = 2.0 * float(np.log(np.diag(L).real).sum())
+    return logdet, float(np.vdot(z, z).real)
 
 
 def diagonal_load(m: HermitianPD, eps_rel: float) -> HermitianPD:

@@ -88,8 +88,9 @@ def initialize_segment(
     Spherical k-means++ on the voiced embeddings seeds a VMFMM which is
     fitted on the voiced frames only; silence frames are assigned to an
     additional noise component (the last one). The per-frame posterior is
-    replicated across the frequency axis. In mode "global" a whole-meeting
-    mixture is evaluated instead of fitting fresh components.
+    replicated across the frequency axis as a read-only broadcast view. In
+    mode "global" a whole-meeting mixture is evaluated instead of fitting
+    fresh components.
 
     Returns:
         PosteriorTensor with ``k_init + 1`` components (noise last).
@@ -122,7 +123,7 @@ def initialize_segment(
             assign = spherical_kmeans_pp(sub, k_used, seed)
             resp, _, _ = _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed)
         gamma_t[:k_used, voiced] = resp
-    gamma = np.repeat(gamma_t[:, :, None], n_bins, axis=2)
+    gamma = np.broadcast_to(gamma_t[:, :, None], gamma_t.shape + (n_bins,))
     return PosteriorTensor(gamma, gamma_t.copy())
 
 
@@ -479,6 +480,7 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
         "config": _config_dict(config),
         "num_frames": int(x.num_frames),
         "frame_rate": x.frame_rate,
+        "sample_rate": int(audio.sample_rate),
         "num_segments": len(segments),
         "segments": [],
     }
@@ -517,6 +519,16 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
     outcomes.sort(key=lambda o: o["index"])
     report["segments"] = [o["report"] for o in outcomes]
 
+    for outcome in outcomes:
+        result = outcome["result"]
+        n_speakers = 0 if result is None else result.prototypes.shape[0]
+        if config.k_total and n_speakers > config.k_total:
+            # a segment with more speakers than the meeting cannot be aligned:
+            # it fails alone and the meeting goes on
+            message = f"has {n_speakers} components, more than k_total={config.k_total}"
+            logger.warning("segment %s %s", result.segment.id, message)
+            outcome["report"]["error"] = message
+            outcome["result"] = None
     results = [o["result"] for o in outcomes if o["result"] is not None]
     k_total = config.k_total or max(
         (r.prototypes.shape[0] for r in results), default=1

@@ -12,6 +12,7 @@ from mixsep.cacg import (
     cacg_m_step,
     cacgmm_em,
     normalize_observations,
+    stack_covariances,
 )
 from mixsep.errors import ConfigurationError, InvalidInputError
 from mixsep.metrics import mask_auc
@@ -96,7 +97,7 @@ class TestCacgLogPdf:
         )  # (K=2, F=3, 2, 2)
         data = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
         x = normalize_observations(tensor(data))
-        stack = cacg_log_pdf_stack(covs, x)
+        stack, _ = cacg_log_pdf_stack(covs, x)
         for k in range(2):
             for t in range(4):
                 for f in range(3):
@@ -185,6 +186,37 @@ class TestCacgMStep:
         out = cacg_m_step(x, post, [SpatialComponent.identity(4, 3) for _ in range(2)])
         traces = np.einsum("fii->f", out[0].covariances).real
         assert np.allclose(traces, 3.0, atol=1e-6)
+
+
+class TestCacgMStepReusesQuad:
+    def scene(self):
+        rng = np.random.default_rng(22)
+        data = rng.standard_normal((3, 60, 5)) + 1j * rng.standard_normal((3, 60, 5))
+        x = normalize_observations(tensor(data))
+        raw = rng.uniform(0.05, 1.0, size=(2, 60, 5))
+        gamma = raw / raw.sum(axis=0, keepdims=True)
+        prev = [
+            SpatialComponent(np.stack([random_b(rng, 3).entries for _ in range(5)]))
+            for _ in range(2)
+        ]
+        return x, PosteriorTensor(gamma, gamma.mean(axis=2)), prev
+
+    def test_e_step_quad_gives_same_update(self):
+        x, post, prev = self.scene()
+        _, quad = cacg_log_pdf_stack(stack_covariances(prev), x)
+        given = cacg_m_step(x, post, prev, quad=quad)
+        computed = cacg_m_step(x, post, prev)
+        for a, b in zip(given, computed):
+            assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-12
+
+    def test_quad_is_the_tyler_weight(self):
+        # forms of other covariances must change the update
+        x, post, prev = self.scene()
+        identity = [SpatialComponent.identity(5, 3) for _ in range(2)]
+        _, quad = cacg_log_pdf_stack(stack_covariances(identity), x)
+        given = cacg_m_step(x, post, prev, quad=quad)
+        computed = cacg_m_step(x, post, prev)
+        assert np.max(np.abs(given[0].covariances - computed[0].covariances)) > 1e-3
 
 
 def two_source_scene(rng, n_frames=400, n_bins=33, n_chan=4, shared_b=False):
@@ -278,8 +310,8 @@ class TestCacgmmEm:
         covs = np.stack(
             [np.stack([random_b(rng, 2).entries for _ in range(5)]) for _ in range(2)]
         )
-        base = cacg_log_pdf_stack(covs, normalize_observations(x))
-        scaled = cacg_log_pdf_stack(3.7 * covs, normalize_observations(x))
+        base, _ = cacg_log_pdf_stack(covs, normalize_observations(x))
+        scaled, _ = cacg_log_pdf_stack(3.7 * covs, normalize_observations(x))
         assert np.array_equal(np.argmax(base, axis=0), np.argmax(scaled, axis=0))
 
     def test_empty_component_count_rejected(self):

@@ -176,6 +176,20 @@ class TestCmdRun:
         assert len(errors) == 1
         assert "injected fault" in errors[0]["error"]
 
+    def test_oversized_segments_partial_and_next_input_runs(self, bundle, tmp_path):
+        # two talkers against k_total=1: each meeting's segments fail alone,
+        # the run goes on to the second input and exits partial
+        out_dir = tmp_path / "out"
+        cfg = run_config_dict(bundle, out_dir, k_total=1)
+        cfg["inputs"].append(dict(cfg["inputs"][0], id="meet1"))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        for ident in ("meet0", "meet1"):
+            report = json.loads((out_dir / ident / "report.json").read_text())
+            errors = [s["error"] for s in report["segments"] if s.get("error")]
+            assert errors and all("more than k_total=1" in err for err in errors)
+
 
 class TestCmdScore:
     def test_identical_ref_hyp_zero(self, bundle, capsys):

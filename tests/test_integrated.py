@@ -3,6 +3,7 @@ import pytest
 from helpers import kmeans_init_posterior, random_soft_posterior, tiny_scenario
 from scipy.optimize import linear_sum_assignment
 
+from mixsep import cacg
 from mixsep.cacg import (
     PosteriorTensor,
     SpatialComponent,
@@ -54,9 +55,8 @@ class TestJointEStep:
         xn = normalize_observations(x)
         model = model_from_truth(truth, x, kappa=0.0)
         post = joint_e_step(xn, e, model)
-        logits = np.log(model.pi)[:, :, None] + cacg_log_pdf_stack(
-            stack_covariances(model.spatial), xn
-        )
+        log_pdf, _ = cacg_log_pdf_stack(stack_covariances(model.spatial), xn)
+        logits = np.log(model.pi)[:, :, None] + log_pdf
         want = np.exp(logits - logits.max(axis=0, keepdims=True))
         want /= want.sum(axis=0, keepdims=True)
         assert np.max(np.abs(post.gamma - want)) < 1e-12
@@ -326,6 +326,28 @@ class TestJointEm:
                 if i in fusion_iters:
                     continue  # the value may move when K changed
                 assert trace[i + 1] >= trace[i] - 1e-6 * abs(trace[i])
+
+    def test_reused_quad_matches_recomputed_across_fusion(self, monkeypatch):
+        # the E-step's quadratic forms, trimmed and patched after each fusion,
+        # must equal forms computed afresh from the M-step's input covariances
+        cfg = tiny_scenario([0, 1, 2], duration_s=8.0, overlap=0.1, seed=9, embed_dim=24)
+        x, e, truth, _ = build_meeting(cfg)
+        init = kmeans_init_posterior(e, truth.voiced, 6, x.num_bins, seed=2)
+        jcfg = JointEmConfig(
+            iterations=16, fusion="spectral", tau_spectral=0.7, fusion_start=3,
+            noise_index=6, seed=0,
+        )
+        reused = joint_em(x, e, init, jcfg)
+        real = cacg.cacg_m_step
+        monkeypatch.setattr(
+            cacg, "cacg_m_step", lambda x, post, prev, quad=None: real(x, post, prev)
+        )
+        fresh = joint_em(x, e, init, jcfg)
+        assert reused[2] and reused[2] == fresh[2]  # fusion fired, at the same steps
+        assert np.max(np.abs(reused[3] - fresh[3]) / np.abs(fresh[3])) <= 1e-12
+        assert np.max(np.abs(reused[1].gamma - fresh[1].gamma)) <= 1e-12
+        for a, b in zip(reused[0].spatial, fresh[0].spatial):
+            assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-12
 
     def test_reduction_to_cacgmm_with_zero_kappa(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=5.0, seed=11))

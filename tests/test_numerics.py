@@ -7,6 +7,7 @@ import pytest
 from mixsep.errors import InvalidInputError, NumericalError
 from mixsep.numerics import (
     HermitianPD,
+    chol_logdet_quad,
     cholesky_logdet_solve,
     diagonal_load,
     log_vmf_normalizer,
@@ -73,6 +74,43 @@ class TestCholeskyLogdetSolve:
         # eigenvalue -1 cannot be rescued by the loading ladder
         with pytest.raises(NumericalError):
             cholesky_logdet_solve(HermitianPD(np.diag([1.0, -1.0])), np.array([1.0, 0.0]))
+
+
+class TestCholLogdetQuad:
+    """The batched kernel against the scalar oracle, one matrix and vector at a time."""
+
+    def stack(self, rng, k=3, f=5, dim=4):
+        mats = np.stack([[random_hpd(rng, dim).entries for _ in range(f)] for _ in range(k)])
+        return mats  # (K, F, C, C)
+
+    def test_broadcast_columns_match_scalar_oracle(self):
+        rng = np.random.default_rng(21)
+        mats = self.stack(rng)
+        k, f, c, _ = mats.shape
+        rhs = rng.standard_normal((1, f, c, 7)) + 1j * rng.standard_normal((1, f, c, 7))
+        logdet, quad = chol_logdet_quad(mats, rhs)
+        assert logdet.shape == (k, f) and quad.shape == (k, f, 7)
+        for i in range(k):
+            for j in range(f):
+                for t in range(7):
+                    want_logdet, want_quad = cholesky_logdet_solve(
+                        HermitianPD(mats[i, j]), rhs[0, j, :, t]
+                    )
+                    assert abs(logdet[i, j] - want_logdet) <= 1e-10 * max(abs(want_logdet), 1.0)
+                    assert abs(quad[i, j, t] - want_quad) <= 1e-10 * want_quad
+
+    def test_single_vectors_match_scalar_oracle(self):
+        rng = np.random.default_rng(22)
+        mats = self.stack(rng)
+        k, f, c, _ = mats.shape
+        rhs = rng.standard_normal((k, f, c)) + 1j * rng.standard_normal((k, f, c))
+        logdet, quad = chol_logdet_quad(mats, rhs)
+        assert quad.shape == (k, f)
+        for i in range(k):
+            for j in range(f):
+                want_logdet, want_quad = cholesky_logdet_solve(HermitianPD(mats[i, j]), rhs[i, j])
+                assert abs(logdet[i, j] - want_logdet) <= 1e-10 * max(abs(want_logdet), 1.0)
+                assert abs(quad[i, j] - want_quad) <= 1e-10 * want_quad
 
 
 class TestDiagonalLoad:

@@ -393,6 +393,22 @@ class TestRunMeeting:
         assert all(s["error"] is None for s in report["segments"])
         assert len(spk_audio) == 3
 
+    def test_oversized_segment_fails_alone(self):
+        # three talkers counted as four: the segment cannot be aligned against
+        # k_total=3, so it reports an error and the meeting still returns
+        cfg = tiny_scenario([0, 1, 2], duration_s=5.0, seed=4, channels=3)
+        _, e, _, audio = build_meeting(cfg)
+        config = RunConfig(
+            stft_size_ms=32.0, window_ms=25.0, shift_ms=8.0, vad_window_s=12,
+            vad_threshold_db=8, min_segment_s=1, k_total=3, seed=1,
+        )
+        dia, spk_audio, report = run_meeting(audio, e, config)
+        (segment,) = report["segments"]
+        assert segment["speaker_count"] == 4
+        assert segment["error"] == "has 4 components, more than k_total=3"
+        assert dia.entries == [] and spk_audio == {}
+        assert report["sample_rate"] == audio.sample_rate
+
     def test_deterministic_rerun(self):
         cfg = tiny_scenario([0, 1], duration_s=8.0, seed=2, channels=3)
         x_model, e, truth, audio = build_meeting(cfg)
