@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, NumericalError
-from .numerics import HermitianPD, _load_stack, chol_logdet_quad, cholesky_logdet_solve
+from .numerics import (
+    HermitianPD,
+    _load_stack,
+    chol_logdet_quad,
+    cholesky_logdet_solve,
+    normalize_logits,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -235,13 +241,15 @@ def cacg_m_step(
         prev: the previous covariances ``B_prev``.
         quad: (K, F, T) quadratic forms ``~y^H B_prev^{-1} ~y`` of the
             previous covariances, as the E-step that evaluated them returns
-            (:func:`cacg_log_pdf_stack`); computed here when not given.
+            (:func:`cacg_log_pdf_stack`); computed here when not given, and
+            only then are the observations checked for unit norm (the EM
+            checks them once, on the initial M-step).
     """
-    _check_normalized(x)
     c = x.num_channels
     gamma = posterior.gamma  # (K, T, F)
     prev_stack = stack_covariances(prev)  # (K, F, C, C)
     if quad is None:
+        _check_normalized(x)
         quad = quad_forms(prev_stack, x)
     y = _freq_major(x.data)  # (F, C, T)
     y_h = np.conj(np.swapaxes(y, -1, -2))  # (F, T, C)
@@ -272,15 +280,23 @@ def update_pi(gamma: np.ndarray) -> np.ndarray:
     return pi / pi.sum(axis=0, keepdims=True)
 
 
-def _e_step(covariances, pi, x):
+def e_step(covariances: np.ndarray, pi: np.ndarray, x: StftTensor, log_spectral=0.0):
+    """E-step of the spatial mixture, optionally coupled to a spectral term.
+
+    ``gamma ~ pi * p_cACG(y) * exp(log_spectral)``, normalized per bin in the
+    log domain. With the default ``log_spectral=0.0`` this is the plain
+    cACGMM; the joint model passes its (K, T, 1) vMF log densities.
+
+    Returns:
+        ``(gamma, loglik, quad)``: the (K, T, F) posterior, the summed
+        per-bin log normalizers and the (K, F, T) quadratic forms of
+        :func:`cacg_log_pdf_stack` for the M-step.
+    """
     log_pdf, quad = cacg_log_pdf_stack(covariances, x)
     with np.errstate(divide="ignore"):
-        logits = np.log(pi)[:, :, None] + log_pdf
-    shift = logits.max(axis=0, keepdims=True)
-    with np.errstate(divide="ignore"):
-        norm = np.log(np.exp(logits - shift).sum(axis=0, keepdims=True)) + shift
-    gamma = np.exp(logits - norm)
-    return gamma, float(norm.sum()), quad
+        logits = np.log(pi)[:, :, None] + log_pdf + log_spectral
+    gamma, loglik = normalize_logits(logits)
+    return gamma, loglik, quad
 
 
 def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
@@ -309,7 +325,7 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     trace = []
     gamma = init_gamma.gamma
     for _ in range(iterations):
-        gamma, ll, quad = _e_step(stack_covariances(components), pi, x)
+        gamma, ll, quad = e_step(stack_covariances(components), pi, x)
         trace.append(ll)
         pi = update_pi(gamma)
         components = cacg_m_step(x, PosteriorTensor(gamma, pi), components, quad=quad)

@@ -76,23 +76,10 @@ class JointEmConfig:
     seed: int = 0
 
 
-def _vmf_log_term(model: JointModel, embeddings: EmbeddingSequence) -> np.ndarray:
-    return _vmf.log_pdf_matrix(model.spectral, embeddings.frames)  # (K, T)
-
-
 def _joint_e_step(x: StftTensor, embeddings: EmbeddingSequence, model: JointModel):
-    log_pdf, quad = _cacg.cacg_log_pdf_stack(_cacg.stack_covariances(model.spatial), x)
-    with np.errstate(divide="ignore"):
-        logits = (
-            np.log(model.pi)[:, :, None]
-            + log_pdf
-            + _vmf_log_term(model, embeddings)[:, :, None]
-        )
-    shift = logits.max(axis=0, keepdims=True)
-    with np.errstate(divide="ignore"):
-        norm = np.log(np.exp(logits - shift).sum(axis=0, keepdims=True)) + shift
-    gamma = np.exp(logits - norm)
-    return gamma, float(norm.sum()), quad
+    # the cACGMM E-step with the frame's vMF log density as spectral term
+    log_vmf = _vmf.log_pdf_matrix(model.spectral, embeddings.frames)  # (K, T)
+    return _cacg.e_step(_cacg.stack_covariances(model.spatial), model.pi, x, log_vmf[:, :, None])
 
 
 def joint_e_step(
@@ -194,16 +181,23 @@ def _fuse_pair(
     return new_model, PosteriorTensor(gamma, pi), event
 
 
-def _best_pair(scores: np.ndarray, candidates: list[int]):
-    best = None
-    best_score = -np.inf
-    for a in range(len(candidates)):
-        for b in range(a + 1, len(candidates)):
-            s = scores[candidates[a], candidates[b]]
-            if s > best_score:
-                best_score = s
-                best = (candidates[a], candidates[b])
-    return best, best_score
+def _fuse_top_pair(model, posterior, tau, k_min, iteration, score):
+    """Fuse the speaker pair of highest score if that score exceeds tau.
+
+    ``score(speakers)`` returns the symmetric pair-score matrix of the
+    speaker components (noise excluded). Ties go to the first pair in
+    row-major order of its upper triangle.
+    """
+    if not 0.0 < tau < 1.0:
+        raise ConfigurationError("tau must lie in (0, 1)")
+    speakers = model.speaker_indices()
+    if len(speakers) <= max(k_min, 1):
+        return model, posterior, None
+    upper = np.triu(score(speakers), 1)
+    a, b = np.unravel_index(np.argmax(upper), upper.shape)
+    if upper[a, b] <= tau:
+        return model, posterior, None
+    return _fuse_pair(model, posterior, speakers[a], speakers[b], float(upper[a, b]), iteration)
 
 
 def spectral_fusion_check(
@@ -223,20 +217,12 @@ def spectral_fusion_check(
     Returns:
         ``(model, posterior, event_or_None)``.
     """
-    if not 0.0 < tau < 1.0:
-        raise ConfigurationError("tau must lie in (0, 1)")
-    speakers = model.speaker_indices()
-    if len(speakers) <= max(k_min, 1):
-        return model, posterior, None
-    full = np.full((model.num_components, model.num_components), -np.inf)
-    for a in range(len(speakers)):
-        for b in range(a + 1, len(speakers)):
-            ka, kb = speakers[a], speakers[b]
-            full[ka, kb] = float(model.spectral[ka].mu @ model.spectral[kb].mu)
-    pair, score = _best_pair(full, speakers)
-    if pair is None or score <= tau:
-        return model, posterior, None
-    return _fuse_pair(model, posterior, pair[0], pair[1], float(score), iteration)
+
+    def cosine(speakers):
+        mus = np.stack([model.spectral[k].mu for k in speakers])
+        return mus @ mus.T
+
+    return _fuse_top_pair(model, posterior, tau, k_min, iteration, cosine)
 
 
 def iou_fusion_check(
@@ -254,25 +240,15 @@ def iou_fusion_check(
     fused with the same mechanics as the spectral check. Two empty activity
     sets have IoU 0.
     """
-    if not 0.0 < tau < 1.0:
-        raise ConfigurationError("tau must lie in (0, 1)")
-    speakers = model.speaker_indices()
-    if len(speakers) <= max(k_min, 1):
-        return model, posterior, None
-    active = model.pi > activity_threshold  # (K, T)
-    full = np.full((model.num_components, model.num_components), -np.inf)
-    for a in range(len(speakers)):
-        for b in range(a + 1, len(speakers)):
-            ka, kb = speakers[a], speakers[b]
-            union = float(np.logical_or(active[ka], active[kb]).sum())
-            inter = float(np.logical_and(active[ka], active[kb]).sum())
-            iou = inter / union if union > 0.0 else 0.0
-            full[ka, kb] = iou
-            full[kb, ka] = iou
-    pair, score = _best_pair(full, speakers)
-    if pair is None or score <= tau:
-        return model, posterior, None
-    return _fuse_pair(model, posterior, pair[0], pair[1], float(score), iteration)
+
+    def iou(speakers):
+        active = (model.pi[speakers] > activity_threshold).astype(float)  # (S, T)
+        inter = active @ active.T
+        size = active.sum(axis=1)
+        union = size[:, None] + size[None, :] - inter
+        return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+    return _fuse_top_pair(model, posterior, tau, k_min, iteration, iou)
 
 
 def _initial_model(
@@ -282,16 +258,12 @@ def _initial_model(
     config: JointEmConfig,
     rng: np.random.Generator,
 ) -> JointModel:
-    n_comp = init.num_components
-    if config.freeze_spatial:
-        spatial = [
-            SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(n_comp)
-        ]
-    else:
-        identity = [
-            SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(n_comp)
-        ]
-        spatial = _cacg.cacg_m_step(x, init, identity)
+    spatial = [
+        SpatialComponent.identity(x.num_bins, x.num_channels)
+        for _ in range(init.num_components)
+    ]
+    if not config.freeze_spatial:
+        spatial = _cacg.cacg_m_step(x, init, spatial)
     gbar = init.gamma.sum(axis=2)
     spectral = _vmf.vmf_m_step(embeddings, gbar, config.kappa_max, rng)
     if config.noise_index is not None:

@@ -2,8 +2,9 @@
 
 Everything in this module is a pure function on immutable inputs: Hermitian
 positive-definite matrix operations (Cholesky with escalating diagonal
-loading), log-domain accumulation, and the Bessel-based normalizer of the
-von-Mises-Fisher density.
+loading), log-domain accumulation (``logsumexp`` and the posterior
+normalization that every mixture E-step shares), and the Bessel-based
+normalizer of the von-Mises-Fisher density.
 """
 
 from __future__ import annotations
@@ -278,3 +279,14 @@ def logsumexp(values, axis=None):
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
+
+
+def normalize_logits(logits: np.ndarray, axis: int = 0):
+    """Posterior of mixture logits, normalized along ``axis`` in the log domain.
+
+    Returns:
+        ``(posterior, loglik)``: ``exp(logits - logsumexp(logits, axis))`` and
+        the sum of the per-observation log normalizers.
+    """
+    norm = logsumexp(logits, axis=axis)
+    return np.exp(logits - np.expand_dims(norm, axis)), float(norm.sum())

@@ -18,7 +18,7 @@ from scipy import ndimage
 from . import frontend
 from .cacg import PosteriorTensor, StftTensor
 from .errors import ConfigurationError, InvalidInputError, NumericalError
-from .integrated import JointEmConfig, JointModel, count_speakers, joint_em
+from .integrated import JointEmConfig, count_speakers, joint_em
 from .numerics import _load_stack, psd_solve
 from .vmf import (
     EmbeddingSequence,
@@ -57,12 +57,14 @@ class Diarization:
 
 @dataclass
 class SegmentResult:
-    """Everything one segment contributes to the meeting-level reduction."""
+    """What one segment sends back for alignment and audio reassembly.
 
-    model: JointModel
-    posteriors: PosteriorTensor
+    Only what the meeting-level reduction reads travels back from a pool
+    worker; the posterior masks go to MSK1 files (``masks_<segment>.msk``)
+    instead.
+    """
+
     prototypes: np.ndarray  # (K_speakers, E), noise excluded
-    local_activity: np.ndarray  # (K_speakers, T) smoothed priors
     segment: frontend.SegmentSpec
     utterances: list  # per speaker component: list of (start_s, end_s), absolute
 
@@ -380,25 +382,12 @@ def _segment_task(args):
             config.min_dur_s,
         )
         utterances = [[(offset_s + s, offset_s + e) for s, e in iv] for iv in intervals]
-        smoothed = np.stack(
-            [
-                ndimage.median_filter(model.pi[k], size=config.median_frames, mode="nearest")
-                for k in speaker_rows
-            ]
-        ) if speaker_rows else np.zeros((0, x_seg.num_frames))
         prototypes = (
             np.stack([model.spectral[k].mu for k in speaker_rows])
             if speaker_rows
             else np.zeros((0, emb_seg.dim))
         )
-        result = SegmentResult(
-            model=model,
-            posteriors=posterior,
-            prototypes=prototypes,
-            local_activity=smoothed,
-            segment=segment,
-            utterances=utterances,
-        )
+        result = SegmentResult(prototypes=prototypes, segment=segment, utterances=utterances)
         beamformed = {}
         hop, win = x_seg.shift, x_seg.window_size
         n_samples = win + (x_seg.num_frames - 1) * hop

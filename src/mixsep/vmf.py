@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .numerics import bessel_ratio, log_vmf_normalizer, logsumexp
+from .numerics import bessel_ratio, log_vmf_normalizer, normalize_logits
 
 logger = logging.getLogger(__name__)
 
@@ -259,10 +259,8 @@ def vmfmm_em(
         weights = _prior_update(resp, prior_mode)
         with np.errstate(divide="ignore"):
             log_w = np.log(weights if weights.ndim == 2 else weights[:, None])
-        logits = log_w + log_pdf_matrix(components, embeddings.frames)
-        norm = logsumexp(logits, axis=0)
-        resp = np.exp(logits - norm[None, :])
-        trace.append(float(norm.sum()))
+        resp, loglik = normalize_logits(log_w + log_pdf_matrix(components, embeddings.frames))
+        trace.append(loglik)
     mixture = VmfMixture(components, weights, kappa_max)
     return mixture, resp, np.asarray(trace)
 
@@ -274,7 +272,7 @@ def vmf_posterior(mixture: VmfMixture, embeddings: EmbeddingSequence) -> np.ndar
         raise InvalidInputError("posterior evaluation needs shared (K,) weights")
     with np.errstate(divide="ignore"):
         logits = np.log(weights)[:, None] + log_pdf_matrix(mixture.components, embeddings.frames)
-    return np.exp(logits - logsumexp(logits, axis=0)[None, :])
+    return normalize_logits(logits)[0]
 
 
 def smooth_one_hot(assign: np.ndarray, epsilon: float = INIT_SMOOTHING) -> np.ndarray:

@@ -399,10 +399,7 @@ def test_criterion_08_segment_alignment():
             seg = frontend.SegmentSpec(si * 1000, si * 1000 + 500, f"seg{si:03d}")
             results.append(
                 pipeline.SegmentResult(
-                    model=None,
-                    posteriors=None,
                     prototypes=jitter,
-                    local_activity=np.zeros((4, 500)),
                     segment=seg,
                     utterances=utts,
                 )

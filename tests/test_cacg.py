@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixsep.cacg import (
     PosteriorTensor,
@@ -11,12 +13,13 @@ from mixsep.cacg import (
     cacg_log_pdf_stack,
     cacg_m_step,
     cacgmm_em,
+    e_step,
     normalize_observations,
     stack_covariances,
 )
 from mixsep.errors import ConfigurationError, InvalidInputError
 from mixsep.metrics import mask_auc
-from mixsep.numerics import HermitianPD
+from mixsep.numerics import HermitianPD, logsumexp
 from mixsep.synth import sample_cacg
 
 
@@ -188,6 +191,16 @@ class TestCacgMStep:
         assert np.allclose(traces, 3.0, atol=1e-6)
 
 
+class TestCacgMStepChecksNorms:
+    def test_unnormalized_observations_rejected(self):
+        # a direct call computes its own quadratic forms and checks the norms
+        rng = np.random.default_rng(23)
+        data = rng.standard_normal((3, 20, 4)) + 1j * rng.standard_normal((3, 20, 4))
+        prev = [SpatialComponent.identity(4, 3) for _ in range(2)]
+        with pytest.raises(InvalidInputError):
+            cacg_m_step(tensor(data), uniform_posterior(2, 20, 4), prev)
+
+
 class TestCacgMStepReusesQuad:
     def scene(self):
         rng = np.random.default_rng(22)
@@ -319,6 +332,71 @@ class TestCacgmmEm:
         data = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
         with pytest.raises(ConfigurationError):
             cacgmm_em(tensor(data), uniform_posterior(1, 4, 2), 0)
+
+
+@st.composite
+def e_step_cases(draw):
+    """Random unit observations, covariances, priors and an optional spectral term."""
+    k = draw(st.integers(1, 4))
+    f, c, t = draw(st.integers(1, 4)), draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f))
+    a = rng.standard_normal((k, f, c, c)) + 1j * rng.standard_normal((k, f, c, c))
+    covariances = a @ np.conj(np.swapaxes(a, -1, -2)) / c + 0.1 * np.eye(c)
+    pi = rng.uniform(0.05, 1.0, (k, t))
+    pi /= pi.sum(axis=0, keepdims=True)
+    spectral = rng.normal(0.0, 5.0, (k, t, 1)) if draw(st.booleans()) else None
+    perm = np.array(draw(st.permutations(range(k))), dtype=int)
+    return normalize_observations(tensor(data)), covariances, pi, spectral, perm
+
+
+class TestSharedEStep:
+    """Properties of the one E-step of the cACGMM and the joint model."""
+
+    @staticmethod
+    def run(x, covariances, pi, spectral):
+        if spectral is None:
+            return e_step(covariances, pi, x)
+        return e_step(covariances, pi, x, spectral)
+
+    @settings(max_examples=60, deadline=None)
+    @given(e_step_cases())
+    def test_posterior_on_the_simplex(self, case):
+        x, covariances, pi, spectral, _ = case
+        gamma, _, _ = self.run(x, covariances, pi, spectral)
+        assert gamma.shape == (pi.shape[0], x.num_frames, x.num_bins)
+        assert np.all(gamma >= 0.0) and np.all(gamma <= 1.0)
+        assert np.max(np.abs(gamma.sum(axis=0) - 1.0)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(e_step_cases())
+    def test_component_permutation_equivariance(self, case):
+        x, covariances, pi, spectral, perm = case
+        gamma, loglik, quad = self.run(x, covariances, pi, spectral)
+        spectral_p = None if spectral is None else spectral[perm]
+        gamma_p, loglik_p, quad_p = self.run(x, covariances[perm], pi[perm], spectral_p)
+        np.testing.assert_allclose(gamma_p, gamma[perm], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(quad_p, quad[perm], rtol=1e-12)
+        assert abs(loglik_p - loglik) <= 1e-12 * abs(loglik)
+
+    @settings(max_examples=30, deadline=None)
+    @given(e_step_cases())
+    def test_matches_scalar_oracle(self, case):
+        # gamma and the log-likelihood from per-bin scalar cACG densities
+        x, covariances, pi, spectral, _ = case
+        gamma, loglik, _ = self.run(x, covariances, pi, spectral)
+        extra = np.zeros_like(pi) if spectral is None else spectral[:, :, 0]
+        want_ll = 0.0
+        for f in range(x.num_bins):
+            for t in range(x.num_frames):
+                pdf = [
+                    cacg_log_pdf(HermitianPD(cov[f]), x.data[:, t, f]) for cov in covariances
+                ]
+                logits = np.log(pi[:, t]) + np.asarray(pdf) + extra[:, t]
+                norm = logsumexp(logits)
+                want_ll += norm
+                np.testing.assert_allclose(gamma[:, t, f], np.exp(logits - norm), atol=1e-10)
+        assert loglik == pytest.approx(want_ll, rel=1e-10)
 
 
 class TestStftTensorInvariants:

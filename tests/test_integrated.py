@@ -287,6 +287,105 @@ class TestIouFusion:
         assert event is None
 
 
+class TestFusionScorerMatchesPairLoop:
+    """Both fusion checks against a brute-force loop over the speaker pairs."""
+
+    @staticmethod
+    def pair_loop(model, score, tau, k_min):
+        speakers = [k for k in range(model.num_components) if k != model.noise_index]
+        if len(speakers) <= max(k_min, 1):
+            return None
+        best, best_score = None, -np.inf
+        for i, a in enumerate(speakers):
+            for b in speakers[i + 1 :]:
+                if score(a, b) > best_score:
+                    best, best_score = (a, b), score(a, b)
+        return (best, best_score) if best_score > tau else None
+
+    @staticmethod
+    def random_model(rng, mus, pi):
+        n_comp, n_frames = pi.shape
+        covs = [np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)).copy()] * n_comp
+        noise = None if rng.random() < 0.3 else n_comp // 2  # noise in the middle
+        model = make_fusion_model(mus, [5.0] * n_comp, pi, covs, noise_index=noise)
+        gamma = np.full((n_comp, n_frames, 2), 1.0 / n_comp)
+        return model, PosteriorTensor(gamma, pi)
+
+    @staticmethod
+    def assert_same(event, want):
+        if want is None:
+            assert event is None
+        else:
+            assert event is not None
+            assert (event.kept, event.removed) == want[0]
+            assert event.similarity == want[1]
+
+    def test_spectral_matches_pair_loop(self):
+        # axes and (+-1/2, +-1/2, +-1/2, +-1/2): unit prototypes whose cosines are
+        # exact multiples of 1/2, so many pairs tie exactly
+        rng = np.random.default_rng(5)
+        pool = list(np.eye(4)) + [np.array(s) - 0.5 for s in np.ndindex(2, 2, 2, 2)]
+        outcomes = {"fused": 0, "none": 0, "tied": 0}
+        for _ in range(400):
+            n_comp = int(rng.integers(2, 8))
+            mus = [pool[i] for i in rng.integers(len(pool), size=n_comp)]
+            model, post = self.random_model(rng, mus, rng.uniform(0.0, 1.0, (n_comp, 6)))
+            tau = float(rng.choice([0.25, 0.5, 0.7, 0.99]))
+            k_min = int(rng.integers(1, 5))
+            cosine = lambda a, b: float(model.spectral[a].mu @ model.spectral[b].mu)
+            want = self.pair_loop(model, cosine, tau, k_min)
+            _, _, event = spectral_fusion_check(model, post, tau, k_min=k_min)
+            self.assert_same(event, want)
+            outcomes["none" if want is None else "fused"] += 1
+            if want is not None:
+                speakers = model.speaker_indices()
+                ties = [
+                    (a, b) for i, a in enumerate(speakers) for b in speakers[i + 1 :]
+                    if cosine(a, b) == want[1]
+                ]
+                outcomes["tied"] += len(ties) > 1
+        assert min(outcomes.values()) > 20, outcomes
+
+    def test_spectral_random_prototypes(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n_comp = int(rng.integers(2, 8))
+            mus = [unit(v) for v in rng.standard_normal((n_comp, 3))]
+            model, post = self.random_model(rng, mus, rng.uniform(0.0, 1.0, (n_comp, 6)))
+            cosine = lambda a, b: float(model.spectral[a].mu @ model.spectral[b].mu)
+            want = self.pair_loop(model, cosine, 0.5, 1)
+            _, _, event = spectral_fusion_check(model, post, 0.5)
+            if want is None:
+                assert event is None
+            else:
+                assert (event.kept, event.removed) == want[0]
+                assert event.similarity == pytest.approx(want[1], abs=1e-15)
+
+    def test_iou_matches_pair_loop(self):
+        rng = np.random.default_rng(7)
+        outcomes = {"fused": 0, "none": 0, "empty_union": 0}
+        for _ in range(400):
+            n_comp = int(rng.integers(2, 8))
+            pi = rng.uniform(0.0, 1.0, (n_comp, 5))
+            pi[rng.random(n_comp) < 0.3] = 0.0  # all-inactive rows
+            mus = [unit(v) for v in np.eye(8)[:n_comp]]
+            model, post = self.random_model(rng, mus, pi)
+            tau = float(rng.choice([0.2, 0.5, 0.6, 0.8]))
+            k_min = int(rng.integers(1, 5))
+            active = pi > 0.5
+
+            def iou(a, b):
+                union = np.logical_or(active[a], active[b]).sum()
+                return np.logical_and(active[a], active[b]).sum() / union if union else 0.0
+
+            want = self.pair_loop(model, iou, tau, k_min)
+            _, _, event = iou_fusion_check(model, post, tau, activity_threshold=0.5, k_min=k_min)
+            self.assert_same(event, want)
+            outcomes["none" if want is None else "fused"] += 1
+            outcomes["empty_union"] += int((~active).all(axis=1).sum() >= 2)
+        assert min(outcomes.values()) > 20, outcomes
+
+
 class TestJointEm:
     def test_single_iteration_deterministic(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=8))

@@ -256,12 +256,8 @@ class TestBeamform:
 
 def fake_result(protos, utterances, seg_id, start_frame=0, end_frame=100):
     seg = frontend.SegmentSpec(start_frame, end_frame, seg_id)
-    k = protos.shape[0]
     return SegmentResult(
-        model=None,
-        posteriors=None,
         prototypes=protos,
-        local_activity=np.zeros((k, end_frame - start_frame)),
         segment=seg,
         utterances=utterances,
     )
