@@ -8,7 +8,6 @@ point, one application per EM iteration.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ from .numerics import (
     cholesky_logdet_solve,
     normalize_logits,
 )
-
-logger = logging.getLogger(__name__)
 
 PRIOR_FLOOR = 1e-10
 COV_LOADING = 1e-10
@@ -87,13 +84,6 @@ class SpatialComponent:
     @property
     def num_bins(self) -> int:
         return self.covariances.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.covariances.shape[1]
-
-    def covariance(self, f: int) -> HermitianPD:
-        return HermitianPD(self.covariances[f])
 
     @classmethod
     def identity(cls, num_bins: int, dim: int) -> "SpatialComponent":

@@ -7,15 +7,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import frontend, metrics, pipeline, rttm, synth
 from .errors import ConfigurationError, InvalidInputError, MixsepError
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -65,6 +63,16 @@ class RunConfig:
             raise ConfigurationError("k_init and iteration counts must be >= 1")
         if self.median_frames % 2 != 1:
             raise ConfigurationError("median_frames must be odd")
+        for item in self.inputs:
+            if not (
+                isinstance(item, dict)
+                and isinstance(item.get("audio"), str)
+                and isinstance(item.get("embeddings"), str)
+                and isinstance(item.get("id", ""), str)
+            ):
+                raise ConfigurationError(
+                    f"an input needs string 'audio', 'embeddings' and optional 'id', got {item!r}"
+                )
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":

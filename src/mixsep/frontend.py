@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import ndimage
 
 from .cacg import StftTensor
 from .errors import InvalidInputError
@@ -82,10 +82,6 @@ class SegmentSpec:
         if self.start_frame < 0 or self.end_frame <= self.start_frame:
             raise InvalidInputError("segment frame range must be nonempty and nonnegative")
 
-    @property
-    def num_frames(self) -> int:
-        return self.end_frame - self.start_frame
-
 
 # ---------------------------------------------------------------------------
 # WAV input/output
@@ -111,10 +107,16 @@ def read_wav(path) -> AudioBuffer:
         pos += 8 + size + (size & 1)
     if fmt is None or data is None:
         raise InvalidInputError(f"{path} misses fmt or data chunk")
+    if len(fmt) < 16:
+        raise InvalidInputError(f"{path}: fmt chunk of {len(fmt)} bytes, need 16")
     tag, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
     if tag == 0xFFFE:  # extensible: actual format in the first subformat bytes
+        if len(fmt) < 26:
+            raise InvalidInputError(f"{path}: extensible fmt chunk of {len(fmt)} bytes, need 26")
         tag = struct.unpack("<H", fmt[24:26])[0]
     frame_bytes = channels * bits // 8
+    if frame_bytes == 0:
+        raise InvalidInputError(f"{path}: {channels} channels of {bits} bits per sample")
     n = len(data) // frame_bytes
     data = data[: n * frame_bytes]
     if tag == 1 and bits == 16:
@@ -178,6 +180,13 @@ def _stft_sizes(sample_rate: int, stft_size_ms: float, window_ms: float, shift_m
     return nfft, win, hop
 
 
+def _hann(n: int) -> np.ndarray:
+    """Periodic Hann window, bit-identical to SciPy's ``get_window("hann", n)``."""
+    if n == 1:
+        return np.ones(1)
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
+
+
 def stft(
     audio: AudioBuffer,
     stft_size_ms: float = 64.0,
@@ -194,7 +203,7 @@ def stft(
     if n < win:
         data = np.zeros((audio.num_channels, 0, nfft // 2 + 1), dtype=complex)
         return StftTensor(data, audio.sample_rate, nfft, win, hop)
-    window = signal.get_window("hann", win, fftbins=True)
+    window = _hann(win)
     frames = np.lib.stride_tricks.sliding_window_view(audio.samples, win, axis=1)[:, ::hop, :]
     data = np.fft.rfft(frames * window, n=nfft, axis=2)
     return StftTensor(data, audio.sample_rate, nfft, win, hop)
@@ -204,7 +213,7 @@ def istft(spec: np.ndarray, stft_size: int, window_size: int, shift: int) -> np.
     """Invert an STFT of shape (..., T, F) via dual-window overlap-add."""
     spec = np.asarray(spec, dtype=complex)
     frames = np.fft.irfft(spec, n=stft_size, axis=-1)[..., :window_size]
-    window = signal.get_window("hann", window_size, fftbins=True)
+    window = _hann(window_size)
     n_frames = spec.shape[-2]
     n = window_size + (n_frames - 1) * shift if n_frames else 0
     out = np.zeros(spec.shape[:-2] + (n,))
@@ -264,7 +273,7 @@ def energy_vad(
 # Embedding files
 
 
-def write_embeddings(path, frames: np.ndarray, frame_rate: float | None = None, extractor=None):
+def write_embeddings(path, frames: np.ndarray, frame_rate: float | None = None):
     """Write the binary embedding matrix format (magic EMB1, u32 dims, f32 data)."""
     frames = np.asarray(frames, dtype=np.float32)
     if frames.ndim != 2:
@@ -273,14 +282,30 @@ def write_embeddings(path, frames: np.ndarray, frame_rate: float | None = None, 
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<III", frames.shape[0], frames.shape[1], 0))
         fh.write(frames.astype("<f4").tobytes())
-    if frame_rate is not None or extractor is not None:
-        meta = {}
-        if frame_rate is not None:
-            meta["frame_rate"] = frame_rate
-        if extractor is not None:
-            meta["extractor"] = extractor
+    if frame_rate is not None:
         with open(str(path) + ".json", "w") as fh:
-            json.dump(meta, fh, sort_keys=True)
+            json.dump({"frame_rate": frame_rate}, fh, sort_keys=True)
+
+
+def read_f32_tensor(path, magic: bytes, ndim: int) -> np.ndarray:
+    """Read a float32 tensor file, the layout of EMB1 and MSK1 files.
+
+    The file holds ``magic``, three little-endian u32 header fields whose
+    first ``ndim`` are the shape (EMB1: T, E, reserved; MSK1: K, T, F), then
+    the row-major little-endian float32 data.
+    """
+    with open(path, "rb") as fh:
+        found = fh.read(4)
+        if found != magic:
+            raise InvalidInputError(f"{path}: bad magic {found!r}, expected {magic.decode()}")
+        header = fh.read(12)
+        if len(header) != 12:
+            raise InvalidInputError(f"{path}: truncated header")
+        shape = struct.unpack("<III", header)[:ndim]
+        payload = fh.read(math.prod(shape) * 4)
+    if len(payload) != math.prod(shape) * 4:
+        raise InvalidInputError(f"{path}: truncated payload")
+    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(float)
 
 
 def ingest_embeddings(
@@ -295,15 +320,8 @@ def ingest_embeddings(
     padding; larger mismatches trigger nearest-frame resampling. The
     alignment action is recorded on the returned sequence.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != EMBEDDING_MAGIC:
-            raise InvalidInputError(f"{path}: bad magic {magic!r}, expected EMB1")
-        t_file, e_dim, _reserved = struct.unpack("<III", fh.read(12))
-        payload = fh.read(t_file * e_dim * 4)
-    if len(payload) != t_file * e_dim * 4:
-        raise InvalidInputError(f"{path}: truncated payload")
-    frames = np.frombuffer(payload, dtype="<f4").reshape(t_file, e_dim).astype(float)
+    frames = read_f32_tensor(path, EMBEDDING_MAGIC, 2)
+    t_file, e_dim = frames.shape
     if expected_dim is not None and e_dim != expected_dim:
         raise InvalidInputError(f"{path}: embedding dim {e_dim} != configured {expected_dim}")
     if np.isnan(frames).any():

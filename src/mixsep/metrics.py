@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import rankdata
 
 from .errors import InvalidInputError
 
@@ -149,6 +147,8 @@ def der(ref, hyp, collar_s: float = 0.25):
                 overlap[ref_ids.index(s), hyp_ids.index(h)] += dur
     mapping = {}
     if hyp_ids:
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(-overlap)
         mapping = {hyp_ids[c]: ref_ids[r] for r, c in zip(rows, cols)}
 
@@ -190,8 +190,10 @@ def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    ranks = rankdata(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # Mann-Whitney count: each negative below a positive scores 2, each tie 1
+    neg, hits = np.sort(scores[~pos]), scores[pos]
+    wins = np.searchsorted(neg, hits, "left") + np.searchsorted(neg, hits, "right")
+    return float(wins.sum() / (2 * n_pos * n_neg))
 
 
 def mask_auc(gamma, truth_masks, permutation_search: bool = True) -> float:
@@ -208,6 +210,8 @@ def mask_auc(gamma, truth_masks, permutation_search: bool = True) -> float:
     if not voiced.any():
         raise InvalidInputError("no voiced bins in the truth masks")
     scores = gamma[:, voiced]
+    if np.isnan(scores).any():
+        raise InvalidInputError("posterior has NaN entries in voiced bins")
     labels = truth[:, voiced]
     n_hyp, n_true = scores.shape[0], labels.shape[0]
     table = np.empty((n_hyp, n_true))
@@ -215,6 +219,8 @@ def mask_auc(gamma, truth_masks, permutation_search: bool = True) -> float:
         for j in range(n_true):
             table[i, j] = _auc(scores[i], labels[j])
     if permutation_search:
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(-table)
         return float(table[rows, cols].mean())
     if n_hyp != n_true:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -123,7 +123,7 @@ def initialize_segment(
             resp = resp / np.maximum(resp.sum(axis=0, keepdims=True), 1e-30)
         else:
             assign = spherical_kmeans_pp(sub, k_used, seed)
-            resp, _, _ = _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed)
+            resp, _ = _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed)
         gamma_t[:k_used, voiced] = resp
     gamma = np.broadcast_to(gamma_t[:, :, None], gamma_t.shape + (n_bins,))
     return PosteriorTensor(gamma, gamma_t.copy())
@@ -131,10 +131,10 @@ def initialize_segment(
 
 def _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed):
     resp = smooth_one_hot(assign)
-    mixture, resp, trace = vmfmm_em(
+    mixture, resp, _ = vmfmm_em(
         sub, resp, iterations, kappa_max, rng=np.random.default_rng(seed)
     )
-    return resp, mixture, trace
+    return resp, mixture
 
 
 def fit_global_mixture(
@@ -151,7 +151,7 @@ def fit_global_mixture(
         raise ConfigurationError("not enough voiced frames for a global fit")
     sub = EmbeddingSequence(embeddings.frames[voiced], embeddings.frame_rate)
     assign = spherical_kmeans_pp(sub, k_init, seed)
-    _, mixture, _ = _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed)
+    _, mixture = _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed)
     return mixture
 
 
@@ -323,15 +323,7 @@ def write_mask_tensor(path, tensor: np.ndarray):
 
 
 def read_mask_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MASK_MAGIC:
-            raise InvalidInputError(f"{path}: bad magic {magic!r}, expected MSK1")
-        k, t, f = struct.unpack("<III", fh.read(12))
-        payload = fh.read(k * t * f * 4)
-    if len(payload) != k * t * f * 4:
-        raise InvalidInputError(f"{path}: truncated payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(k, t, f).astype(float)
+    return frontend.read_f32_tensor(path, MASK_MAGIC, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +458,7 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
         vad, config.max_pause_s, config.min_segment_s, config.max_segment_s, x.frame_rate
     )
     report = {
-        "config": _config_dict(config),
+        "config": asdict(config),
         "num_frames": int(x.num_frames),
         "frame_rate": x.frame_rate,
         "sample_rate": int(audio.sample_rate),
@@ -474,7 +466,6 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
         "segments": [],
     }
     if not segments:
-        report["segments"] = []
         return Diarization([]), {}, report
 
     global_model = None
@@ -499,7 +490,7 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
         vad_seg = frontend.VadMask(vad.frames[seg.start_frame : seg.end_frame])
         tasks.append((si, seg, x_seg, emb_seg, vad_seg, config, global_model, mask_dir))
 
-    jobs = max(1, int(getattr(config, "jobs", 1)))
+    jobs = max(1, int(config.jobs))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_segment_task, tasks))
@@ -541,11 +532,3 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
             track[offset:end] += wave[: end - offset]
     report["speakers"] = diarization.speakers
     return diarization, speaker_audio, report
-
-
-def _config_dict(config):
-    from dataclasses import asdict, is_dataclass
-
-    if is_dataclass(config):
-        return asdict(config)
-    return {k: v for k, v in vars(config).items() if not k.startswith("_")}

@@ -139,7 +139,6 @@ class GroundTruth:
     segment_counts: list[int]
     segment_active: list[list[int]]
     voiced: np.ndarray  # (T,) bool
-    frame_dominant: np.ndarray  # (T,) int, -1 at silence
     mu_true: np.ndarray  # (K, E)
     cov_true: np.ndarray  # (K, F, C, C)
     source_images: np.ndarray  # (K, N) reference-channel images
@@ -318,7 +317,6 @@ def build_meeting(cfg: ScenarioConfig):
         segment_counts=[len(p.active) for p in cfg.segments],
         segment_active=[sorted(p.active) for p in cfg.segments],
         voiced=voiced,
-        frame_dominant=frame_dominant,
         mu_true=mu_true,
         cov_true=cov_true,
         source_images=images[:, 0, :],

@@ -90,11 +90,6 @@ class VmfMixture:
 
     components: list[SpectralComponent]
     weights: np.ndarray  # (K,) or (K, T)
-    kappa_max: float
-
-    @property
-    def num_components(self) -> int:
-        return len(self.components)
 
 
 def vmf_log_pdf(component: SpectralComponent, e: np.ndarray) -> float:
@@ -261,7 +256,7 @@ def vmfmm_em(
             log_w = np.log(weights if weights.ndim == 2 else weights[:, None])
         resp, loglik = normalize_logits(log_w + log_pdf_matrix(components, embeddings.frames))
         trace.append(loglik)
-    mixture = VmfMixture(components, weights, kappa_max)
+    mixture = VmfMixture(components, weights)
     return mixture, resp, np.asarray(trace)
 
 

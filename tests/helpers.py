@@ -1,10 +1,19 @@
 """Shared fixtures for the model-level tests: small, fast synthetic scenes."""
 
+import struct
+
 import numpy as np
 
 from mixsep.cacg import PosteriorTensor
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting
 from mixsep.vmf import smooth_one_hot, spherical_kmeans_pp
+
+
+def wav_bytes(fmt_chunk: bytes, payload: bytes) -> bytes:
+    """A RIFF/WAVE file of one ``fmt `` chunk (any bytes) and one data chunk."""
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 def tiny_scenario(

@@ -1,9 +1,15 @@
 import json
+import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import wav_bytes
 
+import mixsep
 from mixsep import cli, pipeline
 from mixsep.errors import ConfigurationError
 from mixsep.synth import ScenarioConfig, SegmentPlan
@@ -76,6 +82,42 @@ class TestRunConfig:
     def test_invalid_fusion_rejected(self):
         with pytest.raises(ConfigurationError):
             cli.RunConfig(fusion="never")
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            "audio.wav",
+            {"audio": "a.wav"},
+            {"embeddings": "e.emb"},
+            {"audio": "a.wav", "embeddings": 3},
+            {"audio": "a.wav", "embeddings": "e.emb", "id": 7},
+        ],
+        ids=["not_a_dict", "no_embeddings", "no_audio", "non_string_embeddings", "non_string_id"],
+    )
+    def test_malformed_inputs_rejected(self, item):
+        with pytest.raises(ConfigurationError):
+            cli.RunConfig(inputs=[item])
+
+    def test_input_without_id_accepted(self):
+        cli.RunConfig(inputs=[{"audio": "a.wav", "embeddings": "e.emb"}])
+
+
+def fresh_python(args, cwd):
+    """Run a fresh interpreter that imports this mixsep; returns the finished process."""
+    paths = [str(Path(mixsep.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_heavy_scipy_out(tmp_path):
+    # start-up cost: these subpackages take about a second to import
+    probe = (
+        "import sys, mixsep.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    )
+    proc = fresh_python(["-c", probe], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCmdSynth:
@@ -155,6 +197,26 @@ class TestCmdRun:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"inputs": [], "mystery": True}))
         assert cli.main(["run", "--config", str(config)]) == 1
+
+    def test_input_without_embeddings_exit_one(self, bundle, tmp_path, capsys):
+        cfg = run_config_dict(bundle, tmp_path / "o")
+        del cfg["inputs"][0]["embeddings"]
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "error: cannot load config" in capsys.readouterr().err
+
+    def test_malformed_wav_exits_one_without_traceback(self, bundle, tmp_path):
+        wav = tmp_path / "zero.wav"  # its header declares zero channels
+        wav.write_bytes(wav_bytes(struct.pack("<HHIIHH", 1, 0, 8000, 0, 0, 16), b"\x00" * 4))
+        cfg = run_config_dict(bundle, tmp_path / "o")
+        cfg["inputs"][0]["audio"] = str(wav)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(cfg))
+        proc = fresh_python(["-m", "mixsep.cli", "run", "--config", str(config)], tmp_path)
+        assert proc.returncode == 1
+        assert "error: meet0: " in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_corrupt_segment_partial_failure(self, bundle, tmp_path, monkeypatch):
         calls = {"n": 0}

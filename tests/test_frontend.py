@@ -1,11 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from helpers import wav_bytes
+from scipy import signal
 
 from mixsep.errors import InvalidInputError
 from mixsep.frontend import (
     AudioBuffer,
+    _hann,
     SegmentSpec,
     VadMask,
     energy_vad,
@@ -68,6 +72,11 @@ class TestStft:
         xb = stft(b).data
         xs = stft(ab).data
         assert np.max(np.abs(xs - (xa + xb))) < 1e-9
+
+    def test_hann_matches_scipy_bit_for_bit(self):
+        for n in range(1, 2050):
+            want = signal.get_window("hann", n, fftbins=True)
+            assert _hann(n).tobytes() == want.tobytes(), n
 
     def test_short_audio_empty_flagged(self):
         audio = AudioBuffer(np.zeros((2, 100)), 16000)
@@ -168,6 +177,22 @@ class TestWav:
         with pytest.raises(InvalidInputError):
             read_wav(path)
 
+    @pytest.mark.parametrize(
+        "fmt_chunk",
+        [
+            struct.pack("<HHIIHH", 1, 0, 8000, 0, 0, 16),  # zero channels
+            struct.pack("<HHIIHH", 1, 1, 8000, 0, 0, 0),  # zero bits per sample
+            struct.pack("<HHII", 1, 1, 8000, 16000),  # fmt chunk of 12 bytes
+            struct.pack("<HHIIHH", 0xFFFE, 1, 8000, 16000, 2, 16) + b"\x00" * 4,  # extensible of 20
+        ],
+        ids=["zero_channels", "zero_bits", "short_fmt", "short_extensible_fmt"],
+    )
+    def test_malformed_fmt_rejected(self, tmp_path, fmt_chunk):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(wav_bytes(fmt_chunk, b"\x00" * 8))
+        with pytest.raises(InvalidInputError):
+            read_wav(path)
+
 
 class TestEmbeddings:
     def test_exact_passthrough(self, tmp_path):
@@ -240,6 +265,12 @@ class TestEmbeddings:
         path.write_bytes(b"XXXX" + b"\x00" * 12)
         with pytest.raises(InvalidInputError):
             ingest_embeddings(path, 1)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "e.emb"
+        path.write_bytes(b"EMB1" + struct.pack("<II", 4, 4))
+        with pytest.raises(InvalidInputError, match="truncated header"):
+            ingest_embeddings(path, 4)
 
 
 def mask_from_runs(runs, total):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from mixsep.errors import InvalidInputError
 from mixsep.metrics import (
     Annotation,
     CountingMatrix,
+    _auc,
     counting_matrix,
     der,
     mask_auc,
@@ -167,6 +169,50 @@ class TestMaskAuc:
         gamma = truth * 0.8 + rng.uniform(size=truth.shape) * 0.2
         base = mask_auc(gamma, truth)
         assert mask_auc(gamma[[2, 0, 1]], truth) == pytest.approx(base)
+
+    def test_nan_posterior_rejected(self):
+        truth = np.zeros((2, 4, 3))
+        truth[0, :2] = 1.0
+        truth[1, 2:] = 1.0
+        gamma = np.full((2, 4, 3), 0.5)
+        gamma[1, 3, 2] = np.nan
+        with pytest.raises(InvalidInputError):
+            mask_auc(gamma, truth)
+
+
+def rank_auc(scores, labels):
+    # the rank-sum (Mann-Whitney U) formula with tie-averaged ranks
+    pos = labels > 0.5
+    n_pos = int(pos.sum())
+    n_neg = labels.shape[0] - n_pos
+    ranks = rankdata(scores)
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+class TestAucCount:
+    def test_random_scores_with_ties(self):
+        rng = np.random.default_rng(6)
+        for trial in range(500):
+            n = int(rng.integers(2, 300))
+            scores = rng.integers(0, int(rng.integers(1, 20)), size=n) / 8.0
+            labels = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(float)
+            labels[0], labels[1] = 1.0, 0.0
+            assert _auc(scores, labels) == rank_auc(scores, labels), trial
+
+    def test_continuous_scores(self):
+        rng = np.random.default_rng(7)
+        scores = rng.uniform(size=5000)
+        labels = (rng.uniform(size=5000) < 0.3).astype(float)
+        assert _auc(scores, labels) == rank_auc(scores, labels)
+
+    def test_all_tied(self):
+        labels = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+        assert _auc(np.full(5, 0.25), labels) == rank_auc(np.full(5, 0.25), labels) == 0.5
+
+    def test_single_positive(self):
+        scores = np.array([0.3, 0.1, 0.3, 0.9, 0.3])
+        labels = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+        assert _auc(scores, labels) == rank_auc(scores, labels) == 0.5
 
 
 class TestSiSdr:

@@ -352,6 +352,12 @@ class TestMaskTensorIo:
         with pytest.raises(InvalidInputError):
             read_mask_tensor(path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "m.msk"
+        path.write_bytes(b"MSK1" + b"\x01\x00\x00\x00")
+        with pytest.raises(InvalidInputError, match="truncated header"):
+            read_mask_tensor(path)
+
 
 class TestRunMeeting:
     def test_empty_meeting(self):
