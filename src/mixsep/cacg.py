@@ -208,6 +208,16 @@ def _check_normalized(x: StftTensor):
         raise InvalidInputError("observations must be unit-normalized (see normalize_observations)")
 
 
+def scatter_matrices(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(K, F, C, C) weighted scatter sums ``sum_t w_{k,f,t} y_{f,t} y_{f,t}^H``
+    of (F, C, T) observations under (K, F, T) weights."""
+    y_h = np.conj(np.swapaxes(y, -1, -2))  # (F, T, C)
+    out = np.empty(weights.shape[:2] + y.shape[1:2] * 2, dtype=complex)
+    for k, w in enumerate(weights):
+        out[k] = (w[:, None, :] * y) @ y_h
+    return out
+
+
 def stack_covariances(components: list[SpatialComponent]) -> np.ndarray:
     return np.stack([c.covariances for c in components])
 
@@ -241,12 +251,7 @@ def cacg_m_step(
     if quad is None:
         _check_normalized(x)
         quad = quad_forms(prev_stack, x)
-    y = _freq_major(x.data)  # (F, C, T)
-    y_h = np.conj(np.swapaxes(y, -1, -2))  # (F, T, C)
-    numer = np.empty(prev_stack.shape, dtype=complex)
-    for k in range(numer.shape[0]):
-        weights = gamma[k].T / quad[k]  # (F, T)
-        numer[k] = (weights[:, None, :] * y) @ y_h
+    numer = scatter_matrices(_freq_major(x.data), np.transpose(gamma, (0, 2, 1)) / quad)
     denom = gamma.sum(axis=1)  # (K, F)
     inactive = denom == 0.0
     safe = np.where(inactive, 1.0, denom)

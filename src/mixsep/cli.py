@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import frontend, metrics, pipeline, rttm, synth
-from .errors import ConfigurationError, InvalidInputError, MixsepError
+from .errors import ConfigurationError, MixsepError
 
 
 @dataclass
@@ -176,49 +176,43 @@ def cmd_synth(scenario_path, out_dir) -> int:
 def cmd_score(ref_path, hyp_path, bundle_dir=None) -> int:
     """Print DER (and, with a bundle, counting and mask metrics) as JSON."""
     try:
-        ref = rttm.read_rttm(ref_path)
-        hyp = rttm.read_rttm(hyp_path)
-    except (OSError, InvalidInputError) as exc:
+        rate, miss, falarm, confusion = metrics.der(
+            rttm.read_rttm(ref_path), rttm.read_rttm(hyp_path)
+        )
+        out = {"der": rate, "miss": miss, "falarm": falarm, "confusion": confusion}
+        if bundle_dir is not None:
+            out.update(_bundle_scores(Path(bundle_dir), Path(hyp_path).parent))
+    except (OSError, ValueError, MixsepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        rate, miss, falarm, confusion = metrics.der(ref, hyp)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out = {
-        "der": rate,
-        "miss": miss,
-        "falarm": falarm,
-        "confusion": confusion,
-    }
-    if bundle_dir is not None:
-        bundle = Path(bundle_dir)
-        report_path = Path(hyp_path).parent / "report.json"
-        truth_path = bundle / "truth.json"
-        if truth_path.exists() and report_path.exists():
-            truth_meta = json.loads(truth_path.read_text())
-            report = json.loads(report_path.read_text())
-            pairing = _pair_counts(truth_meta, report)
-            if pairing:
-                truths, estimates = zip(*pairing)
-                cm = metrics.counting_matrix(truths, estimates)
-                out["counting"] = {
-                    "matrix": cm.counts.tolist(),
-                    "accuracy": cm.accuracy,
-                    "correct": cm.correct,
-                    "total": cm.total,
-                }
-        masks_path = bundle / "truth_masks.msk"
-        hyp_masks = sorted(Path(hyp_path).parent.glob("masks_*.msk"))
-        if masks_path.exists() and hyp_masks:
-            truth_masks = pipeline.read_mask_tensor(masks_path)
-            report = json.loads(report_path.read_text()) if report_path.exists() else None
-            aucs = _bundle_mask_auc(truth_masks, hyp_masks, report)
-            if aucs:
-                out["mask_auc"] = float(np.mean(aucs))
     print(json.dumps(out, sort_keys=True, indent=2))
     return 0
+
+
+def _bundle_scores(bundle, run_dir):
+    """Counting and mask scores of a run directory against a synth bundle."""
+    out = {}
+    report_path = run_dir / "report.json"
+    report = json.loads(report_path.read_text()) if report_path.exists() else None
+    truth_path = bundle / "truth.json"
+    if truth_path.exists() and report is not None:
+        pairing = _pair_counts(json.loads(truth_path.read_text()), report)
+        if pairing:
+            truths, estimates = zip(*pairing)
+            cm = metrics.counting_matrix(truths, estimates)
+            out["counting"] = {
+                "matrix": cm.counts.tolist(),
+                "accuracy": cm.accuracy,
+                "correct": cm.correct,
+                "total": cm.total,
+            }
+    masks_path = bundle / "truth_masks.msk"
+    hyp_masks = sorted(run_dir.glob("masks_*.msk"))
+    if masks_path.exists() and hyp_masks:
+        aucs = _bundle_mask_auc(pipeline.read_mask_tensor(masks_path), hyp_masks, report)
+        if aucs:
+            out["mask_auc"] = float(np.mean(aucs))
+    return out
 
 
 def _pair_counts(truth_meta, report):

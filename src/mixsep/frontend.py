@@ -41,6 +41,8 @@ class AudioBuffer:
             raise InvalidInputError("samples must have shape (C, N)")
         if self.sample_rate <= 0:
             raise InvalidInputError("sample_rate must be positive")
+        if not np.all(np.isfinite(samples)):
+            raise InvalidInputError("samples must be free of NaN/Inf")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -165,7 +167,7 @@ def write_wav(path, audio: AudioBuffer, fmt: str = "float32"):
 # STFT / iSTFT
 
 
-def _stft_sizes(sample_rate: int, stft_size_ms: float, window_ms: float, shift_ms: float):
+def stft_sizes(sample_rate: int, stft_size_ms: float, window_ms: float, shift_ms: float):
     sizes = []
     for ms in (stft_size_ms, window_ms, shift_ms):
         samples = ms * sample_rate / 1000.0
@@ -198,7 +200,7 @@ def stft(
     Returns a tensor with ``F = nfft/2 + 1`` bins; audio shorter than one
     window yields an empty (flagged) tensor.
     """
-    nfft, win, hop = _stft_sizes(audio.sample_rate, stft_size_ms, window_ms, shift_ms)
+    nfft, win, hop = stft_sizes(audio.sample_rate, stft_size_ms, window_ms, shift_ms)
     n = audio.num_samples
     if n < win:
         data = np.zeros((audio.num_channels, 0, nfft // 2 + 1), dtype=complex)
@@ -216,12 +218,15 @@ def istft(spec: np.ndarray, stft_size: int, window_size: int, shift: int) -> np.
     window = _hann(window_size)
     n_frames = spec.shape[-2]
     n = window_size + (n_frames - 1) * shift if n_frames else 0
-    out = np.zeros(spec.shape[:-2] + (n,))
+    # frame-major sample indices, one block per leading row: np.add.at sums
+    # each sample's overlapping frames in frame order, as a loop over frames
+    index = (np.arange(n_frames)[:, None] * shift + np.arange(window_size)).ravel()
+    rows = math.prod(spec.shape[:-2])
+    out = np.zeros(rows * n)
+    np.add.at(out, (np.arange(rows)[:, None] * n + index).ravel(), (frames * window).ravel())
     denom = np.zeros(n)
-    for t in range(n_frames):
-        sl = slice(t * shift, t * shift + window_size)
-        out[..., sl] += frames[..., t, :] * window
-        denom[sl] += window**2
+    np.add.at(denom, index, np.tile(window**2, n_frames))
+    out = out.reshape(spec.shape[:-2] + (n,))
     valid = denom > 1e-12
     out[..., valid] /= denom[valid]
     return out
@@ -361,6 +366,13 @@ def ingest_embeddings(
 # Segmentation
 
 
+def true_runs(mask: np.ndarray) -> list:
+    """Half-open ``(start, end)`` index ranges of the runs of True in ``mask``."""
+    padded = np.concatenate([[False], mask, [False]]).astype(int)
+    edges = np.flatnonzero(np.diff(padded))
+    return list(zip(edges[0::2], edges[1::2]))
+
+
 def split_segments(
     vad: VadMask,
     max_pause_s: float,
@@ -381,10 +393,7 @@ def split_segments(
     max_len = max_len_s * frame_rate
     min_len = min_len_s * frame_rate
 
-    padded = np.concatenate([[False], frames, [False]]).astype(int)
-    edges = np.flatnonzero(np.diff(padded))
-    runs = list(zip(edges[0::2], edges[1::2]))  # half-open voiced runs
-
+    runs = true_runs(frames)
     merged = []
     cur_start, cur_end = runs[0]
     for start, end in runs[1:]:

@@ -196,7 +196,7 @@ def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(wins.sum() / (2 * n_pos * n_neg))
 
 
-def mask_auc(gamma, truth_masks, permutation_search: bool = True) -> float:
+def mask_auc(gamma, truth_masks) -> float:
     """Best-permutation mean AUC of posteriors against dominance masks.
 
     Only voiced bins (where some truth mask is set) are scored. Constant
@@ -218,14 +218,10 @@ def mask_auc(gamma, truth_masks, permutation_search: bool = True) -> float:
     for i in range(n_hyp):
         for j in range(n_true):
             table[i, j] = _auc(scores[i], labels[j])
-    if permutation_search:
-        from scipy.optimize import linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
 
-        rows, cols = linear_sum_assignment(-table)
-        return float(table[rows, cols].mean())
-    if n_hyp != n_true:
-        raise InvalidInputError("diagonal scoring needs matching component counts")
-    return float(np.mean([table[i, i] for i in range(n_true)]))
+    rows, cols = linear_sum_assignment(-table)
+    return float(table[rows, cols].mean())
 
 
 def si_sdr(reference: np.ndarray, estimate: np.ndarray) -> float:

@@ -1,7 +1,8 @@
 """Meeting pipeline: initialization, per-segment joint EM, smoothing,
 beamforming, cross-segment speaker alignment and result serialization.
 
-Segments are independent work units; with ``jobs > 1`` they run in a process
+Segments are independent work units that carry their own samples (the
+meeting's STFT is never built whole); with ``jobs > 1`` they run in a process
 pool and the collected results are reduced serially (alignment, report).
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import frontend
-from .cacg import PosteriorTensor, StftTensor
+from .cacg import PosteriorTensor, StftTensor, _freq_major, scatter_matrices
 from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .integrated import JointEmConfig, count_speakers, joint_em
 from .numerics import _load_stack, psd_solve
@@ -183,8 +184,7 @@ def smooth_and_segment(
     for row in pi:
         smoothed = ndimage.median_filter(row, size=median_frames, mode="nearest")
         active = smoothed > on_thresh
-        runs = _runs(active)
-        runs = [(s, e) for s, e in runs if e - s >= min_frames]
+        runs = [(s, e) for s, e in frontend.true_runs(active) if e - s >= min_frames]
         merged = []
         for start, end in runs:
             if merged and start - merged[-1][1] < gap_frames:
@@ -195,12 +195,6 @@ def smooth_and_segment(
     return out
 
 
-def _runs(mask: np.ndarray):
-    padded = np.concatenate([[False], mask, [False]]).astype(int)
-    edges = np.flatnonzero(np.diff(padded))
-    return list(zip(edges[0::2], edges[1::2]))
-
-
 # ---------------------------------------------------------------------------
 # Beamforming
 
@@ -208,51 +202,51 @@ def _runs(mask: np.ndarray):
 def beamform(
     x: StftTensor,
     posterior: PosteriorTensor,
-    target_k: int,
+    targets,
     reference_channel: int = 0,
 ) -> np.ndarray:
-    """Mask-based MVDR toward the target component.
+    """Mask-based MVDR toward each target component (Souden, Benesty & Affes 2010).
 
-    Per frequency the target covariance is the posterior-weighted outer
-    product of the observations, the distortion covariance pools all other
-    components; the steering vector is the principal eigenvector of the
+    Per frequency a component's covariance is its posterior-weighted scatter
+    over its mass; a target's distortion covariance pools all other
+    components. The steering vector is the principal eigenvector of the
     loaded target covariance and ``w = Phi_d^{-1} v / (v^H Phi_d^{-1} v)``.
 
     Returns:
-        Beamformed single-channel STFT of shape (T, F).
+        Beamformed single-channel STFTs of shape (S, T, F), one per target.
     """
     gamma = posterior.gamma
-    if not 0 <= target_k < gamma.shape[0]:
+    targets = np.asarray(targets, dtype=int)
+    if targets.ndim != 1 or np.any((targets < 0) | (targets >= gamma.shape[0])):
         raise InvalidInputError("target component out of range")
-    y = np.transpose(x.data, (2, 0, 1))  # (F, C, T)
-    w_t = np.transpose(gamma[target_k], (1, 0))  # (F, T)
-    others = [k for k in range(gamma.shape[0]) if k != target_k]
-    w_d = np.transpose(gamma[others].sum(axis=0), (1, 0))
-    phi_t = _weighted_scm(y, w_t)
-    phi_d = _weighted_scm(y, w_d)
-    phi_t = _load_stack(phi_t, 1e-10)
-    phi_d = _load_stack(phi_d, 1e-10)
+    y = _freq_major(x.data)  # (F, C, T)
+    scm = scatter_matrices(y, np.transpose(gamma, (0, 2, 1)))  # (K, F, C, C)
+    mass = gamma.sum(axis=1)  # (K, F)
+    # summing the other components' scatter, rather than subtracting the
+    # target's from the total, cannot cancel where the target dominates a bin
+    others = 1.0 - np.eye(gamma.shape[0])[targets]  # (S, K)
+    phi_t = _covariance(scm[targets], mass[targets])
+    phi_d = _covariance(np.tensordot(others, scm, 1), others @ mass)
     _, vecs = np.linalg.eigh(phi_t)
-    steer = vecs[:, :, -1]  # (F, C)
+    steer = vecs[..., -1]  # (S, F, C)
     # normalize to the reference channel so the distortionless output tracks
     # the target image there (also pins the arbitrary eigenvector phase)
-    ref = steer[:, reference_channel]
+    ref = steer[..., reference_channel]
     ok = np.abs(ref) > 1e-6
     scale = np.where(ok, ref, np.where(np.abs(ref) > 1e-12, ref / np.abs(ref), 1.0))
-    steer = steer / scale[:, None]
-    num = psd_solve(phi_d, steer)  # (F, C)
-    denom = np.einsum("fc,fc->f", steer.conj(), num).real
+    steer = steer / scale[..., None]
+    num = psd_solve(phi_d, steer)  # (S, F, C)
+    denom = np.einsum("sfc,sfc->sf", steer.conj(), num).real
     if np.any(~np.isfinite(denom)) or np.any(denom <= 0.0):
         raise NumericalError("distortion covariance remained singular after loading")
-    weights = num / denom[:, None]
-    out = np.einsum("fc,fct->ft", weights.conj(), y)
-    return out.T  # (T, F)
+    weights = num / denom[..., None]
+    return np.einsum("sfc,fct->stf", weights.conj(), y)
 
 
-def _weighted_scm(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    mass = np.maximum(weights.sum(axis=1), 1e-30)
-    scm = np.einsum("ft,fit,fjt->fij", weights, y, y.conj()) / mass[:, None, None]
-    return (scm + np.conj(np.swapaxes(scm, -1, -2))) / 2.0
+def _covariance(scm: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Mass-normalized, Hermitian-symmetrized and loaded (..., F, C, C) scatter."""
+    scm = scm / np.maximum(mass, 1e-30)[..., None, None]
+    return _load_stack((scm + np.conj(np.swapaxes(scm, -1, -2))) / 2.0, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +254,17 @@ def _weighted_scm(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _align_with_mapping(results: list, k_total: int, seed: int = 0):
+    """Assign global speaker identities across segments.
+
+    All prototypes are pooled and clustered with spherical k-means; within
+    each segment the local components are matched to cluster centroids by
+    Hungarian assignment on cosine similarity, so two local components never
+    share a global id.
+
+    Returns:
+        ``(diarization, mapping)``: the global turns, and per segment id the
+        map from local speaker row to global label.
+    """
     from scipy.optimize import linear_sum_assignment
 
     pools = [r.prototypes for r in results if r.prototypes.shape[0] > 0]
@@ -296,18 +301,6 @@ def _align_with_mapping(results: list, k_total: int, seed: int = 0):
     return Diarization(entries), mapping
 
 
-def align_segments(results: list, k_total: int, seed: int = 0) -> Diarization:
-    """Assign global speaker identities across segments.
-
-    All prototypes are pooled and clustered with spherical k-means; within
-    each segment the local components are matched to cluster centroids by
-    Hungarian assignment on cosine similarity, so two local components never
-    share a global id.
-    """
-    diarization, _ = _align_with_mapping(results, k_total, seed)
-    return diarization
-
-
 # ---------------------------------------------------------------------------
 # Mask tensor files
 
@@ -331,100 +324,95 @@ def read_mask_tensor(path) -> np.ndarray:
 
 
 def _segment_task(args):
-    (index, segment, x_seg, emb_seg, vad_seg, config, global_model, mask_dir) = args
+    """One segment from its samples to ``(report, result or None, tracks)``.
+
+    A failure fails this segment alone; see :func:`_separate` for ``tracks``.
+    """
+    segment, audio, emb, vad, seed, config, global_model, mask_dir = args
     notes: list = []
     try:
-        seed = int(config.seed) + 7919 * index
-        init = initialize_segment(
-            x_seg,
-            emb_seg,
-            vad_seg,
-            config.k_init,
-            mode=config.init_mode,
-            seed=seed,
-            iterations=config.init_iterations,
-            kappa_max=config.kappa_max,
-            global_model=global_model,
-            notes=notes,
+        x = frontend.stft(audio, config.stft_size_ms, config.window_ms, config.shift_ms)
+        init, model, posterior, events, trace = _fit_segment(
+            x, emb, vad, seed, config, global_model, notes
         )
-        noise_index = init.num_components - 1
-        jcfg = JointEmConfig(
-            iterations=config.em_iterations,
-            kappa_max=config.kappa_max,
-            fusion=config.fusion,
-            tau_spectral=config.tau_spectral,
-            tau_iou=config.tau_iou,
-            activity_threshold=config.activity_threshold,
-            fusion_start=config.fusion_start,
-            k_min=config.k_target or 1,
-            noise_index=noise_index,
-            seed=seed,
-        )
-        model, posterior, events, trace = joint_em(x_seg, emb_seg, init, jcfg)
         if mask_dir is not None:
             write_mask_tensor(f"{mask_dir}/masks_{segment.id}.msk", posterior.gamma)
         speaker_rows = model.speaker_indices()
-        frame_rate = x_seg.frame_rate
-        offset_s = segment.start_frame / frame_rate
         intervals = smooth_and_segment(
-            model.pi[speaker_rows],
-            frame_rate,
-            config.median_frames,
-            config.on_thresh,
+            model.pi[speaker_rows], x.frame_rate, config.median_frames, config.on_thresh,
             config.min_dur_s,
         )
+        offset_s = segment.start_frame / x.frame_rate
+        protos = [model.spectral[k].mu for k in speaker_rows]
         utterances = [[(offset_s + s, offset_s + e) for s, e in iv] for iv in intervals]
-        prototypes = (
-            np.stack([model.spectral[k].mu for k in speaker_rows])
-            if speaker_rows
-            else np.zeros((0, emb_seg.dim))
+        result = SegmentResult(
+            np.stack(protos) if protos else np.zeros((0, emb.dim)), segment, utterances
         )
-        result = SegmentResult(prototypes=prototypes, segment=segment, utterances=utterances)
-        beamformed = {}
-        hop, win = x_seg.shift, x_seg.window_size
-        n_samples = win + (x_seg.num_frames - 1) * hop
-        pad = 0.3  # seconds around detected utterances, keeps overlapped onsets
-        for row, local in enumerate(speaker_rows):
-            if not intervals[row]:
-                continue
-            spec = beamform(x_seg, posterior, local)
-            wave = frontend.istft(spec, x_seg.stft_size, win, hop)
-            gate = np.zeros(n_samples)
-            for start_s, end_s in intervals[row]:
-                a = max(0, int(round((start_s - pad) * frame_rate))) * hop
-                b = min(n_samples, (int(round((end_s + pad) * frame_rate)) - 1) * hop + win)
-                gate[a:b] = 1.0
-            beamformed[row] = wave * gate
+        tracks = _separate(x, posterior, speaker_rows, intervals)
         report = {
             "id": segment.id,
-            "start_s": segment.start_frame / frame_rate,
-            "end_s": segment.end_frame / frame_rate,
-            "frames": int(x_seg.num_frames),
+            "start_s": offset_s,
+            "end_s": segment.end_frame / x.frame_rate,
+            "frames": int(x.num_frames),
             "initial_components": int(init.num_components),
             "final_components": int(model.num_components),
             "speaker_count": int(count_speakers(model)),
             "fusion_events": [
-                {
-                    "kept": ev.kept,
-                    "removed": ev.removed,
-                    "similarity": round(ev.similarity, 6),
-                    "iteration": ev.iteration,
-                }
-                for ev in events
+                {**asdict(ev), "similarity": round(ev.similarity, 6)} for ev in events
             ],
             "loglik": [float(v) for v in trace],
             "notes": notes,
             "error": None,
         }
-        return {"index": index, "result": result, "beamformed": beamformed, "report": report}
+        return report, result, tracks
     except Exception as exc:  # segment failures must not kill the meeting
         logger.exception("segment %s failed", segment.id)
-        return {
-            "index": index,
-            "result": None,
-            "beamformed": {},
-            "report": {"id": segment.id, "error": f"{type(exc).__name__}: {exc}", "notes": notes},
-        }
+        return {"id": segment.id, "error": f"{type(exc).__name__}: {exc}", "notes": notes}, None, {}
+
+
+def _fit_segment(x, emb, vad, seed, config, global_model, notes):
+    """Initialize one segment and run its joint EM.
+
+    Returns:
+        ``(init, model, posterior, events, trace)``.
+    """
+    init = initialize_segment(
+        x, emb, vad, config.k_init, mode=config.init_mode, seed=seed,
+        iterations=config.init_iterations, kappa_max=config.kappa_max,
+        global_model=global_model, notes=notes,
+    )
+    jcfg = JointEmConfig(
+        iterations=config.em_iterations, kappa_max=config.kappa_max, fusion=config.fusion,
+        tau_spectral=config.tau_spectral, tau_iou=config.tau_iou,
+        activity_threshold=config.activity_threshold, fusion_start=config.fusion_start,
+        k_min=config.k_target or 1, noise_index=init.num_components - 1, seed=seed,
+    )
+    return (init, *joint_em(x, emb, init, jcfg))
+
+
+def _separate(x, posterior, speaker_rows, intervals):
+    """Beamform every speaker that has utterances and gate it to them.
+
+    Returns:
+        ``{speaker row: waveform}`` over the segment's samples.
+    """
+    rows = [row for row, iv in enumerate(intervals) if iv]
+    if not rows:
+        return {}
+    spec = beamform(x, posterior, [speaker_rows[row] for row in rows])
+    waves = frontend.istft(spec, x.stft_size, x.window_size, x.shift)
+    hop, win, frame_rate = x.shift, x.window_size, x.frame_rate
+    pad_s = 0.3  # seconds around detected utterances, keeps overlapped onsets
+    n_samples = waves.shape[-1]
+    tracks = {}
+    for row, wave in zip(rows, waves):
+        gate = np.zeros(n_samples)
+        for start_s, end_s in intervals[row]:
+            a = max(0, int(round((start_s - pad_s) * frame_rate))) * hop
+            b = min(n_samples, (int(round((end_s + pad_s) * frame_rate)) - 1) * hop + win)
+            gate[a:b] = 1.0
+        tracks[row] = wave * gate
+    return tracks
 
 
 def run_meeting(recording, embeddings, config, mask_dir=None):
@@ -442,25 +430,31 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
         global speaker ids to meeting-length waveforms.
     """
     audio = frontend.read_wav(recording) if not isinstance(recording, frontend.AudioBuffer) else recording
-    x = frontend.stft(audio, config.stft_size_ms, config.window_ms, config.shift_ms)
+    if audio.num_channels < 2:
+        raise InvalidInputError("multichannel model requires C >= 2")
+    _, win, hop = frontend.stft_sizes(
+        audio.sample_rate, config.stft_size_ms, config.window_ms, config.shift_ms
+    )
+    num_frames = frontend.num_stft_frames(audio.num_samples, win, hop)
+    frame_rate = audio.sample_rate / hop
     vad = frontend.energy_vad(
         audio, config.vad_window_s, config.vad_threshold_db, config.window_ms, config.shift_ms
     )
     if isinstance(embeddings, EmbeddingSequence):
         emb = embeddings
-        if emb.num_frames != x.num_frames:
+        if emb.num_frames != num_frames:
             raise InvalidInputError("embedding frames do not match the recording's STFT")
     else:
         emb = frontend.ingest_embeddings(
-            embeddings, x.num_frames, expected_dim=config.embed_dim, frame_rate=x.frame_rate
+            embeddings, num_frames, expected_dim=config.embed_dim, frame_rate=frame_rate
         )
     segments = frontend.split_segments(
-        vad, config.max_pause_s, config.min_segment_s, config.max_segment_s, x.frame_rate
+        vad, config.max_pause_s, config.min_segment_s, config.max_segment_s, frame_rate
     )
     report = {
         "config": asdict(config),
-        "num_frames": int(x.num_frames),
-        "frame_rate": x.frame_rate,
+        "num_frames": int(num_frames),
+        "frame_rate": frame_rate,
         "sample_rate": int(audio.sample_rate),
         "num_segments": len(segments),
         "segments": [],
@@ -477,18 +471,14 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
 
     tasks = []
     for si, seg in enumerate(segments):
-        x_seg = StftTensor(
-            x.data[:, seg.start_frame : seg.end_frame, :],
-            x.sample_rate,
-            x.stft_size,
-            x.window_size,
-            x.shift,
-        )
-        emb_seg = EmbeddingSequence(
-            emb.frames[seg.start_frame : seg.end_frame], emb.frame_rate
-        )
-        vad_seg = frontend.VadMask(vad.frames[seg.start_frame : seg.end_frame])
-        tasks.append((si, seg, x_seg, emb_seg, vad_seg, config, global_model, mask_dir))
+        frames = slice(seg.start_frame, seg.end_frame)
+        samples = audio.samples[:, seg.start_frame * hop : (seg.end_frame - 1) * hop + win]
+        tasks.append((
+            seg, frontend.AudioBuffer(samples, audio.sample_rate),
+            EmbeddingSequence(emb.frames[frames], emb.frame_rate),
+            frontend.VadMask(vad.frames[frames]), int(config.seed) + 7919 * si,
+            config, global_model, mask_dir,
+        ))
 
     jobs = max(1, int(config.jobs))
     if jobs > 1 and len(tasks) > 1:
@@ -496,20 +486,22 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
             outcomes = list(pool.map(_segment_task, tasks))
     else:
         outcomes = [_segment_task(t) for t in tasks]
-    outcomes.sort(key=lambda o: o["index"])
-    report["segments"] = [o["report"] for o in outcomes]
+    report["segments"] = [seg_report for seg_report, _, _ in outcomes]
 
-    for outcome in outcomes:
-        result = outcome["result"]
-        n_speakers = 0 if result is None else result.prototypes.shape[0]
+    kept = []
+    for seg_report, result, tracks in outcomes:
+        if result is None:
+            continue
+        n_speakers = result.prototypes.shape[0]
         if config.k_total and n_speakers > config.k_total:
             # a segment with more speakers than the meeting cannot be aligned:
             # it fails alone and the meeting goes on
             message = f"has {n_speakers} components, more than k_total={config.k_total}"
             logger.warning("segment %s %s", result.segment.id, message)
-            outcome["report"]["error"] = message
-            outcome["result"] = None
-    results = [o["result"] for o in outcomes if o["result"] is not None]
+            seg_report["error"] = message
+            continue
+        kept.append((result, tracks))
+    results = [result for result, _ in kept]
     k_total = config.k_total or max(
         (r.prototypes.shape[0] for r in results), default=1
     )
@@ -517,13 +509,10 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
 
     # reassemble per-speaker audio with global identities
     speaker_audio = {}
-    for outcome in outcomes:
-        result = outcome["result"]
-        if result is None:
-            continue
+    for result, tracks in kept:
         mapping = assignments.get(result.segment.id, {})
-        offset = result.segment.start_frame * x.shift
-        for row, wave in outcome["beamformed"].items():
+        offset = result.segment.start_frame * hop
+        for row, wave in tracks.items():
             label = mapping.get(row)
             if label is None:
                 continue

@@ -406,7 +406,7 @@ def test_criterion_08_segment_alignment():
             )
             for local, true_speaker in enumerate(perm):
                 truth_map[(f"seg{si:03d}", utts[local][0][0])] = int(true_speaker)
-        dia = pipeline.align_segments(results, 4, seed=meeting)
+        dia = pipeline._align_with_mapping(results, 4, seed=meeting)[0]
         # identity recovery: one global label per true speaker, consistently
         label_of_truth = {}
         ok = True

@@ -15,6 +15,7 @@ from mixsep.cacg import (
     cacgmm_em,
     e_step,
     normalize_observations,
+    scatter_matrices,
     stack_covariances,
 )
 from mixsep.errors import ConfigurationError, InvalidInputError
@@ -189,6 +190,17 @@ class TestCacgMStep:
         out = cacg_m_step(x, post, [SpatialComponent.identity(4, 3) for _ in range(2)])
         traces = np.einsum("fii->f", out[0].covariances).real
         assert np.allclose(traces, 3.0, atol=1e-6)
+
+
+class TestScatterMatrices:
+    def test_matches_einsum(self):
+        rng = np.random.default_rng(21)
+        y = rng.standard_normal((5, 3, 40)) + 1j * rng.standard_normal((5, 3, 40))
+        weights = rng.uniform(size=(4, 5, 40))
+        want = np.einsum("kft,fit,fjt->kfij", weights, y, y.conj())
+        got = scatter_matrices(y, weights)
+        assert got.shape == (4, 5, 3, 3)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestCacgMStepChecksNorms:

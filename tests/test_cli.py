@@ -10,7 +10,7 @@ import pytest
 from helpers import wav_bytes
 
 import mixsep
-from mixsep import cli, pipeline
+from mixsep import cli, frontend, pipeline
 from mixsep.errors import ConfigurationError
 from mixsep.synth import ScenarioConfig, SegmentPlan
 
@@ -218,6 +218,29 @@ class TestCmdRun:
         assert "error: meet0: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_nan_samples_exit_one_without_traceback(self, bundle, tmp_path):
+        # non-finite audio must not pass the VAD as silence and end in a
+        # run with no turns and exit 0
+        audio = frontend.read_wav(bundle / "audio.wav")
+        samples = audio.samples.T.astype("<f4")  # (N, C), interleaved on write
+        samples[4000:4050, 0] = np.nan
+        channels = samples.shape[1]
+        fmt = struct.pack(
+            "<HHIIHH", 3, channels, audio.sample_rate, audio.sample_rate * 4 * channels,
+            4 * channels, 32,
+        )
+        wav = tmp_path / "nan.wav"
+        wav.write_bytes(wav_bytes(fmt, samples.tobytes()))
+        cfg = run_config_dict(bundle, tmp_path / "o")
+        cfg["inputs"][0]["audio"] = str(wav)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(cfg))
+        proc = fresh_python(["-m", "mixsep.cli", "run", "--config", str(config)], tmp_path)
+        assert proc.returncode == 1
+        assert "error: meet0: " in proc.stderr
+        assert "NaN" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_corrupt_segment_partial_failure(self, bundle, tmp_path, monkeypatch):
         calls = {"n": 0}
         real = pipeline.joint_em
@@ -281,6 +304,21 @@ class TestCmdScore:
         assert "mask_auc" in scores
         assert scores["der"] < 0.15
         assert scores["mask_auc"] > 0.8
+
+    def test_truncated_truth_masks_exit_one_without_traceback(self, finished_run, tmp_path):
+        code, out, bundle_dir = finished_run
+        broken = tmp_path / "bundle"
+        broken.mkdir()
+        for name in ("truth.json", "ref.rttm"):
+            (broken / name).write_bytes((bundle_dir / name).read_bytes())
+        (broken / "truth_masks.msk").write_bytes(b"MSK1\x01\x00")  # 6 bytes
+        args = ["--ref", str(broken / "ref.rttm"), "--hyp", str(out / "hyp.rttm")]
+        proc = fresh_python(
+            ["-m", "mixsep.cli", "score", *args, "--bundle", str(broken)], tmp_path
+        )
+        assert proc.returncode == 1
+        assert "error: " in proc.stderr and "truncated header" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_malformed_rttm_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.rttm"

@@ -19,9 +19,28 @@ from mixsep.frontend import (
     read_wav,
     split_segments,
     stft,
+    true_runs,
     write_embeddings,
     write_wav,
 )
+
+
+def istft_frame_loop(spec, stft_size, window_size, shift):
+    """Dual-window overlap-add, one frame at a time: the oracle of ``istft``."""
+    frames = np.fft.irfft(np.asarray(spec, dtype=complex), n=stft_size, axis=-1)
+    frames = frames[..., :window_size]
+    window = _hann(window_size)
+    n_frames = spec.shape[-2]
+    n = window_size + (n_frames - 1) * shift if n_frames else 0
+    out = np.zeros(spec.shape[:-2] + (n,))
+    denom = np.zeros(n)
+    for t in range(n_frames):
+        sl = slice(t * shift, t * shift + window_size)
+        out[..., sl] += frames[..., t, :] * window
+        denom[sl] += window**2
+    valid = denom > 1e-12
+    out[..., valid] /= denom[valid]
+    return out
 
 
 def tone(freq, duration_s, sample_rate=16000, channels=2, amp=0.5):
@@ -77,6 +96,39 @@ class TestStft:
         for n in range(1, 2050):
             want = signal.get_window("hann", n, fftbins=True)
             assert _hann(n).tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize(
+        "lead, frames, sizes",
+        [((), 40, (64, 50, 16)), ((3,), 25, (256, 200, 64)), ((2, 2), 7, (32, 25, 8)),
+         ((2,), 1, (64, 50, 16)), ((2,), 0, (64, 50, 16)), ((3,), 9, (64, 64, 64))],
+    )
+    def test_istft_matches_frame_loop_bit_for_bit(self, lead, frames, sizes):
+        rng = np.random.default_rng(frames)
+        shape = lead + (frames, sizes[0] // 2 + 1)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = istft_frame_loop(spec, *sizes)
+        got = istft(spec, *sizes)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_segment_stft_is_the_meeting_slice(self):
+        # a segment's STFT from its own samples equals that segment's frames
+        # of the whole-recording STFT, bit for bit
+        rng = np.random.default_rng(4)
+        audio = AudioBuffer(rng.standard_normal((3, 4000)), 2000)
+        whole = stft(audio, 32.0, 25.0, 8.0)
+        win, hop = whole.window_size, whole.shift
+        for start, end in [(0, 1), (3, 40), (100, whole.num_frames), (57, 58)]:
+            part = AudioBuffer(audio.samples[:, start * hop : (end - 1) * hop + win], 2000)
+            got = stft(part, 32.0, 25.0, 8.0).data
+            assert got.tobytes() == whole.data[:, start:end].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_audio_buffer_rejects_non_finite(self, bad):
+        samples = np.zeros((2, 100))
+        samples[1, 37] = bad
+        with pytest.raises(InvalidInputError):
+            AudioBuffer(samples, 16000)
 
     def test_short_audio_empty_flagged(self):
         audio = AudioBuffer(np.zeros((2, 100)), 16000)
@@ -332,6 +384,16 @@ class TestSplitSegments:
         assert [s.id for s in segs] == ["seg000", "seg001", "seg002"]
         for a, b in zip(segs, segs[1:]):
             assert a.end_frame <= b.start_frame
+
+
+class TestTrueRuns:
+    def test_runs_are_half_open(self):
+        mask = np.array([1, 1, 0, 0, 1, 0, 1, 1, 1], dtype=bool)
+        assert true_runs(mask) == [(0, 2), (4, 5), (6, 9)]
+
+    def test_empty_and_all_false(self):
+        assert true_runs(np.zeros(0, dtype=bool)) == []
+        assert true_runs(np.zeros(5, dtype=bool)) == []
 
 
 class TestSegmentSpec:

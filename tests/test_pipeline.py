@@ -11,7 +11,6 @@ from mixsep.metrics import der, si_sdr
 from mixsep.pipeline import (
     Diarization,
     SegmentResult,
-    align_segments,
     beamform,
     initialize_segment,
     read_mask_tensor,
@@ -183,7 +182,7 @@ class TestBeamform:
         x = frontend.stft(audio, 32.0, 25.0, 8.0)
         post = oracle_posterior(truth)
         for k in range(2):
-            spec = beamform(x, post, k)
+            spec = beamform(x, post, [k])[0]
             wave = frontend.istft(spec, x.stft_size, x.window_size, x.shift)
             ref = truth.source_images[k][: wave.shape[0]]
             active = np.abs(ref) > 0
@@ -211,7 +210,7 @@ class TestBeamform:
         gamma[0, active] = 1.0
         gamma[1, ~active] = 1.0
         post = PosteriorTensor(gamma, gamma.mean(axis=2))
-        out = beamform(x, post, 0)
+        out = beamform(x, post, [0])[0]
 
         def snr(sig):
             s = sig[active]
@@ -229,7 +228,7 @@ class TestBeamform:
         gamma = np.zeros((2, 50, 4))
         gamma[0] = 1.0
         post = PosteriorTensor(gamma, gamma.mean(axis=2))
-        out = beamform(x, post, 0)
+        out = beamform(x, post, [0])[0]
         assert np.all(np.isfinite(out))
 
     def test_gamma_scaling_leaves_weights_unchanged(self):
@@ -237,12 +236,36 @@ class TestBeamform:
         x_model, e, truth, audio = build_meeting(cfg)
         x = frontend.stft(audio, 32.0, 25.0, 8.0)
         post = oracle_posterior(truth)
-        out1 = beamform(x, post, 0)
+        out1 = beamform(x, post, [0])[0]
         # scaling every component's posterior by one constant cancels in the
         # mass-normalized covariances
         scaled = PosteriorTensor(0.25 * post.gamma, post.pi)
-        out2 = beamform(x, scaled, 0)
+        out2 = beamform(x, scaled, [0])[0]
         assert np.max(np.abs(out1 - out2)) < 1e-9
+
+    def test_batched_targets_match_one_at_a_time(self):
+        cfg = tiny_scenario([0, 1, 2], duration_s=5.0, seed=3, channels=3)
+        _, _, truth, audio = build_meeting(cfg)
+        x = frontend.stft(audio, 32.0, 25.0, 8.0)
+        post = oracle_posterior(truth)
+        both = beamform(x, post, [2, 0, 1])
+        assert both.shape == (3, x.num_frames, x.num_bins)
+        for row, k in enumerate([2, 0, 1]):
+            alone = beamform(x, post, [k])[0]
+            assert np.max(np.abs(both[row] - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+    def test_dominant_target_leaves_distortion_exact(self):
+        # the other component holds 1e-12 of every bin; its covariance must
+        # come from its own scatter, not from the total minus the target's
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal((3, 200, 5)) + 1j * rng.standard_normal((3, 200, 5))
+        x = StftTensor(data, 2000, 64, 50, 16)
+        a, b = rng.uniform(0.1, 1.0, size=(2, 200, 5))
+        plain = PosteriorTensor(np.stack([a, b]), np.ones((2, 200)) / 2)
+        tiny = PosteriorTensor(np.stack([a, 1e-12 * b]), np.ones((2, 200)) / 2)
+        want = beamform(x, plain, [0])
+        got = beamform(x, tiny, [0])
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_target_out_of_range(self):
         rng = np.random.default_rng(12)
@@ -251,7 +274,7 @@ class TestBeamform:
         gamma = np.ones((1, 5, 3))
         post = PosteriorTensor(gamma, np.ones((1, 5)))
         with pytest.raises(InvalidInputError):
-            beamform(x, post, 3)
+            beamform(x, post, [3])
 
 
 def fake_result(protos, utterances, seg_id, start_frame=0, end_frame=100):
@@ -271,7 +294,7 @@ class TestAlignSegments:
         rng = np.random.default_rng(0)
         protos = self.orthonormal(rng, 8, 2)
         res = fake_result(protos, [[(0.0, 1.0)], [(1.0, 2.0)]], "seg000")
-        dia = align_segments([res], 2, seed=0)
+        dia = pipeline._align_with_mapping([res], 2, seed=0)[0]
         assert len(dia.entries) == 2
         assert len(set(spk for spk, *_ in dia.entries)) == 2
 
@@ -283,7 +306,7 @@ class TestAlignSegments:
         )
         r1 = fake_result(protos, [[(0.0, 1.0)], [(1.0, 2.0)]], "seg000")
         r2 = fake_result(protos[::-1].copy(), [[(10.0, 11.0)], [(11.0, 12.0)]], "seg001")
-        dia = align_segments([r1, r2], 2, seed=0)
+        dia = pipeline._align_with_mapping([r1, r2], 2, seed=0)[0]
         by_seg = {}
         for spk, s, e, seg in dia.entries:
             by_seg.setdefault(seg, {})[round(s)] = spk
@@ -298,7 +321,7 @@ class TestAlignSegments:
             fake_result(protos, [[(i * 10.0, i * 10.0 + 1)], [(i * 10.0 + 1, i * 10.0 + 2)], [(i * 10.0 + 2, i * 10.0 + 3)]], f"seg{i:03d}")
             for i in range(3)
         ]
-        dia = align_segments(results, 3, seed=1)
+        dia = pipeline._align_with_mapping(results, 3, seed=1)[0]
         labels_per_seg = {}
         for spk, s, e, seg in dia.entries:
             labels_per_seg.setdefault(seg, []).append((s, spk))
@@ -311,11 +334,13 @@ class TestAlignSegments:
         rng = np.random.default_rng(3)
         protos = self.orthonormal(rng, 16, 4)
         utts = [[(float(i), float(i) + 0.5)] for i in range(4)]
-        base = align_segments([fake_result(protos, utts, "seg000")], 4, seed=5)
+        base = pipeline._align_with_mapping(
+            [fake_result(protos, utts, "seg000")], 4, seed=5
+        )[0]
         perm = rng.permutation(4)
-        shuffled = align_segments(
+        shuffled = pipeline._align_with_mapping(
             [fake_result(protos[perm], [utts[p] for p in perm], "seg000")], 4, seed=5
-        )
+        )[0]
         want = {(s, e): spk for spk, s, e, _ in base.entries}
         got = {(s, e): spk for spk, s, e, _ in shuffled.entries}
         # the same utterance gets the same global speaker either way
@@ -329,11 +354,11 @@ class TestAlignSegments:
         protos = self.orthonormal(rng, 8, 3)
         res = fake_result(protos, [[(0.0, 1.0)]] * 3, "seg000")
         with pytest.raises(InvalidInputError):
-            align_segments([res], 2, seed=0)
+            pipeline._align_with_mapping([res], 2, seed=0)
 
     def test_no_prototypes_empty_diarization(self):
         res = fake_result(np.zeros((0, 8)), [], "seg000")
-        assert align_segments([res], 2, seed=0).entries == []
+        assert pipeline._align_with_mapping([res], 2, seed=0)[0].entries == []
 
 
 class TestMaskTensorIo:
@@ -421,6 +446,35 @@ class TestRunMeeting:
         assert sorted(out1[1]) == sorted(out2[1])
         for key in out1[1]:
             assert np.array_equal(out1[1][key], out2[1][key])
+
+    def test_each_stft_covers_one_segment(self, monkeypatch):
+        # the meeting's STFT is never built: every STFT is one segment's
+        cfg = tiny_scenario(
+            None, k_true=2, segments=[SegmentPlan(4.0, [0, 1]), SegmentPlan(4.0, [0, 1])],
+            seed=6, channels=3,
+        )
+        _, e, _, audio = build_meeting(cfg)
+        lengths = []
+        real = frontend.stft
+
+        def spy(part, *args, **kwargs):
+            lengths.append(part.num_samples)
+            return real(part, *args, **kwargs)
+
+        monkeypatch.setattr(frontend, "stft", spy)
+        config = tuned_config(k_init=3, em_iterations=5, init_iterations=5, max_segment_s=5.0)
+        _, _, report = run_meeting(audio, e, config)
+        win, hop, rate = 50, 16, report["frame_rate"]  # 25 ms and 8 ms at 2 kHz
+        frames = [round((seg["end_s"] - seg["start_s"]) * rate) for seg in report["segments"]]
+        assert report["num_segments"] >= 2
+        assert lengths == [(n - 1) * hop + win for n in frames]
+        assert max(lengths) < audio.num_samples / 2
+
+    def test_mono_recording_rejected(self):
+        audio = frontend.AudioBuffer(np.random.default_rng(0).standard_normal((1, 8000)), 2000)
+        e = EmbeddingSequence(np.ones((497, 8)) / np.sqrt(8.0), 250.0)
+        with pytest.raises(InvalidInputError, match="C >= 2"):
+            run_meeting(audio, e, tuned_config())
 
     def test_embedding_frame_mismatch_rejected(self):
         audio = frontend.AudioBuffer(np.random.default_rng(0).standard_normal((2, 8000)), 2000)
