@@ -7,7 +7,7 @@ cross-segment speaker alignment by prototype clustering.
 
 from .cacg import PosteriorTensor, SpatialComponent, StftTensor, cacgmm_em
 from .errors import ConfigurationError, InvalidInputError, MixsepError, NumericalError
-from .frontend import AudioBuffer, SegmentSpec, VadMask
+from .frontend import AudioBuffer, SegmentSpec
 from .integrated import (
     FusionEvent,
     JointEmConfig,
@@ -18,7 +18,7 @@ from .integrated import (
 from .numerics import HermitianPD
 from .pipeline import Diarization, SegmentResult, run_meeting
 from .synth import ScenarioConfig, SegmentPlan, build_meeting, sample_cacg, sample_vmf
-from .vmf import EmbeddingSequence, SpectralComponent, VmfMixture, vmfmm_em
+from .vmf import EmbeddingSequence, VmfMixture, vmfmm_em
 
 __version__ = "0.1.0"
 
@@ -40,9 +40,7 @@ __all__ = [
     "SegmentResult",
     "SegmentSpec",
     "SpatialComponent",
-    "SpectralComponent",
     "StftTensor",
-    "VadMask",
     "VmfMixture",
     "build_meeting",
     "cacgmm_em",

@@ -131,17 +131,17 @@ def normalize_observations(x: StftTensor) -> StftTensor:
     """Scale every channel vector y_{t,f} to unit norm.
 
     All-zero bins are replaced by the first canonical basis vector and
-    flagged in ``zero_bins``.
+    flagged in ``zero_bins``. The data are stored frequency-major, so the
+    (F, C, T) operand of the batched kernels (:func:`_freq_major`) is a view.
     """
     norms = np.linalg.norm(x.data, axis=0)  # (T, F)
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
-    data = x.data / safe[None, :, :]
+    data = np.divide(np.transpose(x.data, (2, 0, 1)), safe.T[:, None, :], order="C")
     if zero.any():
-        data = data.copy()
-        data[0, zero] = 1.0
+        data[:, 0][zero.T] = 1.0
     return StftTensor(
-        data,
+        np.transpose(data, (1, 2, 0)),
         x.sample_rate,
         x.stft_size,
         x.window_size,
@@ -174,8 +174,9 @@ def cacg_log_pdf(b: HermitianPD, y: np.ndarray) -> float:
 
 
 def _freq_major(data: np.ndarray) -> np.ndarray:
-    # (C, T, F) -> (F, C, T) for batched per-frequency linear algebra; a
-    # contiguous copy, because matmul reaches BLAS only on unit-stride matrices
+    # (C, T, F) -> (F, C, T) for batched per-frequency linear algebra, made
+    # contiguous because matmul reaches BLAS only on unit-stride matrices; a
+    # view for normalized observations, which are stored that way
     return np.ascontiguousarray(np.transpose(data, (2, 0, 1)))
 
 
@@ -247,10 +248,9 @@ def cacg_m_step(
     """
     c = x.num_channels
     gamma = posterior.gamma  # (K, T, F)
-    prev_stack = stack_covariances(prev)  # (K, F, C, C)
     if quad is None:
         _check_normalized(x)
-        quad = quad_forms(prev_stack, x)
+        quad = quad_forms(stack_covariances(prev), x)
     numer = scatter_matrices(_freq_major(x.data), np.transpose(gamma, (0, 2, 1)) / quad)
     denom = gamma.sum(axis=1)  # (K, F)
     inactive = denom == 0.0
@@ -261,7 +261,7 @@ def cacg_m_step(
     traces = np.einsum("kfii->kf", new).real
     new = new * (c / traces)[:, :, None, None]
     if inactive.any():
-        new[inactive] = prev_stack[inactive]
+        new[inactive] = stack_covariances(prev)[inactive]
     out = []
     for k in range(new.shape[0]):
         flags = inactive[k]
@@ -269,9 +269,10 @@ def cacg_m_step(
     return out
 
 
-def update_pi(gamma: np.ndarray) -> np.ndarray:
-    """Frequency-tied prior update: floored mean of gamma over frequency."""
-    pi = np.maximum(gamma.mean(axis=2), PRIOR_FLOOR)
+def update_pi(gamma_sum: np.ndarray, num_bins: int) -> np.ndarray:
+    """Frequency-tied prior update: the floored mean of gamma over frequency,
+    from its (K, T) sum over the ``num_bins`` frequencies."""
+    pi = np.maximum(gamma_sum / num_bins, PRIOR_FLOOR)
     return pi / pi.sum(axis=0, keepdims=True)
 
 
@@ -322,6 +323,6 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     for _ in range(iterations):
         gamma, ll, quad = e_step(stack_covariances(components), pi, x)
         trace.append(ll)
-        pi = update_pi(gamma)
+        pi = update_pi(gamma.sum(axis=2), x.num_bins)
         components = cacg_m_step(x, PosteriorTensor(gamma, pi), components, quad=quad)
     return components, PosteriorTensor(gamma, pi), np.asarray(trace)

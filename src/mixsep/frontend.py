@@ -59,20 +59,6 @@ class AudioBuffer:
 
 
 @dataclass(frozen=True)
-class VadMask:
-    """Per-frame voice activity decisions."""
-
-    frames: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", np.asarray(self.frames, dtype=bool))
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-
-@dataclass(frozen=True)
 class SegmentSpec:
     """Half-open frame range [start_frame, end_frame) with an identifier."""
 
@@ -248,7 +234,7 @@ def energy_vad(
     threshold_db: float = 10.0,
     window_ms: float = 50.0,
     shift_ms: float = 16.0,
-) -> VadMask:
+) -> np.ndarray:
     """Energy VAD with a minimum-statistics noise floor.
 
     Per-frame log energy of channel 0 (same framing as the STFT), smoothed
@@ -256,12 +242,15 @@ def energy_vad(
     energy over a trailing window of ``window_s`` seconds. A frame is voiced
     when its energy exceeds the floor by ``threshold_db``; the mask is then
     closed with a 200 ms structuring element. Invariant to global gain.
+
+    Returns:
+        (T,) bool voice activity, one entry per STFT frame.
     """
     win = int(round(window_ms * audio.sample_rate / 1000.0))
     hop = int(round(shift_ms * audio.sample_rate / 1000.0))
     n_frames = num_stft_frames(audio.num_samples, win, hop)
     if n_frames == 0:
-        return VadMask(np.zeros(0, dtype=bool))
+        return np.zeros(0, dtype=bool)
     frames = np.lib.stride_tricks.sliding_window_view(audio.samples[0], win)[::hop]
     energy = 10.0 * np.log10(np.mean(frames**2, axis=1) + 1e-30)
     smoothed = ndimage.uniform_filter1d(energy, size=5, mode="nearest")
@@ -271,7 +260,7 @@ def energy_vad(
     voiced = energy > floor + threshold_db
     close_len = max(1, int(round(200.0 / shift_ms)))
     voiced = ndimage.binary_closing(voiced, structure=np.ones(close_len, dtype=bool))
-    return VadMask(voiced)
+    return voiced
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +363,7 @@ def true_runs(mask: np.ndarray) -> list:
 
 
 def split_segments(
-    vad: VadMask,
+    vad: np.ndarray,
     max_pause_s: float,
     min_len_s: float,
     max_len_s: float,
@@ -384,16 +373,16 @@ def split_segments(
 
     Voiced runs separated by pauses of at most ``max_pause_s`` are merged
     greedily while the merged span stays within ``max_len_s``; longer pauses
-    always cut. Segments shorter than ``min_len_s`` are dropped.
+    always cut. Segments shorter than ``min_len_s`` are dropped. ``vad`` is
+    the (T,) bool activity of :func:`energy_vad`.
     """
-    frames = vad.frames
-    if not frames.any():
+    if not vad.any():
         return []
     max_pause = max_pause_s * frame_rate
     max_len = max_len_s * frame_rate
     min_len = min_len_s * frame_rate
 
-    runs = true_runs(frames)
+    runs = true_runs(vad)
     merged = []
     cur_start, cur_end = runs[0]
     for start, end in runs[1:]:

@@ -18,23 +18,25 @@ from . import cacg as _cacg
 from . import vmf as _vmf
 from .cacg import PosteriorTensor, SpatialComponent, StftTensor
 from .errors import ConfigurationError, InvalidInputError
-from .vmf import EmbeddingSequence, SpectralComponent
+from .vmf import EmbeddingSequence
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class JointModel:
-    """Joint model state: spatial + spectral components and tied priors."""
+    """Joint model state: spatial components, vMF prototypes and tied priors."""
 
     spatial: list[SpatialComponent]
-    spectral: list[SpectralComponent]
+    mu: np.ndarray  # (K, E) unit prototypes
+    kappa: np.ndarray  # (K,) concentrations
     pi: np.ndarray  # (K, T)
     noise_index: int | None = None
 
     def __post_init__(self):
-        if len(self.spatial) != len(self.spectral):
-            raise InvalidInputError("spatial and spectral component counts must match")
+        self.mu = np.asarray(self.mu, dtype=float)
+        self.kappa = np.asarray(self.kappa, dtype=float)
+        _vmf.check_prototypes(self.mu, self.kappa, len(self.spatial))
         self.pi = np.asarray(self.pi, dtype=float)
         if self.pi.shape[0] != len(self.spatial):
             raise InvalidInputError("pi rows must match the component count")
@@ -78,7 +80,7 @@ class JointEmConfig:
 
 def _joint_e_step(x: StftTensor, embeddings: EmbeddingSequence, model: JointModel):
     # the cACGMM E-step with the frame's vMF log density as spectral term
-    log_vmf = _vmf.log_pdf_matrix(model.spectral, embeddings.frames)  # (K, T)
+    log_vmf = _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames)  # (K, T)
     return _cacg.e_step(_cacg.stack_covariances(model.spatial), model.pi, x, log_vmf[:, :, None])
 
 
@@ -111,9 +113,9 @@ def joint_m_step(
     """Decoupled M-steps of both models plus the tied prior update.
 
     Spatial covariances get one Tyler fixed-point application with the
-    per-bin posteriors; spectral components are refitted with the
-    frequency-summed posteriors; the prior becomes the frequency mean.
-    A noise component keeps kappa pinned at 0 (no embedding identity).
+    per-bin posteriors; the vMF prototypes are refitted with the
+    frequency-summed posteriors, and that same sum over F gives the prior
+    (the frequency mean). A noise component keeps kappa pinned at 0.
     ``quad`` holds the (K, F, T) quadratic forms of ``model.spatial`` when
     the caller has them (see :func:`cacg.cacg_m_step`).
     """
@@ -122,12 +124,18 @@ def joint_m_step(
     else:
         spatial = _cacg.cacg_m_step(x, posterior, model.spatial, quad=quad)
     gbar = posterior.gamma.sum(axis=2)  # (K, T)
-    spectral = _vmf.vmf_m_step(embeddings, gbar, kappa_max, rng)
-    if model.noise_index is not None:
-        k = model.noise_index
-        spectral[k] = SpectralComponent(model.spectral[k].mu, 0.0)
-    pi = _cacg.update_pi(posterior.gamma)
-    return JointModel(spatial, spectral, pi, model.noise_index)
+    mu, kappa = _spectral_m_step(embeddings, gbar, kappa_max, rng, model.noise_index)
+    pi = _cacg.update_pi(gbar, posterior.num_bins)
+    return JointModel(spatial, mu, kappa, pi, model.noise_index)
+
+
+def _spectral_m_step(embeddings, gbar, kappa_max, rng, noise_index):
+    """vMF M-step on the frequency-summed posteriors ``gbar``; the noise
+    component's kappa stays 0 (it has no embedding identity)."""
+    mu, kappa = _vmf.vmf_m_step(embeddings, gbar, kappa_max, rng)
+    if noise_index is not None:
+        kappa[noise_index] = 0.0
+    return mu, kappa
 
 
 def _index_after_removal(keep: int, remove: int) -> int:
@@ -171,12 +179,13 @@ def _fuse_pair(
     )
     spatial = [c for j, c in enumerate(model.spatial) if j != remove]
     spatial[keep_after] = SpatialComponent(fused_cov)
-    spectral = [c for j, c in enumerate(model.spectral) if j != remove]
+    mu = np.delete(model.mu, remove, axis=0)
+    kappa = np.delete(model.kappa, remove)
 
     noise = model.noise_index
     if noise is not None and remove < noise:
         noise -= 1
-    new_model = JointModel(spatial, spectral, pi, noise)
+    new_model = JointModel(spatial, mu, kappa, pi, noise)
     event = FusionEvent(kept=keep, removed=remove, similarity=similarity, iteration=iteration)
     return new_model, PosteriorTensor(gamma, pi), event
 
@@ -219,8 +228,8 @@ def spectral_fusion_check(
     """
 
     def cosine(speakers):
-        mus = np.stack([model.spectral[k].mu for k in speakers])
-        return mus @ mus.T
+        mu = model.mu[speakers]
+        return mu @ mu.T
 
     return _fuse_top_pair(model, posterior, tau, k_min, iteration, cosine)
 
@@ -264,12 +273,10 @@ def _initial_model(
     ]
     if not config.freeze_spatial:
         spatial = _cacg.cacg_m_step(x, init, spatial)
-    gbar = init.gamma.sum(axis=2)
-    spectral = _vmf.vmf_m_step(embeddings, gbar, config.kappa_max, rng)
-    if config.noise_index is not None:
-        k = config.noise_index
-        spectral[k] = SpectralComponent(spectral[k].mu, 0.0)
-    return JointModel(spatial, spectral, init.pi, config.noise_index)
+    mu, kappa = _spectral_m_step(
+        embeddings, init.gamma.sum(axis=2), config.kappa_max, rng, config.noise_index
+    )
+    return JointModel(spatial, mu, kappa, init.pi, config.noise_index)
 
 
 def joint_em(

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 from .errors import InvalidInputError, NumericalError
 
@@ -165,7 +165,8 @@ def cholesky_logdet_solve(m: HermitianPD, v: np.ndarray):
     """Evaluate ``log det(M)`` and ``Re(v^H M^{-1} v)`` in one factorization.
 
     The scalar reference for :func:`chol_logdet_quad`: one factor, one
-    triangular solve.
+    triangular solve. ``scipy.linalg`` is imported here, off the import path
+    of the package, since only this reference uses it.
 
     Args:
         m: Hermitian PD matrix.
@@ -179,8 +180,10 @@ def cholesky_logdet_solve(m: HermitianPD, v: np.ndarray):
         raise InvalidInputError(f"vector of dim {v.shape} does not match matrix dim {m.dim}")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("non-finite entries in right-hand side")
+    from scipy.linalg import solve_triangular
+
     L = chol_with_loading(m.entries)
-    z = linalg.solve_triangular(L, v, lower=True)
+    z = solve_triangular(L, v, lower=True)
     logdet = 2.0 * float(np.log(np.diag(L).real).sum())
     return logdet, float(np.vdot(z, z).real)
 

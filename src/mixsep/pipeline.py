@@ -77,7 +77,7 @@ class SegmentResult:
 def initialize_segment(
     x: StftTensor,
     embeddings: EmbeddingSequence,
-    vad: frontend.VadMask,
+    vad: np.ndarray,
     k_init: int,
     mode: str = "per_segment",
     seed: int = 0,
@@ -88,12 +88,12 @@ def initialize_segment(
 ) -> PosteriorTensor:
     """Build the initial posterior for the joint EM of one segment.
 
-    Spherical k-means++ on the voiced embeddings seeds a VMFMM which is
-    fitted on the voiced frames only; silence frames are assigned to an
-    additional noise component (the last one). The per-frame posterior is
-    replicated across the frequency axis as a read-only broadcast view. In
-    mode "global" a whole-meeting mixture is evaluated instead of fitting
-    fresh components.
+    Spherical k-means++ on the voiced embeddings (``vad`` holds one bool
+    per frame) seeds a VMFMM which is fitted on the voiced frames only;
+    silence frames are assigned to an additional noise component (the last
+    one). The per-frame posterior is replicated across the frequency axis as
+    a read-only broadcast view. In mode "global" a whole-meeting mixture is
+    evaluated instead of fitting fresh components.
 
     Returns:
         PosteriorTensor with ``k_init + 1`` components (noise last).
@@ -102,10 +102,11 @@ def initialize_segment(
         raise ConfigurationError("k_init must be >= 1")
     if mode not in ("per_segment", "global"):
         raise ConfigurationError(f"unknown initialization mode {mode!r}")
-    if vad.num_frames != x.num_frames or embeddings.num_frames != x.num_frames:
+    vad = np.asarray(vad, dtype=bool)
+    if vad.shape != (x.num_frames,) or embeddings.num_frames != x.num_frames:
         raise InvalidInputError("frame counts of STFT, VAD and embeddings disagree")
     n_frames, n_bins = x.num_frames, x.num_bins
-    voiced = np.flatnonzero(vad.frames)
+    voiced = np.flatnonzero(vad)
     k_used = min(k_init, voiced.size) if voiced.size else 0
     if 0 < k_used < k_init:
         message = f"k_init lowered from {k_init} to {k_used} (only {voiced.size} voiced frames)"
@@ -114,7 +115,7 @@ def initialize_segment(
             notes.append(message)
 
     gamma_t = np.zeros((k_used + 1, n_frames))
-    gamma_t[k_used, ~vad.frames] = 1.0
+    gamma_t[k_used, ~vad] = 1.0
     if k_used > 0:
         sub = EmbeddingSequence(embeddings.frames[voiced], embeddings.frame_rate)
         if mode == "global":
@@ -140,14 +141,14 @@ def _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed):
 
 def fit_global_mixture(
     embeddings: EmbeddingSequence,
-    vad: frontend.VadMask,
+    vad: np.ndarray,
     k_init: int,
     seed: int = 0,
     iterations: int = 30,
     kappa_max: float = 35.0,
 ) -> VmfMixture:
     """Whole-meeting VMFMM on the voiced frames, used by mode "global"."""
-    voiced = np.flatnonzero(vad.frames)
+    voiced = np.flatnonzero(vad)
     if voiced.size < k_init:
         raise ConfigurationError("not enough voiced frames for a global fit")
     sub = EmbeddingSequence(embeddings.frames[voiced], embeddings.frame_rate)
@@ -343,11 +344,8 @@ def _segment_task(args):
             config.min_dur_s,
         )
         offset_s = segment.start_frame / x.frame_rate
-        protos = [model.spectral[k].mu for k in speaker_rows]
         utterances = [[(offset_s + s, offset_s + e) for s, e in iv] for iv in intervals]
-        result = SegmentResult(
-            np.stack(protos) if protos else np.zeros((0, emb.dim)), segment, utterances
-        )
+        result = SegmentResult(model.mu[speaker_rows], segment, utterances)
         tracks = _separate(x, posterior, speaker_rows, intervals)
         report = {
             "id": segment.id,
@@ -476,7 +474,7 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
         tasks.append((
             seg, frontend.AudioBuffer(samples, audio.sample_rate),
             EmbeddingSequence(emb.frames[frames], emb.frame_rate),
-            frontend.VadMask(vad.frames[frames]), int(config.seed) + 7919 * si,
+            vad[frames], int(config.seed) + 7919 * si,
             config, global_model, mask_dir,
         ))
 

@@ -23,29 +23,6 @@ INIT_SMOOTHING = 0.01
 
 
 @dataclass(frozen=True)
-class SpectralComponent:
-    """One mixture component: prototype direction ``mu`` and concentration ``kappa``."""
-
-    mu: np.ndarray
-    kappa: float
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        if mu.ndim != 1:
-            raise InvalidInputError("mu must be a vector")
-        norm = float(np.linalg.norm(mu))
-        if not np.isfinite(norm) or abs(norm - 1.0) > 1e-6:
-            raise InvalidInputError(f"mu must be unit length, got norm {norm}")
-        if not (self.kappa >= 0.0 and np.isfinite(self.kappa)):
-            raise InvalidInputError("kappa must be finite and >= 0")
-        object.__setattr__(self, "mu", mu)
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
-
-
-@dataclass(frozen=True)
 class EmbeddingSequence:
     """Frame-level speaker embeddings, one unit row per frame."""
 
@@ -86,31 +63,41 @@ class EmbeddingSequence:
 
 @dataclass
 class VmfMixture:
-    """A fitted VMFMM: components plus priors (shared or per frame)."""
+    """A fitted VMFMM: unit prototypes, concentrations and priors (shared or per frame)."""
 
-    components: list[SpectralComponent]
+    mu: np.ndarray  # (K, E)
+    kappa: np.ndarray  # (K,)
     weights: np.ndarray  # (K,) or (K, T)
 
 
-def vmf_log_pdf(component: SpectralComponent, e: np.ndarray) -> float:
-    """Log density of a unit vector under one vMF component."""
+def check_prototypes(mu: np.ndarray, kappa: np.ndarray, count: int):
+    """Raise unless ``mu`` holds ``count`` unit rows and ``kappa`` as many finite values >= 0."""
+    if mu.ndim != 2 or mu.shape[0] != count or kappa.shape != (count,):
+        raise InvalidInputError(f"need {count} prototype rows and concentrations")
+    if not np.all(np.abs(np.linalg.norm(mu, axis=1) - 1.0) <= 1e-6):
+        raise InvalidInputError("prototypes mu must be unit rows")
+    if not np.all((kappa >= 0.0) & np.isfinite(kappa)):
+        raise InvalidInputError("kappa must be finite and >= 0")
+
+
+def vmf_log_pdf(mu: np.ndarray, kappa: float, e: np.ndarray) -> float:
+    """Log density of a unit vector under one vMF component (the scalar
+    reference of :func:`log_pdf_matrix`)."""
+    mu = np.asarray(mu, dtype=float)
     e = np.asarray(e, dtype=float)
-    if e.shape != component.mu.shape:
+    check_prototypes(mu[None], np.array([kappa], dtype=float), 1)
+    if e.shape != mu.shape:
         raise InvalidInputError("embedding dimension does not match component")
     if abs(float(np.linalg.norm(e)) - 1.0) > 1e-3:
         raise InvalidInputError("vMF density is defined for unit vectors only")
-    return log_vmf_normalizer(component.dim, component.kappa) + component.kappa * float(
-        component.mu @ e
-    )
+    return log_vmf_normalizer(mu.shape[0], kappa) + kappa * float(mu @ e)
 
 
-def log_pdf_matrix(components: list[SpectralComponent], frames: np.ndarray) -> np.ndarray:
-    """(K, T) matrix of vMF log densities; frames are assumed unit rows."""
-    mus = np.stack([c.mu for c in components])
-    kappas = np.array([c.kappa for c in components])
-    dim = mus.shape[1]
-    lognorm = np.array([log_vmf_normalizer(dim, k) for k in kappas])
-    return lognorm[:, None] + kappas[:, None] * (mus @ frames.T)
+def log_pdf_matrix(mu: np.ndarray, kappa: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """(K, T) vMF log densities of (K, E) prototypes with (K,) concentrations;
+    frames are assumed unit rows."""
+    lognorm = np.array([log_vmf_normalizer(mu.shape[1], k) for k in kappa])
+    return lognorm[:, None] + kappa[:, None] * (mu @ frames.T)
 
 
 def _kappa_estimate(rbar: float, dim: int, kappa_max: float) -> float:
@@ -153,7 +140,7 @@ def vmf_m_step(
     resp: np.ndarray,
     kappa_max: float,
     rng: np.random.Generator | None = None,
-) -> list[SpectralComponent]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Weighted vMF parameter update.
 
     For each component the resultant ``r_k = sum_t resp[k, t] * e_t`` gives the
@@ -169,7 +156,7 @@ def vmf_m_step(
         rng: generator for degenerate re-draws (seeded default if omitted).
 
     Returns:
-        K fitted components.
+        ``(mu, kappa)``: the (K, E) unit prototypes and (K,) concentrations.
     """
     resp = np.asarray(resp, dtype=float)
     if resp.ndim != 2 or resp.shape[1] != embeddings.num_frames:
@@ -181,19 +168,18 @@ def vmf_m_step(
     dim = embeddings.dim
     resultants = resp @ embeddings.frames  # (K, E)
     masses = resp.sum(axis=1)
-    components = []
+    mu = np.empty_like(resultants)
+    kappa = np.zeros(resp.shape[0])
     for k in range(resp.shape[0]):
         norm = float(np.linalg.norm(resultants[k]))
         if norm <= 1e-12 * max(masses[k], 1.0):
             logger.debug("component %d degenerate (zero resultant), re-drawing", k)
-            mu = rng.standard_normal(dim)
-            mu /= np.linalg.norm(mu)
-            components.append(SpectralComponent(mu, 0.0))
+            draw = rng.standard_normal(dim)
+            mu[k] = draw / np.linalg.norm(draw)
             continue
-        mu = resultants[k] / norm
-        rbar = min(norm / masses[k], 1.0)
-        components.append(SpectralComponent(mu, _kappa_estimate(rbar, dim, kappa_max)))
-    return components
+        mu[k] = resultants[k] / norm
+        kappa[k] = _kappa_estimate(min(norm / masses[k], 1.0), dim, kappa_max)
+    return mu, kappa
 
 
 def _prior_update(resp: np.ndarray, prior_mode: str) -> np.ndarray:
@@ -247,17 +233,14 @@ def vmfmm_em(
 
     resp = init_resp
     trace = []
-    components = None
-    weights = None
     for _ in range(iterations):
-        components = vmf_m_step(embeddings, resp, kappa_max, rng)
+        mu, kappa = vmf_m_step(embeddings, resp, kappa_max, rng)
         weights = _prior_update(resp, prior_mode)
         with np.errstate(divide="ignore"):
             log_w = np.log(weights if weights.ndim == 2 else weights[:, None])
-        resp, loglik = normalize_logits(log_w + log_pdf_matrix(components, embeddings.frames))
+        resp, loglik = normalize_logits(log_w + log_pdf_matrix(mu, kappa, embeddings.frames))
         trace.append(loglik)
-    mixture = VmfMixture(components, weights)
-    return mixture, resp, np.asarray(trace)
+    return VmfMixture(mu, kappa, weights), resp, np.asarray(trace)
 
 
 def vmf_posterior(mixture: VmfMixture, embeddings: EmbeddingSequence) -> np.ndarray:
@@ -266,7 +249,9 @@ def vmf_posterior(mixture: VmfMixture, embeddings: EmbeddingSequence) -> np.ndar
     if weights.ndim != 1:
         raise InvalidInputError("posterior evaluation needs shared (K,) weights")
     with np.errstate(divide="ignore"):
-        logits = np.log(weights)[:, None] + log_pdf_matrix(mixture.components, embeddings.frames)
+        logits = np.log(weights)[:, None] + log_pdf_matrix(
+            mixture.mu, mixture.kappa, embeddings.frames
+        )
     return normalize_logits(logits)[0]
 
 

@@ -26,7 +26,7 @@ from mixsep.integrated import (
 from mixsep.metrics import counting_matrix, der, mask_auc, si_sdr
 from mixsep.numerics import HermitianPD, log_vmf_normalizer
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting, sample_cacg, sample_vmf
-from mixsep.vmf import EmbeddingSequence, SpectralComponent, vmf_m_step, vmfmm_em
+from mixsep.vmf import EmbeddingSequence, vmf_m_step, vmfmm_em
 
 
 def report(criterion, message):
@@ -162,9 +162,9 @@ def test_criterion_03_parameter_recovery():
     mu_true = rng.standard_normal(16)
     mu_true /= np.linalg.norm(mu_true)
     frames = sample_vmf(mu_true, 20.0, 5000, seed=77)
-    (comp,) = vmf_m_step(EmbeddingSequence(frames), np.ones((1, 5000)), kappa_max=1000.0)
-    cosine = float(comp.mu @ mu_true)
-    kappa_err = abs(comp.kappa - 20.0) / 20.0
+    (mu,), (kappa,) = vmf_m_step(EmbeddingSequence(frames), np.ones((1, 5000)), kappa_max=1000.0)
+    cosine = float(mu @ mu_true)
+    kappa_err = abs(kappa - 20.0) / 20.0
     assert cosine >= 0.999
     assert kappa_err <= 0.10
 
@@ -359,7 +359,8 @@ def test_criterion_07_fusion_algebra():
     other /= np.linalg.norm(other)
     model = JointModel(
         [SpatialComponent(c) for c in covs],
-        [SpectralComponent(m, 10.0) for m in (mu, mu, other)],
+        np.stack([mu, mu, other]),
+        np.full(3, 10.0),
         pi,
     )
     post = PosteriorTensor(gamma, pi)

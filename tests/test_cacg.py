@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixsep import cacg
 from mixsep.cacg import (
     PosteriorTensor,
     SpatialComponent,
@@ -17,6 +18,7 @@ from mixsep.cacg import (
     normalize_observations,
     scatter_matrices,
     stack_covariances,
+    update_pi,
 )
 from mixsep.errors import ConfigurationError, InvalidInputError
 from mixsep.metrics import mask_auc
@@ -58,6 +60,38 @@ class TestNormalizeObservations:
         data = rng.standard_normal((3, 5, 7)) + 1j * rng.standard_normal((3, 5, 7))
         out = normalize_observations(tensor(data))
         assert np.max(np.abs(np.linalg.norm(out.data, axis=0) - 1.0)) < 1e-12
+
+    def test_kernels_read_the_observations_in_place(self, monkeypatch):
+        # the (F, C, T) operand of the E-step and Tyler kernels is a view of
+        # the normalized observations, not a per-call frequency-major copy
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((3, 6, 5)) + 1j * rng.standard_normal((3, 6, 5))
+        x = normalize_observations(tensor(data))
+        operands = []
+        real_quad, real_scatter = cacg.chol_logdet_quad, cacg.scatter_matrices
+        monkeypatch.setattr(
+            cacg, "chol_logdet_quad", lambda m, y: operands.append(y) or real_quad(m, y)
+        )
+        monkeypatch.setattr(
+            cacg, "scatter_matrices", lambda y, w: operands.append(y) or real_scatter(y, w)
+        )
+        prev = [SpatialComponent.identity(5, 3) for _ in range(2)]
+        cacg_log_pdf_stack(stack_covariances(prev), x)
+        cacg_m_step(x, uniform_posterior(2, 6, 5), prev)
+        assert len(operands) == 3
+        for y in operands:
+            assert y.shape[-3:] == (5, 3, 6)
+            assert np.shares_memory(y, x.data)
+
+    def test_zero_bins_stay_flagged_frequency_major(self):
+        data = np.zeros((2, 3, 4), dtype=complex)
+        data[:, 1, 2] = [3.0, 4.0j]
+        out = normalize_observations(tensor(data))
+        want = np.zeros((2, 3, 4), dtype=complex)
+        want[0] = 1.0
+        want[:, 1, 2] = [0.6, 0.8j]
+        assert np.allclose(out.data, want, rtol=0.0, atol=1e-15)
+        assert out.zero_bins.sum() == 11 and not out.zero_bins[1, 2]
 
 
 class TestCacgLogPdf:
@@ -181,6 +215,22 @@ class TestCacgMStep:
         out = cacg_m_step(x, post, prev)
         assert np.allclose(out[1].covariances, prev[1].covariances)
         assert out[1].inactive_bins.all()
+
+    def test_inactive_bins_keep_previous_with_given_quad(self):
+        rng = np.random.default_rng(19)
+        data = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+        x = normalize_observations(tensor(data))
+        gamma = np.zeros((2, 3, 2))
+        gamma[0] = 1.0
+        gamma[1, :, 1], gamma[0, :, 1] = 0.5, 0.5  # component 1 inactive in bin 0 only
+        post = PosteriorTensor(gamma, gamma.mean(axis=2))
+        prev = [SpatialComponent.identity(2, 2) for _ in range(2)]
+        prev[1] = SpatialComponent(np.stack([np.diag([1.5, 0.5]), np.diag([0.5, 1.5])]).astype(complex))
+        _, quad = cacg_log_pdf_stack(stack_covariances(prev), x)
+        out = cacg_m_step(x, post, prev, quad=quad)
+        assert np.array_equal(out[1].covariances[0], prev[1].covariances[0])
+        assert list(out[1].inactive_bins) == [True, False]
+        assert np.allclose(out[1].covariances, cacg_m_step(x, post, prev)[1].covariances)
 
     def test_trace_normalized(self):
         rng = np.random.default_rng(20)
@@ -421,3 +471,12 @@ class TestStftTensorInvariants:
         data[0, 0, 0] = np.nan
         with pytest.raises(InvalidInputError):
             tensor(data)
+
+
+def test_update_pi_from_the_frequency_sum_is_the_floored_mean():
+    rng = np.random.default_rng(4)
+    gamma = rng.dirichlet(np.ones(3), size=(7, 9)).transpose(2, 0, 1)  # (K, T, F)
+    gamma[2, :2] = 0.0
+    want = np.maximum(gamma.mean(axis=2), 1e-10)
+    want = want / want.sum(axis=0, keepdims=True)
+    assert np.array_equal(update_pi(gamma.sum(axis=2), 9), want)

@@ -25,7 +25,7 @@ from mixsep.integrated import (
     spectral_fusion_check,
 )
 from mixsep.synth import build_meeting
-from mixsep.vmf import SpectralComponent, log_pdf_matrix, vmfmm_em
+from mixsep.vmf import log_pdf_matrix, vmfmm_em
 
 
 def unit(v):
@@ -36,10 +36,42 @@ def unit(v):
 def model_from_truth(truth, x, pi=None, kappa=30.0, noise_index=None):
     k_true = truth.mu_true.shape[0]
     spatial = [SpatialComponent(truth.cov_true[k].copy()) for k in range(k_true)]
-    spectral = [SpectralComponent(truth.mu_true[k], kappa) for k in range(k_true)]
     if pi is None:
         pi = np.full((k_true, x.num_frames), 1.0 / k_true)
-    return JointModel(spatial, spectral, pi, noise_index)
+    return JointModel(spatial, truth.mu_true, np.full(k_true, kappa), pi, noise_index)
+
+
+class TestJointModelChecks:
+    @staticmethod
+    def parts():
+        spatial = [SpatialComponent.identity(3, 2) for _ in range(2)]
+        return spatial, np.eye(4)[:2], np.array([5.0, 0.0]), np.full((2, 6), 0.5)
+
+    def test_valid_parts_accepted(self):
+        model = JointModel(*self.parts())
+        assert model.mu.shape == (2, 4) and model.kappa.shape == (2,)
+
+    @pytest.mark.parametrize("row", [[2.0, 0.0, 0.0, 0.0], [0.0] * 4, [np.nan, 0.0, 0.0, 0.0]])
+    def test_non_unit_prototype_rejected(self, row):
+        spatial, mu, kappa, pi = self.parts()
+        mu[1] = row
+        with pytest.raises(InvalidInputError):
+            JointModel(spatial, mu, kappa, pi)
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    def test_bad_kappa_rejected(self, bad):
+        spatial, mu, kappa, pi = self.parts()
+        kappa[0] = bad
+        with pytest.raises(InvalidInputError):
+            JointModel(spatial, mu, kappa, pi)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_prototype_count_must_match_spatial(self, rows):
+        spatial, _, kappa, pi = self.parts()
+        with pytest.raises(InvalidInputError):
+            JointModel(spatial, np.eye(4)[:rows], kappa, pi)
+        with pytest.raises(InvalidInputError):
+            JointModel(spatial, np.eye(4)[:2], np.full(rows, 5.0), pi)
 
 
 def bin_accuracy(gamma, truth):
@@ -66,12 +98,12 @@ class TestJointEStep:
         xn = normalize_observations(x)
         k_true = truth.mu_true.shape[0]
         spatial = [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(k_true)]
-        spectral = [SpectralComponent(truth.mu_true[k], 35.0) for k in range(k_true)]
+        kappa = np.full(k_true, 35.0)
         pi = np.full((k_true, x.num_frames), 1.0 / k_true)
-        post = joint_e_step(xn, e, JointModel(spatial, spectral, pi))
+        post = joint_e_step(xn, e, JointModel(spatial, truth.mu_true, kappa, pi))
         # constant over frequency
         assert np.max(np.abs(post.gamma - post.gamma[:, :, :1])) < 1e-12
-        logits = np.log(pi) + log_pdf_matrix(spectral, e.frames)
+        logits = np.log(pi) + log_pdf_matrix(truth.mu_true, kappa, e.frames)
         want = np.exp(logits - logits.max(axis=0, keepdims=True))
         want /= want.sum(axis=0, keepdims=True)
         assert np.max(np.abs(post.gamma[:, :, 0] - want)) < 1e-12
@@ -86,7 +118,8 @@ class TestJointEStep:
         spectral_only = model_from_truth(truth, x, kappa=4.0)
         spectral_only = JointModel(
             [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in spectral_only.spatial],
-            spectral_only.spectral,
+            spectral_only.mu,
+            spectral_only.kappa,
             spectral_only.pi,
         )
         acc_joint = bin_accuracy(joint_e_step(xn, e, joint).gamma, truth)
@@ -114,10 +147,10 @@ class TestJointMStep:
         from mixsep.vmf import EmbeddingSequence, vmf_m_step
 
         new = joint_m_step(xn, e, post, model, kappa_max=35.0)
-        direct = vmf_m_step(e, post.gamma[:, :, 0], 35.0)
-        for a, b in zip(new.spectral, direct):
-            assert np.allclose(a.mu, b.mu, atol=1e-9)
-            assert abs(a.kappa - b.kappa) < 1e-9
+        direct_mu, direct_kappa = vmf_m_step(e, post.gamma[:, :, 0], 35.0)
+        for a_mu, a_kappa, b_mu, b_kappa in zip(new.mu, new.kappa, direct_mu, direct_kappa):
+            assert np.allclose(a_mu, b_mu, atol=1e-9)
+            assert abs(a_kappa - b_kappa) < 1e-9
 
     def test_noise_component_kappa_stays_zero(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=6))
@@ -125,11 +158,11 @@ class TestJointMStep:
         rng = np.random.default_rng(1)
         post = random_soft_posterior(rng, 3, x.num_frames, x.num_bins)
         spatial = [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(3)]
-        spectral = [SpectralComponent(unit(np.arange(1.0, 17.0)), 10.0) for _ in range(3)]
-        model = JointModel(spatial, spectral, post.pi, noise_index=2)
+        mu = np.tile(unit(np.arange(1.0, 17.0)), (3, 1))
+        model = JointModel(spatial, mu, np.full(3, 10.0), post.pi, noise_index=2)
         new = joint_m_step(xn, e, post, model, kappa_max=35.0)
-        assert new.spectral[2].kappa == 0.0
-        assert new.spectral[0].kappa > 0.0
+        assert new.kappa[2] == 0.0
+        assert new.kappa[0] > 0.0
 
     def test_joint_parameter_recovery(self):
         cfg = tiny_scenario([0, 1, 2], duration_s=16.0, overlap=0.2, seed=7, channels=4)
@@ -137,7 +170,7 @@ class TestJointMStep:
         init = kmeans_init_posterior(e, truth.voiced, 3, x.num_bins, seed=3, with_noise=True)
         jcfg = JointEmConfig(iterations=20, fusion="none", noise_index=3, seed=0)
         model, post, events, trace = joint_em(x, e, init, jcfg)
-        mus = np.stack([c.mu for c in model.spectral[:3]])
+        mus = model.mu[:3]
         sims = mus @ truth.mu_true.T
         rows, cols = linear_sum_assignment(-sims)
         perm = dict(zip(rows, cols))
@@ -159,8 +192,7 @@ class TestJointMStep:
 
 def make_fusion_model(mus, kappas, pi, covs, noise_index=None):
     spatial = [SpatialComponent(c) for c in covs]
-    spectral = [SpectralComponent(m, k) for m, k in zip(mus, kappas)]
-    return JointModel(spatial, spectral, pi, noise_index)
+    return JointModel(spatial, np.stack(mus), kappas, pi, noise_index)
 
 
 class TestSpectralFusion:
@@ -332,7 +364,7 @@ class TestFusionScorerMatchesPairLoop:
             model, post = self.random_model(rng, mus, rng.uniform(0.0, 1.0, (n_comp, 6)))
             tau = float(rng.choice([0.25, 0.5, 0.7, 0.99]))
             k_min = int(rng.integers(1, 5))
-            cosine = lambda a, b: float(model.spectral[a].mu @ model.spectral[b].mu)
+            cosine = lambda a, b: float(model.mu[a] @ model.mu[b])
             want = self.pair_loop(model, cosine, tau, k_min)
             _, _, event = spectral_fusion_check(model, post, tau, k_min=k_min)
             self.assert_same(event, want)
@@ -352,7 +384,7 @@ class TestFusionScorerMatchesPairLoop:
             n_comp = int(rng.integers(2, 8))
             mus = [unit(v) for v in rng.standard_normal((n_comp, 3))]
             model, post = self.random_model(rng, mus, rng.uniform(0.0, 1.0, (n_comp, 6)))
-            cosine = lambda a, b: float(model.spectral[a].mu @ model.spectral[b].mu)
+            cosine = lambda a, b: float(model.mu[a] @ model.mu[b])
             want = self.pair_loop(model, cosine, 0.5, 1)
             _, _, event = spectral_fusion_check(model, post, 0.5)
             if want is None:

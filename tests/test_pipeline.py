@@ -6,7 +6,6 @@ from mixsep import frontend, pipeline
 from mixsep.cacg import PosteriorTensor, StftTensor
 from mixsep.cli import RunConfig
 from mixsep.errors import InvalidInputError
-from mixsep.frontend import VadMask
 from mixsep.metrics import der, si_sdr
 from mixsep.pipeline import (
     Diarization,
@@ -26,7 +25,7 @@ def segment_slices(x, e, vad, seg):
     sl = slice(seg.start_frame, seg.end_frame)
     x_seg = StftTensor(x.data[:, sl, :], x.sample_rate, x.stft_size, x.window_size, x.shift)
     e_seg = EmbeddingSequence(e.frames[sl], e.frame_rate)
-    return x_seg, e_seg, VadMask(vad.frames[sl])
+    return x_seg, e_seg, vad[sl]
 
 
 def tuned_config(**overrides):
@@ -54,7 +53,7 @@ class TestInitializeSegment:
         x = StftTensor(data, 2000, 64, 50, 16)
         frames = rng.standard_normal((40, 8))
         e = EmbeddingSequence(frames / np.linalg.norm(frames, axis=1, keepdims=True), 125.0)
-        init = initialize_segment(x, e, VadMask(np.zeros(40, dtype=bool)), 3)
+        init = initialize_segment(x, e, np.zeros(40, dtype=bool), 3)
         assert init.num_components == 1  # only the noise component remains
         assert np.all(init.gamma[0] == 1.0)
 
@@ -66,7 +65,7 @@ class TestInitializeSegment:
         x_seg, e_seg, v_seg = segment_slices(x, e, vad, truth.segments[0])
         init = initialize_segment(x_seg, e_seg, v_seg, 2, seed=7)
         assert init.num_components == 3  # two speakers + noise
-        voiced = v_seg.frames
+        voiced = v_seg
         hard = np.argmax(init.pi[:2][:, voiced], axis=0)
         coverage = max(np.mean(hard == 0), np.mean(hard == 1))
         assert coverage >= 0.90
@@ -74,7 +73,7 @@ class TestInitializeSegment:
     def test_k_init_eight_accepted(self):
         cfg = tiny_scenario([0, 1], duration_s=8.0, seed=3)
         x_model, e, truth, _ = build_meeting(cfg)
-        vad = VadMask(truth.voiced)
+        vad = truth.voiced
         init = initialize_segment(x_model, e, vad, 8, seed=0)
         assert init.num_components == 9
         init.validate()
@@ -82,7 +81,7 @@ class TestInitializeSegment:
     def test_noise_assigned_on_silence(self):
         cfg = tiny_scenario([0], duration_s=6.0, seed=4)
         x_model, e, truth, _ = build_meeting(cfg)
-        vad = VadMask(truth.voiced)
+        vad = truth.voiced
         init = initialize_segment(x_model, e, vad, 2, seed=0)
         noise = init.num_components - 1
         assert np.all(init.pi[noise, ~truth.voiced] == 1.0)
@@ -97,14 +96,14 @@ class TestInitializeSegment:
         voiced = np.zeros(30, dtype=bool)
         voiced[:3] = True
         notes = []
-        init = initialize_segment(x, e, VadMask(voiced), 8, seed=0, notes=notes)
+        init = initialize_segment(x, e, voiced, 8, seed=0, notes=notes)
         assert init.num_components == 4  # 3 voiced frames + noise
         assert notes and "lowered" in notes[0]
 
     def test_global_mode_uses_meeting_mixture(self):
         cfg = tiny_scenario([0, 1], duration_s=8.0, seed=6)
         x_model, e, truth, _ = build_meeting(cfg)
-        vad = VadMask(truth.voiced)
+        vad = truth.voiced
         mixture = pipeline.fit_global_mixture(e, vad, 2, seed=0, iterations=15)
         init = initialize_segment(
             x_model, e, vad, 2, mode="global", global_model=mixture

@@ -9,7 +9,7 @@ from mixsep.numerics import log_vmf_normalizer
 from mixsep.synth import sample_vmf
 from mixsep.vmf import (
     EmbeddingSequence,
-    SpectralComponent,
+    log_pdf_matrix,
     smooth_one_hot,
     spherical_kmeans_pp,
     vmf_log_pdf,
@@ -38,67 +38,81 @@ def orthonormal(rng, dim, count):
 
 class TestVmfLogPdf:
     def test_kappa_zero_uniform(self):
-        comp = SpectralComponent(unit([1.0, 0, 0, 0]), 0.0)
+        mu = unit([1.0, 0, 0, 0])
         rng = np.random.default_rng(0)
         values = [
-            vmf_log_pdf(comp, unit(rng.standard_normal(4))) for _ in range(5)
+            vmf_log_pdf(mu, 0.0, unit(rng.standard_normal(4))) for _ in range(5)
         ]
         assert np.allclose(values, log_vmf_normalizer(4, 0.0))
 
     def test_at_mode(self):
         mu = unit(np.arange(1.0, 65.0))
-        comp = SpectralComponent(mu, 35.0)
         want = log_vmf_normalizer(64, 35.0) + 35.0
-        assert abs(vmf_log_pdf(comp, mu) - want) < 1e-10
+        assert abs(vmf_log_pdf(mu, 35.0, mu) - want) < 1e-10
 
     def test_monte_carlo_normalization(self):
         # uniform-proposal integral over S^2, 1e5 draws (acceptance runs 1e6)
         rng = np.random.default_rng(42)
-        comp = SpectralComponent(unit([0.3, -0.5, 0.81]), 5.0)
+        mu, kappa = unit([0.3, -0.5, 0.81]), 5.0
         x = rng.standard_normal((100_000, 3))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         area = 4.0 * math.pi
-        dens = np.exp([vmf_log_pdf(comp, xi) for xi in x[:2000]])
+        dens = np.exp([vmf_log_pdf(mu, kappa, xi) for xi in x[:2000]])
         # vectorized density for the full sample
-        dens = np.exp(log_vmf_normalizer(3, comp.kappa) + comp.kappa * (x @ comp.mu))
+        dens = np.exp(log_vmf_normalizer(3, kappa) + kappa * (x @ mu))
         assert abs(area * dens.mean() - 1.0) < 0.02
 
     def test_rejects_non_unit(self):
-        comp = SpectralComponent(unit([1.0, 0.0]), 1.0)
         with pytest.raises(InvalidInputError):
-            vmf_log_pdf(comp, np.array([2.0, 0.0]))
+            vmf_log_pdf(unit([1.0, 0.0]), 1.0, np.array([2.0, 0.0]))
+
+
+class TestLogPdfMatrix:
+    def test_matches_scalar_reference_entry_by_entry(self):
+        rng = np.random.default_rng(9)
+        mu = rng.standard_normal((6, 8))
+        mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+        kappa = np.array([0.0, 1e-3, 0.7, 9.0, 20.0, 35.0])  # from 0 to the default cap
+        frames = rng.standard_normal((30, 8))
+        frames /= np.linalg.norm(frames, axis=1, keepdims=True)
+        got = log_pdf_matrix(mu, kappa, frames)
+        assert got.shape == (6, 30)
+        for k in range(6):
+            for t in range(30):
+                want = vmf_log_pdf(mu[k], kappa[k], frames[t])
+                assert abs(got[k, t] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestVmfMStep:
     def test_single_frame_saturates_at_cap(self):
         frames = np.stack([unit([1, 2, 3, 4.0]), unit([0, 1, 0, 0.0])])
         resp = np.array([[1.0, 0.0]])
-        (comp,) = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
-        assert np.allclose(comp.mu, frames[0], atol=1e-12)
-        assert comp.kappa == 35.0
+        (mu,), (kappa,) = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
+        assert np.allclose(mu, frames[0], atol=1e-12)
+        assert kappa == 35.0
 
     def test_antipodal_cancellation_degenerate(self):
         e = unit([1.0, -1.0, 0.5])
         frames = np.stack([e, -e])
         resp = np.array([[0.5, 0.5]])
-        (comp,) = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
-        assert comp.kappa == 0.0
-        assert abs(np.linalg.norm(comp.mu) - 1.0) < 1e-12
+        (mu,), (kappa,) = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
+        assert kappa == 0.0
+        assert abs(np.linalg.norm(mu) - 1.0) < 1e-12
 
     def test_recovers_sampler_parameters(self):
         mu = unit(np.sin(np.arange(16.0) + 0.3))
         frames = sample_vmf(mu, 20.0, 5000, seed=1234)
         resp = np.ones((1, 5000))
-        (comp,) = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=1000.0)
-        assert float(comp.mu @ mu) >= 0.999
-        assert abs(comp.kappa - 20.0) <= 2.0
+        (got_mu,), (kappa,) = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=1000.0)
+        assert float(got_mu @ mu) >= 0.999
+        assert abs(kappa - 20.0) <= 2.0
 
     def test_kappa_never_exceeds_cap(self):
         rng = np.random.default_rng(8)
         frames = sample_vmf(unit(rng.standard_normal(8)), 200.0, 300, seed=77)
         resp = rng.uniform(0.0, 1.0, size=(3, 300))
-        comps = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
-        assert all(c.kappa <= 35.0 for c in comps)
+        _, kappa = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
+        assert all(k <= 35.0 for k in kappa)
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(21)
@@ -107,9 +121,9 @@ class TestVmfMStep:
         rot = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         base = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=50.0)
         rotated = vmf_m_step(EmbeddingSequence(frames @ rot.T), resp, kappa_max=50.0)
-        for b, r in zip(base, rotated):
-            assert np.allclose(rot @ b.mu, r.mu, atol=1e-9)
-            assert abs(b.kappa - r.kappa) < 1e-9
+        for b_mu, b_kappa, r_mu, r_kappa in zip(*base, *rotated):
+            assert np.allclose(rot @ b_mu, r_mu, atol=1e-9)
+            assert abs(b_kappa - r_kappa) < 1e-9
 
 
 class TestVmfmmEm:
@@ -120,7 +134,7 @@ class TestVmfmmEm:
         mixture, resp, trace = vmfmm_em(seq, np.ones((1, 400)), 5, kappa_max=35.0)
         assert np.allclose(resp, 1.0)
         want = unit(frames.sum(axis=0))
-        assert float(mixture.components[0].mu @ want) > 1.0 - 1e-12
+        assert float(mixture.mu[0] @ want) > 1.0 - 1e-12
 
     def test_two_separated_clusters(self):
         rng = np.random.default_rng(17)
