@@ -15,7 +15,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .cacg import StftTensor
 from .errors import InvalidInputError
@@ -228,6 +227,13 @@ def num_stft_frames(num_samples: int, window_size: int, shift: int) -> int:
 # Voice activity detection
 
 
+def edge_windows(x: np.ndarray, size: int, before: int) -> np.ndarray:
+    """View (..., T, size): window t holds ``x[..., t - before : t - before + size]``
+    along the last axis, indices clipped to the array (SciPy's "nearest")."""
+    pad = [(0, 0)] * (x.ndim - 1) + [(before, size - 1 - before)]
+    return np.lib.stride_tricks.sliding_window_view(np.pad(x, pad, mode="edge"), size, axis=-1)
+
+
 def energy_vad(
     audio: AudioBuffer,
     window_s: float = 1.5,
@@ -239,28 +245,24 @@ def energy_vad(
 
     Per-frame log energy of channel 0 (same framing as the STFT), smoothed
     over 5 frames; the noise floor is the running minimum of the smoothed
-    energy over a trailing window of ``window_s`` seconds. A frame is voiced
-    when its energy exceeds the floor by ``threshold_db``; the mask is then
-    closed with a 200 ms structuring element. Invariant to global gain.
+    energy over the trailing window [t - L + 1, t] of ``window_s`` seconds
+    (longer than any continuous speech). A frame is voiced when its energy
+    exceeds the floor by ``threshold_db``; pauses under 200 ms between voiced
+    runs are then filled. Invariant to global gain.
 
     Returns:
         (T,) bool voice activity, one entry per STFT frame.
     """
-    win = int(round(window_ms * audio.sample_rate / 1000.0))
-    hop = int(round(shift_ms * audio.sample_rate / 1000.0))
-    n_frames = num_stft_frames(audio.num_samples, win, hop)
-    if n_frames == 0:
+    _, win, hop = stft_sizes(audio.sample_rate, window_ms, window_ms, shift_ms)
+    if audio.num_samples < win:
         return np.zeros(0, dtype=bool)
     frames = np.lib.stride_tricks.sliding_window_view(audio.samples[0], win)[::hop]
     energy = 10.0 * np.log10(np.mean(frames**2, axis=1) + 1e-30)
-    smoothed = ndimage.uniform_filter1d(energy, size=5, mode="nearest")
+    smoothed = edge_windows(energy, 5, 2).mean(axis=-1)
     floor_len = max(1, int(round(window_s * 1000.0 / shift_ms)))
-    origin = floor_len // 2 - floor_len + 1  # trailing window [t - L + 1, t]
-    floor = ndimage.minimum_filter1d(smoothed, size=floor_len, mode="nearest", origin=origin)
+    floor = edge_windows(smoothed, floor_len, floor_len - 1).min(axis=-1)
     voiced = energy > floor + threshold_db
-    close_len = max(1, int(round(200.0 / shift_ms)))
-    voiced = ndimage.binary_closing(voiced, structure=np.ones(close_len, dtype=bool))
-    return voiced
+    return fill_gaps(voiced, max(1, int(round(200.0 / shift_ms))))
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +271,20 @@ def energy_vad(
 
 def write_embeddings(path, frames: np.ndarray, frame_rate: float | None = None):
     """Write the binary embedding matrix format (magic EMB1, u32 dims, f32 data)."""
-    frames = np.asarray(frames, dtype=np.float32)
-    if frames.ndim != 2:
+    if np.ndim(frames) != 2:
         raise InvalidInputError("embedding frames must be a T x E matrix")
-    with open(path, "wb") as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<III", frames.shape[0], frames.shape[1], 0))
-        fh.write(frames.astype("<f4").tobytes())
+    write_f32_tensor(path, EMBEDDING_MAGIC, frames)
     if frame_rate is not None:
         with open(str(path) + ".json", "w") as fh:
             json.dump({"frame_rate": frame_rate}, fh, sort_keys=True)
+
+
+def write_f32_tensor(path, magic: bytes, tensor: np.ndarray):
+    """Write an up to 3-d tensor as :func:`read_f32_tensor` reads it, unused shape fields 0."""
+    tensor = np.asarray(tensor, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<III", *tensor.shape, *[0] * (3 - tensor.ndim)))
+        fh.write(tensor.tobytes())
 
 
 def read_f32_tensor(path, magic: bytes, ndim: int) -> np.ndarray:
@@ -360,6 +366,27 @@ def true_runs(mask: np.ndarray) -> list:
     padded = np.concatenate([[False], mask, [False]]).astype(int)
     edges = np.flatnonzero(np.diff(padded))
     return list(zip(edges[0::2], edges[1::2]))
+
+
+def fill_gaps(mask: np.ndarray, length: int) -> np.ndarray:
+    """Copy of ``mask`` with each False run shorter than ``length`` between True runs set."""
+    mask = np.array(mask, dtype=bool)
+    runs = true_runs(mask)
+    for (_, end), (start, _) in zip(runs, runs[1:]):
+        if start - end < length:
+            mask[end:start] = True
+    return mask
+
+
+def merge_intervals(intervals, gap: float = 0.0) -> list:
+    """Sorted union of ``(start, end)`` intervals, bridging gaps of at most ``gap``."""
+    merged = []
+    for start, end in sorted(intervals):
+        if merged and start <= merged[-1][1] + gap:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return [(s, e) for s, e in merged]
 
 
 def split_segments(

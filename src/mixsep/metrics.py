@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .frontend import merge_intervals
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ def _scored_regions(ref_turns, collar_s: float):
     hi = max(points) + collar_s + 1.0
     zones = []
     if collar_s > 0:
-        zones = _union(
+        zones = merge_intervals(
             [(b - collar_s, b + collar_s) for _, s, e in ref_turns for b in (s, e)]
         )
     regions = []
@@ -85,16 +86,6 @@ def _scored_regions(ref_turns, collar_s: float):
         cursor = max(cursor, z1)
     regions.append((cursor, hi))
     return regions
-
-
-def _union(intervals):
-    merged = []
-    for s, e in sorted(intervals):
-        if merged and s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    return [(s, e) for s, e in merged]
 
 
 def _clip_turns(turns, regions):

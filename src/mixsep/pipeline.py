@@ -9,12 +9,10 @@ pool and the collected results are reduced serially (alignment, report).
 from __future__ import annotations
 
 import logging
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import frontend
 from .cacg import PosteriorTensor, StftTensor, _freq_major, scatter_matrices
@@ -170,8 +168,8 @@ def smooth_and_segment(
 ):
     """Turn per-speaker priors into utterance intervals.
 
-    Per speaker: median-filter over time, threshold, drop intervals shorter
-    than ``min_dur_s``, then merge gaps below 0.2 s.
+    Per speaker: median over ``median_frames`` edge-padded frames, threshold,
+    drop intervals shorter than ``min_dur_s``, then fill gaps below 0.2 s.
 
     Returns:
         List (one entry per speaker row) of lists of (start_s, end_s).
@@ -181,18 +179,14 @@ def smooth_and_segment(
         raise InvalidInputError("median_frames must be odd")
     min_frames = int(round(min_dur_s * frame_rate))
     gap_frames = int(round(0.2 * frame_rate))
+    windows = frontend.edge_windows(pi, median_frames, median_frames // 2)
     out = []
-    for row in pi:
-        smoothed = ndimage.median_filter(row, size=median_frames, mode="nearest")
-        active = smoothed > on_thresh
-        runs = [(s, e) for s, e in frontend.true_runs(active) if e - s >= min_frames]
-        merged = []
-        for start, end in runs:
-            if merged and start - merged[-1][1] < gap_frames:
-                merged[-1][1] = end
-            else:
-                merged.append([start, end])
-        out.append([(s / frame_rate, e / frame_rate) for s, e in merged])
+    for active in np.median(windows, axis=-1) > on_thresh:
+        for start, end in frontend.true_runs(active):
+            if end - start < min_frames:
+                active[start:end] = False
+        runs = frontend.true_runs(frontend.fill_gaps(active, gap_frames))
+        out.append([(s / frame_rate, e / frame_rate) for s, e in runs])
     return out
 
 
@@ -307,13 +301,9 @@ def _align_with_mapping(results: list, k_total: int, seed: int = 0):
 
 
 def write_mask_tensor(path, tensor: np.ndarray):
-    tensor = np.asarray(tensor, dtype=np.float32)
-    if tensor.ndim != 3:
+    if np.ndim(tensor) != 3:
         raise InvalidInputError("mask tensor must have shape (K, T, F)")
-    with open(path, "wb") as fh:
-        fh.write(MASK_MAGIC)
-        fh.write(struct.pack("<III", *tensor.shape))
-        fh.write(tensor.astype("<f4").tobytes())
+    frontend.write_f32_tensor(path, MASK_MAGIC, tensor)
 
 
 def read_mask_tensor(path) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cacg import StftTensor
 from .errors import ConfigurationError, InvalidInputError
-from .frontend import AudioBuffer, SegmentSpec, num_stft_frames, stft
+from .frontend import AudioBuffer, SegmentSpec, merge_intervals, num_stft_frames, stft
 from .numerics import HermitianPD, chol_with_loading
 from .vmf import EmbeddingSequence
 
@@ -143,16 +143,6 @@ class GroundTruth:
     cov_true: np.ndarray  # (K, F, C, C)
     source_images: np.ndarray  # (K, N) reference-channel images
     frame_rate: float
-
-
-def _merge_intervals(intervals, gap: float = 0.0):
-    merged = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1] + gap:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    return [(s, e) for s, e in merged]
 
 
 def _layout_utterances(cfg: ScenarioConfig, rng: np.random.Generator, frame_rate: float):
@@ -309,7 +299,7 @@ def build_meeting(cfg: ScenarioConfig):
     for speaker in range(k_true):
         spans = [(s / frame_rate, e / frame_rate) for spk, s, e in utterances if spk == speaker]
         if spans:
-            intervals[speaker] = _merge_intervals(spans, gap=1.5 / frame_rate)
+            intervals[speaker] = merge_intervals(spans, gap=1.5 / frame_rate)
     truth = GroundTruth(
         masks=masks,
         activity=intervals,

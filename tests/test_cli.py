@@ -110,11 +110,12 @@ def fresh_python(args, cwd):
 
 
 def test_import_leaves_heavy_scipy_out(tmp_path):
-    # start-up cost: these subpackages take about a second to import, and
-    # scipy.linalg serves only the scalar reference cholesky_logdet_solve
+    # start-up cost: these subpackages take about a second to import,
+    # scipy.linalg serves only the scalar reference cholesky_logdet_solve, and
+    # mixsep's windows and runs are plain NumPy, so scipy.ndimage has no user
     probe = (
-        "import sys, mixsep.cli; print([m for m in "
-        "('scipy.signal', 'scipy.stats', 'scipy.optimize', 'scipy.linalg') if m in sys.modules])"
+        "import sys, mixsep.cli; print([m for m in ('scipy.signal', 'scipy.stats', "
+        "'scipy.optimize', 'scipy.linalg', 'scipy.ndimage') if m in sys.modules])"
     )
     proc = fresh_python(["-c", probe], tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -4,22 +4,28 @@ import struct
 import numpy as np
 import pytest
 from helpers import wav_bytes
-from scipy import signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage, signal
 
 from mixsep.errors import InvalidInputError
 from mixsep.frontend import (
     AudioBuffer,
     _hann,
     SegmentSpec,
+    edge_windows,
     energy_vad,
+    fill_gaps,
     ingest_embeddings,
     istft,
+    merge_intervals,
     num_stft_frames,
     read_wav,
     split_segments,
     stft,
     true_runs,
     write_embeddings,
+    write_f32_tensor,
     write_wav,
 )
 
@@ -190,6 +196,80 @@ class TestEnergyVad:
         rng = np.random.default_rng(6)
         audio = AudioBuffer(rng.standard_normal((2, 20000)), 16000)
         assert energy_vad(audio).shape == (stft(audio).num_frames,)
+
+    def test_fractional_shift_rejected_like_stft(self):
+        # 40 ms is 882 samples at 22050 Hz, 16 ms is 352.8: no frame grid
+        audio = AudioBuffer(np.zeros((2, 22050)), 22050)
+        with pytest.raises(InvalidInputError):
+            energy_vad(audio, window_ms=40.0, shift_ms=16.0)
+
+    def test_onset_after_silence_voiced_for_the_floor_window(self):
+        # default config (window_s 1.5): the trailing floor holds the silence
+        # before the onset, so the first 1.4 s of speech are voiced
+        rng = np.random.default_rng(12)
+        audio, _ = speech_like(rng, 16000, [(2.0, 5.0)], total_s=5.0)
+        mask = energy_vad(audio)
+        onset = 125  # first frame inside the speech, 2.0 s / 16 ms
+        assert mask[onset : onset + int(1.4 / 0.016)].all()
+        assert not mask[: onset - 5].any()
+
+    def test_burst_that_ends_the_recording_voiced_to_the_last_frame(self):
+        rng = np.random.default_rng(13)
+        audio, _ = speech_like(rng, 16000, [(4.0, 5.0)], total_s=5.0)
+        mask = energy_vad(audio)
+        assert mask[250:].all()  # 4.0 s / 16 ms to the end
+        assert not mask[:245].any()
+
+    @pytest.mark.parametrize("seed, window_s", [(14, 1.5), (15, 0.5), (16, 3.0)])
+    def test_matches_scipy_ndimage_reference(self, seed, window_s):
+        # mean, trailing minimum and closing of the zero-padded mask, as
+        # ndimage computes them
+        rng = np.random.default_rng(seed)
+        audio, _ = speech_like(rng, 16000, [(0.5, 1.7), (2.0, 2.3), (3.1, 5.9)], 6.0)
+        frames = np.lib.stride_tricks.sliding_window_view(audio.samples[0], 800)[::256]
+        energy = 10.0 * np.log10(np.mean(frames**2, axis=1) + 1e-30)
+        smoothed = ndimage.uniform_filter1d(energy, 5, mode="nearest")
+        size = int(round(window_s * 1000.0 / 16.0))
+        floor = ndimage.minimum_filter1d(smoothed, size, mode="nearest", origin=(size - 1) // 2)
+        voiced = np.pad(energy > floor + 10.0, 12)
+        closed = ndimage.binary_closing(voiced, structure=np.ones(12, dtype=bool))[12:-12]
+        assert np.array_equal(energy_vad(audio, window_s=window_s), closed)
+
+
+float_rows = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=40
+).map(np.array)
+
+
+class TestEdgeWindows:
+    @settings(max_examples=100, deadline=None)
+    @given(float_rows, st.integers(1, 50))
+    def test_trailing_minimum(self, x, size):
+        floor = edge_windows(x, size, size - 1).min(axis=-1)
+        brute = [x[max(0, t - size + 1) : t + 1].min() for t in range(x.size)]
+        assert np.array_equal(floor, brute)
+        filtered = ndimage.minimum_filter1d(x, size, mode="nearest", origin=(size - 1) // 2)
+        assert np.array_equal(floor, filtered)
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_rows, st.integers(0, 25))
+    def test_centred_median_equals_median_filter(self, x, half):
+        size = 2 * half + 1
+        median = np.median(edge_windows(x, size, half), axis=-1)
+        assert np.array_equal(median, ndimage.median_filter(x, size, mode="nearest"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_rows)
+    def test_centred_mean_equals_uniform_filter(self, x):
+        mean = edge_windows(x, 5, 2).mean(axis=-1)
+        assert np.allclose(mean, ndimage.uniform_filter1d(x, 5, mode="nearest"), atol=1e-9)
+
+    def test_rows_windowed_independently(self):
+        x = np.arange(12.0).reshape(2, 6)
+        windows = edge_windows(x, 3, 1)
+        assert windows.shape == (2, 6, 3)
+        assert windows[1, 0].tolist() == [6.0, 6.0, 7.0]
+        assert windows[0, 5].tolist() == [4.0, 5.0, 5.0]
 
 
 class TestWav:
@@ -393,6 +473,67 @@ class TestTrueRuns:
     def test_empty_and_all_false(self):
         assert true_runs(np.zeros(0, dtype=bool)) == []
         assert true_runs(np.zeros(5, dtype=bool)) == []
+
+
+bool_masks = st.lists(st.booleans(), max_size=60).map(lambda v: np.array(v, dtype=bool))
+
+
+class TestFillGaps:
+    @settings(max_examples=300, deadline=None)
+    @given(bool_masks, st.integers(1, 12))
+    def test_equals_closing_of_the_zero_padded_mask(self, mask, length):
+        padded = np.pad(mask, length)
+        closed = ndimage.binary_closing(padded, structure=np.ones(length, dtype=bool))
+        assert np.array_equal(fill_gaps(mask, length), closed[length : length + mask.size])
+
+    @settings(max_examples=300, deadline=None)
+    @given(bool_masks, st.integers(0, 12))
+    def test_never_clears_and_fills_only_short_inner_gaps(self, mask, length):
+        filled = fill_gaps(mask, length)
+        assert filled[mask].all()
+        runs = true_runs(mask)
+        for (_, end), (start, _) in zip(runs, runs[1:]):
+            assert filled[end:start].all() == (start - end < length)
+        if runs:
+            assert not filled[: runs[0][0]].any() and not filled[runs[-1][1] :].any()
+
+    def test_edge_runs_kept(self):
+        mask = np.array([1, 0, 0, 1, 0, 0, 0, 0, 1], dtype=bool)
+        assert fill_gaps(mask, 3).tolist() == [True] * 4 + [False] * 4 + [True]
+
+    def test_input_untouched(self):
+        mask = np.array([1, 0, 1], dtype=bool)
+        fill_gaps(mask, 5)
+        assert mask.tolist() == [True, False, True]
+
+
+class TestMergeIntervals:
+    def test_union_of_unsorted_overlaps(self):
+        assert merge_intervals([(3.0, 4.0), (0.0, 2.0), (1.0, 1.5), (2.0, 2.5)]) == [
+            (0.0, 2.5), (3.0, 4.0)
+        ]
+
+    def test_gap_joins_close_intervals(self):
+        spans = [(0.0, 1.0), (1.25, 2.0), (3.0, 4.0)]
+        assert merge_intervals(spans, gap=0.25) == [(0.0, 2.0), (3.0, 4.0)]
+        assert merge_intervals(spans, gap=0.2) == spans
+
+    def test_empty(self):
+        assert merge_intervals([]) == []
+
+
+class TestF32TensorFiles:
+    def test_embedding_bytes(self, tmp_path):
+        frames = np.arange(6.0).reshape(2, 3)
+        write_embeddings(tmp_path / "e.emb", frames)
+        expected = b"EMB1" + struct.pack("<III", 2, 3, 0) + frames.astype("<f4").tobytes()
+        assert (tmp_path / "e.emb").read_bytes() == expected
+
+    def test_three_dimensional_bytes(self, tmp_path):
+        tensor = np.linspace(0.0, 1.0, 24).reshape(2, 3, 4)
+        write_f32_tensor(tmp_path / "m.msk", b"MSK1", tensor)
+        expected = b"MSK1" + struct.pack("<III", 2, 3, 4) + tensor.astype("<f4").tobytes()
+        assert (tmp_path / "m.msk").read_bytes() == expected
 
 
 class TestSegmentSpec:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from helpers import tiny_scenario
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from mixsep import frontend, pipeline
 from mixsep.cacg import PosteriorTensor, StftTensor
@@ -165,6 +168,43 @@ class TestSmoothAndSegment:
     def test_even_median_rejected(self):
         with pytest.raises(InvalidInputError):
             smooth_and_segment(np.zeros((1, 10)), 100.0, median_frames=4)
+
+    def test_no_speaker_rows(self):
+        assert smooth_and_segment(np.zeros((0, 50)), 100.0) == []
+
+    def test_fewer_frames_than_the_median(self):
+        pi = np.zeros((3, 7))
+        pi[0] = 1.0
+        pi[1, :5] = 1.0  # edge padding repeats both ends: the step stays at frame 5
+        out = smooth_and_segment(pi, 100.0, median_frames=21, min_dur_s=0.05)
+        assert out == [[(0.0, 0.07)], [(0.0, 0.05)], []]
+        assert smooth_and_segment(pi, 100.0, median_frames=21, min_dur_s=0.5) == [[], [], []]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3), st.integers(1, 80), st.integers(0, 6), st.sampled_from([0.0, 0.05, 0.2]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_median_filter_and_gap_merge_loop(self, rows, frames, half, min_dur_s, seed):
+        # the median_filter and interval loop this function replaced
+        rng = np.random.default_rng(seed)
+        pi = (rng.uniform(size=(rows, frames)) < rng.uniform(0.2, 0.8)).astype(float)
+        pi *= rng.uniform(0.3, 1.0, size=pi.shape)
+        frame_rate, size = 50.0, 2 * half + 1
+        min_frames, gap_frames = int(round(min_dur_s * frame_rate)), 10
+        expected = []
+        for row in pi:
+            active = ndimage.median_filter(row, size=size, mode="nearest") > 0.5
+            merged = []
+            for start, end in frontend.true_runs(active):
+                if end - start < min_frames:
+                    continue
+                if merged and start - merged[-1][1] < gap_frames:
+                    merged[-1][1] = end
+                else:
+                    merged.append([start, end])
+            expected.append([(s / frame_rate, e / frame_rate) for s, e in merged])
+        assert smooth_and_segment(pi, frame_rate, size, 0.5, min_dur_s) == expected
 
 
 def oracle_posterior(truth):
