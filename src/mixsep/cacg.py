@@ -17,7 +17,8 @@ from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .numerics import (
     HermitianPD,
     _load_stack,
-    chol_logdet_quad,
+    _tril_inverse,
+    chol_with_loading,
     cholesky_logdet_solve,
     normalize_logits,
 )
@@ -131,8 +132,8 @@ def normalize_observations(x: StftTensor) -> StftTensor:
     """Scale every channel vector y_{t,f} to unit norm.
 
     All-zero bins are replaced by the first canonical basis vector and
-    flagged in ``zero_bins``. The data are stored frequency-major, so the
-    (F, C, T) operand of the batched kernels (:func:`_freq_major`) is a view.
+    flagged in ``zero_bins``. The data are stored frequency-major, so their
+    (F, C, T) transpose, which :func:`outer_features` reads, is contiguous.
     """
     norms = np.linalg.norm(x.data, axis=0)  # (T, F)
     zero = norms == 0.0
@@ -173,34 +174,82 @@ def cacg_log_pdf(b: HermitianPD, y: np.ndarray) -> float:
     )
 
 
-def _freq_major(data: np.ndarray) -> np.ndarray:
-    # (C, T, F) -> (F, C, T) for batched per-frequency linear algebra, made
-    # contiguous because matmul reaches BLAS only on unit-stride matrices; a
-    # view for normalized observations, which are stored that way
-    return np.ascontiguousarray(np.transpose(data, (2, 0, 1)))
+def outer_features(x: StftTensor) -> np.ndarray:
+    """Real outer-product features of the observations, shape (F, C^2, T).
+
+    Rows ``0..C-1`` hold ``|y_i|^2``; the next ``P = C (C-1) / 2`` rows hold
+    ``Re(conj(y_i) y_j)`` and the last ``P`` rows ``Im(conj(y_i) y_j)``, for
+    the pairs ``i < j`` in row-major order. Both cACG kernels are linear in
+    ``y y^H``, so each is one real batched GEMM on these rows
+    (:func:`quad_forms`, :func:`scatter_matrices`). They take C/2 times the
+    memory of the complex observations: 2x at C = 4, 3.5x at C = 7.
+    """
+    y = np.transpose(x.data, (2, 0, 1))  # (F, C, T)
+    c = y.shape[1]
+    rows, cols = np.triu_indices(c, 1)
+    out = np.empty((y.shape[0], c * c, y.shape[2]))
+    out[:, :c] = y.real**2 + y.imag**2
+    for n, (i, j) in enumerate(zip(rows, cols)):
+        prod = np.conj(y[:, i]) * y[:, j]
+        out[:, c + n] = prod.real
+        out[:, c + rows.size + n] = prod.imag
+    return out
 
 
-def cacg_log_pdf_stack(covariances: np.ndarray, x: StftTensor):
-    """Log densities for a (K, F, C, C) covariance stack.
+def quad_forms(covariances: np.ndarray, features: np.ndarray):
+    """Log-determinants and quadratic forms ``y^H B^{-1} y`` of a covariance stack.
+
+    Each (K, F, C, C) covariance is factorized once with the loading ladder
+    of :func:`chol_with_loading`, and its inverse ``L^{-H} L^{-1}`` becomes
+    the coefficients ``[diag B^{-1}, 2 Re B^{-1}_ij, -2 Im B^{-1}_ij]`` of
+    the :func:`outer_features` rows, so that ``quad`` is one real
+    (F, K, C^2) @ (F, C^2, T) GEMM.
 
     Returns:
-        ``(log_pdf, quad)``: the (K, T, F) log densities and the (K, F, T)
-        quadratic forms ``y^H B^{-1} y`` behind them, which the Tyler update
-        of these covariances (:func:`cacg_m_step`) takes as ``quad``.
+        ``(logdet, quad)`` of shapes (K, F) and (K, F, T).
+
+    Raises:
+        NumericalError: a quadratic form is not positive.
+    """
+    lower = chol_with_loading(covariances)
+    logdet = 2.0 * np.log(np.einsum("...ii->...i", lower).real).sum(axis=-1)
+    linv = _tril_inverse(lower)
+    inv = np.swapaxes(np.conj(np.swapaxes(linv, -1, -2)) @ linv, 0, 1)  # (F, K, C, C)
+    rows, cols = np.triu_indices(inv.shape[-1], 1)
+    upper = inv[..., rows, cols]
+    coef = np.concatenate(
+        [np.einsum("...ii->...i", inv).real, 2.0 * upper.real, -2.0 * upper.imag], axis=-1
+    )
+    quad = np.empty(logdet.shape + features.shape[-1:])
+    np.matmul(coef, features, out=np.swapaxes(quad, 0, 1))
+    if quad.size and quad.min() <= 0.0:
+        raise NumericalError("nonpositive quadratic form in batched cACG density")
+    return logdet, quad
+
+
+def cacg_log_pdf_stack(
+    covariances: np.ndarray, x: StftTensor, features: np.ndarray | None = None
+):
+    """Log densities for a (K, F, C, C) covariance stack.
+
+    Args:
+        covariances: (K, F, C, C) stack.
+        x: unit-normalized observations.
+        features: their :func:`outer_features`; built here when not given.
+
+    Returns:
+        ``(log_pdf, quad)``: the (K, F, T) log densities, frequency-major,
+        and the (K, F, T) quadratic forms ``y^H B^{-1} y`` behind them, which
+        the Tyler update of these covariances (:func:`cacg_m_step`) takes as
+        ``quad``.
     """
     c = x.num_channels
-    y = _freq_major(x.data)  # (F, C, T)
-    logdet, quad = chol_logdet_quad(covariances, y[None])  # (K, F), (K, F, T)
-    if np.any(quad <= 0.0):
-        raise NumericalError("nonpositive quadratic form in batched cACG density")
+    logdet, quad = quad_forms(covariances, outer_features(x) if features is None else features)
+    log_pdf = np.log(quad)
+    log_pdf *= -c
     const = math.lgamma(c) - math.log(2.0) - c * math.log(math.pi)
-    out = const - logdet[:, :, None] - c * np.log(quad)
-    return np.transpose(out, (0, 2, 1)), quad
-
-
-def quad_forms(covariances: np.ndarray, x: StftTensor) -> np.ndarray:
-    """(K, F, T) quadratic forms ``y^H B^{-1} y`` of a (K, F, C, C) stack."""
-    return chol_logdet_quad(covariances, _freq_major(x.data)[None])[1]
+    log_pdf += (const - logdet)[:, :, None]
+    return log_pdf, quad
 
 
 def _check_normalized(x: StftTensor):
@@ -209,13 +258,23 @@ def _check_normalized(x: StftTensor):
         raise InvalidInputError("observations must be unit-normalized (see normalize_observations)")
 
 
-def scatter_matrices(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(K, F, C, C) weighted scatter sums ``sum_t w_{k,f,t} y_{f,t} y_{f,t}^H``
-    of (F, C, T) observations under (K, F, T) weights."""
-    y_h = np.conj(np.swapaxes(y, -1, -2))  # (F, T, C)
-    out = np.empty(weights.shape[:2] + y.shape[1:2] * 2, dtype=complex)
-    for k, w in enumerate(weights):
-        out[k] = (w[:, None, :] * y) @ y_h
+def scatter_matrices(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(K, F, C, C) weighted scatter sums ``sum_t w_{k,f,t} y_{f,t} y_{f,t}^H``.
+
+    One real (F, K, T) @ (F, T, C^2) GEMM of the (K, F, T) weights against
+    the :func:`outer_features` of the observations ``y``, unpacked into
+    exactly Hermitian matrices.
+    """
+    sums = np.swapaxes(np.swapaxes(weights, 0, 1) @ np.swapaxes(features, 1, 2), 0, 1)
+    c = math.isqrt(features.shape[1])
+    rows, cols = np.triu_indices(c, 1)
+    p = rows.size
+    out = np.empty(sums.shape[:-1] + (c, c), dtype=complex)
+    diag = np.arange(c)
+    out[..., diag, diag] = sums[..., :c]
+    upper = sums[..., c : c + p] - 1j * sums[..., c + p :]
+    out[..., rows, cols] = upper
+    out[..., cols, rows] = np.conj(upper)
     return out
 
 
@@ -228,11 +287,12 @@ def cacg_m_step(
     posterior: PosteriorTensor,
     prev: list[SpatialComponent],
     quad: np.ndarray | None = None,
+    features: np.ndarray | None = None,
 ) -> list[SpatialComponent]:
     """One Tyler fixed-point update of all spatial covariances.
 
     ``B_{k,f} = C * sum_t gamma ~y ~y^H / (~y^H B_prev^{-1} ~y) / sum_t gamma``,
-    then symmetrized, diagonally loaded and trace-normalized to C.
+    then diagonally loaded and trace-normalized to C.
     Frequencies with zero responsibility mass keep the previous covariance
     and are flagged inactive.
 
@@ -245,19 +305,21 @@ def cacg_m_step(
             (:func:`cacg_log_pdf_stack`); computed here when not given, and
             only then are the observations checked for unit norm (the EM
             checks them once, on the initial M-step).
+        features: the :func:`outer_features` of ``x``; built here when not
+            given.
     """
     c = x.num_channels
-    gamma = posterior.gamma  # (K, T, F)
+    if features is None:
+        features = outer_features(x)
+    gamma = np.transpose(posterior.gamma, (0, 2, 1))  # (K, F, T)
     if quad is None:
         _check_normalized(x)
-        quad = quad_forms(stack_covariances(prev), x)
-    numer = scatter_matrices(_freq_major(x.data), np.transpose(gamma, (0, 2, 1)) / quad)
-    denom = gamma.sum(axis=1)  # (K, F)
+        quad = quad_forms(stack_covariances(prev), features)[1]
+    numer = scatter_matrices(features, np.divide(gamma, quad, out=np.empty(quad.shape)))
+    denom = gamma.sum(axis=2)  # (K, F)
     inactive = denom == 0.0
     safe = np.where(inactive, 1.0, denom)
-    new = c * numer / safe[:, :, None, None]
-    new = (new + np.conj(np.swapaxes(new, -1, -2))) / 2.0
-    new = _load_stack(new, COV_LOADING)
+    new = _load_stack(c * numer / safe[:, :, None, None], COV_LOADING)
     traces = np.einsum("kfii->kf", new).real
     new = new * (c / traces)[:, :, None, None]
     if inactive.any():
@@ -276,23 +338,32 @@ def update_pi(gamma_sum: np.ndarray, num_bins: int) -> np.ndarray:
     return pi / pi.sum(axis=0, keepdims=True)
 
 
-def e_step(covariances: np.ndarray, pi: np.ndarray, x: StftTensor, log_spectral=0.0):
+def e_step(
+    covariances: np.ndarray,
+    pi: np.ndarray,
+    x: StftTensor,
+    log_spectral=0.0,
+    features: np.ndarray | None = None,
+):
     """E-step of the spatial mixture, optionally coupled to a spectral term.
 
     ``gamma ~ pi * p_cACG(y) * exp(log_spectral)``, normalized per bin in the
     log domain. With the default ``log_spectral=0.0`` this is the plain
-    cACGMM; the joint model passes its (K, T, 1) vMF log densities.
+    cACGMM; the joint model passes its (K, T) vMF log densities. The logits
+    are built and normalized in place in the frequency-major (K, F, T) log
+    density buffer of :func:`cacg_log_pdf_stack`, built from ``features``
+    (the :func:`outer_features` of ``x``, built there when not given).
 
     Returns:
-        ``(gamma, loglik, quad)``: the (K, T, F) posterior, the summed
-        per-bin log normalizers and the (K, F, T) quadratic forms of
-        :func:`cacg_log_pdf_stack` for the M-step.
+        ``(gamma, loglik, quad)``: the (K, T, F) posterior (a transposed
+        view of the frequency-major buffer), the summed per-bin log
+        normalizers and the (K, F, T) quadratic forms for the M-step.
     """
-    log_pdf, quad = cacg_log_pdf_stack(covariances, x)
+    logits, quad = cacg_log_pdf_stack(covariances, x, features)
     with np.errstate(divide="ignore"):
-        logits = np.log(pi)[:, :, None] + log_pdf + log_spectral
+        logits += (np.log(pi) + log_spectral)[:, None, :]
     gamma, loglik = normalize_logits(logits)
-    return gamma, loglik, quad
+    return np.transpose(gamma, (0, 2, 1)), loglik, quad
 
 
 def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
@@ -302,7 +373,8 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     covariances are the identity), then alternates E- and M-steps. Priors are
     frequency-independent and time-dependent, updated as the frequency mean
     of the posterior. Each M-step reuses the quadratic forms of the E-step
-    before it, so every covariance is factorized once per iteration.
+    before it, so every covariance is factorized once per iteration, and
+    both kernels read one :func:`outer_features` array built per run.
 
     Returns:
         ``(components, posterior, loglik_trace)``.
@@ -314,15 +386,18 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     if init_gamma.num_frames != x.num_frames or init_gamma.num_bins != x.num_bins:
         raise InvalidInputError("initial posterior does not match observations")
     x = normalize_observations(x)
+    features = outer_features(x)
     n_comp = init_gamma.num_components
     identity = [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(n_comp)]
-    components = cacg_m_step(x, init_gamma, identity)
+    components = cacg_m_step(x, init_gamma, identity, features=features)
     pi = init_gamma.pi
     trace = []
     gamma = init_gamma.gamma
     for _ in range(iterations):
-        gamma, ll, quad = e_step(stack_covariances(components), pi, x)
+        gamma, ll, quad = e_step(stack_covariances(components), pi, x, features=features)
         trace.append(ll)
         pi = update_pi(gamma.sum(axis=2), x.num_bins)
-        components = cacg_m_step(x, PosteriorTensor(gamma, pi), components, quad=quad)
+        components = cacg_m_step(
+            x, PosteriorTensor(gamma, pi), components, quad=quad, features=features
+        )
     return components, PosteriorTensor(gamma, pi), np.asarray(trace)

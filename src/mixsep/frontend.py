@@ -257,7 +257,9 @@ def energy_vad(
     if audio.num_samples < win:
         return np.zeros(0, dtype=bool)
     frames = np.lib.stride_tricks.sliding_window_view(audio.samples[0], win)[::hop]
-    energy = 10.0 * np.log10(np.mean(frames**2, axis=1) + 1e-30)
+    # the per-frame sum of squares reads the overlapping window view in
+    # place; squaring the view would copy every sample about win / hop times
+    energy = 10.0 * np.log10(np.einsum("tw,tw->t", frames, frames) / win + 1e-30)
     smoothed = edge_windows(energy, 5, 2).mean(axis=-1)
     floor_len = max(1, int(round(window_s * 1000.0 / shift_ms)))
     floor = edge_windows(smoothed, floor_len, floor_len - 1).min(axis=-1)

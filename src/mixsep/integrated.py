@@ -78,10 +78,13 @@ class JointEmConfig:
     seed: int = 0
 
 
-def _joint_e_step(x: StftTensor, embeddings: EmbeddingSequence, model: JointModel):
+def _joint_e_step(
+    x: StftTensor, embeddings: EmbeddingSequence, model: JointModel, features: np.ndarray
+):
     # the cACGMM E-step with the frame's vMF log density as spectral term
     log_vmf = _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames)  # (K, T)
-    return _cacg.e_step(_cacg.stack_covariances(model.spatial), model.pi, x, log_vmf[:, :, None])
+    covariances = _cacg.stack_covariances(model.spatial)
+    return _cacg.e_step(covariances, model.pi, x, log_vmf, features)
 
 
 def joint_e_step(
@@ -96,7 +99,7 @@ def joint_e_step(
         raise InvalidInputError("embedding frames do not match STFT frames")
     if model.pi.shape[1] != x.num_frames:
         raise InvalidInputError("model priors do not match STFT frames")
-    gamma, _, _ = _joint_e_step(x, embeddings, model)
+    gamma, _, _ = _joint_e_step(x, embeddings, model, _cacg.outer_features(x))
     return PosteriorTensor(gamma, model.pi)
 
 
@@ -109,6 +112,7 @@ def joint_m_step(
     rng: np.random.Generator | None = None,
     freeze_spatial: bool = False,
     quad: np.ndarray | None = None,
+    features: np.ndarray | None = None,
 ) -> JointModel:
     """Decoupled M-steps of both models plus the tied prior update.
 
@@ -116,13 +120,14 @@ def joint_m_step(
     per-bin posteriors; the vMF prototypes are refitted with the
     frequency-summed posteriors, and that same sum over F gives the prior
     (the frequency mean). A noise component keeps kappa pinned at 0.
-    ``quad`` holds the (K, F, T) quadratic forms of ``model.spatial`` when
-    the caller has them (see :func:`cacg.cacg_m_step`).
+    ``quad`` holds the (K, F, T) quadratic forms of ``model.spatial`` and
+    ``features`` the outer-product features of ``x`` when the caller has
+    them (see :func:`cacg.cacg_m_step`).
     """
     if freeze_spatial:
         spatial = model.spatial
     else:
-        spatial = _cacg.cacg_m_step(x, posterior, model.spatial, quad=quad)
+        spatial = _cacg.cacg_m_step(x, posterior, model.spatial, quad=quad, features=features)
     gbar = posterior.gamma.sum(axis=2)  # (K, T)
     mu, kappa = _spectral_m_step(embeddings, gbar, kappa_max, rng, model.noise_index)
     pi = _cacg.update_pi(gbar, posterior.num_bins)
@@ -142,7 +147,7 @@ def _index_after_removal(keep: int, remove: int) -> int:
     return keep if keep < remove else keep - 1
 
 
-def _fused_quad(quad: np.ndarray, event: FusionEvent, model: JointModel, x: StftTensor):
+def _fused_quad(quad: np.ndarray, event: FusionEvent, model: JointModel, features: np.ndarray):
     """Quadratic forms of the fused model's covariances from the pre-fusion ones.
 
     The removed component's row goes; the kept component's covariance is
@@ -150,7 +155,7 @@ def _fused_quad(quad: np.ndarray, event: FusionEvent, model: JointModel, x: Stft
     """
     quad = np.delete(quad, event.removed, axis=0)
     kept = _index_after_removal(event.kept, event.removed)
-    quad[kept] = _cacg.quad_forms(model.spatial[kept].covariances[None], x)[0]
+    quad[kept] = _cacg.quad_forms(model.spatial[kept].covariances[None], features)[1][0]
     return quad
 
 
@@ -266,13 +271,14 @@ def _initial_model(
     init: PosteriorTensor,
     config: JointEmConfig,
     rng: np.random.Generator,
+    features: np.ndarray,
 ) -> JointModel:
     spatial = [
         SpatialComponent.identity(x.num_bins, x.num_channels)
         for _ in range(init.num_components)
     ]
     if not config.freeze_spatial:
-        spatial = _cacg.cacg_m_step(x, init, spatial)
+        spatial = _cacg.cacg_m_step(x, init, spatial, features=features)
     mu, kappa = _spectral_m_step(
         embeddings, init.gamma.sum(axis=2), config.kappa_max, rng, config.noise_index
     )
@@ -294,7 +300,9 @@ def joint_em(
     component count; fusion steps may move the value. Each M-step weights
     the Tyler update by the quadratic forms of the E-step before it, so
     every covariance is factorized once per iteration; after a fusion only
-    the kept component's forms are computed again.
+    the kept component's forms are computed again. All cACG kernels read
+    one outer-product feature array (:func:`cacg.outer_features`), built
+    here from the normalized observations and freed when the run returns.
 
     Returns:
         ``(model, posterior, fusion_events, loglik_trace)``.
@@ -313,12 +321,13 @@ def joint_em(
 
     rng = np.random.default_rng(config.seed)
     x = _cacg.normalize_observations(x)
-    model = _initial_model(x, embeddings, init, config, rng)
+    features = _cacg.outer_features(x)
+    model = _initial_model(x, embeddings, init, config, rng, features)
     events: list[FusionEvent] = []
     trace = []
     posterior = init
     for it in range(config.iterations):
-        gamma, ll, quad = _joint_e_step(x, embeddings, model)
+        gamma, ll, quad = _joint_e_step(x, embeddings, model, features)
         trace.append(ll)
         posterior = PosteriorTensor(gamma, model.pi)
         if config.fusion != "none" and it >= config.fusion_start:
@@ -338,7 +347,7 @@ def joint_em(
             if event is not None:
                 logger.debug("fused components %d <- %d at iteration %d", event.kept, event.removed, it)
                 events.append(event)
-                quad = _fused_quad(quad, event, model, x)
+                quad = _fused_quad(quad, event, model, features)
         model = joint_m_step(
             x,
             embeddings,
@@ -348,7 +357,9 @@ def joint_em(
             rng=rng,
             freeze_spatial=config.freeze_spatial,
             quad=quad,
+            features=features,
         )
+        quad = None  # spent: freed before the next E-step allocates its own
     return model, PosteriorTensor(posterior.gamma, model.pi), events, np.asarray(trace)
 
 

@@ -4,7 +4,8 @@ Everything in this module is a pure function on immutable inputs: Hermitian
 positive-definite matrix operations (Cholesky with escalating diagonal
 loading), log-domain accumulation (``logsumexp`` and the posterior
 normalization that every mixture E-step shares), and the Bessel-based
-normalizer of the von-Mises-Fisher density.
+normalizer of the von-Mises-Fisher density. The one exception is the
+posterior normalization, which works in place on its logits.
 """
 
 from __future__ import annotations
@@ -102,16 +103,13 @@ def _tril_inverse(lower: np.ndarray) -> np.ndarray:
 def chol_logdet_quad(mats: np.ndarray, rhs: np.ndarray):
     """Log-determinants and quadratic forms for Hermitian PD stacks.
 
+    The batched reference for the EM's kernel ``cacg.quad_forms``, kept for
+    the tests and the per-layer tracer; the model code no longer calls it.
     Computes ``logdet(M)`` and ``Re(v^H M^{-1} v)`` for every matrix of the
     stack and every right-hand-side column from one Cholesky factorization
     per matrix: the C x C factor is inverted once and applied with
-    ``matmul``, one slice of the leading axis at a time, so the (..., C, T)
-    products of a broadcast right-hand side never exist all at once.
-
-    For a covariance stack and the observations, ``quad`` holds the
-    quadratic forms that the Tyler update of those covariances weights by
-    (``cacg.cacg_m_step``), so the EM keeps the E-step's ``quad`` and passes
-    it on instead of factorizing the same covariances again.
+    ``matmul``, one slice of the leading axis at a time, and ``quad`` is the
+    squared norm of ``L^{-1} v``, which cannot be negative.
 
     Args:
         mats: (..., C, C) Hermitian stack.
@@ -287,9 +285,22 @@ def logsumexp(values, axis=None):
 def normalize_logits(logits: np.ndarray, axis: int = 0):
     """Posterior of mixture logits, normalized along ``axis`` in the log domain.
 
+    Works in place: ``logits`` is shifted by its maximum along ``axis``,
+    exponentiated and divided by its sum, so no array of its size is
+    allocated. NaN input is rejected.
+
     Returns:
-        ``(posterior, loglik)``: ``exp(logits - logsumexp(logits, axis))`` and
-        the sum of the per-observation log normalizers.
+        ``(posterior, loglik)``: ``logits`` itself, now holding
+        ``exp(logits - logsumexp(logits, axis))``, and the sum of the
+        per-observation log normalizers.
     """
-    norm = logsumexp(logits, axis=axis)
-    return np.exp(logits - np.expand_dims(norm, axis)), float(norm.sum())
+    shift = np.max(logits, axis=axis, keepdims=True)
+    if np.isnan(shift).any():
+        raise InvalidInputError("NaN in mixture logits")
+    shift[~np.isfinite(shift)] = 0.0
+    logits -= shift
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=axis, keepdims=True)
+    logits /= total
+    with np.errstate(divide="ignore"):
+        return logits, float((np.log(total) + shift).sum())

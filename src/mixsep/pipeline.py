@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import frontend
-from .cacg import PosteriorTensor, StftTensor, _freq_major, scatter_matrices
+from .cacg import PosteriorTensor, StftTensor, outer_features, scatter_matrices
 from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .integrated import JointEmConfig, count_speakers, joint_em
 from .numerics import _load_stack, psd_solve
@@ -214,8 +214,8 @@ def beamform(
     targets = np.asarray(targets, dtype=int)
     if targets.ndim != 1 or np.any((targets < 0) | (targets >= gamma.shape[0])):
         raise InvalidInputError("target component out of range")
-    y = _freq_major(x.data)  # (F, C, T)
-    scm = scatter_matrices(y, np.transpose(gamma, (0, 2, 1)))  # (K, F, C, C)
+    y = np.ascontiguousarray(np.transpose(x.data, (2, 0, 1)))  # (F, C, T)
+    scm = scatter_matrices(outer_features(x), np.transpose(gamma, (0, 2, 1)))  # (K, F, C, C)
     mass = gamma.sum(axis=1)  # (K, F)
     # summing the other components' scatter, rather than subtracting the
     # target's from the total, cannot cancel where the target dominates a bin

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import kmeans_init_posterior, tiny_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,18 +17,32 @@ from mixsep.cacg import (
     cacgmm_em,
     e_step,
     normalize_observations,
+    outer_features,
+    quad_forms,
     scatter_matrices,
     stack_covariances,
     update_pi,
 )
-from mixsep.errors import ConfigurationError, InvalidInputError
+from mixsep.errors import ConfigurationError, InvalidInputError, NumericalError
+from mixsep.integrated import JointEmConfig, joint_em
 from mixsep.metrics import mask_auc
-from mixsep.numerics import HermitianPD, logsumexp
-from mixsep.synth import sample_cacg
+from mixsep.numerics import HermitianPD, cholesky_logdet_solve, logsumexp
+from mixsep.synth import build_meeting, sample_cacg
 
 
 def tensor(data, sample_rate=8000):
     return StftTensor(np.asarray(data, dtype=complex), sample_rate, 512, 400, 128)
+
+
+def fusion_run():
+    """Inputs of a short joint EM run on a small scene that fuses components."""
+    scene = tiny_scenario([0, 1, 2], duration_s=8.0, overlap=0.1, seed=9, embed_dim=24)
+    x, e, truth, _ = build_meeting(scene)
+    init = kmeans_init_posterior(e, truth.voiced, 6, x.num_bins, seed=2)
+    jcfg = JointEmConfig(
+        iterations=10, fusion="spectral", tau_spectral=0.7, fusion_start=3, noise_index=6, seed=0
+    )
+    return x, e, init, jcfg
 
 
 def random_b(rng, dim, spread=4.0):
@@ -62,26 +77,41 @@ class TestNormalizeObservations:
         assert np.max(np.abs(np.linalg.norm(out.data, axis=0) - 1.0)) < 1e-12
 
     def test_kernels_read_the_observations_in_place(self, monkeypatch):
-        # the (F, C, T) operand of the E-step and Tyler kernels is a view of
-        # the normalized observations, not a per-call frequency-major copy
+        # an EM run builds the outer-product features of its normalized
+        # observations once, and every cACG kernel of the run reads that
+        # array, fusion re-evaluations included
+        built, read = [], []
+        real_features, real_quad, real_scatter = (
+            cacg.outer_features, cacg.quad_forms, cacg.scatter_matrices
+        )
+
+        def features(x):
+            norms = np.linalg.norm(x.data, axis=0)
+            assert np.max(np.abs(norms - 1.0)) <= 1e-12
+            built.append(real_features(x))
+            return built[-1]
+
+        monkeypatch.setattr(cacg, "outer_features", features)
+        monkeypatch.setattr(cacg, "quad_forms", lambda b, phi: read.append(phi) or real_quad(b, phi))
+        monkeypatch.setattr(
+            cacg, "scatter_matrices", lambda phi, w: read.append(phi) or real_scatter(phi, w)
+        )
         rng = np.random.default_rng(3)
         data = rng.standard_normal((3, 6, 5)) + 1j * rng.standard_normal((3, 6, 5))
-        x = normalize_observations(tensor(data))
-        operands = []
-        real_quad, real_scatter = cacg.chol_logdet_quad, cacg.scatter_matrices
-        monkeypatch.setattr(
-            cacg, "chol_logdet_quad", lambda m, y: operands.append(y) or real_quad(m, y)
-        )
-        monkeypatch.setattr(
-            cacg, "scatter_matrices", lambda y, w: operands.append(y) or real_scatter(y, w)
-        )
-        prev = [SpatialComponent.identity(5, 3) for _ in range(2)]
-        cacg_log_pdf_stack(stack_covariances(prev), x)
-        cacg_m_step(x, uniform_posterior(2, 6, 5), prev)
-        assert len(operands) == 3
-        for y in operands:
-            assert y.shape[-3:] == (5, 3, 6)
-            assert np.shares_memory(y, x.data)
+        cacgmm_em(tensor(data), uniform_posterior(2, 6, 5), 3)
+        # initial M-step (forms and scatter), then an E- and an M-step per iteration
+        assert len(built) == 1 and len(read) == 2 + 3 * 2
+        assert all(phi is built[0] for phi in read)
+        assert built[0].shape == (5, 9, 6)
+
+        built.clear()
+        read.clear()
+        x, e, init, jcfg = fusion_run()
+        _, _, events, _ = joint_em(x, e, init, jcfg)
+        assert events  # the kept component's forms were re-evaluated
+        assert len(built) == 1
+        assert len(read) == 2 + 2 * jcfg.iterations + len(events)
+        assert all(phi is built[0] for phi in read)
 
     def test_zero_bins_stay_flagged_frequency_major(self):
         data = np.zeros((2, 3, 4), dtype=complex)
@@ -140,7 +170,7 @@ class TestCacgLogPdf:
             for t in range(4):
                 for f in range(3):
                     want = cacg_log_pdf(HermitianPD(covs[k, f]), x.data[:, t, f])
-                    assert abs(stack[k, t, f] - want) < 1e-9
+                    assert abs(stack[k, f, t] - want) < 1e-9
 
     def test_rejects_non_unit(self):
         with pytest.raises(InvalidInputError):
@@ -242,15 +272,79 @@ class TestCacgMStep:
         assert np.allclose(traces, 3.0, atol=1e-6)
 
 
+@st.composite
+def kernel_cases(draw):
+    """Unit observations and a covariance stack, C = 2..7; with ``rung`` the
+    covariances have a small negative eigenvalue, so that only the 1e-8 rung
+    of the loading ladder factorizes them."""
+    c = draw(st.integers(2, 7))
+    k, f, t = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f))
+    a = rng.standard_normal((k, f, c, c)) + 1j * rng.standard_normal((k, f, c, c))
+    basis = np.linalg.qr(a)[0]
+    eig = rng.uniform(0.5, 2.0, (k, f, c))
+    if draw(st.booleans()):
+        eig[..., -1] = -1e-9 * eig[..., :-1].sum(axis=-1) / c
+    covariances = (basis * eig[..., None, :]) @ np.conj(np.swapaxes(basis, -1, -2))
+    covariances = (covariances + np.conj(np.swapaxes(covariances, -1, -2))) / 2.0
+    return normalize_observations(tensor(data)), covariances, eig[..., -1].min() < 0.0
+
+
+class TestQuadForms:
+    """The GEMM kernel on outer-product features against the scalar reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_cases())
+    def test_matches_scalar_oracle(self, case):
+        x, covariances, rung = case
+        if rung:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(covariances)
+        logdet, quad = quad_forms(covariances, outer_features(x))
+        k, f = covariances.shape[:2]
+        assert quad.shape == (k, f, x.num_frames)
+        for i, j in np.ndindex(k, f):
+            for t in range(x.num_frames):
+                want_logdet, want = cholesky_logdet_solve(
+                    HermitianPD(covariances[i, j]), x.data[:, t, j]
+                )
+                assert logdet[i, j] == pytest.approx(want_logdet, rel=1e-12, abs=1e-12)
+                # the explicit inverse of a loaded covariance (condition about
+                # 1e8) cancels in the GEMM where a triangular solve does not
+                assert quad[i, j, t] == pytest.approx(want, rel=1e-9 if rung else 1e-12)
+
+    def test_nonpositive_form_rejected(self):
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        features = outer_features(normalize_observations(tensor(data)))
+        with pytest.raises(NumericalError):
+            quad_forms(stack_covariances([SpatialComponent.identity(2, 3)]), -features)
+
+    def test_nan_logits_rejected(self):
+        rng = np.random.default_rng(6)
+        data = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
+        x = normalize_observations(tensor(data))
+        covariances = stack_covariances([SpatialComponent.identity(3, 2) for _ in range(2)])
+        spectral = np.zeros((2, 4))
+        spectral[1, 2] = np.nan
+        with pytest.raises(InvalidInputError):
+            e_step(covariances, np.full((2, 4), 0.5), x, spectral)
+
+
 class TestScatterMatrices:
-    def test_matches_einsum(self):
-        rng = np.random.default_rng(21)
-        y = rng.standard_normal((5, 3, 40)) + 1j * rng.standard_normal((5, 3, 40))
-        weights = rng.uniform(size=(4, 5, 40))
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases(), st.integers(0, 2**32 - 1))
+    def test_matches_einsum(self, case, seed):
+        x, covariances, _ = case
+        rng = np.random.default_rng(seed)
+        y = np.transpose(x.data, (2, 0, 1)) * rng.uniform(0.1, 3.0, (x.num_bins, 1, x.num_frames))
+        weights = rng.uniform(size=(covariances.shape[0], x.num_bins, x.num_frames))
         want = np.einsum("kft,fit,fjt->kfij", weights, y, y.conj())
-        got = scatter_matrices(y, weights)
-        assert got.shape == (4, 5, 3, 3)
+        got = scatter_matrices(outer_features(tensor(np.transpose(y, (1, 2, 0)))), weights)
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
 
 
 class TestCacgMStepChecksNorms:
@@ -407,7 +501,7 @@ def e_step_cases(draw):
     covariances = a @ np.conj(np.swapaxes(a, -1, -2)) / c + 0.1 * np.eye(c)
     pi = rng.uniform(0.05, 1.0, (k, t))
     pi /= pi.sum(axis=0, keepdims=True)
-    spectral = rng.normal(0.0, 5.0, (k, t, 1)) if draw(st.booleans()) else None
+    spectral = rng.normal(0.0, 5.0, (k, t)) if draw(st.booleans()) else None
     perm = np.array(draw(st.permutations(range(k))), dtype=int)
     return normalize_observations(tensor(data)), covariances, pi, spectral, perm
 
@@ -447,7 +541,7 @@ class TestSharedEStep:
         # gamma and the log-likelihood from per-bin scalar cACG densities
         x, covariances, pi, spectral, _ = case
         gamma, loglik, _ = self.run(x, covariances, pi, spectral)
-        extra = np.zeros_like(pi) if spectral is None else spectral[:, :, 0]
+        extra = np.zeros_like(pi) if spectral is None else spectral
         want_ll = 0.0
         for f in range(x.num_bins):
             for t in range(x.num_frames):

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage, signal
 
+from mixsep import frontend
 from mixsep.errors import InvalidInputError
 from mixsep.frontend import (
     AudioBuffer,
@@ -219,6 +221,31 @@ class TestEnergyVad:
         mask = energy_vad(audio)
         assert mask[250:].all()  # 4.0 s / 16 ms to the end
         assert not mask[:245].any()
+
+    def test_energy_equals_the_mean_of_squared_frames(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        audio, _ = speech_like(rng, 16000, [(0.5, 1.7), (2.0, 2.3)], 3.0)
+        seen = []
+        real = frontend.edge_windows
+        monkeypatch.setattr(
+            frontend, "edge_windows", lambda x, size, before: seen.append(x) or real(x, size, before)
+        )
+        energy_vad(audio)
+        frames = np.lib.stride_tricks.sliding_window_view(audio.samples[0], 800)[::256]
+        want = 10.0 * np.log10(np.mean(frames**2, axis=1) + 1e-30)
+        np.testing.assert_allclose(seen[0], want, rtol=1e-12, atol=0.0)
+
+    def test_peak_memory_below_twice_the_channel(self):
+        # 50/16 ms frames overlap about 3x; none of them is materialized
+        rng = np.random.default_rng(18)
+        audio = AudioBuffer(rng.standard_normal((2, 20 * 16000)), 16000)
+        tracemalloc.start()
+        try:
+            energy_vad(audio)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * audio.samples[0].nbytes
 
     @pytest.mark.parametrize("seed, window_s", [(14, 1.5), (15, 0.5), (16, 3.0)])
     def test_matches_scipy_ndimage_reference(self, seed, window_s):
