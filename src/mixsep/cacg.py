@@ -228,7 +228,10 @@ def quad_forms(covariances: np.ndarray, features: np.ndarray):
 
 
 def cacg_log_pdf_stack(
-    covariances: np.ndarray, x: StftTensor, features: np.ndarray | None = None
+    covariances: np.ndarray,
+    x: StftTensor,
+    features: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ):
     """Log densities for a (K, F, C, C) covariance stack.
 
@@ -236,6 +239,8 @@ def cacg_log_pdf_stack(
         covariances: (K, F, C, C) stack.
         x: unit-normalized observations.
         features: their :func:`outer_features`; built here when not given.
+        out: a spent (K, F, T) float64 array to hold the log densities;
+            a new one is allocated when not given.
 
     Returns:
         ``(log_pdf, quad)``: the (K, F, T) log densities, frequency-major,
@@ -245,7 +250,7 @@ def cacg_log_pdf_stack(
     """
     c = x.num_channels
     logdet, quad = quad_forms(covariances, outer_features(x) if features is None else features)
-    log_pdf = np.log(quad)
+    log_pdf = np.log(quad, out=out)
     log_pdf *= -c
     const = math.lgamma(c) - math.log(2.0) - c * math.log(math.pi)
     log_pdf += (const - logdet)[:, :, None]
@@ -344,6 +349,7 @@ def e_step(
     x: StftTensor,
     log_spectral=0.0,
     features: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ):
     """E-step of the spatial mixture, optionally coupled to a spectral term.
 
@@ -352,14 +358,15 @@ def e_step(
     cACGMM; the joint model passes its (K, T) vMF log densities. The logits
     are built and normalized in place in the frequency-major (K, F, T) log
     density buffer of :func:`cacg_log_pdf_stack`, built from ``features``
-    (the :func:`outer_features` of ``x``, built there when not given).
+    (the :func:`outer_features` of ``x``, built there when not given), or
+    in ``out``, a spent (K, F, T) buffer such as the previous posterior's.
 
     Returns:
         ``(gamma, loglik, quad)``: the (K, T, F) posterior (a transposed
         view of the frequency-major buffer), the summed per-bin log
         normalizers and the (K, F, T) quadratic forms for the M-step.
     """
-    logits, quad = cacg_log_pdf_stack(covariances, x, features)
+    logits, quad = cacg_log_pdf_stack(covariances, x, features, out)
     with np.errstate(divide="ignore"):
         logits += (np.log(pi) + log_spectral)[:, None, :]
     gamma, loglik = normalize_logits(logits)

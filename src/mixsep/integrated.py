@@ -79,12 +79,16 @@ class JointEmConfig:
 
 
 def _joint_e_step(
-    x: StftTensor, embeddings: EmbeddingSequence, model: JointModel, features: np.ndarray
+    x: StftTensor,
+    embeddings: EmbeddingSequence,
+    model: JointModel,
+    features: np.ndarray,
+    out: np.ndarray | None = None,
 ):
     # the cACGMM E-step with the frame's vMF log density as spectral term
     log_vmf = _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames)  # (K, T)
     covariances = _cacg.stack_covariances(model.spatial)
-    return _cacg.e_step(covariances, model.pi, x, log_vmf, features)
+    return _cacg.e_step(covariances, model.pi, x, log_vmf, features, out)
 
 
 def joint_e_step(
@@ -300,7 +304,9 @@ def joint_em(
     component count; fusion steps may move the value. Each M-step weights
     the Tyler update by the quadratic forms of the E-step before it, so
     every covariance is factorized once per iteration; after a fusion only
-    the kept component's forms are computed again. All cACG kernels read
+    the kept component's forms are computed again. Each E-step after the
+    first writes into the buffer of the posterior before it, so the E-step
+    holds one posterior, not two. All cACG kernels read
     one outer-product feature array (:func:`cacg.outer_features`), built
     here from the normalized observations and freed when the run returns.
 
@@ -325,9 +331,9 @@ def joint_em(
     model = _initial_model(x, embeddings, init, config, rng, features)
     events: list[FusionEvent] = []
     trace = []
-    posterior = init
+    spent = None
     for it in range(config.iterations):
-        gamma, ll, quad = _joint_e_step(x, embeddings, model, features)
+        gamma, ll, quad = _joint_e_step(x, embeddings, model, features, spent)
         trace.append(ll)
         posterior = PosteriorTensor(gamma, model.pi)
         if config.fusion != "none" and it >= config.fusion_start:
@@ -360,6 +366,11 @@ def joint_em(
             features=features,
         )
         quad = None  # spent: freed before the next E-step allocates its own
+        # the posterior is spent too; the next E-step writes its logits into
+        # its frequency-major buffer (a fused posterior is a fresh copy)
+        spent = np.swapaxes(posterior.gamma, 1, 2)
+        if not spent.flags.c_contiguous:
+            spent = None
     return model, PosteriorTensor(posterior.gamma, model.pi), events, np.asarray(trace)
 
 

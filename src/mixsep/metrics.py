@@ -1,7 +1,7 @@
 """Scoring: diarization error rate, speaker-counting matrix, mask accuracy.
 
 The DER scorer maps hypothesis speakers to reference speakers by maximizing
-total overlap (Hungarian assignment) and scores a timeline with collar
+total overlap (min-cost assignment) and scores a timeline with collar
 regions around reference boundaries excluded; overlap regions are scored
 with multiplicity.
 """
@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .frontend import merge_intervals
+from .numerics import min_cost_assignment
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,7 @@ def der(ref, hyp, collar_s: float = 0.25):
                 overlap[ref_ids.index(s), hyp_ids.index(h)] += dur
     mapping = {}
     if hyp_ids:
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(-overlap)
+        rows, cols = min_cost_assignment(-overlap)
         mapping = {hyp_ids[c]: ref_ids[r] for r, c in zip(rows, cols)}
 
     speech = miss = falarm = confusion = 0.0
@@ -209,9 +208,7 @@ def mask_auc(gamma, truth_masks) -> float:
     for i in range(n_hyp):
         for j in range(n_true):
             table[i, j] = _auc(scores[i], labels[j])
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(-table)
+    rows, cols = min_cost_assignment(-table)
     return float(table[rows, cols].mean())
 
 

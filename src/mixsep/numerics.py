@@ -3,18 +3,19 @@
 Everything in this module is a pure function on immutable inputs: Hermitian
 positive-definite matrix operations (Cholesky with escalating diagonal
 loading), log-domain accumulation (``logsumexp`` and the posterior
-normalization that every mixture E-step shares), and the Bessel-based
-normalizer of the von-Mises-Fisher density. The one exception is the
-posterior normalization, which works in place on its logits.
+normalization that every mixture E-step shares), the Bessel series behind
+the von-Mises-Fisher normalizer and concentration update, and the min-cost
+assignment that matches speakers. The one exception is the posterior
+normalization, which works in place on its logits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidInputError, NumericalError
 
@@ -22,10 +23,6 @@ from .errors import InvalidInputError, NumericalError
 # already loaded with the 1e-10 default at construction, so factorization
 # first tries the matrix as-is and escalates only on failure.
 LOADING_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
-
-# Below this value the exponentially scaled Bessel function has lost too
-# much precision (or underflowed) and the log-domain series takes over.
-_IVE_FLOOR = 1e-280
 
 
 @dataclass(frozen=True)
@@ -162,9 +159,8 @@ def psd_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def cholesky_logdet_solve(m: HermitianPD, v: np.ndarray):
     """Evaluate ``log det(M)`` and ``Re(v^H M^{-1} v)`` in one factorization.
 
-    The scalar reference for :func:`chol_logdet_quad`: one factor, one
-    triangular solve. ``scipy.linalg`` is imported here, off the import path
-    of the package, since only this reference uses it.
+    The scalar reference for :func:`chol_logdet_quad`: one factor and one
+    solve against it, where the batched kernel inverts its factors.
 
     Args:
         m: Hermitian PD matrix.
@@ -178,10 +174,8 @@ def cholesky_logdet_solve(m: HermitianPD, v: np.ndarray):
         raise InvalidInputError(f"vector of dim {v.shape} does not match matrix dim {m.dim}")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("non-finite entries in right-hand side")
-    from scipy.linalg import solve_triangular
-
     L = chol_with_loading(m.entries)
-    z = solve_triangular(L, v, lower=True)
+    z = np.linalg.solve(L, v)
     logdet = 2.0 * float(np.log(np.diag(L).real).sum())
     return logdet, float(np.vdot(z, z).real)
 
@@ -193,74 +187,105 @@ def diagonal_load(m: HermitianPD, eps_rel: float) -> HermitianPD:
     return HermitianPD(_load_stack(m.entries, eps_rel))
 
 
-def _log_bessel_series(order: float, x: float) -> float:
-    """Ascending series of ln I_order(x) evaluated fully in the log domain.
+# Above this argument the largest series terms come near exp(709), the
+# float64 overflow, so they are shifted by their maximum first.
+_BESSEL_SHIFT_ABOVE = 500.0
 
-    Used when the exponentially scaled Bessel function underflows, i.e. for
-    small arguments at large orders where only a handful of terms matter.
+
+@functools.lru_cache(maxsize=64)
+def _bessel_terms(nu: float, n_terms: int):
+    """Read-only tables of the first ``n_terms`` series terms of order ``nu``.
+
+    Returns ``2m`` and ``ln m! + ln Gamma(m+nu+1) - ln Gamma(nu+1) + 2m ln 2``
+    for m = 0 .. n_terms-1, so that ``2m ln x`` minus the second is the log
+    of the m-th term relative to the first, and the (n_terms, 2) matrix
+    ``[1, 1/(2(m+nu+1))]`` whose product with the terms gives the sums behind
+    ``I_nu`` and ``I_{nu+1}`` at once.
     """
-    log_half_x = math.log(0.5 * x)
-    terms = []
-    best = -math.inf
-    for m in range(500):
-        t = (order + 2 * m) * log_half_x - math.lgamma(m + 1) - math.lgamma(order + m + 1)
-        terms.append(t)
-        best = max(best, t)
-        if m > 2 and t < best - 60.0:
-            break
-    return logsumexp(np.asarray(terms))
+    m = np.arange(n_terms, dtype=float)
+    lgam = 2.0 * math.log(2.0) * m
+    lgam[1:] += np.cumsum(np.log(m[1:] * (m[1:] + nu)))
+    weights = np.stack([np.ones(n_terms), 0.5 / (m + nu + 1.0)], axis=1)
+    tables = (2.0 * m, lgam, weights)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
-def log_bessel_i(order: float, x: float) -> float:
-    """ln I_order(x) for x >= 0, finite over the whole working range."""
-    if x < 0.0:
-        raise InvalidInputError("Bessel argument must be nonnegative")
-    if x == 0.0:
-        return 0.0 if order == 0 else -math.inf
-    scaled = float(special.ive(order, x))
-    if scaled > _IVE_FLOOR:
-        return math.log(scaled) + x
-    return _log_bessel_series(order, x)
+def bessel_i_series(nu: float, kappa):
+    """ln I_nu(kappa), less a closed-form term, and A = I_{nu+1} / I_nu.
+
+    Both come from the ascending series ``I_nu(x) = sum_m (x/2)^(2m+nu) /
+    (m! Gamma(m+nu+1))``, summed in the log domain over one (..., M) array of
+    terms relative to the first. Every term is positive, so nothing cancels
+    at any order or argument, and the sum is at least its first term, 1, so
+    nothing underflows. The log-gamma terms are cumulative sums of logs, and
+    the terms run to at least ``m = kappa/2 + sqrt(40 kappa) + 40`` for the
+    largest kappa: past the series peak near ``m = kappa/2`` they fall off
+    like a Gaussian of width ``sqrt(kappa)/2``, so the last one is below
+    ``exp(-79)`` of it. M is rounded up to a multiple of 32 so that the
+    tables of a few sizes serve every call.
+
+    Like an exponentially scaled Bessel function, the first result leaves
+    out a closed-form factor: ``ln I_nu(kappa) = log_series + nu ln(kappa/2)
+    - ln Gamma(nu+1)``. The vMF normalizer needs exactly ``log_series``, so
+    it never forms and cancels ``nu ln kappa``.
+
+    Args:
+        nu: order, >= 0.
+        kappa: array of arguments, each > 0.
+
+    Returns:
+        ``(log_series, ratio)``, arrays of the shape of ``kappa``.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    peak = float(kappa.max(initial=0.0))
+    n_terms = 32 * math.ceil((0.5 * peak + math.sqrt(40.0 * peak) + 41.0) / 32.0)
+    two_m, lgam, weights = _bessel_terms(float(nu), n_terms)
+    terms = np.log(kappa)[..., None] * two_m
+    terms -= lgam
+    shifted = peak > _BESSEL_SHIFT_ABOVE
+    if shifted:
+        top = terms.max(axis=-1, keepdims=True)
+        terms -= top
+    np.exp(terms, out=terms)
+    sums = terms @ weights
+    total = sums[..., 0]
+    log_series = np.log(total)
+    if shifted:
+        log_series += top[..., 0]
+    return log_series, kappa * sums[..., 1] / total
 
 
-def log_vmf_normalizer(embed_dim: int, kappa: float) -> float:
+def log_vmf_normalizer(embed_dim: int, kappa):
     """Log normalizer ln c(kappa) of the von-Mises-Fisher density.
 
     ``c(kappa) = kappa^(E/2-1) / ((2 pi)^(E/2) I_(E/2-1)(kappa))`` with the
     continuous limit at ``kappa = 0`` (the uniform density on the sphere).
-    Finite for kappa up to at least 1e4 at any supported dimension.
+    Within 1e-12 relative of a 60-digit reference for E from 2 to 256 and
+    kappa from 1e-8 to 1e4, the range the tests check. Finite for any finite
+    kappa, but the series of :func:`bessel_i_series` has about kappa/2
+    terms, so cost and memory grow linearly with kappa.
 
     Args:
         embed_dim: dimension E of the hypersphere's ambient space, E >= 2.
-        kappa: concentration, >= 0.
+        kappa: concentration, >= 0; a float, or an array of them.
 
     Returns:
-        ln c(kappa) as a float.
+        ln c(kappa): a float for a float, an array of its shape for an array.
     """
     if embed_dim < 2 or int(embed_dim) != embed_dim:
         raise InvalidInputError("embedding dimension must be an integer >= 2")
-    if math.isnan(kappa) or kappa < 0.0:
-        raise InvalidInputError("kappa must be >= 0")
+    k = np.asarray(kappa, dtype=float)
+    if not np.all((k >= 0.0) & np.isfinite(k)):
+        raise InvalidInputError("kappa must be finite and >= 0")
     half = embed_dim / 2.0
-    if kappa == 0.0:
-        return math.lgamma(half) - math.log(2.0) - half * math.log(math.pi)
     nu = half - 1.0
-    return nu * math.log(kappa) - half * math.log(2.0 * math.pi) - log_bessel_i(nu, kappa)
-
-
-def bessel_ratio(dim: int, kappa: float) -> float | None:
-    """Mean resultant length A(kappa) = I_{E/2}(kappa) / I_{E/2-1}(kappa).
-
-    Returns None when the exponentially scaled Bessel values underflow
-    (tiny kappa at large order), where callers fall back to the small-kappa
-    behaviour A ~ kappa / E.
-    """
-    nu = dim / 2.0 - 1.0
-    den = float(special.ive(nu, kappa))
-    num = float(special.ive(nu + 1.0, kappa))
-    if not (math.isfinite(num) and math.isfinite(den)) or den <= 1e-290:
-        return None
-    return num / den
+    log_series = np.zeros(k.shape)  # its kappa = 0 limit
+    pos = k > 0.0
+    log_series[pos] = bessel_i_series(nu, k[pos])[0]
+    out = (nu * math.log(2.0) + math.lgamma(half) - half * math.log(2.0 * math.pi)) - log_series
+    return float(out) if out.ndim == 0 else out
 
 
 def logsumexp(values, axis=None):
@@ -304,3 +329,68 @@ def normalize_logits(logits: np.ndarray, axis: int = 0):
     logits /= total
     with np.errstate(divide="ignore"):
         return logits, float((np.log(total) + shift).sum())
+
+
+def min_cost_assignment(cost):
+    """Rectangular linear sum assignment: the pairing of least total cost.
+
+    Shortest augmenting paths with dual potentials (Jonker & Volgenant; the
+    rectangular form of Crouse, 2016): each row of the shorter side is added
+    by one Dijkstra search over reduced costs, one NumPy pass per column it
+    settles, then the potentials and the matching are updated along the path.
+    Every row of the shorter side is matched, each to a distinct column.
+
+    Args:
+        cost: (N, M) finite cost matrix.
+
+    Returns:
+        ``(rows, cols)``: integer arrays of ``min(N, M)`` matched pairs, with
+        ``rows`` ascending.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2:
+        raise InvalidInputError("cost must be a matrix")
+    if not np.all(np.isfinite(cost)):
+        raise InvalidInputError("cost entries must be finite")
+    tall = cost.shape[0] > cost.shape[1]
+    if tall:
+        cost = cost.T
+    n, m = cost.shape
+    u, v = np.zeros(n), np.zeros(m)
+    col4row = np.full(n, -1)
+    row4col = np.full(m, -1)
+    for start in range(n):
+        dist = np.full(m, np.inf)
+        path = np.full(m, -1)
+        done_rows = np.zeros(n, dtype=bool)
+        done_cols = np.zeros(m, dtype=bool)
+        i, reach, sink = start, 0.0, -1
+        while sink < 0:
+            done_rows[i] = True
+            reduced = reach + cost[i] - u[i] - v
+            closer = ~done_cols & (reduced < dist)
+            path[closer] = i
+            dist[closer] = reduced[closer]
+            j = int(np.argmin(np.where(done_cols, np.inf, dist)))
+            reach = dist[j]
+            done_cols[j] = True
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+        u[start] += reach
+        others = done_rows.copy()
+        others[start] = False
+        u[others] += reach - dist[col4row[others]]
+        v[done_cols] -= reach - dist[done_cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    if tall:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(n), col4row

@@ -18,7 +18,7 @@ from . import frontend
 from .cacg import PosteriorTensor, StftTensor, outer_features, scatter_matrices
 from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .integrated import JointEmConfig, count_speakers, joint_em
-from .numerics import _load_stack, psd_solve
+from .numerics import _load_stack, min_cost_assignment, psd_solve
 from .vmf import (
     EmbeddingSequence,
     VmfMixture,
@@ -253,15 +253,13 @@ def _align_with_mapping(results: list, k_total: int, seed: int = 0):
 
     All prototypes are pooled and clustered with spherical k-means; within
     each segment the local components are matched to cluster centroids by
-    Hungarian assignment on cosine similarity, so two local components never
-    share a global id.
+    min-cost assignment on negated cosine similarity, so two local
+    components never share a global id.
 
     Returns:
         ``(diarization, mapping)``: the global turns, and per segment id the
         map from local speaker row to global label.
     """
-    from scipy.optimize import linear_sum_assignment
-
     pools = [r.prototypes for r in results if r.prototypes.shape[0] > 0]
     if not pools:
         return Diarization([]), {}
@@ -285,7 +283,7 @@ def _align_with_mapping(results: list, k_total: int, seed: int = 0):
             mapping[r.segment.id] = {}
             continue
         sims = r.prototypes @ centroids.T  # (K_local, n_clusters)
-        rows, cols = linear_sum_assignment(-sims)
+        rows, cols = min_cost_assignment(-sims)
         local_map = {}
         for local, cluster in zip(rows, cols):
             label = f"spk{cluster:02d}"

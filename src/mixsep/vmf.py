@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .numerics import bessel_ratio, log_vmf_normalizer, normalize_logits
+from .numerics import bessel_i_series, log_vmf_normalizer, normalize_logits
 
 logger = logging.getLogger(__name__)
 
@@ -96,43 +96,52 @@ def vmf_log_pdf(mu: np.ndarray, kappa: float, e: np.ndarray) -> float:
 def log_pdf_matrix(mu: np.ndarray, kappa: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """(K, T) vMF log densities of (K, E) prototypes with (K,) concentrations;
     frames are assumed unit rows."""
-    lognorm = np.array([log_vmf_normalizer(mu.shape[1], k) for k in kappa])
+    lognorm = log_vmf_normalizer(mu.shape[1], kappa)
     return lognorm[:, None] + kappa[:, None] * (mu @ frames.T)
 
 
-def _kappa_estimate(rbar: float, dim: int, kappa_max: float) -> float:
-    """Concentration update: Banerjee approximation refined by Newton steps.
+def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float) -> np.ndarray:
+    """Concentration update of every component: Banerjee's approximation
+    refined by Newton steps.
 
-    The closed-form (rbar*E - rbar^3)/(1 - rbar^2) initializes a few Newton
-    iterations on the exact condition A_E(kappa) = rbar; the refinement keeps
-    the M-step an argmax so the EM likelihood stays monotone. The result is
-    capped at kappa_max (a constrained maximum when A_E(kappa_max) <= rbar).
+    The closed form (rbar*E - rbar^3)/(1 - rbar^2) starts at most four Newton
+    steps on the exact condition A_E(kappa) = rbar; the refinement keeps the
+    M-step an argmax so the EM likelihood stays monotone. A component stops
+    on its own once its step falls below 1e-12 relative or the slope is no
+    longer positive. A saturated ``rbar`` gives ``kappa_max``, and so does a
+    start beyond the cap when A_E(kappa_max) <= rbar (the constrained
+    maximum; that ratio is the first Newton step's, taken at the cap); a
+    start <= 0 gives 0. Results are capped at ``kappa_max``.
     """
-    if rbar >= 1.0 - 1e-12:
-        return kappa_max
-    kappa = (rbar * dim - rbar**3) / (1.0 - rbar**2)
-    if kappa <= 0.0:
-        return 0.0
-    if kappa >= kappa_max:
-        cap_ratio = bessel_ratio(dim, kappa_max)
-        if cap_ratio is not None and cap_ratio <= rbar:
-            return kappa_max
-    kappa = min(kappa, kappa_max)
-    for _ in range(4):
-        ratio = bessel_ratio(dim, kappa)
-        if ratio is None:
-            break
-        slope = 1.0 - ratio**2 - (dim - 1.0) / kappa * ratio
-        if not slope > 1e-14:
-            break
-        step = (ratio - rbar) / slope
-        if kappa - step <= 0.0:
-            kappa = kappa / 2.0
-        else:
-            kappa -= step
-        if abs(step) < 1e-12 * max(kappa, 1.0):
-            break
-    return float(min(max(kappa, 0.0), kappa_max))
+    saturated = rbar >= 1.0 - 1e-12
+    kappa = saturated * kappa_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = (rbar * dim - rbar**3) / (1.0 - rbar**2)
+        live = np.flatnonzero(~saturated & (start > 0.0))
+        if live.size == 0:
+            return kappa
+        start, target = start[live], rbar[live]
+        k = np.minimum(start, kappa_max)
+        moving = start < kappa_max
+        for it in range(4):
+            ratio = bessel_i_series(dim / 2.0 - 1.0, k)[1]
+            if it == 0:
+                moving |= ratio > target
+            slope = 1.0 - ratio * (ratio + (dim - 1.0) / k)
+            step = (ratio - target) / slope
+            moving &= slope > 1e-14
+            if np.count_nonzero(moving) < moving.size:
+                step[~moving] = 0.0
+            new = k - step
+            halve = new <= 0.0
+            if np.count_nonzero(halve):
+                new[halve] = 0.5 * k[halve]
+            k = new
+            moving = np.abs(step) >= 1e-12 * np.maximum(k, 1.0)
+            if not np.count_nonzero(moving):
+                break
+    kappa[live] = np.minimum(k, kappa_max)
+    return kappa
 
 
 def vmf_m_step(
@@ -147,6 +156,7 @@ def vmf_m_step(
     mean direction; the mean resultant length feeds the capped concentration
     estimate. A zero resultant (fully cancelling responsibilities) flags the
     component degenerate: ``mu`` is re-drawn uniformly and ``kappa`` set to 0.
+    Re-draws come in ascending component order from ``rng``.
 
     Args:
         embeddings: (T, E) unit rows.
@@ -168,18 +178,16 @@ def vmf_m_step(
     dim = embeddings.dim
     resultants = resp @ embeddings.frames  # (K, E)
     masses = resp.sum(axis=1)
-    mu = np.empty_like(resultants)
-    kappa = np.zeros(resp.shape[0])
-    for k in range(resp.shape[0]):
-        norm = float(np.linalg.norm(resultants[k]))
-        if norm <= 1e-12 * max(masses[k], 1.0):
-            logger.debug("component %d degenerate (zero resultant), re-drawing", k)
-            draw = rng.standard_normal(dim)
-            mu[k] = draw / np.linalg.norm(draw)
-            continue
-        mu[k] = resultants[k] / norm
-        kappa[k] = _kappa_estimate(min(norm / masses[k], 1.0), dim, kappa_max)
-    return mu, kappa
+    norms = np.linalg.norm(resultants, axis=1)
+    degenerate = np.flatnonzero(norms <= 1e-12 * np.maximum(masses, 1.0))
+    # a degenerate row divides by 1 (its mu is re-drawn) and has rbar 0 (kappa 0)
+    norms[degenerate], masses[degenerate] = 1.0, np.inf
+    mu = resultants / norms[:, None]
+    for k in degenerate:
+        logger.debug("component %d degenerate (zero resultant), re-drawing", k)
+        draw = rng.standard_normal(dim)
+        mu[k] = draw / np.linalg.norm(draw)
+    return mu, _kappa_estimates(np.minimum(norms / masses, 1.0), dim, kappa_max)
 
 
 def _prior_update(resp: np.ndarray, prior_mode: str) -> np.ndarray:

@@ -109,17 +109,31 @@ def fresh_python(args, cwd):
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
 
 
+SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+
+
 def test_import_leaves_heavy_scipy_out(tmp_path):
-    # start-up cost: these subpackages take about a second to import,
-    # scipy.linalg serves only the scalar reference cholesky_logdet_solve, and
-    # mixsep's windows and runs are plain NumPy, so scipy.ndimage has no user
+    # start-up cost: NumPy is mixsep's only runtime dependency, so importing
+    # the command line loads no SciPy module at all
+    proc = fresh_python(["-c", f"import sys, mixsep.cli; print({SCIPY_LOADED})"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_run_loads_no_scipy(bundle, tmp_path):
+    # the whole run path, alignment included, is NumPy: a finished
+    # `mixsep run` has loaded no SciPy module either
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(run_config_dict(bundle, tmp_path / "out")))
     probe = (
-        "import sys, mixsep.cli; print([m for m in ('scipy.signal', 'scipy.stats', "
-        "'scipy.optimize', 'scipy.linalg', 'scipy.ndimage') if m in sys.modules])"
+        "import sys; from mixsep import cli; "
+        f"code = cli.main(['run', '--config', {str(config)!r}, '--jobs', '1']); "
+        f"print(code, {SCIPY_LOADED})"
     )
     proc = fresh_python(["-c", probe], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "meet0" / "hyp.rttm").exists()
 
 
 class TestCmdSynth:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import kmeans_init_posterior, random_soft_posterior, tiny_scenario
 from scipy.optimize import linear_sum_assignment
 
-from mixsep import cacg
+from mixsep import cacg, integrated
 from mixsep.cacg import (
     PosteriorTensor,
     SpatialComponent,
@@ -482,6 +484,32 @@ class TestJointEm:
         assert np.max(np.abs(reused[1].gamma - fresh[1].gamma)) <= 1e-12
         for a, b in zip(reused[0].spatial, fresh[0].spatial):
             assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-12
+
+    def test_previous_posterior_adds_nothing_to_the_e_step_peak(self, monkeypatch):
+        # the E-step is the run's memory peak; the posterior of the iteration
+        # before it must not add to it, so every E-step peaks alike
+        x, e, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=8.0, seed=11))
+        init = kmeans_init_posterior(e, truth.voiced, 3, x.num_bins, seed=1)
+        jcfg = JointEmConfig(iterations=4, fusion="none", noise_index=3, seed=0)
+        real = integrated._joint_e_step
+        peaks = []
+
+        def traced_e_step(*args, **kwargs):
+            tracemalloc.reset_peak()
+            out = real(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(integrated, "_joint_e_step", traced_e_step)
+        tracemalloc.start()
+        try:
+            _, post, _, _ = joint_em(x, e, init, jcfg)
+        finally:
+            tracemalloc.stop()
+        gamma_bytes = post.gamma.nbytes  # one (K, F, T) float64 array
+        assert gamma_bytes > 100_000
+        assert max(peaks[1:]) < peaks[0] + gamma_bytes / 2, (peaks, gamma_bytes)
+        post.validate()
 
     def test_reduction_to_cacgmm_with_zero_kappa(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=5.0, seed=11))

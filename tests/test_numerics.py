@@ -3,15 +3,20 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mixsep.errors import InvalidInputError, NumericalError
 from mixsep.numerics import (
     HermitianPD,
+    bessel_i_series,
     chol_logdet_quad,
     cholesky_logdet_solve,
     diagonal_load,
     log_vmf_normalizer,
     logsumexp,
+    min_cost_assignment,
 )
 
 
@@ -135,6 +140,10 @@ class TestDiagonalLoad:
             diagonal_load(HermitianPD(np.eye(2)), 0.0)
 
 
+BESSEL_DIMS = [2, 3, 8, 16, 24, 64, 129, 256]
+BESSEL_KAPPAS = [1e-8, 1e-3, 0.5, 5.0, 35.0, 100.0, 1e3, 1e4]
+
+
 def mp_log_normalizer(dim, kappa):
     # arbitrary-precision oracle for ln c(kappa)
     with mpmath.workdps(60):
@@ -159,6 +168,13 @@ class TestLogVmfNormalizer:
     def test_against_mpmath_oracle(self, dim, kappa):
         assert abs(log_vmf_normalizer(dim, kappa) - mp_log_normalizer(dim, kappa)) < 1e-8
 
+    @pytest.mark.parametrize("dim", BESSEL_DIMS)
+    def test_grid_against_mpmath_oracle(self, dim):
+        got = log_vmf_normalizer(dim, np.array(BESSEL_KAPPAS))
+        for k, value in zip(BESSEL_KAPPAS, got):
+            want = mp_log_normalizer(dim, k)
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (k, value, want)
+
     @pytest.mark.parametrize("dim", [2, 3, 8, 17, 64, 129, 256])
     def test_continuous_at_zero(self, dim):
         assert abs(log_vmf_normalizer(dim, 1e-8) - log_vmf_normalizer(dim, 0.0)) < 1e-6
@@ -173,6 +189,22 @@ class TestLogVmfNormalizer:
     def test_finite_at_large_kappa(self):
         assert math.isfinite(log_vmf_normalizer(64, 1e4))
         assert math.isfinite(log_vmf_normalizer(2, 1e4))
+        assert math.isfinite(log_vmf_normalizer(256, 1e5))
+
+    @pytest.mark.parametrize("dim", [2, 16, 129])
+    def test_array_matches_scalar_calls(self, dim):
+        kappa = np.array([0.0, 1e-6, 0.5, 35.0, 0.0, 700.0])
+        got = log_vmf_normalizer(dim, kappa)
+        assert got.shape == kappa.shape
+        want = [log_vmf_normalizer(dim, float(k)) for k in kappa]
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_kappa(self, bad):
+        with pytest.raises(InvalidInputError):
+            log_vmf_normalizer(8, bad)
+        with pytest.raises(InvalidInputError):
+            log_vmf_normalizer(8, np.array([1.0, bad]))
 
     def test_rejects_negative_kappa(self):
         with pytest.raises(InvalidInputError):
@@ -181,6 +213,43 @@ class TestLogVmfNormalizer:
     def test_rejects_small_dim(self):
         with pytest.raises(InvalidInputError):
             log_vmf_normalizer(1, 1.0)
+
+
+def mp_bessel(nu, kappa):
+    # arbitrary-precision oracle for ln I_nu(kappa) and I_{nu+1} / I_nu
+    with mpmath.workdps(60):
+        lo = mpmath.besseli(nu, kappa)
+        hi = mpmath.besseli(nu + 1, kappa)
+        return float(mpmath.log(lo)), float(hi / lo)
+
+
+class TestBesselSeries:
+    @pytest.mark.parametrize("dim", BESSEL_DIMS)
+    @pytest.mark.parametrize("batched", [True, False], ids=["one_array", "one_kappa_each"])
+    def test_against_mpmath_oracle(self, dim, batched):
+        # one array spans 1e-8 .. 1e4, so the smallest kappa also runs with
+        # the largest kappa's ~5700 terms; alone it runs with 64
+        nu = dim / 2.0 - 1.0
+        kappa = np.array(BESSEL_KAPPAS)
+        if batched:
+            log_series, ratio = bessel_i_series(nu, kappa)
+        else:
+            pairs = [bessel_i_series(nu, np.array([k])) for k in kappa]
+            log_series = np.array([p[0][0] for p in pairs])
+            ratio = np.array([p[1][0] for p in pairs])
+        log_i = log_series + nu * np.log(kappa / 2.0) - math.lgamma(nu + 1.0)
+        for k, got_log, got_ratio in zip(kappa, log_i, ratio):
+            want_log, want_ratio = mp_bessel(nu, k)
+            assert abs(got_log - want_log) <= 1e-12 * max(1.0, abs(want_log)), (k, got_log, want_log)
+            assert abs(got_ratio - want_ratio) <= 1e-12 * want_ratio, (k, got_ratio, want_ratio)
+
+    def test_shape_follows_kappa(self):
+        kappa = np.array([[0.5, 5.0, 35.0], [1.0, 2.0, 3.0]])
+        log_series, ratio = bessel_i_series(3.0, kappa)
+        assert log_series.shape == ratio.shape == (2, 3)
+        flat = bessel_i_series(3.0, kappa.ravel())
+        assert np.allclose(log_series.ravel(), flat[0], rtol=1e-14, atol=1e-15)
+        assert np.allclose(ratio.ravel(), flat[1], rtol=1e-14, atol=0.0)
 
 
 class TestLogsumexp:
@@ -219,3 +288,45 @@ class TestLogsumexp:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             logsumexp([])
+
+
+# small integer costs give ties; distinct powers of two make every
+# assignment's total distinct, so the optimum is unique and the pairs
+# themselves must match (merely distinct entries can still tie in total)
+cost_shapes = st.tuples(st.integers(1, 7), st.integers(1, 7))
+
+
+class TestMinCostAssignment:
+    @settings(max_examples=200, deadline=None)
+    @given(cost_shapes, st.data())
+    def test_total_matches_scipy_with_ties(self, shape, data):
+        values = data.draw(st.lists(st.integers(-3, 3), min_size=shape[0] * shape[1],
+                                    max_size=shape[0] * shape[1]))
+        cost = np.array(values, dtype=float).reshape(shape)
+        rows, cols = min_cost_assignment(cost)
+        want_rows, want_cols = linear_sum_assignment(cost)
+        assert len(rows) == len(want_rows) == min(shape)
+        assert np.all(np.diff(rows) > 0)
+        assert len(set(cols.tolist())) == len(cols)
+        assert cost[rows, cols].sum() == cost[want_rows, want_cols].sum()
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost_shapes, st.data())
+    def test_pairs_match_scipy_when_totals_differ(self, shape, data):
+        perm = data.draw(st.permutations(range(shape[0] * shape[1])))
+        sign = data.draw(st.sampled_from([1.0, -1.0]))
+        cost = sign * np.exp2(np.array(perm, dtype=float)).reshape(shape)
+        rows, cols = min_cost_assignment(cost)
+        want_rows, want_cols = linear_sum_assignment(cost)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(cols, want_cols)
+
+    def test_maximizes_similarity_when_negated(self):
+        sims = np.array([[0.1, 0.9, 0.2], [0.8, 0.7, 0.1]])
+        rows, cols = min_cost_assignment(-sims)
+        assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.array([[0.0, np.nan]]), np.array([[np.inf]])])
+    def test_rejects_bad_cost(self, bad):
+        with pytest.raises(InvalidInputError):
+            min_cost_assignment(bad)

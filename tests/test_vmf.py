@@ -1,9 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.optimize import linear_sum_assignment
 
+from mixsep import vmf
 from mixsep.errors import ConfigurationError, InvalidInputError
 from mixsep.numerics import log_vmf_normalizer
 from mixsep.synth import sample_vmf
@@ -81,6 +84,113 @@ class TestLogPdfMatrix:
             for t in range(30):
                 want = vmf_log_pdf(mu[k], kappa[k], frames[t])
                 assert abs(got[k, t] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def reference_bessel_ratio(dim, kappa):
+    # A(kappa) from SciPy's exponentially scaled Bessel functions, None where
+    # they underflow
+    nu = dim / 2.0 - 1.0
+    den = float(special.ive(nu, kappa))
+    num = float(special.ive(nu + 1.0, kappa))
+    if not (math.isfinite(num) and math.isfinite(den)) or den <= 1e-290:
+        return None
+    return num / den
+
+
+def reference_kappa(rbar, dim, kappa_max):
+    # the scalar concentration update: Banerjee start, cap test, at most four
+    # Newton steps, each component stopping on its own
+    if rbar >= 1.0 - 1e-12:
+        return kappa_max
+    kappa = (rbar * dim - rbar**3) / (1.0 - rbar**2)
+    if kappa <= 0.0:
+        return 0.0
+    if kappa >= kappa_max:
+        cap_ratio = reference_bessel_ratio(dim, kappa_max)
+        if cap_ratio is not None and cap_ratio <= rbar:
+            return kappa_max
+    kappa = min(kappa, kappa_max)
+    for _ in range(4):
+        ratio = reference_bessel_ratio(dim, kappa)
+        if ratio is None:
+            break
+        slope = 1.0 - ratio**2 - (dim - 1.0) / kappa * ratio
+        if not slope > 1e-14:
+            break
+        step = (ratio - rbar) / slope
+        kappa = kappa / 2.0 if kappa - step <= 0.0 else kappa - step
+        if abs(step) < 1e-12 * max(kappa, 1.0):
+            break
+    return float(min(max(kappa, 0.0), kappa_max))
+
+
+def reference_m_step(frames, resp, kappa_max, rng):
+    # the per-component loop the array M-step replaced
+    dim = frames.shape[1]
+    resultants = resp @ frames
+    masses = resp.sum(axis=1)
+    mu = np.empty_like(resultants)
+    kappa = np.zeros(resp.shape[0])
+    for k in range(resp.shape[0]):
+        norm = float(np.linalg.norm(resultants[k]))
+        if norm <= 1e-12 * max(masses[k], 1.0):
+            draw = rng.standard_normal(dim)
+            mu[k] = draw / np.linalg.norm(draw)
+            continue
+        mu[k] = resultants[k] / norm
+        kappa[k] = reference_kappa(min(norm / masses[k], 1.0), dim, kappa_max)
+    return mu, kappa
+
+
+class TestKappaUpdateMatchesScalarNewton:
+    @pytest.mark.parametrize("dim", [3, 16, 24, 64])
+    @pytest.mark.parametrize("kappa_max", [35.0, 1000.0])
+    def test_every_branch(self, dim, kappa_max):
+        # Newton stops at steps of 1e-12 relative, and near a cap of 1000 the
+        # slope 1 - A^2 - (E-1) A / kappa cancels down to about 1e-6, so two
+        # Bessel evaluations that differ in the last bit agree to ~1e-11 there
+        cap = reference_bessel_ratio(dim, kappa_max)
+        rbar = np.concatenate([
+            [0.0, 1e-9, 1.0, 1.0 - 1e-13],  # zero start, tiny, saturated
+            np.linspace(0.01, 0.99, 60),
+            cap + np.linspace(-2e-3, 2e-3, 20),  # both sides of the cap test, no tie
+        ])
+        rbar = rbar[(rbar >= 0.0) & (rbar <= 1.0)]
+        want = np.array([reference_kappa(r, dim, kappa_max) for r in rbar])
+        got = vmf._kappa_estimates(rbar, dim, kappa_max)
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+        assert np.any(got == kappa_max) and np.any(got == 0.0)
+        if kappa_max == 35.0:  # Banerjee's start overshoots this cap below A(cap)
+            start = (rbar * dim - rbar**3) / np.maximum(1.0 - rbar**2, 1e-300)
+            assert np.any((start >= kappa_max) & (rbar < cap))
+
+    def test_m_step_matches_per_component_loop(self, caplog):
+        rng = np.random.default_rng(17)
+        e = unit(rng.standard_normal(16))
+        frames = np.concatenate([
+            sample_vmf(unit(rng.standard_normal(16)), 30.0, 200, seed=5),
+            [e, -e],
+            sample_vmf(unit(rng.standard_normal(16)), 400.0, 50, seed=6),
+        ])
+        resp = rng.uniform(0.0, 1.0, size=(7, frames.shape[0]))
+        resp[1] = 0.0  # no mass: degenerate
+        resp[3] = 0.0
+        resp[3, 200:202] = 0.5  # antipodal pair: zero resultant, degenerate
+        resp[4] = 0.0
+        resp[4, 7] = 2.0  # one frame: saturated
+        resp[5, :202] = 0.0
+        resp[5, 202:] = 1.0  # the tight cluster: at the cap
+        with caplog.at_level(logging.DEBUG, logger="mixsep.vmf"):
+            mu, kappa = vmf_m_step(EmbeddingSequence(frames), resp, 35.0, np.random.default_rng(3))
+        want_mu, want_kappa = reference_m_step(frames, resp, 35.0, np.random.default_rng(3))
+        assert np.allclose(mu, want_mu, rtol=0.0, atol=1e-15)
+        assert np.allclose(kappa, want_kappa, rtol=1e-12, atol=0.0)
+        assert kappa[1] == kappa[3] == 0.0 and kappa[4] == kappa[5] == 35.0
+        redraws = [r.getMessage() for r in caplog.records if "degenerate" in r.getMessage()]
+        assert redraws == [
+            "component 1 degenerate (zero resultant), re-drawing",
+            "component 3 degenerate (zero resultant), re-drawing",
+        ]
 
 
 class TestVmfMStep:
