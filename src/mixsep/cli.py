@@ -14,6 +14,7 @@ import numpy as np
 
 from . import frontend, metrics, pipeline, rttm, synth
 from .errors import ConfigurationError, MixsepError
+from .vmf import check_kappa_max
 
 
 @dataclass
@@ -63,6 +64,7 @@ class RunConfig:
             raise ConfigurationError("k_init and iteration counts must be >= 1")
         if self.median_frames % 2 != 1:
             raise ConfigurationError("median_frames must be odd")
+        check_kappa_max(self.kappa_max)
         for item in self.inputs:
             if not (
                 isinstance(item, dict)

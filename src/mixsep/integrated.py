@@ -77,6 +77,9 @@ class JointEmConfig:
     freeze_spatial: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        _vmf.check_kappa_max(self.kappa_max)
+
 
 def _joint_e_step(
     x: StftTensor,
@@ -336,6 +339,7 @@ def joint_em(
         gamma, ll, quad = _joint_e_step(x, embeddings, model, features, spent)
         trace.append(ll)
         posterior = PosteriorTensor(gamma, model.pi)
+        event = None
         if config.fusion != "none" and it >= config.fusion_start:
             if config.fusion == "spectral":
                 model, posterior, event = spectral_fusion_check(
@@ -366,11 +370,10 @@ def joint_em(
             features=features,
         )
         quad = None  # spent: freed before the next E-step allocates its own
-        # the posterior is spent too; the next E-step writes its logits into
-        # its frequency-major buffer (a fused posterior is a fresh copy)
-        spent = np.swapaxes(posterior.gamma, 1, 2)
-        if not spent.flags.c_contiguous:
-            spent = None
+        # the posterior is spent too; unless a fusion replaced it with a
+        # fresh copy, the next E-step writes its logits into its
+        # frequency-major buffer
+        spent = None if event is not None else np.swapaxes(posterior.gamma, 1, 2)
     return model, PosteriorTensor(posterior.gamma, model.pi), events, np.asarray(trace)
 
 

@@ -200,7 +200,9 @@ def _bessel_terms(nu: float, n_terms: int):
     for m = 0 .. n_terms-1, so that ``2m ln x`` minus the second is the log
     of the m-th term relative to the first, and the (n_terms, 2) matrix
     ``[1, 1/(2(m+nu+1))]`` whose product with the terms gives the sums behind
-    ``I_nu`` and ``I_{nu+1}`` at once.
+    ``I_nu`` and ``I_{nu+1}`` at once. Cached because, at the concentrations
+    of the EM (kappa <= 35, a few components), building the tables costs as
+    much as the series itself.
     """
     m = np.arange(n_terms, dtype=float)
     lgam = 2.0 * math.log(2.0) * m

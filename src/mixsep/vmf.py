@@ -20,6 +20,15 @@ logger = logging.getLogger(__name__)
 
 PRIOR_FLOOR = 1e-10
 INIT_SMOOTHING = 0.01
+# The series behind the normalizer and the concentration update has about
+# kappa/2 terms, and the tests check it up to this concentration.
+KAPPA_MAX_LIMIT = 1e4
+
+
+def check_kappa_max(kappa_max):
+    """Raise unless the concentration cap lies in [0, KAPPA_MAX_LIMIT]."""
+    if not 0.0 <= kappa_max <= KAPPA_MAX_LIMIT:
+        raise ConfigurationError(f"kappa_max must lie in [0, {KAPPA_MAX_LIMIT:g}], got {kappa_max!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,7 @@ def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float) -> np.ndarray
     start <= 0 gives 0. Results are capped at ``kappa_max``.
     """
     saturated = rbar >= 1.0 - 1e-12
-    kappa = saturated * kappa_max
+    kappa = np.where(saturated, float(kappa_max), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         start = (rbar * dim - rbar**3) / (1.0 - rbar**2)
         live = np.flatnonzero(~saturated & (start > 0.0))
@@ -162,7 +171,7 @@ def vmf_m_step(
         embeddings: (T, E) unit rows.
         resp: (K, T) nonnegative weights; frequency-summed responsibilities
             may exceed 1 per entry, only relative weights matter.
-        kappa_max: concentration cap.
+        kappa_max: concentration cap, in [0, KAPPA_MAX_LIMIT].
         rng: generator for degenerate re-draws (seeded default if omitted).
 
     Returns:
@@ -173,6 +182,7 @@ def vmf_m_step(
         raise InvalidInputError("responsibilities must be K x T")
     if np.any(resp < 0.0) or not np.all(np.isfinite(resp)):
         raise InvalidInputError("responsibilities must be finite and nonnegative")
+    check_kappa_max(kappa_max)
     if rng is None:
         rng = np.random.default_rng(0)
     dim = embeddings.dim

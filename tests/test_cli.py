@@ -83,6 +83,11 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             cli.RunConfig(fusion="never")
 
+    @pytest.mark.parametrize("kappa_max", [-1.0, 1e7])
+    def test_kappa_cap_outside_checked_range_rejected(self, kappa_max):
+        with pytest.raises(ConfigurationError):
+            cli.RunConfig.from_json(json.dumps({"kappa_max": kappa_max}))
+
     @pytest.mark.parametrize(
         "item",
         [

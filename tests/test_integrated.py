@@ -557,6 +557,10 @@ class TestJointEm:
         with pytest.raises(ConfigurationError):
             joint_em(x, e, init, JointEmConfig(fusion="sometimes"))
 
+    def test_kappa_cap_outside_checked_range_rejected(self):
+        with pytest.raises(ConfigurationError):
+            JointEmConfig(kappa_max=1e7)
+
 
 class TestRankDeficientArrays:
     """A duplicated or a dead microphone makes every spatial covariance

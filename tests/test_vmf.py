@@ -164,6 +164,20 @@ class TestKappaUpdateMatchesScalarNewton:
             start = (rbar * dim - rbar**3) / np.maximum(1.0 - rbar**2, 1e-300)
             assert np.any((start >= kappa_max) & (rbar < cap))
 
+    def test_integer_cap_keeps_float_estimates(self):
+        # a JSON config passes "kappa_max": 50 through as an int
+        rbar = np.concatenate([[0.0, 1.0], np.linspace(0.05, 0.95, 19)])
+        got = vmf._kappa_estimates(rbar, 16, 50)
+        want = np.array([reference_kappa(r, 16, 50.0) for r in rbar])
+        assert got.dtype == np.float64
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+        assert np.any(got != np.round(got))
+        frames = sample_vmf(unit(np.arange(1.0, 9.0)), 20.0, 100, seed=4)
+        resp = np.random.default_rng(2).uniform(0.0, 1.0, size=(3, 100))
+        _, as_int = vmf_m_step(EmbeddingSequence(frames), resp, 50)
+        _, as_float = vmf_m_step(EmbeddingSequence(frames), resp, 50.0)
+        assert np.array_equal(as_int, as_float)
+
     def test_m_step_matches_per_component_loop(self, caplog):
         rng = np.random.default_rng(17)
         e = unit(rng.standard_normal(16))
@@ -234,6 +248,14 @@ class TestVmfMStep:
         for b_mu, b_kappa, r_mu, r_kappa in zip(*base, *rotated):
             assert np.allclose(rot @ b_mu, r_mu, atol=1e-9)
             assert abs(b_kappa - r_kappa) < 1e-9
+
+
+    @pytest.mark.parametrize("kappa_max", [-1.0, vmf.KAPPA_MAX_LIMIT * 1.01, math.nan])
+    def test_cap_outside_checked_range_rejected(self, kappa_max):
+        # the series has about kappa/2 terms: an unbounded cap is unbounded memory
+        frames = np.stack([unit([1.0, 2.0, 3.0]), unit([0.0, 1.0, 0.0])])
+        with pytest.raises(ConfigurationError):
+            vmf_m_step(EmbeddingSequence(frames), np.ones((1, 2)), kappa_max)
 
 
 class TestVmfmmEm:
