@@ -15,7 +15,6 @@ from .integrated import (
     count_speakers,
     joint_em,
 )
-from .numerics import HermitianPD
 from .pipeline import Diarization, SegmentResult, run_meeting
 from .synth import ScenarioConfig, SegmentPlan, build_meeting, sample_cacg, sample_vmf
 from .vmf import EmbeddingSequence, VmfMixture, vmfmm_em
@@ -28,7 +27,6 @@ __all__ = [
     "Diarization",
     "EmbeddingSequence",
     "FusionEvent",
-    "HermitianPD",
     "InvalidInputError",
     "JointEmConfig",
     "JointModel",

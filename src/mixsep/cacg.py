@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, NumericalError
-from .numerics import (
-    HermitianPD,
-    _load_stack,
-    _tril_inverse,
-    chol_with_loading,
-    cholesky_logdet_solve,
-    normalize_logits,
-)
+from .numerics import _load_stack, _tril_inverse, chol_with_loading, normalize_logits
 
 PRIOR_FLOOR = 1e-10
 COV_LOADING = 1e-10
@@ -36,7 +29,6 @@ class StftTensor:
     stft_size: int
     window_size: int
     shift: int
-    zero_bins: np.ndarray | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=complex)
@@ -64,17 +56,12 @@ class StftTensor:
     def frame_rate(self) -> float:
         return self.sample_rate / self.shift
 
-    @property
-    def is_empty(self) -> bool:
-        return self.num_frames == 0
-
 
 @dataclass
 class SpatialComponent:
     """Per-source spatial covariances, one Hermitian PD matrix per frequency."""
 
     covariances: np.ndarray  # (F, C, C)
-    inactive_bins: np.ndarray | None = None
 
     def __post_init__(self):
         cov = np.asarray(self.covariances, dtype=complex)
@@ -131,9 +118,9 @@ class PosteriorTensor:
 def normalize_observations(x: StftTensor) -> StftTensor:
     """Scale every channel vector y_{t,f} to unit norm.
 
-    All-zero bins are replaced by the first canonical basis vector and
-    flagged in ``zero_bins``. The data are stored frequency-major, so their
-    (F, C, T) transpose, which :func:`outer_features` reads, is contiguous.
+    All-zero bins are replaced by the first canonical basis vector. The data
+    are stored frequency-major, so their (F, C, T) transpose, which
+    :func:`outer_features` reads, is contiguous.
     """
     norms = np.linalg.norm(x.data, axis=0)  # (T, F)
     zero = norms == 0.0
@@ -142,35 +129,7 @@ def normalize_observations(x: StftTensor) -> StftTensor:
     if zero.any():
         data[:, 0][zero.T] = 1.0
     return StftTensor(
-        np.transpose(data, (1, 2, 0)),
-        x.sample_rate,
-        x.stft_size,
-        x.window_size,
-        x.shift,
-        zero_bins=zero if zero.any() or x.zero_bins is not None else None,
-    )
-
-
-def cacg_log_pdf(b: HermitianPD, y: np.ndarray) -> float:
-    """Log density of a unit complex vector under one cACG component.
-
-    ``ln (C-1)! - ln 2 - C ln pi - ln det(B) - C ln(y^H B^{-1} y)``.
-    """
-    y = np.asarray(y, dtype=complex)
-    if y.ndim != 1 or y.shape[0] != b.dim:
-        raise InvalidInputError("vector dimension does not match covariance")
-    if abs(float(np.linalg.norm(y)) - 1.0) > 1e-3:
-        raise InvalidInputError("cACG density is defined for unit vectors only")
-    c = b.dim
-    logdet, quad = cholesky_logdet_solve(b, y)
-    if quad <= 0.0:
-        raise NumericalError("nonpositive quadratic form after loading")
-    return (
-        math.lgamma(c)
-        - math.log(2.0)
-        - c * math.log(math.pi)
-        - float(logdet)
-        - c * math.log(float(quad))
+        np.transpose(data, (1, 2, 0)), x.sample_rate, x.stft_size, x.window_size, x.shift
     )
 
 
@@ -230,15 +189,18 @@ def quad_forms(covariances: np.ndarray, features: np.ndarray):
 def cacg_log_pdf_stack(
     covariances: np.ndarray,
     x: StftTensor,
-    features: np.ndarray | None = None,
+    features: np.ndarray,
     out: np.ndarray | None = None,
 ):
     """Log densities for a (K, F, C, C) covariance stack.
 
+    ``ln (C-1)! - ln 2 - C ln pi - ln det(B) - C ln(y^H B^{-1} y)`` for every
+    component, frequency and frame.
+
     Args:
         covariances: (K, F, C, C) stack.
         x: unit-normalized observations.
-        features: their :func:`outer_features`; built here when not given.
+        features: their :func:`outer_features`.
         out: a spent (K, F, T) float64 array to hold the log densities;
             a new one is allocated when not given.
 
@@ -249,18 +211,12 @@ def cacg_log_pdf_stack(
         ``quad``.
     """
     c = x.num_channels
-    logdet, quad = quad_forms(covariances, outer_features(x) if features is None else features)
+    logdet, quad = quad_forms(covariances, features)
     log_pdf = np.log(quad, out=out)
     log_pdf *= -c
     const = math.lgamma(c) - math.log(2.0) - c * math.log(math.pi)
     log_pdf += (const - logdet)[:, :, None]
     return log_pdf, quad
-
-
-def _check_normalized(x: StftTensor):
-    norms = np.linalg.norm(x.data, axis=0)
-    if x.num_frames and np.max(np.abs(norms - 1.0)) > 1e-6:
-        raise InvalidInputError("observations must be unit-normalized (see normalize_observations)")
 
 
 def scatter_matrices(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -291,15 +247,14 @@ def cacg_m_step(
     x: StftTensor,
     posterior: PosteriorTensor,
     prev: list[SpatialComponent],
-    quad: np.ndarray | None = None,
-    features: np.ndarray | None = None,
+    quad: np.ndarray | float,
+    features: np.ndarray,
 ) -> list[SpatialComponent]:
     """One Tyler fixed-point update of all spatial covariances.
 
     ``B_{k,f} = C * sum_t gamma ~y ~y^H / (~y^H B_prev^{-1} ~y) / sum_t gamma``,
     then diagonally loaded and trace-normalized to C.
-    Frequencies with zero responsibility mass keep the previous covariance
-    and are flagged inactive.
+    Frequencies with zero responsibility mass keep the previous covariance.
 
     Args:
         x: unit-normalized observations.
@@ -307,20 +262,13 @@ def cacg_m_step(
         prev: the previous covariances ``B_prev``.
         quad: (K, F, T) quadratic forms ``~y^H B_prev^{-1} ~y`` of the
             previous covariances, as the E-step that evaluated them returns
-            (:func:`cacg_log_pdf_stack`); computed here when not given, and
-            only then are the observations checked for unit norm (the EM
-            checks them once, on the initial M-step).
-        features: the :func:`outer_features` of ``x``; built here when not
-            given.
+            (:func:`cacg_log_pdf_stack`), or the scalar 1 when every
+            ``B_prev`` is the identity (``|~y|^2 = 1`` for unit observations).
+        features: the :func:`outer_features` of ``x``.
     """
     c = x.num_channels
-    if features is None:
-        features = outer_features(x)
     gamma = np.transpose(posterior.gamma, (0, 2, 1))  # (K, F, T)
-    if quad is None:
-        _check_normalized(x)
-        quad = quad_forms(stack_covariances(prev), features)[1]
-    numer = scatter_matrices(features, np.divide(gamma, quad, out=np.empty(quad.shape)))
+    numer = scatter_matrices(features, np.divide(gamma, quad, out=np.empty(gamma.shape)))
     denom = gamma.sum(axis=2)  # (K, F)
     inactive = denom == 0.0
     safe = np.where(inactive, 1.0, denom)
@@ -329,11 +277,7 @@ def cacg_m_step(
     new = new * (c / traces)[:, :, None, None]
     if inactive.any():
         new[inactive] = stack_covariances(prev)[inactive]
-    out = []
-    for k in range(new.shape[0]):
-        flags = inactive[k]
-        out.append(SpatialComponent(new[k], inactive_bins=flags if flags.any() else None))
-    return out
+    return [SpatialComponent(cov) for cov in new]
 
 
 def update_pi(gamma_sum: np.ndarray, num_bins: int) -> np.ndarray:
@@ -347,8 +291,8 @@ def e_step(
     covariances: np.ndarray,
     pi: np.ndarray,
     x: StftTensor,
+    features: np.ndarray,
     log_spectral=0.0,
-    features: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ):
     """E-step of the spatial mixture, optionally coupled to a spectral term.
@@ -358,8 +302,8 @@ def e_step(
     cACGMM; the joint model passes its (K, T) vMF log densities. The logits
     are built and normalized in place in the frequency-major (K, F, T) log
     density buffer of :func:`cacg_log_pdf_stack`, built from ``features``
-    (the :func:`outer_features` of ``x``, built there when not given), or
-    in ``out``, a spent (K, F, T) buffer such as the previous posterior's.
+    (the :func:`outer_features` of ``x``), or in ``out``, a spent (K, F, T)
+    buffer such as the previous posterior's.
 
     Returns:
         ``(gamma, loglik, quad)``: the (K, T, F) posterior (a transposed
@@ -377,9 +321,9 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     """Fit a cACGMM by EM from an initial posterior.
 
     The run starts with an M-step on the initial posterior (previous
-    covariances are the identity), then alternates E- and M-steps. Priors are
-    frequency-independent and time-dependent, updated as the frequency mean
-    of the posterior. Each M-step reuses the quadratic forms of the E-step
+    covariances are the identity, so the Tyler weights are 1), then
+    alternates E- and M-steps. Priors are frequency-independent and
+    time-dependent, updated as the frequency mean of the posterior. Each M-step reuses the quadratic forms of the E-step
     before it, so every covariance is factorized once per iteration, and
     both kernels read one :func:`outer_features` array built per run.
 
@@ -396,15 +340,13 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     features = outer_features(x)
     n_comp = init_gamma.num_components
     identity = [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(n_comp)]
-    components = cacg_m_step(x, init_gamma, identity, features=features)
+    components = cacg_m_step(x, init_gamma, identity, 1.0, features)
     pi = init_gamma.pi
     trace = []
     gamma = init_gamma.gamma
     for _ in range(iterations):
-        gamma, ll, quad = e_step(stack_covariances(components), pi, x, features=features)
+        gamma, ll, quad = e_step(stack_covariances(components), pi, x, features)
         trace.append(ll)
         pi = update_pi(gamma.sum(axis=2), x.num_bins)
-        components = cacg_m_step(
-            x, PosteriorTensor(gamma, pi), components, quad=quad, features=features
-        )
+        components = cacg_m_step(x, PosteriorTensor(gamma, pi), components, quad, features)
     return components, PosteriorTensor(gamma, pi), np.asarray(trace)

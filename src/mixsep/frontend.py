@@ -183,7 +183,7 @@ def stft(
     """Hann-windowed STFT, frames zero-padded to the FFT size.
 
     Returns a tensor with ``F = nfft/2 + 1`` bins; audio shorter than one
-    window yields an empty (flagged) tensor.
+    window yields a tensor of no frames.
     """
     nfft, win, hop = stft_sizes(audio.sample_rate, stft_size_ms, window_ms, shift_ms)
     n = audio.num_samples
@@ -402,8 +402,9 @@ def split_segments(
 
     Voiced runs separated by pauses of at most ``max_pause_s`` are merged
     greedily while the merged span stays within ``max_len_s``; longer pauses
-    always cut. Segments shorter than ``min_len_s`` are dropped. ``vad`` is
-    the (T,) bool activity of :func:`energy_vad`.
+    always cut. A single voiced run longer than ``max_len_s`` is cut into the
+    fewest equal pieces within the bound. Segments shorter than ``min_len_s``
+    are dropped. ``vad`` is the (T,) bool activity of :func:`energy_vad`.
     """
     if not vad.any():
         return []
@@ -424,9 +425,13 @@ def split_segments(
             cur_start, cur_end = start, end
     merged.append((cur_start, cur_end))
 
+    # whole frames per piece, so that a piece never exceeds the bound
+    cap = max(1, math.floor(max_len))
     segments = []
     for start, end in merged:
-        if end - start < min_len:
-            continue
-        segments.append(SegmentSpec(int(start), int(end), f"seg{len(segments):03d}"))
+        pieces = -(-(end - start) // cap)
+        bounds = [start + (end - start) * i // pieces for i in range(pieces + 1)]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if b - a >= min_len:
+                segments.append(SegmentSpec(int(a), int(b), f"seg{len(segments):03d}"))
     return segments

@@ -81,33 +81,22 @@ class JointEmConfig:
         _vmf.check_kappa_max(self.kappa_max)
 
 
-def _joint_e_step(
+def _e_step(
     x: StftTensor,
     embeddings: EmbeddingSequence,
     model: JointModel,
     features: np.ndarray,
     out: np.ndarray | None = None,
 ):
-    # the cACGMM E-step with the frame's vMF log density as spectral term
-    log_vmf = _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames)  # (K, T)
-    covariances = _cacg.stack_covariances(model.spatial)
-    return _cacg.e_step(covariances, model.pi, x, log_vmf, features, out)
-
-
-def joint_e_step(
-    x: StftTensor, embeddings: EmbeddingSequence, model: JointModel
-) -> PosteriorTensor:
     """Coupled E-step: gamma ~ pi * p_cACG(y) * p_vMF(e), normalized per bin.
 
-    The vMF likelihood of the frame's embedding is replicated along the
-    frequency axis; everything is evaluated in the log domain.
+    The cACGMM E-step with the frame's vMF log density as spectral term,
+    replicated along the frequency axis and evaluated in the log domain (see
+    :func:`cacg.e_step` for ``features``, ``out`` and the results).
     """
-    if embeddings.num_frames != x.num_frames:
-        raise InvalidInputError("embedding frames do not match STFT frames")
-    if model.pi.shape[1] != x.num_frames:
-        raise InvalidInputError("model priors do not match STFT frames")
-    gamma, _, _ = _joint_e_step(x, embeddings, model, _cacg.outer_features(x))
-    return PosteriorTensor(gamma, model.pi)
+    log_vmf = _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames)  # (K, T)
+    covariances = _cacg.stack_covariances(model.spatial)
+    return _cacg.e_step(covariances, model.pi, x, features, log_vmf, out)
 
 
 def joint_m_step(
@@ -115,11 +104,11 @@ def joint_m_step(
     embeddings: EmbeddingSequence,
     posterior: PosteriorTensor,
     model: JointModel,
+    quad: np.ndarray,
+    features: np.ndarray,
     kappa_max: float = 35.0,
     rng: np.random.Generator | None = None,
     freeze_spatial: bool = False,
-    quad: np.ndarray | None = None,
-    features: np.ndarray | None = None,
 ) -> JointModel:
     """Decoupled M-steps of both models plus the tied prior update.
 
@@ -128,13 +117,13 @@ def joint_m_step(
     frequency-summed posteriors, and that same sum over F gives the prior
     (the frequency mean). A noise component keeps kappa pinned at 0.
     ``quad`` holds the (K, F, T) quadratic forms of ``model.spatial`` and
-    ``features`` the outer-product features of ``x`` when the caller has
-    them (see :func:`cacg.cacg_m_step`).
+    ``features`` the outer-product features of ``x`` (see
+    :func:`cacg.cacg_m_step`).
     """
     if freeze_spatial:
         spatial = model.spatial
     else:
-        spatial = _cacg.cacg_m_step(x, posterior, model.spatial, quad=quad, features=features)
+        spatial = _cacg.cacg_m_step(x, posterior, model.spatial, quad, features)
     gbar = posterior.gamma.sum(axis=2)  # (K, T)
     mu, kappa = _spectral_m_step(embeddings, gbar, kappa_max, rng, model.noise_index)
     pi = _cacg.update_pi(gbar, posterior.num_bins)
@@ -285,7 +274,8 @@ def _initial_model(
         for _ in range(init.num_components)
     ]
     if not config.freeze_spatial:
-        spatial = _cacg.cacg_m_step(x, init, spatial, features=features)
+        # the Tyler weight y^H I^{-1} y of the identity start is |y|^2 = 1
+        spatial = _cacg.cacg_m_step(x, init, spatial, 1.0, features)
     mu, kappa = _spectral_m_step(
         embeddings, init.gamma.sum(axis=2), config.kappa_max, rng, config.noise_index
     )
@@ -336,7 +326,7 @@ def joint_em(
     trace = []
     spent = None
     for it in range(config.iterations):
-        gamma, ll, quad = _joint_e_step(x, embeddings, model, features, spent)
+        gamma, ll, quad = _e_step(x, embeddings, model, features, spent)
         trace.append(ll)
         posterior = PosteriorTensor(gamma, model.pi)
         event = None
@@ -363,11 +353,11 @@ def joint_em(
             embeddings,
             posterior,
             model,
+            quad,
+            features,
             kappa_max=config.kappa_max,
             rng=rng,
             freeze_spatial=config.freeze_spatial,
-            quad=quad,
-            features=features,
         )
         quad = None  # spent: freed before the next E-step allocates its own
         # the posterior is spent too; unless a fusion replaced it with a

@@ -17,20 +17,6 @@ from .frontend import merge_intervals
 from .numerics import min_cost_assignment
 
 
-@dataclass(frozen=True)
-class Annotation:
-    """Reference or hypothesis speaker turns: (speaker_id, start_s, end_s)."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple((str(s), float(a), float(b)) for s, a, b in self.entries)
-        for _, start, end in entries:
-            if not start < end:
-                raise InvalidInputError("annotation entries need start < end")
-        object.__setattr__(self, "entries", entries)
-
-
 @dataclass
 class CountingMatrix:
     """True-by-estimated active-speaker counts, an 8 x 8 tally."""
@@ -54,20 +40,6 @@ class CountingMatrix:
     @property
     def accuracy(self) -> float:
         return self.correct / self.total if self.total else 0.0
-
-
-def _as_turns(obj):
-    if isinstance(obj, Annotation):
-        return list(obj.entries)
-    entries = getattr(obj, "entries", obj)
-    turns = []
-    for entry in entries:
-        if len(entry) >= 4:  # Diarization rows carry a segment id
-            spk, start, end = entry[0], entry[1], entry[2]
-        else:
-            spk, start, end = entry
-        turns.append((str(spk), float(start), float(end)))
-    return turns
 
 
 def _scored_regions(ref_turns, collar_s: float):
@@ -103,18 +75,18 @@ def der(ref, hyp, collar_s: float = 0.25):
     """Diarization error rate with optimal speaker mapping.
 
     Args:
-        ref: reference annotation (Annotation or (speaker, start, end) rows).
-        hyp: hypothesis (Annotation, Diarization or rows).
+        ref: reference ``(speaker, start_s, end_s)`` rows.
+        hyp: hypothesis rows of the same form, e.g. ``Diarization.turns()``.
         collar_s: no-score collar around every reference boundary.
 
     Returns:
         ``(der, miss, falarm, confusion)`` as fractions of scored reference
         speech time.
     """
-    ref_turns = _as_turns(ref)
+    ref_turns = [(str(s), float(a), float(b)) for s, a, b in ref]
     if not ref_turns:
         raise InvalidInputError("empty reference annotation: DER undefined")
-    hyp_turns = _as_turns(hyp)
+    hyp_turns = [(str(s), float(a), float(b)) for s, a, b in hyp]
     regions = _scored_regions(ref_turns, collar_s)
     ref_turns = _clip_turns(ref_turns, regions)
     hyp_turns = _clip_turns(hyp_turns, regions)

@@ -2,18 +2,17 @@
 
 Everything in this module is a pure function on immutable inputs: Hermitian
 positive-definite matrix operations (Cholesky with escalating diagonal
-loading), log-domain accumulation (``logsumexp`` and the posterior
-normalization that every mixture E-step shares), the Bessel series behind
-the von-Mises-Fisher normalizer and concentration update, and the min-cost
-assignment that matches speakers. The one exception is the posterior
-normalization, which works in place on its logits.
+loading), the log-domain posterior normalization that every mixture E-step
+shares, the Bessel series behind the von-Mises-Fisher normalizer and
+concentration update, and the min-cost assignment that matches speakers.
+The one exception is the posterior normalization, which works in place on
+its logits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,31 +22,6 @@ from .errors import InvalidInputError, NumericalError
 # already loaded with the 1e-10 default at construction, so factorization
 # first tries the matrix as-is and escalates only on failure.
 LOADING_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
-
-
-@dataclass(frozen=True)
-class HermitianPD:
-    """Hermitian matrix intended to be positive definite.
-
-    The constructor symmetrizes the entries exactly, so
-    ``entries[i, j] == conj(entries[j, i])`` always holds. Positive
-    definiteness is the business of :func:`diagonal_load` and the loading
-    ladder inside the factorization helpers.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInputError("matrix entries must be finite")
-        object.__setattr__(self, "entries", (m + m.conj().T) / 2.0)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def _load_stack(mats: np.ndarray, eps_rel: float) -> np.ndarray:
@@ -156,37 +130,6 @@ def psd_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def cholesky_logdet_solve(m: HermitianPD, v: np.ndarray):
-    """Evaluate ``log det(M)`` and ``Re(v^H M^{-1} v)`` in one factorization.
-
-    The scalar reference for :func:`chol_logdet_quad`: one factor and one
-    solve against it, where the batched kernel inverts its factors.
-
-    Args:
-        m: Hermitian PD matrix.
-        v: complex vector of matching dimension.
-
-    Returns:
-        Tuple ``(logdet, quad)`` of floats; ``quad`` is nonnegative.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.shape[0] != m.dim:
-        raise InvalidInputError(f"vector of dim {v.shape} does not match matrix dim {m.dim}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("non-finite entries in right-hand side")
-    L = chol_with_loading(m.entries)
-    z = np.linalg.solve(L, v)
-    logdet = 2.0 * float(np.log(np.diag(L).real).sum())
-    return logdet, float(np.vdot(z, z).real)
-
-
-def diagonal_load(m: HermitianPD, eps_rel: float) -> HermitianPD:
-    """Return ``m + eps_rel * (trace(m)/C) * I`` (absolute loading if trace <= 0)."""
-    if not (eps_rel > 0.0):
-        raise InvalidInputError("eps_rel must be positive")
-    return HermitianPD(_load_stack(m.entries, eps_rel))
-
-
 # Above this argument the largest series terms come near exp(709), the
 # float64 overflow, so they are shifted by their maximum first.
 _BESSEL_SHIFT_ABOVE = 500.0
@@ -290,25 +233,6 @@ def log_vmf_normalizer(embed_dim: int, kappa):
     return float(out) if out.ndim == 0 else out
 
 
-def logsumexp(values, axis=None):
-    """ln sum exp of ``values``, exact under shift by the maximum.
-
-    All ``-inf`` input yields ``-inf``; NaN input is rejected.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise InvalidInputError("logsumexp of an empty collection")
-    if np.isnan(v).any():
-        raise InvalidInputError("NaN in logsumexp input")
-    m = np.max(v, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(v - shift).sum(axis=axis, keepdims=True)) + shift
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
-
-
 def normalize_logits(logits: np.ndarray, axis: int = 0):
     """Posterior of mixture logits, normalized along ``axis`` in the log domain.
 
@@ -318,8 +242,8 @@ def normalize_logits(logits: np.ndarray, axis: int = 0):
 
     Returns:
         ``(posterior, loglik)``: ``logits`` itself, now holding
-        ``exp(logits - logsumexp(logits, axis))``, and the sum of the
-        per-observation log normalizers.
+        ``exp(logits)`` normalized to sum 1 along ``axis``, and the sum of the
+        per-observation log normalizers ``ln sum exp(logits)``.
     """
     shift = np.max(logits, axis=axis, keepdims=True)
     if np.isnan(shift).any():

@@ -493,15 +493,13 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
     )
     diarization, assignments = _align_with_mapping(results, k_total, seed=config.seed)
 
-    # reassemble per-speaker audio with global identities
+    # reassemble per-speaker audio with global identities; alignment labels
+    # every local row, since no segment has more rows than clusters
     speaker_audio = {}
     for result, tracks in kept:
-        mapping = assignments.get(result.segment.id, {})
         offset = result.segment.start_frame * hop
         for row, wave in tracks.items():
-            label = mapping.get(row)
-            if label is None:
-                continue
+            label = assignments[result.segment.id][row]
             track = speaker_audio.setdefault(label, np.zeros(audio.num_samples))
             end = min(audio.num_samples, offset + wave.shape[0])
             track[offset:end] += wave[: end - offset]

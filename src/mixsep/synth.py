@@ -17,19 +17,23 @@ import numpy as np
 
 from .cacg import StftTensor
 from .errors import ConfigurationError, InvalidInputError
-from .frontend import AudioBuffer, SegmentSpec, merge_intervals, num_stft_frames, stft
-from .numerics import HermitianPD, chol_with_loading
+from .frontend import AudioBuffer, SegmentSpec, merge_intervals, num_stft_frames, stft, stft_sizes
+from .numerics import chol_with_loading
 from .vmf import EmbeddingSequence
 
 
-def sample_cacg(b: HermitianPD, n: int, seed: int) -> np.ndarray:
-    """Draw n unit complex vectors from the cACG with parameter matrix b.
+def sample_cacg(b: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Draw n unit complex vectors from the cACG with (C, C) parameter matrix b.
 
     Construction: z ~ CN(0, b), returned as z / ||z||.
     """
+    b = np.asarray(b, dtype=complex)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise InvalidInputError(f"expected a square matrix, got shape {b.shape}")
     rng = np.random.default_rng(seed)
-    chol = chol_with_loading(b.entries)
-    z = (rng.standard_normal((b.dim, n)) + 1j * rng.standard_normal((b.dim, n))) / math.sqrt(2.0)
+    chol = chol_with_loading(b)
+    dim = b.shape[0]
+    z = (rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))) / math.sqrt(2.0)
     w = chol @ z
     return (w / np.linalg.norm(w, axis=0)).T
 
@@ -202,9 +206,7 @@ def build_meeting(cfg: ScenarioConfig):
     """
     rng = np.random.default_rng(cfg.seed)
     sr = cfg.sample_rate
-    nfft = int(round(cfg.stft_size_ms * sr / 1000.0))
-    win = int(round(cfg.window_ms * sr / 1000.0))
-    hop = int(round(cfg.shift_ms * sr / 1000.0))
+    nfft, win, hop = stft_sizes(sr, cfg.stft_size_ms, cfg.window_ms, cfg.shift_ms)
     n_bins = nfft // 2 + 1
     frame_rate = sr / hop
 

@@ -89,22 +89,9 @@ def check_prototypes(mu: np.ndarray, kappa: np.ndarray, count: int):
         raise InvalidInputError("kappa must be finite and >= 0")
 
 
-def vmf_log_pdf(mu: np.ndarray, kappa: float, e: np.ndarray) -> float:
-    """Log density of a unit vector under one vMF component (the scalar
-    reference of :func:`log_pdf_matrix`)."""
-    mu = np.asarray(mu, dtype=float)
-    e = np.asarray(e, dtype=float)
-    check_prototypes(mu[None], np.array([kappa], dtype=float), 1)
-    if e.shape != mu.shape:
-        raise InvalidInputError("embedding dimension does not match component")
-    if abs(float(np.linalg.norm(e)) - 1.0) > 1e-3:
-        raise InvalidInputError("vMF density is defined for unit vectors only")
-    return log_vmf_normalizer(mu.shape[0], kappa) + kappa * float(mu @ e)
-
-
 def log_pdf_matrix(mu: np.ndarray, kappa: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """(K, T) vMF log densities of (K, E) prototypes with (K,) concentrations;
-    frames are assumed unit rows."""
+    """(K, T) vMF log densities ``ln c(kappa_k) + kappa_k mu_k . e_t`` of (K, E)
+    prototypes with (K,) concentrations; frames are assumed unit rows."""
     lognorm = log_vmf_normalizer(mu.shape[1], kappa)
     return lognorm[:, None] + kappa[:, None] * (mu @ frames.T)
 

@@ -4,7 +4,13 @@ import struct
 
 import numpy as np
 
-from mixsep.cacg import PosteriorTensor
+from mixsep.cacg import (
+    PosteriorTensor,
+    cacg_m_step,
+    outer_features,
+    quad_forms,
+    stack_covariances,
+)
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting
 from mixsep.vmf import smooth_one_hot, spherical_kmeans_pp
 
@@ -79,3 +85,10 @@ def kmeans_init_posterior(embeddings, voiced, n_clusters, n_bins, seed=0, with_n
         gamma_t[:, ~voiced] = 1.0 / n_clusters
     gamma = np.repeat(gamma_t[:, :, None], n_bins, axis=2)
     return PosteriorTensor(gamma, gamma_t.copy())
+
+
+def tyler_step(x, posterior, prev):
+    """One ``cacg_m_step`` on unit observations ``x``, weighted by the
+    quadratic forms of the previous components ``prev``."""
+    features = outer_features(x)
+    return cacg_m_step(x, posterior, prev, quad_forms(stack_covariances(prev), features)[1], features)

@@ -1,0 +1,116 @@
+"""Scalar references the tests compare the batched model kernels against.
+
+One matrix, one vector, one component at a time, with a triangular solve
+where the kernels invert their factors: slow and plain on purpose.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from mixsep.errors import InvalidInputError, NumericalError
+from mixsep.numerics import chol_with_loading, log_vmf_normalizer
+from mixsep.vmf import check_prototypes
+
+
+@dataclass(frozen=True)
+class HermitianPD:
+    """Hermitian matrix intended to be positive definite.
+
+    The constructor symmetrizes the entries exactly, so
+    ``entries[i, j] == conj(entries[j, i])`` always holds. Positive
+    definiteness is the business of the loading ladder inside the
+    factorization helpers.
+    """
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.entries, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise InvalidInputError("matrix entries must be finite")
+        object.__setattr__(self, "entries", (m + m.conj().T) / 2.0)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+
+def cholesky_logdet_solve(m: HermitianPD, v: np.ndarray):
+    """Evaluate ``log det(M)`` and ``Re(v^H M^{-1} v)`` in one factorization.
+
+    The scalar reference for ``numerics.chol_logdet_quad`` and
+    ``cacg.quad_forms``: one factor and one solve against it, where the
+    batched kernels invert their factors.
+
+    Returns:
+        Tuple ``(logdet, quad)`` of floats; ``quad`` is nonnegative.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 1 or v.shape[0] != m.dim:
+        raise InvalidInputError(f"vector of dim {v.shape} does not match matrix dim {m.dim}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError("non-finite entries in right-hand side")
+    L = chol_with_loading(m.entries)
+    z = np.linalg.solve(L, v)
+    logdet = 2.0 * float(np.log(np.diag(L).real).sum())
+    return logdet, float(np.vdot(z, z).real)
+
+
+def cacg_log_pdf(b: HermitianPD, y: np.ndarray) -> float:
+    """Log density of a unit complex vector under one cACG component.
+
+    ``ln (C-1)! - ln 2 - C ln pi - ln det(B) - C ln(y^H B^{-1} y)``, the
+    scalar reference of ``cacg.cacg_log_pdf_stack``.
+    """
+    y = np.asarray(y, dtype=complex)
+    if y.ndim != 1 or y.shape[0] != b.dim:
+        raise InvalidInputError("vector dimension does not match covariance")
+    if abs(float(np.linalg.norm(y)) - 1.0) > 1e-3:
+        raise InvalidInputError("cACG density is defined for unit vectors only")
+    c = b.dim
+    logdet, quad = cholesky_logdet_solve(b, y)
+    if quad <= 0.0:
+        raise NumericalError("nonpositive quadratic form after loading")
+    return (
+        math.lgamma(c)
+        - math.log(2.0)
+        - c * math.log(math.pi)
+        - float(logdet)
+        - c * math.log(float(quad))
+    )
+
+
+def vmf_log_pdf(mu: np.ndarray, kappa: float, e: np.ndarray) -> float:
+    """Log density of a unit vector under one vMF component (the scalar
+    reference of ``vmf.log_pdf_matrix``)."""
+    mu = np.asarray(mu, dtype=float)
+    e = np.asarray(e, dtype=float)
+    check_prototypes(mu[None], np.array([kappa], dtype=float), 1)
+    if e.shape != mu.shape:
+        raise InvalidInputError("embedding dimension does not match component")
+    if abs(float(np.linalg.norm(e)) - 1.0) > 1e-3:
+        raise InvalidInputError("vMF density is defined for unit vectors only")
+    return log_vmf_normalizer(mu.shape[0], kappa) + kappa * float(mu @ e)
+
+
+def logsumexp(values, axis=None):
+    """ln sum exp of ``values``, exact under shift by the maximum.
+
+    All ``-inf`` input yields ``-inf``; NaN input is rejected.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise InvalidInputError("logsumexp of an empty collection")
+    if np.isnan(v).any():
+        raise InvalidInputError("NaN in logsumexp input")
+    m = np.max(v, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(v - shift).sum(axis=axis, keepdims=True)) + shift
+    if axis is None:
+        return float(out.reshape(()))
+    return np.squeeze(out, axis=axis)

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from helpers import kmeans_init_posterior, tiny_scenario
+from helpers import kmeans_init_posterior, tiny_scenario, tyler_step
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import HermitianPD, cacg_log_pdf, cholesky_logdet_solve, logsumexp
 
 from mixsep import cacg
 from mixsep.cacg import (
     PosteriorTensor,
     SpatialComponent,
     StftTensor,
-    cacg_log_pdf,
     cacg_log_pdf_stack,
     cacg_m_step,
     cacgmm_em,
@@ -26,7 +26,7 @@ from mixsep.cacg import (
 from mixsep.errors import ConfigurationError, InvalidInputError, NumericalError
 from mixsep.integrated import JointEmConfig, joint_em
 from mixsep.metrics import mask_auc
-from mixsep.numerics import HermitianPD, cholesky_logdet_solve, logsumexp
+from mixsep.numerics import chol_logdet_quad
 from mixsep.synth import build_meeting, sample_cacg
 
 
@@ -64,11 +64,12 @@ class TestNormalizeObservations:
         assert np.allclose(out.data[:, 0, 0], [1.0, 0.0])
 
     def test_zero_bin_flagged(self):
+        # a zero bin becomes the first canonical basis vector
         data = np.zeros((2, 1, 2), dtype=complex)
         data[:, 0, 1] = [0.0, 3.0j]
         out = normalize_observations(tensor(data))
         assert np.allclose(out.data[:, 0, 0], [1.0, 0.0])
-        assert out.zero_bins[0, 0] and not out.zero_bins[0, 1]
+        assert np.allclose(out.data[:, 0, 1], [0.0, 1.0j])
 
     def test_all_norms_one(self):
         rng = np.random.default_rng(2)
@@ -99,8 +100,9 @@ class TestNormalizeObservations:
         rng = np.random.default_rng(3)
         data = rng.standard_normal((3, 6, 5)) + 1j * rng.standard_normal((3, 6, 5))
         cacgmm_em(tensor(data), uniform_posterior(2, 6, 5), 3)
-        # initial M-step (forms and scatter), then an E- and an M-step per iteration
-        assert len(built) == 1 and len(read) == 2 + 3 * 2
+        # initial M-step (scatter only: its identity start needs no forms),
+        # then an E- and an M-step per iteration
+        assert len(built) == 1 and len(read) == 1 + 3 * 2
         assert all(phi is built[0] for phi in read)
         assert built[0].shape == (5, 9, 6)
 
@@ -110,7 +112,7 @@ class TestNormalizeObservations:
         _, _, events, _ = joint_em(x, e, init, jcfg)
         assert events  # the kept component's forms were re-evaluated
         assert len(built) == 1
-        assert len(read) == 2 + 2 * jcfg.iterations + len(events)
+        assert len(read) == 1 + 2 * jcfg.iterations + len(events)
         assert all(phi is built[0] for phi in read)
 
     def test_zero_bins_stay_flagged_frequency_major(self):
@@ -121,7 +123,7 @@ class TestNormalizeObservations:
         want[0] = 1.0
         want[:, 1, 2] = [0.6, 0.8j]
         assert np.allclose(out.data, want, rtol=0.0, atol=1e-15)
-        assert out.zero_bins.sum() == 11 and not out.zero_bins[1, 2]
+        assert np.transpose(out.data, (2, 0, 1)).flags.c_contiguous
 
 
 class TestCacgLogPdf:
@@ -165,7 +167,7 @@ class TestCacgLogPdf:
         )  # (K=2, F=3, 2, 2)
         data = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
         x = normalize_observations(tensor(data))
-        stack, _ = cacg_log_pdf_stack(covs, x)
+        stack, _ = cacg_log_pdf_stack(covs, x, outer_features(x))
         for k in range(2):
             for t in range(4):
                 for f in range(3):
@@ -187,7 +189,7 @@ class TestCacgMStep:
     def test_recovers_true_covariance(self):
         rng = np.random.default_rng(12)
         b_true = random_b(rng, 4)
-        draws = sample_cacg(b_true, 5000, seed=99)  # (T, C)
+        draws = sample_cacg(b_true.entries, 5000, seed=99)  # (T, C)
         data = draws.T[:, :, None]  # (C, T, F=1)
         x = tensor(data)
         gamma = np.ones((1, 5000, 1))
@@ -195,7 +197,7 @@ class TestCacgMStep:
         post = PosteriorTensor(gamma, pi)
         comps = [SpatialComponent.identity(1, 4)]
         for _ in range(10):
-            comps = cacg_m_step(x, post, comps)
+            comps = tyler_step(x, post, comps)
         got = trace_normalize(comps[0].covariances[0])
         want = trace_normalize(b_true.entries)
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -204,14 +206,14 @@ class TestCacgMStep:
     def test_fixed_point_distance_decreases(self):
         rng = np.random.default_rng(14)
         b_true = random_b(rng, 4)
-        draws = sample_cacg(b_true, 5000, seed=101)
+        draws = sample_cacg(b_true.entries, 5000, seed=101)
         x = tensor(draws.T[:, :, None])
         post = PosteriorTensor(np.ones((1, 5000, 1)), np.ones((1, 5000)))
         comps = [SpatialComponent.identity(1, 4)]
         want = trace_normalize(b_true.entries)
         dists = []
         for _ in range(5):
-            comps = cacg_m_step(x, post, comps)
+            comps = tyler_step(x, post, comps)
             got = trace_normalize(comps[0].covariances[0])
             dists.append(np.linalg.norm(got - want))
         # monotone down to the finite-sample floor; converged iterations may
@@ -225,7 +227,7 @@ class TestCacgMStep:
         y /= np.linalg.norm(y)
         x = tensor(y[:, None, None])
         post = PosteriorTensor(np.ones((1, 1, 1)), np.ones((1, 1)))
-        (comp,) = cacg_m_step(x, post, [SpatialComponent.identity(1, 3)])
+        (comp,) = tyler_step(x, post, [SpatialComponent.identity(1, 3)])
         got = comp.covariances[0]
         assert abs(np.einsum("ii->", got).real - 3.0) < 1e-6
         # dominant eigenvector matches the observation direction
@@ -242,9 +244,8 @@ class TestCacgMStep:
         post = PosteriorTensor(gamma, gamma.mean(axis=2))
         prev = [SpatialComponent.identity(2, 2) for _ in range(2)]
         prev[1] = SpatialComponent(np.stack([np.diag([1.5, 0.5]), np.diag([0.5, 1.5])]).astype(complex))
-        out = cacg_m_step(x, post, prev)
+        out = tyler_step(x, post, prev)
         assert np.allclose(out[1].covariances, prev[1].covariances)
-        assert out[1].inactive_bins.all()
 
     def test_inactive_bins_keep_previous_with_given_quad(self):
         rng = np.random.default_rng(19)
@@ -256,18 +257,18 @@ class TestCacgMStep:
         post = PosteriorTensor(gamma, gamma.mean(axis=2))
         prev = [SpatialComponent.identity(2, 2) for _ in range(2)]
         prev[1] = SpatialComponent(np.stack([np.diag([1.5, 0.5]), np.diag([0.5, 1.5])]).astype(complex))
-        _, quad = cacg_log_pdf_stack(stack_covariances(prev), x)
-        out = cacg_m_step(x, post, prev, quad=quad)
+        features = outer_features(x)
+        _, quad = cacg_log_pdf_stack(stack_covariances(prev), x, features)
+        out = cacg_m_step(x, post, prev, quad, features)
         assert np.array_equal(out[1].covariances[0], prev[1].covariances[0])
-        assert list(out[1].inactive_bins) == [True, False]
-        assert np.allclose(out[1].covariances, cacg_m_step(x, post, prev)[1].covariances)
+        assert np.max(np.abs(out[1].covariances[1] - prev[1].covariances[1])) > 1e-3
 
     def test_trace_normalized(self):
         rng = np.random.default_rng(20)
         data = rng.standard_normal((3, 50, 4)) + 1j * rng.standard_normal((3, 50, 4))
         x = normalize_observations(tensor(data))
         post = uniform_posterior(2, 50, 4)
-        out = cacg_m_step(x, post, [SpatialComponent.identity(4, 3) for _ in range(2)])
+        out = tyler_step(x, post, [SpatialComponent.identity(4, 3) for _ in range(2)])
         traces = np.einsum("fii->f", out[0].covariances).real
         assert np.allclose(traces, 3.0, atol=1e-6)
 
@@ -329,7 +330,7 @@ class TestQuadForms:
         spectral = np.zeros((2, 4))
         spectral[1, 2] = np.nan
         with pytest.raises(InvalidInputError):
-            e_step(covariances, np.full((2, 4), 0.5), x, spectral)
+            e_step(covariances, np.full((2, 4), 0.5), x, outer_features(x), spectral)
 
 
 class TestScatterMatrices:
@@ -347,16 +348,6 @@ class TestScatterMatrices:
         assert np.array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
 
 
-class TestCacgMStepChecksNorms:
-    def test_unnormalized_observations_rejected(self):
-        # a direct call computes its own quadratic forms and checks the norms
-        rng = np.random.default_rng(23)
-        data = rng.standard_normal((3, 20, 4)) + 1j * rng.standard_normal((3, 20, 4))
-        prev = [SpatialComponent.identity(4, 3) for _ in range(2)]
-        with pytest.raises(InvalidInputError):
-            cacg_m_step(tensor(data), uniform_posterior(2, 20, 4), prev)
-
-
 class TestCacgMStepReusesQuad:
     def scene(self):
         rng = np.random.default_rng(22)
@@ -371,21 +362,36 @@ class TestCacgMStepReusesQuad:
         return x, PosteriorTensor(gamma, gamma.mean(axis=2)), prev
 
     def test_e_step_quad_gives_same_update(self):
+        # the E-step's forms against the batched reference's
         x, post, prev = self.scene()
-        _, quad = cacg_log_pdf_stack(stack_covariances(prev), x)
-        given = cacg_m_step(x, post, prev, quad=quad)
-        computed = cacg_m_step(x, post, prev)
+        features = outer_features(x)
+        _, quad = cacg_log_pdf_stack(stack_covariances(prev), x, features)
+        given = cacg_m_step(x, post, prev, quad, features)
+        y = np.transpose(x.data, (2, 0, 1))  # (F, C, T)
+        want = chol_logdet_quad(stack_covariances(prev), y[None])[1]
+        computed = cacg_m_step(x, post, prev, want, features)
         for a, b in zip(given, computed):
             assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-12
 
     def test_quad_is_the_tyler_weight(self):
         # forms of other covariances must change the update
         x, post, prev = self.scene()
+        features = outer_features(x)
         identity = [SpatialComponent.identity(5, 3) for _ in range(2)]
-        _, quad = cacg_log_pdf_stack(stack_covariances(identity), x)
-        given = cacg_m_step(x, post, prev, quad=quad)
-        computed = cacg_m_step(x, post, prev)
+        _, quad = cacg_log_pdf_stack(stack_covariances(identity), x, features)
+        given = cacg_m_step(x, post, prev, quad, features)
+        computed = tyler_step(x, post, prev)
         assert np.max(np.abs(given[0].covariances - computed[0].covariances)) > 1e-3
+
+    def test_identity_start_weighs_every_bin_by_one(self):
+        # y^H I^{-1} y = |y|^2 = 1 for unit observations, so the EM's
+        # identity start passes quad = 1 instead of factorizing identities
+        x, post, _ = self.scene()
+        identity = [SpatialComponent.identity(5, 3) for _ in range(2)]
+        given = cacg_m_step(x, post, identity, 1.0, outer_features(x))
+        computed = tyler_step(x, post, identity)
+        for a, b in zip(given, computed):
+            assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-14
 
 
 def two_source_scene(rng, n_frames=400, n_bins=33, n_chan=4, shared_b=False):
@@ -423,9 +429,7 @@ def two_source_scene(rng, n_frames=400, n_bins=33, n_chan=4, shared_b=False):
         for f in range(n_bins):
             idx = np.flatnonzero(dominant[:, f] == k)
             if idx.size:
-                data[:, idx, f] = sample_cacg(
-                    HermitianPD(covs[k, f]), idx.size, seed=int(1000 + 7 * k + f)
-                ).T
+                data[:, idx, f] = sample_cacg(covs[k, f], idx.size, seed=int(1000 + 7 * k + f)).T
     masks = np.stack([(dominant == k).astype(float) for k in range(2)])
     return tensor(data), masks
 
@@ -479,8 +483,9 @@ class TestCacgmmEm:
         covs = np.stack(
             [np.stack([random_b(rng, 2).entries for _ in range(5)]) for _ in range(2)]
         )
-        base, _ = cacg_log_pdf_stack(covs, normalize_observations(x))
-        scaled, _ = cacg_log_pdf_stack(3.7 * covs, normalize_observations(x))
+        xn = normalize_observations(x)
+        base, _ = cacg_log_pdf_stack(covs, xn, outer_features(xn))
+        scaled, _ = cacg_log_pdf_stack(3.7 * covs, xn, outer_features(xn))
         assert np.array_equal(np.argmax(base, axis=0), np.argmax(scaled, axis=0))
 
     def test_empty_component_count_rejected(self):
@@ -512,8 +517,8 @@ class TestSharedEStep:
     @staticmethod
     def run(x, covariances, pi, spectral):
         if spectral is None:
-            return e_step(covariances, pi, x)
-        return e_step(covariances, pi, x, spectral)
+            return e_step(covariances, pi, x, outer_features(x))
+        return e_step(covariances, pi, x, outer_features(x), spectral)
 
     @settings(max_examples=60, deadline=None)
     @given(e_step_cases())

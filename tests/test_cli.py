@@ -107,10 +107,11 @@ class TestRunConfig:
         cli.RunConfig(inputs=[{"audio": "a.wav", "embeddings": "e.emb"}])
 
 
-def fresh_python(args, cwd):
-    """Run a fresh interpreter that imports this mixsep; returns the finished process."""
+def fresh_python(args, cwd, **env_vars):
+    """Run a fresh interpreter that imports this mixsep, with ``env_vars`` added
+    to the environment; returns the finished process."""
     paths = [str(Path(mixsep.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
 
 
@@ -388,3 +389,29 @@ class TestParallelJobs:
         a = (out1 / "meet0" / "hyp.rttm").read_bytes()
         b = (out2 / "meet0" / "hyp.rttm").read_bytes()
         assert a == b
+
+
+class TestBlasThreads:
+    def test_thread_count_leaves_outputs_unchanged(self, tmp_path):
+        # a fresh `mixsep run --jobs 1` of a three-segment meeting writes the
+        # same bytes whether OpenBLAS runs one thread or two
+        scenario = small_scenario()
+        scenario.segments = [SegmentPlan(5.0, [0, 1]) for _ in range(3)]
+        scen = write_scenario(tmp_path, scenario)
+        bundle = tmp_path / "bundle"
+        assert cli.main(["synth", "--scenario", str(scen), "--out", str(bundle)]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"out{threads}"
+            config = tmp_path / f"run{threads}.json"
+            config.write_text(json.dumps(run_config_dict(bundle, out_dir)))
+            proc = fresh_python(
+                ["-m", "mixsep.cli", "run", "--config", str(config), "--jobs", "1"],
+                tmp_path, OPENBLAS_NUM_THREADS=threads,
+            )
+            assert proc.returncode == 0, proc.stderr
+            out = out_dir / "meet0"
+            files = ["hyp.rttm"] + sorted(p.name for p in out.glob("masks_*.msk"))
+            outputs.append({name: (out / name).read_bytes() for name in files})
+        assert len(outputs[0]) == 4  # the RTTM and one mask file per segment
+        assert outputs[0] == outputs[1]

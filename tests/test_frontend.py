@@ -140,7 +140,7 @@ class TestStft:
     def test_short_audio_empty_flagged(self):
         audio = AudioBuffer(np.zeros((2, 100)), 16000)
         x = stft(audio)
-        assert x.is_empty
+        assert x.num_frames == 0
         assert x.num_bins == 513
 
     def test_non_integral_shift_rejected(self):
@@ -474,6 +474,21 @@ class TestSplitSegments:
         vad = mask_from_runs([(0, 2000), (2010, 4000)], 4100)
         segs = split_segments(vad, 1.0, 2.0, 40.0, self.FR)  # max 2500 frames
         assert len(segs) == 2
+
+    def test_long_voiced_run_cut_into_equal_pieces(self):
+        # 100 s of speech without a pause, under the default 60 s bound
+        vad = np.ones(6250, dtype=bool)
+        segs = split_segments(vad, 1.0, 2.0, 60.0, self.FR)
+        assert [(s.start_frame, s.end_frame) for s in segs] == [(0, 3125), (3125, 6250)]
+        assert [s.id for s in segs] == ["seg000", "seg001"]
+
+    def test_pieces_never_exceed_the_bound(self):
+        # a 9.5-frame bound takes whole pieces of at most 9 frames: the
+        # 47-frame run needs six, of 7 or 8 frames
+        vad = mask_from_runs([(3, 50), (60, 64)], 70)
+        segs = split_segments(vad, 1.0 / self.FR, 0.0, 9.5 / self.FR, self.FR)
+        spans = [(s.start_frame, s.end_frame) for s in segs]
+        assert spans == [(3, 10), (10, 18), (18, 26), (26, 34), (34, 42), (42, 50), (60, 64)]
 
     def test_short_segments_dropped(self):
         vad = mask_from_runs([(0, 50), (500, 1000)], 1100)  # 0.8 s and 8 s

@@ -13,6 +13,8 @@ from mixsep.cacg import (
     cacg_log_pdf_stack,
     cacgmm_em,
     normalize_observations,
+    outer_features,
+    quad_forms,
     stack_covariances,
 )
 from mixsep.errors import ConfigurationError, InvalidInputError
@@ -22,7 +24,6 @@ from mixsep.integrated import (
     JointModel,
     count_speakers,
     iou_fusion_check,
-    joint_e_step,
     joint_em,
     joint_m_step,
     spectral_fusion_check,
@@ -78,6 +79,17 @@ class TestJointModelChecks:
             JointModel(spatial, np.eye(4)[:2], np.full(rows, 5.0), pi)
 
 
+def joint_posterior(xn, e, model):
+    """(K, T, F) posterior of one coupled E-step on unit observations ``xn``."""
+    return integrated._e_step(xn, e, model, outer_features(xn))[0]
+
+
+def spatial_forms(xn, model):
+    """The quadratic forms and features the M-step of ``model`` is weighted with."""
+    features = outer_features(xn)
+    return quad_forms(stack_covariances(model.spatial), features)[1], features
+
+
 def bin_accuracy(gamma, truth):
     voiced_bins = truth.masks.sum(axis=0) > 0
     hard = np.argmax(gamma, axis=0)
@@ -90,12 +102,12 @@ class TestJointEStep:
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=1))
         xn = normalize_observations(x)
         model = model_from_truth(truth, x, kappa=0.0)
-        post = joint_e_step(xn, e, model)
-        log_pdf, _ = cacg_log_pdf_stack(stack_covariances(model.spatial), xn)
+        gamma = joint_posterior(xn, e, model)
+        log_pdf, _ = cacg_log_pdf_stack(stack_covariances(model.spatial), xn, outer_features(xn))
         logits = np.log(model.pi)[:, :, None] + np.transpose(log_pdf, (0, 2, 1))
         want = np.exp(logits - logits.max(axis=0, keepdims=True))
         want /= want.sum(axis=0, keepdims=True)
-        assert np.max(np.abs(post.gamma - want)) < 1e-12
+        assert np.max(np.abs(gamma - want)) < 1e-12
 
     def test_uninformative_spatial_equals_vmf_only(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=2))
@@ -104,13 +116,13 @@ class TestJointEStep:
         spatial = [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(k_true)]
         kappa = np.full(k_true, 35.0)
         pi = np.full((k_true, x.num_frames), 1.0 / k_true)
-        post = joint_e_step(xn, e, JointModel(spatial, truth.mu_true, kappa, pi))
+        gamma = joint_posterior(xn, e, JointModel(spatial, truth.mu_true, kappa, pi))
         # constant over frequency
-        assert np.max(np.abs(post.gamma - post.gamma[:, :, :1])) < 1e-12
+        assert np.max(np.abs(gamma - gamma[:, :, :1])) < 1e-12
         logits = np.log(pi) + log_pdf_matrix(truth.mu_true, kappa, e.frames)
         want = np.exp(logits - logits.max(axis=0, keepdims=True))
         want /= want.sum(axis=0, keepdims=True)
-        assert np.max(np.abs(post.gamma[:, :, 0] - want)) < 1e-12
+        assert np.max(np.abs(gamma[:, :, 0] - want)) < 1e-12
 
     def test_joint_beats_single_models_with_weak_cues(self):
         cfg = tiny_scenario([0, 1, 2], duration_s=10.0, kappa_true=4.0, seed=3)
@@ -126,9 +138,9 @@ class TestJointEStep:
             spectral_only.kappa,
             spectral_only.pi,
         )
-        acc_joint = bin_accuracy(joint_e_step(xn, e, joint).gamma, truth)
-        acc_spatial = bin_accuracy(joint_e_step(xn, e, spatial_only).gamma, truth)
-        acc_spectral = bin_accuracy(joint_e_step(xn, e, spectral_only).gamma, truth)
+        acc_joint = bin_accuracy(joint_posterior(xn, e, joint), truth)
+        acc_spatial = bin_accuracy(joint_posterior(xn, e, spatial_only), truth)
+        acc_spectral = bin_accuracy(joint_posterior(xn, e, spectral_only), truth)
         assert acc_joint > acc_spatial
         assert acc_joint > acc_spectral
 
@@ -137,8 +149,9 @@ class TestJointEStep:
         from mixsep.vmf import EmbeddingSequence
 
         short = EmbeddingSequence(e.frames[:-3], e.frame_rate)
+        init = kmeans_init_posterior(e, truth.voiced, 1, x.num_bins)
         with pytest.raises(InvalidInputError):
-            joint_e_step(normalize_observations(x), short, model_from_truth(truth, x))
+            joint_em(x, short, init, JointEmConfig(iterations=1, fusion="none"))
 
 
 class TestJointMStep:
@@ -150,7 +163,7 @@ class TestJointMStep:
         model = model_from_truth(truth, x)
         from mixsep.vmf import EmbeddingSequence, vmf_m_step
 
-        new = joint_m_step(xn, e, post, model, kappa_max=35.0)
+        new = joint_m_step(xn, e, post, model, *spatial_forms(xn, model), kappa_max=35.0)
         direct_mu, direct_kappa = vmf_m_step(e, post.gamma[:, :, 0], 35.0)
         for a_mu, a_kappa, b_mu, b_kappa in zip(new.mu, new.kappa, direct_mu, direct_kappa):
             assert np.allclose(a_mu, b_mu, atol=1e-9)
@@ -164,7 +177,7 @@ class TestJointMStep:
         spatial = [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(3)]
         mu = np.tile(unit(np.arange(1.0, 17.0)), (3, 1))
         model = JointModel(spatial, mu, np.full(3, 10.0), post.pi, noise_index=2)
-        new = joint_m_step(xn, e, post, model, kappa_max=35.0)
+        new = joint_m_step(xn, e, post, model, *spatial_forms(xn, model), kappa_max=35.0)
         assert new.kappa[2] == 0.0
         assert new.kappa[0] > 0.0
 
@@ -474,10 +487,12 @@ class TestJointEm:
         )
         reused = joint_em(x, e, init, jcfg)
         real = cacg.cacg_m_step
-        monkeypatch.setattr(
-            cacg, "cacg_m_step",
-            lambda x, post, prev, quad=None, features=None: real(x, post, prev),
-        )
+
+        def fresh_forms(x, post, prev, quad, features):
+            quad = quad_forms(stack_covariances(prev), features)[1]
+            return real(x, post, prev, quad, features)
+
+        monkeypatch.setattr(cacg, "cacg_m_step", fresh_forms)
         fresh = joint_em(x, e, init, jcfg)
         assert reused[2] and reused[2] == fresh[2]  # fusion fired, at the same steps
         assert np.max(np.abs(reused[3] - fresh[3]) / np.abs(fresh[3])) <= 1e-12
@@ -491,7 +506,7 @@ class TestJointEm:
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=8.0, seed=11))
         init = kmeans_init_posterior(e, truth.voiced, 3, x.num_bins, seed=1)
         jcfg = JointEmConfig(iterations=4, fusion="none", noise_index=3, seed=0)
-        real = integrated._joint_e_step
+        real = integrated._e_step
         peaks = []
 
         def traced_e_step(*args, **kwargs):
@@ -500,7 +515,7 @@ class TestJointEm:
             peaks.append(tracemalloc.get_traced_memory()[1])
             return out
 
-        monkeypatch.setattr(integrated, "_joint_e_step", traced_e_step)
+        monkeypatch.setattr(integrated, "_e_step", traced_e_step)
         tracemalloc.start()
         try:
             _, post, _, _ = joint_em(x, e, init, jcfg)

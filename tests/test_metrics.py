@@ -4,7 +4,6 @@ from scipy.stats import rankdata
 
 from mixsep.errors import InvalidInputError
 from mixsep.metrics import (
-    Annotation,
     CountingMatrix,
     _auc,
     counting_matrix,
@@ -12,6 +11,7 @@ from mixsep.metrics import (
     mask_auc,
     si_sdr,
 )
+from mixsep.pipeline import Diarization
 
 # Fixed speaker-counting regression tally (true count by estimated count);
 # the diagonal holds 596 correct segments of 715 total.
@@ -31,13 +31,13 @@ COUNTING_TALLIES = np.array(
 
 class TestDer:
     def test_identical_is_zero(self):
-        ref = Annotation([("a", 0.0, 4.0), ("b", 4.0, 7.0)])
+        ref = [("a", 0.0, 4.0), ("b", 4.0, 7.0)]
         rate, miss, falarm, confusion = der(ref, ref, collar_s=0.0)
         assert rate == 0.0 and miss == 0.0 and falarm == 0.0 and confusion == 0.0
 
     def test_empty_hypothesis_all_miss(self):
-        ref = Annotation([("a", 0.0, 5.0)])
-        rate, miss, falarm, confusion = der(ref, Annotation([]) if False else [], collar_s=0.0)
+        ref = [("a", 0.0, 5.0)]
+        rate, miss, falarm, confusion = der(ref, [], collar_s=0.0)
         assert rate == 1.0 and miss == 1.0
 
     def test_hand_built_case(self):
@@ -90,9 +90,10 @@ class TestDer:
             der([], [("x", 0.0, 1.0)])
 
     def test_accepts_diarization_like_rows(self):
+        # a Diarization's rows carry a segment id; its turns() drop it
         ref = [("a", 0.0, 2.0)]
-        hyp_rows = [("x", 0.0, 2.0, "seg000")]  # 4-tuple rows
-        assert der(ref, hyp_rows, collar_s=0.0)[0] == 0.0
+        hyp = Diarization([("x", 0.0, 2.0, "seg000")])
+        assert der(ref, hyp.turns(), collar_s=0.0)[0] == 0.0
 
 
 class TestCountingMatrix:
@@ -234,9 +235,3 @@ class TestSiSdr:
     def test_silent_reference_rejected(self):
         with pytest.raises(InvalidInputError):
             si_sdr(np.zeros(10), np.ones(10))
-
-
-class TestAnnotation:
-    def test_rejects_reversed_interval(self):
-        with pytest.raises(InvalidInputError):
-            Annotation([("a", 2.0, 1.0)])

