@@ -199,8 +199,9 @@ def cacg_log_pdf_stack(
 
     Args:
         covariances: (K, F, C, C) stack.
-        x: unit-normalized observations.
-        features: their :func:`outer_features`.
+        x: the observations; only their channel count C is read.
+        features: the :func:`outer_features` of the unit-normalized
+            observations.
         out: a spent (K, F, T) float64 array to hold the log densities;
             a new one is allocated when not given.
 
@@ -257,18 +258,23 @@ def cacg_m_step(
     Frequencies with zero responsibility mass keep the previous covariance.
 
     Args:
-        x: unit-normalized observations.
+        x: the observations; only their channel count C is read.
         posterior: responsibilities of the E-step.
         prev: the previous covariances ``B_prev``.
         quad: (K, F, T) quadratic forms ``~y^H B_prev^{-1} ~y`` of the
             previous covariances, as the E-step that evaluated them returns
             (:func:`cacg_log_pdf_stack`), or the scalar 1 when every
             ``B_prev`` is the identity (``|~y|^2 = 1`` for unit observations).
-        features: the :func:`outer_features` of ``x``.
+            The update consumes a (K, F, T) ``quad``: it overwrites it with
+            the Tyler weights ``gamma / quad``, so only the scalar start
+            allocates a weight array.
+        features: the :func:`outer_features` of the unit-normalized
+            observations.
     """
     c = x.num_channels
     gamma = np.transpose(posterior.gamma, (0, 2, 1))  # (K, F, T)
-    numer = scatter_matrices(features, np.divide(gamma, quad, out=np.empty(gamma.shape)))
+    weights = np.empty(gamma.shape) if np.ndim(quad) == 0 else quad
+    numer = scatter_matrices(features, np.divide(gamma, quad, out=weights))
     denom = gamma.sum(axis=2)  # (K, F)
     inactive = denom == 0.0
     safe = np.where(inactive, 1.0, denom)
@@ -302,8 +308,8 @@ def e_step(
     cACGMM; the joint model passes its (K, T) vMF log densities. The logits
     are built and normalized in place in the frequency-major (K, F, T) log
     density buffer of :func:`cacg_log_pdf_stack`, built from ``features``
-    (the :func:`outer_features` of ``x``), or in ``out``, a spent (K, F, T)
-    buffer such as the previous posterior's.
+    (the :func:`outer_features` of the normalized ``x``), or in ``out``, a
+    spent (K, F, T) buffer such as the previous posterior's.
 
     Returns:
         ``(gamma, loglik, quad)``: the (K, T, F) posterior (a transposed
@@ -323,9 +329,12 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     The run starts with an M-step on the initial posterior (previous
     covariances are the identity, so the Tyler weights are 1), then
     alternates E- and M-steps. Priors are frequency-independent and
-    time-dependent, updated as the frequency mean of the posterior. Each M-step reuses the quadratic forms of the E-step
-    before it, so every covariance is factorized once per iteration, and
-    both kernels read one :func:`outer_features` array built per run.
+    time-dependent, updated as the frequency mean of the posterior. Each
+    M-step reuses (and overwrites) the quadratic forms of the E-step before
+    it, so every covariance is factorized once per iteration, and both
+    kernels read one :func:`outer_features` array of the normalized
+    observations, built per run; the normalized observations themselves are
+    not kept.
 
     Returns:
         ``(components, posterior, loglik_trace)``.
@@ -336,8 +345,7 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
         raise ConfigurationError("iterations must be >= 1")
     if init_gamma.num_frames != x.num_frames or init_gamma.num_bins != x.num_bins:
         raise InvalidInputError("initial posterior does not match observations")
-    x = normalize_observations(x)
-    features = outer_features(x)
+    features = outer_features(normalize_observations(x))
     n_comp = init_gamma.num_components
     identity = [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(n_comp)]
     components = cacg_m_step(x, init_gamma, identity, 1.0, features)

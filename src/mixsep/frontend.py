@@ -90,6 +90,8 @@ def read_wav(path) -> AudioBuffer:
         if cid == b"fmt ":
             fmt = body
         elif cid == b"data":
+            if len(body) < size:
+                raise InvalidInputError(f"{path}: truncated data chunk")
             data = body
         pos += 8 + size + (size & 1)
     if fmt is None or data is None:

@@ -116,9 +116,9 @@ def joint_m_step(
     per-bin posteriors; the vMF prototypes are refitted with the
     frequency-summed posteriors, and that same sum over F gives the prior
     (the frequency mean). A noise component keeps kappa pinned at 0.
-    ``quad`` holds the (K, F, T) quadratic forms of ``model.spatial`` and
-    ``features`` the outer-product features of ``x`` (see
-    :func:`cacg.cacg_m_step`).
+    ``quad`` holds the (K, F, T) quadratic forms of ``model.spatial``, which
+    the Tyler update overwrites, and ``features`` the outer-product features
+    of the normalized ``x`` (see :func:`cacg.cacg_m_step`).
     """
     if freeze_spatial:
         spatial = model.spatial
@@ -147,9 +147,13 @@ def _fused_quad(quad: np.ndarray, event: FusionEvent, model: JointModel, feature
     """Quadratic forms of the fused model's covariances from the pre-fusion ones.
 
     The removed component's row goes; the kept component's covariance is
-    now the mass-weighted average, so only its row is computed again.
+    now the mass-weighted average, so only its row is computed again. The
+    rows are shifted up one at a time, so no copy of ``quad`` is made, and
+    the result is a leading slice of it.
     """
-    quad = np.delete(quad, event.removed, axis=0)
+    for k in range(event.removed, quad.shape[0] - 1):
+        quad[k] = quad[k + 1]
+    quad = quad[:-1]
     kept = _index_after_removal(event.kept, event.removed)
     quad[kept] = _cacg.quad_forms(model.spatial[kept].covariances[None], features)[1][0]
     return quad
@@ -296,12 +300,16 @@ def joint_em(
     log-likelihood trace is non-decreasing between iterations with an equal
     component count; fusion steps may move the value. Each M-step weights
     the Tyler update by the quadratic forms of the E-step before it, so
-    every covariance is factorized once per iteration; after a fusion only
-    the kept component's forms are computed again. Each E-step after the
-    first writes into the buffer of the posterior before it, so the E-step
-    holds one posterior, not two. All cACG kernels read
-    one outer-product feature array (:func:`cacg.outer_features`), built
-    here from the normalized observations and freed when the run returns.
+    every covariance is factorized once per iteration, and the Tyler update
+    overwrites those forms with its weights; after a fusion only the kept
+    component's forms are computed again, into the rows of the old ones.
+    Each E-step after the first writes into the buffer of the posterior
+    before it; the first, and the first after a fusion (whose posterior is a
+    fresh copy), allocate. All cACG kernels read one outer-product feature
+    array Φ (:func:`cacg.outer_features`), built here from the normalized
+    observations, which are not kept, and freed when the run returns. One
+    run thus holds ``x``, Φ, one (K, T, F) posterior and one (K, F, T) set
+    of quadratic forms; only a fusion briefly holds the posterior twice.
 
     Returns:
         ``(model, posterior, fusion_events, loglik_trace)``.
@@ -319,16 +327,21 @@ def joint_em(
     init.validate()
 
     rng = np.random.default_rng(config.seed)
-    x = _cacg.normalize_observations(x)
-    features = _cacg.outer_features(x)
+    features = _cacg.outer_features(_cacg.normalize_observations(x))
     model = _initial_model(x, embeddings, init, config, rng, features)
     events: list[FusionEvent] = []
     trace = []
     spent = None
     for it in range(config.iterations):
+        # the last posterior is spent: the E-step writes into its buffer
+        # (``spent``) or, after a fusion, frees it and allocates its own
+        posterior = None
         gamma, ll, quad = _e_step(x, embeddings, model, features, spent)
         trace.append(ll)
         posterior = PosteriorTensor(gamma, model.pi)
+        # the posterior is now its buffer's only holder, so a fusion that
+        # replaces it frees the spent one
+        gamma = spent = None
         event = None
         if config.fusion != "none" and it >= config.fusion_start:
             if config.fusion == "spectral":
@@ -359,7 +372,7 @@ def joint_em(
             rng=rng,
             freeze_spatial=config.freeze_spatial,
         )
-        quad = None  # spent: freed before the next E-step allocates its own
+        quad = None  # consumed by the M-step; freed before the next E-step allocates its own
         # the posterior is spent too; unless a fusion replaced it with a
         # fresh copy, the next E-step writes its logits into its
         # frequency-major buffer

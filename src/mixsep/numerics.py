@@ -254,7 +254,9 @@ def normalize_logits(logits: np.ndarray, axis: int = 0):
     total = logits.sum(axis=axis, keepdims=True)
     logits /= total
     with np.errstate(divide="ignore"):
-        return logits, float((np.log(total) + shift).sum())
+        np.log(total, out=total)
+    total += shift
+    return logits, float(total.sum())
 
 
 def min_cost_assignment(cost):

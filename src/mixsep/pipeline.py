@@ -31,6 +31,9 @@ from .vmf import (
 logger = logging.getLogger(__name__)
 
 MASK_MAGIC = b"MSK1"
+# frequencies per block of the beamformer's scatter: only one block's
+# outer-product features exist at a time, never the segment's whole Φ
+SCATTER_BLOCK_BINS = 32
 
 
 @dataclass
@@ -214,8 +217,7 @@ def beamform(
     targets = np.asarray(targets, dtype=int)
     if targets.ndim != 1 or np.any((targets < 0) | (targets >= gamma.shape[0])):
         raise InvalidInputError("target component out of range")
-    y = np.ascontiguousarray(np.transpose(x.data, (2, 0, 1)))  # (F, C, T)
-    scm = scatter_matrices(outer_features(x), np.transpose(gamma, (0, 2, 1)))  # (K, F, C, C)
+    scm = _block_scatter(x, np.transpose(gamma, (0, 2, 1)))  # (K, F, C, C)
     mass = gamma.sum(axis=1)  # (K, F)
     # summing the other components' scatter, rather than subtracting the
     # target's from the total, cannot cancel where the target dominates a bin
@@ -235,7 +237,23 @@ def beamform(
     if np.any(~np.isfinite(denom)) or np.any(denom <= 0.0):
         raise NumericalError("distortion covariance remained singular after loading")
     weights = num / denom[..., None]
-    return np.einsum("sfc,fct->stf", weights.conj(), y)
+    return np.einsum("sfc,fct->stf", weights.conj(), np.transpose(x.data, (2, 0, 1)))
+
+
+def _block_scatter(x: StftTensor, weights: np.ndarray) -> np.ndarray:
+    """``scatter_matrices(outer_features(x), weights)``, built per block of
+    ``SCATTER_BLOCK_BINS`` frequencies from slices of ``x``.
+
+    Every frequency's scatter is its own GEMM, so the result is the same to
+    the bit, while only one block's features are held at a time.
+    """
+    c = x.num_channels
+    out = np.empty(weights.shape[:2] + (c, c), dtype=complex)
+    for start in range(0, x.num_bins, SCATTER_BLOCK_BINS):
+        block = slice(start, start + SCATTER_BLOCK_BINS)
+        part = StftTensor(x.data[:, :, block], x.sample_rate, x.stft_size, x.window_size, x.shift)
+        out[:, block] = scatter_matrices(outer_features(part), weights[:, block])
+    return out
 
 
 def _covariance(scm: np.ndarray, mass: np.ndarray) -> np.ndarray:

@@ -240,6 +240,23 @@ class TestCmdRun:
         assert "error: meet0: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_truncated_wav_data_exits_one_naming_the_file(self, bundle, tmp_path):
+        # the data chunk declares twice the bytes that follow its header;
+        # reading only what is there would shorten the meeting and resample
+        # the embeddings to fit it
+        blob = (bundle / "audio.wav").read_bytes()
+        wav = tmp_path / "half.wav"
+        wav.write_bytes(blob[: len(blob) // 2])
+        cfg = run_config_dict(bundle, tmp_path / "o")
+        cfg["inputs"][0]["audio"] = str(wav)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(cfg))
+        proc = fresh_python(["-m", "mixsep.cli", "run", "--config", str(config)], tmp_path)
+        assert proc.returncode == 1
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: meet0: ")]
+        assert len(errors) == 1 and "half.wav: truncated data chunk" in errors[0]
+        assert "Traceback" not in proc.stderr
+
     def test_nan_samples_exit_one_without_traceback(self, bundle, tmp_path):
         # non-finite audio must not pass the VAD as silence and end in a
         # run with no turns and exit 0

@@ -526,6 +526,25 @@ class TestJointEm:
         assert max(peaks[1:]) < peaks[0] + gamma_bytes / 2, (peaks, gamma_bytes)
         post.validate()
 
+    def test_working_set_is_features_posterior_and_forms(self):
+        # one run holds Φ, one posterior and one set of quadratic forms: no
+        # normalized copy of x, no Tyler weight array; the 10 % covers the
+        # (F, T), (K, T) and (K, F, C, C) temporaries at the paper's
+        # K = 10 + noise and C = 4. No fusion: a fusion check returns a new
+        # posterior, so for a moment it holds two.
+        cfg = tiny_scenario([0, 1, 2], duration_s=12.0, seed=5, channels=4)
+        x, e, truth, _ = build_meeting(cfg)
+        init = kmeans_init_posterior(e, truth.voiced, 10, x.num_bins, seed=1)
+        jcfg = JointEmConfig(iterations=5, fusion="none", noise_index=10, seed=0)
+        tracemalloc.start()
+        try:
+            _, post, _, _ = joint_em(x, e, init, jcfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        features = outer_features(x).nbytes
+        assert peak < 1.1 * (features + 2 * post.gamma.nbytes), (peak, features, post.gamma.nbytes)
+
     def test_reduction_to_cacgmm_with_zero_kappa(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=5.0, seed=11))
         rng = np.random.default_rng(4)
@@ -595,7 +614,7 @@ class TestRankDeficientArrays:
 
         def spy(covariances, features):
             logdet, quad = real(covariances, features)
-            forms.append((covariances, quad))
+            forms.append((covariances, quad.copy()))  # the M-step overwrites quad
             return logdet, quad
 
         monkeypatch.setattr(cacg, "quad_forms", spy)

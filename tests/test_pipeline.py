@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from mixsep import frontend, pipeline
-from mixsep.cacg import PosteriorTensor, StftTensor
+from mixsep.cacg import PosteriorTensor, StftTensor, outer_features, scatter_matrices
 from mixsep.cli import RunConfig
 from mixsep.errors import InvalidInputError
 from mixsep.metrics import der, si_sdr
@@ -228,6 +228,17 @@ class TestBeamform:
             mix = audio.samples[0][: wave.shape[0]]
             gain = si_sdr(ref[active], wave[active]) - si_sdr(ref[active], mix[active])
             assert gain > 5.0
+
+    def test_block_scatter_matches_one_scatter_call_bit_for_bit(self):
+        # F is not a multiple of the block size, so a short tail block runs
+        rng = np.random.default_rng(3)
+        c, t, f, k = 4, 90, 2 * pipeline.SCATTER_BLOCK_BINS + 5, 3
+        x = StftTensor(
+            rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f)), 8000, 256, 200, 64
+        )
+        weights = np.ascontiguousarray(rng.dirichlet(np.ones(k), size=(f, t)).transpose(2, 0, 1))
+        want = scatter_matrices(outer_features(x), weights)
+        assert np.array_equal(pipeline._block_scatter(x, weights), want)
 
     def test_single_source_identity_noise(self):
         # rank-one target in isotropic noise: output SNR beats best channel
