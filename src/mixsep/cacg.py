@@ -143,7 +143,11 @@ def outer_features(x: StftTensor) -> np.ndarray:
     (:func:`quad_forms`, :func:`scatter_matrices`). They take C/2 times the
     memory of the complex observations: 2x at C = 4, 3.5x at C = 7.
     """
-    y = np.transpose(x.data, (2, 0, 1))  # (F, C, T)
+    return _outer_rows(np.transpose(x.data, (2, 0, 1)))
+
+
+def _outer_rows(y: np.ndarray) -> np.ndarray:
+    """:func:`outer_features` of an (F, C, T) complex array, unvalidated."""
     c = y.shape[1]
     rows, cols = np.triu_indices(c, 1)
     out = np.empty((y.shape[0], c * c, y.shape[2]))

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import frontend
-from .cacg import PosteriorTensor, StftTensor, outer_features, scatter_matrices
+from .cacg import PosteriorTensor, StftTensor, _outer_rows, scatter_matrices
 from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .integrated import JointEmConfig, count_speakers, joint_em
 from .numerics import _load_stack, min_cost_assignment, psd_solve
@@ -251,8 +251,9 @@ def _block_scatter(x: StftTensor, weights: np.ndarray) -> np.ndarray:
     out = np.empty(weights.shape[:2] + (c, c), dtype=complex)
     for start in range(0, x.num_bins, SCATTER_BLOCK_BINS):
         block = slice(start, start + SCATTER_BLOCK_BINS)
-        part = StftTensor(x.data[:, :, block], x.sample_rate, x.stft_size, x.window_size, x.shift)
-        out[:, block] = scatter_matrices(outer_features(part), weights[:, block])
+        # x was validated when it was built: its slices skip StftTensor's checks
+        rows = _outer_rows(np.transpose(x.data[:, :, block], (2, 0, 1)))
+        out[:, block] = scatter_matrices(rows, weights[:, block])
     return out
 
 

@@ -528,10 +528,14 @@ class TestJointEm:
 
     def test_working_set_is_features_posterior_and_forms(self):
         # one run holds Φ, one posterior and one set of quadratic forms: no
-        # normalized copy of x, no Tyler weight array; the 10 % covers the
-        # (F, T), (K, T) and (K, F, C, C) temporaries at the paper's
-        # K = 10 + noise and C = 4. No fusion: a fusion check returns a new
-        # posterior, so for a moment it holds two.
+        # normalized copy of x, no Tyler weight array. In units of F T
+        # doubles at the paper's K = 10 + noise and C = 4, Φ is C^2 = 16 and
+        # each (K, F, T) array 11, so the bound's base is 38 units; one more
+        # (K, F, T) array adds 11 / 38 = 0.29 of it and a normalized copy of
+        # x (C complex values) 8 / 38 = 0.21. The 20 % margin covers the
+        # (F, T), (K, T) and (K, F, C, C) temporaries and NumPy's internal
+        # buffers, and still fails on either extra array. No fusion: a fusion
+        # check returns a new posterior, so for a moment it holds two.
         cfg = tiny_scenario([0, 1, 2], duration_s=12.0, seed=5, channels=4)
         x, e, truth, _ = build_meeting(cfg)
         init = kmeans_init_posterior(e, truth.voiced, 10, x.num_bins, seed=1)
@@ -543,7 +547,7 @@ class TestJointEm:
         finally:
             tracemalloc.stop()
         features = outer_features(x).nbytes
-        assert peak < 1.1 * (features + 2 * post.gamma.nbytes), (peak, features, post.gamma.nbytes)
+        assert peak < 1.2 * (features + 2 * post.gamma.nbytes), (peak, features, post.gamma.nbytes)
 
     def test_reduction_to_cacgmm_with_zero_kappa(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=5.0, seed=11))
