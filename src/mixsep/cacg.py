@@ -8,6 +8,8 @@ point, one application per EM iteration.
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -16,8 +18,13 @@ import numpy as np
 from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .numerics import _load_stack, _tril_inverse, chol_with_loading, normalize_logits
 
+logger = logging.getLogger(__name__)
+
 PRIOR_FLOOR = 1e-10
 COV_LOADING = 1e-10
+# Below this per-bin total of the linear-domain E-step, its smaller terms
+# would be subnormal, so such bins are evaluated in the log domain instead.
+LINEAR_TOTAL_FLOOR = 1e-280
 
 
 @dataclass(frozen=True)
@@ -146,10 +153,19 @@ def outer_features(x: StftTensor) -> np.ndarray:
     return _outer_rows(np.transpose(x.data, (2, 0, 1)))
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(c: int):
+    """Read-only row and column indices of the C x C upper triangle, i < j."""
+    pairs = np.triu_indices(c, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _outer_rows(y: np.ndarray) -> np.ndarray:
     """:func:`outer_features` of an (F, C, T) complex array, unvalidated."""
     c = y.shape[1]
-    rows, cols = np.triu_indices(c, 1)
+    rows, cols = _upper_pairs(c)
     out = np.empty((y.shape[0], c * c, y.shape[2]))
     out[:, :c] = y.real**2 + y.imag**2
     for n, (i, j) in enumerate(zip(rows, cols)):
@@ -159,17 +175,20 @@ def _outer_rows(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def quad_forms(covariances: np.ndarray, features: np.ndarray):
+def quad_forms(covariances: np.ndarray, features: np.ndarray, unit_det: bool = False):
     """Log-determinants and quadratic forms ``y^H B^{-1} y`` of a covariance stack.
 
     Each (K, F, C, C) covariance is factorized once with the loading ladder
     of :func:`chol_with_loading`, and its inverse ``L^{-H} L^{-1}`` becomes
     the coefficients ``[diag B^{-1}, 2 Re B^{-1}_ij, -2 Im B^{-1}_ij]`` of
     the :func:`outer_features` rows, so that ``quad`` is one real
-    (F, K, C^2) @ (F, C^2, T) GEMM.
+    (F, K, C^2) @ (F, C^2, T) GEMM. With ``unit_det`` the coefficients are
+    scaled by ``det(B)^{1/C}`` before the GEMM, so that ``quad`` holds the
+    forms of the unit-determinant ``B / det(B)^{1/C}`` at no extra pass.
 
     Returns:
-        ``(logdet, quad)`` of shapes (K, F) and (K, F, T).
+        ``(logdet, quad)`` of shapes (K, F) and (K, F, T); ``logdet`` is
+        that of ``B`` either way.
 
     Raises:
         NumericalError: a quadratic form is not positive.
@@ -178,11 +197,14 @@ def quad_forms(covariances: np.ndarray, features: np.ndarray):
     logdet = 2.0 * np.log(np.einsum("...ii->...i", lower).real).sum(axis=-1)
     linv = _tril_inverse(lower)
     inv = np.swapaxes(np.conj(np.swapaxes(linv, -1, -2)) @ linv, 0, 1)  # (F, K, C, C)
-    rows, cols = np.triu_indices(inv.shape[-1], 1)
+    c = inv.shape[-1]
+    rows, cols = _upper_pairs(c)
     upper = inv[..., rows, cols]
     coef = np.concatenate(
         [np.einsum("...ii->...i", inv).real, 2.0 * upper.real, -2.0 * upper.imag], axis=-1
     )
+    if unit_det:
+        coef *= np.exp(logdet / c).T[:, :, None]
     quad = np.empty(logdet.shape + features.shape[-1:])
     np.matmul(coef, features, out=np.swapaxes(quad, 0, 1))
     if quad.size and quad.min() <= 0.0:
@@ -233,7 +255,7 @@ def scatter_matrices(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     sums = np.swapaxes(np.swapaxes(weights, 0, 1) @ np.swapaxes(features, 1, 2), 0, 1)
     c = math.isqrt(features.shape[1])
-    rows, cols = np.triu_indices(c, 1)
+    rows, cols = _upper_pairs(c)
     p = rows.size
     out = np.empty(sums.shape[:-1] + (c, c), dtype=complex)
     diag = np.arange(c)
@@ -257,21 +279,26 @@ def cacg_m_step(
 ) -> list[SpatialComponent]:
     """One Tyler fixed-point update of all spatial covariances.
 
-    ``B_{k,f} = C * sum_t gamma ~y ~y^H / (~y^H B_prev^{-1} ~y) / sum_t gamma``,
-    then diagonally loaded and trace-normalized to C.
-    Frequencies with zero responsibility mass keep the previous covariance.
+    ``B_{k,f} ~ sum_t gamma ~y ~y^H / (~y^H B_prev^{-1} ~y)``, diagonally
+    loaded and trace-normalized to C. The normalization cancels every
+    factor constant over t, so neither the responsibility mass
+    ``sum_t gamma`` nor a per-(k, f) scale of ``quad`` enters the update.
+    Frequencies with zero responsibility keep the previous covariance: for
+    unit observations the trace of the weighted scatter is
+    ``sum_t gamma / quad``, so it is zero exactly there.
 
     Args:
         x: the observations; only their channel count C is read.
         posterior: responsibilities of the E-step.
         prev: the previous covariances ``B_prev``.
         quad: (K, F, T) quadratic forms ``~y^H B_prev^{-1} ~y`` of the
-            previous covariances, as the E-step that evaluated them returns
-            (:func:`cacg_log_pdf_stack`), or the scalar 1 when every
-            ``B_prev`` is the identity (``|~y|^2 = 1`` for unit observations).
-            The update consumes a (K, F, T) ``quad``: it overwrites it with
-            the Tyler weights ``gamma / quad``, so only the scalar start
-            allocates a weight array.
+            previous covariances, or any per-(k, f) multiple of them, such
+            as the unit-determinant forms the E-step returns
+            (:func:`e_step`); or the scalar 1 when every ``B_prev`` is the
+            identity (``|~y|^2 = 1`` for unit observations). The update
+            consumes a (K, F, T) ``quad``: it overwrites it with the Tyler
+            weights ``gamma / quad``, so only the scalar start allocates a
+            weight array.
         features: the :func:`outer_features` of the unit-normalized
             observations.
     """
@@ -279,12 +306,9 @@ def cacg_m_step(
     gamma = np.transpose(posterior.gamma, (0, 2, 1))  # (K, F, T)
     weights = np.empty(gamma.shape) if np.ndim(quad) == 0 else quad
     numer = scatter_matrices(features, np.divide(gamma, quad, out=weights))
-    denom = gamma.sum(axis=2)  # (K, F)
-    inactive = denom == 0.0
-    safe = np.where(inactive, 1.0, denom)
-    new = _load_stack(c * numer / safe[:, :, None, None], COV_LOADING)
-    traces = np.einsum("kfii->kf", new).real
-    new = new * (c / traces)[:, :, None, None]
+    inactive = np.einsum("kfii->kf", numer).real == 0.0
+    new = _load_stack(numer, COV_LOADING)
+    new *= (c / np.einsum("kfii->kf", new).real)[:, :, None, None]
     if inactive.any():
         new[inactive] = stack_covariances(prev)[inactive]
     return [SpatialComponent(cov) for cov in new]
@@ -307,23 +331,70 @@ def e_step(
 ):
     """E-step of the spatial mixture, optionally coupled to a spectral term.
 
-    ``gamma ~ pi * p_cACG(y) * exp(log_spectral)``, normalized per bin in the
-    log domain. With the default ``log_spectral=0.0`` this is the plain
-    cACGMM; the joint model passes its (K, T) vMF log densities. The logits
-    are built and normalized in place in the frequency-major (K, F, T) log
-    density buffer of :func:`cacg_log_pdf_stack`, built from ``features``
-    (the :func:`outer_features` of the normalized ``x``), or in ``out``, a
-    spent (K, F, T) buffer such as the previous posterior's.
+    ``gamma ~ pi * p_cACG(y) * exp(log_spectral)``, normalized per bin. With
+    the default ``log_spectral=0.0`` this is the plain cACGMM; the joint
+    model passes its (K, T) vMF log densities.
+
+    The cACG density does not change when B is scaled, so with the
+    unit-determinant ``B~ = B / det(B)^{1/C}`` it is ``const * q~^(-C)``
+    for the forms ``q~ = y^H B~^{-1} y`` (:func:`quad_forms` with
+    ``unit_det``), and the posterior needs no logarithm or exponential over
+    the (K, F, T) array: the prior and spectral factor
+    ``S = exp(b - max_k b)``, ``b = ln pi + log_spectral``, is formed on
+    (K, T), and ``gamma = S q~^(-C) / sum_k S q~^(-C)`` takes a reciprocal,
+    a square per bit of C below its leading one and a division by ``q~``
+    per further set bit, a product with S, a sum and a division. Bins
+    whose total is not finite or falls below ``LINEAR_TOTAL_FLOOR`` send the
+    whole call to the log domain (:func:`cacg_log_pdf_stack` and
+    :func:`numerics.normalize_logits`), with a warning that counts them.
+
+    The posterior is built in ``out``, a spent (K, F, T) buffer such as the
+    previous posterior's, or in a new one; ``features`` are the
+    :func:`outer_features` of the normalized ``x``.
 
     Returns:
         ``(gamma, loglik, quad)``: the (K, T, F) posterior (a transposed
         view of the frequency-major buffer), the summed per-bin log
-        normalizers and the (K, F, T) quadratic forms for the M-step.
+        normalizers and the (K, F, T) quadratic forms for the M-step, which
+        are the unit-determinant ``q~`` unless the log domain was taken.
+
+    Raises:
+        InvalidInputError: NaN in the prior or spectral logits.
     """
-    logits, quad = cacg_log_pdf_stack(covariances, x, features, out)
+    c = x.num_channels
     with np.errstate(divide="ignore"):
-        logits += (np.log(pi) + log_spectral)[:, None, :]
-    gamma, loglik = normalize_logits(logits)
+        logits = np.log(pi) + log_spectral  # (K, T)
+    shift = logits.max(axis=0)
+    if np.isnan(shift).any():
+        raise InvalidInputError("NaN in mixture logits")
+    shift[~np.isfinite(shift)] = 0.0
+    spectral = np.exp(logits - shift)
+    _, quad = quad_forms(covariances, features, unit_det=True)
+    gamma = np.empty(quad.shape) if out is None else out
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(1.0, quad, out=gamma)
+        for bit in bin(c)[3:]:
+            np.multiply(gamma, gamma, out=gamma)
+            if bit == "1":
+                gamma /= quad
+        gamma *= spectral[:, None, :]
+        total = gamma.sum(axis=0)  # (F, T)
+    linear = (total >= LINEAR_TOTAL_FLOOR) & (total < np.inf)
+    if not linear.all():
+        logger.warning(
+            "cACG E-step: %d of %d bins out of the linear range; "
+            "evaluated in the log domain",
+            total.size - np.count_nonzero(linear),
+            total.size,
+        )
+        gamma, quad = cacg_log_pdf_stack(covariances, x, features, gamma)
+        gamma += logits[:, None, :]
+        gamma, loglik = normalize_logits(gamma)
+        return np.transpose(gamma, (0, 2, 1)), loglik, quad
+    gamma /= total
+    const = math.lgamma(c) - math.log(2.0) - c * math.log(math.pi)
+    f, t = total.shape
+    loglik = float(np.log(total).sum()) + f * float(shift.sum()) + f * t * const
     return np.transpose(gamma, (0, 2, 1)), loglik, quad
 
 

@@ -203,17 +203,24 @@ def istft(spec: np.ndarray, stft_size: int, window_size: int, shift: int) -> np.
     spec = np.asarray(spec, dtype=complex)
     frames = np.fft.irfft(spec, n=stft_size, axis=-1)[..., :window_size]
     window = _hann(window_size)
+    frames *= window
     n_frames = spec.shape[-2]
     n = window_size + (n_frames - 1) * shift if n_frames else 0
-    # frame-major sample indices, one block per leading row: np.add.at sums
-    # each sample's overlapping frames in frame order, as a loop over frames
-    index = (np.arange(n_frames)[:, None] * shift + np.arange(window_size)).ravel()
-    rows = math.prod(spec.shape[:-2])
-    out = np.zeros(rows * n)
-    np.add.at(out, (np.arange(rows)[:, None] * n + index).ravel(), (frames * window).ravel())
-    denom = np.zeros(n)
-    np.add.at(denom, index, np.tile(window**2, n_frames))
-    out = out.reshape(spec.shape[:-2] + (n,))
+    # the output in blocks of ``shift`` samples: frame t adds its phase-j
+    # chunk (samples j*shift onwards) to block t + j, so one phase adds all
+    # frames at once; descending phases add each sample's frames in
+    # ascending frame order, as a loop over frames does
+    phases = -(-window_size // shift)
+    blocks = n_frames + phases - 1 if n_frames else 0
+    out = np.zeros(spec.shape[:-2] + (blocks, shift))
+    denom = np.zeros((blocks, shift))
+    for j in reversed(range(phases)):
+        chunk = slice(j * shift, min((j + 1) * shift, window_size))
+        width = chunk.stop - chunk.start
+        out[..., j : j + n_frames, :width] += frames[..., chunk]
+        denom[j : j + n_frames, :width] += window[chunk] ** 2
+    out = out.reshape(spec.shape[:-2] + (blocks * shift,))[..., :n]
+    denom = denom.reshape(-1)[:n]
     valid = denom > 1e-12
     out[..., valid] /= denom[valid]
     return out

@@ -91,7 +91,8 @@ def _e_step(
     """Coupled E-step: gamma ~ pi * p_cACG(y) * p_vMF(e), normalized per bin.
 
     The cACGMM E-step with the frame's vMF log density as spectral term,
-    replicated along the frequency axis and evaluated in the log domain (see
+    replicated along the frequency axis: its factor is formed once per
+    frame, and the per-bin posterior in the linear domain (see
     :func:`cacg.e_step` for ``features``, ``out`` and the results).
     """
     log_vmf = _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames)  # (K, T)

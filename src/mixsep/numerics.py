@@ -2,9 +2,10 @@
 
 Everything in this module is a pure function on immutable inputs: Hermitian
 positive-definite matrix operations (Cholesky with escalating diagonal
-loading), the log-domain posterior normalization that every mixture E-step
-shares, the Bessel series behind the von-Mises-Fisher normalizer and
-concentration update, and the min-cost assignment that matches speakers.
+loading), the log-domain posterior normalization of the vMF mixture and of
+the cACG E-step's rescue, the Bessel series behind the von-Mises-Fisher
+normalizer and concentration update, and the min-cost assignment that
+matches speakers.
 The one exception is the posterior normalization, which works in place on
 its logits.
 """

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from reference import HermitianPD, cacg_log_pdf, cholesky_logdet_solve, logsumex
 
 from mixsep import cacg
 from mixsep.cacg import (
+    COV_LOADING,
+    PRIOR_FLOOR,
     PosteriorTensor,
     SpatialComponent,
     StftTensor,
@@ -26,7 +29,7 @@ from mixsep.cacg import (
 from mixsep.errors import ConfigurationError, InvalidInputError, NumericalError
 from mixsep.integrated import JointEmConfig, joint_em
 from mixsep.metrics import mask_auc
-from mixsep.numerics import chol_logdet_quad
+from mixsep.numerics import _load_stack, chol_logdet_quad, normalize_logits
 from mixsep.synth import build_meeting, sample_cacg
 
 
@@ -93,7 +96,9 @@ class TestNormalizeObservations:
             return built[-1]
 
         monkeypatch.setattr(cacg, "outer_features", features)
-        monkeypatch.setattr(cacg, "quad_forms", lambda b, phi: read.append(phi) or real_quad(b, phi))
+        monkeypatch.setattr(
+            cacg, "quad_forms", lambda b, phi, **kw: read.append(phi) or real_quad(b, phi, **kw)
+        )
         monkeypatch.setattr(
             cacg, "scatter_matrices", lambda phi, w: read.append(phi) or real_scatter(phi, w)
         )
@@ -383,6 +388,18 @@ class TestCacgMStepReusesQuad:
         computed = tyler_step(x, post, prev)
         assert np.max(np.abs(given[0].covariances - computed[0].covariances)) > 1e-3
 
+    def test_a_per_bin_scale_of_quad_cancels(self):
+        # the trace normalization cancels any factor constant over t, so the
+        # E-step may hand over the forms of B / det(B)^{1/C}
+        x, post, prev = self.scene()
+        features = outer_features(x)
+        quad = quad_forms(stack_covariances(prev), features)[1]
+        scale = np.random.default_rng(23).uniform(1e-6, 1e6, quad.shape[:2])
+        given = cacg_m_step(x, post, prev, quad * scale[..., None], features)
+        computed = cacg_m_step(x, post, prev, quad, features)
+        for a, b in zip(given, computed):
+            assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-12
+
     def test_identity_start_weighs_every_bin_by_one(self):
         # y^H I^{-1} y = |y|^2 = 1 for unit observations, so the EM's
         # identity start passes quad = 1 instead of factorizing identities
@@ -558,6 +575,88 @@ class TestSharedEStep:
                 want_ll += norm
                 np.testing.assert_allclose(gamma[:, t, f], np.exp(logits - norm), atol=1e-10)
         assert loglik == pytest.approx(want_ll, rel=1e-10)
+
+
+def log_domain_e_step(covariances, pi, x, spectral):
+    """The E-step as log densities normalized by ``normalize_logits``."""
+    logits, _ = cacg_log_pdf_stack(covariances, x, outer_features(x))
+    with np.errstate(divide="ignore"):
+        logits += (np.log(pi) + spectral)[:, None, :]
+    gamma, loglik = normalize_logits(logits)
+    return np.transpose(gamma, (0, 2, 1)), loglik
+
+
+def floor_covariances(rng, k, f, c, rank):
+    """(K, F, C, C) covariances of the given rank in random bases, loaded
+    and trace-normalized as the Tyler update leaves them: the null space
+    sits at the loading floor (condition about C 1e10 at rank one)."""
+    a = rng.standard_normal((k, f, c, c)) + 1j * rng.standard_normal((k, f, c, c))
+    basis = np.linalg.qr(a)[0][..., :rank]
+    covariances = _load_stack(basis @ np.conj(np.swapaxes(basis, -1, -2)), COV_LOADING)
+    return covariances * (c / np.einsum("...ii->...", covariances).real)[..., None, None]
+
+
+class TestLinearEStep:
+    """The linear-domain E-step against the log-domain one, and its rescue."""
+
+    @pytest.mark.parametrize("c", range(2, 9))
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_matches_log_domain_at_the_loading_floor(self, c, coupled, caplog):
+        rng = np.random.default_rng(c)
+        k, f, t = 3, 4, 30
+        data = rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f))
+        x = normalize_observations(tensor(data))
+        covariances = np.concatenate(
+            [floor_covariances(rng, 1, f, c, 1), floor_covariances(rng, 2, f, c, c - 1)]
+        )
+        pi = rng.dirichlet(np.ones(k), size=t).T
+        pi[1, ::3] = PRIOR_FLOOR
+        pi /= pi.sum(axis=0, keepdims=True)
+        spectral = rng.normal(0.0, 20.0, (k, t)) if coupled else 0.0
+        with caplog.at_level(logging.WARNING, logger="mixsep.cacg"):
+            gamma, loglik, _ = e_step(covariances, pi, x, outer_features(x), spectral)
+        assert not caplog.records  # no bin needed the log domain
+        want, want_ll = log_domain_e_step(covariances, pi, x, spectral)
+        assert np.max(np.abs(gamma - want)) <= 1e-12
+        assert abs(loglik - want_ll) <= 1e-12 * abs(want_ll)
+
+    def test_quad_is_the_unit_determinant_form(self):
+        rng = np.random.default_rng(40)
+        data = rng.standard_normal((4, 10, 3)) + 1j * rng.standard_normal((4, 10, 3))
+        x = normalize_observations(tensor(data))
+        covariances = floor_covariances(rng, 2, 3, 4, 2)
+        features = outer_features(x)
+        quad = e_step(covariances, np.full((2, 10), 0.5), x, features)[2]
+        logdet, want = quad_forms(covariances, features)
+        np.testing.assert_allclose(quad, want * np.exp(logdet / 4)[..., None], rtol=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 31])
+    def test_out_of_range_bins_take_the_log_domain(self, rank, caplog):
+        # C = 32 at the loading floor: an observation on the signal space of
+        # a rank-one covariance makes q~^(-C) overflow, one on the null space
+        # of a rank C-1 covariance makes it underflow
+        c, t = 32, 5
+        covariances = np.stack([np.eye(c, dtype=complex)] * 2)[:, None]
+        if rank == 1:
+            covariances[:, 0, 1:, 1:] = 0.0
+        else:
+            covariances[:, 0, 0, 0] = 0.0
+        covariances[1, 0, 1, 1] = 1e-3 if rank == 1 else 0.5
+        covariances = _load_stack(covariances, COV_LOADING)
+        rng = np.random.default_rng(41)
+        data = rng.standard_normal((c, t, 1)) + 1j * rng.standard_normal((c, t, 1))
+        data[:, 0, 0] = np.eye(c)[0]
+        x = normalize_observations(tensor(data))
+        pi = np.full((2, t), 0.5)
+        spectral = rng.normal(0.0, 1.0, (2, t))
+        with caplog.at_level(logging.WARNING, logger="mixsep.cacg"):
+            gamma, loglik, quad = e_step(covariances, pi, x, outer_features(x), spectral)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "1 of 5 bins" in caplog.records[0].getMessage()
+        want, want_ll = log_domain_e_step(covariances, pi, x, spectral)
+        assert np.array_equal(gamma, want) and loglik == want_ll
+        assert np.isfinite(loglik)
+        np.testing.assert_allclose(quad, quad_forms(covariances, outer_features(x))[1], rtol=1e-12)
 
 
 class TestStftTensorInvariants:

@@ -107,7 +107,8 @@ class TestStft:
     @pytest.mark.parametrize(
         "lead, frames, sizes",
         [((), 40, (64, 50, 16)), ((3,), 25, (256, 200, 64)), ((2, 2), 7, (32, 25, 8)),
-         ((2,), 1, (64, 50, 16)), ((2,), 0, (64, 50, 16)), ((3,), 9, (64, 64, 64))],
+         ((2,), 1, (64, 50, 16)), ((2,), 0, (64, 50, 16)), ((3,), 9, (64, 64, 64)),
+         ((2,), 7, (64, 64, 16)), ((1,), 1, (256, 200, 64)), ((2,), 5, (32, 16, 24))],
     )
     def test_istft_matches_frame_loop_bit_for_bit(self, lead, frames, sizes):
         rng = np.random.default_rng(frames)

@@ -616,9 +616,12 @@ class TestRankDeficientArrays:
         forms = []
         real = cacg.quad_forms
 
-        def spy(covariances, features):
-            logdet, quad = real(covariances, features)
-            forms.append((covariances, quad.copy()))  # the M-step overwrites quad
+        def spy(covariances, features, unit_det=False):
+            logdet, quad = real(covariances, features, unit_det)
+            # the M-step overwrites quad; the E-step's forms are those of
+            # B / det(B)^{1/C}
+            scale = np.exp(logdet / covariances.shape[-1])[..., None] if unit_det else 1.0
+            forms.append((covariances, quad / scale))
             return logdet, quad
 
         monkeypatch.setattr(cacg, "quad_forms", spy)
