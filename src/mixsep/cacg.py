@@ -25,6 +25,9 @@ COV_LOADING = 1e-10
 # Below this per-bin total of the linear-domain E-step, its smaller terms
 # would be subnormal, so such bins are evaluated in the log domain instead.
 LINEAR_TOTAL_FLOOR = 1e-280
+# Frequencies per block of an EM sweep (:func:`em_sweep`) and of the
+# beamformer's scatter: only one block's (K, F, T) temporaries exist at a time.
+BLOCK_BINS = 32
 
 
 @dataclass(frozen=True)
@@ -122,25 +125,37 @@ class PosteriorTensor:
             raise InvalidInputError("pi columns must sum to 1")
 
 
+def _unit_rows(y: np.ndarray) -> np.ndarray:
+    """An (F, C, T) complex array with every channel vector scaled to unit
+    norm, all-zero ones replaced by the first canonical basis vector."""
+    norms = np.linalg.norm(y, axis=1)  # (F, T)
+    zero = norms == 0.0
+    out = np.divide(y, np.where(zero, 1.0, norms)[:, None, :], order="C")
+    if zero.any():
+        out[:, 0][zero] = 1.0
+    return out
+
+
 def normalize_observations(x: StftTensor) -> StftTensor:
     """Scale every channel vector y_{t,f} to unit norm.
 
     All-zero bins are replaced by the first canonical basis vector. The data
-    are stored frequency-major, so their (F, C, T) transpose, which
-    :func:`outer_features` reads, is contiguous.
+    are stored frequency-major, so their (F, C, T) transpose is contiguous.
     """
-    norms = np.linalg.norm(x.data, axis=0)  # (T, F)
-    zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    data = np.divide(np.transpose(x.data, (2, 0, 1)), safe.T[:, None, :], order="C")
-    if zero.any():
-        data[:, 0][zero.T] = 1.0
+    data = _unit_rows(np.transpose(x.data, (2, 0, 1)))
     return StftTensor(
         np.transpose(data, (1, 2, 0)), x.sample_rate, x.stft_size, x.window_size, x.shift
     )
 
 
-def outer_features(x: StftTensor) -> np.ndarray:
+def frequency_blocks(num_bins: int) -> list[slice]:
+    """The fewest near-equal slices of at most ``BLOCK_BINS`` frequencies
+    that cover ``num_bins``; they depend on ``num_bins`` alone."""
+    count = max(1, -(-num_bins // BLOCK_BINS))
+    return [slice(i * num_bins // count, (i + 1) * num_bins // count) for i in range(count)]
+
+
+def outer_features(x: StftTensor, normalize: bool = False) -> np.ndarray:
     """Real outer-product features of the observations, shape (F, C^2, T).
 
     Rows ``0..C-1`` hold ``|y_i|^2``; the next ``P = C (C-1) / 2`` rows hold
@@ -149,8 +164,17 @@ def outer_features(x: StftTensor) -> np.ndarray:
     ``y y^H``, so each is one real batched GEMM on these rows
     (:func:`quad_forms`, :func:`scatter_matrices`). They take C/2 times the
     memory of the complex observations: 2x at C = 4, 3.5x at C = 7.
+
+    With ``normalize`` they are the features of
+    :func:`normalize_observations` of ``x``, to the bit, built one block of
+    frequencies at a time (:func:`frequency_blocks`) from slices of ``x``,
+    so that no normalized copy of ``x`` exists.
     """
-    return _outer_rows(np.transpose(x.data, (2, 0, 1)))
+    y = np.transpose(x.data, (2, 0, 1))
+    out = np.empty((x.num_bins, x.num_channels**2, x.num_frames))
+    for block in frequency_blocks(x.num_bins):
+        _outer_rows(_unit_rows(y[block]) if normalize else y[block], out[block])
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,11 +186,13 @@ def _upper_pairs(c: int):
     return pairs
 
 
-def _outer_rows(y: np.ndarray) -> np.ndarray:
-    """:func:`outer_features` of an (F, C, T) complex array, unvalidated."""
+def _outer_rows(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The :func:`outer_features` rows of an (F, C, T) complex array,
+    unvalidated, written into ``out`` when it is given."""
     c = y.shape[1]
     rows, cols = _upper_pairs(c)
-    out = np.empty((y.shape[0], c * c, y.shape[2]))
+    if out is None:
+        out = np.empty((y.shape[0], c * c, y.shape[2]))
     out[:, :c] = y.real**2 + y.imag**2
     for n, (i, j) in enumerate(zip(rows, cols)):
         prod = np.conj(y[:, i]) * y[:, j]
@@ -175,23 +201,19 @@ def _outer_rows(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def quad_forms(covariances: np.ndarray, features: np.ndarray, unit_det: bool = False):
-    """Log-determinants and quadratic forms ``y^H B^{-1} y`` of a covariance stack.
+def _form_coefficients(covariances: np.ndarray, unit_det: bool = False):
+    """Log-determinants and GEMM coefficients of the forms ``y^H B^{-1} y``.
 
     Each (K, F, C, C) covariance is factorized once with the loading ladder
     of :func:`chol_with_loading`, and its inverse ``L^{-H} L^{-1}`` becomes
     the coefficients ``[diag B^{-1}, 2 Re B^{-1}_ij, -2 Im B^{-1}_ij]`` of
-    the :func:`outer_features` rows, so that ``quad`` is one real
-    (F, K, C^2) @ (F, C^2, T) GEMM. With ``unit_det`` the coefficients are
-    scaled by ``det(B)^{1/C}`` before the GEMM, so that ``quad`` holds the
-    forms of the unit-determinant ``B / det(B)^{1/C}`` at no extra pass.
+    the :func:`outer_features` rows. With ``unit_det`` they are scaled by
+    ``det(B)^{1/C}``: the coefficients of the unit-determinant
+    ``B / det(B)^{1/C}``.
 
     Returns:
-        ``(logdet, quad)`` of shapes (K, F) and (K, F, T); ``logdet`` is
+        ``(logdet, coef)`` of shapes (K, F) and (F, K, C^2); ``logdet`` is
         that of ``B`` either way.
-
-    Raises:
-        NumericalError: a quadratic form is not positive.
     """
     lower = chol_with_loading(covariances)
     logdet = 2.0 * np.log(np.einsum("...ii->...i", lower).real).sum(axis=-1)
@@ -205,11 +227,42 @@ def quad_forms(covariances: np.ndarray, features: np.ndarray, unit_det: bool = F
     )
     if unit_det:
         coef *= np.exp(logdet / c).T[:, :, None]
-    quad = np.empty(logdet.shape + features.shape[-1:])
-    np.matmul(coef, features, out=np.swapaxes(quad, 0, 1))
-    if quad.size and quad.min() <= 0.0:
+    return logdet, coef
+
+
+def _forms(coef: np.ndarray, features: np.ndarray, out: np.ndarray | None = None):
+    """(K, F, T) quadratic forms of :func:`_form_coefficients` on features:
+    one real (F, K, C^2) @ (F, C^2, T) GEMM, into ``out`` when given.
+
+    Raises:
+        NumericalError: a quadratic form is not positive.
+    """
+    if out is None:
+        out = np.empty((coef.shape[1], features.shape[0], features.shape[-1]))
+    np.matmul(coef, features, out=np.swapaxes(out, 0, 1))
+    if out.size and out.min() <= 0.0:
         raise NumericalError("nonpositive quadratic form in batched cACG density")
-    return logdet, quad
+    return out
+
+
+def quad_forms(covariances: np.ndarray, features: np.ndarray, unit_det: bool = False):
+    """Log-determinants and quadratic forms ``y^H B^{-1} y`` of a covariance stack.
+
+    Each (K, F, C, C) covariance is factorized once (see
+    :func:`_form_coefficients`), and ``quad`` is one real
+    (F, K, C^2) @ (F, C^2, T) GEMM on the :func:`outer_features` rows. With
+    ``unit_det`` it holds the forms of the unit-determinant
+    ``B / det(B)^{1/C}`` at no extra pass.
+
+    Returns:
+        ``(logdet, quad)`` of shapes (K, F) and (K, F, T); ``logdet`` is
+        that of ``B`` either way.
+
+    Raises:
+        NumericalError: a quadratic form is not positive.
+    """
+    logdet, coef = _form_coefficients(covariances, unit_det)
+    return logdet, _forms(coef, features)
 
 
 def cacg_log_pdf_stack(
@@ -270,6 +323,23 @@ def stack_covariances(components: list[SpatialComponent]) -> np.ndarray:
     return np.stack([c.covariances for c in components])
 
 
+def _tyler(features, gamma, quad, prev, weights) -> np.ndarray:
+    """One Tyler update of the (K, F, C, C) stack ``prev`` from (K, F, T)
+    posteriors and forms ``quad`` (or a scalar); see :func:`cacg_m_step`.
+
+    The weights ``gamma / quad`` are written into ``weights``, which may be
+    ``quad`` itself.
+    """
+    c = prev.shape[-1]
+    numer = scatter_matrices(features, np.divide(gamma, quad, out=weights))
+    inactive = np.einsum("kfii->kf", numer).real == 0.0
+    new = _load_stack(numer, COV_LOADING)
+    new *= (c / np.einsum("kfii->kf", new).real)[:, :, None, None]
+    if inactive.any():
+        new[inactive] = prev[inactive]
+    return new
+
+
 def cacg_m_step(
     x: StftTensor,
     posterior: PosteriorTensor,
@@ -285,16 +355,17 @@ def cacg_m_step(
     ``sum_t gamma`` nor a per-(k, f) scale of ``quad`` enters the update.
     Frequencies with zero responsibility keep the previous covariance: for
     unit observations the trace of the weighted scatter is
-    ``sum_t gamma / quad``, so it is zero exactly there.
+    ``sum_t gamma / quad``, so it is zero exactly there. The EM runs the
+    same update one block of frequencies at a time (:func:`em_sweep`).
 
     Args:
-        x: the observations; only their channel count C is read.
+        x: the observations; unused, as C is the covariances' size.
         posterior: responsibilities of the E-step.
         prev: the previous covariances ``B_prev``.
         quad: (K, F, T) quadratic forms ``~y^H B_prev^{-1} ~y`` of the
             previous covariances, or any per-(k, f) multiple of them, such
-            as the unit-determinant forms the E-step returns
-            (:func:`e_step`); or the scalar 1 when every ``B_prev`` is the
+            as the unit-determinant forms (:func:`quad_forms` with
+            ``unit_det``); or the scalar 1 when every ``B_prev`` is the
             identity (``|~y|^2 = 1`` for unit observations). The update
             consumes a (K, F, T) ``quad``: it overwrites it with the Tyler
             weights ``gamma / quad``, so only the scalar start allocates a
@@ -302,16 +373,38 @@ def cacg_m_step(
         features: the :func:`outer_features` of the unit-normalized
             observations.
     """
-    c = x.num_channels
     gamma = np.transpose(posterior.gamma, (0, 2, 1))  # (K, F, T)
     weights = np.empty(gamma.shape) if np.ndim(quad) == 0 else quad
-    numer = scatter_matrices(features, np.divide(gamma, quad, out=weights))
-    inactive = np.einsum("kfii->kf", numer).real == 0.0
-    new = _load_stack(numer, COV_LOADING)
-    new *= (c / np.einsum("kfii->kf", new).real)[:, :, None, None]
-    if inactive.any():
-        new[inactive] = stack_covariances(prev)[inactive]
+    new = _tyler(features, gamma, quad, stack_covariances(prev), weights)
     return [SpatialComponent(cov) for cov in new]
+
+
+def initial_covariances(gamma: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """(K, F, C, C) covariances of one Tyler update from identity covariances.
+
+    The EM's first M-step, on the (K, T, F) posterior ``gamma``, one block
+    of frequencies at a time (:func:`frequency_blocks`): the Tyler weight
+    ``y^H I^{-1} y = |y|^2`` of the identity start is 1 for unit
+    observations, so no form is computed.
+    """
+    gamma = np.transpose(gamma, (0, 2, 1))  # (K, F, T)
+    c = math.isqrt(features.shape[1])
+    identity = np.broadcast_to(np.eye(c, dtype=complex), gamma.shape[:2] + (c, c))
+    new = np.empty(identity.shape, dtype=complex)
+    blocks = frequency_blocks(gamma.shape[1])
+    scratch = _block_scratch(gamma.shape[0], blocks, gamma.shape[2])
+    for block in blocks:
+        weights = scratch(block)
+        new[:, block] = _tyler(features[block], gamma[:, block], 1.0, identity[:, block], weights)
+    return new
+
+
+def _block_scratch(k: int, blocks: list[slice], t: int):
+    """One buffer for a (K, block, T) array of any of ``blocks``:
+    ``scratch(block)`` is a contiguous view of its leading part."""
+    size = max(b.stop - b.start for b in blocks)
+    buffer = np.empty(k * size * t)
+    return lambda block: buffer[: k * (block.stop - block.start) * t].reshape(k, -1, t)
 
 
 def update_pi(gamma_sum: np.ndarray, num_bins: int) -> np.ndarray:
@@ -321,95 +414,150 @@ def update_pi(gamma_sum: np.ndarray, num_bins: int) -> np.ndarray:
     return pi / pi.sum(axis=0, keepdims=True)
 
 
-def e_step(
+def em_sweep(
     covariances: np.ndarray,
-    pi: np.ndarray,
+    logits: np.ndarray,
     x: StftTensor,
     features: np.ndarray,
-    log_spectral=0.0,
     out: np.ndarray | None = None,
+    merge: tuple | None = None,
+    update: bool = True,
 ):
-    """E-step of the spatial mixture, optionally coupled to a spectral term.
+    """One EM iteration of the spatial mixture, swept over blocks of frequencies.
 
-    ``gamma ~ pi * p_cACG(y) * exp(log_spectral)``, normalized per bin. With
-    the default ``log_spectral=0.0`` this is the plain cACGMM; the joint
-    model passes its (K, T) vMF log densities.
+    The E-step is ``gamma ~ pi * p_cACG(y) * exp(log_spectral)``, normalized
+    per bin, from the (K, T) ``logits = ln pi + log_spectral``: a zero
+    spectral term gives the plain cACGMM, and the joint model passes its vMF
+    log densities. Given the frequency-tied prior every bin is independent
+    (Ito, Araki & Nakatani 2016), so once every covariance is factorized
+    (:func:`_form_coefficients`) each block of :func:`frequency_blocks`
+    runs alone, and only (K, T) arrays cross blocks:
 
-    The cACG density does not change when B is scaled, so with the
-    unit-determinant ``B~ = B / det(B)^{1/C}`` it is ``const * q~^(-C)``
-    for the forms ``q~ = y^H B~^{-1} y`` (:func:`quad_forms` with
-    ``unit_det``), and the posterior needs no logarithm or exponential over
-    the (K, F, T) array: the prior and spectral factor
-    ``S = exp(b - max_k b)``, ``b = ln pi + log_spectral``, is formed on
-    (K, T), and ``gamma = S q~^(-C) / sum_k S q~^(-C)`` takes a reciprocal,
-    a square per bit of C below its leading one and a division by ``q~``
-    per further set bit, a product with S, a sum and a division. Bins
-    whose total is not finite or falls below ``LINEAR_TOTAL_FLOOR`` send the
-    whole call to the log domain (:func:`cacg_log_pdf_stack` and
-    :func:`numerics.normalize_logits`), with a warning that counts them.
+    - One GEMM gives its unit-determinant forms ``q~ = y^H B~^{-1} y``,
+      ``B~ = B / det(B)^{1/C}``. The cACG density does not change when B
+      is scaled, so it is ``const * q~^(-C)``, and the posterior needs no
+      logarithm or exponential over the block: the factor
+      ``S = exp(b - max_k b)``, ``b = logits``, is formed on (K, T), and
+      ``gamma = S q~^(-C) / sum_k S q~^(-C)`` takes a reciprocal, a square
+      per bit of C below its leading one and a division by ``q~`` per
+      further set bit, a product with S, a sum and a division. It is
+      written into the block's columns of the one posterior buffer.
+    - Frequencies with a bin whose total is not finite or falls below
+      ``LINEAR_TOTAL_FLOOR`` are evaluated in the log domain instead
+      (:func:`cacg_log_pdf_stack` and :func:`numerics.normalize_logits`);
+      one warning per call counts those bins.
+    - With ``merge = (keep, remove, covariance)`` component ``remove``'s
+      posterior is added to ``keep``'s and its row dropped, in place; the
+      fused component, at ``keep``'s index after the removal, has the
+      given covariance.
+    - The Tyler update (:func:`cacg_m_step`) of the block's covariances is
+      weighted by its forms, which it overwrites; the fused component's
+      forms are those of its covariance.
 
-    The posterior is built in ``out``, a spent (K, F, T) buffer such as the
-    previous posterior's, or in a new one; ``features`` are the
-    :func:`outer_features` of the normalized ``x``.
+    Every step is per frequency, so the results do not depend on the
+    blocks; only ``loglik`` is summed in another order.
+
+    Args:
+        covariances: (K, F, C, C) covariances of the E-step.
+        logits: (K, T) prior and spectral log factors.
+        x: the observations; their channel count C is read, and the log
+            domain passes them on.
+        features: the :func:`outer_features` of the normalized ``x``.
+        out: a spent (K, F, T) float64 buffer for the posterior, such as
+            the previous posterior's; a new one is allocated when not given.
+        merge: the fusion to apply after the E-step, or None.
+        update: whether to run the Tyler update.
 
     Returns:
-        ``(gamma, loglik, quad)``: the (K, T, F) posterior (a transposed
-        view of the frequency-major buffer), the summed per-bin log
-        normalizers and the (K, F, T) quadratic forms for the M-step, which
-        are the unit-determinant ``q~`` unless the log domain was taken.
+        ``(gamma, loglik, new)``: the (K', T, F) posterior (a transposed
+        view of the leading rows of the frequency-major buffer), the summed
+        per-bin log normalizers, and the (K', F, C, C) updated covariances
+        (None without ``update``).
 
     Raises:
-        InvalidInputError: NaN in the prior or spectral logits.
+        InvalidInputError: NaN in the logits.
     """
     c = x.num_channels
-    with np.errstate(divide="ignore"):
-        logits = np.log(pi) + log_spectral  # (K, T)
     shift = logits.max(axis=0)
     if np.isnan(shift).any():
         raise InvalidInputError("NaN in mixture logits")
     shift[~np.isfinite(shift)] = 0.0
     spectral = np.exp(logits - shift)
-    _, quad = quad_forms(covariances, features, unit_det=True)
-    gamma = np.empty(quad.shape) if out is None else out
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(1.0, quad, out=gamma)
-        for bit in bin(c)[3:]:
-            np.multiply(gamma, gamma, out=gamma)
-            if bit == "1":
-                gamma /= quad
-        gamma *= spectral[:, None, :]
-        total = gamma.sum(axis=0)  # (F, T)
-    linear = (total >= LINEAR_TOTAL_FLOOR) & (total < np.inf)
-    if not linear.all():
+    k, f = covariances.shape[:2]
+    t = features.shape[-1]
+    _, coef = _form_coefficients(covariances, unit_det=True)
+    prev = covariances
+    if merge is not None:
+        keep, remove, fused = merge
+        kept = keep if keep < remove else keep - 1
+        prev = np.delete(covariances, remove, axis=0)
+        prev[kept] = fused
+        if update:
+            kept_coef = _form_coefficients(fused[None])[1]
+    rows = prev.shape[0]
+    gamma = np.empty((k, f, t)) if out is None else out
+    new = np.empty(prev.shape, dtype=complex) if update else None
+    const = math.lgamma(c) - math.log(2.0) - c * math.log(math.pi)
+    per_frequency = float(shift.sum()) + t * const  # the log normalizers' other terms
+    loglik, rescued = 0.0, 0
+    blocks = frequency_blocks(f)
+    scratch = _block_scratch(k, blocks, t)
+    for block in blocks:
+        phi = features[block]
+        quad = _forms(coef[block], phi, scratch(block))
+        g = gamma[:, block]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(1.0, quad, out=g)
+            for bit in bin(c)[3:]:
+                np.multiply(g, g, out=g)
+                if bit == "1":
+                    g /= quad
+            g *= spectral[:, None, :]
+            total = g.sum(axis=0)  # (Fb, T)
+        linear = (total >= LINEAR_TOTAL_FLOOR) & (total < np.inf)
+        if linear.all():
+            g /= total
+            loglik += float(np.log(total).sum()) + total.shape[0] * per_frequency
+        else:
+            rescued += total.size - np.count_nonzero(linear)
+            ok = linear.all(axis=1)
+            g[:, ok] /= total[ok]
+            loglik += float(np.log(total[ok]).sum()) + np.count_nonzero(ok) * per_frequency
+            log_pdf, _ = cacg_log_pdf_stack(covariances[:, block][:, ~ok], x, phi[~ok])
+            log_pdf += logits[:, None, :]
+            log_pdf, rescued_ll = normalize_logits(log_pdf)
+            g[:, ~ok] = log_pdf
+            loglik += rescued_ll
+        if merge is not None:
+            g[keep] += g[remove]
+            for j in range(remove, k - 1):
+                g[j] = g[j + 1]
+                if update:
+                    quad[j] = quad[j + 1]
+            if update:
+                _forms(kept_coef[block], phi, quad[kept : kept + 1])
+        if update:
+            new[:, block] = _tyler(phi, g[:rows], quad[:rows], prev[:, block], quad[:rows])
+    if rescued:
         logger.warning(
             "cACG E-step: %d of %d bins out of the linear range; "
-            "evaluated in the log domain",
-            total.size - np.count_nonzero(linear),
-            total.size,
+            "their frequencies evaluated in the log domain",
+            rescued,
+            f * t,
         )
-        gamma, quad = cacg_log_pdf_stack(covariances, x, features, gamma)
-        gamma += logits[:, None, :]
-        gamma, loglik = normalize_logits(gamma)
-        return np.transpose(gamma, (0, 2, 1)), loglik, quad
-    gamma /= total
-    const = math.lgamma(c) - math.log(2.0) - c * math.log(math.pi)
-    f, t = total.shape
-    loglik = float(np.log(total).sum()) + f * float(shift.sum()) + f * t * const
-    return np.transpose(gamma, (0, 2, 1)), loglik, quad
+    return np.transpose(gamma[:rows], (0, 2, 1)), loglik, new
 
 
 def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     """Fit a cACGMM by EM from an initial posterior.
 
     The run starts with an M-step on the initial posterior (previous
-    covariances are the identity, so the Tyler weights are 1), then
-    alternates E- and M-steps. Priors are frequency-independent and
-    time-dependent, updated as the frequency mean of the posterior. Each
-    M-step reuses (and overwrites) the quadratic forms of the E-step before
-    it, so every covariance is factorized once per iteration, and both
-    kernels read one :func:`outer_features` array of the normalized
-    observations, built per run; the normalized observations themselves are
-    not kept.
+    covariances are the identity, so the Tyler weights are 1), then runs
+    one :func:`em_sweep` per iteration, each E-step writing into the
+    posterior buffer of the one before. Priors are frequency-independent
+    and time-dependent, updated as the frequency mean of the posterior.
+    Every kernel reads one :func:`outer_features` array of the normalized
+    observations, built per run.
 
     Returns:
         ``(components, posterior, loglik_trace)``.
@@ -420,16 +568,17 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
         raise ConfigurationError("iterations must be >= 1")
     if init_gamma.num_frames != x.num_frames or init_gamma.num_bins != x.num_bins:
         raise InvalidInputError("initial posterior does not match observations")
-    features = outer_features(normalize_observations(x))
-    n_comp = init_gamma.num_components
-    identity = [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(n_comp)]
-    components = cacg_m_step(x, init_gamma, identity, 1.0, features)
+    features = outer_features(x, normalize=True)
+    covariances = initial_covariances(init_gamma.gamma, features)
     pi = init_gamma.pi
     trace = []
-    gamma = init_gamma.gamma
+    spent = None
     for _ in range(iterations):
-        gamma, ll, quad = e_step(stack_covariances(components), pi, x, features)
+        with np.errstate(divide="ignore"):
+            logits = np.log(pi)
+        gamma, ll, covariances = em_sweep(covariances, logits, x, features, spent)
         trace.append(ll)
         pi = update_pi(gamma.sum(axis=2), x.num_bins)
-        components = cacg_m_step(x, PosteriorTensor(gamma, pi), components, quad, features)
+        spent = np.swapaxes(gamma, 1, 2)
+    components = [SpatialComponent(cov) for cov in covariances]
     return components, PosteriorTensor(gamma, pi), np.asarray(trace)

@@ -22,6 +22,9 @@ from .vmf import EmbeddingSequence
 
 logger = logging.getLogger(__name__)
 
+# Frames per contiguous copy when a fused posterior is summed over frequency.
+SUM_FRAMES = 256
+
 
 @dataclass
 class JointModel:
@@ -81,25 +84,6 @@ class JointEmConfig:
         _vmf.check_kappa_max(self.kappa_max)
 
 
-def _e_step(
-    x: StftTensor,
-    embeddings: EmbeddingSequence,
-    model: JointModel,
-    features: np.ndarray,
-    out: np.ndarray | None = None,
-):
-    """Coupled E-step: gamma ~ pi * p_cACG(y) * p_vMF(e), normalized per bin.
-
-    The cACGMM E-step with the frame's vMF log density as spectral term,
-    replicated along the frequency axis: its factor is formed once per
-    frame, and the per-bin posterior in the linear domain (see
-    :func:`cacg.e_step` for ``features``, ``out`` and the results).
-    """
-    log_vmf = _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames)  # (K, T)
-    covariances = _cacg.stack_covariances(model.spatial)
-    return _cacg.e_step(covariances, model.pi, x, features, log_vmf, out)
-
-
 def joint_m_step(
     x: StftTensor,
     embeddings: EmbeddingSequence,
@@ -119,7 +103,8 @@ def joint_m_step(
     (the frequency mean). A noise component keeps kappa pinned at 0.
     ``quad`` holds the (K, F, T) quadratic forms of ``model.spatial``, which
     the Tyler update overwrites, and ``features`` the outer-product features
-    of the normalized ``x`` (see :func:`cacg.cacg_m_step`).
+    of the normalized ``x`` (see :func:`cacg.cacg_m_step`). :func:`joint_em`
+    runs the same steps, its Tyler update block by block inside its sweep.
     """
     if freeze_spatial:
         spatial = model.spatial
@@ -144,25 +129,9 @@ def _index_after_removal(keep: int, remove: int) -> int:
     return keep if keep < remove else keep - 1
 
 
-def _fused_quad(quad: np.ndarray, event: FusionEvent, model: JointModel, features: np.ndarray):
-    """Quadratic forms of the fused model's covariances from the pre-fusion ones.
-
-    The removed component's row goes; the kept component's covariance is
-    now the mass-weighted average, so only its row is computed again. The
-    rows are shifted up one at a time, so no copy of ``quad`` is made, and
-    the result is a leading slice of it.
-    """
-    for k in range(event.removed, quad.shape[0] - 1):
-        quad[k] = quad[k + 1]
-    quad = quad[:-1]
-    kept = _index_after_removal(event.kept, event.removed)
-    quad[kept] = _cacg.quad_forms(model.spatial[kept].covariances[None], features)[1][0]
-    return quad
-
-
 def _fuse_pair(
     model: JointModel,
-    posterior: PosteriorTensor,
+    posterior: PosteriorTensor | None,
     keep: int,
     remove: int,
     similarity: float,
@@ -174,9 +143,10 @@ def _fuse_pair(
     w_i = mass_i / total if total > 0.0 else 0.5
     w_j = 1.0 - w_i
 
-    gamma = np.delete(posterior.gamma, remove, axis=0)
     keep_after = _index_after_removal(keep, remove)
-    gamma[keep_after] = posterior.gamma[keep] + posterior.gamma[remove]
+    if posterior is not None:
+        gamma = np.delete(posterior.gamma, remove, axis=0)
+        gamma[keep_after] = posterior.gamma[keep] + posterior.gamma[remove]
     pi = np.delete(model.pi, remove, axis=0)
     pi[keep_after] = model.pi[keep] + model.pi[remove]
 
@@ -193,7 +163,7 @@ def _fuse_pair(
         noise -= 1
     new_model = JointModel(spatial, mu, kappa, pi, noise)
     event = FusionEvent(kept=keep, removed=remove, similarity=similarity, iteration=iteration)
-    return new_model, PosteriorTensor(gamma, pi), event
+    return new_model, None if posterior is None else PosteriorTensor(gamma, pi), event
 
 
 def _fuse_top_pair(model, posterior, tau, k_min, iteration, score):
@@ -217,7 +187,7 @@ def _fuse_top_pair(model, posterior, tau, k_min, iteration, score):
 
 def spectral_fusion_check(
     model: JointModel,
-    posterior: PosteriorTensor,
+    posterior: PosteriorTensor | None,
     tau: float,
     k_min: int = 1,
     iteration: int = 0,
@@ -227,7 +197,10 @@ def spectral_fusion_check(
     At most one fusion per call; posteriors add exactly and the spatial
     covariances combine as the prior-mass-weighted average. The noise
     component never takes part. No fusion happens if it would push the
-    speaker count below ``k_min``.
+    speaker count below ``k_min``. The decision reads the prototypes
+    alone; with ``posterior`` None only the model is fused, and None comes
+    back in the posterior's place (:func:`joint_em` merges its posterior
+    in place, block by block).
 
     Returns:
         ``(model, posterior, event_or_None)``.
@@ -242,7 +215,7 @@ def spectral_fusion_check(
 
 def iou_fusion_check(
     model: JointModel,
-    posterior: PosteriorTensor,
+    posterior: PosteriorTensor | None,
     tau: float,
     activity_threshold: float = 0.5,
     k_min: int = 1,
@@ -252,8 +225,8 @@ def iou_fusion_check(
 
     A component is active in a frame when its prior exceeds
     ``activity_threshold``; the pair with the highest IoU above ``tau`` is
-    fused with the same mechanics as the spectral check. Two empty activity
-    sets have IoU 0.
+    fused with the same mechanics as the spectral check, and, like it,
+    decided from the model alone. Two empty activity sets have IoU 0.
     """
 
     def iou(speakers):
@@ -274,17 +247,38 @@ def _initial_model(
     rng: np.random.Generator,
     features: np.ndarray,
 ) -> JointModel:
-    spatial = [
-        SpatialComponent.identity(x.num_bins, x.num_channels)
-        for _ in range(init.num_components)
-    ]
-    if not config.freeze_spatial:
-        # the Tyler weight y^H I^{-1} y of the identity start is |y|^2 = 1
-        spatial = _cacg.cacg_m_step(x, init, spatial, 1.0, features)
+    if config.freeze_spatial:
+        spatial = [
+            SpatialComponent.identity(x.num_bins, x.num_channels)
+            for _ in range(init.num_components)
+        ]
+    else:
+        spatial = [SpatialComponent(cov) for cov in _cacg.initial_covariances(init.gamma, features)]
     mu, kappa = _spectral_m_step(
         embeddings, init.gamma.sum(axis=2), config.kappa_max, rng, config.noise_index
     )
     return JointModel(spatial, mu, kappa, init.pi, config.noise_index)
+
+
+def _logits(model: JointModel, embeddings: EmbeddingSequence) -> np.ndarray:
+    """(K, T) prior and vMF log factors of the coupled E-step: the vMF term,
+    replicated along frequency, is formed once per frame."""
+    with np.errstate(divide="ignore"):
+        return np.log(model.pi) + _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames)
+
+
+def _fusion(model: JointModel, config: JointEmConfig, it: int):
+    """The fusion check of iteration ``it`` on the model alone:
+    ``(model after it, event or None)``."""
+    if config.fusion == "none" or it < config.fusion_start:
+        return model, None
+    if config.fusion == "spectral":
+        model, _, event = spectral_fusion_check(model, None, config.tau_spectral, config.k_min, it)
+    else:
+        model, _, event = iou_fusion_check(
+            model, None, config.tau_iou, config.activity_threshold, config.k_min, it
+        )
+    return model, event
 
 
 def joint_em(
@@ -296,21 +290,23 @@ def joint_em(
     """Run the integrated EM from an initial posterior.
 
     The algorithm starts with an M-step on the initial posterior and then
-    alternates E- and M-steps. After each E-step (from ``fusion_start`` on)
-    the configured fusion check may merge one pair of components. The
+    alternates E- and M-steps. From ``fusion_start`` on, the configured
+    fusion check may merge one pair of components after each E-step. The
     log-likelihood trace is non-decreasing between iterations with an equal
-    component count; fusion steps may move the value. Each M-step weights
-    the Tyler update by the quadratic forms of the E-step before it, so
-    every covariance is factorized once per iteration, and the Tyler update
-    overwrites those forms with its weights; after a fusion only the kept
-    component's forms are computed again, into the rows of the old ones.
-    Each E-step after the first writes into the buffer of the posterior
-    before it; the first, and the first after a fusion (whose posterior is a
-    fresh copy), allocate. All cACG kernels read one outer-product feature
-    array Φ (:func:`cacg.outer_features`), built here from the normalized
-    observations, which are not kept, and freed when the run returns. One
-    run thus holds ``x``, Φ, one (K, T, F) posterior and one (K, F, T) set
-    of quadratic forms; only a fusion briefly holds the posterior twice.
+    component count; fusion steps may move the value.
+
+    The fusion decision reads only the prototypes (spectral) or the prior
+    (IoU), which the E-step leaves as they are, so each iteration decides
+    it first and then runs as one :func:`cacg.em_sweep` over blocks of
+    frequencies: per block the E-step, the in-place merge of the fused
+    pair's posteriors and the Tyler update, which every covariance is
+    factorized once for. The vMF and prior M-steps then read the frequency
+    sums of the whole posterior. Each E-step after the first writes into
+    the buffer of the posterior before it (after a fusion, into its
+    leading rows). All cACG kernels read one outer-product feature array
+    Φ (:func:`cacg.outer_features`), built block by block from ``x`` and
+    freed when the run returns. One run thus holds ``x``, Φ, one
+    (K, T, F) posterior and one block's temporaries.
 
     Returns:
         ``(model, posterior, fusion_events, loglik_trace)``.
@@ -328,57 +324,52 @@ def joint_em(
     init.validate()
 
     rng = np.random.default_rng(config.seed)
-    features = _cacg.outer_features(_cacg.normalize_observations(x))
+    features = _cacg.outer_features(x, normalize=True)
     model = _initial_model(x, embeddings, init, config, rng, features)
     events: list[FusionEvent] = []
     trace = []
     spent = None
     for it in range(config.iterations):
-        # the last posterior is spent: the E-step writes into its buffer
-        # (``spent``) or, after a fusion, frees it and allocates its own
-        posterior = None
-        gamma, ll, quad = _e_step(x, embeddings, model, features, spent)
-        trace.append(ll)
-        posterior = PosteriorTensor(gamma, model.pi)
-        # the posterior is now its buffer's only holder, so a fusion that
-        # replaces it frees the spent one
-        gamma = spent = None
-        event = None
-        if config.fusion != "none" and it >= config.fusion_start:
-            if config.fusion == "spectral":
-                model, posterior, event = spectral_fusion_check(
-                    model, posterior, config.tau_spectral, config.k_min, it
-                )
-            else:
-                model, posterior, event = iou_fusion_check(
-                    model,
-                    posterior,
-                    config.tau_iou,
-                    config.activity_threshold,
-                    config.k_min,
-                    it,
-                )
-            if event is not None:
-                logger.debug("fused components %d <- %d at iteration %d", event.kept, event.removed, it)
-                events.append(event)
-                quad = _fused_quad(quad, event, model, features)
-        model = joint_m_step(
-            x,
-            embeddings,
-            posterior,
-            model,
-            quad,
-            features,
-            kappa_max=config.kappa_max,
-            rng=rng,
-            freeze_spatial=config.freeze_spatial,
+        fused, event = _fusion(model, config, it)
+        merge = None
+        if event is not None:
+            logger.debug("fused components %d <- %d at iteration %d", event.kept, event.removed, it)
+            events.append(event)
+            kept = _index_after_removal(event.kept, event.removed)
+            merge = (event.kept, event.removed, fused.spatial[kept].covariances)
+        gamma, ll, covariances = _cacg.em_sweep(
+            _cacg.stack_covariances(model.spatial), _logits(model, embeddings), x, features,
+            spent, merge, update=not config.freeze_spatial,
         )
-        quad = None  # consumed by the M-step; freed before the next E-step allocates its own
-        # the posterior is spent too; unless a fusion replaced it with a
-        # fresh copy, the next E-step writes its logits into its
-        # frequency-major buffer
-        spent = None if event is not None else np.swapaxes(posterior.gamma, 1, 2)
-    return model, PosteriorTensor(posterior.gamma, model.pi), events, np.asarray(trace)
+        trace.append(ll)
+        spatial = fused.spatial
+        if covariances is not None:
+            spatial = [SpatialComponent(cov) for cov in covariances]
+        gbar = _frequency_sums(gamma, fused=event is not None)
+        mu, kappa = _spectral_m_step(embeddings, gbar, config.kappa_max, rng, fused.noise_index)
+        pi = _cacg.update_pi(gbar, x.num_bins)
+        model = JointModel(spatial, mu, kappa, pi, fused.noise_index)
+        # the posterior is spent: the next E-step writes into its buffer
+        spent = np.swapaxes(gamma, 1, 2)
+    return model, PosteriorTensor(gamma, model.pi), events, np.asarray(trace)
+
+
+def _frequency_sums(gamma: np.ndarray, fused: bool) -> np.ndarray:
+    """(K, T) sums over frequency of the sweep's (K, T, F) posterior view.
+
+    A fused posterior is summed over contiguous copies of ``SUM_FRAMES``
+    frames of one component at a time, in the order the fused copy of
+    :func:`spectral_fusion_check` would be summed, so a fusion gives the
+    same model whether the posterior was merged in place or copied.
+    """
+    if not fused:
+        return gamma.sum(axis=2)
+    gbar = np.empty(gamma.shape[:2])
+    for row, out in zip(gamma, gbar):
+        for start in range(0, row.shape[0], SUM_FRAMES):
+            frames = slice(start, start + SUM_FRAMES)
+            np.ascontiguousarray(row[frames]).sum(axis=1, out=out[frames])
+    return gbar
 
 
 def count_speakers(model: JointModel) -> int:

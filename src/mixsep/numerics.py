@@ -13,11 +13,14 @@ its logits.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
+
+logger = logging.getLogger(__name__)
 
 # Rescue ladder for factorizations; covariances produced by the M-steps are
 # already loaded with the 1e-10 default at construction, so factorization
@@ -40,6 +43,9 @@ def _load_stack(mats: np.ndarray, eps_rel: float) -> np.ndarray:
 def chol_with_loading(mats: np.ndarray) -> np.ndarray:
     """Batched Cholesky of Hermitian stacks, escalating the diagonal loading.
 
+    A factorization that needs loading beyond the first rung logs one
+    warning with the loading used and the size of the stack.
+
     Args:
         mats: array of shape (..., C, C), Hermitian along the last two axes.
 
@@ -53,11 +59,17 @@ def chol_with_loading(mats: np.ndarray) -> np.ndarray:
     mats = np.asarray(mats, dtype=complex)
     if not np.all(np.isfinite(mats)):
         raise InvalidInputError("non-finite entries in matrix stack")
-    for eps in LOADING_LADDER:
+    for rung, eps in enumerate(LOADING_LADDER):
         try:
-            return np.linalg.cholesky(mats if eps == 0.0 else _load_stack(mats, eps))
+            lower = np.linalg.cholesky(mats if eps == 0.0 else _load_stack(mats, eps))
         except np.linalg.LinAlgError:
             continue
+        if rung > 0:
+            logger.warning(
+                "Cholesky of a stack of %d %dx%d matrices needed diagonal loading %g",
+                math.prod(mats.shape[:-2]), mats.shape[-1], mats.shape[-1], eps,
+            )
+        return lower
     raise NumericalError("Cholesky factorization failed after maximum diagonal loading")
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import frontend
-from .cacg import PosteriorTensor, StftTensor, _outer_rows, scatter_matrices
+from .cacg import PosteriorTensor, StftTensor, _outer_rows, frequency_blocks, scatter_matrices
 from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .integrated import JointEmConfig, count_speakers, joint_em
 from .numerics import _load_stack, min_cost_assignment, psd_solve
@@ -31,9 +31,6 @@ from .vmf import (
 logger = logging.getLogger(__name__)
 
 MASK_MAGIC = b"MSK1"
-# frequencies per block of the beamformer's scatter: only one block's
-# outer-product features exist at a time, never the segment's whole Φ
-SCATTER_BLOCK_BINS = 32
 
 
 @dataclass
@@ -242,15 +239,15 @@ def beamform(
 
 def _block_scatter(x: StftTensor, weights: np.ndarray) -> np.ndarray:
     """``scatter_matrices(outer_features(x), weights)``, built per block of
-    ``SCATTER_BLOCK_BINS`` frequencies from slices of ``x``.
+    frequencies (:func:`cacg.frequency_blocks`) from slices of ``x``.
 
     Every frequency's scatter is its own GEMM, so the result is the same to
-    the bit, while only one block's features are held at a time.
+    the bit, while only one block's features are held at a time, never the
+    segment's whole Φ.
     """
     c = x.num_channels
     out = np.empty(weights.shape[:2] + (c, c), dtype=complex)
-    for start in range(0, x.num_bins, SCATTER_BLOCK_BINS):
-        block = slice(start, start + SCATTER_BLOCK_BINS)
+    for block in frequency_blocks(x.num_bins):
         # x was validated when it was built: its slices skip StftTensor's checks
         rows = _outer_rows(np.transpose(x.data[:, :, block], (2, 0, 1)))
         out[:, block] = scatter_matrices(rows, weights[:, block])
@@ -423,6 +420,10 @@ def _separate(x, posterior, speaker_rows, intervals):
 def run_meeting(recording, embeddings, config, mask_dir=None):
     """Process one meeting end to end.
 
+    With ``jobs > 1`` the process pool is started first: its fork-context
+    workers all fork at the first submission, so a no-op is submitted
+    before the meeting is loaded, and they start without its samples.
+
     Args:
         recording: AudioBuffer or path to a WAV file.
         embeddings: EmbeddingSequence or path to an EMB1 file.
@@ -434,6 +435,16 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
         ``(diarization, speaker_audio, report)`` where ``speaker_audio`` maps
         global speaker ids to meeting-length waveforms.
     """
+    if max(1, int(config.jobs)) == 1:
+        return _run_meeting(recording, embeddings, config, mask_dir, None)
+    with ProcessPoolExecutor(max_workers=int(config.jobs)) as pool:
+        pool.submit(int)  # not waited on
+        return _run_meeting(recording, embeddings, config, mask_dir, pool)
+
+
+def _run_meeting(recording, embeddings, config, mask_dir, pool):
+    """:func:`run_meeting` with the process pool ``pool``, or None to run
+    the segments in this process."""
     audio = frontend.read_wav(recording) if not isinstance(recording, frontend.AudioBuffer) else recording
     if audio.num_channels < 2:
         raise InvalidInputError("multichannel model requires C >= 2")
@@ -463,6 +474,7 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
         "sample_rate": int(audio.sample_rate),
         "num_segments": len(segments),
         "segments": [],
+        "speakers": [],
     }
     if not segments:
         return Diarization([]), {}, report
@@ -485,10 +497,8 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
             config, global_model, mask_dir,
         ))
 
-    jobs = max(1, int(config.jobs))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_segment_task, tasks))
+    if pool is not None and len(tasks) > 1:
+        outcomes = list(pool.map(_segment_task, tasks))
     else:
         outcomes = [_segment_task(t) for t in tasks]
     report["segments"] = [seg_report for seg_report, _, _ in outcomes]

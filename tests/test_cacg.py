@@ -18,7 +18,7 @@ from mixsep.cacg import (
     cacg_log_pdf_stack,
     cacg_m_step,
     cacgmm_em,
-    e_step,
+    em_sweep,
     normalize_observations,
     outer_features,
     quad_forms,
@@ -35,6 +35,14 @@ from mixsep.synth import build_meeting, sample_cacg
 
 def tensor(data, sample_rate=8000):
     return StftTensor(np.asarray(data, dtype=complex), sample_rate, 512, 400, 128)
+
+
+def e_step(covariances, pi, x, features, spectral=0.0):
+    """One :func:`em_sweep` from priors and a spectral term: ``(gamma,
+    loglik, covariances)``, the last the Tyler update of ``covariances``."""
+    with np.errstate(divide="ignore"):
+        logits = np.log(pi) + spectral
+    return em_sweep(covariances, logits, x, features)
 
 
 def fusion_run():
@@ -82,22 +90,23 @@ class TestNormalizeObservations:
 
     def test_kernels_read_the_observations_in_place(self, monkeypatch):
         # an EM run builds the outer-product features of its normalized
-        # observations once, and every cACG kernel of the run reads that
-        # array, fusion re-evaluations included
+        # observations once, and every cACG kernel of the run reads a block
+        # of that array, fusion re-evaluations included
         built, read = [], []
-        real_features, real_quad, real_scatter = (
-            cacg.outer_features, cacg.quad_forms, cacg.scatter_matrices
+        real_features, real_forms, real_scatter = (
+            cacg.outer_features, cacg._forms, cacg.scatter_matrices
         )
 
-        def features(x):
-            norms = np.linalg.norm(x.data, axis=0)
-            assert np.max(np.abs(norms - 1.0)) <= 1e-12
-            built.append(real_features(x))
+        def features(x, normalize=False):
+            assert normalize
+            built.append(real_features(x, normalize))
+            want = real_features(normalize_observations(x))
+            assert np.array_equal(built[-1], want)  # to the bit
             return built[-1]
 
         monkeypatch.setattr(cacg, "outer_features", features)
         monkeypatch.setattr(
-            cacg, "quad_forms", lambda b, phi, **kw: read.append(phi) or real_quad(b, phi, **kw)
+            cacg, "_forms", lambda c, phi, out=None: read.append(phi) or real_forms(c, phi, out)
         )
         monkeypatch.setattr(
             cacg, "scatter_matrices", lambda phi, w: read.append(phi) or real_scatter(phi, w)
@@ -106,9 +115,9 @@ class TestNormalizeObservations:
         data = rng.standard_normal((3, 6, 5)) + 1j * rng.standard_normal((3, 6, 5))
         cacgmm_em(tensor(data), uniform_posterior(2, 6, 5), 3)
         # initial M-step (scatter only: its identity start needs no forms),
-        # then an E- and an M-step per iteration
+        # then an E- and an M-step per iteration, each once per block
         assert len(built) == 1 and len(read) == 1 + 3 * 2
-        assert all(phi is built[0] for phi in read)
+        assert all(phi.base is built[0] for phi in read)
         assert built[0].shape == (5, 9, 6)
 
         built.clear()
@@ -116,9 +125,23 @@ class TestNormalizeObservations:
         x, e, init, jcfg = fusion_run()
         _, _, events, _ = joint_em(x, e, init, jcfg)
         assert events  # the kept component's forms were re-evaluated
-        assert len(built) == 1
-        assert len(read) == 1 + 2 * jcfg.iterations + len(events)
-        assert all(phi is built[0] for phi in read)
+        blocks = len(cacg.frequency_blocks(x.num_bins))
+        assert len(built) == 1 and blocks == 2
+        assert len(read) == blocks * (1 + 2 * jcfg.iterations + len(events))
+        assert all(phi.base is built[0] for phi in read)
+
+    @pytest.mark.parametrize("bins", [1, 7, 31, 32, 33, 129, 257, 513])
+    def test_frequency_blocks_are_near_equal(self, bins):
+        # the fewest blocks of at most BLOCK_BINS, differing by at most one
+        # bin: F = 33 is cut 16 + 17, not 32 + 1
+        blocks = cacg.frequency_blocks(bins)
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == bins
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == math.ceil(bins / cacg.BLOCK_BINS)
+        assert max(sizes) <= cacg.BLOCK_BINS and max(sizes) - min(sizes) <= 1
+        if bins == 33:
+            assert sizes == [16, 17]
 
     def test_zero_bins_stay_flagged_frequency_major(self):
         data = np.zeros((2, 3, 4), dtype=complex)
@@ -550,11 +573,12 @@ class TestSharedEStep:
     @given(e_step_cases())
     def test_component_permutation_equivariance(self, case):
         x, covariances, pi, spectral, perm = case
-        gamma, loglik, quad = self.run(x, covariances, pi, spectral)
+        gamma, loglik, new = self.run(x, covariances, pi, spectral)
         spectral_p = None if spectral is None else spectral[perm]
-        gamma_p, loglik_p, quad_p = self.run(x, covariances[perm], pi[perm], spectral_p)
+        gamma_p, loglik_p, new_p = self.run(x, covariances[perm], pi[perm], spectral_p)
         np.testing.assert_allclose(gamma_p, gamma[perm], rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(quad_p, quad[perm], rtol=1e-12)
+        # the Tyler update: trace-normalized to C, so its entries are O(1)
+        np.testing.assert_allclose(new_p, new[perm], rtol=0.0, atol=1e-12)
         assert abs(loglik_p - loglik) <= 1e-12 * abs(loglik)
 
     @settings(max_examples=30, deadline=None)
@@ -596,6 +620,16 @@ def floor_covariances(rng, k, f, c, rank):
     return covariances * (c / np.einsum("...ii->...", covariances).real)[..., None, None]
 
 
+def assert_plain_tyler_update(new, x, gamma, pi, covariances):
+    """``new`` is the Tyler update of ``covariances`` on the plain forms."""
+    features = outer_features(x)
+    prev = [SpatialComponent(cov) for cov in covariances]
+    quad = quad_forms(covariances, features)[1]
+    plain = cacg_m_step(x, PosteriorTensor(gamma, pi), prev, quad, features)
+    plain = stack_covariances(plain)
+    assert np.max(np.abs(new - plain)) <= 1e-12 * np.max(np.abs(plain))
+
+
 class TestLinearEStep:
     """The linear-domain E-step against the log-domain one, and its rescue."""
 
@@ -621,14 +655,20 @@ class TestLinearEStep:
         assert abs(loglik - want_ll) <= 1e-12 * abs(want_ll)
 
     def test_quad_is_the_unit_determinant_form(self):
+        # the sweep weighs the Tyler update by the forms of B / det(B)^{1/C}:
+        # the plain forms times det(B)^{1/C}, a per-(k, f) factor the update
+        # cancels, so it equals the update on the plain forms
         rng = np.random.default_rng(40)
         data = rng.standard_normal((4, 10, 3)) + 1j * rng.standard_normal((4, 10, 3))
         x = normalize_observations(tensor(data))
         covariances = floor_covariances(rng, 2, 3, 4, 2)
         features = outer_features(x)
-        quad = e_step(covariances, np.full((2, 10), 0.5), x, features)[2]
         logdet, want = quad_forms(covariances, features)
-        np.testing.assert_allclose(quad, want * np.exp(logdet / 4)[..., None], rtol=1e-12)
+        unit = quad_forms(covariances, features, unit_det=True)[1]
+        np.testing.assert_allclose(unit, want * np.exp(logdet / 4)[..., None], rtol=1e-12)
+        pi = np.full((2, 10), 0.5)
+        gamma, _, new = e_step(covariances, pi, x, features)
+        assert_plain_tyler_update(new, x, gamma, pi, covariances)
 
     @pytest.mark.parametrize("rank", [1, 31])
     def test_out_of_range_bins_take_the_log_domain(self, rank, caplog):
@@ -650,13 +690,13 @@ class TestLinearEStep:
         pi = np.full((2, t), 0.5)
         spectral = rng.normal(0.0, 1.0, (2, t))
         with caplog.at_level(logging.WARNING, logger="mixsep.cacg"):
-            gamma, loglik, quad = e_step(covariances, pi, x, outer_features(x), spectral)
+            gamma, loglik, new = e_step(covariances, pi, x, outer_features(x), spectral)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "1 of 5 bins" in caplog.records[0].getMessage()
         want, want_ll = log_domain_e_step(covariances, pi, x, spectral)
         assert np.array_equal(gamma, want) and loglik == want_ll
         assert np.isfinite(loglik)
-        np.testing.assert_allclose(quad, quad_forms(covariances, outer_features(x))[1], rtol=1e-12)
+        assert_plain_tyler_update(new, x, gamma, pi, covariances)
 
 
 class TestStftTensorInvariants:

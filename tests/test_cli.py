@@ -280,6 +280,25 @@ class TestCmdRun:
         assert "NaN" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_all_silence_meeting_has_no_speakers(self, bundle, tmp_path):
+        # a zeroed recording of the bundle's scene: the VAD finds no
+        # segment, the run succeeds with no turns, and its report still
+        # lists the (empty) speakers; two jobs start the pool regardless
+        audio = frontend.read_wav(bundle / "audio.wav")
+        wav = tmp_path / "silence.wav"
+        silence = frontend.AudioBuffer(np.zeros_like(audio.samples), audio.sample_rate)
+        frontend.write_wav(wav, silence)
+        out_dir = tmp_path / "out"
+        cfg = run_config_dict(bundle, out_dir)
+        cfg["inputs"][0]["audio"] = str(wav)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(config), "--jobs", "2"]) == 0
+        assert (out_dir / "meet0" / "hyp.rttm").read_text() == ""
+        report = json.loads((out_dir / "meet0" / "report.json").read_text())
+        assert report["num_segments"] == 0 and report["segments"] == []
+        assert report["speakers"] == []
+
     def test_corrupt_segment_partial_failure(self, bundle, tmp_path, monkeypatch):
         calls = {"n": 0}
         real = pipeline.joint_em

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from mixsep.cacg import (
     StftTensor,
     cacg_log_pdf_stack,
     cacgmm_em,
+    em_sweep,
     normalize_observations,
     outer_features,
     quad_forms,
@@ -80,8 +82,11 @@ class TestJointModelChecks:
 
 
 def joint_posterior(xn, e, model):
-    """(K, T, F) posterior of one coupled E-step on unit observations ``xn``."""
-    return integrated._e_step(xn, e, model, outer_features(xn))[0]
+    """(K, T, F) posterior of one coupled E-step on unit observations ``xn``,
+    from the logits and the sweep :func:`joint_em` runs."""
+    logits = integrated._logits(model, e)
+    covariances = stack_covariances(model.spatial)
+    return em_sweep(covariances, logits, xn, outer_features(xn), update=False)[0]
 
 
 def spatial_forms(xn, model):
@@ -486,68 +491,118 @@ class TestJointEm:
             noise_index=6, seed=0,
         )
         reused = joint_em(x, e, init, jcfg)
-        real = cacg.cacg_m_step
+        real = cacg._tyler
+        fresh_calls = []
 
-        def fresh_forms(x, post, prev, quad, features):
-            quad = quad_forms(stack_covariances(prev), features)[1]
-            return real(x, post, prev, quad, features)
+        def fresh_forms(features, gamma, quad, prev, weights):
+            if np.ndim(quad) == 0:  # the identity start weighs by 1
+                return real(features, gamma, quad, prev, weights)
+            fresh_calls.append(prev.shape[0])
+            quad = quad_forms(prev, features)[1]
+            return real(features, gamma, quad, prev, quad)
 
-        monkeypatch.setattr(cacg, "cacg_m_step", fresh_forms)
+        monkeypatch.setattr(cacg, "_tyler", fresh_forms)
         fresh = joint_em(x, e, init, jcfg)
+        blocks = len(cacg.frequency_blocks(x.num_bins))
+        assert len(fresh_calls) == blocks * jcfg.iterations  # every M-step recomputed
         assert reused[2] and reused[2] == fresh[2]  # fusion fired, at the same steps
         assert np.max(np.abs(reused[3] - fresh[3]) / np.abs(fresh[3])) <= 1e-12
         assert np.max(np.abs(reused[1].gamma - fresh[1].gamma)) <= 1e-12
         for a, b in zip(reused[0].spatial, fresh[0].spatial):
             assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-12
 
+    def test_in_place_fusion_matches_the_fusion_check_copy(self):
+        # the iteration that fuses inside the sweep gives the model that the
+        # fusion check's copied posterior and joint_m_step give: posterior,
+        # prototypes and prior to the bit, covariances (Tyler-weighted by
+        # other forms of the same matrices) to rounding
+        cfg = tiny_scenario([0, 1, 2], duration_s=8.0, overlap=0.1, seed=9, embed_dim=24)
+        x, e, truth, _ = build_meeting(cfg)
+        init = kmeans_init_posterior(e, truth.voiced, 6, x.num_bins, seed=2)
+        jcfg = JointEmConfig(
+            iterations=3, fusion="spectral", tau_spectral=0.7, fusion_start=3,
+            noise_index=6, seed=0,
+        )
+        before, _, _, _ = joint_em(x, e, init, jcfg)
+        jcfg.iterations = 4
+        after, post, events, _ = joint_em(x, e, init, jcfg)
+        assert [ev.iteration for ev in events] == [3]
+
+        xn = normalize_observations(x)
+        copied = PosteriorTensor(joint_posterior(xn, e, before), before.pi)
+        fused, fused_post, event = spectral_fusion_check(before, copied, jcfg.tau_spectral, 1, 3)
+        assert event == events[0]
+        want = joint_m_step(
+            xn, e, fused_post, fused, *spatial_forms(xn, fused), kappa_max=jcfg.kappa_max,
+            rng=np.random.default_rng(jcfg.seed),
+        )
+        assert np.array_equal(post.gamma, fused_post.gamma)
+        assert np.array_equal(after.mu, want.mu) and np.array_equal(after.kappa, want.kappa)
+        assert np.array_equal(after.pi, want.pi)
+        for a, b in zip(after.spatial, want.spatial, strict=True):
+            assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-12
+
     def test_previous_posterior_adds_nothing_to_the_e_step_peak(self, monkeypatch):
-        # the E-step is the run's memory peak; the posterior of the iteration
-        # before it must not add to it, so every E-step peaks alike
-        x, e, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=8.0, seed=11))
-        init = kmeans_init_posterior(e, truth.voiced, 3, x.num_bins, seed=1)
-        jcfg = JointEmConfig(iterations=4, fusion="none", noise_index=3, seed=0)
-        real = integrated._e_step
+        # the sweep is the run's memory peak; the posterior of the iteration
+        # before it must not add to it, so every sweep peaks alike, fusions
+        # included
+        cfg = tiny_scenario([0, 1, 2], duration_s=8.0, overlap=0.1, seed=9, embed_dim=24)
+        x, e, truth, _ = build_meeting(cfg)
+        init = kmeans_init_posterior(e, truth.voiced, 6, x.num_bins, seed=2)
+        jcfg = JointEmConfig(
+            iterations=8, fusion="spectral", tau_spectral=0.7, fusion_start=3,
+            noise_index=6, seed=0,
+        )
+        real = cacg.em_sweep
         peaks = []
 
-        def traced_e_step(*args, **kwargs):
+        def traced_sweep(*args, **kwargs):
             tracemalloc.reset_peak()
             out = real(*args, **kwargs)
             peaks.append(tracemalloc.get_traced_memory()[1])
             return out
 
-        monkeypatch.setattr(integrated, "_e_step", traced_e_step)
+        monkeypatch.setattr(cacg, "em_sweep", traced_sweep)
         tracemalloc.start()
         try:
-            _, post, _, _ = joint_em(x, e, init, jcfg)
+            _, post, events, _ = joint_em(x, e, init, jcfg)
         finally:
             tracemalloc.stop()
-        gamma_bytes = post.gamma.nbytes  # one (K, F, T) float64 array
+        assert events
+        gamma_bytes = init.gamma.nbytes  # one (K, F, T) float64 array
         assert gamma_bytes > 100_000
         assert max(peaks[1:]) < peaks[0] + gamma_bytes / 2, (peaks, gamma_bytes)
         post.validate()
 
-    def test_working_set_is_features_posterior_and_forms(self):
-        # one run holds Φ, one posterior and one set of quadratic forms: no
-        # normalized copy of x, no Tyler weight array. In units of F T
-        # doubles at the paper's K = 10 + noise and C = 4, Φ is C^2 = 16 and
-        # each (K, F, T) array 11, so the bound's base is 38 units; one more
-        # (K, F, T) array adds 11 / 38 = 0.29 of it and a normalized copy of
-        # x (C complex values) 8 / 38 = 0.21. The 20 % margin covers the
-        # (F, T), (K, T) and (K, F, C, C) temporaries and NumPy's internal
-        # buffers, and still fails on either extra array. No fusion: a fusion
-        # check returns a new posterior, so for a moment it holds two.
+    def test_working_set_is_features_posterior_and_forms(self, monkeypatch):
+        # the sweep, the run's peak, holds Φ, one posterior and one block's
+        # temporaries: no normalized copy of x, no second posterior at a
+        # fusion and no (K, F, T) set of forms. In units of F T doubles at
+        # the paper's K = 10 + noise and C = 4, Φ is C^2 = 16 and the posterior 11, so
+        # the bound's base is 27 units; one more (K, F, T) array adds
+        # 11 / 27 = 0.41 of it and a normalized copy of x (C complex values)
+        # 8 / 27 = 0.30. At 4 kHz (F = 65) blocks of 4 bins keep one block's
+        # forms at a sixteenth of the posterior; the 20 % margin covers them,
+        # the (K, T) and (K, F, C, C) arrays and NumPy's internal buffers
+        # (1.11x in all), and still fails on either extra array.
+        monkeypatch.setattr(cacg, "BLOCK_BINS", 4)
         cfg = tiny_scenario([0, 1, 2], duration_s=12.0, seed=5, channels=4)
+        cfg.sample_rate = 4000
         x, e, truth, _ = build_meeting(cfg)
         init = kmeans_init_posterior(e, truth.voiced, 10, x.num_bins, seed=1)
-        jcfg = JointEmConfig(iterations=5, fusion="none", noise_index=10, seed=0)
+        jcfg = JointEmConfig(
+            iterations=5, fusion="spectral", fusion_start=1, noise_index=10, seed=0
+        )
         tracemalloc.start()
         try:
-            _, post, _, _ = joint_em(x, e, init, jcfg)
+            _, post, events, _ = joint_em(x, e, init, jcfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert events  # each fusion merged the posterior in place
         features = outer_features(x).nbytes
-        assert peak < 1.2 * (features + 2 * post.gamma.nbytes), (peak, features, post.gamma.nbytes)
+        gamma = init.gamma.nbytes  # the buffer keeps the initial K rows
+        assert peak < 1.2 * (features + gamma), (peak, features, gamma)
 
     def test_reduction_to_cacgmm_with_zero_kappa(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=5.0, seed=11))
@@ -598,6 +653,102 @@ class TestJointEm:
     def test_kappa_cap_outside_checked_range_rejected(self):
         with pytest.raises(ConfigurationError):
             JointEmConfig(kappa_max=1e7)
+
+
+class TestBlockPartitionInvariance:
+    """Every step of the sweep is per frequency, so posteriors, covariances
+    and fusions are the same to the bit for blocks of 1, 7 and >= F = 33
+    bins; only the log-likelihood is summed in another order."""
+
+    BLOCKS = (1, 7, 64)
+
+    def runs(self, monkeypatch, run):
+        out = []
+        for bins in self.BLOCKS:
+            monkeypatch.setattr(cacg, "BLOCK_BINS", bins)
+            out.append(run())
+        return out
+
+    @staticmethod
+    def assert_same_fit(runs):
+        (model, post, events, trace), *others = runs
+        for other_model, other_post, other_events, other_trace in others:
+            assert other_events == events
+            assert np.array_equal(other_post.gamma, post.gamma)
+            assert np.array_equal(other_post.pi, post.pi)
+            assert np.array_equal(other_model.mu, model.mu)
+            assert np.array_equal(other_model.kappa, model.kappa)
+            for a, b in zip(other_model.spatial, model.spatial, strict=True):
+                assert np.array_equal(a.covariances, b.covariances)
+            assert np.max(np.abs(other_trace - trace) / np.abs(trace)) <= 1e-12
+
+    @staticmethod
+    def fusion_scene():
+        cfg = tiny_scenario([0, 1, 2], duration_s=8.0, overlap=0.1, seed=9, embed_dim=24)
+        x, e, truth, _ = build_meeting(cfg)
+        return x, e, kmeans_init_posterior(e, truth.voiced, 6, x.num_bins, seed=2)
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_spectral_fusion(self, monkeypatch, freeze):
+        x, e, init = self.fusion_scene()
+        jcfg = JointEmConfig(
+            iterations=8, fusion="spectral", tau_spectral=0.7, fusion_start=3,
+            noise_index=6, freeze_spatial=freeze, seed=0,
+        )
+        runs = self.runs(monkeypatch, lambda: joint_em(x, e, init, jcfg))
+        assert runs[0][2]  # fusion fired
+        self.assert_same_fit(runs)
+
+    def test_iou_fusion(self, monkeypatch):
+        # the first speaker split into two equal halves: their priors stay
+        # equal, so their activity sets coincide and IoU fusion fires
+        cfg = tiny_scenario([0, 1, 2], duration_s=6.0, seed=9, embed_dim=24)
+        x, e, truth, _ = build_meeting(cfg)
+        base = kmeans_init_posterior(e, truth.voiced, 3, x.num_bins, seed=2)
+        split = lambda a: np.concatenate([a[:1] / 2, a[:1] / 2, a[1:]])
+        init = PosteriorTensor(split(base.gamma), split(base.pi))
+        jcfg = JointEmConfig(
+            iterations=6, fusion="iou", tau_iou=0.8, activity_threshold=0.3, fusion_start=2,
+            noise_index=4, seed=0,
+        )
+        runs = self.runs(monkeypatch, lambda: joint_em(x, e, init, jcfg))
+        assert [(ev.kept, ev.removed) for ev in runs[0][2]] == [(0, 1)]
+        self.assert_same_fit(runs)
+
+    def test_cacgmm_em(self, monkeypatch):
+        x, _, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=5.0, seed=11, channels=4))
+        init = random_soft_posterior(np.random.default_rng(4), 3, x.num_frames, x.num_bins)
+        runs = self.runs(monkeypatch, lambda: cacgmm_em(x, init, 6))
+        (components, post, trace), *others = runs
+        for other_components, other_post, other_trace in others:
+            assert np.array_equal(other_post.gamma, post.gamma)
+            assert np.array_equal(other_post.pi, post.pi)
+            for a, b in zip(other_components, components, strict=True):
+                assert np.array_equal(a.covariances, b.covariances)
+            assert np.max(np.abs(other_trace - trace) / np.abs(trace)) <= 1e-12
+
+    def test_forced_rescue(self, monkeypatch, caplog):
+        # a floor of 1e-3 on the per-bin total sends the frequencies of a
+        # few bins to the log domain; each E-step warns once, with the count
+        monkeypatch.setattr(cacg, "LINEAR_TOTAL_FLOOR", 1e-3)
+        x, e, init = self.fusion_scene()
+        jcfg = JointEmConfig(
+            iterations=6, fusion="spectral", tau_spectral=0.7, fusion_start=3,
+            noise_index=6, seed=0,
+        )
+        runs = []
+        for bins in self.BLOCKS:
+            monkeypatch.setattr(cacg, "BLOCK_BINS", bins)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="mixsep.cacg"):
+                runs.append(joint_em(x, e, init, jcfg))
+            warnings = [r.getMessage() for r in caplog.records]
+            assert 0 < len(warnings) <= jcfg.iterations
+            if bins == 1:
+                counts = warnings
+            assert warnings == counts  # the same bins, whatever the blocks
+        assert all(f"of {x.num_bins * x.num_frames} bins" in w for w in counts)
+        self.assert_same_fit(runs)
 
 
 class TestRankDeficientArrays:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import mpmath
@@ -10,9 +11,11 @@ from scipy.optimize import linear_sum_assignment
 
 from mixsep.errors import InvalidInputError, NumericalError
 from mixsep.numerics import (
+    LOADING_LADDER,
     _load_stack,
     bessel_i_series,
     chol_logdet_quad,
+    chol_with_loading,
     log_vmf_normalizer,
     min_cost_assignment,
 )
@@ -134,6 +137,34 @@ class TestDiagonalLoad:
         loaded = _load_stack(np.outer(u, u.conj()), 1e-4)
         smallest = np.linalg.eigvalsh(loaded)[0]
         assert abs(smallest - 1e-4 / 4.0) < 1e-12
+
+
+class TestLoadingLadder:
+    """A factorization that escalates past the unloaded first rung says so."""
+
+    def test_singular_stack_warns_once_with_the_loading(self, caplog):
+        # a rank-one matrix beside the identity: the unloaded factorization
+        # fails, and the next rung's loading makes the stack definite
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        mats = np.stack([np.outer(u, u.conj()), np.eye(3, dtype=complex)])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(mats)
+        with caplog.at_level(logging.WARNING, logger="mixsep.numerics"):
+            lower = chol_with_loading(mats)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        message = caplog.records[0].getMessage()
+        assert "stack of 2 3x3 matrices" in message
+        assert f"loading {LOADING_LADDER[1]:g}" in message
+        want = np.linalg.cholesky(_load_stack(mats, LOADING_LADDER[1]))
+        assert np.array_equal(lower, want)
+
+    def test_definite_stack_is_silent(self, caplog):
+        rng = np.random.default_rng(5)
+        mats = np.stack([random_hpd(rng, 3).entries for _ in range(4)])
+        with caplog.at_level(logging.WARNING, logger="mixsep.numerics"):
+            chol_with_loading(mats)
+        assert not caplog.records
 
 
 BESSEL_DIMS = [2, 3, 8, 16, 24, 64, 129, 256]

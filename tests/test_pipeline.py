@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from mixsep import frontend, pipeline
+from mixsep import cacg, frontend, pipeline
 from mixsep.cacg import PosteriorTensor, StftTensor, outer_features, scatter_matrices
 from mixsep.cli import RunConfig
 from mixsep.errors import InvalidInputError
@@ -230,9 +230,11 @@ class TestBeamform:
             assert gain > 5.0
 
     def test_block_scatter_matches_one_scatter_call_bit_for_bit(self):
-        # F is not a multiple of the block size, so a short tail block runs
+        # F is not a multiple of the block size, so the blocks are cut
+        # near-equal (23 bins each) rather than full blocks and a short tail
         rng = np.random.default_rng(3)
-        c, t, f, k = 4, 90, 2 * pipeline.SCATTER_BLOCK_BINS + 5, 3
+        c, t, f, k = 4, 90, 2 * cacg.BLOCK_BINS + 5, 3
+        assert len(cacg.frequency_blocks(f)) == 3
         x = StftTensor(
             rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f)), 8000, 256, 200, 64
         )
