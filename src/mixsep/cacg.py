@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, NumericalError
-from .numerics import _load_stack, _tril_inverse, chol_with_loading, normalize_logits
+from .numerics import chol_with_loading, normalize_logits
 
 logger = logging.getLogger(__name__)
 
@@ -209,22 +209,47 @@ def _form_coefficients(covariances: np.ndarray, unit_det: bool = False):
     the coefficients ``[diag B^{-1}, 2 Re B^{-1}_ij, -2 Im B^{-1}_ij]`` of
     the :func:`outer_features` rows. With ``unit_det`` they are scaled by
     ``det(B)^{1/C}``: the coefficients of the unit-determinant
-    ``B / det(B)^{1/C}``.
+    ``B / det(B)^{1/C}``. After the factorization every step works entry
+    by entry on (F, K) arrays: at C <= 8 a few dozen whole-array
+    operations cost less than a batched C x C product or inverse, whose
+    cost is a call per matrix.
 
     Returns:
         ``(logdet, coef)`` of shapes (K, F) and (F, K, C^2); ``logdet`` is
         that of ``B`` either way.
     """
     lower = chol_with_loading(covariances)
-    logdet = 2.0 * np.log(np.einsum("...ii->...i", lower).real).sum(axis=-1)
-    linv = _tril_inverse(lower)
-    inv = np.swapaxes(np.conj(np.swapaxes(linv, -1, -2)) @ linv, 0, 1)  # (F, K, C, C)
-    c = inv.shape[-1]
+    diag = np.einsum("...ii->...i", lower).real
+    logdet = 2.0 * np.log(diag).sum(axis=-1)
+    c = lower.shape[-1]
+    # L^{-1} = M by forward substitution, entry by entry over (F, K) arrays:
+    # M_ii = 1 / L_ii and M_ij = -(sum_{j <= n < i} L_in M_nj) / L_ii
+    lower = np.swapaxes(lower, 0, 1)
+    recip = np.swapaxes(1.0 / diag, 0, 1)
+    m = [[None] * c for _ in range(c)]
+    for i in range(c):
+        m[i][i] = recip[..., i]
+        for j in range(i):
+            acc = lower[..., i, j] * m[j][j]
+            for n in range(j + 1, i):
+                acc += lower[..., i, n] * m[n][j]
+            acc *= -recip[..., i]
+            m[i][j] = acc
+    # B^{-1} = M^H M: (B^{-1})_ab = sum_{i >= max(a, b)} conj(M_ia) M_ib
     rows, cols = _upper_pairs(c)
-    upper = inv[..., rows, cols]
-    coef = np.concatenate(
-        [np.einsum("...ii->...i", inv).real, 2.0 * upper.real, -2.0 * upper.imag], axis=-1
-    )
+    p = rows.size
+    coef = np.empty(lower.shape[:2] + (c * c,))
+    for a in range(c):
+        out = coef[..., a]
+        np.multiply(m[a][a], m[a][a], out=out)
+        for i in range(a + 1, c):
+            out += m[i][a].real ** 2 + m[i][a].imag ** 2
+    for n, (a, b) in enumerate(zip(rows, cols)):
+        acc = np.conj(m[b][a]) * m[b][b]
+        for i in range(b + 1, c):
+            acc += np.conj(m[i][a]) * m[i][b]
+        np.multiply(acc.real, 2.0, out=coef[..., c + n])
+        np.multiply(acc.imag, -2.0, out=coef[..., c + p + n])
     if unit_det:
         coef *= np.exp(logdet / c).T[:, :, None]
     return logdet, coef
@@ -299,15 +324,16 @@ def cacg_log_pdf_stack(
     return log_pdf, quad
 
 
-def scatter_matrices(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(K, F, C, C) weighted scatter sums ``sum_t w_{k,f,t} y_{f,t} y_{f,t}^H``.
+def _scatter_sums(features: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None):
+    """(F, K, C^2) packed real scatter sums ``sum_t w_{k,f,t} phi_{f,t}``: one
+    real (F, K, T) @ (F, T, C^2) GEMM of the (K, F, T) weights against the
+    :func:`outer_features` rows ``phi``, into ``out`` when given."""
+    return np.matmul(np.swapaxes(weights, 0, 1), np.swapaxes(features, 1, 2), out=out)
 
-    One real (F, K, T) @ (F, T, C^2) GEMM of the (K, F, T) weights against
-    the :func:`outer_features` of the observations ``y``, unpacked into
-    exactly Hermitian matrices.
-    """
-    sums = np.swapaxes(np.swapaxes(weights, 0, 1) @ np.swapaxes(features, 1, 2), 0, 1)
-    c = math.isqrt(features.shape[1])
+
+def _hermitian(sums: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian (..., C, C) matrices of (..., C^2) packed real sums."""
+    c = math.isqrt(sums.shape[-1])
     rows, cols = _upper_pairs(c)
     p = rows.size
     out = np.empty(sums.shape[:-1] + (c, c), dtype=complex)
@@ -319,22 +345,34 @@ def scatter_matrices(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def scatter_matrices(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(K, F, C, C) weighted scatter sums ``sum_t w_{k,f,t} y_{f,t} y_{f,t}^H``.
+
+    One real (F, K, T) @ (F, T, C^2) GEMM of the (K, F, T) weights against
+    the :func:`outer_features` of the observations ``y``, unpacked into
+    exactly Hermitian matrices.
+    """
+    return _hermitian(np.swapaxes(_scatter_sums(features, weights), 0, 1))
+
+
 def stack_covariances(components: list[SpatialComponent]) -> np.ndarray:
     return np.stack([c.covariances for c in components])
 
 
-def _tyler(features, gamma, quad, prev, weights) -> np.ndarray:
-    """One Tyler update of the (K, F, C, C) stack ``prev`` from (K, F, T)
-    posteriors and forms ``quad`` (or a scalar); see :func:`cacg_m_step`.
-
-    The weights ``gamma / quad`` are written into ``weights``, which may be
-    ``quad`` itself.
-    """
+def _tyler(sums: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """The (K, F, C, C) covariances of a Tyler update (:func:`cacg_m_step`)
+    from its (K, F, C^2) packed scatter sums (:func:`_scatter_sums`) and the
+    previous stack ``prev``: loaded and trace-normalized in place, as
+    :func:`numerics._load_stack` loads, then unpacked, with ``prev`` kept
+    where the sums are zero."""
     c = prev.shape[-1]
-    numer = scatter_matrices(features, np.divide(gamma, quad, out=weights))
-    inactive = np.einsum("kfii->kf", numer).real == 0.0
-    new = _load_stack(numer, COV_LOADING)
-    new *= (c / np.einsum("kfii->kf", new).real)[:, :, None, None]
+    diag = sums[..., :c]
+    trace = diag.sum(axis=-1)
+    inactive = trace == 0.0
+    trace /= c
+    diag += (COV_LOADING * np.where(trace > 0.0, trace, 1.0))[..., None]
+    sums *= (c / diag.sum(axis=-1))[..., None]
+    new = _hermitian(sums)
     if inactive.any():
         new[inactive] = prev[inactive]
     return new
@@ -356,7 +394,8 @@ def cacg_m_step(
     Frequencies with zero responsibility keep the previous covariance: for
     unit observations the trace of the weighted scatter is
     ``sum_t gamma / quad``, so it is zero exactly there. The EM runs the
-    same update one block of frequencies at a time (:func:`em_sweep`).
+    same update inside its sweep (:func:`em_sweep`), which weighs by
+    ``gamma`` times the reciprocal forms of its E-step.
 
     Args:
         x: the observations; unused, as C is the covariances' size.
@@ -375,28 +414,33 @@ def cacg_m_step(
     """
     gamma = np.transpose(posterior.gamma, (0, 2, 1))  # (K, F, T)
     weights = np.empty(gamma.shape) if np.ndim(quad) == 0 else quad
-    new = _tyler(features, gamma, quad, stack_covariances(prev), weights)
+    np.divide(gamma, quad, out=weights)
+    sums = _scatter_sums(features, weights)
+    new = _tyler(np.swapaxes(sums, 0, 1), stack_covariances(prev))
     return [SpatialComponent(cov) for cov in new]
 
 
 def initial_covariances(gamma: np.ndarray, features: np.ndarray) -> np.ndarray:
     """(K, F, C, C) covariances of one Tyler update from identity covariances.
 
-    The EM's first M-step, on the (K, T, F) posterior ``gamma``, one block
-    of frequencies at a time (:func:`frequency_blocks`): the Tyler weight
-    ``y^H I^{-1} y = |y|^2`` of the identity start is 1 for unit
-    observations, so no form is computed.
+    The EM's first M-step, on the (K, T, F) posterior ``gamma``: the Tyler
+    weight ``y^H I^{-1} y = |y|^2`` of the identity start is 1 for unit
+    observations, so no form is computed, and the scatter GEMM reads a
+    contiguous copy of one block of frequencies (:func:`frequency_blocks`)
+    of ``gamma`` at a time.
     """
     gamma = np.transpose(gamma, (0, 2, 1))  # (K, F, T)
+    k, f, t = gamma.shape
     c = math.isqrt(features.shape[1])
-    identity = np.broadcast_to(np.eye(c, dtype=complex), gamma.shape[:2] + (c, c))
-    new = np.empty(identity.shape, dtype=complex)
-    blocks = frequency_blocks(gamma.shape[1])
-    scratch = _block_scratch(gamma.shape[0], blocks, gamma.shape[2])
+    sums = np.empty((f, k, c * c))
+    blocks = frequency_blocks(f)
+    scratch = _block_scratch(k, blocks, t)
     for block in blocks:
         weights = scratch(block)
-        new[:, block] = _tyler(features[block], gamma[:, block], 1.0, identity[:, block], weights)
-    return new
+        np.copyto(weights, gamma[:, block])
+        _scatter_sums(features[block], weights, out=sums[block])
+    identity = np.broadcast_to(np.eye(c, dtype=complex), (k, f, c, c))
+    return _tyler(np.swapaxes(sums, 0, 1), identity)
 
 
 def _block_scratch(k: int, blocks: list[slice], t: int):
@@ -434,14 +478,16 @@ def em_sweep(
     runs alone, and only (K, T) arrays cross blocks:
 
     - One GEMM gives its unit-determinant forms ``q~ = y^H B~^{-1} y``,
-      ``B~ = B / det(B)^{1/C}``. The cACG density does not change when B
-      is scaled, so it is ``const * q~^(-C)``, and the posterior needs no
+      ``B~ = B / det(B)^{1/C}``, and one division turns them into
+      ``r = 1 / q~`` in place. The cACG density does not change when B is
+      scaled, so it is ``const * r^C``, and the posterior needs no
       logarithm or exponential over the block: the factor
       ``S = exp(b - max_k b)``, ``b = logits``, is formed on (K, T), and
-      ``gamma = S q~^(-C) / sum_k S q~^(-C)`` takes a reciprocal, a square
-      per bit of C below its leading one and a division by ``q~`` per
-      further set bit, a product with S, a sum and a division. It is
-      written into the block's columns of the one posterior buffer.
+      ``gamma = S r^C / sum_k S r^C`` takes a square per bit of C below its
+      leading one and a product with ``r`` per further set bit, a product
+      with S, a sum, and a product with the (F_b, T) reciprocal of that
+      sum. It is written into the block's columns of the one posterior
+      buffer.
     - Frequencies with a bin whose total is not finite or falls below
       ``LINEAR_TOTAL_FLOOR`` are evaluated in the log domain instead
       (:func:`cacg_log_pdf_stack` and :func:`numerics.normalize_logits`);
@@ -449,10 +495,12 @@ def em_sweep(
     - With ``merge = (keep, remove, covariance)`` component ``remove``'s
       posterior is added to ``keep``'s and its row dropped, in place; the
       fused component, at ``keep``'s index after the removal, has the
-      given covariance.
-    - The Tyler update (:func:`cacg_m_step`) of the block's covariances is
-      weighted by its forms, which it overwrites; the fused component's
-      forms are those of its covariance.
+      given covariance, and ``r`` the reciprocal of its forms.
+    - The Tyler update (:func:`cacg_m_step`) is weighted by
+      ``gamma / q~ = gamma r``, written over ``r``, and one GEMM per block
+      writes the packed real scatter sums (:func:`_scatter_sums`) of the
+      block's frequencies. Their unpacking, loading and trace
+      normalization (:func:`_tyler`) run once, after the last block.
 
     Every step is per frequency, so the results do not depend on the
     blocks; only ``loglik`` is summed in another order.
@@ -496,7 +544,7 @@ def em_sweep(
             kept_coef = _form_coefficients(fused[None])[1]
     rows = prev.shape[0]
     gamma = np.empty((k, f, t)) if out is None else out
-    new = np.empty(prev.shape, dtype=complex) if update else None
+    sums = np.empty((f, rows, c * c)) if update else None
     const = math.lgamma(c) - math.log(2.0) - c * math.log(math.pi)
     per_frequency = float(shift.sum()) + t * const  # the log normalizers' other terms
     loglik, rescued = 0.0, 0
@@ -504,25 +552,27 @@ def em_sweep(
     scratch = _block_scratch(k, blocks, t)
     for block in blocks:
         phi = features[block]
-        quad = _forms(coef[block], phi, scratch(block))
+        r = _forms(coef[block], phi, scratch(block))
         g = gamma[:, block]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(1.0, quad, out=g)
+            np.divide(1.0, r, out=r)
+            power = r
             for bit in bin(c)[3:]:
-                np.multiply(g, g, out=g)
+                np.square(power, out=g)
+                power = g
                 if bit == "1":
-                    g /= quad
+                    g *= r
             g *= spectral[:, None, :]
             total = g.sum(axis=0)  # (Fb, T)
         linear = (total >= LINEAR_TOTAL_FLOOR) & (total < np.inf)
         if linear.all():
-            g /= total
             loglik += float(np.log(total).sum()) + total.shape[0] * per_frequency
+            g *= np.divide(1.0, total, out=total)
         else:
             rescued += total.size - np.count_nonzero(linear)
             ok = linear.all(axis=1)
-            g[:, ok] /= total[ok]
             loglik += float(np.log(total[ok]).sum()) + np.count_nonzero(ok) * per_frequency
+            g[:, ok] *= 1.0 / total[ok]
             log_pdf, _ = cacg_log_pdf_stack(covariances[:, block][:, ~ok], x, phi[~ok])
             log_pdf += logits[:, None, :]
             log_pdf, rescued_ll = normalize_logits(log_pdf)
@@ -533,11 +583,14 @@ def em_sweep(
             for j in range(remove, k - 1):
                 g[j] = g[j + 1]
                 if update:
-                    quad[j] = quad[j + 1]
+                    r[j] = r[j + 1]
             if update:
-                _forms(kept_coef[block], phi, quad[kept : kept + 1])
+                _forms(kept_coef[block], phi, r[kept : kept + 1])
+                np.divide(1.0, r[kept], out=r[kept])
         if update:
-            new[:, block] = _tyler(phi, g[:rows], quad[:rows], prev[:, block], quad[:rows])
+            np.multiply(g[:rows], r[:rows], out=r[:rows])  # the Tyler weights
+            _scatter_sums(phi, r[:rows], out=sums[block])
+    del scratch, r  # the block buffer goes before the Tyler tail allocates
     if rescued:
         logger.warning(
             "cACG E-step: %d of %d bins out of the linear range; "
@@ -545,6 +598,7 @@ def em_sweep(
             rescued,
             f * t,
         )
+    new = _tyler(np.swapaxes(sums, 0, 1), prev) if update else None
     return np.transpose(gamma[:rows], (0, 2, 1)), loglik, new
 
 

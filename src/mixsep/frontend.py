@@ -75,25 +75,29 @@ class SegmentSpec:
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a RIFF/WAVE file (PCM 16/24-bit or 32-bit float, multichannel)."""
+    """Read a RIFF/WAVE file (PCM 16/24-bit or 32-bit float, multichannel).
+
+    The data chunk is read in place, at its offset in the file's bytes, and
+    converted to float64 once.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise InvalidInputError(f"{path} is not a RIFF/WAVE file")
     pos = 12
     fmt = None
-    data = None
+    data = None  # offset and size of the data chunk
     while pos + 8 <= len(blob):
         cid = blob[pos : pos + 4]
-        size = struct.unpack("<I", blob[pos + 4 : pos + 8])[0]
-        body = blob[pos + 8 : pos + 8 + size]
+        (size,) = struct.unpack_from("<I", blob, pos + 4)
+        start = pos + 8
         if cid == b"fmt ":
-            fmt = body
+            fmt = blob[start : start + size]
         elif cid == b"data":
-            if len(body) < size:
+            if len(blob) - start < size:
                 raise InvalidInputError(f"{path}: truncated data chunk")
-            data = body
-        pos += 8 + size + (size & 1)
+            data = (start, size)
+        pos = start + size + (size & 1)
     if fmt is None or data is None:
         raise InvalidInputError(f"{path} misses fmt or data chunk")
     if len(fmt) < 16:
@@ -106,12 +110,13 @@ def read_wav(path) -> AudioBuffer:
     frame_bytes = channels * bits // 8
     if frame_bytes == 0:
         raise InvalidInputError(f"{path}: {channels} channels of {bits} bits per sample")
-    n = len(data) // frame_bytes
-    data = data[: n * frame_bytes]
+    offset, size = data
+    n = size // frame_bytes
     if tag == 1 and bits == 16:
-        flat = np.frombuffer(data, dtype="<i2").astype(float) / 32768.0
+        flat = np.frombuffer(blob, "<i2", n * channels, offset).astype(float)
+        flat /= 32768.0
     elif tag == 1 and bits == 24:
-        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+        raw = np.frombuffer(blob, np.uint8, n * frame_bytes, offset).reshape(-1, 3)
         ints = (
             raw[:, 0].astype(np.int32)
             | (raw[:, 1].astype(np.int32) << 8)
@@ -120,7 +125,7 @@ def read_wav(path) -> AudioBuffer:
         ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
         flat = ints.astype(float) / float(1 << 23)
     elif tag == 3 and bits == 32:
-        flat = np.frombuffer(data, dtype="<f4").astype(float)
+        flat = np.frombuffer(blob, "<f4", n * channels, offset).astype(float)
     else:
         raise InvalidInputError(f"unsupported WAV format tag={tag} bits={bits}")
     samples = flat.reshape(n, channels).T
@@ -128,15 +133,20 @@ def read_wav(path) -> AudioBuffer:
 
 
 def write_wav(path, audio: AudioBuffer, fmt: str = "float32"):
-    """Write a WAV file; ``fmt`` is "float32" or "pcm16"."""
+    """Write a WAV file; ``fmt`` is "float32" or "pcm16".
+
+    The interleaved payload is built once, in its file layout, and written
+    after the header.
+    """
     samples = audio.samples.T  # (N, C)
     channels = samples.shape[1]
     if fmt == "float32":
-        payload = samples.astype("<f4").tobytes()
+        payload = np.ascontiguousarray(samples, dtype="<f4")
         tag, bits = 3, 32
     elif fmt == "pcm16":
         clipped = np.clip(samples, -1.0, 32767.0 / 32768.0)
-        payload = (np.round(clipped * 32768.0)).astype("<i2").tobytes()
+        clipped *= 32768.0
+        payload = np.ascontiguousarray(np.round(clipped, out=clipped), dtype="<i2")
         tag, bits = 1, 16
     else:
         raise InvalidInputError(f"unsupported output format {fmt!r}")
@@ -144,10 +154,11 @@ def write_wav(path, audio: AudioBuffer, fmt: str = "float32"):
     fmt_chunk = struct.pack(
         "<HHIIHH", tag, channels, audio.sample_rate, audio.sample_rate * block, block, bits
     )
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
-    body += b"data" + struct.pack("<I", len(payload)) + payload
+    header = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
+    header += b"data" + struct.pack("<I", payload.nbytes)
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        fh.write(b"RIFF" + struct.pack("<I", len(header) + payload.nbytes) + header)
+        fh.write(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ pool and the collected results are reduced serially (alignment, report).
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -417,12 +418,22 @@ def _separate(x, posterior, speaker_rows, intervals):
     return tracks
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_meeting(recording, embeddings, config, mask_dir=None):
     """Process one meeting end to end.
 
     With ``jobs > 1`` the process pool is started first: its fork-context
     workers all fork at the first submission, so a no-op is submitted
-    before the meeting is loaded, and they start without its samples.
+    before the meeting is loaded, and they start without its samples. The
+    pool has at most one worker per CPU this process may run on
+    (:func:`usable_cpus`); a larger ``jobs`` is capped, with an INFO log.
 
     Args:
         recording: AudioBuffer or path to a WAV file.
@@ -435,9 +446,14 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
         ``(diarization, speaker_audio, report)`` where ``speaker_audio`` maps
         global speaker ids to meeting-length waveforms.
     """
-    if max(1, int(config.jobs)) == 1:
+    jobs = max(1, int(config.jobs))
+    cpus = usable_cpus()
+    if jobs > cpus:
+        logger.info("jobs=%d capped at the %d CPUs this process may use", jobs, cpus)
+        jobs = cpus
+    if jobs == 1:
         return _run_meeting(recording, embeddings, config, mask_dir, None)
-    with ProcessPoolExecutor(max_workers=int(config.jobs)) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         pool.submit(int)  # not waited on
         return _run_meeting(recording, embeddings, config, mask_dir, pool)
 

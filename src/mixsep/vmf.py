@@ -108,6 +108,10 @@ def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float) -> np.ndarray
     start beyond the cap when A_E(kappa_max) <= rbar (the constrained
     maximum; that ratio is the first Newton step's, taken at the cap); a
     start <= 0 gives 0. Results are capped at ``kappa_max``.
+
+    Each step evaluates the Bessel ratio of every live component in one
+    call; the few scalar operations after it run on Python floats, one
+    component at a time, as the same IEEE operations in the same order.
     """
     saturated = rbar >= 1.0 - 1e-12
     kappa = np.where(saturated, float(kappa_max), 0.0)
@@ -116,27 +120,26 @@ def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float) -> np.ndarray
         live = np.flatnonzero(~saturated & (start > 0.0))
         if live.size == 0:
             return kappa
-        start, target = start[live], rbar[live]
-        k = np.minimum(start, kappa_max)
-        moving = start < kappa_max
+        targets = rbar[live].tolist()
+        ks = np.minimum(start[live], kappa_max).tolist()
+        moving = (start[live] < kappa_max).tolist()
+        nu, spread = dim / 2.0 - 1.0, dim - 1.0
         for it in range(4):
-            ratio = bessel_i_series(dim / 2.0 - 1.0, k)[1]
-            if it == 0:
-                moving |= ratio > target
-            slope = 1.0 - ratio * (ratio + (dim - 1.0) / k)
-            step = (ratio - target) / slope
-            moving &= slope > 1e-14
-            if np.count_nonzero(moving) < moving.size:
-                step[~moving] = 0.0
-            new = k - step
-            halve = new <= 0.0
-            if np.count_nonzero(halve):
-                new[halve] = 0.5 * k[halve]
-            k = new
-            moving = np.abs(step) >= 1e-12 * np.maximum(k, 1.0)
-            if not np.count_nonzero(moving):
+            ratios = bessel_i_series(nu, np.array(ks))[1].tolist()
+            for n, (ratio, target, k) in enumerate(zip(ratios, targets, ks)):
+                step = 0.0
+                if moving[n] or (it == 0 and ratio > target):  # then k > 0
+                    slope = 1.0 - ratio * (ratio + spread / k)
+                    if slope > 1e-14:
+                        step = (ratio - target) / slope
+                new = k - step
+                if new <= 0.0:
+                    new = 0.5 * k
+                ks[n] = new
+                moving[n] = abs(step) >= 1e-12 * max(new, 1.0)
+            if not any(moving):
                 break
-    kappa[live] = np.minimum(k, kappa_max)
+    kappa[live] = np.minimum(ks, kappa_max)
     return kappa
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mixsep.errors import InvalidInputError, NumericalError
-from mixsep.numerics import chol_with_loading, log_vmf_normalizer
+from mixsep.numerics import bessel_i_series, chol_with_loading, log_vmf_normalizer
 from mixsep.vmf import check_prototypes
 
 
@@ -114,3 +114,36 @@ def logsumexp(values, axis=None):
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
+
+
+def kappa_newton_arrays(rbar: np.ndarray, dim: int, kappa_max: float) -> np.ndarray:
+    """The concentration update of ``vmf._kappa_estimates`` with every
+    Newton step on NumPy arrays of all live components: the reference that
+    its per-component steps on Python floats must match to the bit."""
+    saturated = rbar >= 1.0 - 1e-12
+    kappa = np.where(saturated, float(kappa_max), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = (rbar * dim - rbar**3) / (1.0 - rbar**2)
+        live = np.flatnonzero(~saturated & (start > 0.0))
+        if live.size == 0:
+            return kappa
+        start, target = start[live], rbar[live]
+        k = np.minimum(start, kappa_max)
+        moving = start < kappa_max
+        for it in range(4):
+            ratio = bessel_i_series(dim / 2.0 - 1.0, k)[1]
+            if it == 0:
+                moving |= ratio > target
+            slope = 1.0 - ratio * (ratio + (dim - 1.0) / k)
+            step = (ratio - target) / slope
+            moving &= slope > 1e-14
+            step[~moving] = 0.0
+            new = k - step
+            halve = new <= 0.0
+            new[halve] = 0.5 * k[halve]
+            k = new
+            moving = np.abs(step) >= 1e-12 * np.maximum(k, 1.0)
+            if not moving.any():
+                break
+    kappa[live] = np.minimum(k, kappa_max)
+    return kappa

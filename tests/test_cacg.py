@@ -94,7 +94,7 @@ class TestNormalizeObservations:
         # of that array, fusion re-evaluations included
         built, read = [], []
         real_features, real_forms, real_scatter = (
-            cacg.outer_features, cacg._forms, cacg.scatter_matrices
+            cacg.outer_features, cacg._forms, cacg._scatter_sums
         )
 
         def features(x, normalize=False):
@@ -109,7 +109,8 @@ class TestNormalizeObservations:
             cacg, "_forms", lambda c, phi, out=None: read.append(phi) or real_forms(c, phi, out)
         )
         monkeypatch.setattr(
-            cacg, "scatter_matrices", lambda phi, w: read.append(phi) or real_scatter(phi, w)
+            cacg, "_scatter_sums",
+            lambda phi, w, out=None: read.append(phi) or real_scatter(phi, w, out),
         )
         rng = np.random.default_rng(3)
         data = rng.standard_normal((3, 6, 5)) + 1j * rng.standard_normal((3, 6, 5))
@@ -697,6 +698,49 @@ class TestLinearEStep:
         assert np.array_equal(gamma, want) and loglik == want_ll
         assert np.isfinite(loglik)
         assert_plain_tyler_update(new, x, gamma, pi, covariances)
+
+
+class TestFormCoefficients:
+    """The entry-wise inverse behind every form against the scalar reference,
+    on stacks at the loading floor."""
+
+    @pytest.mark.parametrize("c", range(2, 8))
+    @pytest.mark.parametrize("fault", ["rank_one", "dead_channel"])
+    def test_matches_scalar_reference(self, c, fault):
+        rng = np.random.default_rng(60 + c)
+        f, t = 3, 8
+        data = rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f))
+        benign = floor_covariances(rng, 1, f, c, c)
+        if fault == "rank_one":
+            # one source: the other C - 1 directions sit at the floor
+            faulty = floor_covariances(rng, 1, f, c, 1)
+        else:
+            # channel 1 records nothing: its row and column are zero and its
+            # diagonal entry is the loading floor alone
+            data[1] = 0.0
+            faulty = floor_covariances(rng, 1, f, c, c - 1)
+            faulty[..., 1, :] = faulty[..., :, 1] = 0.0
+            faulty = _load_stack(faulty, COV_LOADING)
+        covariances = np.concatenate([benign, faulty])
+        x = normalize_observations(tensor(data))
+        features = outer_features(x)
+        logdet, coef = cacg._form_coefficients(covariances)
+        unit_logdet, unit_coef = cacg._form_coefficients(covariances, unit_det=True)
+        assert np.array_equal(unit_logdet, logdet)
+        np.testing.assert_allclose(
+            unit_coef, coef * np.exp(logdet / c).T[:, :, None], rtol=1e-14, atol=0.0
+        )
+        quad = np.swapaxes(coef @ features, 0, 1)  # (K, F, T)
+        for k, j in np.ndindex(covariances.shape[:2]):
+            for n in range(t):
+                want_logdet, want = cholesky_logdet_solve(
+                    HermitianPD(covariances[k, j]), x.data[:, n, j]
+                )
+                assert logdet[k, j] == pytest.approx(want_logdet, rel=1e-12, abs=1e-12)
+                # random observations keep most of their energy off the
+                # signal space, so the forms of C 1e10-conditioned matrices do
+                # not cancel (2e-14 measured)
+                assert quad[k, j, n] == pytest.approx(want, rel=1e-12)
 
 
 class TestStftTensorInvariants:

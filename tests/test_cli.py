@@ -427,6 +427,38 @@ class TestParallelJobs:
         assert a == b
 
 
+class TestRankDeficientRecordings:
+    @pytest.mark.parametrize("fault", ["dead", "duplicate"])
+    def test_two_jobs_run_clean(self, bundle, tmp_path, fault):
+        # the bundle's scene with channel 1 dead or a copy of channel 0:
+        # every spatial covariance sits at the loading floor, and the whole
+        # run (EM, beamformer, pool) must still need no numerical rescue
+        audio = frontend.read_wav(bundle / "audio.wav")
+        samples = audio.samples.copy()
+        samples[1] = 0.0 if fault == "dead" else samples[0]
+        wav = tmp_path / f"{fault}.wav"
+        frontend.write_wav(wav, frontend.AudioBuffer(samples, audio.sample_rate))
+        out_dir = tmp_path / "out"
+        cfg = run_config_dict(bundle, out_dir)
+        cfg["inputs"][0]["audio"] = str(wav)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(cfg))
+        proc = fresh_python(
+            ["-m", "mixsep.cli", "run", "--config", str(config), "--jobs", "2"], tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "WARNING" not in proc.stdout + proc.stderr
+        out = out_dir / "meet0"
+        report = json.loads((out / "report.json").read_text())
+        assert report["num_segments"] >= 2
+        assert [s["speaker_count"] for s in report["segments"]] == [2] * report["num_segments"]
+        assert all(s["error"] is None for s in report["segments"])
+        wavs = sorted(out.glob("spk*.wav"))
+        assert len(wavs) == 2
+        for path in wavs:
+            assert np.all(np.isfinite(frontend.read_wav(path).samples))
+
+
 class TestBlasThreads:
     def test_thread_count_leaves_outputs_unchanged(self, tmp_path):
         # a fresh `mixsep run --jobs 1` of a three-segment meeting writes the

@@ -481,8 +481,9 @@ class TestJointEm:
                 assert trace[i + 1] >= trace[i] - 1e-6 * abs(trace[i])
 
     def test_reused_quad_matches_recomputed_across_fusion(self, monkeypatch):
-        # the E-step's quadratic forms, trimmed and patched after each fusion,
-        # must equal forms computed afresh from the M-step's input covariances
+        # the sweep's Tyler update weighs by the E-step's reciprocal forms,
+        # trimmed and patched after each fusion; it must equal the update
+        # from forms computed afresh from the M-step's input covariances
         cfg = tiny_scenario([0, 1, 2], duration_s=8.0, overlap=0.1, seed=9, embed_dim=24)
         x, e, truth, _ = build_meeting(cfg)
         init = kmeans_init_posterior(e, truth.voiced, 6, x.num_bins, seed=2)
@@ -491,21 +492,32 @@ class TestJointEm:
             noise_index=6, seed=0,
         )
         reused = joint_em(x, e, init, jcfg)
-        real = cacg._tyler
+        real = cacg.em_sweep
         fresh_calls = []
 
-        def fresh_forms(features, gamma, quad, prev, weights):
-            if np.ndim(quad) == 0:  # the identity start weighs by 1
-                return real(features, gamma, quad, prev, weights)
+        def fresh_update(covariances, logits, x, features, out=None, merge=None, update=True):
+            gamma, ll, _ = real(covariances, logits, x, features, out, merge, update=False)
+            prev = covariances
+            if merge is not None:
+                keep, remove, fused = merge
+                prev = np.delete(covariances, remove, axis=0)
+                prev[keep if keep < remove else keep - 1] = fused
             fresh_calls.append(prev.shape[0])
             quad = quad_forms(prev, features)[1]
-            return real(features, gamma, quad, prev, quad)
+            posterior = PosteriorTensor(gamma, np.ones(gamma.shape[:2]))
+            spatial = [SpatialComponent(cov) for cov in prev]
+            new = cacg.cacg_m_step(x, posterior, spatial, quad, features)
+            return gamma, ll, stack_covariances(new)
 
-        monkeypatch.setattr(cacg, "_tyler", fresh_forms)
+        monkeypatch.setattr(cacg, "em_sweep", fresh_update)
         fresh = joint_em(x, e, init, jcfg)
-        blocks = len(cacg.frequency_blocks(x.num_bins))
-        assert len(fresh_calls) == blocks * jcfg.iterations  # every M-step recomputed
-        assert reused[2] and reused[2] == fresh[2]  # fusion fired, at the same steps
+        assert len(fresh_calls) == jcfg.iterations  # every M-step recomputed
+        # fusion fired, at the same steps and pairs; the similarities are
+        # products of prototypes that differ from the fresh ones by rounding
+        assert reused[2] and len(reused[2]) == len(fresh[2])
+        for a, b in zip(reused[2], fresh[2]):
+            assert (a.kept, a.removed, a.iteration) == (b.kept, b.removed, b.iteration)
+            assert abs(a.similarity - b.similarity) <= 1e-12
         assert np.max(np.abs(reused[3] - fresh[3]) / np.abs(fresh[3])) <= 1e-12
         assert np.max(np.abs(reused[1].gamma - fresh[1].gamma)) <= 1e-12
         for a, b in zip(reused[0].spatial, fresh[0].spatial):

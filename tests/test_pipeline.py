@@ -1,3 +1,6 @@
+import logging
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from helpers import tiny_scenario
@@ -521,6 +524,54 @@ class TestRunMeeting:
         assert report["num_segments"] >= 2
         assert lengths == [(n - 1) * hop + win for n in frames]
         assert max(lengths) < audio.num_samples / 2
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_jobs_beyond_the_cpus_are_capped(self, monkeypatch, caplog, affinity):
+        # the fork-context pool would start every worker at its first
+        # submission, so --jobs 10000 must not ask for 10000 workers: the
+        # pool is capped at the CPUs this process may use. A recorder stands
+        # in for the pool and runs the segments in this process.
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        if affinity:
+            monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        else:
+            monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
+        cfg = tiny_scenario(
+            None, k_true=2, segments=[SegmentPlan(4.0, [0, 1]), SegmentPlan(4.0, [0, 1])],
+            seed=6, channels=3,
+        )
+        _, e, _, audio = build_meeting(cfg)
+        config = tuned_config(k_init=3, em_iterations=5, init_iterations=5, max_segment_s=5.0)
+        want = run_meeting(audio, e, config)
+        assert pools == []  # one job: no pool
+        config.jobs = 10_000
+        with caplog.at_level(logging.INFO, logger="mixsep.pipeline"):
+            got = run_meeting(audio, e, config)
+        assert pools == [3]
+        assert any("capped at the 3 CPUs" in r.getMessage() for r in caplog.records)
+        assert got[0].entries == want[0].entries
+        assert got[2]["num_segments"] >= 2
 
     def test_mono_recording_rejected(self):
         audio = frontend.AudioBuffer(np.random.default_rng(0).standard_normal((1, 8000)), 2000)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import vmf_log_pdf
+from reference import kappa_newton_arrays, vmf_log_pdf
 from scipy import special
 from scipy.optimize import linear_sum_assignment
 
@@ -163,6 +163,20 @@ class TestKappaUpdateMatchesScalarNewton:
         if kappa_max == 35.0:  # Banerjee's start overshoots this cap below A(cap)
             start = (rbar * dim - rbar**3) / np.maximum(1.0 - rbar**2, 1e-300)
             assert np.any((start >= kappa_max) & (rbar < cap))
+
+    def test_scalar_steps_match_array_steps_to_the_bit(self):
+        # the Newton steps run on Python floats per component; they are the
+        # same IEEE operations as on arrays, so every estimate is identical
+        rng = np.random.default_rng(17)
+        for _ in range(3000):
+            count = int(rng.integers(1, 13))
+            dim = int(rng.choice([2, 3, 8, 16, 24, 64, 256]))
+            kappa_max = float(rng.choice([0.0, 1.0, 35.0, 1000.0, 1e4]))
+            rbar = rng.uniform(0.0, 1.0, count) ** float(rng.choice([0.1, 1.0, 4.0]))
+            rbar[rng.uniform(size=count) < 0.1] = 1.0
+            got = vmf._kappa_estimates(rbar, dim, kappa_max)
+            want = kappa_newton_arrays(rbar, dim, kappa_max)
+            assert np.array_equal(got, want), (rbar, dim, kappa_max)
 
     def test_integer_cap_keeps_float_estimates(self):
         # a JSON config passes "kappa_max": 50 through as an int
