@@ -5,7 +5,7 @@ model fitted with EM, per-segment speaker counting by component fusion, and
 cross-segment speaker alignment by prototype clustering.
 """
 
-from .cacg import PosteriorTensor, SpatialComponent, StftTensor, cacgmm_em
+from .cacg import PosteriorTensor, StftTensor, cacgmm_em
 from .errors import ConfigurationError, InvalidInputError, MixsepError, NumericalError
 from .frontend import AudioBuffer, SegmentSpec
 from .integrated import (
@@ -37,7 +37,6 @@ __all__ = [
     "SegmentPlan",
     "SegmentResult",
     "SegmentSpec",
-    "SpatialComponent",
     "StftTensor",
     "VmfMixture",
     "build_meeting",

@@ -68,27 +68,6 @@ class StftTensor:
 
 
 @dataclass
-class SpatialComponent:
-    """Per-source spatial covariances, one Hermitian PD matrix per frequency."""
-
-    covariances: np.ndarray  # (F, C, C)
-
-    def __post_init__(self):
-        cov = np.asarray(self.covariances, dtype=complex)
-        if cov.ndim != 3 or cov.shape[1] != cov.shape[2]:
-            raise InvalidInputError("covariances must have shape (F, C, C)")
-        self.covariances = (cov + np.conj(np.swapaxes(cov, -1, -2))) / 2.0
-
-    @property
-    def num_bins(self) -> int:
-        return self.covariances.shape[0]
-
-    @classmethod
-    def identity(cls, num_bins: int, dim: int) -> "SpatialComponent":
-        return cls(np.broadcast_to(np.eye(dim, dtype=complex), (num_bins, dim, dim)).copy())
-
-
-@dataclass
 class PosteriorTensor:
     """Class posteriors gamma (K, T, F) and frequency-tied priors pi (K, T)."""
 
@@ -355,10 +334,6 @@ def scatter_matrices(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return _hermitian(np.swapaxes(_scatter_sums(features, weights), 0, 1))
 
 
-def stack_covariances(components: list[SpatialComponent]) -> np.ndarray:
-    return np.stack([c.covariances for c in components])
-
-
 def _tyler(sums: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """The (K, F, C, C) covariances of a Tyler update (:func:`cacg_m_step`)
     from its (K, F, C^2) packed scatter sums (:func:`_scatter_sums`) and the
@@ -381,11 +356,11 @@ def _tyler(sums: np.ndarray, prev: np.ndarray) -> np.ndarray:
 def cacg_m_step(
     x: StftTensor,
     posterior: PosteriorTensor,
-    prev: list[SpatialComponent],
+    prev: np.ndarray,
     quad: np.ndarray | float,
     features: np.ndarray,
-) -> list[SpatialComponent]:
-    """One Tyler fixed-point update of all spatial covariances.
+) -> np.ndarray:
+    """One Tyler fixed-point update of a (K, F, C, C) covariance stack.
 
     ``B_{k,f} ~ sum_t gamma ~y ~y^H / (~y^H B_prev^{-1} ~y)``, diagonally
     loaded and trace-normalized to C. The normalization cancels every
@@ -400,7 +375,7 @@ def cacg_m_step(
     Args:
         x: the observations; unused, as C is the covariances' size.
         posterior: responsibilities of the E-step.
-        prev: the previous covariances ``B_prev``.
+        prev: the (K, F, C, C) previous covariances ``B_prev``.
         quad: (K, F, T) quadratic forms ``~y^H B_prev^{-1} ~y`` of the
             previous covariances, or any per-(k, f) multiple of them, such
             as the unit-determinant forms (:func:`quad_forms` with
@@ -416,8 +391,7 @@ def cacg_m_step(
     weights = np.empty(gamma.shape) if np.ndim(quad) == 0 else quad
     np.divide(gamma, quad, out=weights)
     sums = _scatter_sums(features, weights)
-    new = _tyler(np.swapaxes(sums, 0, 1), stack_covariances(prev))
-    return [SpatialComponent(cov) for cov in new]
+    return _tyler(np.swapaxes(sums, 0, 1), prev)
 
 
 def initial_covariances(gamma: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -492,10 +466,11 @@ def em_sweep(
       ``LINEAR_TOTAL_FLOOR`` are evaluated in the log domain instead
       (:func:`cacg_log_pdf_stack` and :func:`numerics.normalize_logits`);
       one warning per call counts those bins.
-    - With ``merge = (keep, remove, covariance)`` component ``remove``'s
-      posterior is added to ``keep``'s and its row dropped, in place; the
-      fused component, at ``keep``'s index after the removal, has the
-      given covariance, and ``r`` the reciprocal of its forms.
+    - With ``merge = (keep, remove, fused)`` component ``remove``'s
+      posterior is added to ``keep``'s and its row dropped, in place;
+      ``fused`` is the (K-1, F, C, C) stack of the fused model, whose row
+      at ``keep``'s index after the removal is the fused covariance, and
+      ``r`` that row's reciprocal forms.
     - The Tyler update (:func:`cacg_m_step`) is weighted by
       ``gamma / q~ = gamma r``, written over ``r``, and one GEMM per block
       writes the packed real scatter sums (:func:`_scatter_sums`) of the
@@ -536,12 +511,10 @@ def em_sweep(
     _, coef = _form_coefficients(covariances, unit_det=True)
     prev = covariances
     if merge is not None:
-        keep, remove, fused = merge
+        keep, remove, prev = merge
         kept = keep if keep < remove else keep - 1
-        prev = np.delete(covariances, remove, axis=0)
-        prev[kept] = fused
         if update:
-            kept_coef = _form_coefficients(fused[None])[1]
+            kept_coef = _form_coefficients(prev[kept : kept + 1])[1]
     rows = prev.shape[0]
     gamma = np.empty((k, f, t)) if out is None else out
     sums = np.empty((f, rows, c * c)) if update else None
@@ -614,7 +587,8 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     observations, built per run.
 
     Returns:
-        ``(components, posterior, loglik_trace)``.
+        ``(covariances, posterior, loglik_trace)``, the covariances a
+        (K, F, C, C) stack.
     """
     if init_gamma.num_components < 1:
         raise ConfigurationError("need at least one component")
@@ -634,5 +608,4 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
         trace.append(ll)
         pi = update_pi(gamma.sum(axis=2), x.num_bins)
         spent = np.swapaxes(gamma, 1, 2)
-    components = [SpatialComponent(cov) for cov in covariances]
-    return components, PosteriorTensor(gamma, pi), np.asarray(trace)
+    return covariances, PosteriorTensor(gamma, pi), np.asarray(trace)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import frontend, metrics, pipeline, rttm, synth
 from .errors import ConfigurationError, MixsepError
+from .integrated import check_tau
 from .vmf import check_kappa_max
 
 
@@ -65,6 +66,12 @@ class RunConfig:
         if self.median_frames % 2 != 1:
             raise ConfigurationError("median_frames must be odd")
         check_kappa_max(self.kappa_max)
+        check_tau(self.tau_spectral, "tau_spectral")
+        check_tau(self.tau_iou, "tau_iou")
+        for name in ("k_target", "k_total"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigurationError(f"{name} must be >= 1 or null, got {value!r}")
         for item in self.inputs:
             if not (
                 isinstance(item, dict)

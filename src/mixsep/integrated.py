@@ -16,7 +16,7 @@ import numpy as np
 
 from . import cacg as _cacg
 from . import vmf as _vmf
-from .cacg import PosteriorTensor, SpatialComponent, StftTensor
+from .cacg import PosteriorTensor, StftTensor
 from .errors import ConfigurationError, InvalidInputError
 from .vmf import EmbeddingSequence
 
@@ -28,27 +28,31 @@ SUM_FRAMES = 256
 
 @dataclass
 class JointModel:
-    """Joint model state: spatial components, vMF prototypes and tied priors."""
+    """Joint model state: spatial covariances, vMF prototypes and tied priors."""
 
-    spatial: list[SpatialComponent]
+    covariances: np.ndarray  # (K, F, C, C) Hermitian PD
     mu: np.ndarray  # (K, E) unit prototypes
     kappa: np.ndarray  # (K,) concentrations
     pi: np.ndarray  # (K, T)
     noise_index: int | None = None
 
     def __post_init__(self):
+        self.covariances = np.asarray(self.covariances, dtype=complex)
+        shape = self.covariances.shape
+        if len(shape) != 4 or shape[2] != shape[3]:
+            raise InvalidInputError("covariances must have shape (K, F, C, C)")
         self.mu = np.asarray(self.mu, dtype=float)
         self.kappa = np.asarray(self.kappa, dtype=float)
-        _vmf.check_prototypes(self.mu, self.kappa, len(self.spatial))
+        _vmf.check_prototypes(self.mu, self.kappa, shape[0])
         self.pi = np.asarray(self.pi, dtype=float)
-        if self.pi.shape[0] != len(self.spatial):
+        if self.pi.shape[0] != shape[0]:
             raise InvalidInputError("pi rows must match the component count")
-        if self.noise_index is not None and not 0 <= self.noise_index < len(self.spatial):
+        if self.noise_index is not None and not 0 <= self.noise_index < shape[0]:
             raise InvalidInputError("noise index out of range")
 
     @property
     def num_components(self) -> int:
-        return len(self.spatial)
+        return self.covariances.shape[0]
 
     def speaker_indices(self) -> list[int]:
         return [k for k in range(self.num_components) if k != self.noise_index]
@@ -82,6 +86,16 @@ class JointEmConfig:
 
     def __post_init__(self):
         _vmf.check_kappa_max(self.kappa_max)
+        check_tau(self.tau_spectral, "tau_spectral")
+        check_tau(self.tau_iou, "tau_iou")
+        if self.k_min < 1:
+            raise ConfigurationError(f"k_min must be >= 1, got {self.k_min!r}")
+
+
+def check_tau(tau: float, name: str = "tau"):
+    """Raise unless the fusion threshold ``tau`` lies in (0, 1)."""
+    if not 0.0 < tau < 1.0:
+        raise ConfigurationError(f"{name} must lie in (0, 1), got {tau!r}")
 
 
 def joint_m_step(
@@ -101,19 +115,18 @@ def joint_m_step(
     per-bin posteriors; the vMF prototypes are refitted with the
     frequency-summed posteriors, and that same sum over F gives the prior
     (the frequency mean). A noise component keeps kappa pinned at 0.
-    ``quad`` holds the (K, F, T) quadratic forms of ``model.spatial``, which
+    ``quad`` holds the (K, F, T) quadratic forms of ``model.covariances``, which
     the Tyler update overwrites, and ``features`` the outer-product features
     of the normalized ``x`` (see :func:`cacg.cacg_m_step`). :func:`joint_em`
     runs the same steps, its Tyler update block by block inside its sweep.
     """
-    if freeze_spatial:
-        spatial = model.spatial
-    else:
-        spatial = _cacg.cacg_m_step(x, posterior, model.spatial, quad, features)
+    covariances = model.covariances
+    if not freeze_spatial:
+        covariances = _cacg.cacg_m_step(x, posterior, covariances, quad, features)
     gbar = posterior.gamma.sum(axis=2)  # (K, T)
     mu, kappa = _spectral_m_step(embeddings, gbar, kappa_max, rng, model.noise_index)
     pi = _cacg.update_pi(gbar, posterior.num_bins)
-    return JointModel(spatial, mu, kappa, pi, model.noise_index)
+    return JointModel(covariances, mu, kappa, pi, model.noise_index)
 
 
 def _spectral_m_step(embeddings, gbar, kappa_max, rng, noise_index):
@@ -123,10 +136,6 @@ def _spectral_m_step(embeddings, gbar, kappa_max, rng, noise_index):
     if noise_index is not None:
         kappa[noise_index] = 0.0
     return mu, kappa
-
-
-def _index_after_removal(keep: int, remove: int) -> int:
-    return keep if keep < remove else keep - 1
 
 
 def _fuse_pair(
@@ -143,25 +152,22 @@ def _fuse_pair(
     w_i = mass_i / total if total > 0.0 else 0.5
     w_j = 1.0 - w_i
 
-    keep_after = _index_after_removal(keep, remove)
+    keep_after = keep if keep < remove else keep - 1
     if posterior is not None:
         gamma = np.delete(posterior.gamma, remove, axis=0)
         gamma[keep_after] = posterior.gamma[keep] + posterior.gamma[remove]
     pi = np.delete(model.pi, remove, axis=0)
     pi[keep_after] = model.pi[keep] + model.pi[remove]
 
-    fused_cov = (
-        w_i * model.spatial[keep].covariances + w_j * model.spatial[remove].covariances
-    )
-    spatial = [c for j, c in enumerate(model.spatial) if j != remove]
-    spatial[keep_after] = SpatialComponent(fused_cov)
+    covariances = np.delete(model.covariances, remove, axis=0)
+    covariances[keep_after] = w_i * model.covariances[keep] + w_j * model.covariances[remove]
     mu = np.delete(model.mu, remove, axis=0)
     kappa = np.delete(model.kappa, remove)
 
     noise = model.noise_index
     if noise is not None and remove < noise:
         noise -= 1
-    new_model = JointModel(spatial, mu, kappa, pi, noise)
+    new_model = JointModel(covariances, mu, kappa, pi, noise)
     event = FusionEvent(kept=keep, removed=remove, similarity=similarity, iteration=iteration)
     return new_model, None if posterior is None else PosteriorTensor(gamma, pi), event
 
@@ -173,8 +179,7 @@ def _fuse_top_pair(model, posterior, tau, k_min, iteration, score):
     speaker components (noise excluded). Ties go to the first pair in
     row-major order of its upper triangle.
     """
-    if not 0.0 < tau < 1.0:
-        raise ConfigurationError("tau must lie in (0, 1)")
+    check_tau(tau)
     speakers = model.speaker_indices()
     if len(speakers) <= max(k_min, 1):
         return model, posterior, None
@@ -248,16 +253,15 @@ def _initial_model(
     features: np.ndarray,
 ) -> JointModel:
     if config.freeze_spatial:
-        spatial = [
-            SpatialComponent.identity(x.num_bins, x.num_channels)
-            for _ in range(init.num_components)
-        ]
+        c = x.num_channels
+        shape = (init.num_components, x.num_bins, c, c)
+        covariances = np.broadcast_to(np.eye(c, dtype=complex), shape).copy()
     else:
-        spatial = [SpatialComponent(cov) for cov in _cacg.initial_covariances(init.gamma, features)]
+        covariances = _cacg.initial_covariances(init.gamma, features)
     mu, kappa = _spectral_m_step(
         embeddings, init.gamma.sum(axis=2), config.kappa_max, rng, config.noise_index
     )
-    return JointModel(spatial, mu, kappa, init.pi, config.noise_index)
+    return JointModel(covariances, mu, kappa, init.pi, config.noise_index)
 
 
 def _logits(model: JointModel, embeddings: EmbeddingSequence) -> np.ndarray:
@@ -335,20 +339,18 @@ def joint_em(
         if event is not None:
             logger.debug("fused components %d <- %d at iteration %d", event.kept, event.removed, it)
             events.append(event)
-            kept = _index_after_removal(event.kept, event.removed)
-            merge = (event.kept, event.removed, fused.spatial[kept].covariances)
+            merge = (event.kept, event.removed, fused.covariances)
         gamma, ll, covariances = _cacg.em_sweep(
-            _cacg.stack_covariances(model.spatial), _logits(model, embeddings), x, features,
+            model.covariances, _logits(model, embeddings), x, features,
             spent, merge, update=not config.freeze_spatial,
         )
         trace.append(ll)
-        spatial = fused.spatial
-        if covariances is not None:
-            spatial = [SpatialComponent(cov) for cov in covariances]
+        if covariances is None:
+            covariances = fused.covariances
         gbar = _frequency_sums(gamma, fused=event is not None)
         mu, kappa = _spectral_m_step(embeddings, gbar, config.kappa_max, rng, fused.noise_index)
         pi = _cacg.update_pi(gbar, x.num_bins)
-        model = JointModel(spatial, mu, kappa, pi, fused.noise_index)
+        model = JointModel(covariances, mu, kappa, pi, fused.noise_index)
         # the posterior is spent: the next E-step writes into its buffer
         spent = np.swapaxes(gamma, 1, 2)
     return model, PosteriorTensor(gamma, model.pi), events, np.asarray(trace)

@@ -4,13 +4,7 @@ import struct
 
 import numpy as np
 
-from mixsep.cacg import (
-    PosteriorTensor,
-    cacg_m_step,
-    outer_features,
-    quad_forms,
-    stack_covariances,
-)
+from mixsep.cacg import PosteriorTensor, cacg_m_step, outer_features, quad_forms
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting
 from mixsep.vmf import smooth_one_hot, spherical_kmeans_pp
 
@@ -87,8 +81,20 @@ def kmeans_init_posterior(embeddings, voiced, n_clusters, n_bins, seed=0, with_n
     return PosteriorTensor(gamma, gamma_t.copy())
 
 
+def identity_stack(k, f, c):
+    """(K, F, C, C) identity covariances."""
+    return np.broadcast_to(np.eye(c, dtype=complex), (k, f, c, c)).copy()
+
+
+def assert_exactly_hermitian(covariances):
+    """Each (..., C, C) matrix equals its conjugate transpose to the bit, with
+    a real diagonal."""
+    assert np.array_equal(covariances, np.conj(np.swapaxes(covariances, -1, -2)))
+    assert not np.einsum("...ii->...i", covariances).imag.any()
+
+
 def tyler_step(x, posterior, prev):
     """One ``cacg_m_step`` on unit observations ``x``, weighted by the
-    quadratic forms of the previous components ``prev``."""
+    quadratic forms of the previous (K, F, C, C) covariances ``prev``."""
     features = outer_features(x)
-    return cacg_m_step(x, posterior, prev, quad_forms(stack_covariances(prev), features)[1], features)
+    return cacg_m_step(x, posterior, prev, quad_forms(prev, features)[1], features)

@@ -10,11 +10,17 @@ import time
 
 import numpy as np
 import pytest
-from helpers import kmeans_init_posterior, random_soft_posterior, tiny_scenario, tyler_step
+from helpers import (
+    identity_stack,
+    kmeans_init_posterior,
+    random_soft_posterior,
+    tiny_scenario,
+    tyler_step,
+)
 from scipy.optimize import linear_sum_assignment
 
 from mixsep import frontend, pipeline, rttm
-from mixsep.cacg import PosteriorTensor, SpatialComponent, cacgmm_em
+from mixsep.cacg import PosteriorTensor, cacgmm_em
 from mixsep.cli import RunConfig
 from mixsep.integrated import (
     JointEmConfig,
@@ -175,14 +181,14 @@ def test_criterion_03_parameter_recovery():
 
     tensor = StftTensor(draws.T[:, :, None], 8000, 512, 400, 128)
     post = PosteriorTensor(np.ones((1, 5000, 1)), np.ones((1, 5000)))
-    comps = [SpatialComponent.identity(1, 4)]
+    covs = identity_stack(1, 1, 4)
     for _ in range(10):
-        comps = tyler_step(tensor, post, comps)
+        covs = tyler_step(tensor, post, covs)
 
     def normalize_trace(m):
         return m * (m.shape[-1] / np.einsum("ii->", m).real)
 
-    got = normalize_trace(comps[0].covariances[0])
+    got = normalize_trace(covs[0, 0])
     want = normalize_trace(b_true)
     frob = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert frob <= 0.05
@@ -358,7 +364,7 @@ def test_criterion_07_fusion_algebra():
     other -= (other @ mu) * mu
     other /= np.linalg.norm(other)
     model = JointModel(
-        [SpatialComponent(c) for c in covs],
+        np.stack(covs),
         np.stack([mu, mu, other]),
         np.full(3, 10.0),
         pi,
@@ -372,7 +378,7 @@ def test_criterion_07_fusion_algebra():
     # covariances combine as the prior-mass-weighted average
     m0, m1 = pi[0].sum(), pi[1].sum()
     expected = (m0 * covs[0] + m1 * covs[1]) / (m0 + m1)
-    gap = np.max(np.abs(new_model.spatial[0].covariances - expected))
+    gap = np.max(np.abs(new_model.covariances[0] - expected))
     scale = np.max(np.abs(expected))
     assert gap <= 1e-14 * scale
     report(7, f"fused gamma exact, fused B within {gap:.2e} of the weighted average")

@@ -3,7 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import kmeans_init_posterior, tiny_scenario, tyler_step
+from helpers import (
+    assert_exactly_hermitian,
+    identity_stack,
+    kmeans_init_posterior,
+    tiny_scenario,
+    tyler_step,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import HermitianPD, cacg_log_pdf, cholesky_logdet_solve, logsumexp
@@ -13,7 +19,6 @@ from mixsep.cacg import (
     COV_LOADING,
     PRIOR_FLOOR,
     PosteriorTensor,
-    SpatialComponent,
     StftTensor,
     cacg_log_pdf_stack,
     cacg_m_step,
@@ -23,7 +28,6 @@ from mixsep.cacg import (
     outer_features,
     quad_forms,
     scatter_matrices,
-    stack_covariances,
     update_pi,
 )
 from mixsep.errors import ConfigurationError, InvalidInputError, NumericalError
@@ -224,10 +228,10 @@ class TestCacgMStep:
         gamma = np.ones((1, 5000, 1))
         pi = np.ones((1, 5000))
         post = PosteriorTensor(gamma, pi)
-        comps = [SpatialComponent.identity(1, 4)]
+        covs = identity_stack(1, 1, 4)
         for _ in range(10):
-            comps = tyler_step(x, post, comps)
-        got = trace_normalize(comps[0].covariances[0])
+            covs = tyler_step(x, post, covs)
+        got = trace_normalize(covs[0, 0])
         want = trace_normalize(b_true.entries)
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err < 0.05
@@ -238,12 +242,12 @@ class TestCacgMStep:
         draws = sample_cacg(b_true.entries, 5000, seed=101)
         x = tensor(draws.T[:, :, None])
         post = PosteriorTensor(np.ones((1, 5000, 1)), np.ones((1, 5000)))
-        comps = [SpatialComponent.identity(1, 4)]
+        covs = identity_stack(1, 1, 4)
         want = trace_normalize(b_true.entries)
         dists = []
         for _ in range(5):
-            comps = tyler_step(x, post, comps)
-            got = trace_normalize(comps[0].covariances[0])
+            covs = tyler_step(x, post, covs)
+            got = trace_normalize(covs[0, 0])
             dists.append(np.linalg.norm(got - want))
         # monotone down to the finite-sample floor; converged iterations may
         # wiggle at the 1e-4 level
@@ -256,8 +260,8 @@ class TestCacgMStep:
         y /= np.linalg.norm(y)
         x = tensor(y[:, None, None])
         post = PosteriorTensor(np.ones((1, 1, 1)), np.ones((1, 1)))
-        (comp,) = tyler_step(x, post, [SpatialComponent.identity(1, 3)])
-        got = comp.covariances[0]
+        (cov,) = tyler_step(x, post, identity_stack(1, 1, 3))
+        got = cov[0]
         assert abs(np.einsum("ii->", got).real - 3.0) < 1e-6
         # dominant eigenvector matches the observation direction
         vals, vecs = np.linalg.eigh(got)
@@ -271,10 +275,10 @@ class TestCacgMStep:
         gamma = np.zeros((2, 3, 2))
         gamma[0] = 1.0  # component 1 never responsible
         post = PosteriorTensor(gamma, gamma.mean(axis=2))
-        prev = [SpatialComponent.identity(2, 2) for _ in range(2)]
-        prev[1] = SpatialComponent(np.stack([np.diag([1.5, 0.5]), np.diag([0.5, 1.5])]).astype(complex))
+        prev = identity_stack(2, 2, 2)
+        prev[1] = np.stack([np.diag([1.5, 0.5]), np.diag([0.5, 1.5])])
         out = tyler_step(x, post, prev)
-        assert np.allclose(out[1].covariances, prev[1].covariances)
+        assert np.allclose(out[1], prev[1])
 
     def test_inactive_bins_keep_previous_with_given_quad(self):
         rng = np.random.default_rng(19)
@@ -284,21 +288,21 @@ class TestCacgMStep:
         gamma[0] = 1.0
         gamma[1, :, 1], gamma[0, :, 1] = 0.5, 0.5  # component 1 inactive in bin 0 only
         post = PosteriorTensor(gamma, gamma.mean(axis=2))
-        prev = [SpatialComponent.identity(2, 2) for _ in range(2)]
-        prev[1] = SpatialComponent(np.stack([np.diag([1.5, 0.5]), np.diag([0.5, 1.5])]).astype(complex))
+        prev = identity_stack(2, 2, 2)
+        prev[1] = np.stack([np.diag([1.5, 0.5]), np.diag([0.5, 1.5])])
         features = outer_features(x)
-        _, quad = cacg_log_pdf_stack(stack_covariances(prev), x, features)
+        _, quad = cacg_log_pdf_stack(prev, x, features)
         out = cacg_m_step(x, post, prev, quad, features)
-        assert np.array_equal(out[1].covariances[0], prev[1].covariances[0])
-        assert np.max(np.abs(out[1].covariances[1] - prev[1].covariances[1])) > 1e-3
+        assert np.array_equal(out[1, 0], prev[1, 0])
+        assert np.max(np.abs(out[1, 1] - prev[1, 1])) > 1e-3
 
     def test_trace_normalized(self):
         rng = np.random.default_rng(20)
         data = rng.standard_normal((3, 50, 4)) + 1j * rng.standard_normal((3, 50, 4))
         x = normalize_observations(tensor(data))
         post = uniform_posterior(2, 50, 4)
-        out = tyler_step(x, post, [SpatialComponent.identity(4, 3) for _ in range(2)])
-        traces = np.einsum("fii->f", out[0].covariances).real
+        out = tyler_step(x, post, identity_stack(2, 4, 3))
+        traces = np.einsum("fii->f", out[0]).real
         assert np.allclose(traces, 3.0, atol=1e-6)
 
 
@@ -349,13 +353,13 @@ class TestQuadForms:
         data = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
         features = outer_features(normalize_observations(tensor(data)))
         with pytest.raises(NumericalError):
-            quad_forms(stack_covariances([SpatialComponent.identity(2, 3)]), -features)
+            quad_forms(identity_stack(1, 2, 3), -features)
 
     def test_nan_logits_rejected(self):
         rng = np.random.default_rng(6)
         data = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
         x = normalize_observations(tensor(data))
-        covariances = stack_covariances([SpatialComponent.identity(3, 2) for _ in range(2)])
+        covariances = identity_stack(2, 3, 2)
         spectral = np.zeros((2, 4))
         spectral[1, 2] = np.nan
         with pytest.raises(InvalidInputError):
@@ -384,55 +388,53 @@ class TestCacgMStepReusesQuad:
         x = normalize_observations(tensor(data))
         raw = rng.uniform(0.05, 1.0, size=(2, 60, 5))
         gamma = raw / raw.sum(axis=0, keepdims=True)
-        prev = [
-            SpatialComponent(np.stack([random_b(rng, 3).entries for _ in range(5)]))
-            for _ in range(2)
-        ]
+        prev = np.stack(
+            [np.stack([random_b(rng, 3).entries for _ in range(5)]) for _ in range(2)]
+        )
         return x, PosteriorTensor(gamma, gamma.mean(axis=2)), prev
 
     def test_e_step_quad_gives_same_update(self):
         # the E-step's forms against the batched reference's
         x, post, prev = self.scene()
         features = outer_features(x)
-        _, quad = cacg_log_pdf_stack(stack_covariances(prev), x, features)
+        _, quad = cacg_log_pdf_stack(prev, x, features)
         given = cacg_m_step(x, post, prev, quad, features)
         y = np.transpose(x.data, (2, 0, 1))  # (F, C, T)
-        want = chol_logdet_quad(stack_covariances(prev), y[None])[1]
+        want = chol_logdet_quad(prev, y[None])[1]
         computed = cacg_m_step(x, post, prev, want, features)
         for a, b in zip(given, computed):
-            assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-12
+            assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_quad_is_the_tyler_weight(self):
         # forms of other covariances must change the update
         x, post, prev = self.scene()
         features = outer_features(x)
-        identity = [SpatialComponent.identity(5, 3) for _ in range(2)]
-        _, quad = cacg_log_pdf_stack(stack_covariances(identity), x, features)
+        _, quad = cacg_log_pdf_stack(identity_stack(2, 5, 3), x, features)
         given = cacg_m_step(x, post, prev, quad, features)
         computed = tyler_step(x, post, prev)
-        assert np.max(np.abs(given[0].covariances - computed[0].covariances)) > 1e-3
+        assert np.max(np.abs(given[0] - computed[0])) > 1e-3
 
     def test_a_per_bin_scale_of_quad_cancels(self):
         # the trace normalization cancels any factor constant over t, so the
         # E-step may hand over the forms of B / det(B)^{1/C}
         x, post, prev = self.scene()
         features = outer_features(x)
-        quad = quad_forms(stack_covariances(prev), features)[1]
+        quad = quad_forms(prev, features)[1]
         scale = np.random.default_rng(23).uniform(1e-6, 1e6, quad.shape[:2])
         given = cacg_m_step(x, post, prev, quad * scale[..., None], features)
         computed = cacg_m_step(x, post, prev, quad, features)
         for a, b in zip(given, computed):
-            assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-12
+            assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_identity_start_weighs_every_bin_by_one(self):
         # y^H I^{-1} y = |y|^2 = 1 for unit observations, so the EM's
         # identity start passes quad = 1 instead of factorizing identities
         x, post, _ = self.scene()
-        identity = [SpatialComponent.identity(5, 3) for _ in range(2)]
+        identity = identity_stack(2, 5, 3)
         given = cacg_m_step(x, post, identity, 1.0, outer_features(x))
         computed = tyler_step(x, post, identity)
         for a, b in zip(given, computed):
-            assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-14
+            assert np.max(np.abs(a - b)) <= 1e-14
 
 
 def two_source_scene(rng, n_frames=400, n_bins=33, n_chan=4, shared_b=False):
@@ -480,7 +482,7 @@ class TestCacgmmEm:
         rng = np.random.default_rng(22)
         data = rng.standard_normal((2, 20, 3)) + 1j * rng.standard_normal((2, 20, 3))
         x = tensor(data)
-        comps, post, trace = cacgmm_em(x, uniform_posterior(1, 20, 3), 3)
+        covs, post, trace = cacgmm_em(x, uniform_posterior(1, 20, 3), 3)
         assert np.allclose(post.gamma, 1.0)
         assert np.allclose(post.pi, 1.0)
 
@@ -494,8 +496,10 @@ class TestCacgmmEm:
         gamma[labels, np.arange(x.num_frames), :] = 0.9
         gamma /= gamma.sum(axis=0, keepdims=True)
         init = PosteriorTensor(gamma, gamma.mean(axis=2))
-        comps, post, trace = cacgmm_em(x, init, 40)
+        covs, post, trace = cacgmm_em(x, init, 40)
         assert mask_auc(post, masks) >= 0.95
+        assert covs.shape == (2, x.num_bins, x.num_channels, x.num_channels)
+        assert_exactly_hermitian(covs)
 
     def test_loglik_monotone(self):
         rng = np.random.default_rng(26)
@@ -624,10 +628,8 @@ def floor_covariances(rng, k, f, c, rank):
 def assert_plain_tyler_update(new, x, gamma, pi, covariances):
     """``new`` is the Tyler update of ``covariances`` on the plain forms."""
     features = outer_features(x)
-    prev = [SpatialComponent(cov) for cov in covariances]
     quad = quad_forms(covariances, features)[1]
-    plain = cacg_m_step(x, PosteriorTensor(gamma, pi), prev, quad, features)
-    plain = stack_covariances(plain)
+    plain = cacg_m_step(x, PosteriorTensor(gamma, pi), covariances, quad, features)
     assert np.max(np.abs(new - plain)) <= 1e-12 * np.max(np.abs(plain))
 
 

@@ -106,6 +106,23 @@ class TestRunConfig:
     def test_input_without_id_accepted(self):
         cli.RunConfig(inputs=[{"audio": "a.wav", "embeddings": "e.emb"}])
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"tau_spectral": 1.5},
+            {"tau_spectral": 0.0},
+            {"tau_spectral": float("nan")},
+            {"tau_iou": 1.0},
+            {"tau_iou": -0.2},
+            {"k_total": -1},
+            {"k_total": 0},
+            {"k_target": 0},
+        ],
+    )
+    def test_fusion_setting_outside_range_rejected(self, setting):
+        with pytest.raises(ConfigurationError):
+            cli.RunConfig.from_json(json.dumps(setting))
+
 
 def fresh_python(args, cwd, **env_vars):
     """Run a fresh interpreter that imports this mixsep, with ``env_vars`` added
@@ -227,6 +244,20 @@ class TestCmdRun:
         config.write_text(json.dumps(cfg))
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "error: cannot load config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [{"tau_spectral": 1.5}, {"k_total": -1}])
+    def test_fusion_setting_outside_range_exits_one_before_any_segment(
+        self, bundle, tmp_path, capsys, monkeypatch, setting
+    ):
+        # rejected as the config loads, not by every segment's EM
+        meetings = []
+        monkeypatch.setattr(pipeline, "run_meeting", lambda *args, **kw: meetings.append(args))
+        out_dir = tmp_path / "out"
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(run_config_dict(bundle, out_dir, **setting)))
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "error: cannot load config" in capsys.readouterr().err
+        assert not meetings and not out_dir.exists()
 
     def test_malformed_wav_exits_one_without_traceback(self, bundle, tmp_path):
         wav = tmp_path / "zero.wav"  # its header declares zero channels

@@ -3,13 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import kmeans_init_posterior, random_soft_posterior, tiny_scenario
+from helpers import (
+    assert_exactly_hermitian,
+    identity_stack,
+    kmeans_init_posterior,
+    random_soft_posterior,
+    tiny_scenario,
+)
 from scipy.optimize import linear_sum_assignment
 
 from mixsep import cacg, integrated
 from mixsep.cacg import (
     PosteriorTensor,
-    SpatialComponent,
     StftTensor,
     cacg_log_pdf_stack,
     cacgmm_em,
@@ -17,7 +22,6 @@ from mixsep.cacg import (
     normalize_observations,
     outer_features,
     quad_forms,
-    stack_covariances,
 )
 from mixsep.errors import ConfigurationError, InvalidInputError
 from mixsep.integrated import (
@@ -42,17 +46,15 @@ def unit(v):
 
 def model_from_truth(truth, x, pi=None, kappa=30.0, noise_index=None):
     k_true = truth.mu_true.shape[0]
-    spatial = [SpatialComponent(truth.cov_true[k].copy()) for k in range(k_true)]
     if pi is None:
         pi = np.full((k_true, x.num_frames), 1.0 / k_true)
-    return JointModel(spatial, truth.mu_true, np.full(k_true, kappa), pi, noise_index)
+    return JointModel(truth.cov_true.copy(), truth.mu_true, np.full(k_true, kappa), pi, noise_index)
 
 
 class TestJointModelChecks:
     @staticmethod
     def parts():
-        spatial = [SpatialComponent.identity(3, 2) for _ in range(2)]
-        return spatial, np.eye(4)[:2], np.array([5.0, 0.0]), np.full((2, 6), 0.5)
+        return identity_stack(2, 3, 2), np.eye(4)[:2], np.array([5.0, 0.0]), np.full((2, 6), 0.5)
 
     def test_valid_parts_accepted(self):
         model = JointModel(*self.parts())
@@ -80,19 +82,40 @@ class TestJointModelChecks:
         with pytest.raises(InvalidInputError):
             JointModel(spatial, np.eye(4)[:2], np.full(rows, 5.0), pi)
 
+    @pytest.mark.parametrize(
+        "covariances",
+        [
+            identity_stack(2, 3, 2)[0],
+            identity_stack(2, 3, 2)[None],
+            np.zeros((2, 3, 2, 3), dtype=complex),
+            identity_stack(1, 3, 2),
+            identity_stack(3, 3, 2),
+        ],
+        ids=["ndim_3", "ndim_5", "non_square", "k_below_mu", "k_above_mu"],
+    )
+    def test_bad_covariance_shape_rejected(self, covariances):
+        _, mu, kappa, pi = self.parts()
+        with pytest.raises(InvalidInputError):
+            JointModel(covariances, mu, kappa, pi)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_pi_rows_must_match_covariances(self, rows):
+        covariances, mu, kappa, _ = self.parts()
+        with pytest.raises(InvalidInputError):
+            JointModel(covariances, mu, kappa, np.full((rows, 6), 1.0 / rows))
+
 
 def joint_posterior(xn, e, model):
     """(K, T, F) posterior of one coupled E-step on unit observations ``xn``,
     from the logits and the sweep :func:`joint_em` runs."""
     logits = integrated._logits(model, e)
-    covariances = stack_covariances(model.spatial)
-    return em_sweep(covariances, logits, xn, outer_features(xn), update=False)[0]
+    return em_sweep(model.covariances, logits, xn, outer_features(xn), update=False)[0]
 
 
 def spatial_forms(xn, model):
     """The quadratic forms and features the M-step of ``model`` is weighted with."""
     features = outer_features(xn)
-    return quad_forms(stack_covariances(model.spatial), features)[1], features
+    return quad_forms(model.covariances, features)[1], features
 
 
 def bin_accuracy(gamma, truth):
@@ -108,7 +131,7 @@ class TestJointEStep:
         xn = normalize_observations(x)
         model = model_from_truth(truth, x, kappa=0.0)
         gamma = joint_posterior(xn, e, model)
-        log_pdf, _ = cacg_log_pdf_stack(stack_covariances(model.spatial), xn, outer_features(xn))
+        log_pdf, _ = cacg_log_pdf_stack(model.covariances, xn, outer_features(xn))
         logits = np.log(model.pi)[:, :, None] + np.transpose(log_pdf, (0, 2, 1))
         want = np.exp(logits - logits.max(axis=0, keepdims=True))
         want /= want.sum(axis=0, keepdims=True)
@@ -118,7 +141,7 @@ class TestJointEStep:
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=2))
         xn = normalize_observations(x)
         k_true = truth.mu_true.shape[0]
-        spatial = [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(k_true)]
+        spatial = identity_stack(k_true, x.num_bins, x.num_channels)
         kappa = np.full(k_true, 35.0)
         pi = np.full((k_true, x.num_frames), 1.0 / k_true)
         gamma = joint_posterior(xn, e, JointModel(spatial, truth.mu_true, kappa, pi))
@@ -138,7 +161,7 @@ class TestJointEStep:
         spatial_only = model_from_truth(truth, x, kappa=0.0)
         spectral_only = model_from_truth(truth, x, kappa=4.0)
         spectral_only = JointModel(
-            [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in spectral_only.spatial],
+            identity_stack(spectral_only.num_components, x.num_bins, x.num_channels),
             spectral_only.mu,
             spectral_only.kappa,
             spectral_only.pi,
@@ -179,7 +202,7 @@ class TestJointMStep:
         xn = normalize_observations(x)
         rng = np.random.default_rng(1)
         post = random_soft_posterior(rng, 3, x.num_frames, x.num_bins)
-        spatial = [SpatialComponent.identity(x.num_bins, x.num_channels) for _ in range(3)]
+        spatial = identity_stack(3, x.num_bins, x.num_channels)
         mu = np.tile(unit(np.arange(1.0, 17.0)), (3, 1))
         model = JointModel(spatial, mu, np.full(3, 10.0), post.pi, noise_index=2)
         new = joint_m_step(xn, e, post, model, *spatial_forms(xn, model), kappa_max=35.0)
@@ -200,7 +223,7 @@ class TestJointMStep:
         # spatial recovery after trace alignment, averaged over frequencies
         errs = []
         for local, true_k in perm.items():
-            got = model.spatial[local].covariances
+            got = model.covariances[local]
             want = truth.cov_true[true_k]
             got = got * (x.num_channels / np.einsum("fii->f", got).real[:, None, None])
             want = want * (x.num_channels / np.einsum("fii->f", want).real[:, None, None])
@@ -213,8 +236,7 @@ class TestJointMStep:
 
 
 def make_fusion_model(mus, kappas, pi, covs, noise_index=None):
-    spatial = [SpatialComponent(c) for c in covs]
-    return JointModel(spatial, np.stack(mus), kappas, pi, noise_index)
+    return JointModel(np.stack(covs), np.stack(mus), kappas, pi, noise_index)
 
 
 class TestSpectralFusion:
@@ -257,7 +279,15 @@ class TestSpectralFusion:
         new_model, _, event = spectral_fusion_check(model, post, tau=0.9)
         assert event is not None
         want = 0.5 * covs[0] + 0.5 * covs[1]
-        assert np.allclose(new_model.spatial[0].covariances, want, atol=1e-15)
+        assert np.allclose(new_model.covariances[0], want, atol=1e-15)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.5])
+    def test_tau_outside_range_rejected(self, tau):
+        gamma, pi, covs, rng = self.setup_scene()
+        mu = unit(rng.standard_normal(8))
+        model = make_fusion_model([mu, mu, -mu], [5.0] * 3, pi, covs)
+        with pytest.raises(ConfigurationError):
+            spectral_fusion_check(model, PosteriorTensor(gamma, pi), tau=tau)
 
     def test_below_threshold_no_fusion(self):
         gamma, pi, covs, rng = self.setup_scene()
@@ -449,8 +479,7 @@ class TestJointEm:
         out2 = joint_em(x, e, init, cfg)
         assert np.array_equal(out1[1].gamma, out2[1].gamma)
         assert np.array_equal(out1[3], out2[3])
-        for a, b in zip(out1[0].spatial, out2[0].spatial):
-            assert np.array_equal(a.covariances, b.covariances)
+        assert np.array_equal(out1[0].covariances, out2[0].covariances)
 
     def test_fusion_eight_components_five_speakers(self):
         cfg = tiny_scenario([0, 1, 2, 3, 4], duration_s=16.0, overlap=0.1, seed=9, embed_dim=24)
@@ -497,17 +526,11 @@ class TestJointEm:
 
         def fresh_update(covariances, logits, x, features, out=None, merge=None, update=True):
             gamma, ll, _ = real(covariances, logits, x, features, out, merge, update=False)
-            prev = covariances
-            if merge is not None:
-                keep, remove, fused = merge
-                prev = np.delete(covariances, remove, axis=0)
-                prev[keep if keep < remove else keep - 1] = fused
+            prev = covariances if merge is None else merge[2]  # the fused model's stack
             fresh_calls.append(prev.shape[0])
             quad = quad_forms(prev, features)[1]
             posterior = PosteriorTensor(gamma, np.ones(gamma.shape[:2]))
-            spatial = [SpatialComponent(cov) for cov in prev]
-            new = cacg.cacg_m_step(x, posterior, spatial, quad, features)
-            return gamma, ll, stack_covariances(new)
+            return gamma, ll, cacg.cacg_m_step(x, posterior, prev, quad, features)
 
         monkeypatch.setattr(cacg, "em_sweep", fresh_update)
         fresh = joint_em(x, e, init, jcfg)
@@ -520,8 +543,8 @@ class TestJointEm:
             assert abs(a.similarity - b.similarity) <= 1e-12
         assert np.max(np.abs(reused[3] - fresh[3]) / np.abs(fresh[3])) <= 1e-12
         assert np.max(np.abs(reused[1].gamma - fresh[1].gamma)) <= 1e-12
-        for a, b in zip(reused[0].spatial, fresh[0].spatial):
-            assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-12
+        for a, b in zip(reused[0].covariances, fresh[0].covariances):
+            assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_in_place_fusion_matches_the_fusion_check_copy(self):
         # the iteration that fuses inside the sweep gives the model that the
@@ -551,8 +574,12 @@ class TestJointEm:
         assert np.array_equal(post.gamma, fused_post.gamma)
         assert np.array_equal(after.mu, want.mu) and np.array_equal(after.kappa, want.kappa)
         assert np.array_equal(after.pi, want.pi)
-        for a, b in zip(after.spatial, want.spatial, strict=True):
-            assert np.max(np.abs(a.covariances - b.covariances)) <= 1e-12
+        for a, b in zip(after.covariances, want.covariances, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-12
+        # no step symmetrizes: the fused row and the Tyler update are exactly
+        # Hermitian as computed
+        assert_exactly_hermitian(fused.covariances)
+        assert_exactly_hermitian(after.covariances)
 
     def test_previous_posterior_adds_nothing_to_the_e_step_peak(self, monkeypatch):
         # the sweep is the run's memory peak; the posterior of the iteration
@@ -666,6 +693,20 @@ class TestJointEm:
         with pytest.raises(ConfigurationError):
             JointEmConfig(kappa_max=1e7)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"tau_spectral": 1.5},
+            {"tau_spectral": 0.0},
+            {"tau_iou": 1.0},
+            {"tau_iou": np.nan},
+            {"k_min": 0},
+        ],
+    )
+    def test_fusion_setting_outside_range_rejected(self, setting):
+        with pytest.raises(ConfigurationError):
+            JointEmConfig(**setting)
+
 
 class TestBlockPartitionInvariance:
     """Every step of the sweep is per frequency, so posteriors, covariances
@@ -690,8 +731,8 @@ class TestBlockPartitionInvariance:
             assert np.array_equal(other_post.pi, post.pi)
             assert np.array_equal(other_model.mu, model.mu)
             assert np.array_equal(other_model.kappa, model.kappa)
-            for a, b in zip(other_model.spatial, model.spatial, strict=True):
-                assert np.array_equal(a.covariances, b.covariances)
+            for a, b in zip(other_model.covariances, model.covariances, strict=True):
+                assert np.array_equal(a, b)
             assert np.max(np.abs(other_trace - trace) / np.abs(trace)) <= 1e-12
 
     @staticmethod
@@ -731,12 +772,12 @@ class TestBlockPartitionInvariance:
         x, _, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=5.0, seed=11, channels=4))
         init = random_soft_posterior(np.random.default_rng(4), 3, x.num_frames, x.num_bins)
         runs = self.runs(monkeypatch, lambda: cacgmm_em(x, init, 6))
-        (components, post, trace), *others = runs
-        for other_components, other_post, other_trace in others:
+        (covariances, post, trace), *others = runs
+        for other_covariances, other_post, other_trace in others:
             assert np.array_equal(other_post.gamma, post.gamma)
             assert np.array_equal(other_post.pi, post.pi)
-            for a, b in zip(other_components, components, strict=True):
-                assert np.array_equal(a.covariances, b.covariances)
+            for a, b in zip(other_covariances, covariances, strict=True):
+                assert np.array_equal(a, b)
             assert np.max(np.abs(other_trace - trace) / np.abs(trace)) <= 1e-12
 
     def test_forced_rescue(self, monkeypatch, caplog):
