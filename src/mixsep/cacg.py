@@ -269,12 +269,7 @@ def quad_forms(covariances: np.ndarray, features: np.ndarray, unit_det: bool = F
     return logdet, _forms(coef, features)
 
 
-def cacg_log_pdf_stack(
-    covariances: np.ndarray,
-    x: StftTensor,
-    features: np.ndarray,
-    out: np.ndarray | None = None,
-):
+def cacg_log_pdf_stack(covariances: np.ndarray, x: StftTensor, features: np.ndarray):
     """Log densities for a (K, F, C, C) covariance stack.
 
     ``ln (C-1)! - ln 2 - C ln pi - ln det(B) - C ln(y^H B^{-1} y)`` for every
@@ -285,8 +280,6 @@ def cacg_log_pdf_stack(
         x: the observations; only their channel count C is read.
         features: the :func:`outer_features` of the unit-normalized
             observations.
-        out: a spent (K, F, T) float64 array to hold the log densities;
-            a new one is allocated when not given.
 
     Returns:
         ``(log_pdf, quad)``: the (K, F, T) log densities, frequency-major,
@@ -296,7 +289,7 @@ def cacg_log_pdf_stack(
     """
     c = x.num_channels
     logdet, quad = quad_forms(covariances, features)
-    log_pdf = np.log(quad, out=out)
+    log_pdf = np.log(quad)
     log_pdf *= -c
     const = math.lgamma(c) - math.log(2.0) - c * math.log(math.pi)
     log_pdf += (const - logdet)[:, :, None]
@@ -467,10 +460,11 @@ def em_sweep(
       (:func:`cacg_log_pdf_stack` and :func:`numerics.normalize_logits`);
       one warning per call counts those bins.
     - With ``merge = (keep, remove, fused)`` component ``remove``'s
-      posterior is added to ``keep``'s and its row dropped, in place;
-      ``fused`` is the (K-1, F, C, C) stack of the fused model, whose row
-      at ``keep``'s index after the removal is the fused covariance, and
-      ``r`` that row's reciprocal forms.
+      posterior is added to ``keep``'s and its row dropped, in place: the
+      only place a fusion is applied. ``fused`` is the (K-1, F, C, C)
+      stack after the fusion (:func:`integrated.fused_covariances`), whose
+      row at ``keep``'s index after the removal is the fused covariance,
+      and ``r`` that row's reciprocal forms.
     - The Tyler update (:func:`cacg_m_step`) is weighted by
       ``gamma / q~ = gamma r``, written over ``r``, and one GEMM per block
       writes the packed real scatter sums (:func:`_scatter_sums`) of the

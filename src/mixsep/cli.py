@@ -7,7 +7,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +63,12 @@ class RunConfig:
             raise ConfigurationError(f"unknown fusion strategy {self.fusion!r}")
         if self.k_init < 1 or self.em_iterations < 1 or self.init_iterations < 1:
             raise ConfigurationError("k_init and iteration counts must be >= 1")
-        if self.median_frames % 2 != 1:
-            raise ConfigurationError("median_frames must be odd")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
+        if self.median_frames < 1 or self.median_frames % 2 != 1:
+            raise ConfigurationError(
+                f"median_frames must be odd and >= 1, got {self.median_frames!r}"
+            )
         check_kappa_max(self.kappa_max)
         check_tau(self.tau_spectral, "tau_spectral")
         check_tau(self.tau_iou, "tau_iou")
@@ -100,15 +104,12 @@ def _setup_logging():
 
 def cmd_run(config_path, jobs: int | None = None, seed: int | None = None) -> int:
     """Process every configured recording; 0 = full success, 2 = partial."""
+    overrides = {k: v for k, v in (("jobs", jobs), ("seed", seed)) if v is not None}
     try:
-        config = RunConfig.from_json(Path(config_path).read_text())
+        config = replace(RunConfig.from_json(Path(config_path).read_text()), **overrides)
     except (OSError, json.JSONDecodeError, ConfigurationError, TypeError) as exc:
         print(f"error: cannot load config {config_path}: {exc}", file=sys.stderr)
         return 1
-    if jobs is not None:
-        config.jobs = jobs
-    if seed is not None:
-        config.seed = seed
     if not config.inputs:
         print("error: config lists no inputs", file=sys.stderr)
         return 1

@@ -22,9 +22,6 @@ from .vmf import EmbeddingSequence
 
 logger = logging.getLogger(__name__)
 
-# Frames per contiguous copy when a fused posterior is summed over frequency.
-SUM_FRAMES = 256
-
 
 @dataclass
 class JointModel:
@@ -138,42 +135,27 @@ def _spectral_m_step(embeddings, gbar, kappa_max, rng, noise_index):
     return mu, kappa
 
 
-def _fuse_pair(
-    model: JointModel,
-    posterior: PosteriorTensor | None,
-    keep: int,
-    remove: int,
-    similarity: float,
-    iteration: int,
-):
+def fused_covariances(model: JointModel, keep: int, remove: int) -> np.ndarray:
+    """The (K-1, F, C, C) covariance stack after fusing ``remove`` into ``keep``.
+
+    ``remove``'s row is dropped, and ``keep``'s row becomes the
+    prior-mass-weighted average of the pair. :func:`joint_em` passes the
+    stack to :func:`cacg.em_sweep`, which merges the posteriors in place.
+    """
     mass_i = float(model.pi[keep].sum())
     mass_j = float(model.pi[remove].sum())
     total = mass_i + mass_j
     w_i = mass_i / total if total > 0.0 else 0.5
-    w_j = 1.0 - w_i
-
-    keep_after = keep if keep < remove else keep - 1
-    if posterior is not None:
-        gamma = np.delete(posterior.gamma, remove, axis=0)
-        gamma[keep_after] = posterior.gamma[keep] + posterior.gamma[remove]
-    pi = np.delete(model.pi, remove, axis=0)
-    pi[keep_after] = model.pi[keep] + model.pi[remove]
-
     covariances = np.delete(model.covariances, remove, axis=0)
-    covariances[keep_after] = w_i * model.covariances[keep] + w_j * model.covariances[remove]
-    mu = np.delete(model.mu, remove, axis=0)
-    kappa = np.delete(model.kappa, remove)
-
-    noise = model.noise_index
-    if noise is not None and remove < noise:
-        noise -= 1
-    new_model = JointModel(covariances, mu, kappa, pi, noise)
-    event = FusionEvent(kept=keep, removed=remove, similarity=similarity, iteration=iteration)
-    return new_model, None if posterior is None else PosteriorTensor(gamma, pi), event
+    covariances[keep if keep < remove else keep - 1] = (
+        w_i * model.covariances[keep] + (1.0 - w_i) * model.covariances[remove]
+    )
+    return covariances
 
 
-def _fuse_top_pair(model, posterior, tau, k_min, iteration, score):
-    """Fuse the speaker pair of highest score if that score exceeds tau.
+def _fuse_top_pair(model, tau, k_min, iteration, score):
+    """The fusion of the speaker pair of highest score if that score exceeds
+    tau, as a :class:`FusionEvent`, or None.
 
     ``score(speakers)`` returns the symmetric pair-score matrix of the
     speaker components (noise excluded). Ties go to the first pair in
@@ -182,45 +164,40 @@ def _fuse_top_pair(model, posterior, tau, k_min, iteration, score):
     check_tau(tau)
     speakers = model.speaker_indices()
     if len(speakers) <= max(k_min, 1):
-        return model, posterior, None
+        return None
     upper = np.triu(score(speakers), 1)
     a, b = np.unravel_index(np.argmax(upper), upper.shape)
     if upper[a, b] <= tau:
-        return model, posterior, None
-    return _fuse_pair(model, posterior, speakers[a], speakers[b], float(upper[a, b]), iteration)
+        return None
+    return FusionEvent(
+        kept=speakers[a], removed=speakers[b], similarity=float(upper[a, b]), iteration=iteration
+    )
 
 
-def spectral_fusion_check(
-    model: JointModel,
-    posterior: PosteriorTensor | None,
-    tau: float,
-    k_min: int = 1,
-    iteration: int = 0,
-):
-    """Fuse the most similar pair of prototypes if its cosine exceeds tau.
+def spectral_fusion_check(model: JointModel, tau: float, k_min: int = 1, iteration: int = 0):
+    """Decide whether the most similar pair of prototypes fuses: its cosine
+    exceeds tau.
 
-    At most one fusion per call; posteriors add exactly and the spatial
-    covariances combine as the prior-mass-weighted average. The noise
-    component never takes part. No fusion happens if it would push the
-    speaker count below ``k_min``. The decision reads the prototypes
-    alone; with ``posterior`` None only the model is fused, and None comes
-    back in the posterior's place (:func:`joint_em` merges its posterior
-    in place, block by block).
+    At most one fusion per call. The noise component never takes part, and
+    no fusion happens if it would push the speaker count below ``k_min``.
+    The check reads the prototypes alone and changes nothing:
+    :func:`joint_em` applies the fusion, where the posteriors add exactly
+    and the spatial covariances combine as the prior-mass-weighted average
+    (:func:`fused_covariances`).
 
     Returns:
-        ``(model, posterior, event_or_None)``.
+        The :class:`FusionEvent`, or None.
     """
 
     def cosine(speakers):
         mu = model.mu[speakers]
         return mu @ mu.T
 
-    return _fuse_top_pair(model, posterior, tau, k_min, iteration, cosine)
+    return _fuse_top_pair(model, tau, k_min, iteration, cosine)
 
 
 def iou_fusion_check(
     model: JointModel,
-    posterior: PosteriorTensor | None,
     tau: float,
     activity_threshold: float = 0.5,
     k_min: int = 1,
@@ -229,9 +206,9 @@ def iou_fusion_check(
     """Fusion baseline on the intersection-over-union of prior activity.
 
     A component is active in a frame when its prior exceeds
-    ``activity_threshold``; the pair with the highest IoU above ``tau`` is
-    fused with the same mechanics as the spectral check, and, like it,
-    decided from the model alone. Two empty activity sets have IoU 0.
+    ``activity_threshold``; the pair with the highest IoU above ``tau``
+    fuses, decided from the model alone and returned like the spectral
+    check's. Two empty activity sets have IoU 0.
     """
 
     def iou(speakers):
@@ -241,7 +218,7 @@ def iou_fusion_check(
         union = size[:, None] + size[None, :] - inter
         return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
-    return _fuse_top_pair(model, posterior, tau, k_min, iteration, iou)
+    return _fuse_top_pair(model, tau, k_min, iteration, iou)
 
 
 def _initial_model(
@@ -271,18 +248,13 @@ def _logits(model: JointModel, embeddings: EmbeddingSequence) -> np.ndarray:
         return np.log(model.pi) + _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames)
 
 
-def _fusion(model: JointModel, config: JointEmConfig, it: int):
-    """The fusion check of iteration ``it`` on the model alone:
-    ``(model after it, event or None)``."""
+def _fusion(model: JointModel, config: JointEmConfig, it: int) -> FusionEvent | None:
+    """The fusion check of iteration ``it`` on the model alone."""
     if config.fusion == "none" or it < config.fusion_start:
-        return model, None
+        return None
     if config.fusion == "spectral":
-        model, _, event = spectral_fusion_check(model, None, config.tau_spectral, config.k_min, it)
-    else:
-        model, _, event = iou_fusion_check(
-            model, None, config.tau_iou, config.activity_threshold, config.k_min, it
-        )
-    return model, event
+        return spectral_fusion_check(model, config.tau_spectral, config.k_min, it)
+    return iou_fusion_check(model, config.tau_iou, config.activity_threshold, config.k_min, it)
 
 
 def joint_em(
@@ -334,44 +306,29 @@ def joint_em(
     trace = []
     spent = None
     for it in range(config.iterations):
-        fused, event = _fusion(model, config, it)
-        merge = None
+        event = _fusion(model, config, it)
+        fused, merge, noise = model.covariances, None, model.noise_index
         if event is not None:
             logger.debug("fused components %d <- %d at iteration %d", event.kept, event.removed, it)
             events.append(event)
-            merge = (event.kept, event.removed, fused.covariances)
+            fused = fused_covariances(model, event.kept, event.removed)
+            merge = (event.kept, event.removed, fused)
+            if noise is not None and event.removed < noise:
+                noise -= 1
         gamma, ll, covariances = _cacg.em_sweep(
             model.covariances, _logits(model, embeddings), x, features,
             spent, merge, update=not config.freeze_spatial,
         )
         trace.append(ll)
         if covariances is None:
-            covariances = fused.covariances
-        gbar = _frequency_sums(gamma, fused=event is not None)
-        mu, kappa = _spectral_m_step(embeddings, gbar, config.kappa_max, rng, fused.noise_index)
+            covariances = fused
+        gbar = gamma.sum(axis=2)
+        mu, kappa = _spectral_m_step(embeddings, gbar, config.kappa_max, rng, noise)
         pi = _cacg.update_pi(gbar, x.num_bins)
-        model = JointModel(covariances, mu, kappa, pi, fused.noise_index)
+        model = JointModel(covariances, mu, kappa, pi, noise)
         # the posterior is spent: the next E-step writes into its buffer
         spent = np.swapaxes(gamma, 1, 2)
     return model, PosteriorTensor(gamma, model.pi), events, np.asarray(trace)
-
-
-def _frequency_sums(gamma: np.ndarray, fused: bool) -> np.ndarray:
-    """(K, T) sums over frequency of the sweep's (K, T, F) posterior view.
-
-    A fused posterior is summed over contiguous copies of ``SUM_FRAMES``
-    frames of one component at a time, in the order the fused copy of
-    :func:`spectral_fusion_check` would be summed, so a fusion gives the
-    same model whether the posterior was merged in place or copied.
-    """
-    if not fused:
-        return gamma.sum(axis=2)
-    gbar = np.empty(gamma.shape[:2])
-    for row, out in zip(gamma, gbar):
-        for start in range(0, row.shape[0], SUM_FRAMES):
-            frames = slice(start, start + SUM_FRAMES)
-            np.ascontiguousarray(row[frames]).sum(axis=1, out=out[frames])
-    return gbar
 
 
 def count_speakers(model: JointModel) -> int:

@@ -176,8 +176,8 @@ def smooth_and_segment(
         List (one entry per speaker row) of lists of (start_s, end_s).
     """
     pi = np.asarray(pi, dtype=float)
-    if median_frames % 2 != 1:
-        raise InvalidInputError("median_frames must be odd")
+    if median_frames < 1 or median_frames % 2 != 1:
+        raise InvalidInputError(f"median_frames must be odd and >= 1, got {median_frames!r}")
     min_frames = int(round(min_dur_s * frame_rate))
     gap_frames = int(round(0.2 * frame_rate))
     windows = frontend.edge_windows(pi, median_frames, median_frames // 2)
@@ -473,13 +473,14 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
         audio, config.vad_window_s, config.vad_threshold_db, config.window_ms, config.shift_ms
     )
     if isinstance(embeddings, EmbeddingSequence):
-        emb = embeddings
+        emb, alignment = embeddings, None
         if emb.num_frames != num_frames:
             raise InvalidInputError("embedding frames do not match the recording's STFT")
     else:
         emb = frontend.ingest_embeddings(
             embeddings, num_frames, expected_dim=config.embed_dim, frame_rate=frame_rate
         )
+        alignment = emb.alignment_action
     segments = frontend.split_segments(
         vad, config.max_pause_s, config.min_segment_s, config.max_segment_s, frame_rate
     )
@@ -488,6 +489,7 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
         "num_frames": int(num_frames),
         "frame_rate": frame_rate,
         "sample_rate": int(audio.sample_rate),
+        "embedding_alignment": alignment,
         "num_segments": len(segments),
         "segments": [],
         "speakers": [],

@@ -4,7 +4,14 @@ import struct
 
 import numpy as np
 
-from mixsep.cacg import PosteriorTensor, cacg_m_step, outer_features, quad_forms
+from mixsep.cacg import (
+    PosteriorTensor,
+    StftTensor,
+    cacg_m_step,
+    normalize_observations,
+    outer_features,
+    quad_forms,
+)
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting
 from mixsep.vmf import smooth_one_hot, spherical_kmeans_pp
 
@@ -79,6 +86,12 @@ def kmeans_init_posterior(embeddings, voiced, n_clusters, n_bins, seed=0, with_n
         gamma_t[:, ~voiced] = 1.0 / n_clusters
     gamma = np.repeat(gamma_t[:, :, None], n_bins, axis=2)
     return PosteriorTensor(gamma, gamma_t.copy())
+
+
+def unit_observations(rng, c, t, f):
+    """(C, T, F) random complex observations, every channel vector of unit norm."""
+    data = rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f))
+    return normalize_observations(StftTensor(data, 2000, 64, 50, 16))
 
 
 def identity_stack(k, f, c):

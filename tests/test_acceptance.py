@@ -16,16 +16,18 @@ from helpers import (
     random_soft_posterior,
     tiny_scenario,
     tyler_step,
+    unit_observations,
 )
 from scipy.optimize import linear_sum_assignment
 
 from mixsep import frontend, pipeline, rttm
-from mixsep.cacg import PosteriorTensor, cacgmm_em
+from mixsep.cacg import PosteriorTensor, cacgmm_em, em_sweep, outer_features
 from mixsep.cli import RunConfig
 from mixsep.integrated import (
     JointEmConfig,
     JointModel,
     count_speakers,
+    fused_covariances,
     joint_em,
     spectral_fusion_check,
 )
@@ -347,8 +349,7 @@ def test_criterion_06_speaker_counting():
 def test_criterion_07_fusion_algebra():
     rng = np.random.default_rng(7)
     n_frames, n_bins, n_chan = 12, 5, 3
-    gamma = rng.uniform(0.05, 1.0, size=(3, n_frames, n_bins))
-    gamma /= gamma.sum(axis=0, keepdims=True)
+    x = unit_observations(rng, n_chan, n_frames, n_bins)
     pi = rng.uniform(0.1, 1.0, size=(3, n_frames))
     pi /= pi.sum(axis=0, keepdims=True)
     covs = []
@@ -369,18 +370,25 @@ def test_criterion_07_fusion_algebra():
         np.full(3, 10.0),
         pi,
     )
-    post = PosteriorTensor(gamma, pi)
-    new_model, new_post, event = spectral_fusion_check(model, post, tau=0.9)
+    event = spectral_fusion_check(model, tau=0.9)
     assert event is not None and (event.kept, event.removed) == (0, 1)
-    # posteriors add exactly
-    assert np.array_equal(new_post.gamma[0], gamma[0] + gamma[1])
-    assert np.array_equal(new_post.gamma[1], gamma[2])
+    fused = fused_covariances(model, event.kept, event.removed)
+    # posteriors add exactly in the sweep's in-place merge
+    features, logits = outer_features(x), np.log(pi)
+    gamma = em_sweep(model.covariances, logits, x, features, update=False)[0]
+    merged = em_sweep(
+        model.covariances, logits, x, features, merge=(0, 1, fused), update=False
+    )[0]
+    assert merged.shape == (2, n_frames, n_bins)
+    assert np.array_equal(merged[0], gamma[0] + gamma[1])
+    assert np.array_equal(merged[1], gamma[2])
     # covariances combine as the prior-mass-weighted average
     m0, m1 = pi[0].sum(), pi[1].sum()
     expected = (m0 * covs[0] + m1 * covs[1]) / (m0 + m1)
-    gap = np.max(np.abs(new_model.covariances[0] - expected))
+    gap = np.max(np.abs(fused[0] - expected))
     scale = np.max(np.abs(expected))
     assert gap <= 1e-14 * scale
+    assert np.array_equal(fused[1], covs[2])
     report(7, f"fused gamma exact, fused B within {gap:.2e} of the weighted average")
 
 

@@ -123,6 +123,13 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             cli.RunConfig.from_json(json.dumps(setting))
 
+    @pytest.mark.parametrize(
+        "setting", [{"seed": -1}, {"median_frames": -1}, {"median_frames": -3}]
+    )
+    def test_seed_and_median_outside_range_rejected(self, setting):
+        with pytest.raises(ConfigurationError):
+            cli.RunConfig.from_json(json.dumps(setting))
+
 
 def fresh_python(args, cwd, **env_vars):
     """Run a fresh interpreter that imports this mixsep, with ``env_vars`` added
@@ -258,6 +265,51 @@ class TestCmdRun:
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "error: cannot load config" in capsys.readouterr().err
         assert not meetings and not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "setting, flags",
+        [
+            ({"median_frames": -1}, []),
+            ({}, ["--seed", "-3"]),
+            ({}, ["--jobs", "2", "--seed", "-1"]),
+        ],
+        ids=["median_frames", "seed_flag", "seed_flag_with_jobs"],
+    )
+    def test_seed_or_median_outside_range_exits_one_before_any_segment(
+        self, bundle, tmp_path, capsys, monkeypatch, setting, flags
+    ):
+        # a negative median window or seed failed only after every segment's
+        # EM; the --seed override is checked as the config file's value is
+        meetings = []
+        monkeypatch.setattr(pipeline, "run_meeting", lambda *args, **kw: meetings.append(args))
+        out_dir = tmp_path / "out"
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(run_config_dict(bundle, out_dir, **setting)))
+        assert cli.main(["run", "--config", str(config), *flags]) == 1
+        assert "error: cannot load config" in capsys.readouterr().err
+        assert not meetings and not out_dir.exists()
+
+    def test_embedding_alignment_reported(self, finished_run, tmp_path):
+        # an EMB1 file one frame longer than the STFT is truncated to it:
+        # report.json says so, and the run is the one of the exact file
+        _, run_dir, bundle_dir = finished_run
+        frames = frontend.read_f32_tensor(
+            bundle_dir / "embeddings.emb", frontend.EMBEDDING_MAGIC, 2
+        )
+        emb = tmp_path / "long.emb"
+        frontend.write_embeddings(emb, np.concatenate([frames, frames[-1:]]))
+        (tmp_path / "long.emb.json").write_bytes(
+            (bundle_dir / "embeddings.emb.json").read_bytes()
+        )
+        cfg = run_config_dict(bundle_dir, tmp_path / "out")
+        cfg["inputs"][0]["embeddings"] = str(emb)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out" / "meet0"
+        assert json.loads((out / "report.json").read_text())["embedding_alignment"] == "truncated_1"
+        assert json.loads((run_dir / "report.json").read_text())["embedding_alignment"] is None
+        assert (out / "hyp.rttm").read_bytes() == (run_dir / "hyp.rttm").read_bytes()
 
     def test_malformed_wav_exits_one_without_traceback(self, bundle, tmp_path):
         wav = tmp_path / "zero.wav"  # its header declares zero channels

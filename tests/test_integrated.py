@@ -9,6 +9,7 @@ from helpers import (
     kmeans_init_posterior,
     random_soft_posterior,
     tiny_scenario,
+    unit_observations,
 )
 from scipy.optimize import linear_sum_assignment
 
@@ -29,6 +30,7 @@ from mixsep.integrated import (
     JointEmConfig,
     JointModel,
     count_speakers,
+    fused_covariances,
     iou_fusion_check,
     joint_em,
     joint_m_step,
@@ -253,98 +255,118 @@ class TestSpectralFusion:
             c = np.einsum("fij,fkj->fik", a, a.conj()) + 0.1 * np.eye(n_chan)
             c *= n_chan / np.einsum("fii->f", c).real[:, None, None]
             covs.append(c)
-        return gamma, pi, covs, rng
+        return pi, covs, rng
 
     def test_identical_prototypes_fuse_with_exact_sums(self):
-        gamma, pi, covs, rng = self.setup_scene()
+        pi, covs, rng = self.setup_scene()
         mu = unit(rng.standard_normal(8))
         other = unit(np.concatenate([[10.0], rng.standard_normal(7)]))
         model = make_fusion_model([mu, mu, other], [20.0, 20.0, 20.0], pi, covs)
-        post = PosteriorTensor(gamma, pi)
-        new_model, new_post, event = spectral_fusion_check(model, post, tau=0.99)
+        event = spectral_fusion_check(model, tau=0.99)
         assert event is not None and event.kept == 0 and event.removed == 1
         assert event.similarity == pytest.approx(1.0)
-        assert np.array_equal(new_post.gamma[0], gamma[0] + gamma[1])
-        assert np.array_equal(new_post.gamma[1], gamma[2])
-        assert new_model.num_components == 2
+        # the fusion as joint_em applies it: the sweep merges the posterior
+        x = unit_observations(rng, 2, 10, 4)
+        features, logits = outer_features(x), np.log(pi)
+        fused = fused_covariances(model, event.kept, event.removed)
+        gamma = em_sweep(model.covariances, logits, x, features, update=False)[0]
+        merge = (event.kept, event.removed, fused)
+        merged = em_sweep(model.covariances, logits, x, features, merge=merge, update=False)[0]
+        assert np.array_equal(merged[0], gamma[0] + gamma[1])
+        assert np.array_equal(merged[1], gamma[2])
+        assert fused.shape[0] == merged.shape[0] == 2
         # posterior still sums to one exactly
-        assert np.max(np.abs(new_post.gamma.sum(axis=0) - 1.0)) < 1e-12
+        assert np.max(np.abs(merged.sum(axis=0) - 1.0)) < 1e-12
 
     def test_equal_masses_give_arithmetic_mean_covariance(self):
-        gamma, pi, covs, rng = self.setup_scene()
+        pi, covs, rng = self.setup_scene()
         pi = np.full_like(pi, 1.0 / 3.0)
         mu = unit(rng.standard_normal(8))
         model = make_fusion_model([mu, mu, -mu], [5.0, 5.0, 5.0], pi, covs)
-        post = PosteriorTensor(gamma, pi)
-        new_model, _, event = spectral_fusion_check(model, post, tau=0.9)
+        event = spectral_fusion_check(model, tau=0.9)
         assert event is not None
         want = 0.5 * covs[0] + 0.5 * covs[1]
-        assert np.allclose(new_model.covariances[0], want, atol=1e-15)
+        fused = fused_covariances(model, event.kept, event.removed)
+        assert np.allclose(fused[0], want, atol=1e-15)
 
     @pytest.mark.parametrize("tau", [0.0, 1.5])
     def test_tau_outside_range_rejected(self, tau):
-        gamma, pi, covs, rng = self.setup_scene()
+        pi, covs, rng = self.setup_scene()
         mu = unit(rng.standard_normal(8))
         model = make_fusion_model([mu, mu, -mu], [5.0] * 3, pi, covs)
         with pytest.raises(ConfigurationError):
-            spectral_fusion_check(model, PosteriorTensor(gamma, pi), tau=tau)
+            spectral_fusion_check(model, tau=tau)
 
     def test_below_threshold_no_fusion(self):
-        gamma, pi, covs, rng = self.setup_scene()
+        pi, covs, rng = self.setup_scene()
         mus = [unit(v) for v in np.eye(8)[:3]]
         model = make_fusion_model(mus, [5.0] * 3, pi, covs)
-        new_model, _, event = spectral_fusion_check(model, PosteriorTensor(gamma, pi), tau=0.7)
-        assert event is None and new_model is model
+        assert spectral_fusion_check(model, tau=0.7) is None
 
     def test_noise_component_exempt(self):
-        gamma, pi, covs, rng = self.setup_scene()
+        pi, covs, rng = self.setup_scene()
         mu = unit(rng.standard_normal(8))
         model = make_fusion_model([mu, unit(np.eye(8)[1]), mu], [5.0] * 3, pi, covs, noise_index=2)
-        new_model, _, event = spectral_fusion_check(model, PosteriorTensor(gamma, pi), tau=0.7)
+        event = spectral_fusion_check(model, tau=0.7)
         assert event is None  # the only similar pair involves the noise component
 
     def test_k_min_blocks_fusion(self):
-        gamma, pi, covs, rng = self.setup_scene()
+        pi, covs, rng = self.setup_scene()
         mu = unit(rng.standard_normal(8))
         model = make_fusion_model([mu, mu, unit(np.eye(8)[2])], [5.0] * 3, pi, covs)
-        _, _, event = spectral_fusion_check(model, PosteriorTensor(gamma, pi), tau=0.7, k_min=3)
-        assert event is None
+        assert spectral_fusion_check(model, tau=0.7, k_min=3) is None
 
     def test_noise_index_shifts_after_fusion(self):
-        gamma, pi, covs, rng = self.setup_scene()
+        pi, covs, rng = self.setup_scene()
         mu = unit(rng.standard_normal(8))
         model = make_fusion_model([mu, mu, unit(np.eye(8)[3])], [5.0] * 3, pi, covs, noise_index=2)
-        new_model, _, event = spectral_fusion_check(model, PosteriorTensor(gamma, pi), tau=0.7)
+        event = spectral_fusion_check(model, tau=0.7)
         assert event is not None and event.removed == 1
-        assert new_model.noise_index == 1
+        # joint_em shifts the noise index past every removed row before it:
+        # with the noise row in the middle, fusions on both of its sides
+        cfg = tiny_scenario([0, 1, 2], duration_s=8.0, overlap=0.1, seed=9, embed_dim=24)
+        x, e, truth, _ = build_meeting(cfg)
+        init = kmeans_init_posterior(e, truth.voiced, 6, x.num_bins, seed=2)
+        order = [0, 1, 2, 6, 3, 4, 5]
+        init = PosteriorTensor(init.gamma[order], init.pi[order])
+        jcfg = JointEmConfig(
+            iterations=16, fusion="spectral", tau_spectral=0.7, fusion_start=3,
+            noise_index=3, seed=0,
+        )
+        model, post, events, _ = joint_em(x, e, init, jcfg)
+        noise, sides = 3, set()
+        for ev in events:
+            sides.add(ev.removed < noise)
+            noise -= ev.removed < noise
+        assert sides == {False, True}
+        assert model.noise_index == noise
+        # the pinned row is the one that holds the silence
+        assert model.kappa[noise] == 0.0 and np.all(np.delete(model.kappa, noise) > 0.0)
+        assert np.argmax(post.pi[:, ~truth.voiced].mean(axis=1)) == noise
 
 
 class TestIouFusion:
-    def make(self, pi_rows, seed=0):
-        n_comp, n_frames = pi_rows.shape
-        rng = np.random.default_rng(seed)
-        gamma = np.repeat(pi_rows[:, :, None], 3, axis=2)
-        gamma = gamma / np.maximum(gamma.sum(axis=0, keepdims=True), 1e-12)
+    def make(self, pi_rows):
+        n_comp = pi_rows.shape[0]
         covs = [
             np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy() for _ in range(n_comp)
         ]
         mus = [unit(v) for v in np.eye(4)[:n_comp]]
-        model = make_fusion_model(mus, [5.0] * n_comp, pi_rows, covs)
-        return model, PosteriorTensor(gamma, pi_rows)
+        return make_fusion_model(mus, [5.0] * n_comp, pi_rows, covs)
 
     def test_identical_activity_fuses(self):
         row = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
         pi = np.stack([row * 0.45, row * 0.45, 0.1 * np.ones(5)])
-        model, post = self.make(pi)
-        _, _, event = iou_fusion_check(model, post, tau=0.85, activity_threshold=0.3)
+        model = self.make(pi)
+        event = iou_fusion_check(model, tau=0.85, activity_threshold=0.3)
         assert event is not None and event.similarity == pytest.approx(1.0)
 
     def test_disjoint_activity_no_fusion(self):
         a = np.array([0.9, 0.9, 0.0, 0.0, 0.0])
         b = np.array([0.0, 0.0, 0.0, 0.9, 0.9])
         pi = np.stack([a, b, 1.0 - a - b])
-        model, post = self.make(pi)
-        _, _, event = iou_fusion_check(model, post, tau=0.1, activity_threshold=0.5)
+        model = self.make(pi)
+        event = iou_fusion_check(model, tau=0.1, activity_threshold=0.5)
         assert event is None
 
     def test_nine_of_ten_overlap_fuses(self):
@@ -359,15 +381,15 @@ class TestIouFusion:
         # a active on 0..9 (10 frames), b active on 0..8 (9 frames): IoU = 9/10
         pi = np.stack([a, b, np.maximum(1.0 - a - b, 0.0)])
         pi = pi / pi.sum(axis=0, keepdims=True)
-        model, post = self.make((np.stack([a, b, np.maximum(1.0 - a - b, 0.05)])))
-        _, _, event = iou_fusion_check(model, post, tau=0.85, activity_threshold=0.5)
+        model = self.make((np.stack([a, b, np.maximum(1.0 - a - b, 0.05)])))
+        event = iou_fusion_check(model, tau=0.85, activity_threshold=0.5)
         assert event is not None
         assert event.similarity == pytest.approx(0.9)
 
     def test_empty_activities_iou_zero(self):
         pi = np.stack([np.zeros(4), np.zeros(4), np.ones(4)])
-        model, post = self.make(pi)
-        _, _, event = iou_fusion_check(model, post, tau=0.5, activity_threshold=0.5)
+        model = self.make(pi)
+        event = iou_fusion_check(model, tau=0.5, activity_threshold=0.5)
         assert event is None
 
 
@@ -388,12 +410,10 @@ class TestFusionScorerMatchesPairLoop:
 
     @staticmethod
     def random_model(rng, mus, pi):
-        n_comp, n_frames = pi.shape
+        n_comp = pi.shape[0]
         covs = [np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)).copy()] * n_comp
         noise = None if rng.random() < 0.3 else n_comp // 2  # noise in the middle
-        model = make_fusion_model(mus, [5.0] * n_comp, pi, covs, noise_index=noise)
-        gamma = np.full((n_comp, n_frames, 2), 1.0 / n_comp)
-        return model, PosteriorTensor(gamma, pi)
+        return make_fusion_model(mus, [5.0] * n_comp, pi, covs, noise_index=noise)
 
     @staticmethod
     def assert_same(event, want):
@@ -413,12 +433,12 @@ class TestFusionScorerMatchesPairLoop:
         for _ in range(400):
             n_comp = int(rng.integers(2, 8))
             mus = [pool[i] for i in rng.integers(len(pool), size=n_comp)]
-            model, post = self.random_model(rng, mus, rng.uniform(0.0, 1.0, (n_comp, 6)))
+            model = self.random_model(rng, mus, rng.uniform(0.0, 1.0, (n_comp, 6)))
             tau = float(rng.choice([0.25, 0.5, 0.7, 0.99]))
             k_min = int(rng.integers(1, 5))
             cosine = lambda a, b: float(model.mu[a] @ model.mu[b])
             want = self.pair_loop(model, cosine, tau, k_min)
-            _, _, event = spectral_fusion_check(model, post, tau, k_min=k_min)
+            event = spectral_fusion_check(model, tau, k_min=k_min)
             self.assert_same(event, want)
             outcomes["none" if want is None else "fused"] += 1
             if want is not None:
@@ -435,10 +455,10 @@ class TestFusionScorerMatchesPairLoop:
         for _ in range(200):
             n_comp = int(rng.integers(2, 8))
             mus = [unit(v) for v in rng.standard_normal((n_comp, 3))]
-            model, post = self.random_model(rng, mus, rng.uniform(0.0, 1.0, (n_comp, 6)))
+            model = self.random_model(rng, mus, rng.uniform(0.0, 1.0, (n_comp, 6)))
             cosine = lambda a, b: float(model.mu[a] @ model.mu[b])
             want = self.pair_loop(model, cosine, 0.5, 1)
-            _, _, event = spectral_fusion_check(model, post, 0.5)
+            event = spectral_fusion_check(model, 0.5)
             if want is None:
                 assert event is None
             else:
@@ -453,7 +473,7 @@ class TestFusionScorerMatchesPairLoop:
             pi = rng.uniform(0.0, 1.0, (n_comp, 5))
             pi[rng.random(n_comp) < 0.3] = 0.0  # all-inactive rows
             mus = [unit(v) for v in np.eye(8)[:n_comp]]
-            model, post = self.random_model(rng, mus, pi)
+            model = self.random_model(rng, mus, pi)
             tau = float(rng.choice([0.2, 0.5, 0.6, 0.8]))
             k_min = int(rng.integers(1, 5))
             active = pi > 0.5
@@ -463,7 +483,7 @@ class TestFusionScorerMatchesPairLoop:
                 return np.logical_and(active[a], active[b]).sum() / union if union else 0.0
 
             want = self.pair_loop(model, iou, tau, k_min)
-            _, _, event = iou_fusion_check(model, post, tau, activity_threshold=0.5, k_min=k_min)
+            event = iou_fusion_check(model, tau, activity_threshold=0.5, k_min=k_min)
             self.assert_same(event, want)
             outcomes["none" if want is None else "fused"] += 1
             outcomes["empty_union"] += int((~active).all(axis=1).sum() >= 2)
@@ -546,9 +566,29 @@ class TestJointEm:
         for a, b in zip(reused[0].covariances, fresh[0].covariances):
             assert np.max(np.abs(a - b)) <= 1e-12
 
+    @staticmethod
+    def copy_fusion(model, gamma, event):
+        """Reference fusion by copies: the fused model and its (K-1, T, F)
+        posterior from the model and (K, T, F) posterior before it."""
+        keep, remove = event.kept, event.removed
+        kept = keep if keep < remove else keep - 1
+        fused_gamma = np.delete(gamma, remove, axis=0)
+        fused_gamma[kept] = gamma[keep] + gamma[remove]
+        pi = np.delete(model.pi, remove, axis=0)
+        pi[kept] = model.pi[keep] + model.pi[remove]
+        noise = model.noise_index
+        if noise is not None and remove < noise:
+            noise -= 1
+        fused = JointModel(
+            fused_covariances(model, keep, remove), np.delete(model.mu, remove, axis=0),
+            np.delete(model.kappa, remove), pi, noise,
+        )
+        return fused, fused_gamma
+
     def test_in_place_fusion_matches_the_fusion_check_copy(self):
-        # the iteration that fuses inside the sweep gives the model that the
-        # fusion check's copied posterior and joint_m_step give: posterior,
+        # the iteration that fuses inside the sweep merges the posterior as
+        # a copy of it would, to the bit, and its M-step gives the model
+        # joint_m_step gives on that posterior with the copied fused model:
         # prototypes and prior to the bit, covariances (Tyler-weighted by
         # other forms of the same matrices) to rounding
         cfg = tiny_scenario([0, 1, 2], duration_s=8.0, overlap=0.1, seed=9, embed_dim=24)
@@ -564,14 +604,14 @@ class TestJointEm:
         assert [ev.iteration for ev in events] == [3]
 
         xn = normalize_observations(x)
-        copied = PosteriorTensor(joint_posterior(xn, e, before), before.pi)
-        fused, fused_post, event = spectral_fusion_check(before, copied, jcfg.tau_spectral, 1, 3)
+        event = spectral_fusion_check(before, jcfg.tau_spectral, 1, 3)
         assert event == events[0]
+        fused, fused_gamma = self.copy_fusion(before, joint_posterior(xn, e, before), event)
+        assert np.array_equal(post.gamma, fused_gamma)
         want = joint_m_step(
-            xn, e, fused_post, fused, *spatial_forms(xn, fused), kappa_max=jcfg.kappa_max,
+            xn, e, post, fused, *spatial_forms(xn, fused), kappa_max=jcfg.kappa_max,
             rng=np.random.default_rng(jcfg.seed),
         )
-        assert np.array_equal(post.gamma, fused_post.gamma)
         assert np.array_equal(after.mu, want.mu) and np.array_equal(after.kappa, want.kappa)
         assert np.array_equal(after.pi, want.pi)
         for a, b in zip(after.covariances, want.covariances, strict=True):

@@ -172,6 +172,12 @@ class TestSmoothAndSegment:
         with pytest.raises(InvalidInputError):
             smooth_and_segment(np.zeros((1, 10)), 100.0, median_frames=4)
 
+    @pytest.mark.parametrize("median_frames", [-1, -3])
+    def test_median_below_one_rejected(self, median_frames):
+        # odd, but no window: rejected before any edge padding
+        with pytest.raises(InvalidInputError, match="median_frames"):
+            smooth_and_segment(np.zeros((1, 10)), 100.0, median_frames=median_frames)
+
     def test_no_speaker_rows(self):
         assert smooth_and_segment(np.zeros((0, 50)), 100.0) == []
 
@@ -449,6 +455,14 @@ class TestRunMeeting:
         assert dia.entries == []
         assert spk_audio == {}
         assert report["num_segments"] == 0
+
+    def test_given_embedding_sequence_reports_no_alignment(self):
+        # only an EMB1 file read by the run is aligned to the STFT frames; a
+        # sequence passed in must already match, whatever it records
+        audio = frontend.AudioBuffer(np.zeros((2, 8000)), 2000)
+        e = EmbeddingSequence(np.ones((497, 8)) / np.sqrt(8.0), 250.0, "truncated_1")
+        _, _, report = run_meeting(audio, e, tuned_config())
+        assert report["embedding_alignment"] is None
 
     def test_synthetic_meeting_der(self):
         cfg = tiny_scenario(
