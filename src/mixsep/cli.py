@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -16,6 +17,15 @@ from . import frontend, metrics, pipeline, rttm, synth
 from .errors import ConfigurationError, MixsepError
 from .integrated import check_tau
 from .vmf import check_kappa_max
+
+
+# Settings that must be integers: a float or a bool there is an error at load,
+# not a TypeError in every segment.
+_INTEGER_FIELDS = (
+    "seed", "jobs", "k_init", "init_iterations", "em_iterations", "fusion_start",
+    "median_frames", "embed_dim", "k_target", "k_total",
+)
+_NULLABLE_FIELDS = ("embed_dim", "k_target", "k_total")
 
 
 @dataclass
@@ -57,6 +67,12 @@ class RunConfig:
     min_dur_s: float = 0.5
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _NULLABLE_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.init_mode not in ("per_segment", "global"):
             raise ConfigurationError(f"unknown init_mode {self.init_mode!r}")
         if self.fusion not in ("spectral", "iou", "none"):

@@ -18,6 +18,7 @@ from . import cacg as _cacg
 from . import vmf as _vmf
 from .cacg import PosteriorTensor, StftTensor
 from .errors import ConfigurationError, InvalidInputError
+from .numerics import uniform_log_density
 from .vmf import EmbeddingSequence
 
 logger = logging.getLogger(__name__)
@@ -25,13 +26,19 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class JointModel:
-    """Joint model state: spatial covariances, vMF prototypes and tied priors."""
+    """Joint model state: spatial covariances, vMF prototypes and tied priors.
+
+    ``lognorm`` holds the vMF log normalizers ``ln c(kappa)`` where the
+    M-step handed them on with the concentrations; the E-step computes them
+    from ``kappa`` where it is None.
+    """
 
     covariances: np.ndarray  # (K, F, C, C) Hermitian PD
     mu: np.ndarray  # (K, E) unit prototypes
     kappa: np.ndarray  # (K,) concentrations
     pi: np.ndarray  # (K, T)
     noise_index: int | None = None
+    lognorm: np.ndarray | None = None  # (K,)
 
     def __post_init__(self):
         self.covariances = np.asarray(self.covariances, dtype=complex)
@@ -46,6 +53,8 @@ class JointModel:
             raise InvalidInputError("pi rows must match the component count")
         if self.noise_index is not None and not 0 <= self.noise_index < shape[0]:
             raise InvalidInputError("noise index out of range")
+        if self.lognorm is not None and np.shape(self.lognorm) != self.kappa.shape:
+            raise InvalidInputError("lognorm must hold one value per component")
 
     @property
     def num_components(self) -> int:
@@ -121,18 +130,21 @@ def joint_m_step(
     if not freeze_spatial:
         covariances = _cacg.cacg_m_step(x, posterior, covariances, quad, features)
     gbar = posterior.gamma.sum(axis=2)  # (K, T)
-    mu, kappa = _spectral_m_step(embeddings, gbar, kappa_max, rng, model.noise_index)
+    mu, kappa, lognorm = _spectral_m_step(embeddings, gbar, kappa_max, rng, model.noise_index)
     pi = _cacg.update_pi(gbar, posterior.num_bins)
-    return JointModel(covariances, mu, kappa, pi, model.noise_index)
+    return JointModel(covariances, mu, kappa, pi, model.noise_index, lognorm)
 
 
 def _spectral_m_step(embeddings, gbar, kappa_max, rng, noise_index):
-    """vMF M-step on the frequency-summed posteriors ``gbar``; the noise
-    component's kappa stays 0 (it has no embedding identity)."""
-    mu, kappa = _vmf.vmf_m_step(embeddings, gbar, kappa_max, rng)
+    """vMF M-step on the frequency-summed posteriors ``gbar``: ``(mu, kappa,
+    lognorm)`` with the log normalizers the next E-step reads. The noise
+    component's kappa stays 0 (it has no embedding identity), and its
+    normalizer is the closed form at 0."""
+    mu, kappa, lognorm = _vmf.vmf_m_step(embeddings, gbar, kappa_max, rng, return_lognorm=True)
     if noise_index is not None:
         kappa[noise_index] = 0.0
-    return mu, kappa
+        lognorm[noise_index] = uniform_log_density(embeddings.dim)
+    return mu, kappa, lognorm
 
 
 def fused_covariances(model: JointModel, keep: int, remove: int) -> np.ndarray:
@@ -235,17 +247,20 @@ def _initial_model(
         covariances = np.broadcast_to(np.eye(c, dtype=complex), shape).copy()
     else:
         covariances = _cacg.initial_covariances(init.gamma, features)
-    mu, kappa = _spectral_m_step(
+    mu, kappa, lognorm = _spectral_m_step(
         embeddings, init.gamma.sum(axis=2), config.kappa_max, rng, config.noise_index
     )
-    return JointModel(covariances, mu, kappa, init.pi, config.noise_index)
+    return JointModel(covariances, mu, kappa, init.pi, config.noise_index, lognorm)
 
 
 def _logits(model: JointModel, embeddings: EmbeddingSequence) -> np.ndarray:
     """(K, T) prior and vMF log factors of the coupled E-step: the vMF term,
-    replicated along frequency, is formed once per frame."""
+    replicated along frequency, is formed once per frame, with the
+    normalizers the M-step handed on in ``model.lognorm``."""
     with np.errstate(divide="ignore"):
-        return np.log(model.pi) + _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames)
+        return np.log(model.pi) + _vmf.log_pdf_matrix(
+            model.mu, model.kappa, embeddings.frames, model.lognorm
+        )
 
 
 def _fusion(model: JointModel, config: JointEmConfig, it: int) -> FusionEvent | None:
@@ -277,9 +292,10 @@ def joint_em(
     frequencies: per block the E-step, the in-place merge of the fused
     pair's posteriors and the Tyler update, which every covariance is
     factorized once for. The vMF and prior M-steps then read the frequency
-    sums of the whole posterior. Each E-step after the first writes into
-    the buffer of the posterior before it (after a fusion, into its
-    leading rows). All cACG kernels read one outer-product feature array
+    sums of the whole posterior; the vMF M-step hands the next E-step its
+    log normalizers with the concentrations. Each E-step after the first
+    writes into the buffer of the posterior before it (after a fusion, into
+    its leading rows). All cACG kernels read one outer-product feature array
     Φ (:func:`cacg.outer_features`), built block by block from ``x`` and
     freed when the run returns. One run thus holds ``x``, Φ, one
     (K, T, F) posterior and one block's temporaries.
@@ -323,9 +339,9 @@ def joint_em(
         if covariances is None:
             covariances = fused
         gbar = gamma.sum(axis=2)
-        mu, kappa = _spectral_m_step(embeddings, gbar, config.kappa_max, rng, noise)
+        mu, kappa, lognorm = _spectral_m_step(embeddings, gbar, config.kappa_max, rng, noise)
         pi = _cacg.update_pi(gbar, x.num_bins)
-        model = JointModel(covariances, mu, kappa, pi, noise)
+        model = JointModel(covariances, mu, kappa, pi, noise, lognorm)
         # the posterior is spent: the next E-step writes into its buffer
         spent = np.swapaxes(gamma, 1, 2)
     return model, PosteriorTensor(gamma, model.pi), events, np.asarray(trace)

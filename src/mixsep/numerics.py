@@ -220,6 +220,9 @@ def log_vmf_normalizer(embed_dim: int, kappa):
 
     ``c(kappa) = kappa^(E/2-1) / ((2 pi)^(E/2) I_(E/2-1)(kappa))`` with the
     continuous limit at ``kappa = 0`` (the uniform density on the sphere).
+    It is :func:`uniform_log_density` less the first result of
+    :func:`bessel_i_series`, so a caller that already holds the series at
+    kappa needs no further series.
     Within 1e-12 relative of a 60-digit reference for E from 2 to 256 and
     kappa from 1e-8 to 1e4, the range the tests check. Finite for any finite
     kappa, but the series of :func:`bessel_i_series` has about kappa/2
@@ -238,12 +241,19 @@ def log_vmf_normalizer(embed_dim: int, kappa):
     if not np.all((k >= 0.0) & np.isfinite(k)):
         raise InvalidInputError("kappa must be finite and >= 0")
     half = embed_dim / 2.0
-    nu = half - 1.0
     log_series = np.zeros(k.shape)  # its kappa = 0 limit
     pos = k > 0.0
-    log_series[pos] = bessel_i_series(nu, k[pos])[0]
-    out = (nu * math.log(2.0) + math.lgamma(half) - half * math.log(2.0 * math.pi)) - log_series
+    log_series[pos] = bessel_i_series(half - 1.0, k[pos])[0]
+    out = uniform_log_density(embed_dim) - log_series
     return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=64)
+def uniform_log_density(embed_dim: int) -> float:
+    """ln c(0): the log density of the uniform distribution on the unit
+    sphere of R^E, the vMF normalizer's limit at ``kappa = 0``."""
+    half = embed_dim / 2.0
+    return (half - 1.0) * math.log(2.0) + math.lgamma(half) - half * math.log(2.0 * math.pi)
 
 
 def normalize_logits(logits: np.ndarray, axis: int = 0):

@@ -8,13 +8,15 @@ k-means++ on the same embeddings.
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .numerics import bessel_i_series, log_vmf_normalizer, normalize_logits
+from .numerics import bessel_i_series, log_vmf_normalizer, normalize_logits, uniform_log_density
 
 logger = logging.getLogger(__name__)
 
@@ -89,58 +91,126 @@ def check_prototypes(mu: np.ndarray, kappa: np.ndarray, count: int):
         raise InvalidInputError("kappa must be finite and >= 0")
 
 
-def log_pdf_matrix(mu: np.ndarray, kappa: np.ndarray, frames: np.ndarray) -> np.ndarray:
+def log_pdf_matrix(
+    mu: np.ndarray, kappa: np.ndarray, frames: np.ndarray, lognorm: np.ndarray | None = None
+) -> np.ndarray:
     """(K, T) vMF log densities ``ln c(kappa_k) + kappa_k mu_k . e_t`` of (K, E)
-    prototypes with (K,) concentrations; frames are assumed unit rows."""
-    lognorm = log_vmf_normalizer(mu.shape[1], kappa)
+    prototypes with (K,) concentrations; frames are assumed unit rows.
+
+    ``lognorm`` holds the (K,) ``ln c(kappa_k)`` where the caller has them:
+    the EMs pass what :func:`vmf_m_step` handed on with the concentrations,
+    so their E-step evaluates no Bessel series. Without it the normalizers
+    come from :func:`numerics.log_vmf_normalizer`.
+    """
+    if lognorm is None:
+        lognorm = log_vmf_normalizer(mu.shape[1], kappa)
     return lognorm[:, None] + kappa[:, None] * (mu @ frames.T)
 
 
-def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float) -> np.ndarray:
-    """Concentration update of every component: Banerjee's approximation
-    refined by Newton steps.
+# Nodes of the table of A_E per unit of ln(1 + kappa): 460 for a cap of 35,
+# 1180 for 1e4. The cubic read of the inverse starts a solve within 2e-9
+# relative up to kappa = 1000 and within 1e-7 near 1e4, where the slope of
+# A_E cancels (for E = 2, the worst case, measured against the converged root).
+_NODES_PER_LOG_UNIT = 128
+# Arguments per series call while a table is built, so that each call sums
+# only as many terms as its own largest argument needs.
+_BUILD_CHUNK = 256
+# A Newton step below this, relative, leaves the next one below the stop rule
+# of 1e-12: the error squares or, where the computed slope
+# 1 - A (A + (E-1)/kappa) cancels (to 1e-4 relative at kappa = 1e4), still
+# shrinks 1e4-fold.
+_ONE_STEP = 1e-8
 
-    The closed form (rbar*E - rbar^3)/(1 - rbar^2) starts at most four Newton
-    steps on the exact condition A_E(kappa) = rbar; the refinement keeps the
-    M-step an argmax so the EM likelihood stays monotone. A component stops
-    on its own once its step falls below 1e-12 relative or the slope is no
-    longer positive. A saturated ``rbar`` gives ``kappa_max``, and so does a
-    start beyond the cap when A_E(kappa_max) <= rbar (the constrained
-    maximum; that ratio is the first Newton step's, taken at the cap); a
-    start <= 0 gives 0. Results are capped at ``kappa_max``.
 
-    Each step evaluates the Bessel ratio of every live component in one
-    call; the few scalar operations after it run on Python floats, one
-    component at a time, as the same IEEE operations in the same order.
+@functools.lru_cache(maxsize=64)
+def _ratio_table(dim: int, kappa_max: float):
+    """Read-only table of ``A_E(kappa) = I_{E/2}(kappa) / I_{E/2-1}(kappa)`` on
+    [0, kappa_max] and of its inverse.
+
+    The nodes are equally spaced in ``ln(1 + kappa)`` and end at
+    ``kappa_max`` itself. Returns ``(ratio, log_series, cubic)``: A_E and the
+    series of :func:`numerics.bessel_i_series` at the nodes, and one row
+    ``[A_i, 1 / (A_{i+1} - A_i), c0, c1, c2, c3]`` per interval, the cubic
+    Hermite interpolant ``kappa = c0 + c1 t + c2 t^2 + c3 t^3`` of the inverse
+    in ``t = (r - A_i) / (A_{i+1} - A_i)``, whose slopes at the nodes are
+    ``1 / A_E'`` (``A_E'(0) = 1/E``). Cached like the series' own tables: one
+    dimension and cap serve a whole run.
     """
-    saturated = rbar >= 1.0 - 1e-12
-    kappa = np.where(saturated, float(kappa_max), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        start = (rbar * dim - rbar**3) / (1.0 - rbar**2)
-        live = np.flatnonzero(~saturated & (start > 0.0))
-        if live.size == 0:
-            return kappa
-        targets = rbar[live].tolist()
-        ks = np.minimum(start[live], kappa_max).tolist()
-        moving = (start[live] < kappa_max).tolist()
-        nu, spread = dim / 2.0 - 1.0, dim - 1.0
-        for it in range(4):
-            ratios = bessel_i_series(nu, np.array(ks))[1].tolist()
-            for n, (ratio, target, k) in enumerate(zip(ratios, targets, ks)):
-                step = 0.0
-                if moving[n] or (it == 0 and ratio > target):  # then k > 0
-                    slope = 1.0 - ratio * (ratio + spread / k)
-                    if slope > 1e-14:
-                        step = (ratio - target) / slope
-                new = k - step
-                if new <= 0.0:
-                    new = 0.5 * k
-                ks[n] = new
-                moving[n] = abs(step) >= 1e-12 * max(new, 1.0)
-            if not any(moving):
+    top = math.log1p(kappa_max)
+    kappa = np.expm1(np.linspace(0.0, top, max(2, math.ceil(top * _NODES_PER_LOG_UNIT) + 1)))
+    kappa[-1] = kappa_max
+    ratio, log_series = np.zeros(kappa.size), np.zeros(kappa.size)
+    for lo in range(1, kappa.size, _BUILD_CHUNK):
+        part = slice(lo, lo + _BUILD_CHUNK)
+        log_series[part], ratio[part] = bessel_i_series(dim / 2.0 - 1.0, kappa[part])
+    dkappa = np.full(kappa.size, float(dim))
+    dkappa[1:] = 1.0 / (1.0 - ratio[1:] * (ratio[1:] + (dim - 1.0) / kappa[1:]))
+    width = np.diff(ratio)
+    rise = np.diff(kappa)
+    m0, m1 = width * dkappa[:-1], width * dkappa[1:]
+    cubic = np.stack(
+        [ratio[:-1], 1.0 / width, kappa[:-1], m0, 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise],
+        axis=1,
+    )
+    tables = (ratio, log_series, cubic)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _table_start(table, rbar: np.ndarray) -> np.ndarray:
+    """The inverse of A_E at each ``rbar`` in [0, A_E(kappa_max)), read from
+    the table's cubic of the interval that holds it."""
+    ratio, _, cubic = table
+    lo, inv_width, c0, c1, c2, c3 = cubic[np.searchsorted(ratio, rbar, side="right") - 1].T
+    t = (rbar - lo) * inv_width
+    return c0 + t * (c1 + t * (c2 + t * c3))
+
+
+def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float, return_series: bool = False):
+    """Concentration update of every component: the root of
+    ``A_E(kappa) = rbar`` read from a table of the inverse of A_E and
+    polished by Newton steps.
+
+    The cached table (:func:`_ratio_table`) gives each component its start;
+    one Newton step on the exact condition, vectorized over the components,
+    polishes it, and a second one follows for the components whose first
+    step was not below 1e-8 relative, so that the next step would not pass
+    the stop rule of 1e-12 relative. The polish keeps the M-step an argmax,
+    so the EM likelihood stays monotone. A step is skipped where the slope
+    is not positive. A saturated ``rbar``, or one at or above
+    A_E(kappa_max), gives ``kappa_max`` (the constrained maximum); ``rbar``
+    0 gives 0. Results are capped at ``kappa_max``.
+
+    With ``return_series`` the result is ``(kappa, log_series)``, where
+    ``log_series`` is the first result of :func:`numerics.bessel_i_series`
+    at each estimate (0 at kappa 0): the last step's evaluation carried to
+    its result by the second-order expansion ``d log_series / d kappa =
+    A_E``, ``d A_E / d kappa = slope``, or the table's value at the cap. It
+    gives the next E-step its normalizers, so one EM iteration evaluates the
+    series once, or twice where a second step runs.
+    """
+    kappa_max = float(kappa_max)
+    kappa, log_series = np.zeros(rbar.shape), np.zeros(rbar.shape)
+    if kappa_max > 0.0:
+        table = ratios, series_at_nodes, _ = _ratio_table(dim, kappa_max)
+        capped = (rbar >= 1.0 - 1e-12) | (rbar >= ratios[-1])
+        kappa[capped], log_series[capped] = kappa_max, series_at_nodes[-1]
+        live = np.flatnonzero(~capped & (rbar > 0.0))
+        kappa[live] = _table_start(table, rbar[live])
+        for _ in range(2):
+            if live.size == 0:
                 break
-    kappa[live] = np.minimum(ks, kappa_max)
-    return kappa
+            k = kappa[live]
+            series, ratio = bessel_i_series(dim / 2.0 - 1.0, k)
+            slope = 1.0 - ratio * (ratio + (dim - 1.0) / k)
+            step = (ratio - rbar[live]) / np.where(slope > 1e-14, slope, np.inf)
+            new = np.minimum(k - step, kappa_max)
+            moved = new - k
+            kappa[live] = new
+            log_series[live] = series + moved * (ratio + 0.5 * slope * moved)
+            live = live[np.abs(step) >= _ONE_STEP * np.maximum(new, 1.0)]
+    return (kappa, log_series) if return_series else kappa
 
 
 def vmf_m_step(
@@ -148,13 +218,15 @@ def vmf_m_step(
     resp: np.ndarray,
     kappa_max: float,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    return_lognorm: bool = False,
+):
     """Weighted vMF parameter update.
 
     For each component the resultant ``r_k = sum_t resp[k, t] * e_t`` gives the
     mean direction; the mean resultant length feeds the capped concentration
-    estimate. A zero resultant (fully cancelling responsibilities) flags the
-    component degenerate: ``mu`` is re-drawn uniformly and ``kappa`` set to 0.
+    estimate (:func:`_kappa_estimates`: a table start and a Newton polish). A
+    zero resultant (fully cancelling responsibilities) flags the component
+    degenerate: ``mu`` is re-drawn uniformly and ``kappa`` set to 0.
     Re-draws come in ascending component order from ``rng``.
 
     Args:
@@ -163,9 +235,13 @@ def vmf_m_step(
             may exceed 1 per entry, only relative weights matter.
         kappa_max: concentration cap, in [0, KAPPA_MAX_LIMIT].
         rng: generator for degenerate re-draws (seeded default if omitted).
+        return_lognorm: also return the (K,) log normalizers ``ln c(kappa)``
+            for :func:`log_pdf_matrix`, from the series the concentration
+            update evaluated last; no further series is summed for them.
 
     Returns:
-        ``(mu, kappa)``: the (K, E) unit prototypes and (K,) concentrations.
+        ``(mu, kappa)``: the (K, E) unit prototypes and (K,) concentrations,
+        and the log normalizers as a third item with ``return_lognorm``.
     """
     resp = np.asarray(resp, dtype=float)
     if resp.ndim != 2 or resp.shape[1] != embeddings.num_frames:
@@ -187,7 +263,12 @@ def vmf_m_step(
         logger.debug("component %d degenerate (zero resultant), re-drawing", k)
         draw = rng.standard_normal(dim)
         mu[k] = draw / np.linalg.norm(draw)
-    return mu, _kappa_estimates(np.minimum(norms / masses, 1.0), dim, kappa_max)
+    kappa, log_series = _kappa_estimates(
+        np.minimum(norms / masses, 1.0), dim, kappa_max, return_series=True
+    )
+    if return_lognorm:
+        return mu, kappa, uniform_log_density(dim) - log_series
+    return mu, kappa
 
 
 def _prior_update(resp: np.ndarray, prior_mode: str) -> np.ndarray:
@@ -213,7 +294,9 @@ def vmfmm_em(
 
     Each iteration performs the M-step (component and prior update from the
     current responsibilities) followed by the E-step, whose per-frame
-    normalizers accumulate the log-likelihood trace.
+    normalizers accumulate the log-likelihood trace. The E-step takes its vMF
+    normalizers from the M-step, so an iteration sums the Bessel series once
+    (twice where a concentration needs a second Newton step).
 
     Args:
         embeddings: observation sequence.
@@ -242,11 +325,13 @@ def vmfmm_em(
     resp = init_resp
     trace = []
     for _ in range(iterations):
-        mu, kappa = vmf_m_step(embeddings, resp, kappa_max, rng)
+        mu, kappa, lognorm = vmf_m_step(embeddings, resp, kappa_max, rng, return_lognorm=True)
         weights = _prior_update(resp, prior_mode)
         with np.errstate(divide="ignore"):
             log_w = np.log(weights if weights.ndim == 2 else weights[:, None])
-        resp, loglik = normalize_logits(log_w + log_pdf_matrix(mu, kappa, embeddings.frames))
+        resp, loglik = normalize_logits(
+            log_w + log_pdf_matrix(mu, kappa, embeddings.frames, lognorm)
+        )
         trace.append(loglik)
     return VmfMixture(mu, kappa, weights), resp, np.asarray(trace)
 

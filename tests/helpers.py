@@ -12,8 +12,23 @@ from mixsep.cacg import (
     outer_features,
     quad_forms,
 )
+from mixsep import numerics, vmf
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting
 from mixsep.vmf import smooth_one_hot, spherical_kmeans_pp
+
+
+def count_series_calls(monkeypatch):
+    """A list that grows by one for every ``bessel_i_series`` call."""
+    calls = []
+    series = numerics.bessel_i_series
+
+    def spy(nu, kappa):
+        calls.append(np.size(kappa))
+        return series(nu, kappa)
+
+    monkeypatch.setattr(numerics, "bessel_i_series", spy)
+    monkeypatch.setattr(vmf, "bessel_i_series", spy)
+    return calls
 
 
 def wav_bytes(fmt_chunk: bytes, payload: bytes) -> bytes:

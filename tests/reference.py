@@ -117,9 +117,10 @@ def logsumexp(values, axis=None):
 
 
 def kappa_newton_arrays(rbar: np.ndarray, dim: int, kappa_max: float) -> np.ndarray:
-    """The concentration update of ``vmf._kappa_estimates`` with every
-    Newton step on NumPy arrays of all live components: the reference that
-    its per-component steps on Python floats must match to the bit."""
+    """The concentration update as Newton steps from Banerjee's start, on
+    NumPy arrays of all live components: at most four steps, each component
+    stopping once its step falls below 1e-12 relative. The reference that
+    the table start and polish of ``vmf._kappa_estimates`` must match."""
     saturated = rbar >= 1.0 - 1e-12
     kappa = np.where(saturated, float(kappa_max), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):

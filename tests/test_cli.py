@@ -130,6 +130,35 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             cli.RunConfig.from_json(json.dumps(setting))
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"median_frames": 21.0},
+            {"k_init": 4.0},
+            {"seed": 1.5},
+            {"seed": True},
+            {"jobs": 2.0},
+            {"init_iterations": "30"},
+            {"em_iterations": False},
+            {"fusion_start": 10.0},
+            {"embed_dim": 16.0},
+            {"k_target": True},
+            {"k_total": 2.5},
+        ],
+    )
+    def test_non_integer_count_rejected(self, setting):
+        # a float, a bool or a string where a count belongs fails at load
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            cli.RunConfig.from_json(json.dumps(setting))
+
+    def test_integer_counts_and_nulls_accepted(self):
+        cfg = cli.RunConfig.from_json(json.dumps(
+            {"seed": 3, "jobs": 2, "k_init": 4, "median_frames": 21, "embed_dim": None,
+             "k_target": None, "k_total": 2}
+        ))
+        assert (cfg.seed, cfg.k_init, cfg.k_total, cfg.embed_dim) == (3, 4, 2, None)
+        assert cli.RunConfig(seed=np.int64(7)).seed == 7
+
 
 def fresh_python(args, cwd, **env_vars):
     """Run a fresh interpreter that imports this mixsep, with ``env_vars`` added
@@ -286,6 +315,24 @@ class TestCmdRun:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(run_config_dict(bundle, out_dir, **setting)))
         assert cli.main(["run", "--config", str(config), *flags]) == 1
+        assert "error: cannot load config" in capsys.readouterr().err
+        assert not meetings and not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "setting", [{"median_frames": 21.0}, {"k_init": 4.0}, {"seed": 1.5}],
+        ids=["median_frames", "k_init", "seed"],
+    )
+    def test_non_integer_count_exits_one_before_any_segment(
+        self, bundle, tmp_path, capsys, monkeypatch, setting
+    ):
+        # a float count ran every segment into a TypeError, and a float seed
+        # ended in a traceback without report.json
+        meetings = []
+        monkeypatch.setattr(pipeline, "run_meeting", lambda *args, **kw: meetings.append(args))
+        out_dir = tmp_path / "out"
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(run_config_dict(bundle, out_dir, **setting)))
+        assert cli.main(["run", "--config", str(config)]) == 1
         assert "error: cannot load config" in capsys.readouterr().err
         assert not meetings and not out_dir.exists()
 

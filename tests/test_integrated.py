@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import (
     assert_exactly_hermitian,
+    count_series_calls,
     identity_stack,
     kmeans_init_posterior,
     random_soft_posterior,
@@ -36,7 +37,7 @@ from mixsep.integrated import (
     joint_m_step,
     spectral_fusion_check,
 )
-from mixsep.numerics import chol_logdet_quad
+from mixsep.numerics import chol_logdet_quad, log_vmf_normalizer
 from mixsep.synth import build_meeting
 from mixsep.vmf import log_pdf_matrix, vmfmm_em
 
@@ -99,6 +100,12 @@ class TestJointModelChecks:
         _, mu, kappa, pi = self.parts()
         with pytest.raises(InvalidInputError):
             JointModel(covariances, mu, kappa, pi)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_lognorm_rows_must_match_kappa(self, rows):
+        covariances, mu, kappa, pi = self.parts()
+        with pytest.raises(InvalidInputError):
+            JointModel(covariances, mu, kappa, pi, lognorm=np.zeros(rows))
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_pi_rows_must_match_covariances(self, rows):
@@ -210,6 +217,23 @@ class TestJointMStep:
         new = joint_m_step(xn, e, post, model, *spatial_forms(xn, model), kappa_max=35.0)
         assert new.kappa[2] == 0.0
         assert new.kappa[0] > 0.0
+
+    def test_m_step_hands_on_the_log_normalizers(self):
+        # the noise row takes the closed form at kappa 0, the others the
+        # series of the concentration update, a row at the cap included
+        x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=6))
+        xn = normalize_observations(x)
+        post = random_soft_posterior(np.random.default_rng(1), 4, x.num_frames, x.num_bins)
+        post.gamma[1] = 0.0
+        post.gamma[1, 7, :] = 1.0  # one frame: saturated, at the cap
+        spatial = identity_stack(4, x.num_bins, x.num_channels)
+        mu = np.tile(unit(np.arange(1.0, 17.0)), (4, 1))
+        model = JointModel(spatial, mu, np.full(4, 10.0), post.pi, noise_index=3)
+        new = joint_m_step(xn, e, post, model, *spatial_forms(xn, model), kappa_max=35.0)
+        assert new.kappa[1] == 35.0 and new.kappa[3] == 0.0 and new.kappa[0] > 0.0
+        want = log_vmf_normalizer(16, new.kappa)
+        assert np.all(np.abs(new.lognorm - want) <= 1e-12 * np.abs(want))
+        assert new.lognorm[3] == log_vmf_normalizer(16, 0.0)
 
     def test_joint_parameter_recovery(self):
         cfg = tiny_scenario([0, 1, 2], duration_s=16.0, overlap=0.2, seed=7, channels=4)
@@ -491,6 +515,24 @@ class TestFusionScorerMatchesPairLoop:
 
 
 class TestJointEm:
+    def test_sums_the_series_once_per_iteration(self, monkeypatch):
+        # the E-step reads the normalizers the vMF M-step handed on
+        x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=4))
+        init = kmeans_init_posterior(e, truth.voiced, 4, x.num_bins, seed=1)
+        jcfg = JointEmConfig(
+            iterations=1, fusion="spectral", fusion_start=2, noise_index=4, seed=0
+        )
+        joint_em(x, e, init, jcfg)  # builds the tables
+        calls = count_series_calls(monkeypatch)
+        joint_em(x, e, init, jcfg)
+        first = len(calls)
+        calls.clear()
+        jcfg.iterations = 8
+        joint_em(x, e, init, jcfg)
+        # one per M-step (the run starts with one) at the default cap of 35,
+        # where the first Newton step always passes; a second would add one
+        assert first == 2 and len(calls) - first == 7
+
     def test_single_iteration_deterministic(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=8))
         init = kmeans_init_posterior(e, truth.voiced, 2, x.num_bins, seed=1)

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from helpers import count_series_calls
 from reference import kappa_newton_arrays, vmf_log_pdf
 from scipy import special
 from scipy.optimize import linear_sum_assignment
 
 from mixsep import vmf
 from mixsep.errors import ConfigurationError, InvalidInputError
-from mixsep.numerics import log_vmf_normalizer
+from mixsep.numerics import bessel_i_series, log_vmf_normalizer, uniform_log_density
 from mixsep.synth import sample_vmf
 from mixsep.vmf import (
     EmbeddingSequence,
@@ -164,9 +165,10 @@ class TestKappaUpdateMatchesScalarNewton:
             start = (rbar * dim - rbar**3) / np.maximum(1.0 - rbar**2, 1e-300)
             assert np.any((start >= kappa_max) & (rbar < cap))
 
-    def test_scalar_steps_match_array_steps_to_the_bit(self):
-        # the Newton steps run on Python floats per component; they are the
-        # same IEEE operations as on arrays, so every estimate is identical
+    def test_table_solve_matches_array_newton(self):
+        # the table start and its polish reach the root the Newton steps from
+        # Banerjee's start reach, to the bound test_every_branch allows near a
+        # cap of 1000; the 0 and cap branches agree exactly
         rng = np.random.default_rng(17)
         for _ in range(3000):
             count = int(rng.integers(1, 13))
@@ -176,7 +178,10 @@ class TestKappaUpdateMatchesScalarNewton:
             rbar[rng.uniform(size=count) < 0.1] = 1.0
             got = vmf._kappa_estimates(rbar, dim, kappa_max)
             want = kappa_newton_arrays(rbar, dim, kappa_max)
-            assert np.array_equal(got, want), (rbar, dim, kappa_max)
+            case = (rbar, dim, kappa_max)
+            assert np.array_equal(got == 0.0, want == 0.0), case
+            assert np.array_equal(got == kappa_max, want == kappa_max), case
+            assert np.allclose(got, want, rtol=1e-10, atol=0.0), case
 
     def test_integer_cap_keeps_float_estimates(self):
         # a JSON config passes "kappa_max": 50 through as an int
@@ -219,6 +224,74 @@ class TestKappaUpdateMatchesScalarNewton:
             "component 1 degenerate (zero resultant), re-drawing",
             "component 3 degenerate (zero resultant), re-drawing",
         ]
+
+
+class TestLognormHandoff:
+    @pytest.mark.parametrize("dim", [2, 3, 16, 24, 64, 256])
+    @pytest.mark.parametrize("kappa_max", [1.0, 35.0, 1000.0, 1e4])
+    def test_handed_on_series_gives_the_normalizer(self, dim, kappa_max):
+        rbar = np.concatenate([[0.0, 1e-9, 1.0], np.linspace(0.01, 0.99, 99)])
+        kappa, log_series = vmf._kappa_estimates(rbar, dim, kappa_max, return_series=True)
+        got = uniform_log_density(dim) - log_series
+        want = log_vmf_normalizer(dim, kappa)
+        # relative to |ln c| where it is above 1: for E = 256 it crosses 0
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+        assert np.any(kappa == 0.0) and np.any(kappa == kappa_max)
+
+    def test_m_step_hands_on_the_log_normalizers(self):
+        rng = np.random.default_rng(5)
+        frames = np.concatenate([
+            sample_vmf(unit(rng.standard_normal(16)), 20.0, 100, seed=1),
+            sample_vmf(unit(rng.standard_normal(16)), 400.0, 40, seed=2),
+        ])
+        resp = rng.uniform(0.0, 1.0, size=(4, frames.shape[0]))
+        resp[1] = 0.0  # no mass: degenerate, kappa 0
+        resp[2, :100] = 0.0  # the tight cluster: at the cap
+        e = EmbeddingSequence(frames)
+        mu, kappa, lognorm = vmf_m_step(e, resp, 35.0, return_lognorm=True)
+        assert kappa[1] == 0.0 and kappa[2] == 35.0
+        want = log_vmf_normalizer(16, kappa)
+        assert np.all(np.abs(lognorm - want) <= 1e-12 * np.abs(want))
+        plain = vmf_m_step(e, resp, 35.0)
+        assert np.array_equal(plain[0], mu) and np.array_equal(plain[1], kappa)
+
+    def test_a_far_start_takes_a_second_step(self, monkeypatch):
+        # at kappa near 1e4 and E = 2 the slope of A_E cancels to about 1e-4
+        # relative, and the table starts about 1e-7 off: the first step is not
+        # below 1e-8, so a second one follows; a start at kappa_max = 35 needs one
+        near = bessel_i_series(0.0, np.array([9376.0]))[1]
+        inner = bessel_i_series(11.0, np.array([12.5, 30.0]))[1]
+        vmf._kappa_estimates(near, 2, 1e4)  # builds the tables
+        vmf._kappa_estimates(inner, 24, 35.0)
+        calls = count_series_calls(monkeypatch)
+        got, log_series = vmf._kappa_estimates(near, 2, 1e4, return_series=True)
+        assert len(calls) == 2
+        assert np.allclose(got, kappa_newton_arrays(near, 2, 1e4), rtol=1e-10, atol=0.0)
+        want = log_vmf_normalizer(2, got)
+        assert np.all(np.abs(uniform_log_density(2) - log_series - want) <= 1e-12 * np.abs(want))
+        calls.clear()
+        got = vmf._kappa_estimates(inner, 24, 35.0)
+        assert len(calls) == 1
+        assert np.allclose(got, [12.5, 30.0], rtol=1e-13, atol=0.0)
+
+    def test_vmfmm_em_sums_the_series_once_per_iteration(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        frames = np.concatenate([
+            sample_vmf(unit(rng.standard_normal(24)), kappa, 60, seed=10 + i)
+            for i, kappa in enumerate([15.0, 30.0, 200.0])
+        ])
+        e = EmbeddingSequence(frames)
+        init = smooth_one_hot(spherical_kmeans_pp(e, 4, seed=1))
+        vmfmm_em(e, init, 1, 35.0)  # builds the tables
+        calls = count_series_calls(monkeypatch)
+        vmfmm_em(e, init, 1, 35.0)
+        first = len(calls)
+        calls.clear()
+        vmfmm_em(e, init, 12, 35.0)
+        # one per iteration: below a cap of 1000 the first Newton step always
+        # passes (a second would add one), and the E-step sums none; up to
+        # four Newton steps and a fresh normalizer would be five
+        assert first == 1 and len(calls) - first == 11
 
 
 class TestVmfMStep:
