@@ -134,25 +134,24 @@ def frequency_blocks(num_bins: int) -> list[slice]:
     return [slice(i * num_bins // count, (i + 1) * num_bins // count) for i in range(count)]
 
 
-def outer_features(x: StftTensor, normalize: bool = False) -> np.ndarray:
-    """Real outer-product features of the observations, shape (F, C^2, T).
+def outer_features(x: StftTensor) -> np.ndarray:
+    """Real outer-product features of the unit-normalized observations,
+    shape (F, C^2, T).
 
     Rows ``0..C-1`` hold ``|y_i|^2``; the next ``P = C (C-1) / 2`` rows hold
     ``Re(conj(y_i) y_j)`` and the last ``P`` rows ``Im(conj(y_i) y_j)``, for
-    the pairs ``i < j`` in row-major order. Both cACG kernels are linear in
-    ``y y^H``, so each is one real batched GEMM on these rows
-    (:func:`quad_forms`, :func:`scatter_matrices`). They take C/2 times the
-    memory of the complex observations: 2x at C = 4, 3.5x at C = 7.
-
-    With ``normalize`` they are the features of
-    :func:`normalize_observations` of ``x``, to the bit, built one block of
-    frequencies at a time (:func:`frequency_blocks`) from slices of ``x``,
-    so that no normalized copy of ``x`` exists.
+    the pairs ``i < j`` in row-major order, of the channel vectors ``y`` of
+    :func:`normalize_observations` of ``x``, to the bit. Both cACG kernels
+    are linear in ``y y^H``, so each is one real batched GEMM on these rows
+    (:func:`_forms`, :func:`scatter_matrices`). They take C/2 times the
+    memory of the complex observations: 2x at C = 4, 3.5x at C = 7. They
+    are built one block of frequencies at a time (:func:`frequency_blocks`)
+    from slices of ``x``, so that no normalized copy of ``x`` exists.
     """
     y = np.transpose(x.data, (2, 0, 1))
     out = np.empty((x.num_bins, x.num_channels**2, x.num_frames))
     for block in frequency_blocks(x.num_bins):
-        _outer_rows(_unit_rows(y[block]) if normalize else y[block], out[block])
+        _outer_rows(_unit_rows(y[block]), out[block])
     return out
 
 
@@ -166,8 +165,8 @@ def _upper_pairs(c: int):
 
 
 def _outer_rows(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The :func:`outer_features` rows of an (F, C, T) complex array,
-    unvalidated, written into ``out`` when it is given."""
+    """The :func:`outer_features` rows of an (F, C, T) complex array as it
+    is, not normalized or validated, written into ``out`` when it is given."""
     c = y.shape[1]
     rows, cols = _upper_pairs(c)
     if out is None:
@@ -249,26 +248,6 @@ def _forms(coef: np.ndarray, features: np.ndarray, out: np.ndarray | None = None
     return out
 
 
-def quad_forms(covariances: np.ndarray, features: np.ndarray, unit_det: bool = False):
-    """Log-determinants and quadratic forms ``y^H B^{-1} y`` of a covariance stack.
-
-    Each (K, F, C, C) covariance is factorized once (see
-    :func:`_form_coefficients`), and ``quad`` is one real
-    (F, K, C^2) @ (F, C^2, T) GEMM on the :func:`outer_features` rows. With
-    ``unit_det`` it holds the forms of the unit-determinant
-    ``B / det(B)^{1/C}`` at no extra pass.
-
-    Returns:
-        ``(logdet, quad)`` of shapes (K, F) and (K, F, T); ``logdet`` is
-        that of ``B`` either way.
-
-    Raises:
-        NumericalError: a quadratic form is not positive.
-    """
-    logdet, coef = _form_coefficients(covariances, unit_det)
-    return logdet, _forms(coef, features)
-
-
 def cacg_log_pdf_stack(covariances: np.ndarray, x: StftTensor, features: np.ndarray):
     """Log densities for a (K, F, C, C) covariance stack.
 
@@ -288,7 +267,8 @@ def cacg_log_pdf_stack(covariances: np.ndarray, x: StftTensor, features: np.ndar
         ``quad``.
     """
     c = x.num_channels
-    logdet, quad = quad_forms(covariances, features)
+    logdet, coef = _form_coefficients(covariances)
+    quad = _forms(coef, features)
     log_pdf = np.log(quad)
     log_pdf *= -c
     const = math.lgamma(c) - math.log(2.0) - c * math.log(math.pi)
@@ -371,12 +351,12 @@ def cacg_m_step(
         prev: the (K, F, C, C) previous covariances ``B_prev``.
         quad: (K, F, T) quadratic forms ``~y^H B_prev^{-1} ~y`` of the
             previous covariances, or any per-(k, f) multiple of them, such
-            as the unit-determinant forms (:func:`quad_forms` with
-            ``unit_det``); or the scalar 1 when every ``B_prev`` is the
-            identity (``|~y|^2 = 1`` for unit observations). The update
-            consumes a (K, F, T) ``quad``: it overwrites it with the Tyler
-            weights ``gamma / quad``, so only the scalar start allocates a
-            weight array.
+            as the unit-determinant forms of the EM's sweep
+            (:func:`_form_coefficients` with ``unit_det``); or the scalar 1
+            when every ``B_prev`` is the identity (``|~y|^2 = 1`` for unit
+            observations). The update consumes a (K, F, T) ``quad``: it
+            overwrites it with the Tyler weights ``gamma / quad``, so only
+            the scalar start allocates a weight array.
         features: the :func:`outer_features` of the unit-normalized
             observations.
     """
@@ -428,7 +408,6 @@ def update_pi(gamma_sum: np.ndarray, num_bins: int) -> np.ndarray:
 def em_sweep(
     covariances: np.ndarray,
     logits: np.ndarray,
-    x: StftTensor,
     features: np.ndarray,
     out: np.ndarray | None = None,
     merge: tuple | None = None,
@@ -456,9 +435,13 @@ def em_sweep(
       sum. It is written into the block's columns of the one posterior
       buffer.
     - Frequencies with a bin whose total is not finite or falls below
-      ``LINEAR_TOTAL_FLOOR`` are evaluated in the log domain instead
-      (:func:`cacg_log_pdf_stack` and :func:`numerics.normalize_logits`);
-      one warning per call counts those bins.
+      ``LINEAR_TOTAL_FLOOR`` are evaluated in the log domain instead, from
+      the same ``r``: their log densities ``const + C ln r`` plus the
+      logits are normalized by :func:`numerics.normalize_logits`. Every
+      ``ln r`` is finite, since a Tyler-loaded, trace-normalized covariance
+      has eigenvalues in about [1e-10, C]: their geometric mean
+      ``det(B)^{1/C}`` lies in [1e-10, 1], so ``r`` lies in [1e-10, C 1e10].
+      One warning per call counts those bins.
     - With ``merge = (keep, remove, fused)`` component ``remove``'s
       posterior is added to ``keep``'s and its row dropped, in place: the
       only place a fusion is applied. ``fused`` is the (K-1, F, C, C)
@@ -477,9 +460,8 @@ def em_sweep(
     Args:
         covariances: (K, F, C, C) covariances of the E-step.
         logits: (K, T) prior and spectral log factors.
-        x: the observations; their channel count C is read, and the log
-            domain passes them on.
-        features: the :func:`outer_features` of the normalized ``x``.
+        features: the (F, C^2, T) :func:`outer_features` of the
+            observations; C is read off their rows.
         out: a spent (K, F, T) float64 buffer for the posterior, such as
             the previous posterior's; a new one is allocated when not given.
         merge: the fusion to apply after the E-step, or None.
@@ -494,7 +476,7 @@ def em_sweep(
     Raises:
         InvalidInputError: NaN in the logits.
     """
-    c = x.num_channels
+    c = math.isqrt(features.shape[1])
     shift = logits.max(axis=0)
     if np.isnan(shift).any():
         raise InvalidInputError("NaN in mixture logits")
@@ -540,10 +522,8 @@ def em_sweep(
             ok = linear.all(axis=1)
             loglik += float(np.log(total[ok]).sum()) + np.count_nonzero(ok) * per_frequency
             g[:, ok] *= 1.0 / total[ok]
-            log_pdf, _ = cacg_log_pdf_stack(covariances[:, block][:, ~ok], x, phi[~ok])
-            log_pdf += logits[:, None, :]
-            log_pdf, rescued_ll = normalize_logits(log_pdf)
-            g[:, ~ok] = log_pdf
+            log_pdf = c * np.log(r[:, ~ok]) + const + logits[:, None, :]
+            g[:, ~ok], rescued_ll = normalize_logits(log_pdf)
             loglik += rescued_ll
         if merge is not None:
             g[keep] += g[remove]
@@ -590,7 +570,7 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
         raise ConfigurationError("iterations must be >= 1")
     if init_gamma.num_frames != x.num_frames or init_gamma.num_bins != x.num_bins:
         raise InvalidInputError("initial posterior does not match observations")
-    features = outer_features(x, normalize=True)
+    features = outer_features(x)
     covariances = initial_covariances(init_gamma.gamma, features)
     pi = init_gamma.pi
     trace = []
@@ -598,7 +578,7 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     for _ in range(iterations):
         with np.errstate(divide="ignore"):
             logits = np.log(pi)
-        gamma, ll, covariances = em_sweep(covariances, logits, x, features, spent)
+        gamma, ll, covariances = em_sweep(covariances, logits, features, spent)
         trace.append(ll)
         pi = update_pi(gamma.sum(axis=2), x.num_bins)
         spent = np.swapaxes(gamma, 1, 2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import numbers
 import os
 import sys
@@ -18,14 +19,16 @@ from .errors import ConfigurationError, MixsepError
 from .integrated import check_tau
 from .vmf import check_kappa_max
 
-
-# Settings that must be integers: a float or a bool there is an error at load,
-# not a TypeError in every segment.
-_INTEGER_FIELDS = (
-    "seed", "jobs", "k_init", "init_iterations", "em_iterations", "fusion_start",
-    "median_frames", "embed_dim", "k_target", "k_total",
-)
-_NULLABLE_FIELDS = ("embed_dim", "k_target", "k_total")
+# What an int, float or str setting must hold: a value of another type (a bool,
+# a float count, a string for a number) or a real that is not finite is an
+# error at load, not a traceback or a failure in every segment.
+_SETTING_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral)),
+    "float": (
+        "a finite number", lambda v: isinstance(v, numbers.Real) and -math.inf < v < math.inf
+    ),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
 
 
 @dataclass
@@ -67,12 +70,15 @@ class RunConfig:
     min_dur_s: float = 0.5
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if value is None and name in _NULLABLE_FIELDS:
+        for f in fields(self):
+            # the annotations are strings; "int | None" is a nullable count
+            kind = f.type.removesuffix(" | None")
+            value = getattr(self, f.name)
+            if kind not in _SETTING_KINDS or (value is None and kind != f.type):
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            what, valid = _SETTING_KINDS[kind]
+            if isinstance(value, bool) or not valid(value):
+                raise ConfigurationError(f"{f.name} must be {what}, got {value!r}")
         if self.init_mode not in ("per_segment", "global"):
             raise ConfigurationError(f"unknown init_mode {self.init_mode!r}")
         if self.fusion not in ("spectral", "iou", "none"):

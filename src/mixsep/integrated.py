@@ -140,7 +140,7 @@ def _spectral_m_step(embeddings, gbar, kappa_max, rng, noise_index):
     lognorm)`` with the log normalizers the next E-step reads. The noise
     component's kappa stays 0 (it has no embedding identity), and its
     normalizer is the closed form at 0."""
-    mu, kappa, lognorm = _vmf.vmf_m_step(embeddings, gbar, kappa_max, rng, return_lognorm=True)
+    mu, kappa, lognorm = _vmf.vmf_m_step(embeddings, gbar, kappa_max, rng)
     if noise_index is not None:
         kappa[noise_index] = 0.0
         lognorm[noise_index] = uniform_log_density(embeddings.dim)
@@ -316,7 +316,7 @@ def joint_em(
     init.validate()
 
     rng = np.random.default_rng(config.seed)
-    features = _cacg.outer_features(x, normalize=True)
+    features = _cacg.outer_features(x)
     model = _initial_model(x, embeddings, init, config, rng, features)
     events: list[FusionEvent] = []
     trace = []
@@ -332,7 +332,7 @@ def joint_em(
             if noise is not None and event.removed < noise:
                 noise -= 1
         gamma, ll, covariances = _cacg.em_sweep(
-            model.covariances, _logits(model, embeddings), x, features,
+            model.covariances, _logits(model, embeddings), features,
             spent, merge, update=not config.freeze_spatial,
         )
         trace.append(ll)

@@ -87,8 +87,9 @@ def _tril_inverse(lower: np.ndarray) -> np.ndarray:
 def chol_logdet_quad(mats: np.ndarray, rhs: np.ndarray):
     """Log-determinants and quadratic forms for Hermitian PD stacks.
 
-    The batched reference for the EM's kernel ``cacg.quad_forms``, kept for
-    the tests and the per-layer tracer; the model code no longer calls it.
+    The batched reference for the forms of the EM's kernels
+    ``cacg._form_coefficients`` and ``cacg._forms``, kept for the tests and
+    the per-layer tracer; the model code no longer calls it.
     Computes ``logdet(M)`` and ``Re(v^H M^{-1} v)`` for every matrix of the
     stack and every right-hand-side column from one Cholesky factorization
     per matrix: the C x C factor is inverted once and applied with

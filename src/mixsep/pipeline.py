@@ -239,8 +239,9 @@ def beamform(
 
 
 def _block_scatter(x: StftTensor, weights: np.ndarray) -> np.ndarray:
-    """``scatter_matrices(outer_features(x), weights)``, built per block of
-    frequencies (:func:`cacg.frequency_blocks`) from slices of ``x``.
+    """``scatter_matrices(_outer_rows(y), weights)`` of the observations
+    ``y`` as they are, built per block of frequencies
+    (:func:`cacg.frequency_blocks`) from slices of ``x``.
 
     Every frequency's scatter is its own GEMM, so the result is the same to
     the bit, while only one block's features are held at a time, never the

@@ -218,7 +218,6 @@ def vmf_m_step(
     resp: np.ndarray,
     kappa_max: float,
     rng: np.random.Generator | None = None,
-    return_lognorm: bool = False,
 ):
     """Weighted vMF parameter update.
 
@@ -235,13 +234,12 @@ def vmf_m_step(
             may exceed 1 per entry, only relative weights matter.
         kappa_max: concentration cap, in [0, KAPPA_MAX_LIMIT].
         rng: generator for degenerate re-draws (seeded default if omitted).
-        return_lognorm: also return the (K,) log normalizers ``ln c(kappa)``
-            for :func:`log_pdf_matrix`, from the series the concentration
-            update evaluated last; no further series is summed for them.
 
     Returns:
-        ``(mu, kappa)``: the (K, E) unit prototypes and (K,) concentrations,
-        and the log normalizers as a third item with ``return_lognorm``.
+        ``(mu, kappa, lognorm)``: the (K, E) unit prototypes, the (K,)
+        concentrations and their (K,) log normalizers ``ln c(kappa)`` for
+        :func:`log_pdf_matrix`, from the series the concentration update
+        evaluated last; no further series is summed for them.
     """
     resp = np.asarray(resp, dtype=float)
     if resp.ndim != 2 or resp.shape[1] != embeddings.num_frames:
@@ -266,9 +264,7 @@ def vmf_m_step(
     kappa, log_series = _kappa_estimates(
         np.minimum(norms / masses, 1.0), dim, kappa_max, return_series=True
     )
-    if return_lognorm:
-        return mu, kappa, uniform_log_density(dim) - log_series
-    return mu, kappa
+    return mu, kappa, uniform_log_density(dim) - log_series
 
 
 def _prior_update(resp: np.ndarray, prior_mode: str) -> np.ndarray:
@@ -325,7 +321,7 @@ def vmfmm_em(
     resp = init_resp
     trace = []
     for _ in range(iterations):
-        mu, kappa, lognorm = vmf_m_step(embeddings, resp, kappa_max, rng, return_lognorm=True)
+        mu, kappa, lognorm = vmf_m_step(embeddings, resp, kappa_max, rng)
         weights = _prior_update(resp, prior_mode)
         with np.errstate(divide="ignore"):
             log_w = np.log(weights if weights.ndim == 2 else weights[:, None])

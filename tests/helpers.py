@@ -10,9 +10,8 @@ from mixsep.cacg import (
     cacg_m_step,
     normalize_observations,
     outer_features,
-    quad_forms,
 )
-from mixsep import numerics, vmf
+from mixsep import cacg, numerics, vmf
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting
 from mixsep.vmf import smooth_one_hot, spherical_kmeans_pp
 
@@ -121,8 +120,15 @@ def assert_exactly_hermitian(covariances):
     assert not np.einsum("...ii->...i", covariances).imag.any()
 
 
+def plain_forms(covariances, features):
+    """(K, F, T) forms ``y^H B^{-1} y`` of a (K, F, C, C) stack on features,
+    by the kernels the EM's sweep runs: one factorization
+    (``cacg._form_coefficients``) and one GEMM (``cacg._forms``)."""
+    return cacg._forms(cacg._form_coefficients(covariances)[1], features)
+
+
 def tyler_step(x, posterior, prev):
     """One ``cacg_m_step`` on unit observations ``x``, weighted by the
     quadratic forms of the previous (K, F, C, C) covariances ``prev``."""
     features = outer_features(x)
-    return cacg_m_step(x, posterior, prev, quad_forms(prev, features)[1], features)
+    return cacg_m_step(x, posterior, prev, plain_forms(prev, features), features)

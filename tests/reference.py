@@ -42,9 +42,9 @@ class HermitianPD:
 def cholesky_logdet_solve(m: HermitianPD, v: np.ndarray):
     """Evaluate ``log det(M)`` and ``Re(v^H M^{-1} v)`` in one factorization.
 
-    The scalar reference for ``numerics.chol_logdet_quad`` and
-    ``cacg.quad_forms``: one factor and one solve against it, where the
-    batched kernels invert their factors.
+    The scalar reference for ``numerics.chol_logdet_quad`` and the forms of
+    ``cacg._form_coefficients``: one factor and one solve against it, where
+    the batched kernels invert their factors.
 
     Returns:
         Tuple ``(logdet, quad)`` of floats; ``quad`` is nonnegative.

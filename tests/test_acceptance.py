@@ -170,7 +170,9 @@ def test_criterion_03_parameter_recovery():
     mu_true = rng.standard_normal(16)
     mu_true /= np.linalg.norm(mu_true)
     frames = sample_vmf(mu_true, 20.0, 5000, seed=77)
-    (mu,), (kappa,) = vmf_m_step(EmbeddingSequence(frames), np.ones((1, 5000)), kappa_max=1000.0)
+    (mu,), (kappa,), _ = vmf_m_step(
+        EmbeddingSequence(frames), np.ones((1, 5000)), kappa_max=1000.0
+    )
     cosine = float(mu @ mu_true)
     kappa_err = abs(kappa - 20.0) / 20.0
     assert cosine >= 0.999
@@ -375,10 +377,8 @@ def test_criterion_07_fusion_algebra():
     fused = fused_covariances(model, event.kept, event.removed)
     # posteriors add exactly in the sweep's in-place merge
     features, logits = outer_features(x), np.log(pi)
-    gamma = em_sweep(model.covariances, logits, x, features, update=False)[0]
-    merged = em_sweep(
-        model.covariances, logits, x, features, merge=(0, 1, fused), update=False
-    )[0]
+    gamma = em_sweep(model.covariances, logits, features, update=False)[0]
+    merged = em_sweep(model.covariances, logits, features, merge=(0, 1, fused), update=False)[0]
     assert merged.shape == (2, n_frames, n_bins)
     assert np.array_equal(merged[0], gamma[0] + gamma[1])
     assert np.array_equal(merged[1], gamma[2])

@@ -151,6 +151,36 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="must be an integer"):
             cli.RunConfig.from_json(json.dumps(setting))
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"vad_threshold_db": "8"},
+            {"shift_ms": "8"},
+            {"on_thresh": "0.5"},
+            {"min_dur_s": float("nan")},
+            {"max_segment_s": True},
+            {"kappa_max": float("inf")},
+            {"window_ms": None},
+        ],
+    )
+    def test_real_setting_not_a_finite_number_rejected(self, setting):
+        # a string ended in a traceback or failed every segment, NaN failed
+        # every segment and a bool ran silently as 0 or 1
+        with pytest.raises(ConfigurationError, match="must be a finite number"):
+            cli.RunConfig.from_json(json.dumps(setting))
+
+    @pytest.mark.parametrize(
+        "setting", [{"out_dir": 5}, {"out_dir": None}, {"init_mode": 3}, {"fusion": None}]
+    )
+    def test_non_string_setting_rejected(self, setting):
+        # a number or null out_dir ended in a traceback after the load
+        with pytest.raises(ConfigurationError, match="must be a string"):
+            cli.RunConfig.from_json(json.dumps(setting))
+
+    def test_integer_real_settings_accepted(self):
+        cfg = cli.RunConfig.from_json(json.dumps({"shift_ms": 8, "max_segment_s": 10}))
+        assert (cfg.shift_ms, cfg.max_segment_s) == (8, 10)
+
     def test_integer_counts_and_nulls_accepted(self):
         cfg = cli.RunConfig.from_json(json.dumps(
             {"seed": 3, "jobs": 2, "k_init": 4, "median_frames": 21, "embed_dim": None,
@@ -327,6 +357,24 @@ class TestCmdRun:
     ):
         # a float count ran every segment into a TypeError, and a float seed
         # ended in a traceback without report.json
+        meetings = []
+        monkeypatch.setattr(pipeline, "run_meeting", lambda *args, **kw: meetings.append(args))
+        out_dir = tmp_path / "out"
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(run_config_dict(bundle, out_dir, **setting)))
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "error: cannot load config" in capsys.readouterr().err
+        assert not meetings and not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"vad_threshold_db": "8"}, {"on_thresh": "0.5"}, {"min_dur_s": float("nan")},
+         {"max_segment_s": True}],
+        ids=["vad_threshold_db", "on_thresh", "min_dur_s", "max_segment_s"],
+    )
+    def test_bad_real_setting_exits_one_before_any_segment(
+        self, bundle, tmp_path, capsys, monkeypatch, setting
+    ):
         meetings = []
         monkeypatch.setattr(pipeline, "run_meeting", lambda *args, **kw: meetings.append(args))
         out_dir = tmp_path / "out"

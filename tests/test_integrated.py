@@ -8,6 +8,7 @@ from helpers import (
     count_series_calls,
     identity_stack,
     kmeans_init_posterior,
+    plain_forms,
     random_soft_posterior,
     tiny_scenario,
     unit_observations,
@@ -23,7 +24,6 @@ from mixsep.cacg import (
     em_sweep,
     normalize_observations,
     outer_features,
-    quad_forms,
 )
 from mixsep.errors import ConfigurationError, InvalidInputError
 from mixsep.integrated import (
@@ -114,17 +114,17 @@ class TestJointModelChecks:
             JointModel(covariances, mu, kappa, np.full((rows, 6), 1.0 / rows))
 
 
-def joint_posterior(xn, e, model):
-    """(K, T, F) posterior of one coupled E-step on unit observations ``xn``,
-    from the logits and the sweep :func:`joint_em` runs."""
+def joint_posterior(x, e, model):
+    """(K, T, F) posterior of one coupled E-step on the observations ``x``,
+    from the features, logits and sweep :func:`joint_em` runs."""
     logits = integrated._logits(model, e)
-    return em_sweep(model.covariances, logits, xn, outer_features(xn), update=False)[0]
+    return em_sweep(model.covariances, logits, outer_features(x), update=False)[0]
 
 
 def spatial_forms(xn, model):
     """The quadratic forms and features the M-step of ``model`` is weighted with."""
     features = outer_features(xn)
-    return quad_forms(model.covariances, features)[1], features
+    return plain_forms(model.covariances, features), features
 
 
 def bin_accuracy(gamma, truth):
@@ -201,7 +201,7 @@ class TestJointMStep:
         from mixsep.vmf import EmbeddingSequence, vmf_m_step
 
         new = joint_m_step(xn, e, post, model, *spatial_forms(xn, model), kappa_max=35.0)
-        direct_mu, direct_kappa = vmf_m_step(e, post.gamma[:, :, 0], 35.0)
+        direct_mu, direct_kappa, _ = vmf_m_step(e, post.gamma[:, :, 0], 35.0)
         for a_mu, a_kappa, b_mu, b_kappa in zip(new.mu, new.kappa, direct_mu, direct_kappa):
             assert np.allclose(a_mu, b_mu, atol=1e-9)
             assert abs(a_kappa - b_kappa) < 1e-9
@@ -293,9 +293,9 @@ class TestSpectralFusion:
         x = unit_observations(rng, 2, 10, 4)
         features, logits = outer_features(x), np.log(pi)
         fused = fused_covariances(model, event.kept, event.removed)
-        gamma = em_sweep(model.covariances, logits, x, features, update=False)[0]
+        gamma = em_sweep(model.covariances, logits, features, update=False)[0]
         merge = (event.kept, event.removed, fused)
-        merged = em_sweep(model.covariances, logits, x, features, merge=merge, update=False)[0]
+        merged = em_sweep(model.covariances, logits, features, merge=merge, update=False)[0]
         assert np.array_equal(merged[0], gamma[0] + gamma[1])
         assert np.array_equal(merged[1], gamma[2])
         assert fused.shape[0] == merged.shape[0] == 2
@@ -586,11 +586,11 @@ class TestJointEm:
         real = cacg.em_sweep
         fresh_calls = []
 
-        def fresh_update(covariances, logits, x, features, out=None, merge=None, update=True):
-            gamma, ll, _ = real(covariances, logits, x, features, out, merge, update=False)
+        def fresh_update(covariances, logits, features, out=None, merge=None, update=True):
+            gamma, ll, _ = real(covariances, logits, features, out, merge, update=False)
             prev = covariances if merge is None else merge[2]  # the fused model's stack
             fresh_calls.append(prev.shape[0])
-            quad = quad_forms(prev, features)[1]
+            quad = plain_forms(prev, features)
             posterior = PosteriorTensor(gamma, np.ones(gamma.shape[:2]))
             return gamma, ll, cacg.cacg_m_step(x, posterior, prev, quad, features)
 
@@ -648,7 +648,7 @@ class TestJointEm:
         xn = normalize_observations(x)
         event = spectral_fusion_check(before, jcfg.tau_spectral, 1, 3)
         assert event == events[0]
-        fused, fused_gamma = self.copy_fusion(before, joint_posterior(xn, e, before), event)
+        fused, fused_gamma = self.copy_fusion(before, joint_posterior(x, e, before), event)
         assert np.array_equal(post.gamma, fused_gamma)
         want = joint_m_step(
             xn, e, post, fused, *spatial_forms(xn, fused), kappa_max=jcfg.kappa_max,
@@ -864,8 +864,15 @@ class TestBlockPartitionInvariance:
 
     def test_forced_rescue(self, monkeypatch, caplog):
         # a floor of 1e-3 on the per-bin total sends the frequencies of a
-        # few bins to the log domain; each E-step warns once, with the count
+        # few bins to the log domain; each E-step warns once, with the count.
+        # The rescue reads the sweep's own forms: one factorization per
+        # iteration and one of the kept row per fusion, whatever the blocks
         monkeypatch.setattr(cacg, "LINEAR_TOTAL_FLOOR", 1e-3)
+        factorizations = []
+        chol = cacg.chol_with_loading
+        monkeypatch.setattr(
+            cacg, "chol_with_loading", lambda mats: factorizations.append(mats.shape) or chol(mats)
+        )
         x, e, init = self.fusion_scene()
         jcfg = JointEmConfig(
             iterations=6, fusion="spectral", tau_spectral=0.7, fusion_start=3,
@@ -875,8 +882,10 @@ class TestBlockPartitionInvariance:
         for bins in self.BLOCKS:
             monkeypatch.setattr(cacg, "BLOCK_BINS", bins)
             caplog.clear()
+            factorizations.clear()
             with caplog.at_level(logging.WARNING, logger="mixsep.cacg"):
                 runs.append(joint_em(x, e, init, jcfg))
+            assert len(factorizations) == jcfg.iterations + len(runs[-1][2])
             warnings = [r.getMessage() for r in caplog.records]
             assert 0 < len(warnings) <= jcfg.iterations
             if bins == 1:
@@ -899,25 +908,28 @@ class TestRankDeficientArrays:
         else:
             data[2] = 0.0
         x = StftTensor(data, x.sample_rate, x.stft_size, x.window_size, x.shift)
-        forms = []
-        real = cacg.quad_forms
+        stacks = []
+        real = cacg._form_coefficients
 
-        def spy(covariances, features, unit_det=False):
-            logdet, quad = real(covariances, features, unit_det)
-            # the M-step overwrites quad; the E-step's forms are those of
-            # B / det(B)^{1/C}
-            scale = np.exp(logdet / covariances.shape[-1])[..., None] if unit_det else 1.0
-            forms.append((covariances, quad / scale))
-            return logdet, quad
+        def spy(covariances, unit_det=False):
+            logdet, coef = real(covariances, unit_det)
+            stacks.append((covariances, logdet, coef, unit_det))
+            return logdet, coef
 
-        monkeypatch.setattr(cacg, "quad_forms", spy)
+        monkeypatch.setattr(cacg, "_form_coefficients", spy)
         init = kmeans_init_posterior(e, truth.voiced, 4, x.num_bins, seed=1)
         jcfg = JointEmConfig(iterations=20, fusion="spectral", fusion_start=5, noise_index=4)
         _, post, events, _ = joint_em(x, e, init, jcfg)
         post.validate()
         assert events
+        # one stack per sweep, and one of the kept row per fusion
+        assert len(stacks) == jcfg.iterations + len(events)
+        features = outer_features(x)
         y = np.transpose(normalize_observations(x).data, (2, 0, 1))
-        for covariances, quad in forms:
+        for covariances, logdet, coef, unit_det in stacks:
+            # the sweep's forms are those of B / det(B)^{1/C}: scaled back
+            scale = np.exp(logdet / covariances.shape[-1])[..., None] if unit_det else 1.0
+            quad = cacg._forms(coef, features) / scale
             want = chol_logdet_quad(covariances, y[None])[1]
             # the explicit inverse loses about cond * eps = 7e-6 where the
             # copied channel cancels (9e-6 measured on seeds 31-40, 1e-14

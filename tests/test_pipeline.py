@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from mixsep import cacg, frontend, pipeline
-from mixsep.cacg import PosteriorTensor, StftTensor, outer_features, scatter_matrices
+from mixsep.cacg import PosteriorTensor, StftTensor, scatter_matrices
 from mixsep.cli import RunConfig
 from mixsep.errors import InvalidInputError
 from mixsep.metrics import der, si_sdr
@@ -248,7 +248,7 @@ class TestBeamform:
             rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f)), 8000, 256, 200, 64
         )
         weights = np.ascontiguousarray(rng.dirichlet(np.ones(k), size=(f, t)).transpose(2, 0, 1))
-        want = scatter_matrices(outer_features(x), weights)
+        want = scatter_matrices(cacg._outer_rows(np.transpose(x.data, (2, 0, 1))), weights)
         assert np.array_equal(pipeline._block_scatter(x, weights), want)
 
     def test_single_source_identity_noise(self):

@@ -193,8 +193,8 @@ class TestKappaUpdateMatchesScalarNewton:
         assert np.any(got != np.round(got))
         frames = sample_vmf(unit(np.arange(1.0, 9.0)), 20.0, 100, seed=4)
         resp = np.random.default_rng(2).uniform(0.0, 1.0, size=(3, 100))
-        _, as_int = vmf_m_step(EmbeddingSequence(frames), resp, 50)
-        _, as_float = vmf_m_step(EmbeddingSequence(frames), resp, 50.0)
+        _, as_int, _ = vmf_m_step(EmbeddingSequence(frames), resp, 50)
+        _, as_float, _ = vmf_m_step(EmbeddingSequence(frames), resp, 50.0)
         assert np.array_equal(as_int, as_float)
 
     def test_m_step_matches_per_component_loop(self, caplog):
@@ -214,7 +214,9 @@ class TestKappaUpdateMatchesScalarNewton:
         resp[5, :202] = 0.0
         resp[5, 202:] = 1.0  # the tight cluster: at the cap
         with caplog.at_level(logging.DEBUG, logger="mixsep.vmf"):
-            mu, kappa = vmf_m_step(EmbeddingSequence(frames), resp, 35.0, np.random.default_rng(3))
+            mu, kappa, _ = vmf_m_step(
+                EmbeddingSequence(frames), resp, 35.0, np.random.default_rng(3)
+            )
         want_mu, want_kappa = reference_m_step(frames, resp, 35.0, np.random.default_rng(3))
         assert np.allclose(mu, want_mu, rtol=0.0, atol=1e-15)
         assert np.allclose(kappa, want_kappa, rtol=1e-12, atol=0.0)
@@ -248,12 +250,18 @@ class TestLognormHandoff:
         resp[1] = 0.0  # no mass: degenerate, kappa 0
         resp[2, :100] = 0.0  # the tight cluster: at the cap
         e = EmbeddingSequence(frames)
-        mu, kappa, lognorm = vmf_m_step(e, resp, 35.0, return_lognorm=True)
+        mu, kappa, lognorm = vmf_m_step(e, resp, 35.0)
         assert kappa[1] == 0.0 and kappa[2] == 35.0
         want = log_vmf_normalizer(16, kappa)
         assert np.all(np.abs(lognorm - want) <= 1e-12 * np.abs(want))
-        plain = vmf_m_step(e, resp, 35.0)
-        assert np.array_equal(plain[0], mu) and np.array_equal(plain[1], kappa)
+        # handing on the series leaves the concentrations those of the
+        # estimate alone (the massless row has rbar 0)
+        masses = resp.sum(axis=1)
+        rbar = np.divide(
+            np.linalg.norm(resp @ frames, axis=1), masses, out=np.zeros(4), where=masses > 0
+        )
+        plain = vmf._kappa_estimates(np.minimum(rbar, 1.0), 16, 35.0)
+        assert np.array_equal(plain, kappa)
 
     def test_a_far_start_takes_a_second_step(self, monkeypatch):
         # at kappa near 1e4 and E = 2 the slope of A_E cancels to about 1e-4
@@ -298,7 +306,7 @@ class TestVmfMStep:
     def test_single_frame_saturates_at_cap(self):
         frames = np.stack([unit([1, 2, 3, 4.0]), unit([0, 1, 0, 0.0])])
         resp = np.array([[1.0, 0.0]])
-        (mu,), (kappa,) = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
+        (mu,), (kappa,), _ = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
         assert np.allclose(mu, frames[0], atol=1e-12)
         assert kappa == 35.0
 
@@ -306,7 +314,7 @@ class TestVmfMStep:
         e = unit([1.0, -1.0, 0.5])
         frames = np.stack([e, -e])
         resp = np.array([[0.5, 0.5]])
-        (mu,), (kappa,) = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
+        (mu,), (kappa,), _ = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
         assert kappa == 0.0
         assert abs(np.linalg.norm(mu) - 1.0) < 1e-12
 
@@ -314,7 +322,7 @@ class TestVmfMStep:
         mu = unit(np.sin(np.arange(16.0) + 0.3))
         frames = sample_vmf(mu, 20.0, 5000, seed=1234)
         resp = np.ones((1, 5000))
-        (got_mu,), (kappa,) = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=1000.0)
+        (got_mu,), (kappa,), _ = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=1000.0)
         assert float(got_mu @ mu) >= 0.999
         assert abs(kappa - 20.0) <= 2.0
 
@@ -322,7 +330,7 @@ class TestVmfMStep:
         rng = np.random.default_rng(8)
         frames = sample_vmf(unit(rng.standard_normal(8)), 200.0, 300, seed=77)
         resp = rng.uniform(0.0, 1.0, size=(3, 300))
-        _, kappa = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
+        _, kappa, _ = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=35.0)
         assert all(k <= 35.0 for k in kappa)
 
     def test_rotation_equivariance(self):
@@ -332,7 +340,7 @@ class TestVmfMStep:
         rot = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         base = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=50.0)
         rotated = vmf_m_step(EmbeddingSequence(frames @ rot.T), resp, kappa_max=50.0)
-        for b_mu, b_kappa, r_mu, r_kappa in zip(*base, *rotated):
+        for b_mu, b_kappa, r_mu, r_kappa in zip(*base[:2], *rotated[:2]):
             assert np.allclose(rot @ b_mu, r_mu, atol=1e-9)
             assert abs(b_kappa - r_kappa) < 1e-9
 
