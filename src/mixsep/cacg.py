@@ -25,9 +25,14 @@ COV_LOADING = 1e-10
 # Below this per-bin total of the linear-domain E-step, its smaller terms
 # would be subnormal, so such bins are evaluated in the log domain instead.
 LINEAR_TOTAL_FLOOR = 1e-280
-# Frequencies per block of an EM sweep (:func:`em_sweep`) and of the
+# Frequencies per block of the feature build, the first M-step and the
 # beamformer's scatter: only one block's (K, F, T) temporaries exist at a time.
 BLOCK_BINS = 32
+# Bytes of one block's working set in an EM sweep (:func:`em_sweep`): its
+# forms, posterior columns and feature rows, 8 (2K + C^2) T bytes per bin,
+# stay within 1.5 MiB, under a 2 MiB per-core L2 cache, so that the block's
+# elementwise passes and GEMMs reuse them from there.
+SWEEP_BLOCK_BYTES = 3 << 19
 
 
 @dataclass(frozen=True)
@@ -95,13 +100,24 @@ class PosteriorTensor:
         return self.gamma.shape[2]
 
     def validate(self, tol: float = 1e-9):
-        """Check normalization invariants; raises on violation."""
-        if np.any(self.gamma < -tol) or np.any(self.gamma > 1.0 + tol):
+        """Check normalization invariants; raises on violation.
+
+        A broadcast (stride-0) time or frequency axis, such as that of an
+        initial posterior replicated over frequency, holds one plane, which
+        is checked once.
+        """
+        gamma, pi = _distinct(self.gamma), _distinct(self.pi)
+        if np.any(gamma < -tol) or np.any(gamma > 1.0 + tol):
             raise InvalidInputError("gamma entries must lie in [0, 1]")
-        if not np.allclose(self.gamma.sum(axis=0), 1.0, atol=tol):
+        if not np.allclose(gamma.sum(axis=0), 1.0, atol=tol):
             raise InvalidInputError("gamma must sum to 1 over components")
-        if not np.allclose(self.pi.sum(axis=0), 1.0, atol=tol):
+        if not np.allclose(pi.sum(axis=0), 1.0, atol=tol):
             raise InvalidInputError("pi columns must sum to 1")
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """``a`` with every stride-0 axis after the first cut to one entry."""
+    return a[(slice(None),) + tuple(slice(None) if s else slice(1) for s in a.strides[1:])]
 
 
 def _unit_rows(y: np.ndarray) -> np.ndarray:
@@ -127,11 +143,19 @@ def normalize_observations(x: StftTensor) -> StftTensor:
     )
 
 
-def frequency_blocks(num_bins: int) -> list[slice]:
-    """The fewest near-equal slices of at most ``BLOCK_BINS`` frequencies
-    that cover ``num_bins``; they depend on ``num_bins`` alone."""
-    count = max(1, -(-num_bins // BLOCK_BINS))
+def frequency_blocks(num_bins: int, max_bins: int = BLOCK_BINS) -> list[slice]:
+    """The fewest near-equal slices of at most ``max_bins`` frequencies
+    that cover ``num_bins``; they depend on the two counts alone."""
+    count = max(1, -(-num_bins // max_bins))
     return [slice(i * num_bins // count, (i + 1) * num_bins // count) for i in range(count)]
+
+
+def _sweep_blocks(k: int, c: int, t: int, num_bins: int) -> list[slice]:
+    """The :func:`frequency_blocks` of an EM sweep (:func:`em_sweep`) of K
+    components over C channels and T frames: as wide as keeps a block's
+    working set, 8 (2K + C^2) T bytes per bin, within ``SWEEP_BLOCK_BYTES``,
+    and at least one bin."""
+    return frequency_blocks(num_bins, max(1, SWEEP_BLOCK_BYTES // (8 * (2 * k + c * c) * t)))
 
 
 def outer_features(x: StftTensor) -> np.ndarray:
@@ -242,7 +266,7 @@ def _forms(coef: np.ndarray, features: np.ndarray, out: np.ndarray | None = None
     """
     if out is None:
         out = np.empty((coef.shape[1], features.shape[0], features.shape[-1]))
-    np.matmul(coef, features, out=np.swapaxes(out, 0, 1))
+    np.matmul(coef, features, out=out.swapaxes(0, 1))
     if out.size and out.min() <= 0.0:
         raise NumericalError("nonpositive quadratic form in batched cACG density")
     return out
@@ -280,7 +304,7 @@ def _scatter_sums(features: np.ndarray, weights: np.ndarray, out: np.ndarray | N
     """(F, K, C^2) packed real scatter sums ``sum_t w_{k,f,t} phi_{f,t}``: one
     real (F, K, T) @ (F, T, C^2) GEMM of the (K, F, T) weights against the
     :func:`outer_features` rows ``phi``, into ``out`` when given."""
-    return np.matmul(np.swapaxes(weights, 0, 1), np.swapaxes(features, 1, 2), out=out)
+    return np.matmul(weights.swapaxes(0, 1), features.swapaxes(1, 2), out=out)
 
 
 def _hermitian(sums: np.ndarray) -> np.ndarray:
@@ -421,19 +445,25 @@ def em_sweep(
     log densities. Given the frequency-tied prior every bin is independent
     (Ito, Araki & Nakatani 2016), so once every covariance is factorized
     (:func:`_form_coefficients`) each block of :func:`frequency_blocks`
-    runs alone, and only (K, T) arrays cross blocks:
+    runs alone, and only (K, T) arrays cross blocks. A block is as wide as
+    its working set allows (:func:`_sweep_blocks`): its (K, F_b, T) forms,
+    which become its Tyler weights, its (K, F_b, T) posterior columns and
+    its (F_b, C^2, T) feature rows, 8 (2K + C^2) T bytes per bin, stay
+    within ``SWEEP_BLOCK_BYTES``, or the block is one bin. That is 7 bins at
+    K = 6, C = 4 and T = 1000, and at the paper's C = 4 and T = 2786 (a
+    45 s segment) one bin at K = 11 and two at K = 4. Each block:
 
     - One GEMM gives its unit-determinant forms ``q~ = y^H B~^{-1} y``,
       ``B~ = B / det(B)^{1/C}``, and one division turns them into
       ``r = 1 / q~`` in place. The cACG density does not change when B is
       scaled, so it is ``const * r^C``, and the posterior needs no
       logarithm or exponential over the block: the factor
-      ``S = exp(b - max_k b)``, ``b = logits``, is formed on (K, T), and
-      ``gamma = S r^C / sum_k S r^C`` takes a square per bit of C below its
-      leading one and a product with ``r`` per further set bit, a product
-      with S, a sum, and a product with the (F_b, T) reciprocal of that
-      sum. It is written into the block's columns of the one posterior
-      buffer.
+      ``S = exp(b - max_k b)``, ``b = logits``, is formed once per sweep
+      on (K, T), and ``gamma = S r^C / sum_k S r^C`` takes a square per bit
+      of C below its leading one and a product with ``r`` per further set
+      bit, a product with S, a sum, and a product with the (F_b, T)
+      reciprocal of that sum. It is written into the block's columns of the
+      one posterior buffer.
     - Frequencies with a bin whose total is not finite or falls below
       ``LINEAR_TOTAL_FLOOR`` are evaluated in the log domain instead, from
       the same ``r``: their log densities ``const + C ln r`` plus the
@@ -455,7 +485,7 @@ def em_sweep(
       normalization (:func:`_tyler`) run once, after the last block.
 
     Every step is per frequency, so the results do not depend on the
-    blocks; only ``loglik`` is summed in another order.
+    blocks, to the bit; only ``loglik`` is summed in another order.
 
     Args:
         covariances: (K, F, C, C) covariances of the E-step.
@@ -481,7 +511,6 @@ def em_sweep(
     if np.isnan(shift).any():
         raise InvalidInputError("NaN in mixture logits")
     shift[~np.isfinite(shift)] = 0.0
-    spectral = np.exp(logits - shift)
     k, f = covariances.shape[:2]
     t = features.shape[-1]
     _, coef = _form_coefficients(covariances, unit_det=True)
@@ -497,46 +526,47 @@ def em_sweep(
     const = math.lgamma(c) - math.log(2.0) - c * math.log(math.pi)
     per_frequency = float(shift.sum()) + t * const  # the log normalizers' other terms
     loglik, rescued = 0.0, 0
-    blocks = frequency_blocks(f)
+    blocks = _sweep_blocks(k, c, t, f)
     scratch = _block_scratch(k, blocks, t)
-    for block in blocks:
-        phi = features[block]
-        r = _forms(coef[block], phi, scratch(block))
-        g = gamma[:, block]
-        with np.errstate(over="ignore", invalid="ignore"):
+    bits = bin(c)[3:]  # the bits of C below its leading one
+    spectral = np.exp(logits - shift)[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            phi = features[block]
+            r = _forms(coef[block], phi, scratch(block))
+            g = gamma[:, block]
             np.divide(1.0, r, out=r)
             power = r
-            for bit in bin(c)[3:]:
+            for bit in bits:
                 np.square(power, out=g)
                 power = g
                 if bit == "1":
                     g *= r
-            g *= spectral[:, None, :]
+            g *= spectral
             total = g.sum(axis=0)  # (Fb, T)
-        linear = (total >= LINEAR_TOTAL_FLOOR) & (total < np.inf)
-        if linear.all():
-            loglik += float(np.log(total).sum()) + total.shape[0] * per_frequency
-            g *= np.divide(1.0, total, out=total)
-        else:
-            rescued += total.size - np.count_nonzero(linear)
-            ok = linear.all(axis=1)
-            loglik += float(np.log(total[ok]).sum()) + np.count_nonzero(ok) * per_frequency
-            g[:, ok] *= 1.0 / total[ok]
-            log_pdf = c * np.log(r[:, ~ok]) + const + logits[:, None, :]
-            g[:, ~ok], rescued_ll = normalize_logits(log_pdf)
-            loglik += rescued_ll
-        if merge is not None:
-            g[keep] += g[remove]
-            for j in range(remove, k - 1):
-                g[j] = g[j + 1]
+            # a NaN total fails both tests
+            if total.min() >= LINEAR_TOTAL_FLOOR and total.max() < np.inf:
+                loglik += float(np.log(total).sum()) + total.shape[0] * per_frequency
+                g *= np.divide(1.0, total, out=total)
+            else:
+                linear = (total >= LINEAR_TOTAL_FLOOR) & (total < np.inf)
+                rescued += total.size - np.count_nonzero(linear)
+                ok = linear.all(axis=1)
+                loglik += float(np.log(total[ok]).sum()) + np.count_nonzero(ok) * per_frequency
+                g[:, ok] *= 1.0 / total[ok]
+                log_pdf = c * np.log(r[:, ~ok]) + const + logits[:, None, :]
+                g[:, ~ok], rescued_ll = normalize_logits(log_pdf)
+                loglik += rescued_ll
+            if merge is not None:
+                g[keep] += g[remove]
+                g[remove : k - 1] = g[remove + 1 :]
                 if update:
-                    r[j] = r[j + 1]
+                    r[remove : k - 1] = r[remove + 1 :]
+                    _forms(kept_coef[block], phi, r[kept : kept + 1])
+                    np.divide(1.0, r[kept], out=r[kept])
             if update:
-                _forms(kept_coef[block], phi, r[kept : kept + 1])
-                np.divide(1.0, r[kept], out=r[kept])
-        if update:
-            np.multiply(g[:rows], r[:rows], out=r[:rows])  # the Tyler weights
-            _scatter_sums(phi, r[:rows], out=sums[block])
+                np.multiply(g[:rows], r[:rows], out=r[:rows])  # the Tyler weights
+                _scatter_sums(phi, r[:rows], out=sums[block])
     del scratch, r  # the block buffer goes before the Tyler tail allocates
     if rescued:
         logger.warning(

@@ -298,7 +298,8 @@ def joint_em(
     its leading rows). All cACG kernels read one outer-product feature array
     Φ (:func:`cacg.outer_features`), built block by block from ``x`` and
     freed when the run returns. One run thus holds ``x``, Φ, one
-    (K, T, F) posterior and one block's temporaries.
+    (K, T, F) posterior and one block's temporaries, which the sweep keeps
+    within about one L2 cache (:data:`cacg.SWEEP_BLOCK_BYTES`).
 
     Returns:
         ``(model, posterior, fusion_events, loglik_trace)``.

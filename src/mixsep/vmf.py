@@ -167,7 +167,7 @@ def _table_start(table, rbar: np.ndarray) -> np.ndarray:
     return c0 + t * (c1 + t * (c2 + t * c3))
 
 
-def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float, return_series: bool = False):
+def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float):
     """Concentration update of every component: the root of
     ``A_E(kappa) = rbar`` read from a table of the inverse of A_E and
     polished by Newton steps.
@@ -182,13 +182,13 @@ def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float, return_series
     A_E(kappa_max), gives ``kappa_max`` (the constrained maximum); ``rbar``
     0 gives 0. Results are capped at ``kappa_max``.
 
-    With ``return_series`` the result is ``(kappa, log_series)``, where
-    ``log_series`` is the first result of :func:`numerics.bessel_i_series`
-    at each estimate (0 at kappa 0): the last step's evaluation carried to
-    its result by the second-order expansion ``d log_series / d kappa =
-    A_E``, ``d A_E / d kappa = slope``, or the table's value at the cap. It
-    gives the next E-step its normalizers, so one EM iteration evaluates the
-    series once, or twice where a second step runs.
+    Returns ``(kappa, log_series)``: ``log_series`` is the first result of
+    :func:`numerics.bessel_i_series` at each estimate (0 at kappa 0), the
+    last step's evaluation carried to its result by the second-order
+    expansion ``d log_series / d kappa = A_E``, ``d A_E / d kappa =
+    slope``, or the table's value at the cap. It gives the next E-step its
+    normalizers, so one EM iteration evaluates the series once, or twice
+    where a second step runs.
     """
     kappa_max = float(kappa_max)
     kappa, log_series = np.zeros(rbar.shape), np.zeros(rbar.shape)
@@ -210,7 +210,7 @@ def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float, return_series
             kappa[live] = new
             log_series[live] = series + moved * (ratio + 0.5 * slope * moved)
             live = live[np.abs(step) >= _ONE_STEP * np.maximum(new, 1.0)]
-    return (kappa, log_series) if return_series else kappa
+    return kappa, log_series
 
 
 def vmf_m_step(
@@ -261,9 +261,7 @@ def vmf_m_step(
         logger.debug("component %d degenerate (zero resultant), re-drawing", k)
         draw = rng.standard_normal(dim)
         mu[k] = draw / np.linalg.norm(draw)
-    kappa, log_series = _kappa_estimates(
-        np.minimum(norms / masses, 1.0), dim, kappa_max, return_series=True
-    )
+    kappa, log_series = _kappa_estimates(np.minimum(norms / masses, 1.0), dim, kappa_max)
     return mu, kappa, uniform_log_density(dim) - log_series
 
 

@@ -124,14 +124,32 @@ class TestNormalizeObservations:
         assert all(phi.base is built[0] for phi in read)
         assert built[0].shape == (5, 9, 6)
 
+        # the initial M-step and each sweep read Φ once per block of their
+        # own partitions; a fusion's sweep reads it once more per block,
+        # for the kept component's forms
+        sweeps = []
+        real_sweep = cacg.em_sweep
+
+        def sweep(covariances, logits, features, out=None, merge=None, update=True):
+            sweeps.append((covariances.shape[0], merge is not None))
+            return real_sweep(covariances, logits, features, out, merge, update)
+
+        monkeypatch.setattr(cacg, "em_sweep", sweep)
         built.clear()
         read.clear()
         x, e, init, jcfg = fusion_run()
         _, _, events, _ = joint_em(x, e, init, jcfg)
         assert events  # the kept component's forms were re-evaluated
-        blocks = len(cacg.frequency_blocks(x.num_bins))
-        assert len(built) == 1 and blocks == 2
-        assert len(read) == blocks * (1 + 2 * jcfg.iterations + len(events))
+        c, t, f = x.num_channels, x.num_frames, x.num_bins
+        initial = len(cacg.frequency_blocks(f))
+        per_sweep = [(len(cacg._sweep_blocks(k, c, t, f)), fused) for k, fused in sweeps]
+        assert len(built) == 1 and initial == 2 and len(sweeps) == jcfg.iterations
+        assert sum(fused for _, fused in per_sweep) == len(events)
+        # narrower than the 32-bin blocks of the initial M-step, and wider
+        # as fusions remove components
+        counts = [blocks for blocks, _ in per_sweep]
+        assert counts[0] > initial and counts == sorted(counts, reverse=True) and counts[-1] < counts[0]
+        assert len(read) == initial + sum(blocks * (3 if fused else 2) for blocks, fused in per_sweep)
         assert all(phi.base is built[0] for phi in read)
 
     @pytest.mark.parametrize("bins", [1, 7, 31, 32, 33, 129, 257, 513])
@@ -146,6 +164,33 @@ class TestNormalizeObservations:
         assert max(sizes) <= cacg.BLOCK_BINS and max(sizes) - min(sizes) <= 1
         if bins == 33:
             assert sizes == [16, 17]
+
+    @pytest.mark.parametrize(
+        "k, c, t, f",
+        [
+            (11, 4, 2786, 513),  # the paper's 45 s segment at k_init 10 + noise
+            (4, 4, 2786, 513),  # ... after its fusions
+            (6, 4, 1000, 129),
+            (9, 3, 600, 33),
+            (2, 2, 6, 5),
+            (3, 8, 40000, 257),  # one bin is over the budget
+            (1, 2, 1, 1),
+        ],
+    )
+    def test_sweep_blocks_fit_the_budget(self, k, c, t, f):
+        # the fewest near-equal blocks that cover F with each block's working
+        # set, 8 (2K + C^2) T bytes per bin, within the budget or one bin wide
+        blocks = cacg._sweep_blocks(k, c, t, f)
+        sizes = [b.stop - b.start for b in blocks]
+        per_bin = 8 * (2 * k + c * c) * t
+        assert blocks[0].start == 0 and blocks[-1].stop == f
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        assert all(n == 1 or n * per_bin <= cacg.SWEEP_BLOCK_BYTES for n in sizes)
+        if len(blocks) > 1:  # one block fewer would hold one over the budget
+            assert math.ceil(f / (len(blocks) - 1)) * per_bin > cacg.SWEEP_BLOCK_BYTES
+        if (k, c, t) == (11, 4, 2786):
+            assert sizes == [1] * f
 
     def test_zero_bins_stay_flagged_frequency_major(self):
         data = np.zeros((2, 3, 4), dtype=complex)
@@ -748,6 +793,37 @@ class TestFormCoefficients:
                 # signal space, so the forms of C 1e10-conditioned matrices do
                 # not cancel (2e-14 measured)
                 assert quad[k, j, n] == pytest.approx(want, rel=1e-12)
+
+
+class TestPosteriorValidation:
+    @pytest.mark.parametrize("fault", ["negative", "unnormalized", None])
+    def test_broadcast_posterior_is_checked(self, fault):
+        # an initial posterior replicated over frequency is checked once per
+        # plane, with the decisions of a check of every copy
+        rng = np.random.default_rng(6)
+        plane = rng.dirichlet(np.ones(3), size=8).T  # (K, T)
+        pi = plane.copy()
+        if fault == "negative":
+            plane[:, 2] = 0.6, -0.1, 0.5  # the column still sums to 1, no entry above 1
+        elif fault == "unnormalized":
+            plane[:, 5] *= 1.01
+        post = PosteriorTensor(np.broadcast_to(plane[:, :, None], (3, 8, 7)), pi)
+        assert post.gamma.strides[2] == 0
+        copy = PosteriorTensor(post.gamma.copy(), pi)
+        if fault is None:
+            post.validate()
+            copy.validate()
+        else:
+            message = {"negative": "gamma entries", "unnormalized": "gamma must sum to 1"}[fault]
+            for tensor_ in (post, copy):
+                with pytest.raises(InvalidInputError, match=message):
+                    tensor_.validate()
+
+    def test_broadcast_prior_is_checked(self):
+        gamma = np.full((2, 4, 3), 0.5)
+        pi = np.broadcast_to(np.array([[0.5], [0.6]]), (2, 4))
+        with pytest.raises(InvalidInputError, match="pi columns"):
+            PosteriorTensor(gamma, pi).validate()
 
 
 class TestStftTensorInvariants:

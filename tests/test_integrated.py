@@ -705,12 +705,18 @@ class TestJointEm:
         # 8 / 27 = 0.30. At 4 kHz (F = 65) blocks of 4 bins keep one block's
         # forms at a sixteenth of the posterior; the 20 % margin covers them,
         # the (K, T) and (K, F, C, C) arrays and NumPy's internal buffers
-        # (1.11x in all), and still fails on either extra array.
-        monkeypatch.setattr(cacg, "BLOCK_BINS", 4)
+        # (1.11x in all), and still fails on either extra array. The sweep's
+        # budget is set to 4 bins of its first working set, so blocks widen
+        # only as fusions remove components; the feature build and the first
+        # M-step, which run before the posterior buffer exists, keep their
+        # 32-bin blocks.
         cfg = tiny_scenario([0, 1, 2], duration_s=12.0, seed=5, channels=4)
         cfg.sample_rate = 4000
         x, e, truth, _ = build_meeting(cfg)
         init = kmeans_init_posterior(e, truth.voiced, 10, x.num_bins, seed=1)
+        per_bin = 8 * (2 * init.num_components + 16) * x.num_frames
+        monkeypatch.setattr(cacg, "SWEEP_BLOCK_BYTES", 4 * per_bin)
+        assert len(cacg._sweep_blocks(init.num_components, 4, x.num_frames, x.num_bins)) == 17
         jcfg = JointEmConfig(
             iterations=5, fusion="spectral", fusion_start=1, noise_index=10, seed=0
         )
@@ -793,16 +799,44 @@ class TestJointEm:
 class TestBlockPartitionInvariance:
     """Every step of the sweep is per frequency, so posteriors, covariances
     and fusions are the same to the bit for blocks of 1, 7 and >= F = 33
-    bins; only the log-likelihood is summed in another order."""
+    bins; only the log-likelihood is summed in another order. The blocks
+    are set through the sweep's working-set budget, so that the partitions
+    the sweep ran are recorded and checked."""
 
     BLOCKS = (1, 7, 64)
 
-    def runs(self, monkeypatch, run):
-        out = []
-        for bins in self.BLOCKS:
-            monkeypatch.setattr(cacg, "BLOCK_BINS", bins)
-            out.append(run())
-        return out
+    @staticmethod
+    def budgets(monkeypatch, x, init):
+        """For each of ``BLOCKS``, patch the sweep's budget to that many bins
+        of the first sweep's working set, yield the count, and then check
+        the partitions of the sweeps run in the loop body; only the 1-bin
+        and the >= F budgets keep their width after a fusion."""
+        per_bin = 8 * (2 * init.num_components + x.num_channels**2) * x.num_frames
+        real = cacg._sweep_blocks
+        for bins in TestBlockPartitionInvariance.BLOCKS:
+            partitions = []
+
+            def spy(*args):
+                blocks = real(*args)
+                partitions.append([(b.start, b.stop) for b in blocks])
+                return blocks
+
+            monkeypatch.setattr(cacg, "_sweep_blocks", spy)
+            monkeypatch.setattr(cacg, "SWEEP_BLOCK_BYTES", bins * per_bin if bins > 1 else 1)
+            yield bins
+            f = x.num_bins
+            assert partitions
+            widths = {stop - start for part in partitions for start, stop in part}
+            assert all(part[0][0] == 0 and part[-1][1] == f for part in partitions)
+            if bins == 1:
+                assert widths == {1}
+            elif bins >= f:
+                assert all(part == [(0, f)] for part in partitions)
+            else:
+                assert max(b - a for a, b in partitions[0]) == bins
+
+    def runs(self, monkeypatch, x, init, run):
+        return [run() for _ in self.budgets(monkeypatch, x, init)]
 
     @staticmethod
     def assert_same_fit(runs):
@@ -830,7 +864,7 @@ class TestBlockPartitionInvariance:
             iterations=8, fusion="spectral", tau_spectral=0.7, fusion_start=3,
             noise_index=6, freeze_spatial=freeze, seed=0,
         )
-        runs = self.runs(monkeypatch, lambda: joint_em(x, e, init, jcfg))
+        runs = self.runs(monkeypatch, x, init, lambda: joint_em(x, e, init, jcfg))
         assert runs[0][2]  # fusion fired
         self.assert_same_fit(runs)
 
@@ -846,14 +880,14 @@ class TestBlockPartitionInvariance:
             iterations=6, fusion="iou", tau_iou=0.8, activity_threshold=0.3, fusion_start=2,
             noise_index=4, seed=0,
         )
-        runs = self.runs(monkeypatch, lambda: joint_em(x, e, init, jcfg))
+        runs = self.runs(monkeypatch, x, init, lambda: joint_em(x, e, init, jcfg))
         assert [(ev.kept, ev.removed) for ev in runs[0][2]] == [(0, 1)]
         self.assert_same_fit(runs)
 
     def test_cacgmm_em(self, monkeypatch):
         x, _, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=5.0, seed=11, channels=4))
         init = random_soft_posterior(np.random.default_rng(4), 3, x.num_frames, x.num_bins)
-        runs = self.runs(monkeypatch, lambda: cacgmm_em(x, init, 6))
+        runs = self.runs(monkeypatch, x, init, lambda: cacgmm_em(x, init, 6))
         (covariances, post, trace), *others = runs
         for other_covariances, other_post, other_trace in others:
             assert np.array_equal(other_post.gamma, post.gamma)
@@ -879,8 +913,7 @@ class TestBlockPartitionInvariance:
             noise_index=6, seed=0,
         )
         runs = []
-        for bins in self.BLOCKS:
-            monkeypatch.setattr(cacg, "BLOCK_BINS", bins)
+        for bins in self.budgets(monkeypatch, x, init):
             caplog.clear()
             factorizations.clear()
             with caplog.at_level(logging.WARNING, logger="mixsep.cacg"):

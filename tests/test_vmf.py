@@ -158,7 +158,7 @@ class TestKappaUpdateMatchesScalarNewton:
         ])
         rbar = rbar[(rbar >= 0.0) & (rbar <= 1.0)]
         want = np.array([reference_kappa(r, dim, kappa_max) for r in rbar])
-        got = vmf._kappa_estimates(rbar, dim, kappa_max)
+        got, _ = vmf._kappa_estimates(rbar, dim, kappa_max)
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
         assert np.any(got == kappa_max) and np.any(got == 0.0)
         if kappa_max == 35.0:  # Banerjee's start overshoots this cap below A(cap)
@@ -176,7 +176,7 @@ class TestKappaUpdateMatchesScalarNewton:
             kappa_max = float(rng.choice([0.0, 1.0, 35.0, 1000.0, 1e4]))
             rbar = rng.uniform(0.0, 1.0, count) ** float(rng.choice([0.1, 1.0, 4.0]))
             rbar[rng.uniform(size=count) < 0.1] = 1.0
-            got = vmf._kappa_estimates(rbar, dim, kappa_max)
+            got, _ = vmf._kappa_estimates(rbar, dim, kappa_max)
             want = kappa_newton_arrays(rbar, dim, kappa_max)
             case = (rbar, dim, kappa_max)
             assert np.array_equal(got == 0.0, want == 0.0), case
@@ -186,7 +186,7 @@ class TestKappaUpdateMatchesScalarNewton:
     def test_integer_cap_keeps_float_estimates(self):
         # a JSON config passes "kappa_max": 50 through as an int
         rbar = np.concatenate([[0.0, 1.0], np.linspace(0.05, 0.95, 19)])
-        got = vmf._kappa_estimates(rbar, 16, 50)
+        got, _ = vmf._kappa_estimates(rbar, 16, 50)
         want = np.array([reference_kappa(r, 16, 50.0) for r in rbar])
         assert got.dtype == np.float64
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
@@ -233,7 +233,7 @@ class TestLognormHandoff:
     @pytest.mark.parametrize("kappa_max", [1.0, 35.0, 1000.0, 1e4])
     def test_handed_on_series_gives_the_normalizer(self, dim, kappa_max):
         rbar = np.concatenate([[0.0, 1e-9, 1.0], np.linspace(0.01, 0.99, 99)])
-        kappa, log_series = vmf._kappa_estimates(rbar, dim, kappa_max, return_series=True)
+        kappa, log_series = vmf._kappa_estimates(rbar, dim, kappa_max)
         got = uniform_log_density(dim) - log_series
         want = log_vmf_normalizer(dim, kappa)
         # relative to |ln c| where it is above 1: for E = 256 it crosses 0
@@ -254,14 +254,15 @@ class TestLognormHandoff:
         assert kappa[1] == 0.0 and kappa[2] == 35.0
         want = log_vmf_normalizer(16, kappa)
         assert np.all(np.abs(lognorm - want) <= 1e-12 * np.abs(want))
-        # handing on the series leaves the concentrations those of the
-        # estimate alone (the massless row has rbar 0)
+        # the M-step hands on the estimate's concentrations and series as
+        # they are (the massless row has rbar 0)
         masses = resp.sum(axis=1)
         rbar = np.divide(
             np.linalg.norm(resp @ frames, axis=1), masses, out=np.zeros(4), where=masses > 0
         )
-        plain = vmf._kappa_estimates(np.minimum(rbar, 1.0), 16, 35.0)
+        plain, series = vmf._kappa_estimates(np.minimum(rbar, 1.0), 16, 35.0)
         assert np.array_equal(plain, kappa)
+        assert np.array_equal(uniform_log_density(16) - series, lognorm)
 
     def test_a_far_start_takes_a_second_step(self, monkeypatch):
         # at kappa near 1e4 and E = 2 the slope of A_E cancels to about 1e-4
@@ -272,13 +273,13 @@ class TestLognormHandoff:
         vmf._kappa_estimates(near, 2, 1e4)  # builds the tables
         vmf._kappa_estimates(inner, 24, 35.0)
         calls = count_series_calls(monkeypatch)
-        got, log_series = vmf._kappa_estimates(near, 2, 1e4, return_series=True)
+        got, log_series = vmf._kappa_estimates(near, 2, 1e4)
         assert len(calls) == 2
         assert np.allclose(got, kappa_newton_arrays(near, 2, 1e4), rtol=1e-10, atol=0.0)
         want = log_vmf_normalizer(2, got)
         assert np.all(np.abs(uniform_log_density(2) - log_series - want) <= 1e-12 * np.abs(want))
         calls.clear()
-        got = vmf._kappa_estimates(inner, 24, 35.0)
+        got, _ = vmf._kappa_estimates(inner, 24, 35.0)
         assert len(calls) == 1
         assert np.allclose(got, [12.5, 30.0], rtol=1e-13, atol=0.0)
 
