@@ -425,8 +425,10 @@ def _block_scratch(k: int, blocks: list[slice], t: int):
 def update_pi(gamma_sum: np.ndarray, num_bins: int) -> np.ndarray:
     """Frequency-tied prior update: the floored mean of gamma over frequency,
     from its (K, T) sum over the ``num_bins`` frequencies."""
-    pi = np.maximum(gamma_sum / num_bins, PRIOR_FLOOR)
-    return pi / pi.sum(axis=0, keepdims=True)
+    pi = gamma_sum / num_bins
+    np.maximum(pi, PRIOR_FLOOR, out=pi)
+    pi /= pi.sum(axis=0, keepdims=True)
+    return pi
 
 
 def em_sweep(

@@ -177,12 +177,13 @@ def _fuse_top_pair(model, tau, k_min, iteration, score):
     speakers = model.speaker_indices()
     if len(speakers) <= max(k_min, 1):
         return None
-    upper = np.triu(score(speakers), 1)
-    a, b = np.unravel_index(np.argmax(upper), upper.shape)
-    if upper[a, b] <= tau:
+    scores = score(speakers)
+    scores[np.tri(len(speakers), dtype=bool)] = -np.inf  # only pairs a < b compete
+    a, b = divmod(int(scores.argmax()), len(speakers))
+    if scores[a, b] <= tau:
         return None
     return FusionEvent(
-        kept=speakers[a], removed=speakers[b], similarity=float(upper[a, b]), iteration=iteration
+        kept=speakers[a], removed=speakers[b], similarity=float(scores[a, b]), iteration=iteration
     )
 
 
@@ -258,9 +259,8 @@ def _logits(model: JointModel, embeddings: EmbeddingSequence) -> np.ndarray:
     replicated along frequency, is formed once per frame, with the
     normalizers the M-step handed on in ``model.lognorm``."""
     with np.errstate(divide="ignore"):
-        return np.log(model.pi) + _vmf.log_pdf_matrix(
-            model.mu, model.kappa, embeddings.frames, model.lognorm
-        )
+        log_pi = np.log(model.pi)
+    return _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames, model.lognorm, log_pi)
 
 
 def _fusion(model: JointModel, config: JointEmConfig, it: int) -> FusionEvent | None:
@@ -344,7 +344,7 @@ def joint_em(
         pi = _cacg.update_pi(gbar, x.num_bins)
         model = JointModel(covariances, mu, kappa, pi, noise, lognorm)
         # the posterior is spent: the next E-step writes into its buffer
-        spent = np.swapaxes(gamma, 1, 2)
+        spent = gamma.swapaxes(1, 2)
     return model, PosteriorTensor(gamma, model.pi), events, np.asarray(trace)
 
 

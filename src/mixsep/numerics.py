@@ -269,16 +269,23 @@ def normalize_logits(logits: np.ndarray, axis: int = 0):
         ``exp(logits)`` normalized to sum 1 along ``axis``, and the sum of the
         per-observation log normalizers ``ln sum exp(logits)``.
     """
-    shift = np.max(logits, axis=axis, keepdims=True)
-    if np.isnan(shift).any():
-        raise InvalidInputError("NaN in mixture logits")
-    shift[~np.isfinite(shift)] = 0.0
+    shift = logits.max(axis=axis, keepdims=True)
+    # a finite sum means every maximum is finite, so every total is at least
+    # 1 and its log needs no guard; otherwise the slow path sorts it out
+    finite = math.isfinite(shift.sum())
+    if not finite:
+        if np.isnan(shift).any():
+            raise InvalidInputError("NaN in mixture logits")
+        shift[~np.isfinite(shift)] = 0.0
     logits -= shift
     np.exp(logits, out=logits)
     total = logits.sum(axis=axis, keepdims=True)
     logits /= total
-    with np.errstate(divide="ignore"):
+    if finite:
         np.log(total, out=total)
+    else:  # a column of -inf logits sums to 0
+        with np.errstate(divide="ignore"):
+            np.log(total, out=total)
     total += shift
     return logits, float(total.sum())
 

@@ -180,9 +180,13 @@ def smooth_and_segment(
         raise InvalidInputError(f"median_frames must be odd and >= 1, got {median_frames!r}")
     min_frames = int(round(min_dur_s * frame_rate))
     gap_frames = int(round(0.2 * frame_rate))
-    windows = frontend.edge_windows(pi, median_frames, median_frames // 2)
+    half = median_frames // 2
+    windows = frontend.edge_windows(pi, median_frames, half)
+    # the median of an odd window of finite values is its middle order
+    # statistic, equal to np.median's to the bit without its NaN handling
+    medians = np.partition(windows, half, axis=-1)[..., half]
     out = []
-    for active in np.median(windows, axis=-1) > on_thresh:
+    for active in medians > on_thresh:
         for start, end in frontend.true_runs(active):
             if end - start < min_frames:
                 active[start:end] = False
@@ -432,9 +436,11 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
 
     With ``jobs > 1`` the process pool is started first: its fork-context
     workers all fork at the first submission, so a no-op is submitted
-    before the meeting is loaded, and they start without its samples. The
-    pool has at most one worker per CPU this process may run on
-    (:func:`usable_cpus`); a larger ``jobs`` is capped, with an INFO log.
+    before the meeting is loaded, and they start without its samples. They
+    fork with ``numpy.random`` loaded, which every segment's k-means++ and
+    this process's alignment need, so no worker imports it on its first
+    segment. The pool has at most one worker per CPU this process may run
+    on (:func:`usable_cpus`); a larger ``jobs`` is capped, with an INFO log.
 
     Args:
         recording: AudioBuffer or path to a WAV file.
@@ -454,6 +460,8 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
         jobs = cpus
     if jobs == 1:
         return _run_meeting(recording, embeddings, config, mask_dir, None)
+    import numpy.random  # noqa: F401  (loaded once here, not in every worker)
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         pool.submit(int)  # not waited on
         return _run_meeting(recording, embeddings, config, mask_dir, pool)

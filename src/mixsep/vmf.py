@@ -85,14 +85,19 @@ def check_prototypes(mu: np.ndarray, kappa: np.ndarray, count: int):
     """Raise unless ``mu`` holds ``count`` unit rows and ``kappa`` as many finite values >= 0."""
     if mu.ndim != 2 or mu.shape[0] != count or kappa.shape != (count,):
         raise InvalidInputError(f"need {count} prototype rows and concentrations")
-    if not np.all(np.abs(np.linalg.norm(mu, axis=1) - 1.0) <= 1e-6):
+    # both tests are false on NaN
+    if not np.abs(np.sqrt((mu * mu).sum(axis=1)) - 1.0).max(initial=0.0) <= 1e-6:
         raise InvalidInputError("prototypes mu must be unit rows")
-    if not np.all((kappa >= 0.0) & np.isfinite(kappa)):
+    if not (kappa.min(initial=0.0) >= 0.0 and kappa.max(initial=0.0) < np.inf):
         raise InvalidInputError("kappa must be finite and >= 0")
 
 
 def log_pdf_matrix(
-    mu: np.ndarray, kappa: np.ndarray, frames: np.ndarray, lognorm: np.ndarray | None = None
+    mu: np.ndarray,
+    kappa: np.ndarray,
+    frames: np.ndarray,
+    lognorm: np.ndarray | None = None,
+    log_prior: np.ndarray | None = None,
 ) -> np.ndarray:
     """(K, T) vMF log densities ``ln c(kappa_k) + kappa_k mu_k . e_t`` of (K, E)
     prototypes with (K,) concentrations; frames are assumed unit rows.
@@ -100,11 +105,18 @@ def log_pdf_matrix(
     ``lognorm`` holds the (K,) ``ln c(kappa_k)`` where the caller has them:
     the EMs pass what :func:`vmf_m_step` handed on with the concentrations,
     so their E-step evaluates no Bessel series. Without it the normalizers
-    come from :func:`numerics.log_vmf_normalizer`.
+    come from :func:`numerics.log_vmf_normalizer`. ``log_prior``, (K, 1) or
+    (K, T), is added last, which gives the mixture logits: the same values
+    as ``log_prior + log_pdf_matrix(...)``, formed in one buffer.
     """
     if lognorm is None:
         lognorm = log_vmf_normalizer(mu.shape[1], kappa)
-    return lognorm[:, None] + kappa[:, None] * (mu @ frames.T)
+    out = mu @ frames.T
+    out *= kappa[:, None]
+    out += lognorm[:, None]
+    if log_prior is not None:
+        out += log_prior
+    return out
 
 
 # Nodes of the table of A_E per unit of ln(1 + kappa): 460 for a cap of 35,
@@ -191,25 +203,31 @@ def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float):
     where a second step runs.
     """
     kappa_max = float(kappa_max)
-    kappa, log_series = np.zeros(rbar.shape), np.zeros(rbar.shape)
-    if kappa_max > 0.0:
-        table = ratios, series_at_nodes, _ = _ratio_table(dim, kappa_max)
-        capped = (rbar >= 1.0 - 1e-12) | (rbar >= ratios[-1])
-        kappa[capped], log_series[capped] = kappa_max, series_at_nodes[-1]
-        live = np.flatnonzero(~capped & (rbar > 0.0))
-        kappa[live] = _table_start(table, rbar[live])
-        for _ in range(2):
-            if live.size == 0:
-                break
-            k = kappa[live]
-            series, ratio = bessel_i_series(dim / 2.0 - 1.0, k)
-            slope = 1.0 - ratio * (ratio + (dim - 1.0) / k)
-            step = (ratio - rbar[live]) / np.where(slope > 1e-14, slope, np.inf)
-            new = np.minimum(k - step, kappa_max)
-            moved = new - k
-            kappa[live] = new
-            log_series[live] = series + moved * (ratio + 0.5 * slope * moved)
-            live = live[np.abs(step) >= _ONE_STEP * np.maximum(new, 1.0)]
+    if kappa_max <= 0.0:
+        return np.zeros(rbar.shape), np.zeros(rbar.shape)
+    table = ratios, series_at_nodes, _ = _ratio_table(dim, kappa_max)
+    # saturated, or at or above A_E(kappa_max)
+    capped = rbar >= min(1.0 - 1e-12, ratios[-1])
+    kappa = np.where(capped, kappa_max, 0.0)
+    log_series = np.where(capped, series_at_nodes[-1], 0.0)
+    live = ((rbar > 0.0) & ~capped).nonzero()[0]
+    if live.size == 0:
+        return kappa, log_series
+    # the Newton steps work on the live components' own (n,) arrays
+    r = rbar[live]
+    k = _table_start(table, r)
+    for _ in range(2):
+        series, ratio = bessel_i_series(dim / 2.0 - 1.0, k)
+        slope = 1.0 - ratio * (ratio + (dim - 1.0) / k)
+        step = (ratio - r) / np.where(slope > 1e-14, slope, np.inf)
+        new = np.minimum(k - step, kappa_max)
+        moved = new - k
+        kappa[live] = new
+        log_series[live] = series + moved * (ratio + 0.5 * slope * moved)
+        again = np.abs(step) >= _ONE_STEP * np.maximum(new, 1.0)
+        if not again.any():
+            break
+        live, r, k = live[again], r[again], new[again]
     return kappa, log_series
 
 
@@ -244,7 +262,8 @@ def vmf_m_step(
     resp = np.asarray(resp, dtype=float)
     if resp.ndim != 2 or resp.shape[1] != embeddings.num_frames:
         raise InvalidInputError("responsibilities must be K x T")
-    if np.any(resp < 0.0) or not np.all(np.isfinite(resp)):
+    # false on NaN as well
+    if not (resp.min(initial=0.0) >= 0.0 and resp.max(initial=0.0) < np.inf):
         raise InvalidInputError("responsibilities must be finite and nonnegative")
     check_kappa_max(kappa_max)
     if rng is None:
@@ -252,27 +271,32 @@ def vmf_m_step(
     dim = embeddings.dim
     resultants = resp @ embeddings.frames  # (K, E)
     masses = resp.sum(axis=1)
-    norms = np.linalg.norm(resultants, axis=1)
-    degenerate = np.flatnonzero(norms <= 1e-12 * np.maximum(masses, 1.0))
-    # a degenerate row divides by 1 (its mu is re-drawn) and has rbar 0 (kappa 0)
-    norms[degenerate], masses[degenerate] = 1.0, np.inf
+    norms = np.sqrt((resultants * resultants).sum(axis=1))  # np.linalg.norm(.., axis=1)
+    degenerate = norms <= 1e-12 * np.maximum(masses, 1.0)
+    redraw = degenerate.any()
+    if redraw:
+        # a degenerate row divides by 1 (its mu is re-drawn) and has rbar 0 (kappa 0)
+        norms[degenerate], masses[degenerate] = 1.0, np.inf
     mu = resultants / norms[:, None]
-    for k in degenerate:
+    for k in np.flatnonzero(degenerate) if redraw else ():
         logger.debug("component %d degenerate (zero resultant), re-drawing", k)
         draw = rng.standard_normal(dim)
         mu[k] = draw / np.linalg.norm(draw)
-    kappa, log_series = _kappa_estimates(np.minimum(norms / masses, 1.0), dim, kappa_max)
+    rbar = norms / masses
+    kappa, log_series = _kappa_estimates(np.minimum(rbar, 1.0, out=rbar), dim, kappa_max)
     return mu, kappa, uniform_log_density(dim) - log_series
 
 
 def _prior_update(resp: np.ndarray, prior_mode: str) -> np.ndarray:
     if prior_mode == "shared":
-        w = resp.mean(axis=1)
-        w = np.maximum(w, PRIOR_FLOOR)
-        return w / w.sum()
+        w = resp.sum(axis=1) / resp.shape[1]  # the mean, as resp.mean(axis=1) divides
+        np.maximum(w, PRIOR_FLOOR, out=w)
+        w /= w.sum()
+        return w
     if prior_mode == "per_frame":
         w = np.maximum(resp, PRIOR_FLOOR)
-        return w / w.sum(axis=0, keepdims=True)
+        w /= w.sum(axis=0, keepdims=True)
+        return w
     raise ConfigurationError(f"unknown prior mode {prior_mode!r}")
 
 
@@ -324,7 +348,7 @@ def vmfmm_em(
         with np.errstate(divide="ignore"):
             log_w = np.log(weights if weights.ndim == 2 else weights[:, None])
         resp, loglik = normalize_logits(
-            log_w + log_pdf_matrix(mu, kappa, embeddings.frames, lognorm)
+            log_pdf_matrix(mu, kappa, embeddings.frames, lognorm, log_w)
         )
         trace.append(loglik)
     return VmfMixture(mu, kappa, weights), resp, np.asarray(trace)
@@ -336,10 +360,10 @@ def vmf_posterior(mixture: VmfMixture, embeddings: EmbeddingSequence) -> np.ndar
     if weights.ndim != 1:
         raise InvalidInputError("posterior evaluation needs shared (K,) weights")
     with np.errstate(divide="ignore"):
-        logits = np.log(weights)[:, None] + log_pdf_matrix(
-            mixture.mu, mixture.kappa, embeddings.frames
-        )
-    return normalize_logits(logits)[0]
+        log_w = np.log(weights)[:, None]
+    return normalize_logits(
+        log_pdf_matrix(mixture.mu, mixture.kappa, embeddings.frames, log_prior=log_w)
+    )[0]
 
 
 def smooth_one_hot(assign: np.ndarray, epsilon: float = INIT_SMOOTHING) -> np.ndarray:
@@ -373,41 +397,75 @@ def spherical_kmeans_pp(embeddings: EmbeddingSequence, n_clusters: int, seed: in
     dist = 1.0 - frames @ centers[0]
     chosen = {first}
     for j in range(1, n_clusters):
-        d2 = np.maximum(dist, 0.0) ** 2
+        d2 = np.maximum(dist, 0.0)
+        d2 *= d2
         total = d2.sum()
         if total <= 0.0:
             # all points coincide with chosen centers: lowest unchosen index
             idx = next(i for i in range(n_frames) if i not in chosen)
         else:
-            idx = int(np.searchsorted(np.cumsum(d2 / total), rng.random(), side="right"))
+            d2 /= total
+            idx = int(np.searchsorted(np.cumsum(d2), rng.random(), side="right"))
             idx = min(idx, n_frames - 1)
         chosen.add(idx)
         centers[j] = frames[idx]
-        dist = np.minimum(dist, 1.0 - frames @ centers[j])
+        np.minimum(dist, 1.0 - frames @ centers[j], out=dist)
 
     assign = None
     for _ in range(100):
         sims = centers @ frames.T  # (K, T)
-        new_assign = np.argmax(sims, axis=0)
-        own_dist = 1.0 - sims[new_assign, np.arange(n_frames)]
-        for k in range(n_clusters):
-            members = new_assign == k
-            if not members.any():
-                far = int(np.argmax(own_dist))
-                new_assign[far] = k
-                own_dist[far] = 0.0
-                members = new_assign == k
-            c = frames[members].sum(axis=0)
-            norm = np.linalg.norm(c)
-            if norm < 1e-12:
-                far = int(np.argmax(own_dist))
-                c = frames[far]
-                norm = 1.0
-            centers[k] = c / norm
-        if assign is not None and np.array_equal(assign, new_assign):
+        new_assign = sims.argmax(axis=0)
+        centers = _lloyd_centers(frames, new_assign, sims)
+        if assign is not None and (assign == new_assign).all():
             break
         assign = new_assign
 
     one_hot = np.zeros((n_clusters, n_frames))
     one_hot[assign, np.arange(n_frames)] = 1.0
     return one_hot
+
+
+def _lloyd_centers(frames, assign, sims):
+    """The (K, E) centroids of one Lloyd update from the (K, T) similarities
+    ``sims`` and the assignment they give: each cluster's member sum,
+    renormalized.
+
+    Every sum adds the cluster's rows in frame order, as
+    ``frames[assign == k].sum(axis=0)`` does, taken from one stably sorted
+    copy of ``frames``; every norm is the row's dot with itself, as
+    ``np.linalg.norm`` of one row computes it. Then, in cluster order, an
+    empty cluster takes the point farthest from its own centroid (moving it
+    in ``assign`` and zeroing its distance), and a zero resultant takes the
+    farthest point as its direction. A cluster that loses a point to a
+    later one keeps the centroid it has; one that loses a point before its
+    turn is summed again.
+    """
+    n_clusters = sims.shape[0]
+    counts = np.bincount(assign, minlength=n_clusters)
+    ordered = frames.take(np.argsort(assign, kind="stable"), axis=0)
+    sums = np.zeros((n_clusters, frames.shape[1]))
+    lo = 0
+    for k, hi in enumerate(np.cumsum(counts).tolist()):
+        if hi > lo:
+            sums[k] = ordered[lo:hi].sum(axis=0)
+        lo = hi
+    norms = np.sqrt(np.matmul(sums[:, None, :], sums[:, :, None])[:, 0, 0])
+    reseed = (counts == 0) | (norms < 1e-12)
+    if not reseed.any():
+        return sums / norms[:, None]
+    own_dist = 1.0 - sims[assign, np.arange(assign.size)]
+    for k in range(int(reseed.argmax()), n_clusters):
+        if counts[k] == 0:
+            far = int(np.argmax(own_dist))
+            donor = assign[far]
+            assign[far] = k
+            own_dist[far] = 0.0
+            counts[donor] -= 1
+            counts[k] = 1
+            for j in (k, donor) if donor > k else (k,):
+                sums[j] = frames[assign == j].sum(axis=0)
+                norms[j] = np.linalg.norm(sums[j])
+        if norms[k] < 1e-12:
+            sums[k] = frames[int(np.argmax(own_dist))]
+            norms[k] = 1.0
+    return sums / norms[:, None]

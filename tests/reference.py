@@ -148,3 +148,58 @@ def kappa_newton_arrays(rbar: np.ndarray, dim: int, kappa_max: float) -> np.ndar
                 break
     kappa[live] = np.minimum(k, kappa_max)
     return kappa
+
+
+def spherical_kmeans_pp(embeddings, n_clusters: int, seed: int):
+    """Spherical k-means++ one cluster at a time: the Lloyd update sums and
+    normalizes each cluster in turn, re-seeding an empty one or a zero
+    resultant as it reaches it. The reference that ``vmf.spherical_kmeans_pp``
+    must match bit for bit; returns ``(one_hot, centers)``, the (K, T)
+    assignment and the (K, E) centroids of the last update."""
+    frames = embeddings.frames
+    n_frames = frames.shape[0]
+    rng = np.random.default_rng(seed)
+
+    centers = np.empty((n_clusters, frames.shape[1]))
+    first = int(rng.integers(n_frames))
+    centers[0] = frames[first]
+    dist = 1.0 - frames @ centers[0]
+    chosen = {first}
+    for j in range(1, n_clusters):
+        d2 = np.maximum(dist, 0.0) ** 2
+        total = d2.sum()
+        if total <= 0.0:
+            idx = next(i for i in range(n_frames) if i not in chosen)
+        else:
+            idx = int(np.searchsorted(np.cumsum(d2 / total), rng.random(), side="right"))
+            idx = min(idx, n_frames - 1)
+        chosen.add(idx)
+        centers[j] = frames[idx]
+        dist = np.minimum(dist, 1.0 - frames @ centers[j])
+
+    assign = None
+    for _ in range(100):
+        sims = centers @ frames.T
+        new_assign = np.argmax(sims, axis=0)
+        own_dist = 1.0 - sims[new_assign, np.arange(n_frames)]
+        for k in range(n_clusters):
+            members = new_assign == k
+            if not members.any():
+                far = int(np.argmax(own_dist))
+                new_assign[far] = k
+                own_dist[far] = 0.0
+                members = new_assign == k
+            c = frames[members].sum(axis=0)
+            norm = np.linalg.norm(c)
+            if norm < 1e-12:
+                far = int(np.argmax(own_dist))
+                c = frames[far]
+                norm = 1.0
+            centers[k] = c / norm
+        if assign is not None and np.array_equal(assign, new_assign):
+            break
+        assign = new_assign
+
+    one_hot = np.zeros((n_clusters, n_frames))
+    one_hot[assign, np.arange(n_frames)] = 1.0
+    return one_hot, centers

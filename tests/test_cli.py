@@ -198,31 +198,61 @@ def fresh_python(args, cwd, **env_vars):
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
 
 
-SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+def loaded(*packages):
+    """Source of an expression listing the loaded modules of ``packages``."""
+    return (
+        "[m for m in sys.modules if any(m == p or m.startswith(p + '.') "
+        f"for p in {packages!r})]"
+    )
 
 
 def test_import_leaves_heavy_scipy_out(tmp_path):
     # start-up cost: NumPy is mixsep's only runtime dependency, so importing
-    # the command line loads no SciPy module at all
-    proc = fresh_python(["-c", f"import sys, mixsep.cli; print({SCIPY_LOADED})"], tmp_path)
+    # the command line loads no SciPy module at all, and none of NumPy's
+    # lazily loaded random, masked-array and FFT packages
+    lazy = loaded("numpy.random", "numpy.ma", "numpy.fft")
+    probe = f"import sys, mixsep.cli; print({loaded('scipy')}, {lazy})"
+    proc = fresh_python(["-c", probe], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] []"
 
 
 def test_run_loads_no_scipy(bundle, tmp_path):
     # the whole run path, alignment included, is NumPy: a finished
-    # `mixsep run` has loaded no SciPy module either
+    # `mixsep run` has loaded no SciPy module either, nor numpy.ma (the
+    # posterior smoothing takes its median without np.median's NaN check)
     config = tmp_path / "run.json"
     config.write_text(json.dumps(run_config_dict(bundle, tmp_path / "out")))
     probe = (
         "import sys; from mixsep import cli; "
         f"code = cli.main(['run', '--config', {str(config)!r}, '--jobs', '1']); "
-        f"print(code, {SCIPY_LOADED})"
+        f"print(code, {loaded('scipy')}, {loaded('numpy.ma')})"
     )
     proc = fresh_python(["-c", probe], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "0 [] []"
     assert (tmp_path / "out" / "meet0" / "hyp.rttm").exists()
+
+
+def test_pool_workers_fork_with_numpy_random(bundle, tmp_path):
+    # every segment's k-means++ needs numpy.random, so `--jobs 2` loads it
+    # before the pool's workers fork, not in each worker
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(run_config_dict(bundle, tmp_path / "out")))
+    probe = (
+        "import sys; from mixsep import cli, pipeline\n"
+        "class Pool(pipeline.ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        print('numpy.random' in sys.modules)\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "pipeline.ProcessPoolExecutor = Pool\n"
+        "pipeline.usable_cpus = lambda: 2\n"
+        f"print(cli.main(['run', '--config', {str(config)!r}, '--jobs', '2']))\n"
+    )
+    proc = fresh_python(["-c", probe], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("True", "0")
 
 
 class TestCmdSynth:

@@ -18,6 +18,7 @@ from mixsep.numerics import (
     chol_with_loading,
     log_vmf_normalizer,
     min_cost_assignment,
+    normalize_logits,
 )
 
 
@@ -315,6 +316,41 @@ class TestLogsumexp:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             logsumexp([])
+
+
+class TestNormalizeLogits:
+    def test_finite_logits_in_place(self):
+        rng = np.random.default_rng(4)
+        logits = rng.normal(0.0, 30.0, size=(6, 50))
+        shift = logits.max(axis=0, keepdims=True)
+        weights = np.exp(logits - shift)
+        total = weights.sum(axis=0, keepdims=True)
+        buffer = logits.copy()
+        post, loglik = normalize_logits(buffer)
+        assert post is buffer
+        assert post.tobytes() == (weights / total).tobytes()
+        assert loglik == float((np.log(total) + shift).sum())
+        assert abs(loglik - logsumexp(logits, axis=0).sum()) <= 1e-12 * abs(loglik)
+
+    def test_all_minus_inf_column(self):
+        # a column with no finite logit normalizes nothing (0 / 0) and adds
+        # ln 0 to the log-likelihood; the other columns are as without it
+        rng = np.random.default_rng(5)
+        finite = rng.standard_normal((3, 4))
+        logits = np.insert(finite, 2, -np.inf, axis=1)
+        with np.errstate(invalid="ignore"):
+            post, loglik = normalize_logits(logits)
+        want, _ = normalize_logits(finite.copy())
+        assert np.isnan(post[:, 2]).all()
+        assert np.delete(post, 2, axis=1).tobytes() == want.tobytes()
+        assert loglik == -np.inf
+
+    @pytest.mark.parametrize("where", [(0, 1), (2, 1)])
+    def test_nan_rejected(self, where):
+        logits = np.zeros((3, 4))
+        logits[where] = np.nan
+        with pytest.raises(InvalidInputError, match="NaN in mixture logits"):
+            normalize_logits(logits)
 
 
 # small integer costs give ties; distinct powers of two make every

@@ -23,7 +23,7 @@ from mixsep.pipeline import (
     smooth_and_segment,
     write_mask_tensor,
 )
-from mixsep.synth import SegmentPlan, build_meeting
+from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting
 from mixsep.vmf import EmbeddingSequence
 
 
@@ -214,6 +214,35 @@ class TestSmoothAndSegment:
                     merged.append([start, end])
             expected.append([(s / frame_rate, e / frame_rate) for s, e in merged])
         assert smooth_and_segment(pi, frame_rate, size, 0.5, min_dur_s) == expected
+
+
+def np_median_smoothing(pi, frame_rate, size, on_thresh, min_dur_s):
+    """The smoothing as it was written with np.median."""
+    min_frames, gap_frames = int(round(min_dur_s * frame_rate)), int(round(0.2 * frame_rate))
+    out = []
+    for active in np.median(frontend.edge_windows(pi, size, size // 2), axis=-1) > on_thresh:
+        for start, end in frontend.true_runs(active):
+            if end - start < min_frames:
+                active[start:end] = False
+        runs = frontend.true_runs(frontend.fill_gaps(active, gap_frames))
+        out.append([(s / frame_rate, e / frame_rate) for s, e in runs])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("size", [1, 3, 21])
+def test_smoothing_median_is_np_median_with_ties(seed, size):
+    # the middle order statistic of an odd window of finite values is
+    # np.median's value to the bit, ties included, and the threshold sits on
+    # a tied value
+    rng = np.random.default_rng(seed)
+    pi = rng.choice([0.1, 0.5, np.nextafter(0.5, 1.0), 0.9], size=(3, 90))
+    windows = frontend.edge_windows(pi, size, size // 2)
+    middle = np.partition(windows, size // 2, axis=-1)[..., size // 2]
+    assert middle.tobytes() == np.median(windows, axis=-1).tobytes()
+    assert smooth_and_segment(pi, 50.0, size, 0.5, 0.1) == np_median_smoothing(
+        pi, 50.0, size, 0.5, 0.1
+    )
 
 
 def oracle_posterior(truth):
@@ -599,3 +628,32 @@ class TestRunMeeting:
         e = EmbeddingSequence(frames, 250.0)
         with pytest.raises(InvalidInputError):
             run_meeting(audio, e, tuned_config())
+
+
+# Counting scenes as the benchmark's counting sweep builds them: 2 kHz, 3
+# channels, 24-dim embeddings, 3.2 s, 1-5 of 8 speakers active. Fixed here,
+# (active count, scene seed), before any was run.
+COUNTING_SCENES = [(1 + i % 5, 4100 + i) for i in range(15)]
+
+
+@pytest.mark.parametrize("n_active, seed", COUNTING_SCENES)
+def test_pipeline_counts_the_active_speakers(n_active, seed):
+    # the pipeline end to end, energy VAD and per-segment initialization
+    # included: as many speakers get turns as are active, and the segment's
+    # count (its speaker components) is never below the truth
+    active = sorted(np.random.default_rng(seed).choice(8, size=n_active, replace=False).tolist())
+    cfg = ScenarioConfig(
+        k_true=8, segments=[SegmentPlan(3.2, active)], channels=3, embed_dim=24,
+        sample_rate=2000, stft_size_ms=32.0, window_ms=25.0, shift_ms=8.0,
+        overlap=0.15, gap_s=0.6, block_s=1.2, seed=seed,
+    )
+    _, e, _, audio = build_meeting(cfg)
+    config = RunConfig(
+        seed=seed, stft_size_ms=32.0, window_ms=25.0, shift_ms=8.0, k_init=8,
+        em_iterations=22, fusion="spectral", tau_spectral=0.7, fusion_start=6,
+        vad_window_s=12.0, vad_threshold_db=8.0, min_segment_s=1.0,
+    )
+    dia, _, report = run_meeting(audio, e, config)
+    assert len(dia.speakers) == n_active
+    assert report["segments"]
+    assert all(seg["speaker_count"] >= n_active for seg in report["segments"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import count_series_calls
 from reference import kappa_newton_arrays, vmf_log_pdf
+from reference import spherical_kmeans_pp as reference_kmeans
 from scipy import special
 from scipy.optimize import linear_sum_assignment
 
@@ -25,6 +26,10 @@ from mixsep.vmf import (
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def unit_rows(m):
+    return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
 def make_clusters(rng, n_per, mus, kappa, seed0=100):
@@ -85,6 +90,24 @@ class TestLogPdfMatrix:
             for t in range(30):
                 want = vmf_log_pdf(mu[k], kappa[k], frames[t])
                 assert abs(got[k, t] - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("per_frame", [False, True])
+    @pytest.mark.parametrize("handed_on", [False, True])
+    def test_log_prior_added_in_place_is_the_sum(self, per_frame, handed_on):
+        # the logits formed in one buffer are the prior plus the densities,
+        # to the bit
+        rng = np.random.default_rng(21)
+        mu = rng.standard_normal((5, 24))
+        mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+        kappa = np.array([0.0, 0.4, 7.0, 21.0, 35.0])
+        frames = rng.standard_normal((40, 24))
+        frames /= np.linalg.norm(frames, axis=1, keepdims=True)
+        lognorm = log_vmf_normalizer(24, kappa) if handed_on else None
+        weights = rng.dirichlet(np.ones(5), size=40).T if per_frame else rng.dirichlet(np.ones(5))
+        log_prior = np.log(weights if per_frame else weights[:, None])
+        got = log_pdf_matrix(mu, kappa, frames, lognorm, log_prior)
+        want = log_prior + log_pdf_matrix(mu, kappa, frames, lognorm)
+        assert got.tobytes() == want.tobytes()
 
 
 def reference_bessel_ratio(dim, kappa):
@@ -226,6 +249,17 @@ class TestKappaUpdateMatchesScalarNewton:
             "component 1 degenerate (zero resultant), re-drawing",
             "component 3 degenerate (zero resultant), re-drawing",
         ]
+
+
+class TestMStepChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_rejects_nonfinite_or_negative_responsibilities(self, bad):
+        frames = sample_vmf(unit([1.0, 2.0, 0.5]), 10.0, 12, seed=2)
+        resp = np.full((3, 12), 0.25)
+        resp[2, 7] = bad
+        message = "^responsibilities must be finite and nonnegative$"
+        with pytest.raises(InvalidInputError, match=message):
+            vmf_m_step(EmbeddingSequence(frames), resp, 35.0)
 
 
 class TestLognormHandoff:
@@ -441,6 +475,63 @@ class TestSphericalKmeans:
         frames = sample_vmf(unit([1.0, 0.0]), 3.0, 4, seed=6)
         with pytest.raises(ConfigurationError):
             spherical_kmeans_pp(EmbeddingSequence(frames), 5, seed=0)
+
+
+def kmeans_beside_reference(monkeypatch, frames, n_clusters, seed):
+    """Run ``spherical_kmeans_pp`` and its one-cluster-at-a-time reference on
+    ``frames``; assert the same assignment and, to the bit, the same last
+    centroids. Returns the cluster sizes each Lloyd update started from."""
+    sizes, last = [], []
+    lloyd = vmf._lloyd_centers
+
+    def spy(frames, assign, sims):
+        sizes.append(np.bincount(assign, minlength=sims.shape[0]))
+        last[:] = [lloyd(frames, assign, sims)]
+        return last[0]
+
+    monkeypatch.setattr(vmf, "_lloyd_centers", spy)
+    seq = EmbeddingSequence(frames)
+    want, want_centers = reference_kmeans(seq, n_clusters, seed)
+    assert np.array_equal(spherical_kmeans_pp(seq, n_clusters, seed), want)
+    assert last[0].tobytes() == want_centers.tobytes()
+    return sizes
+
+
+class TestKmeansMatchesReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_and_clustered_frames(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        kmeans_beside_reference(monkeypatch, unit_rows(rng.standard_normal((150, 8))), 5, seed)
+        seq, _ = make_clusters(rng, 40, orthonormal(rng, 24, 6), kappa=20.0, seed0=10 * seed)
+        kmeans_beside_reference(monkeypatch, seq.frames, 8, seed)
+
+    def test_duplicated_rows_empty_clusters(self, monkeypatch):
+        # three distinct rows for six clusters: the Lloyd updates meet empty
+        # clusters and re-seed them
+        rng = np.random.default_rng(8)
+        emptied = 0
+        for seed in range(12):
+            base = unit_rows(rng.standard_normal((3, 6)))
+            frames = base[rng.integers(0, 3, 40)]
+            sizes = kmeans_beside_reference(monkeypatch, frames, 6, seed)
+            emptied += sum(int((s == 0).sum()) for s in sizes)
+        assert emptied > 0
+
+    @pytest.mark.parametrize("n_clusters", [1, 3, 5])
+    def test_coincident_points(self, monkeypatch, n_clusters):
+        frames = np.tile(unit([0.2, -1.0, 0.4, 0.1]), (9, 1))
+        kmeans_beside_reference(monkeypatch, frames, n_clusters, seed=4)
+
+    def test_zero_resultant(self, monkeypatch):
+        # antipodal pairs in one cluster cancel to a zero resultant
+        v = unit(np.arange(1.0, 7.0))
+        kmeans_beside_reference(monkeypatch, np.stack([v, -v, v, -v]), 1, seed=0)
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 7])
+    def test_k_equals_t(self, monkeypatch, n_frames):
+        rng = np.random.default_rng(n_frames)
+        frames = unit_rows(rng.standard_normal((n_frames, 5)))
+        kmeans_beside_reference(monkeypatch, frames, n_frames, seed=3)
 
 
 class TestEmbeddingSequence:
