@@ -16,17 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, NumericalError
-from .numerics import chol_with_loading, normalize_logits
+from .numerics import chol_with_loading, normalize_logits, update_pi
 
 logger = logging.getLogger(__name__)
 
-PRIOR_FLOOR = 1e-10
 COV_LOADING = 1e-10
 # Below this per-bin total of the linear-domain E-step, its smaller terms
 # would be subnormal, so such bins are evaluated in the log domain instead.
 LINEAR_TOTAL_FLOOR = 1e-280
-# Frequencies per block of the feature build, the first M-step and the
-# beamformer's scatter: only one block's (K, F, T) temporaries exist at a time.
+# Frequencies per block of the feature build, cacg_m_step and the beamformer's
+# scatter: only one block's (K, F, T) temporaries exist at a time.
 BLOCK_BINS = 32
 # Bytes of one block's working set in an EM sweep (:func:`em_sweep`): its
 # forms, posterior columns and feature rows, 8 (2K + C^2) T bytes per bin,
@@ -351,7 +350,6 @@ def _tyler(sums: np.ndarray, prev: np.ndarray) -> np.ndarray:
 
 
 def cacg_m_step(
-    x: StftTensor,
     posterior: PosteriorTensor,
     prev: np.ndarray,
     quad: np.ndarray | float,
@@ -365,53 +363,36 @@ def cacg_m_step(
     ``sum_t gamma`` nor a per-(k, f) scale of ``quad`` enters the update.
     Frequencies with zero responsibility keep the previous covariance: for
     unit observations the trace of the weighted scatter is
-    ``sum_t gamma / quad``, so it is zero exactly there. The EM runs the
-    same update inside its sweep (:func:`em_sweep`), which weighs by
-    ``gamma`` times the reciprocal forms of its E-step.
+    ``sum_t gamma / quad``, so it is zero exactly there. Each block of
+    :func:`frequency_blocks` writes its weights ``gamma / quad`` into one
+    scratch buffer and its scatter sums with one GEMM. The EM runs it first
+    from identity covariances, then the same update inside its sweep
+    (:func:`em_sweep`), weighted by the reciprocal forms of its E-step.
 
     Args:
-        x: the observations; unused, as C is the covariances' size.
         posterior: responsibilities of the E-step.
         prev: the (K, F, C, C) previous covariances ``B_prev``.
         quad: (K, F, T) quadratic forms ``~y^H B_prev^{-1} ~y`` of the
             previous covariances, or any per-(k, f) multiple of them, such
             as the unit-determinant forms of the EM's sweep
-            (:func:`_form_coefficients` with ``unit_det``); or the scalar 1
-            when every ``B_prev`` is the identity (``|~y|^2 = 1`` for unit
-            observations). The update consumes a (K, F, T) ``quad``: it
-            overwrites it with the Tyler weights ``gamma / quad``, so only
-            the scalar start allocates a weight array.
+            (:func:`_form_coefficients` with ``unit_det``), left as they
+            are; or the scalar 1 when every ``B_prev`` is the identity
+            (``|~y|^2 = 1`` for unit observations), so that no form is
+            computed.
         features: the :func:`outer_features` of the unit-normalized
             observations.
     """
     gamma = np.transpose(posterior.gamma, (0, 2, 1))  # (K, F, T)
-    weights = np.empty(gamma.shape) if np.ndim(quad) == 0 else quad
-    np.divide(gamma, quad, out=weights)
-    sums = _scatter_sums(features, weights)
-    return _tyler(np.swapaxes(sums, 0, 1), prev)
-
-
-def initial_covariances(gamma: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """(K, F, C, C) covariances of one Tyler update from identity covariances.
-
-    The EM's first M-step, on the (K, T, F) posterior ``gamma``: the Tyler
-    weight ``y^H I^{-1} y = |y|^2`` of the identity start is 1 for unit
-    observations, so no form is computed, and the scatter GEMM reads a
-    contiguous copy of one block of frequencies (:func:`frequency_blocks`)
-    of ``gamma`` at a time.
-    """
-    gamma = np.transpose(gamma, (0, 2, 1))  # (K, F, T)
     k, f, t = gamma.shape
-    c = math.isqrt(features.shape[1])
-    sums = np.empty((f, k, c * c))
+    sums = np.empty((f, k, features.shape[1]))
     blocks = frequency_blocks(f)
     scratch = _block_scratch(k, blocks, t)
+    quad = np.broadcast_to(quad, gamma.shape)
     for block in blocks:
         weights = scratch(block)
-        np.copyto(weights, gamma[:, block])
+        np.divide(gamma[:, block], quad[:, block], out=weights)
         _scatter_sums(features[block], weights, out=sums[block])
-    identity = np.broadcast_to(np.eye(c, dtype=complex), (k, f, c, c))
-    return _tyler(np.swapaxes(sums, 0, 1), identity)
+    return _tyler(np.swapaxes(sums, 0, 1), prev)
 
 
 def _block_scratch(k: int, blocks: list[slice], t: int):
@@ -420,15 +401,6 @@ def _block_scratch(k: int, blocks: list[slice], t: int):
     size = max(b.stop - b.start for b in blocks)
     buffer = np.empty(k * size * t)
     return lambda block: buffer[: k * (block.stop - block.start) * t].reshape(k, -1, t)
-
-
-def update_pi(gamma_sum: np.ndarray, num_bins: int) -> np.ndarray:
-    """Frequency-tied prior update: the floored mean of gamma over frequency,
-    from its (K, T) sum over the ``num_bins`` frequencies."""
-    pi = gamma_sum / num_bins
-    np.maximum(pi, PRIOR_FLOOR, out=pi)
-    pi /= pi.sum(axis=0, keepdims=True)
-    return pi
 
 
 def em_sweep(
@@ -584,9 +556,9 @@ def em_sweep(
 def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     """Fit a cACGMM by EM from an initial posterior.
 
-    The run starts with an M-step on the initial posterior (previous
-    covariances are the identity, so the Tyler weights are 1), then runs
-    one :func:`em_sweep` per iteration, each E-step writing into the
+    The run starts with an M-step on the initial posterior
+    (:func:`cacg_m_step` from identity covariances, with weights 1), then
+    runs one :func:`em_sweep` per iteration, each E-step writing into the
     posterior buffer of the one before. Priors are frequency-independent
     and time-dependent, updated as the frequency mean of the posterior.
     Every kernel reads one :func:`outer_features` array of the normalized
@@ -603,7 +575,9 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
     if init_gamma.num_frames != x.num_frames or init_gamma.num_bins != x.num_bins:
         raise InvalidInputError("initial posterior does not match observations")
     features = outer_features(x)
-    covariances = initial_covariances(init_gamma.gamma, features)
+    k, c = init_gamma.num_components, x.num_channels
+    identity = np.broadcast_to(np.eye(c, dtype=complex), (k, x.num_bins, c, c))
+    covariances = cacg_m_step(init_gamma, identity, 1.0, features)
     pi = init_gamma.pi
     trace = []
     spent = None

@@ -18,7 +18,7 @@ from . import cacg as _cacg
 from . import vmf as _vmf
 from .cacg import PosteriorTensor, StftTensor
 from .errors import ConfigurationError, InvalidInputError
-from .numerics import uniform_log_density
+from .numerics import uniform_log_density, update_pi
 from .vmf import EmbeddingSequence
 
 logger = logging.getLogger(__name__)
@@ -105,46 +105,28 @@ def check_tau(tau: float, name: str = "tau"):
 
 
 def joint_m_step(
-    x: StftTensor,
     embeddings: EmbeddingSequence,
-    posterior: PosteriorTensor,
-    model: JointModel,
-    quad: np.ndarray,
-    features: np.ndarray,
-    kappa_max: float = 35.0,
-    rng: np.random.Generator | None = None,
-    freeze_spatial: bool = False,
+    gbar: np.ndarray,
+    covariances: np.ndarray,
+    pi: np.ndarray,
+    kappa_max: float,
+    rng: np.random.Generator | None,
+    noise_index: int | None,
 ) -> JointModel:
-    """Decoupled M-steps of both models plus the tied prior update.
+    """The vMF M-step of the joint EM, and the model it completes.
 
-    Spatial covariances get one Tyler fixed-point application with the
-    per-bin posteriors; the vMF prototypes are refitted with the
-    frequency-summed posteriors, and that same sum over F gives the prior
-    (the frequency mean). A noise component keeps kappa pinned at 0.
-    ``quad`` holds the (K, F, T) quadratic forms of ``model.covariances``, which
-    the Tyler update overwrites, and ``features`` the outer-product features
-    of the normalized ``x`` (see :func:`cacg.cacg_m_step`). :func:`joint_em`
-    runs the same steps, its Tyler update block by block inside its sweep.
+    The prototypes are refitted on the (K, T) frequency-summed posteriors
+    ``gbar`` (:func:`vmf.vmf_m_step`), which hands the next E-step its log
+    normalizers with the concentrations. The noise component's kappa stays
+    0 (it has no embedding identity), with the closed-form normalizer at 0.
+    The covariances and priors ``pi`` of the same M-step come in as they
+    are, from the Tyler update and :func:`numerics.update_pi` on ``gbar``.
     """
-    covariances = model.covariances
-    if not freeze_spatial:
-        covariances = _cacg.cacg_m_step(x, posterior, covariances, quad, features)
-    gbar = posterior.gamma.sum(axis=2)  # (K, T)
-    mu, kappa, lognorm = _spectral_m_step(embeddings, gbar, kappa_max, rng, model.noise_index)
-    pi = _cacg.update_pi(gbar, posterior.num_bins)
-    return JointModel(covariances, mu, kappa, pi, model.noise_index, lognorm)
-
-
-def _spectral_m_step(embeddings, gbar, kappa_max, rng, noise_index):
-    """vMF M-step on the frequency-summed posteriors ``gbar``: ``(mu, kappa,
-    lognorm)`` with the log normalizers the next E-step reads. The noise
-    component's kappa stays 0 (it has no embedding identity), and its
-    normalizer is the closed form at 0."""
     mu, kappa, lognorm = _vmf.vmf_m_step(embeddings, gbar, kappa_max, rng)
     if noise_index is not None:
         kappa[noise_index] = 0.0
         lognorm[noise_index] = uniform_log_density(embeddings.dim)
-    return mu, kappa, lognorm
+    return JointModel(covariances, mu, kappa, pi, noise_index, lognorm)
 
 
 def fused_covariances(model: JointModel, keep: int, remove: int) -> np.ndarray:
@@ -242,16 +224,16 @@ def _initial_model(
     rng: np.random.Generator,
     features: np.ndarray,
 ) -> JointModel:
+    c = x.num_channels
+    identity = np.broadcast_to(np.eye(c, dtype=complex), (init.num_components, x.num_bins, c, c))
     if config.freeze_spatial:
-        c = x.num_channels
-        shape = (init.num_components, x.num_bins, c, c)
-        covariances = np.broadcast_to(np.eye(c, dtype=complex), shape).copy()
+        covariances = identity.copy()
     else:
-        covariances = _cacg.initial_covariances(init.gamma, features)
-    mu, kappa, lognorm = _spectral_m_step(
-        embeddings, init.gamma.sum(axis=2), config.kappa_max, rng, config.noise_index
+        covariances = _cacg.cacg_m_step(init, identity, 1.0, features)
+    return joint_m_step(
+        embeddings, init.gamma.sum(axis=2), covariances, init.pi, config.kappa_max, rng,
+        config.noise_index,
     )
-    return JointModel(covariances, mu, kappa, init.pi, config.noise_index, lognorm)
 
 
 def _logits(model: JointModel, embeddings: EmbeddingSequence) -> np.ndarray:
@@ -280,23 +262,25 @@ def joint_em(
 ):
     """Run the integrated EM from an initial posterior.
 
-    The algorithm starts with an M-step on the initial posterior and then
-    alternates E- and M-steps. From ``fusion_start`` on, the configured
-    fusion check may merge one pair of components after each E-step. The
-    log-likelihood trace is non-decreasing between iterations with an equal
-    component count; fusion steps may move the value.
+    The algorithm starts with an M-step on the initial posterior (the Tyler
+    update :func:`cacg.cacg_m_step` from identity covariances, unless the
+    spatial model is frozen, and :func:`joint_m_step`) and then alternates
+    E- and M-steps. From ``fusion_start`` on, the configured fusion check
+    may merge one pair of components after each E-step. The log-likelihood
+    trace is non-decreasing between iterations with an equal component
+    count; fusion steps may move the value.
 
     The fusion decision reads only the prototypes (spectral) or the prior
     (IoU), which the E-step leaves as they are, so each iteration decides
     it first and then runs as one :func:`cacg.em_sweep` over blocks of
     frequencies: per block the E-step, the in-place merge of the fused
     pair's posteriors and the Tyler update, which every covariance is
-    factorized once for. The vMF and prior M-steps then read the frequency
-    sums of the whole posterior; the vMF M-step hands the next E-step its
-    log normalizers with the concentrations. Each E-step after the first
-    writes into the buffer of the posterior before it (after a fusion, into
-    its leading rows). All cACG kernels read one outer-product feature array
-    Φ (:func:`cacg.outer_features`), built block by block from ``x`` and
+    factorized once for. The prior update (:func:`numerics.update_pi`) and
+    the vMF M-step (:func:`joint_m_step`) then read the frequency sums of
+    the whole posterior. Each E-step after the first writes into the buffer
+    of the posterior before it (after a fusion, into its leading rows). All
+    cACG kernels read one outer-product feature array Φ
+    (:func:`cacg.outer_features`), built block by block from ``x`` and
     freed when the run returns. One run thus holds ``x``, Φ, one
     (K, T, F) posterior and one block's temporaries, which the sweep keeps
     within about one L2 cache (:data:`cacg.SWEEP_BLOCK_BYTES`).
@@ -340,9 +324,8 @@ def joint_em(
         if covariances is None:
             covariances = fused
         gbar = gamma.sum(axis=2)
-        mu, kappa, lognorm = _spectral_m_step(embeddings, gbar, config.kappa_max, rng, noise)
-        pi = _cacg.update_pi(gbar, x.num_bins)
-        model = JointModel(covariances, mu, kappa, pi, noise, lognorm)
+        pi = update_pi(gbar, x.num_bins)
+        model = joint_m_step(embeddings, gbar, covariances, pi, config.kappa_max, rng, noise)
         # the posterior is spent: the next E-step writes into its buffer
         spent = gamma.swapaxes(1, 2)
     return model, PosteriorTensor(gamma, model.pi), events, np.asarray(trace)

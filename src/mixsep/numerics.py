@@ -4,8 +4,8 @@ Everything in this module is a pure function on immutable inputs: Hermitian
 positive-definite matrix operations (Cholesky with escalating diagonal
 loading), the log-domain posterior normalization of the vMF mixture and of
 the cACG E-step's rescue, the Bessel series behind the von-Mises-Fisher
-normalizer and concentration update, and the min-cost assignment that
-matches speakers.
+normalizer and concentration update, the floored prior update of all three
+mixtures, and the min-cost assignment that matches speakers.
 The one exception is the posterior normalization, which works in place on
 its logits.
 """
@@ -26,6 +26,8 @@ logger = logging.getLogger(__name__)
 # already loaded with the 1e-10 default at construction, so factorization
 # first tries the matrix as-is and escalates only on failure.
 LOADING_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+# Least mixture weight a prior update leaves a component.
+PRIOR_FLOOR = 1e-10
 
 
 def _load_stack(mats: np.ndarray, eps_rel: float) -> np.ndarray:
@@ -288,6 +290,18 @@ def normalize_logits(logits: np.ndarray, axis: int = 0):
             np.log(total, out=total)
     total += shift
     return logits, float(total.sum())
+
+
+def update_pi(sums: np.ndarray, count: int) -> np.ndarray:
+    """Prior update: the mean ``sums / count`` of responsibilities, floored
+    at ``PRIOR_FLOOR`` and normalized over components (axis 0): from the
+    (K, T) sum over F frequencies, the frequency-tied prior of the cACGMM and
+    the joint EM; from the (K,) sum over T frames, or with count 1 from the
+    (K, T) responsibilities, the VMFMM's shared or per-frame weights."""
+    pi = sums / count
+    np.maximum(pi, PRIOR_FLOOR, out=pi)
+    pi /= pi.sum(axis=0, keepdims=True)
+    return pi
 
 
 def min_cost_assignment(cost):

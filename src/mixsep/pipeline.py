@@ -261,9 +261,11 @@ def _block_scatter(x: StftTensor, weights: np.ndarray) -> np.ndarray:
 
 
 def _covariance(scm: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Mass-normalized, Hermitian-symmetrized and loaded (..., F, C, C) scatter."""
-    scm = scm / np.maximum(mass, 1e-30)[..., None, None]
-    return _load_stack((scm + np.conj(np.swapaxes(scm, -1, -2))) / 2.0, 1e-10)
+    """Mass-normalized and loaded (..., F, C, C) scatter, exactly Hermitian
+    with no symmetrization: the scatter is unpacked Hermitian
+    (:func:`cacg.scatter_matrices`), and its pooling weights, mass and
+    loading are real."""
+    return _load_stack(scm / np.maximum(mass, 1e-30)[..., None, None], 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .numerics import bessel_i_series, log_vmf_normalizer, normalize_logits, uniform_log_density
+from .numerics import (
+    bessel_i_series, log_vmf_normalizer, normalize_logits, uniform_log_density, update_pi,
+)
 
 logger = logging.getLogger(__name__)
 
-PRIOR_FLOOR = 1e-10
 INIT_SMOOTHING = 0.01
 # The series behind the normalizer and the concentration update has about
 # kappa/2 terms, and the tests check it up to this concentration.
@@ -46,7 +47,8 @@ class EmbeddingSequence:
         if frames.ndim != 2:
             raise InvalidInputError("frames must be a T x E matrix")
         norms = np.linalg.norm(frames, axis=1)
-        if frames.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-6:
+        # false on NaN, so a NaN row is rejected too
+        if frames.shape[0] and not np.max(np.abs(norms - 1.0)) <= 1e-6:
             raise InvalidInputError("embedding rows must be unit length after ingestion")
         object.__setattr__(self, "frames", frames)
 
@@ -287,19 +289,6 @@ def vmf_m_step(
     return mu, kappa, uniform_log_density(dim) - log_series
 
 
-def _prior_update(resp: np.ndarray, prior_mode: str) -> np.ndarray:
-    if prior_mode == "shared":
-        w = resp.sum(axis=1) / resp.shape[1]  # the mean, as resp.mean(axis=1) divides
-        np.maximum(w, PRIOR_FLOOR, out=w)
-        w /= w.sum()
-        return w
-    if prior_mode == "per_frame":
-        w = np.maximum(resp, PRIOR_FLOOR)
-        w /= w.sum(axis=0, keepdims=True)
-        return w
-    raise ConfigurationError(f"unknown prior mode {prior_mode!r}")
-
-
 def vmfmm_em(
     embeddings: EmbeddingSequence,
     init_resp: np.ndarray,
@@ -310,11 +299,12 @@ def vmfmm_em(
 ):
     """Fit a VMFMM by EM from initial responsibilities.
 
-    Each iteration performs the M-step (component and prior update from the
-    current responsibilities) followed by the E-step, whose per-frame
-    normalizers accumulate the log-likelihood trace. The E-step takes its vMF
-    normalizers from the M-step, so an iteration sums the Bessel series once
-    (twice where a concentration needs a second Newton step).
+    Each iteration performs the M-step (component and prior update, the
+    latter by :func:`numerics.update_pi`, from the current responsibilities)
+    followed by the E-step, whose per-frame normalizers accumulate the
+    log-likelihood trace. The E-step takes its vMF normalizers from the
+    M-step, so an iteration sums the Bessel series once (twice where a
+    concentration needs a second Newton step).
 
     Args:
         embeddings: observation sequence.
@@ -337,16 +327,19 @@ def vmfmm_em(
         raise ConfigurationError(f"more components ({n_comp}) than frames ({n_frames})")
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
+    if prior_mode not in ("shared", "per_frame"):
+        raise ConfigurationError(f"unknown prior mode {prior_mode!r}")
     if rng is None:
         rng = np.random.default_rng(0)
 
+    shared = prior_mode == "shared"
     resp = init_resp
     trace = []
     for _ in range(iterations):
         mu, kappa, lognorm = vmf_m_step(embeddings, resp, kappa_max, rng)
-        weights = _prior_update(resp, prior_mode)
+        weights = update_pi(resp.sum(axis=1), n_frames) if shared else update_pi(resp, 1)
         with np.errstate(divide="ignore"):
-            log_w = np.log(weights if weights.ndim == 2 else weights[:, None])
+            log_w = np.log(weights[:, None] if shared else weights)
         resp, loglik = normalize_logits(
             log_pdf_matrix(mu, kappa, embeddings.frames, lognorm, log_w)
         )

@@ -131,4 +131,4 @@ def tyler_step(x, posterior, prev):
     """One ``cacg_m_step`` on unit observations ``x``, weighted by the
     quadratic forms of the previous (K, F, C, C) covariances ``prev``."""
     features = outer_features(x)
-    return cacg_m_step(x, posterior, prev, plain_forms(prev, features), features)
+    return cacg_m_step(posterior, prev, plain_forms(prev, features), features)

@@ -1,7 +1,10 @@
-"""Scalar references the tests compare the batched model kernels against.
+"""References the tests compare the model kernels against.
 
-One matrix, one vector, one component at a time, with a triangular solve
-where the kernels invert their factors: slow and plain on purpose.
+Scalar ones: one matrix, one vector, one component at a time, with a
+triangular solve where the kernels invert their factors: slow and plain on
+purpose. And the earlier second implementations of the EM's M-steps, kept
+as they were, which the program's one implementation of each step must
+match bit for bit.
 """
 
 import math
@@ -9,9 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mixsep.errors import InvalidInputError, NumericalError
-from mixsep.numerics import bessel_i_series, chol_with_loading, log_vmf_normalizer
-from mixsep.vmf import check_prototypes
+from mixsep.cacg import _block_scratch, _scatter_sums, _tyler, frequency_blocks
+from mixsep.errors import ConfigurationError, InvalidInputError, NumericalError
+from mixsep.integrated import JointModel
+from mixsep.numerics import (
+    bessel_i_series, chol_with_loading, log_vmf_normalizer, uniform_log_density, update_pi,
+)
+from mixsep.vmf import check_prototypes, vmf_m_step
 
 
 @dataclass(frozen=True)
@@ -203,3 +210,76 @@ def spherical_kmeans_pp(embeddings, n_clusters: int, seed: int):
     one_hot = np.zeros((n_clusters, n_frames))
     one_hot[assign, np.arange(n_frames)] = 1.0
     return one_hot, centers
+
+
+# ---------------------------------------------------------------------------
+# The EM's former second implementations, as they were before the program
+# ran one implementation of each M-step
+
+
+def cacg_m_step(x, posterior, prev, quad, features):
+    """The whole-array Tyler update: weights ``gamma / quad`` over the whole
+    posterior, written over a (K, F, T) ``quad``, and one scatter GEMM."""
+    gamma = np.transpose(posterior.gamma, (0, 2, 1))  # (K, F, T)
+    weights = np.empty(gamma.shape) if np.ndim(quad) == 0 else quad
+    np.divide(gamma, quad, out=weights)
+    sums = _scatter_sums(features, weights)
+    return _tyler(np.swapaxes(sums, 0, 1), prev)
+
+
+def initial_covariances(gamma, features):
+    """The EM's first M-step from identity covariances: a block-wise copy of
+    the (K, T, F) posterior ``gamma`` as the Tyler weights."""
+    gamma = np.transpose(gamma, (0, 2, 1))  # (K, F, T)
+    k, f, t = gamma.shape
+    c = math.isqrt(features.shape[1])
+    sums = np.empty((f, k, c * c))
+    blocks = frequency_blocks(f)
+    scratch = _block_scratch(k, blocks, t)
+    for block in blocks:
+        weights = scratch(block)
+        np.copyto(weights, gamma[:, block])
+        _scatter_sums(features[block], weights, out=sums[block])
+    identity = np.broadcast_to(np.eye(c, dtype=complex), (k, f, c, c))
+    return _tyler(np.swapaxes(sums, 0, 1), identity)
+
+
+def joint_m_step(x, embeddings, posterior, model, quad, features, kappa_max=35.0, rng=None,
+                 freeze_spatial=False):
+    """The whole-array M-steps of the joint model: the Tyler update
+    (:func:`cacg_m_step`), the vMF M-step (:func:`spectral_m_step`) and the
+    frequency-tied prior."""
+    covariances = model.covariances
+    if not freeze_spatial:
+        covariances = cacg_m_step(x, posterior, covariances, quad, features)
+    gbar = posterior.gamma.sum(axis=2)  # (K, T)
+    mu, kappa, lognorm = spectral_m_step(embeddings, gbar, kappa_max, rng, model.noise_index)
+    pi = update_pi(gbar, posterior.num_bins)
+    return JointModel(covariances, mu, kappa, pi, model.noise_index, lognorm)
+
+
+def spectral_m_step(embeddings, gbar, kappa_max, rng, noise_index):
+    """vMF M-step on the frequency-summed posteriors, the noise row pinned
+    at kappa 0 with the closed-form normalizer."""
+    mu, kappa, lognorm = vmf_m_step(embeddings, gbar, kappa_max, rng)
+    if noise_index is not None:
+        kappa[noise_index] = 0.0
+        lognorm[noise_index] = uniform_log_density(embeddings.dim)
+    return mu, kappa, lognorm
+
+
+PRIOR_FLOOR = 1e-10
+
+
+def prior_update(resp, prior_mode):
+    """The VMFMM's prior update: shared (K,) or per-frame (K, T) weights."""
+    if prior_mode == "shared":
+        w = resp.sum(axis=1) / resp.shape[1]  # the mean, as resp.mean(axis=1) divides
+        np.maximum(w, PRIOR_FLOOR, out=w)
+        w /= w.sum()
+        return w
+    if prior_mode == "per_frame":
+        w = np.maximum(resp, PRIOR_FLOOR)
+        w /= w.sum(axis=0, keepdims=True)
+        return w
+    raise ConfigurationError(f"unknown prior mode {prior_mode!r}")

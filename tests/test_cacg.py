@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import reference
 from helpers import (
     assert_exactly_hermitian,
     identity_stack,
@@ -18,7 +19,6 @@ from reference import HermitianPD, cacg_log_pdf, cholesky_logdet_solve, logsumex
 from mixsep import cacg
 from mixsep.cacg import (
     COV_LOADING,
-    PRIOR_FLOOR,
     PosteriorTensor,
     StftTensor,
     cacg_log_pdf_stack,
@@ -28,12 +28,11 @@ from mixsep.cacg import (
     normalize_observations,
     outer_features,
     scatter_matrices,
-    update_pi,
 )
 from mixsep.errors import ConfigurationError, InvalidInputError, NumericalError
 from mixsep.integrated import JointEmConfig, joint_em
 from mixsep.metrics import mask_auc
-from mixsep.numerics import _load_stack, chol_logdet_quad, normalize_logits
+from mixsep.numerics import PRIOR_FLOOR, _load_stack, chol_logdet_quad, normalize_logits, update_pi
 from mixsep.synth import build_meeting, sample_cacg
 
 
@@ -336,7 +335,7 @@ class TestCacgMStep:
         prev[1] = np.stack([np.diag([1.5, 0.5]), np.diag([0.5, 1.5])])
         features = outer_features(x)
         _, quad = cacg_log_pdf_stack(prev, x, features)
-        out = cacg_m_step(x, post, prev, quad, features)
+        out = cacg_m_step(post, prev, quad, features)
         assert np.array_equal(out[1, 0], prev[1, 0])
         assert np.max(np.abs(out[1, 1] - prev[1, 1])) > 1e-3
 
@@ -443,10 +442,10 @@ class TestCacgMStepReusesQuad:
         x, post, prev = self.scene()
         features = outer_features(x)
         _, quad = cacg_log_pdf_stack(prev, x, features)
-        given = cacg_m_step(x, post, prev, quad, features)
+        given = cacg_m_step(post, prev, quad, features)
         y = np.transpose(x.data, (2, 0, 1))  # (F, C, T)
         want = chol_logdet_quad(prev, y[None])[1]
-        computed = cacg_m_step(x, post, prev, want, features)
+        computed = cacg_m_step(post, prev, want, features)
         for a, b in zip(given, computed):
             assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -455,7 +454,7 @@ class TestCacgMStepReusesQuad:
         x, post, prev = self.scene()
         features = outer_features(x)
         _, quad = cacg_log_pdf_stack(identity_stack(2, 5, 3), x, features)
-        given = cacg_m_step(x, post, prev, quad, features)
+        given = cacg_m_step(post, prev, quad, features)
         computed = tyler_step(x, post, prev)
         assert np.max(np.abs(given[0] - computed[0])) > 1e-3
 
@@ -466,8 +465,8 @@ class TestCacgMStepReusesQuad:
         features = outer_features(x)
         quad = plain_forms(prev, features)
         scale = np.random.default_rng(23).uniform(1e-6, 1e6, quad.shape[:2])
-        given = cacg_m_step(x, post, prev, quad * scale[..., None], features)
-        computed = cacg_m_step(x, post, prev, quad, features)
+        given = cacg_m_step(post, prev, quad * scale[..., None], features)
+        computed = cacg_m_step(post, prev, quad, features)
         for a, b in zip(given, computed):
             assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -476,10 +475,41 @@ class TestCacgMStepReusesQuad:
         # identity start passes quad = 1 instead of factorizing identities
         x, post, _ = self.scene()
         identity = identity_stack(2, 5, 3)
-        given = cacg_m_step(x, post, identity, 1.0, outer_features(x))
+        given = cacg_m_step(post, identity, 1.0, outer_features(x))
         computed = tyler_step(x, post, identity)
         for a, b in zip(given, computed):
             assert np.max(np.abs(a - b)) <= 1e-14
+
+
+class TestTylerUpdateMatchesTheFormerTwins:
+    """The one Tyler update against the former first M-step and whole-array
+    update it replaces, bit for bit, over several blocks of frequencies."""
+
+    def scene(self):
+        rng = np.random.default_rng(41)
+        c, t, f, k = 3, 40, 2 * cacg.BLOCK_BINS + 6, 3
+        assert len(cacg.frequency_blocks(f)) == 3
+        data = rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f))
+        x = normalize_observations(tensor(data))
+        gamma = rng.uniform(0.05, 1.0, size=(k, t, f))
+        gamma[2, :, :4] = 0.0  # component 2 inactive in four bins
+        gamma /= gamma.sum(axis=0, keepdims=True)
+        return x, PosteriorTensor(gamma, gamma.mean(axis=2)), outer_features(x)
+
+    def test_first_m_step_is_the_former_initial_covariances(self):
+        x, post, features = self.scene()
+        got = cacg_m_step(post, identity_stack(3, x.num_bins, 3), 1.0, features)
+        assert np.array_equal(got, reference.initial_covariances(post.gamma, features))
+
+    def test_array_quad_gives_the_former_update_and_is_left_unchanged(self):
+        x, post, features = self.scene()
+        prev = reference.initial_covariances(post.gamma, features)
+        quad = plain_forms(prev, features)
+        kept = quad.copy()
+        got = cacg_m_step(post, prev, quad, features)
+        assert np.array_equal(quad, kept)
+        assert np.array_equal(got, reference.cacg_m_step(x, post, prev, kept.copy(), features))
+        assert np.array_equal(got[2, :4], prev[2, :4])
 
 
 def two_source_scene(rng, n_frames=400, n_bins=33, n_chan=4, shared_b=False):
@@ -674,7 +704,7 @@ def assert_plain_tyler_update(new, x, gamma, pi, covariances):
     """``new`` is the Tyler update of ``covariances`` on the plain forms."""
     features = outer_features(x)
     quad = plain_forms(covariances, features)
-    plain = cacg_m_step(x, PosteriorTensor(gamma, pi), covariances, quad, features)
+    plain = cacg_m_step(PosteriorTensor(gamma, pi), covariances, quad, features)
     assert np.max(np.abs(new - plain)) <= 1e-12 * np.max(np.abs(plain))
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import struct
@@ -302,6 +303,37 @@ def finished_run(bundle, tmp_path_factory):
     config.write_text(json.dumps(run_config_dict(bundle, out_dir)))
     code = cli.main(["run", "--config", str(config)])
     return code, out_dir / "meet0", bundle
+
+
+def load_tracer():
+    """The benchmark's tracer module, ``perfbench/tracing.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_spans_measure_work(bundle, tmp_path):
+    # every function the benchmark times runs in a plain mixsep run, and so
+    # records a call, except three that only the benchmark names
+    tracing = load_tracer()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(run_config_dict(bundle, tmp_path / "out")))
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        assert cli.cmd_run(config, jobs=1) == 0
+    finally:
+        uninstall()
+    calls = {name: count for name, (_, count) in tracing.self_times(tracer.spans).items()}
+    idle = {span for _, _, span in tracing.TRACED if not calls.get(span)}
+    assert idle == {
+        "cacg.cacg_log_pdf_stack",
+        "cacg.normalize_observations",
+        "numerics.chol_logdet_quad",
+    }
+    assert calls["cacg.cacg_m_step"] == calls["pipeline.segment_task"] >= 2
 
 
 class TestCmdRun:

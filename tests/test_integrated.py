@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import reference
 from helpers import (
     assert_exactly_hermitian,
     count_series_calls,
@@ -37,7 +38,7 @@ from mixsep.integrated import (
     joint_m_step,
     spectral_fusion_check,
 )
-from mixsep.numerics import chol_logdet_quad, log_vmf_normalizer
+from mixsep.numerics import chol_logdet_quad, log_vmf_normalizer, update_pi
 from mixsep.synth import build_meeting
 from mixsep.vmf import log_pdf_matrix, vmfmm_em
 
@@ -121,6 +122,15 @@ def joint_posterior(x, e, model):
     return em_sweep(model.covariances, logits, outer_features(x), update=False)[0]
 
 
+def m_step(e, post, covariances, noise_index=None, kappa_max=35.0, rng=None):
+    """:func:`joint_m_step` as :func:`joint_em` runs it on the posterior
+    ``post``: on its frequency sums, with the priors ``update_pi`` makes of
+    them."""
+    gbar = post.gamma.sum(axis=2)
+    pi = update_pi(gbar, post.num_bins)
+    return joint_m_step(e, gbar, covariances, pi, kappa_max, rng, noise_index)
+
+
 def spatial_forms(xn, model):
     """The quadratic forms and features the M-step of ``model`` is weighted with."""
     features = outer_features(xn)
@@ -194,13 +204,12 @@ class TestJointEStep:
 class TestJointMStep:
     def test_constant_gamma_over_f_matches_unweighted_vmf(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=5))
-        xn = normalize_observations(x)
         rng = np.random.default_rng(0)
         post = random_soft_posterior(rng, 2, x.num_frames, x.num_bins)
         model = model_from_truth(truth, x)
         from mixsep.vmf import EmbeddingSequence, vmf_m_step
 
-        new = joint_m_step(xn, e, post, model, *spatial_forms(xn, model), kappa_max=35.0)
+        new = m_step(e, post, model.covariances)
         direct_mu, direct_kappa, _ = vmf_m_step(e, post.gamma[:, :, 0], 35.0)
         for a_mu, a_kappa, b_mu, b_kappa in zip(new.mu, new.kappa, direct_mu, direct_kappa):
             assert np.allclose(a_mu, b_mu, atol=1e-9)
@@ -208,13 +217,10 @@ class TestJointMStep:
 
     def test_noise_component_kappa_stays_zero(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=6))
-        xn = normalize_observations(x)
         rng = np.random.default_rng(1)
         post = random_soft_posterior(rng, 3, x.num_frames, x.num_bins)
         spatial = identity_stack(3, x.num_bins, x.num_channels)
-        mu = np.tile(unit(np.arange(1.0, 17.0)), (3, 1))
-        model = JointModel(spatial, mu, np.full(3, 10.0), post.pi, noise_index=2)
-        new = joint_m_step(xn, e, post, model, *spatial_forms(xn, model), kappa_max=35.0)
+        new = m_step(e, post, spatial, noise_index=2)
         assert new.kappa[2] == 0.0
         assert new.kappa[0] > 0.0
 
@@ -222,18 +228,62 @@ class TestJointMStep:
         # the noise row takes the closed form at kappa 0, the others the
         # series of the concentration update, a row at the cap included
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=6))
-        xn = normalize_observations(x)
         post = random_soft_posterior(np.random.default_rng(1), 4, x.num_frames, x.num_bins)
         post.gamma[1] = 0.0
         post.gamma[1, 7, :] = 1.0  # one frame: saturated, at the cap
         spatial = identity_stack(4, x.num_bins, x.num_channels)
-        mu = np.tile(unit(np.arange(1.0, 17.0)), (4, 1))
-        model = JointModel(spatial, mu, np.full(4, 10.0), post.pi, noise_index=3)
-        new = joint_m_step(xn, e, post, model, *spatial_forms(xn, model), kappa_max=35.0)
+        new = m_step(e, post, spatial, noise_index=3)
         assert new.kappa[1] == 35.0 and new.kappa[3] == 0.0 and new.kappa[0] > 0.0
         want = log_vmf_normalizer(16, new.kappa)
         assert np.all(np.abs(new.lognorm - want) <= 1e-12 * np.abs(want))
         assert new.lognorm[3] == log_vmf_normalizer(16, 0.0)
+
+    def test_matches_the_former_whole_array_m_steps_to_the_bit(self):
+        # the Tyler update and joint_m_step, as joint_em runs them, against
+        # the whole-array joint M-step they replace: a noise row, a row at
+        # the cap and the priors included
+        x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=6))
+        xn = normalize_observations(x)
+        post = random_soft_posterior(np.random.default_rng(1), 4, x.num_frames, x.num_bins)
+        post.gamma[1] = 0.0
+        post.gamma[1, 7, :] = 1.0
+        features = outer_features(xn)
+        identity = identity_stack(4, x.num_bins, x.num_channels)
+        covariances = cacg.cacg_m_step(post, identity, 1.0, features)
+        mu = np.tile(unit(np.arange(1.0, 17.0)), (4, 1))
+        model = JointModel(covariances, mu, np.full(4, 10.0), post.pi, noise_index=3)
+        quad = plain_forms(covariances, features)
+        want = reference.joint_m_step(
+            xn, e, post, model, quad.copy(), features, 35.0, np.random.default_rng(2)
+        )
+        spatial = cacg.cacg_m_step(post, covariances, quad, features)
+        got = m_step(e, post, spatial, 3, 35.0, np.random.default_rng(2))
+        for name in ("covariances", "mu", "kappa", "pi", "lognorm"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.noise_index == want.noise_index == 3
+        assert got.kappa[1] == 35.0 and got.kappa[3] == 0.0
+
+    @pytest.mark.parametrize("freeze_spatial", [False, True])
+    def test_initial_model_matches_the_former_first_m_step_to_the_bit(self, freeze_spatial):
+        # the first M-step: the Tyler update from identity covariances (or
+        # the identities themselves) and the vMF M-step, with the initial
+        # priors as they are
+        x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=6))
+        init = kmeans_init_posterior(e, truth.voiced, 3, x.num_bins, seed=3, with_noise=True)
+        config = JointEmConfig(noise_index=3, freeze_spatial=freeze_spatial)
+        features = outer_features(x)
+        got = integrated._initial_model(x, e, init, config, np.random.default_rng(0), features)
+        if freeze_spatial:
+            covariances = identity_stack(4, x.num_bins, x.num_channels)
+        else:
+            covariances = reference.initial_covariances(init.gamma, features)
+        mu, kappa, lognorm = reference.spectral_m_step(
+            e, init.gamma.sum(axis=2), config.kappa_max, np.random.default_rng(0), 3
+        )
+        assert np.array_equal(got.covariances, covariances)
+        assert np.array_equal(got.mu, mu) and np.array_equal(got.kappa, kappa)
+        assert np.array_equal(got.lognorm, lognorm) and np.array_equal(got.pi, init.pi)
+        assert got.noise_index == 3
 
     def test_joint_parameter_recovery(self):
         cfg = tiny_scenario([0, 1, 2], duration_s=16.0, overlap=0.2, seed=7, channels=4)
@@ -592,7 +642,7 @@ class TestJointEm:
             fresh_calls.append(prev.shape[0])
             quad = plain_forms(prev, features)
             posterior = PosteriorTensor(gamma, np.ones(gamma.shape[:2]))
-            return gamma, ll, cacg.cacg_m_step(x, posterior, prev, quad, features)
+            return gamma, ll, cacg.cacg_m_step(posterior, prev, quad, features)
 
         monkeypatch.setattr(cacg, "em_sweep", fresh_update)
         fresh = joint_em(x, e, init, jcfg)
@@ -630,9 +680,9 @@ class TestJointEm:
     def test_in_place_fusion_matches_the_fusion_check_copy(self):
         # the iteration that fuses inside the sweep merges the posterior as
         # a copy of it would, to the bit, and its M-step gives the model
-        # joint_m_step gives on that posterior with the copied fused model:
-        # prototypes and prior to the bit, covariances (Tyler-weighted by
-        # other forms of the same matrices) to rounding
+        # joint_m_step and the Tyler update give on that posterior with the
+        # copied fused model: prototypes and prior to the bit, covariances
+        # (Tyler-weighted by other forms of the same matrices) to rounding
         cfg = tiny_scenario([0, 1, 2], duration_s=8.0, overlap=0.1, seed=9, embed_dim=24)
         x, e, truth, _ = build_meeting(cfg)
         init = kmeans_init_posterior(e, truth.voiced, 6, x.num_bins, seed=2)
@@ -650,9 +700,9 @@ class TestJointEm:
         assert event == events[0]
         fused, fused_gamma = self.copy_fusion(before, joint_posterior(x, e, before), event)
         assert np.array_equal(post.gamma, fused_gamma)
-        want = joint_m_step(
-            xn, e, post, fused, *spatial_forms(xn, fused), kappa_max=jcfg.kappa_max,
-            rng=np.random.default_rng(jcfg.seed),
+        want = m_step(
+            e, post, cacg.cacg_m_step(post, fused.covariances, *spatial_forms(xn, fused)),
+            fused.noise_index, jcfg.kappa_max, np.random.default_rng(jcfg.seed),
         )
         assert np.array_equal(after.mu, want.mu) and np.array_equal(after.kappa, want.kappa)
         assert np.array_equal(after.pi, want.pi)

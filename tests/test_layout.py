@@ -84,15 +84,14 @@ def test_every_definition_is_used_by_the_program():
 
 
 def test_benchmark_names_alone_keep_these_definitions():
-    # the older whole-array twins of the EM's sweep, and a metric, that only
-    # the benchmark names (every other definition is used, as the test above
+    # the older whole-array kernels of the EM, and a metric, that only the
+    # benchmark names (every other definition is used, as the test above
     # checks); a new benchmark-only definition fails here, and the benchmark
     # change that stops naming one removes it from this list
     kept = unreferenced(ROOT / "src" / "mixsep", exempt=set(mixsep.__all__))
     assert set(kept) == {
         "cacg.cacg_log_pdf_stack",
         "cacg.normalize_observations",
-        "integrated.joint_m_step",
         "metrics.si_sdr",
         "numerics.chol_logdet_quad",
     }

@@ -3,7 +3,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from helpers import tiny_scenario
+from helpers import assert_exactly_hermitian, tiny_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
@@ -279,6 +279,29 @@ class TestBeamform:
         weights = np.ascontiguousarray(rng.dirichlet(np.ones(k), size=(f, t)).transpose(2, 0, 1))
         want = scatter_matrices(cacg._outer_rows(np.transpose(x.data, (2, 0, 1))), weights)
         assert np.array_equal(pipeline._block_scatter(x, weights), want)
+
+    def test_covariances_are_exactly_hermitian_as_computed(self, monkeypatch):
+        # the target and distortion covariances need no symmetrization: the
+        # scatter is unpacked Hermitian, pooled and scaled with real weights
+        rng = np.random.default_rng(8)
+        c, t, f, k = 4, 60, 9, 3
+        x = StftTensor(
+            rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f)), 2000, 64, 50, 16
+        )
+        gamma = rng.dirichlet(np.ones(k), size=(t, f)).transpose(2, 0, 1)
+        real = pipeline._covariance
+        made = []
+
+        def spy(scm, mass):
+            made.append(real(scm, mass))
+            return made[-1]
+
+        monkeypatch.setattr(pipeline, "_covariance", spy)
+        beamform(x, PosteriorTensor(gamma, gamma.mean(axis=2)), [0, 2])
+        assert len(made) == 2  # the targets' and their distortions'
+        for covariances in made:
+            assert covariances.shape == (2, f, c, c)
+            assert_exactly_hermitian(covariances)
 
     def test_single_source_identity_noise(self):
         # rank-one target in isotropic noise: output SNR beats best channel
@@ -615,6 +638,22 @@ class TestRunMeeting:
         assert any("capped at the 3 CPUs" in r.getMessage() for r in caplog.records)
         assert got[0].entries == want[0].entries
         assert got[2]["num_segments"] >= 2
+
+    def test_nan_embedding_row_fails_before_any_segment(self, monkeypatch):
+        # a NaN row in a segment's frames is rejected as the segment's
+        # sequence is built, before any segment task runs
+        cfg = tiny_scenario(
+            None, k_true=2, segments=[SegmentPlan(4.0, [0, 1]), SegmentPlan(4.0, [0, 1])],
+            seed=6, channels=3,
+        )
+        _, e, truth, audio = build_meeting(cfg)
+        voiced = np.flatnonzero(truth.voiced)
+        e.frames[voiced[voiced.size // 2]] = np.nan
+        ran = []
+        monkeypatch.setattr(pipeline, "_segment_task", ran.append)
+        with pytest.raises(InvalidInputError, match="unit length"):
+            run_meeting(audio, e, tuned_config(k_init=3, max_segment_s=5.0))
+        assert ran == []
 
     def test_mono_recording_rejected(self):
         audio = frontend.AudioBuffer(np.random.default_rng(0).standard_normal((1, 8000)), 2000)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import reference
 from helpers import count_series_calls
 from reference import kappa_newton_arrays, vmf_log_pdf
 from reference import spherical_kmeans_pp as reference_kmeans
@@ -11,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 from mixsep import vmf
 from mixsep.errors import ConfigurationError, InvalidInputError
-from mixsep.numerics import bessel_i_series, log_vmf_normalizer, uniform_log_density
+from mixsep.numerics import bessel_i_series, log_vmf_normalizer, uniform_log_density, update_pi
 from mixsep.synth import sample_vmf
 from mixsep.vmf import (
     EmbeddingSequence,
@@ -534,6 +535,26 @@ class TestKmeansMatchesReference:
         kmeans_beside_reference(monkeypatch, frames, n_frames, seed=3)
 
 
+class TestPriorUpdate:
+    @pytest.mark.parametrize("mode", ["shared", "per_frame"])
+    def test_matches_the_former_vmfmm_prior_update(self, mode):
+        # the VMFMM's weights from the one prior update of all three EMs
+        resp = np.random.default_rng(12).dirichlet(np.ones(4), size=50).T
+        resp[2, :10] = 0.0  # floored entries
+        resp[:, :10] /= resp[:, :10].sum(axis=0)
+        got = update_pi(resp.sum(axis=1), 50) if mode == "shared" else update_pi(resp, 1)
+        assert np.array_equal(got, reference.prior_update(resp, mode))
+
+    def test_unknown_prior_mode_rejected_before_any_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("an M-step ran")
+
+        monkeypatch.setattr(vmf, "vmf_m_step", no_step)
+        frames = sample_vmf(unit([1.0, 0, 0]), 5.0, 4, seed=2)
+        with pytest.raises(ConfigurationError, match="unknown prior mode"):
+            vmfmm_em(EmbeddingSequence(frames), np.ones((2, 4)) / 2.0, 3, 35.0, "global")
+
+
 class TestEmbeddingSequence:
     def test_from_raw_normalizes(self):
         rows = np.array([[3.0, 4.0], [0.5, 0.0]])
@@ -547,3 +568,7 @@ class TestEmbeddingSequence:
     def test_non_unit_rows_rejected(self):
         with pytest.raises(InvalidInputError):
             EmbeddingSequence(np.array([[0.5, 0.0]]))
+
+    def test_nan_row_rejected(self):
+        with pytest.raises(InvalidInputError, match="unit length"):
+            EmbeddingSequence(np.array([[np.nan, 0.0], [1.0, 0.0]]))
