@@ -5,7 +5,7 @@ model fitted with EM, per-segment speaker counting by component fusion, and
 cross-segment speaker alignment by prototype clustering.
 """
 
-from .cacg import PosteriorTensor, StftTensor, cacgmm_em
+from .cacg import PosteriorTensor, StftTensor
 from .errors import ConfigurationError, InvalidInputError, MixsepError, NumericalError
 from .frontend import AudioBuffer, SegmentSpec
 from .integrated import (
@@ -16,7 +16,7 @@ from .integrated import (
     joint_em,
 )
 from .pipeline import Diarization, SegmentResult, run_meeting
-from .synth import ScenarioConfig, SegmentPlan, build_meeting, sample_cacg, sample_vmf
+from .synth import ScenarioConfig, SegmentPlan, build_meeting, sample_vmf
 from .vmf import EmbeddingSequence, VmfMixture, vmfmm_em
 
 __version__ = "0.1.0"
@@ -40,11 +40,9 @@ __all__ = [
     "StftTensor",
     "VmfMixture",
     "build_meeting",
-    "cacgmm_em",
     "count_speakers",
     "joint_em",
     "run_meeting",
-    "sample_cacg",
     "sample_vmf",
     "vmfmm_em",
 ]

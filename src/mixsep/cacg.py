@@ -3,7 +3,9 @@
 The cACGMM models unit-normalized multichannel STFT bins with one spatial
 covariance per component and frequency, tied together by time-varying but
 frequency-independent priors. Covariance updates follow the Tyler fixed
-point, one application per EM iteration.
+point, one application per EM iteration. The EM that runs them is
+:func:`integrated.joint_em`; with ``kappa_max = 0`` its vMF term is flat,
+and without fusion it fits the cACGMM alone.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, NumericalError
-from .numerics import chol_with_loading, normalize_logits, update_pi
+from .errors import InvalidInputError, NumericalError
+from .numerics import chol_with_loading, normalize_logits
+# not called here: kept as cacg.update_pi, the name under which the
+# benchmark's tracer (perfbench/tracing.py) times the prior update
+from .numerics import update_pi  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -98,13 +103,14 @@ class PosteriorTensor:
     def num_bins(self) -> int:
         return self.gamma.shape[2]
 
-    def validate(self, tol: float = 1e-9):
-        """Check normalization invariants; raises on violation.
+    def validate(self):
+        """Check normalization invariants to 1e-9; raises on violation.
 
         A broadcast (stride-0) time or frequency axis, such as that of an
         initial posterior replicated over frequency, holds one plane, which
         is checked once.
         """
+        tol = 1e-9
         gamma, pi = _distinct(self.gamma), _distinct(self.pi)
         if np.any(gamma < -tol) or np.any(gamma > 1.0 + tol):
             raise InvalidInputError("gamma entries must lie in [0, 1]")
@@ -551,41 +557,3 @@ def em_sweep(
         )
     new = _tyler(np.swapaxes(sums, 0, 1), prev) if update else None
     return np.transpose(gamma[:rows], (0, 2, 1)), loglik, new
-
-
-def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
-    """Fit a cACGMM by EM from an initial posterior.
-
-    The run starts with an M-step on the initial posterior
-    (:func:`cacg_m_step` from identity covariances, with weights 1), then
-    runs one :func:`em_sweep` per iteration, each E-step writing into the
-    posterior buffer of the one before. Priors are frequency-independent
-    and time-dependent, updated as the frequency mean of the posterior.
-    Every kernel reads one :func:`outer_features` array of the normalized
-    observations, built per run.
-
-    Returns:
-        ``(covariances, posterior, loglik_trace)``, the covariances a
-        (K, F, C, C) stack.
-    """
-    if init_gamma.num_components < 1:
-        raise ConfigurationError("need at least one component")
-    if iterations < 1:
-        raise ConfigurationError("iterations must be >= 1")
-    if init_gamma.num_frames != x.num_frames or init_gamma.num_bins != x.num_bins:
-        raise InvalidInputError("initial posterior does not match observations")
-    features = outer_features(x)
-    k, c = init_gamma.num_components, x.num_channels
-    identity = np.broadcast_to(np.eye(c, dtype=complex), (k, x.num_bins, c, c))
-    covariances = cacg_m_step(init_gamma, identity, 1.0, features)
-    pi = init_gamma.pi
-    trace = []
-    spent = None
-    for _ in range(iterations):
-        with np.errstate(divide="ignore"):
-            logits = np.log(pi)
-        gamma, ll, covariances = em_sweep(covariances, logits, features, spent)
-        trace.append(ll)
-        pi = update_pi(gamma.sum(axis=2), x.num_bins)
-        spent = np.swapaxes(gamma, 1, 2)
-    return covariances, PosteriorTensor(gamma, pi), np.asarray(trace)

@@ -44,8 +44,8 @@ class RunConfig:
     window_ms: float = 50.0
     shift_ms: float = 16.0
     # VAD and segmentation
-    vad_window_s: float = 1.5
-    vad_threshold_db: float = 10.0
+    vad_window_s: float = 12.0
+    vad_threshold_db: float = 8.0
     max_pause_s: float = 1.0
     min_segment_s: float = 2.0
     max_segment_s: float = 60.0

@@ -132,27 +132,17 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(samples, rate)
 
 
-def write_wav(path, audio: AudioBuffer, fmt: str = "float32"):
-    """Write a WAV file; ``fmt`` is "float32" or "pcm16".
+def write_wav(path, audio: AudioBuffer):
+    """Write a 32-bit float WAV file.
 
     The interleaved payload is built once, in its file layout, and written
     after the header.
     """
-    samples = audio.samples.T  # (N, C)
-    channels = samples.shape[1]
-    if fmt == "float32":
-        payload = np.ascontiguousarray(samples, dtype="<f4")
-        tag, bits = 3, 32
-    elif fmt == "pcm16":
-        clipped = np.clip(samples, -1.0, 32767.0 / 32768.0)
-        clipped *= 32768.0
-        payload = np.ascontiguousarray(np.round(clipped, out=clipped), dtype="<i2")
-        tag, bits = 1, 16
-    else:
-        raise InvalidInputError(f"unsupported output format {fmt!r}")
-    block = channels * bits // 8
+    payload = np.ascontiguousarray(audio.samples.T, dtype="<f4")  # (N, C)
+    block = 4 * payload.shape[1]
+    # format tag 3 (IEEE float), 32 bits per sample
     fmt_chunk = struct.pack(
-        "<HHIIHH", tag, channels, audio.sample_rate, audio.sample_rate * block, block, bits
+        "<HHIIHH", 3, payload.shape[1], audio.sample_rate, audio.sample_rate * block, block, 32
     )
     header = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
     header += b"data" + struct.pack("<I", payload.nbytes)
@@ -256,8 +246,8 @@ def edge_windows(x: np.ndarray, size: int, before: int) -> np.ndarray:
 
 def energy_vad(
     audio: AudioBuffer,
-    window_s: float = 1.5,
-    threshold_db: float = 10.0,
+    window_s: float = 12.0,
+    threshold_db: float = 8.0,
     window_ms: float = 50.0,
     shift_ms: float = 16.0,
 ) -> np.ndarray:

@@ -285,6 +285,12 @@ def joint_em(
     (K, T, F) posterior and one block's temporaries, which the sweep keeps
     within about one L2 cache (:data:`cacg.SWEEP_BLOCK_BYTES`).
 
+    With ``kappa_max = 0`` and no fusion every vMF density is ``ln c(0)``:
+    the run is the cACGMM (Ito, Araki & Nakatani 2016), its log-likelihood
+    the cACGMM's plus ``T F ln c(0)``. With ``freeze_spatial`` the identity
+    covariances' cACG density is one constant: each bin of a frame takes the
+    posterior of a VMFMM with time-varying priors.
+
     Returns:
         ``(model, posterior, fusion_events, loglik_trace)``.
     """

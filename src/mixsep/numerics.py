@@ -259,19 +259,20 @@ def uniform_log_density(embed_dim: int) -> float:
     return (half - 1.0) * math.log(2.0) + math.lgamma(half) - half * math.log(2.0 * math.pi)
 
 
-def normalize_logits(logits: np.ndarray, axis: int = 0):
-    """Posterior of mixture logits, normalized along ``axis`` in the log domain.
+def normalize_logits(logits: np.ndarray):
+    """Posterior of mixture logits, normalized over components (axis 0) in
+    the log domain.
 
-    Works in place: ``logits`` is shifted by its maximum along ``axis``,
+    Works in place: ``logits`` is shifted by its maximum over components,
     exponentiated and divided by its sum, so no array of its size is
     allocated. NaN input is rejected.
 
     Returns:
         ``(posterior, loglik)``: ``logits`` itself, now holding
-        ``exp(logits)`` normalized to sum 1 along ``axis``, and the sum of the
+        ``exp(logits)`` normalized to sum 1 over components, and the sum of the
         per-observation log normalizers ``ln sum exp(logits)``.
     """
-    shift = logits.max(axis=axis, keepdims=True)
+    shift = logits.max(axis=0, keepdims=True)
     # a finite sum means every maximum is finite, so every total is at least
     # 1 and its log needs no guard; otherwise the slow path sorts it out
     finite = math.isfinite(shift.sum())
@@ -281,7 +282,7 @@ def normalize_logits(logits: np.ndarray, axis: int = 0):
         shift[~np.isfinite(shift)] = 0.0
     logits -= shift
     np.exp(logits, out=logits)
-    total = logits.sum(axis=axis, keepdims=True)
+    total = logits.sum(axis=0, keepdims=True)
     logits /= total
     if finite:
         np.log(total, out=total)
@@ -295,9 +296,8 @@ def normalize_logits(logits: np.ndarray, axis: int = 0):
 def update_pi(sums: np.ndarray, count: int) -> np.ndarray:
     """Prior update: the mean ``sums / count`` of responsibilities, floored
     at ``PRIOR_FLOOR`` and normalized over components (axis 0): from the
-    (K, T) sum over F frequencies, the frequency-tied prior of the cACGMM and
-    the joint EM; from the (K,) sum over T frames, or with count 1 from the
-    (K, T) responsibilities, the VMFMM's shared or per-frame weights."""
+    (K, T) sum over F frequencies, the frequency-tied prior of the joint EM;
+    from the (K,) sum over T frames, the VMFMM's shared weights."""
     pi = sums / count
     np.maximum(pi, PRIOR_FLOOR, out=pi)
     pi /= pi.sum(axis=0, keepdims=True)

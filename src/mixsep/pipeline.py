@@ -203,7 +203,6 @@ def beamform(
     x: StftTensor,
     posterior: PosteriorTensor,
     targets,
-    reference_channel: int = 0,
 ) -> np.ndarray:
     """Mask-based MVDR toward each target component (Souden, Benesty & Affes 2010).
 
@@ -228,9 +227,9 @@ def beamform(
     phi_d = _covariance(np.tensordot(others, scm, 1), others @ mass)
     _, vecs = np.linalg.eigh(phi_t)
     steer = vecs[..., -1]  # (S, F, C)
-    # normalize to the reference channel so the distortionless output tracks
-    # the target image there (also pins the arbitrary eigenvector phase)
-    ref = steer[..., reference_channel]
+    # normalize to channel 0, the reference, so the distortionless output
+    # tracks the target image there (also pins the arbitrary eigenvector phase)
+    ref = steer[..., 0]
     ok = np.abs(ref) > 1e-6
     scale = np.where(ok, ref, np.where(np.abs(ref) > 1e-12, ref / np.abs(ref), 1.0))
     steer = steer / scale[..., None]
@@ -506,6 +505,12 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
         "speakers": [],
     }
     if not segments:
+        voiced = np.count_nonzero(vad)
+        logger.warning(
+            "no segment kept: %d of %d frames voiced (%.1f%%) with vad_window_s=%g and "
+            "vad_threshold_db=%g", voiced, vad.size, 100.0 * voiced / max(vad.size, 1),
+            config.vad_window_s, config.vad_threshold_db,
+        )
         return Diarization([]), {}, report
 
     global_model = None

@@ -1,4 +1,4 @@
-"""Generative oracles: exact cACG and vMF samplers plus a meeting builder.
+"""Generative oracles: an exact vMF sampler and a meeting builder.
 
 The meeting builder lays out per-speaker utterances on a shared frame grid,
 synthesizes a multichannel waveform through per-speaker FIR mixing, and
@@ -20,22 +20,6 @@ from .errors import ConfigurationError, InvalidInputError
 from .frontend import AudioBuffer, SegmentSpec, merge_intervals, num_stft_frames, stft, stft_sizes
 from .numerics import chol_with_loading
 from .vmf import EmbeddingSequence
-
-
-def sample_cacg(b: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Draw n unit complex vectors from the cACG with (C, C) parameter matrix b.
-
-    Construction: z ~ CN(0, b), returned as z / ||z||.
-    """
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {b.shape}")
-    rng = np.random.default_rng(seed)
-    chol = chol_with_loading(b)
-    dim = b.shape[0]
-    z = (rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))) / math.sqrt(2.0)
-    w = chol @ z
-    return (w / np.linalg.norm(w, axis=0)).T
 
 
 def sample_vmf(mu: np.ndarray, kappa: float, n: int, seed: int) -> np.ndarray:

@@ -76,11 +76,11 @@ class EmbeddingSequence:
 
 @dataclass
 class VmfMixture:
-    """A fitted VMFMM: unit prototypes, concentrations and priors (shared or per frame)."""
+    """A fitted VMFMM: unit prototypes, concentrations and shared priors."""
 
     mu: np.ndarray  # (K, E)
     kappa: np.ndarray  # (K,)
-    weights: np.ndarray  # (K,) or (K, T)
+    weights: np.ndarray  # (K,)
 
 
 def check_prototypes(mu: np.ndarray, kappa: np.ndarray, count: int):
@@ -294,12 +294,13 @@ def vmfmm_em(
     init_resp: np.ndarray,
     iterations: int,
     kappa_max: float,
-    prior_mode: str = "shared",
     rng: np.random.Generator | None = None,
 ):
-    """Fit a VMFMM by EM from initial responsibilities.
+    """Fit a VMFMM with one shared weight per component by EM from initial
+    responsibilities (per-frame weights: :func:`integrated.joint_em` with
+    ``freeze_spatial``).
 
-    Each iteration performs the M-step (component and prior update, the
+    Each iteration performs the M-step (component and weight update, the
     latter by :func:`numerics.update_pi`, from the current responsibilities)
     followed by the E-step, whose per-frame normalizers accumulate the
     log-likelihood trace. The E-step takes its vMF normalizers from the
@@ -311,8 +312,6 @@ def vmfmm_em(
         init_resp: (K, T) initial responsibilities, columns summing to 1.
         iterations: number of EM iterations, >= 1.
         kappa_max: concentration cap applied at every M-step.
-        prior_mode: "shared" for one weight per component, "per_frame" for
-            time-varying priors updated to the previous posterior.
         rng: generator for degenerate component re-draws.
 
     Returns:
@@ -327,19 +326,16 @@ def vmfmm_em(
         raise ConfigurationError(f"more components ({n_comp}) than frames ({n_frames})")
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
-    if prior_mode not in ("shared", "per_frame"):
-        raise ConfigurationError(f"unknown prior mode {prior_mode!r}")
     if rng is None:
         rng = np.random.default_rng(0)
 
-    shared = prior_mode == "shared"
     resp = init_resp
     trace = []
     for _ in range(iterations):
         mu, kappa, lognorm = vmf_m_step(embeddings, resp, kappa_max, rng)
-        weights = update_pi(resp.sum(axis=1), n_frames) if shared else update_pi(resp, 1)
+        weights = update_pi(resp.sum(axis=1), n_frames)
         with np.errstate(divide="ignore"):
-            log_w = np.log(weights[:, None] if shared else weights)
+            log_w = np.log(weights)[:, None]
         resp, loglik = normalize_logits(
             log_pdf_matrix(mu, kappa, embeddings.frames, lognorm, log_w)
         )
@@ -349,22 +345,20 @@ def vmfmm_em(
 
 def vmf_posterior(mixture: VmfMixture, embeddings: EmbeddingSequence) -> np.ndarray:
     """E-step posterior of an already-fitted mixture on new frames."""
-    weights = np.asarray(mixture.weights, dtype=float)
-    if weights.ndim != 1:
-        raise InvalidInputError("posterior evaluation needs shared (K,) weights")
     with np.errstate(divide="ignore"):
-        log_w = np.log(weights)[:, None]
+        log_w = np.log(mixture.weights)[:, None]
     return normalize_logits(
         log_pdf_matrix(mixture.mu, mixture.kappa, embeddings.frames, log_prior=log_w)
     )[0]
 
 
-def smooth_one_hot(assign: np.ndarray, epsilon: float = INIT_SMOOTHING) -> np.ndarray:
-    """Spread a little floor mass from one-hot assignments over the other rows."""
+def smooth_one_hot(assign: np.ndarray) -> np.ndarray:
+    """Spread the floor mass ``INIT_SMOOTHING`` from one-hot assignments over
+    the other rows."""
     n_comp = assign.shape[0]
     if n_comp == 1:
         return assign.astype(float)
-    return assign * (1.0 - epsilon) + (1.0 - assign) * (epsilon / (n_comp - 1))
+    return assign * (1.0 - INIT_SMOOTHING) + (1.0 - assign) * (INIT_SMOOTHING / (n_comp - 1))
 
 
 def spherical_kmeans_pp(embeddings: EmbeddingSequence, n_clusters: int, seed: int) -> np.ndarray:

@@ -12,8 +12,9 @@ from mixsep.cacg import (
     outer_features,
 )
 from mixsep import cacg, numerics, vmf
+from mixsep.integrated import JointEmConfig, joint_em
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting
-from mixsep.vmf import smooth_one_hot, spherical_kmeans_pp
+from mixsep.vmf import EmbeddingSequence, smooth_one_hot, spherical_kmeans_pp
 
 
 def count_series_calls(monkeypatch):
@@ -85,8 +86,6 @@ def random_soft_posterior(rng, n_comp, n_frames, n_bins, replicate=True):
 
 def kmeans_init_posterior(embeddings, voiced, n_clusters, n_bins, seed=0, with_noise=True):
     """k-means++ one-hot responsibilities, smoothed, noise on silence frames."""
-    from mixsep.vmf import EmbeddingSequence
-
     n_frames = embeddings.num_frames
     idx = np.flatnonzero(voiced)
     sub = EmbeddingSequence(embeddings.frames[idx], embeddings.frame_rate)
@@ -132,3 +131,27 @@ def tyler_step(x, posterior, prev):
     quadratic forms of the previous (K, F, C, C) covariances ``prev``."""
     features = outer_features(x)
     return cacg_m_step(posterior, prev, plain_forms(prev, features), features)
+
+
+def constant_embeddings(num_frames):
+    """Embeddings without a speaker cue, every frame the same unit vector,
+    for scenes of spatial observations alone."""
+    frames = np.zeros((num_frames, 2))
+    frames[:, 0] = 1.0
+    return EmbeddingSequence(frames)
+
+
+def spatial_em(x, init, iterations, embeddings=None):
+    """The cACGMM as the program fits it: ``joint_em`` with a flat vMF term
+    (``kappa_max = 0``) and no fusion, on :func:`constant_embeddings` unless
+    ``embeddings`` are given.
+
+    Returns ``(covariances, posterior, trace)``; the trace is the cACGMM's
+    log-likelihood, the joint one less the vMF term's constant T F ln c(0).
+    """
+    if embeddings is None:
+        embeddings = constant_embeddings(x.num_frames)
+    jcfg = JointEmConfig(iterations=iterations, kappa_max=0.0, fusion="none")
+    model, posterior, _, trace = joint_em(x, embeddings, init, jcfg)
+    offset = x.num_frames * x.num_bins * numerics.uniform_log_density(embeddings.dim)
+    return model.covariances, posterior, trace - offset

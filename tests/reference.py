@@ -2,9 +2,10 @@
 
 Scalar ones: one matrix, one vector, one component at a time, with a
 triangular solve where the kernels invert their factors: slow and plain on
-purpose. And the earlier second implementations of the EM's M-steps, kept
-as they were, which the program's one implementation of each step must
-match bit for bit.
+purpose. The earlier second implementations of the EM's M-steps, kept as
+they were, which the program's one implementation of each step must match
+bit for bit. And the standalone cACGMM and per-frame VMFMM EMs, which the
+joint EM must reduce to, with the cACG sampler.
 """
 
 import math
@@ -12,13 +13,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mixsep.cacg import _block_scratch, _scatter_sums, _tyler, frequency_blocks
+from mixsep.cacg import (
+    PosteriorTensor,
+    StftTensor,
+    _block_scratch,
+    _scatter_sums,
+    _tyler,
+    cacg_m_step as tyler_update,
+    em_sweep,
+    frequency_blocks,
+    outer_features,
+)
 from mixsep.errors import ConfigurationError, InvalidInputError, NumericalError
 from mixsep.integrated import JointModel
 from mixsep.numerics import (
-    bessel_i_series, chol_with_loading, log_vmf_normalizer, uniform_log_density, update_pi,
+    bessel_i_series,
+    chol_with_loading,
+    log_vmf_normalizer,
+    normalize_logits,
+    uniform_log_density,
+    update_pi,
 )
-from mixsep.vmf import check_prototypes, vmf_m_step
+from mixsep.vmf import EmbeddingSequence, VmfMixture, check_prototypes, log_pdf_matrix, vmf_m_step
 
 
 @dataclass(frozen=True)
@@ -283,3 +299,122 @@ def prior_update(resp, prior_mode):
         w /= w.sum(axis=0, keepdims=True)
         return w
     raise ConfigurationError(f"unknown prior mode {prior_mode!r}")
+
+
+# ---------------------------------------------------------------------------
+# The standalone EMs that the joint EM reduces to, and a cACG sampler, as
+# the library held them before ``joint_em`` became its one EM over the
+# spatial model: the cACGMM (``kappa_max = 0``, no fusion) and the VMFMM
+# with per-frame priors (``freeze_spatial``)
+
+
+def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
+    """Fit a cACGMM by EM from an initial posterior.
+
+    The run starts with an M-step on the initial posterior
+    (``cacg.cacg_m_step`` from identity covariances, with weights 1), then
+    runs one :func:`em_sweep` per iteration, each E-step writing into the
+    posterior buffer of the one before. Priors are frequency-independent
+    and time-dependent, updated as the frequency mean of the posterior.
+    Every kernel reads one :func:`outer_features` array of the normalized
+    observations, built per run.
+
+    Returns:
+        ``(covariances, posterior, loglik_trace)``, the covariances a
+        (K, F, C, C) stack.
+    """
+    if init_gamma.num_components < 1:
+        raise ConfigurationError("need at least one component")
+    if iterations < 1:
+        raise ConfigurationError("iterations must be >= 1")
+    if init_gamma.num_frames != x.num_frames or init_gamma.num_bins != x.num_bins:
+        raise InvalidInputError("initial posterior does not match observations")
+    features = outer_features(x)
+    k, c = init_gamma.num_components, x.num_channels
+    identity = np.broadcast_to(np.eye(c, dtype=complex), (k, x.num_bins, c, c))
+    covariances = tyler_update(init_gamma, identity, 1.0, features)
+    pi = init_gamma.pi
+    trace = []
+    spent = None
+    for _ in range(iterations):
+        with np.errstate(divide="ignore"):
+            logits = np.log(pi)
+        gamma, ll, covariances = em_sweep(covariances, logits, features, spent)
+        trace.append(ll)
+        pi = update_pi(gamma.sum(axis=2), x.num_bins)
+        spent = np.swapaxes(gamma, 1, 2)
+    return covariances, PosteriorTensor(gamma, pi), np.asarray(trace)
+
+
+def vmfmm_em(
+    embeddings: EmbeddingSequence,
+    init_resp: np.ndarray,
+    iterations: int,
+    kappa_max: float,
+    prior_mode: str = "shared",
+    rng: np.random.Generator | None = None,
+):
+    """Fit a VMFMM by EM from initial responsibilities.
+
+    Each iteration performs the M-step (component and prior update, the
+    latter by :func:`numerics.update_pi`, from the current responsibilities)
+    followed by the E-step, whose per-frame normalizers accumulate the
+    log-likelihood trace. The E-step takes its vMF normalizers from the
+    M-step, so an iteration sums the Bessel series once (twice where a
+    concentration needs a second Newton step).
+
+    Args:
+        embeddings: observation sequence.
+        init_resp: (K, T) initial responsibilities, columns summing to 1.
+        iterations: number of EM iterations, >= 1.
+        kappa_max: concentration cap applied at every M-step.
+        prior_mode: "shared" for one weight per component, "per_frame" for
+            time-varying priors updated to the previous posterior.
+        rng: generator for degenerate component re-draws.
+
+    Returns:
+        ``(mixture, resp, loglik_trace)`` with the final posterior and the
+        per-iteration log-likelihood (non-decreasing within tolerance).
+    """
+    init_resp = np.asarray(init_resp, dtype=float)
+    n_comp, n_frames = init_resp.shape
+    if n_frames != embeddings.num_frames:
+        raise InvalidInputError("responsibility frames do not match embeddings")
+    if n_comp > n_frames:
+        raise ConfigurationError(f"more components ({n_comp}) than frames ({n_frames})")
+    if iterations < 1:
+        raise ConfigurationError("iterations must be >= 1")
+    if prior_mode not in ("shared", "per_frame"):
+        raise ConfigurationError(f"unknown prior mode {prior_mode!r}")
+    if rng is None:
+        rng = np.random.default_rng(0)
+
+    shared = prior_mode == "shared"
+    resp = init_resp
+    trace = []
+    for _ in range(iterations):
+        mu, kappa, lognorm = vmf_m_step(embeddings, resp, kappa_max, rng)
+        weights = update_pi(resp.sum(axis=1), n_frames) if shared else update_pi(resp, 1)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(weights[:, None] if shared else weights)
+        resp, loglik = normalize_logits(
+            log_pdf_matrix(mu, kappa, embeddings.frames, lognorm, log_w)
+        )
+        trace.append(loglik)
+    return VmfMixture(mu, kappa, weights), resp, np.asarray(trace)
+
+
+def sample_cacg(b: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Draw n unit complex vectors from the cACG with (C, C) parameter matrix b.
+
+    Construction: z ~ CN(0, b), returned as z / ||z||.
+    """
+    b = np.asarray(b, dtype=complex)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise InvalidInputError(f"expected a square matrix, got shape {b.shape}")
+    rng = np.random.default_rng(seed)
+    chol = chol_with_loading(b)
+    dim = b.shape[0]
+    z = (rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))) / math.sqrt(2.0)
+    w = chol @ z
+    return (w / np.linalg.norm(w, axis=0)).T

@@ -10,10 +10,12 @@ import time
 
 import numpy as np
 import pytest
+import reference
 from helpers import (
     identity_stack,
     kmeans_init_posterior,
     random_soft_posterior,
+    spatial_em,
     tiny_scenario,
     tyler_step,
     unit_observations,
@@ -21,7 +23,7 @@ from helpers import (
 from scipy.optimize import linear_sum_assignment
 
 from mixsep import frontend, pipeline, rttm
-from mixsep.cacg import PosteriorTensor, cacgmm_em, em_sweep, outer_features
+from mixsep.cacg import PosteriorTensor, em_sweep, outer_features
 from mixsep.cli import RunConfig
 from mixsep.integrated import (
     JointEmConfig,
@@ -33,7 +35,7 @@ from mixsep.integrated import (
 )
 from mixsep.metrics import counting_matrix, der, mask_auc, si_sdr
 from mixsep.numerics import log_vmf_normalizer
-from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting, sample_cacg, sample_vmf
+from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting, sample_vmf
 from mixsep.vmf import EmbeddingSequence, vmf_m_step, vmfmm_em
 
 
@@ -64,14 +66,15 @@ def test_criterion_01_em_monotonicity():
         _, _, trace = vmfmm_em(seq, raw / raw.sum(axis=0, keepdims=True), 15, kappa_max=35.0)
         assert np.all(np.diff(trace) >= -tol * np.abs(trace[:-1]))
 
-    # cACGMM: 20 seeded scenes and initializations
+    # cACGMM (the joint EM at kappa_max 0, its trace less T F ln c(0)): 20
+    # seeded scenes and initializations
     for trial in range(20):
         cfg = tiny_scenario([0, 1], duration_s=4.0, seed=200 + trial, channels=2)
         x, e, truth, _ = build_meeting(cfg)
         init = random_soft_posterior(
             np.random.default_rng(trial), 2, x.num_frames, x.num_bins
         )
-        _, _, trace = cacgmm_em(x, init, 15)
+        _, _, trace = spatial_em(x, init, 15, e)
         assert np.all(np.diff(trace) >= -tol * np.abs(trace[:-1]))
 
     # VMFcACGMM with fusion: piecewise between fusion events
@@ -180,7 +183,7 @@ def test_criterion_03_parameter_recovery():
 
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     b_true = 4.0 * (a @ a.conj().T) / 4.0 + 0.1 * np.eye(4)
-    draws = sample_cacg(b_true, 5000, seed=78)
+    draws = reference.sample_cacg(b_true, 5000, seed=78)
     from mixsep.cacg import StftTensor
 
     tensor = StftTensor(draws.T[:, :, None], 8000, 512, 400, 128)
@@ -214,7 +217,7 @@ def test_criterion_04_reduction_equivalences():
 
     jcfg = JointEmConfig(iterations=12, kappa_max=0.0, fusion="none", seed=0)
     _, post_joint, _, _ = joint_em(x, e, init, jcfg)
-    _, post_cacg, _ = cacgmm_em(x, init, 12)
+    _, post_cacg, _ = reference.cacgmm_em(x, init, 12)
     gap_spatial = float(np.max(np.abs(post_joint.gamma - post_cacg.gamma)))
     assert gap_spatial < 1e-9
 
@@ -222,7 +225,7 @@ def test_criterion_04_reduction_equivalences():
         iterations=12, kappa_max=35.0, fusion="none", freeze_spatial=True, seed=0
     )
     _, post_joint, _, _ = joint_em(x, e, init, jcfg)
-    _, resp, _ = vmfmm_em(e, init.pi, 12, kappa_max=35.0, prior_mode="per_frame")
+    _, resp, _ = reference.vmfmm_em(e, init.pi, 12, kappa_max=35.0, prior_mode="per_frame")
     # documented relationship: per-bin posteriors equal the per-frame VMFMM
     # posteriors with time-varying priors; the frequency replication scales
     # the M-step weights by F, which cancels in every parameter update
@@ -282,7 +285,7 @@ def test_criterion_05_mask_recovery():
         assert x.num_bins == 129
         assert x.num_frames >= 1000
         init = blind_init(np.random.default_rng(99), k, x.num_frames, x.num_bins)
-        _, post_c, _ = cacgmm_em(x, init, 40)
+        _, post_c, _ = spatial_em(x, init, 40, e)
         _, post_j, _, _ = joint_em(
             x, e, init, JointEmConfig(iterations=40, fusion="none", seed=0)
         )

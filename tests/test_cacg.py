@@ -9,12 +9,13 @@ from helpers import (
     identity_stack,
     kmeans_init_posterior,
     plain_forms,
+    spatial_em,
     tiny_scenario,
     tyler_step,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import HermitianPD, cacg_log_pdf, cholesky_logdet_solve, logsumexp
+from reference import HermitianPD, cacg_log_pdf, cholesky_logdet_solve, logsumexp, sample_cacg
 
 from mixsep import cacg
 from mixsep.cacg import (
@@ -23,7 +24,6 @@ from mixsep.cacg import (
     StftTensor,
     cacg_log_pdf_stack,
     cacg_m_step,
-    cacgmm_em,
     em_sweep,
     normalize_observations,
     outer_features,
@@ -33,7 +33,7 @@ from mixsep.errors import ConfigurationError, InvalidInputError, NumericalError
 from mixsep.integrated import JointEmConfig, joint_em
 from mixsep.metrics import mask_auc
 from mixsep.numerics import PRIOR_FLOOR, _load_stack, chol_logdet_quad, normalize_logits, update_pi
-from mixsep.synth import build_meeting, sample_cacg
+from mixsep.synth import build_meeting
 
 
 def tensor(data, sample_rate=8000):
@@ -116,7 +116,7 @@ class TestNormalizeObservations:
         )
         rng = np.random.default_rng(3)
         data = rng.standard_normal((3, 6, 5)) + 1j * rng.standard_normal((3, 6, 5))
-        cacgmm_em(tensor(data), uniform_posterior(2, 6, 5), 3)
+        spatial_em(tensor(data), uniform_posterior(2, 6, 5), 3)
         # initial M-step (scatter only: its identity start needs no forms),
         # then an E- and an M-step per iteration, each once per block
         assert len(built) == 1 and len(read) == 1 + 3 * 2
@@ -553,11 +553,14 @@ def two_source_scene(rng, n_frames=400, n_bins=33, n_chan=4, shared_b=False):
 
 
 class TestCacgmmEm:
+    """The cACGMM as the program fits it: the joint EM at kappa_max 0 without
+    fusion (``helpers.spatial_em``), on embeddings without a speaker cue."""
+
     def test_single_component_trivial(self):
         rng = np.random.default_rng(22)
         data = rng.standard_normal((2, 20, 3)) + 1j * rng.standard_normal((2, 20, 3))
         x = tensor(data)
-        covs, post, trace = cacgmm_em(x, uniform_posterior(1, 20, 3), 3)
+        covs, post, trace = spatial_em(x, uniform_posterior(1, 20, 3), 3)
         assert np.allclose(post.gamma, 1.0)
         assert np.allclose(post.pi, 1.0)
 
@@ -571,7 +574,7 @@ class TestCacgmmEm:
         gamma[labels, np.arange(x.num_frames), :] = 0.9
         gamma /= gamma.sum(axis=0, keepdims=True)
         init = PosteriorTensor(gamma, gamma.mean(axis=2))
-        covs, post, trace = cacgmm_em(x, init, 40)
+        covs, post, trace = spatial_em(x, init, 40)
         assert mask_auc(post, masks) >= 0.95
         assert covs.shape == (2, x.num_bins, x.num_channels, x.num_channels)
         assert_exactly_hermitian(covs)
@@ -584,7 +587,7 @@ class TestCacgmmEm:
             raw = init_rng.uniform(0.1, 1.0, size=(2, x.num_frames, x.num_bins))
             gamma = raw / raw.sum(axis=0, keepdims=True)
             init = PosteriorTensor(gamma, gamma.mean(axis=2))
-            _, _, trace = cacgmm_em(x, init, 30)
+            _, _, trace = spatial_em(x, init, 30)
             diffs = np.diff(trace)
             assert np.all(diffs >= -1e-6 * np.abs(trace[:-1]))
 
@@ -594,7 +597,7 @@ class TestCacgmmEm:
         raw = rng.uniform(0.1, 1.0, size=(3, 80, 5))
         gamma = raw / raw.sum(axis=0, keepdims=True)
         init = PosteriorTensor(gamma, gamma.mean(axis=2))
-        _, post, _ = cacgmm_em(x, init, 5)
+        _, post, _ = spatial_em(x, init, 5)
         post.validate()
 
     def test_argmax_invariant_to_covariance_scaling(self):
@@ -612,7 +615,7 @@ class TestCacgmmEm:
         rng = np.random.default_rng(32)
         data = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
         with pytest.raises(ConfigurationError):
-            cacgmm_em(tensor(data), uniform_posterior(1, 4, 2), 0)
+            spatial_em(tensor(data), uniform_posterior(1, 4, 2), 0)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import os
 import struct
@@ -79,6 +80,11 @@ class TestRunConfig:
         assert cfg.em_iterations == 100
         assert cfg.init_iterations == 30
         assert cfg.kappa_max == 35.0
+        # a VAD floor window longer than the synthetic utterances
+        assert cfg.vad_window_s == 12.0
+        assert cfg.vad_threshold_db == 8.0
+        vad = inspect.signature(frontend.energy_vad).parameters
+        assert (vad["window_s"].default, vad["threshold_db"].default) == (12.0, 8.0)
 
     def test_invalid_fusion_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -207,11 +207,11 @@ class TestEnergyVad:
             energy_vad(audio, window_ms=40.0, shift_ms=16.0)
 
     def test_onset_after_silence_voiced_for_the_floor_window(self):
-        # default config (window_s 1.5): the trailing floor holds the silence
-        # before the onset, so the first 1.4 s of speech are voiced
+        # a 1.5 s window: the trailing floor holds the silence before the
+        # onset, so the first 1.4 s of speech are voiced
         rng = np.random.default_rng(12)
         audio, _ = speech_like(rng, 16000, [(2.0, 5.0)], total_s=5.0)
-        mask = energy_vad(audio)
+        mask = energy_vad(audio, window_s=1.5, threshold_db=10.0)
         onset = 125  # first frame inside the speech, 2.0 s / 16 ms
         assert mask[onset : onset + int(1.4 / 0.016)].all()
         assert not mask[: onset - 5].any()
@@ -261,7 +261,7 @@ class TestEnergyVad:
         floor = ndimage.minimum_filter1d(smoothed, size, mode="nearest", origin=(size - 1) // 2)
         voiced = np.pad(energy > floor + 10.0, 12)
         closed = ndimage.binary_closing(voiced, structure=np.ones(12, dtype=bool))[12:-12]
-        assert np.array_equal(energy_vad(audio, window_s=window_s), closed)
+        assert np.array_equal(energy_vad(audio, window_s=window_s, threshold_db=10.0), closed)
 
 
 float_rows = st.lists(
@@ -306,7 +306,12 @@ class TestWav:
         rng = np.random.default_rng(7)
         audio = AudioBuffer(np.clip(0.2 * rng.standard_normal((3, 5000)), -0.99, 0.99), 16000)
         path = tmp_path / "x.wav"
-        write_wav(path, audio, fmt=fmt)
+        if fmt == "float32":
+            write_wav(path, audio)
+        else:  # the reader's 16-bit PCM case, from a hand-built file
+            ints = np.round(audio.samples.T * 32768.0).astype("<i2")
+            fmt_chunk = struct.pack("<HHIIHH", 1, 3, 16000, 16000 * 6, 6, 16)
+            path.write_bytes(wav_bytes(fmt_chunk, ints.tobytes()))
         back = read_wav(path)
         assert back.sample_rate == 16000
         assert back.num_channels == 3

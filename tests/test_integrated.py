@@ -11,6 +11,7 @@ from helpers import (
     kmeans_init_posterior,
     plain_forms,
     random_soft_posterior,
+    spatial_em,
     tiny_scenario,
     unit_observations,
 )
@@ -21,7 +22,6 @@ from mixsep.cacg import (
     PosteriorTensor,
     StftTensor,
     cacg_log_pdf_stack,
-    cacgmm_em,
     em_sweep,
     normalize_observations,
     outer_features,
@@ -40,7 +40,7 @@ from mixsep.integrated import (
 )
 from mixsep.numerics import chol_logdet_quad, log_vmf_normalizer, update_pi
 from mixsep.synth import build_meeting
-from mixsep.vmf import log_pdf_matrix, vmfmm_em
+from mixsep.vmf import log_pdf_matrix
 
 
 def unit(v):
@@ -787,7 +787,7 @@ class TestJointEm:
         init = random_soft_posterior(rng, 2, x.num_frames, x.num_bins)
         jcfg = JointEmConfig(iterations=12, kappa_max=0.0, fusion="none", seed=0)
         model, post_joint, _, _ = joint_em(x, e, init, jcfg)
-        _, post_cacg, _ = cacgmm_em(x, init, 12)
+        _, post_cacg, _ = reference.cacgmm_em(x, init, 12)
         assert np.max(np.abs(post_joint.gamma - post_cacg.gamma)) < 1e-9
         assert np.max(np.abs(post_joint.pi - post_cacg.pi)) < 1e-9
 
@@ -804,7 +804,7 @@ class TestJointEm:
             iterations=12, kappa_max=35.0, fusion="none", freeze_spatial=True, seed=0
         )
         model, post_joint, _, _ = joint_em(x, e, init, jcfg)
-        _, resp, _ = vmfmm_em(e, init.pi, 12, kappa_max=35.0, prior_mode="per_frame")
+        _, resp, _ = reference.vmfmm_em(e, init.pi, 12, kappa_max=35.0, prior_mode="per_frame")
         spread = np.max(np.abs(post_joint.gamma - post_joint.gamma[:, :, :1]))
         assert spread < 1e-12  # constant over frequency
         assert np.max(np.abs(post_joint.gamma[:, :, 0] - resp)) < 1e-9
@@ -935,9 +935,10 @@ class TestBlockPartitionInvariance:
         self.assert_same_fit(runs)
 
     def test_cacgmm_em(self, monkeypatch):
-        x, _, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=5.0, seed=11, channels=4))
+        # the cACGMM: the joint EM at kappa_max 0, its trace less T F ln c(0)
+        x, e, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=5.0, seed=11, channels=4))
         init = random_soft_posterior(np.random.default_rng(4), 3, x.num_frames, x.num_bins)
-        runs = self.runs(monkeypatch, x, init, lambda: cacgmm_em(x, init, 6))
+        runs = self.runs(monkeypatch, x, init, lambda: spatial_em(x, init, 6, e))
         (covariances, post, trace), *others = runs
         for other_covariances, other_post, other_trace in others:
             assert np.array_equal(other_post.gamma, post.gamma)

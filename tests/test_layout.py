@@ -1,9 +1,9 @@
 """The library holds what the program runs.
 
 Every top-level function and class, and every method, in ``src/mixsep`` is
-named by other code of the package, unless ``mixsep.__all__`` exports it
-or the benchmark under ``perfbench/`` uses it (by name in its code or in
-the tracer's list of traced functions). References the tests compare
+named by other code of the package, unless the benchmark under
+``perfbench/`` uses it (by name in its code or in the tracer's list of
+traced functions); an export in ``mixsep.__all__`` alone does not keep it. References the tests compare
 against live in ``tests/reference.py``. Names count as AST names and
 attributes, never as words in docstrings or comments; dunder methods run
 implicitly and are not checked.
@@ -63,12 +63,11 @@ def benchmark_names() -> set:
 
 def unreferenced(src: Path, exempt: set | None = None) -> list:
     """``module.name`` of every definition no other package code names,
-    other than the ``exempt`` names (by default those of ``mixsep.__all__``
-    and the benchmark)."""
+    other than the ``exempt`` names (by default the benchmark's)."""
     trees = {path.stem: parse(path) for path in sorted(src.glob("*.py"))}
     total = sum((references(tree) for tree in trees.values()), Counter())
     if exempt is None:
-        exempt = set(mixsep.__all__) | benchmark_names()
+        exempt = benchmark_names()
     found = []
     for module, tree in trees.items():
         for name, node in definitions(tree):

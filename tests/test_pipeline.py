@@ -508,6 +508,34 @@ class TestRunMeeting:
         assert spk_audio == {}
         assert report["num_segments"] == 0
 
+    def test_noise_only_recording_warns_with_the_voiced_fraction(self, caplog):
+        # stationary noise under the default VAD settings: no frame clears
+        # the floor, no segment survives, and the run says so once
+        rng = np.random.default_rng(0)
+        audio = frontend.AudioBuffer(rng.standard_normal((2, 40000)), 2000)
+        frames = np.zeros((2497, 4))
+        frames[:, 0] = 1.0
+        config = RunConfig(stft_size_ms=32.0, window_ms=25.0, shift_ms=8.0)
+        with caplog.at_level(logging.WARNING, logger="mixsep"):
+            dia, _, report = run_meeting(audio, EmbeddingSequence(frames, 125.0), config)
+        assert report["num_segments"] == 0 and dia.entries == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "no segment kept: 0 of 2497 frames voiced (0.0%) with vad_window_s=12 and "
+            "vad_threshold_db=8"
+        ]
+
+    def test_readme_library_example_keeps_the_speech(self):
+        # the README's library example, with the default VAD settings
+        _, embeddings, _, audio = build_meeting(ScenarioConfig(
+            k_true=2, segments=[SegmentPlan(8.0, [0, 1])], seed=0,
+            sample_rate=8000, stft_size_ms=32.0, window_ms=25.0, shift_ms=8.0))
+        diarization, speaker_audio, report = run_meeting(
+            audio, embeddings, RunConfig(stft_size_ms=32.0, window_ms=25.0,
+                                         shift_ms=8.0, k_init=4, k_total=2))
+        (segment,) = report["segments"]
+        assert segment["error"] is None and segment["speaker_count"] == 2
+        assert diarization.speakers == ["spk00", "spk01"] and len(speaker_audio) == 2
+
     def test_given_embedding_sequence_reports_no_alignment(self):
         # only an EMB1 file read by the run is aligned to the STFT frames; a
         # sequence passed in must already match, whatever it records

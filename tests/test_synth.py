@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import tiny_scenario
+from reference import sample_cacg
 from scipy import special, stats
 
 from mixsep import synth
@@ -9,7 +10,6 @@ from mixsep.synth import (
     ScenarioConfig,
     SegmentPlan,
     build_meeting,
-    sample_cacg,
     sample_vmf,
 )
 

@@ -538,21 +538,13 @@ class TestKmeansMatchesReference:
 class TestPriorUpdate:
     @pytest.mark.parametrize("mode", ["shared", "per_frame"])
     def test_matches_the_former_vmfmm_prior_update(self, mode):
-        # the VMFMM's weights from the one prior update of all three EMs
+        # the VMFMM's weights from the one prior update of both EMs; the
+        # per-frame weights are those of reference.vmfmm_em
         resp = np.random.default_rng(12).dirichlet(np.ones(4), size=50).T
         resp[2, :10] = 0.0  # floored entries
         resp[:, :10] /= resp[:, :10].sum(axis=0)
         got = update_pi(resp.sum(axis=1), 50) if mode == "shared" else update_pi(resp, 1)
         assert np.array_equal(got, reference.prior_update(resp, mode))
-
-    def test_unknown_prior_mode_rejected_before_any_step(self, monkeypatch):
-        def no_step(*args):
-            raise AssertionError("an M-step ran")
-
-        monkeypatch.setattr(vmf, "vmf_m_step", no_step)
-        frames = sample_vmf(unit([1.0, 0, 0]), 5.0, 4, seed=2)
-        with pytest.raises(ConfigurationError, match="unknown prior mode"):
-            vmfmm_em(EmbeddingSequence(frames), np.ones((2, 4)) / 2.0, 3, 35.0, "global")
 
 
 class TestEmbeddingSequence:
