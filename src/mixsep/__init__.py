@@ -5,7 +5,7 @@ model fitted with EM, per-segment speaker counting by component fusion, and
 cross-segment speaker alignment by prototype clustering.
 """
 
-from .cacg import PosteriorTensor, StftTensor
+from .cacg import StftTensor
 from .errors import ConfigurationError, InvalidInputError, MixsepError, NumericalError
 from .frontend import AudioBuffer, SegmentSpec
 from .integrated import (
@@ -32,7 +32,6 @@ __all__ = [
     "JointModel",
     "MixsepError",
     "NumericalError",
-    "PosteriorTensor",
     "ScenarioConfig",
     "SegmentPlan",
     "SegmentResult",

@@ -76,53 +76,20 @@ class StftTensor:
         return self.sample_rate / self.shift
 
 
-@dataclass
-class PosteriorTensor:
-    """Class posteriors gamma (K, T, F) and frequency-tied priors pi (K, T)."""
+def check_posterior(gamma: np.ndarray):
+    """Raise unless the (K, T, F) posterior ``gamma`` has entries in [0, 1]
+    that sum to 1 over components, to 1e-9.
 
-    gamma: np.ndarray
-    pi: np.ndarray
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        self.pi = np.asarray(self.pi, dtype=float)
-        if self.gamma.ndim != 3 or self.pi.ndim != 2:
-            raise InvalidInputError("gamma must be (K, T, F) and pi (K, T)")
-        if self.gamma.shape[:2] != self.pi.shape:
-            raise InvalidInputError("gamma and pi disagree on (K, T)")
-
-    @property
-    def num_components(self) -> int:
-        return self.gamma.shape[0]
-
-    @property
-    def num_frames(self) -> int:
-        return self.gamma.shape[1]
-
-    @property
-    def num_bins(self) -> int:
-        return self.gamma.shape[2]
-
-    def validate(self):
-        """Check normalization invariants to 1e-9; raises on violation.
-
-        A broadcast (stride-0) time or frequency axis, such as that of an
-        initial posterior replicated over frequency, holds one plane, which
-        is checked once.
-        """
-        tol = 1e-9
-        gamma, pi = _distinct(self.gamma), _distinct(self.pi)
-        if np.any(gamma < -tol) or np.any(gamma > 1.0 + tol):
-            raise InvalidInputError("gamma entries must lie in [0, 1]")
-        if not np.allclose(gamma.sum(axis=0), 1.0, atol=tol):
-            raise InvalidInputError("gamma must sum to 1 over components")
-        if not np.allclose(pi.sum(axis=0), 1.0, atol=tol):
-            raise InvalidInputError("pi columns must sum to 1")
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """``a`` with every stride-0 axis after the first cut to one entry."""
-    return a[(slice(None),) + tuple(slice(None) if s else slice(1) for s in a.strides[1:])]
+    A broadcast (stride-0) time or frequency axis, such as that of an
+    initial posterior replicated over frequency, holds one plane, which is
+    checked once.
+    """
+    tol = 1e-9
+    gamma = gamma[(slice(None),) + tuple(slice(None) if s else slice(1) for s in gamma.strides[1:])]
+    if np.any(gamma < -tol) or np.any(gamma > 1.0 + tol):
+        raise InvalidInputError("gamma entries must lie in [0, 1]")
+    if not np.allclose(gamma.sum(axis=0), 1.0, atol=tol):
+        raise InvalidInputError("gamma must sum to 1 over components")
 
 
 def _unit_rows(y: np.ndarray) -> np.ndarray:
@@ -356,7 +323,7 @@ def _tyler(sums: np.ndarray, prev: np.ndarray) -> np.ndarray:
 
 
 def cacg_m_step(
-    posterior: PosteriorTensor,
+    gamma: np.ndarray,
     prev: np.ndarray,
     quad: np.ndarray | float,
     features: np.ndarray,
@@ -376,7 +343,7 @@ def cacg_m_step(
     (:func:`em_sweep`), weighted by the reciprocal forms of its E-step.
 
     Args:
-        posterior: responsibilities of the E-step.
+        gamma: (K, T, F) responsibilities of the E-step.
         prev: the (K, F, C, C) previous covariances ``B_prev``.
         quad: (K, F, T) quadratic forms ``~y^H B_prev^{-1} ~y`` of the
             previous covariances, or any per-(k, f) multiple of them, such
@@ -388,7 +355,7 @@ def cacg_m_step(
         features: the :func:`outer_features` of the unit-normalized
             observations.
     """
-    gamma = np.transpose(posterior.gamma, (0, 2, 1))  # (K, F, T)
+    gamma = np.transpose(gamma, (0, 2, 1))  # (K, F, T)
     k, f, t = gamma.shape
     sums = np.empty((f, k, features.shape[1]))
     blocks = frequency_blocks(f)

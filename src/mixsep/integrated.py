@@ -16,7 +16,7 @@ import numpy as np
 
 from . import cacg as _cacg
 from . import vmf as _vmf
-from .cacg import PosteriorTensor, StftTensor
+from .cacg import StftTensor
 from .errors import ConfigurationError, InvalidInputError
 from .numerics import uniform_log_density, update_pi
 from .vmf import EmbeddingSequence
@@ -219,20 +219,22 @@ def iou_fusion_check(
 def _initial_model(
     x: StftTensor,
     embeddings: EmbeddingSequence,
-    init: PosteriorTensor,
+    init: np.ndarray,
     config: JointEmConfig,
     rng: np.random.Generator,
     features: np.ndarray,
 ) -> JointModel:
     c = x.num_channels
-    identity = np.broadcast_to(np.eye(c, dtype=complex), (init.num_components, x.num_bins, c, c))
+    identity = np.broadcast_to(np.eye(c, dtype=complex), (init.shape[0], x.num_bins, c, c))
     if config.freeze_spatial:
         covariances = identity.copy()
     else:
         covariances = _cacg.cacg_m_step(init, identity, 1.0, features)
+    # the priors are the frequency mean of the posterior, of its one plane
+    # where the frequency axis is broadcast
+    pi = (init[:, :, :1] if init.strides[2] == 0 else init).mean(axis=2)
     return joint_m_step(
-        embeddings, init.gamma.sum(axis=2), covariances, init.pi, config.kappa_max, rng,
-        config.noise_index,
+        embeddings, init.sum(axis=2), covariances, pi, config.kappa_max, rng, config.noise_index
     )
 
 
@@ -257,18 +259,19 @@ def _fusion(model: JointModel, config: JointEmConfig, it: int) -> FusionEvent | 
 def joint_em(
     x: StftTensor,
     embeddings: EmbeddingSequence,
-    init: PosteriorTensor,
+    init: np.ndarray,
     config: JointEmConfig,
 ):
-    """Run the integrated EM from an initial posterior.
+    """Run the integrated EM from an initial (K, T, F) posterior ``init``.
 
     The algorithm starts with an M-step on the initial posterior (the Tyler
     update :func:`cacg.cacg_m_step` from identity covariances, unless the
-    spatial model is frozen, and :func:`joint_m_step`) and then alternates
-    E- and M-steps. From ``fusion_start`` on, the configured fusion check
-    may merge one pair of components after each E-step. The log-likelihood
-    trace is non-decreasing between iterations with an equal component
-    count; fusion steps may move the value.
+    spatial model is frozen, and :func:`joint_m_step` with the frequency
+    mean of ``init`` as the priors) and then alternates E- and M-steps.
+    From ``fusion_start`` on, the configured fusion check may merge one
+    pair of components after each E-step. The log-likelihood trace is
+    non-decreasing between iterations with an equal component count;
+    fusion steps may move the value.
 
     The fusion decision reads only the prototypes (spectral) or the prior
     (IoU), which the E-step leaves as they are, so each iteration decides
@@ -292,19 +295,21 @@ def joint_em(
     posterior of a VMFMM with time-varying priors.
 
     Returns:
-        ``(model, posterior, fusion_events, loglik_trace)``.
+        ``(model, gamma, fusion_events, loglik_trace)``, ``gamma`` the
+        final (K', T, F) posterior.
     """
     if config.iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
     if config.fusion not in ("spectral", "iou", "none"):
         raise ConfigurationError(f"unknown fusion strategy {config.fusion!r}")
-    if init.num_components < 1:
-        raise ConfigurationError("need at least one component")
+    init = np.asarray(init, dtype=float)
     if embeddings.num_frames != x.num_frames:
         raise InvalidInputError("embedding frames do not match STFT frames")
-    if init.num_frames != x.num_frames or init.num_bins != x.num_bins:
+    if init.shape[1:] != (x.num_frames, x.num_bins):
         raise InvalidInputError("initial posterior does not match observations")
-    init.validate()
+    if init.shape[0] < 1:
+        raise ConfigurationError("need at least one component")
+    _cacg.check_posterior(init)
 
     rng = np.random.default_rng(config.seed)
     features = _cacg.outer_features(x)
@@ -334,7 +339,7 @@ def joint_em(
         model = joint_m_step(embeddings, gbar, covariances, pi, config.kappa_max, rng, noise)
         # the posterior is spent: the next E-step writes into its buffer
         spent = gamma.swapaxes(1, 2)
-    return model, PosteriorTensor(gamma, model.pi), events, np.asarray(trace)
+    return model, gamma, events, np.asarray(trace)
 
 
 def count_speakers(model: JointModel) -> int:

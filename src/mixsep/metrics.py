@@ -164,7 +164,7 @@ def mask_auc(gamma, truth_masks) -> float:
     Only voiced bins (where some truth mask is set) are scored. Constant
     scores give AUC 0.5 by the tie-rank convention.
     """
-    gamma = np.asarray(getattr(gamma, "gamma", gamma), dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
     truth = np.asarray(truth_masks, dtype=float)
     if gamma.shape[1:] != truth.shape[1:]:
         raise InvalidInputError("posterior and mask shapes disagree")

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import frontend
-from .cacg import PosteriorTensor, StftTensor, _outer_rows, frequency_blocks, scatter_matrices
+from .cacg import StftTensor, _outer_rows, frequency_blocks, scatter_matrices
 from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .integrated import JointEmConfig, count_speakers, joint_em
 from .numerics import _load_stack, min_cost_assignment, psd_solve
@@ -84,7 +84,7 @@ def initialize_segment(
     kappa_max: float = 35.0,
     global_model: VmfMixture | None = None,
     notes: list | None = None,
-) -> PosteriorTensor:
+) -> np.ndarray:
     """Build the initial posterior for the joint EM of one segment.
 
     Spherical k-means++ on the voiced embeddings (``vad`` holds one bool
@@ -95,7 +95,7 @@ def initialize_segment(
     evaluated instead of fitting fresh components.
 
     Returns:
-        PosteriorTensor with ``k_init + 1`` components (noise last).
+        The (K, T, F) posterior, ``K = k_init + 1`` components (noise last).
     """
     if k_init < 1:
         raise ConfigurationError("k_init must be >= 1")
@@ -126,8 +126,7 @@ def initialize_segment(
             assign = spherical_kmeans_pp(sub, k_used, seed)
             resp, _ = _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed)
         gamma_t[:k_used, voiced] = resp
-    gamma = np.broadcast_to(gamma_t[:, :, None], gamma_t.shape + (n_bins,))
-    return PosteriorTensor(gamma, gamma_t.copy())
+    return np.broadcast_to(gamma_t[:, :, None], gamma_t.shape + (n_bins,))
 
 
 def _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed):
@@ -199,22 +198,18 @@ def smooth_and_segment(
 # Beamforming
 
 
-def beamform(
-    x: StftTensor,
-    posterior: PosteriorTensor,
-    targets,
-) -> np.ndarray:
+def beamform(x: StftTensor, gamma: np.ndarray, targets) -> np.ndarray:
     """Mask-based MVDR toward each target component (Souden, Benesty & Affes 2010).
 
-    Per frequency a component's covariance is its posterior-weighted scatter
-    over its mass; a target's distortion covariance pools all other
-    components. The steering vector is the principal eigenvector of the
-    loaded target covariance and ``w = Phi_d^{-1} v / (v^H Phi_d^{-1} v)``.
+    Per frequency a component's covariance is its scatter weighted by the
+    (K, T, F) posterior ``gamma`` over its mass; a target's distortion
+    covariance pools all other components. The steering vector is the
+    principal eigenvector of the loaded target covariance and
+    ``w = Phi_d^{-1} v / (v^H Phi_d^{-1} v)``.
 
     Returns:
         Beamformed single-channel STFTs of shape (S, T, F), one per target.
     """
-    gamma = posterior.gamma
     targets = np.asarray(targets, dtype=int)
     if targets.ndim != 1 or np.any((targets < 0) | (targets >= gamma.shape[0])):
         raise InvalidInputError("target component out of range")
@@ -286,12 +281,6 @@ def _align_with_mapping(results: list, k_total: int, seed: int = 0):
     pools = [r.prototypes for r in results if r.prototypes.shape[0] > 0]
     if not pools:
         return Diarization([]), {}
-    for r in results:
-        if r.prototypes.shape[0] > k_total:
-            raise InvalidInputError(
-                f"segment {r.segment.id} has {r.prototypes.shape[0]} components, "
-                f"more than k_total={k_total}"
-            )
     protos = np.concatenate(pools, axis=0)
     n_clusters = min(k_total, protos.shape[0])
     assign = spherical_kmeans_pp(EmbeddingSequence(protos), n_clusters, seed)
@@ -344,11 +333,11 @@ def _segment_task(args):
     notes: list = []
     try:
         x = frontend.stft(audio, config.stft_size_ms, config.window_ms, config.shift_ms)
-        init, model, posterior, events, trace = _fit_segment(
+        init, model, gamma, events, trace = _fit_segment(
             x, emb, vad, seed, config, global_model, notes
         )
         if mask_dir is not None:
-            write_mask_tensor(f"{mask_dir}/masks_{segment.id}.msk", posterior.gamma)
+            write_mask_tensor(f"{mask_dir}/masks_{segment.id}.msk", gamma)
         speaker_rows = model.speaker_indices()
         intervals = smooth_and_segment(
             model.pi[speaker_rows], x.frame_rate, config.median_frames, config.on_thresh,
@@ -357,13 +346,13 @@ def _segment_task(args):
         offset_s = segment.start_frame / x.frame_rate
         utterances = [[(offset_s + s, offset_s + e) for s, e in iv] for iv in intervals]
         result = SegmentResult(model.mu[speaker_rows], segment, utterances)
-        tracks = _separate(x, posterior, speaker_rows, intervals)
+        tracks = _separate(x, gamma, speaker_rows, intervals)
         report = {
             "id": segment.id,
             "start_s": offset_s,
             "end_s": segment.end_frame / x.frame_rate,
             "frames": int(x.num_frames),
-            "initial_components": int(init.num_components),
+            "initial_components": len(init),
             "final_components": int(model.num_components),
             "speaker_count": int(count_speakers(model)),
             "fusion_events": [
@@ -383,7 +372,7 @@ def _fit_segment(x, emb, vad, seed, config, global_model, notes):
     """Initialize one segment and run its joint EM.
 
     Returns:
-        ``(init, model, posterior, events, trace)``.
+        ``(init, model, gamma, events, trace)``.
     """
     init = initialize_segment(
         x, emb, vad, config.k_init, mode=config.init_mode, seed=seed,
@@ -394,12 +383,12 @@ def _fit_segment(x, emb, vad, seed, config, global_model, notes):
         iterations=config.em_iterations, kappa_max=config.kappa_max, fusion=config.fusion,
         tau_spectral=config.tau_spectral, tau_iou=config.tau_iou,
         activity_threshold=config.activity_threshold, fusion_start=config.fusion_start,
-        k_min=config.k_target or 1, noise_index=init.num_components - 1, seed=seed,
+        k_min=config.k_target or 1, noise_index=len(init) - 1, seed=seed,
     )
     return (init, *joint_em(x, emb, init, jcfg))
 
 
-def _separate(x, posterior, speaker_rows, intervals):
+def _separate(x, gamma, speaker_rows, intervals):
     """Beamform every speaker that has utterances and gate it to them.
 
     Returns:
@@ -408,7 +397,7 @@ def _separate(x, posterior, speaker_rows, intervals):
     rows = [row for row, iv in enumerate(intervals) if iv]
     if not rows:
         return {}
-    spec = beamform(x, posterior, [speaker_rows[row] for row in rows])
+    spec = beamform(x, gamma, [speaker_rows[row] for row in rows])
     waves = frontend.istft(spec, x.stft_size, x.window_size, x.shift)
     hop, win, frame_rate = x.shift, x.window_size, x.frame_rate
     pad_s = 0.3  # seconds around detected utterances, keeps overlapped onsets

@@ -106,6 +106,9 @@ class ScenarioConfig:
                 raise ConfigurationError("segment active set must be nonempty and <= k_true")
             if any(not 0 <= s < self.k_true for s in plan.active):
                 raise ConfigurationError("segment names an unknown speaker")
+        grouped = [s for group in self.spatial_groups or [] for s in group]
+        if len(set(grouped)) < len(grouped) or any(not 0 <= s < self.k_true for s in grouped):
+            raise ConfigurationError("spatial groups must be disjoint sets of known speakers")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -208,9 +211,16 @@ def build_meeting(cfg: ScenarioConfig):
         s0 = start * hop
         s1 = min(n_samples, (end - 1) * hop + win)
         sources[speaker, s0:s1] += _speech_burst(s1 - s0, rng, sr)
+    # grouped speakers share the spatial draws of the group's first speaker:
+    # its FIRs here, its covariance in the model space below
+    group_of = list(range(k_true))
+    for group in cfg.spatial_groups or []:
+        for member in group:
+            group_of[member] = group[0]
     fir_len = 8
     firs = rng.standard_normal((k_true, n_chan, fir_len)) * (0.65 ** np.arange(fir_len))
     firs /= np.linalg.norm(firs, axis=2, keepdims=True)
+    firs = firs[group_of]
     images = np.zeros((k_true, n_chan, n_samples))
     for k in range(k_true):
         for c in range(n_chan):
@@ -237,22 +247,15 @@ def build_meeting(cfg: ScenarioConfig):
     for k in range(k_true):
         masks[k] = (dominant_bins == k) & voiced[:, None]
 
-    # true spatial covariances (grouped speakers share one draw)
-    group_of = list(range(k_true))
-    if cfg.spatial_groups:
-        for group in cfg.spatial_groups:
-            for member in group:
-                group_of[member] = group[0]
+    # true spatial covariances, drawn for each group's first speaker
     cov_true = np.empty((k_true, n_bins, n_chan, n_chan), dtype=complex)
-    for k in range(k_true):
-        if group_of[k] != k:
-            cov_true[k] = cov_true[group_of[k]]
-            continue
+    for k in sorted(set(group_of)):
         a = rng.standard_normal((n_bins, n_chan, n_chan)) + 1j * rng.standard_normal(
             (n_bins, n_chan, n_chan)
         )
         raw = cfg.anisotropy * np.einsum("fij,fkj->fik", a, a.conj()) / n_chan
         cov_true[k] = raw + 0.1 * np.eye(n_chan)
+    cov_true = cov_true[group_of]
 
     # model-space STFT draws: per-bin cACG of the dominant speaker
     chol = np.empty((k_true + 1, n_bins, n_chan, n_chan), dtype=complex)

@@ -5,7 +5,6 @@ import struct
 import numpy as np
 
 from mixsep.cacg import (
-    PosteriorTensor,
     StftTensor,
     cacg_m_step,
     normalize_observations,
@@ -80,8 +79,7 @@ def random_soft_posterior(rng, n_comp, n_frames, n_bins, replicate=True):
     gamma_t = np.full((n_comp, n_frames), 0.1 / max(n_comp - 1, 1))
     gamma_t[labels, np.arange(n_frames)] = 0.9
     gamma_t /= gamma_t.sum(axis=0, keepdims=True)
-    gamma = np.repeat(gamma_t[:, :, None], n_bins, axis=2)
-    return PosteriorTensor(gamma, gamma_t.copy())
+    return np.repeat(gamma_t[:, :, None], n_bins, axis=2)
 
 
 def kmeans_init_posterior(embeddings, voiced, n_clusters, n_bins, seed=0, with_noise=True):
@@ -97,8 +95,7 @@ def kmeans_init_posterior(embeddings, voiced, n_clusters, n_bins, seed=0, with_n
         gamma_t[n_clusters, ~voiced] = 1.0
     else:
         gamma_t[:, ~voiced] = 1.0 / n_clusters
-    gamma = np.repeat(gamma_t[:, :, None], n_bins, axis=2)
-    return PosteriorTensor(gamma, gamma_t.copy())
+    return np.repeat(gamma_t[:, :, None], n_bins, axis=2)
 
 
 def unit_observations(rng, c, t, f):
@@ -126,11 +123,12 @@ def plain_forms(covariances, features):
     return cacg._forms(cacg._form_coefficients(covariances)[1], features)
 
 
-def tyler_step(x, posterior, prev):
-    """One ``cacg_m_step`` on unit observations ``x``, weighted by the
-    quadratic forms of the previous (K, F, C, C) covariances ``prev``."""
+def tyler_step(x, gamma, prev):
+    """One ``cacg_m_step`` of the (K, T, F) posterior ``gamma`` on unit
+    observations ``x``, weighted by the quadratic forms of the previous
+    (K, F, C, C) covariances ``prev``."""
     features = outer_features(x)
-    return cacg_m_step(posterior, prev, plain_forms(prev, features), features)
+    return cacg_m_step(gamma, prev, plain_forms(prev, features), features)
 
 
 def constant_embeddings(num_frames):
@@ -146,12 +144,12 @@ def spatial_em(x, init, iterations, embeddings=None):
     (``kappa_max = 0``) and no fusion, on :func:`constant_embeddings` unless
     ``embeddings`` are given.
 
-    Returns ``(covariances, posterior, trace)``; the trace is the cACGMM's
+    Returns ``(model, gamma, trace)``; the trace is the cACGMM's
     log-likelihood, the joint one less the vMF term's constant T F ln c(0).
     """
     if embeddings is None:
         embeddings = constant_embeddings(x.num_frames)
     jcfg = JointEmConfig(iterations=iterations, kappa_max=0.0, fusion="none")
-    model, posterior, _, trace = joint_em(x, embeddings, init, jcfg)
+    model, gamma, _, trace = joint_em(x, embeddings, init, jcfg)
     offset = x.num_frames * x.num_bins * numerics.uniform_log_density(embeddings.dim)
-    return model.covariances, posterior, trace - offset
+    return model, gamma, trace - offset

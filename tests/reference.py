@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from mixsep.cacg import (
-    PosteriorTensor,
     StftTensor,
     _block_scratch,
     _scatter_sums,
@@ -233,10 +232,11 @@ def spherical_kmeans_pp(embeddings, n_clusters: int, seed: int):
 # ran one implementation of each M-step
 
 
-def cacg_m_step(x, posterior, prev, quad, features):
+def cacg_m_step(x, gamma, prev, quad, features):
     """The whole-array Tyler update: weights ``gamma / quad`` over the whole
-    posterior, written over a (K, F, T) ``quad``, and one scatter GEMM."""
-    gamma = np.transpose(posterior.gamma, (0, 2, 1))  # (K, F, T)
+    (K, T, F) posterior, written over a (K, F, T) ``quad``, and one scatter
+    GEMM."""
+    gamma = np.transpose(gamma, (0, 2, 1))  # (K, F, T)
     weights = np.empty(gamma.shape) if np.ndim(quad) == 0 else quad
     np.divide(gamma, quad, out=weights)
     sums = _scatter_sums(features, weights)
@@ -260,17 +260,17 @@ def initial_covariances(gamma, features):
     return _tyler(np.swapaxes(sums, 0, 1), identity)
 
 
-def joint_m_step(x, embeddings, posterior, model, quad, features, kappa_max=35.0, rng=None,
+def joint_m_step(x, embeddings, gamma, model, quad, features, kappa_max=35.0, rng=None,
                  freeze_spatial=False):
     """The whole-array M-steps of the joint model: the Tyler update
     (:func:`cacg_m_step`), the vMF M-step (:func:`spectral_m_step`) and the
     frequency-tied prior."""
     covariances = model.covariances
     if not freeze_spatial:
-        covariances = cacg_m_step(x, posterior, covariances, quad, features)
-    gbar = posterior.gamma.sum(axis=2)  # (K, T)
+        covariances = cacg_m_step(x, gamma, covariances, quad, features)
+    gbar = gamma.sum(axis=2)  # (K, T)
     mu, kappa, lognorm = spectral_m_step(embeddings, gbar, kappa_max, rng, model.noise_index)
-    pi = update_pi(gbar, posterior.num_bins)
+    pi = update_pi(gbar, gamma.shape[2])
     return JointModel(covariances, mu, kappa, pi, model.noise_index, lognorm)
 
 
@@ -308,32 +308,33 @@ def prior_update(resp, prior_mode):
 # with per-frame priors (``freeze_spatial``)
 
 
-def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
-    """Fit a cACGMM by EM from an initial posterior.
+def cacgmm_em(x: StftTensor, init_gamma: np.ndarray, iterations: int):
+    """Fit a cACGMM by EM from an initial (K, T, F) posterior.
 
     The run starts with an M-step on the initial posterior
     (``cacg.cacg_m_step`` from identity covariances, with weights 1), then
     runs one :func:`em_sweep` per iteration, each E-step writing into the
     posterior buffer of the one before. Priors are frequency-independent
-    and time-dependent, updated as the frequency mean of the posterior.
-    Every kernel reads one :func:`outer_features` array of the normalized
-    observations, built per run.
+    and time-dependent: the frequency mean of the posterior, first of the
+    initial one. Every kernel reads one :func:`outer_features` array of the
+    normalized observations, built per run.
 
     Returns:
-        ``(covariances, posterior, loglik_trace)``, the covariances a
+        ``(covariances, gamma, pi, loglik_trace)``, the covariances a
         (K, F, C, C) stack.
     """
-    if init_gamma.num_components < 1:
+    k = init_gamma.shape[0]
+    if k < 1:
         raise ConfigurationError("need at least one component")
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
-    if init_gamma.num_frames != x.num_frames or init_gamma.num_bins != x.num_bins:
+    if init_gamma.shape[1:] != (x.num_frames, x.num_bins):
         raise InvalidInputError("initial posterior does not match observations")
     features = outer_features(x)
-    k, c = init_gamma.num_components, x.num_channels
+    c = x.num_channels
     identity = np.broadcast_to(np.eye(c, dtype=complex), (k, x.num_bins, c, c))
     covariances = tyler_update(init_gamma, identity, 1.0, features)
-    pi = init_gamma.pi
+    pi = init_gamma.mean(axis=2)
     trace = []
     spent = None
     for _ in range(iterations):
@@ -343,7 +344,7 @@ def cacgmm_em(x: StftTensor, init_gamma: PosteriorTensor, iterations: int):
         trace.append(ll)
         pi = update_pi(gamma.sum(axis=2), x.num_bins)
         spent = np.swapaxes(gamma, 1, 2)
-    return covariances, PosteriorTensor(gamma, pi), np.asarray(trace)
+    return covariances, gamma, pi, np.asarray(trace)
 
 
 def vmfmm_em(

@@ -23,7 +23,7 @@ from helpers import (
 from scipy.optimize import linear_sum_assignment
 
 from mixsep import frontend, pipeline, rttm
-from mixsep.cacg import PosteriorTensor, em_sweep, outer_features
+from mixsep.cacg import em_sweep, outer_features
 from mixsep.cli import RunConfig
 from mixsep.integrated import (
     JointEmConfig,
@@ -187,10 +187,10 @@ def test_criterion_03_parameter_recovery():
     from mixsep.cacg import StftTensor
 
     tensor = StftTensor(draws.T[:, :, None], 8000, 512, 400, 128)
-    post = PosteriorTensor(np.ones((1, 5000, 1)), np.ones((1, 5000)))
+    gamma = np.ones((1, 5000, 1))
     covs = identity_stack(1, 1, 4)
     for _ in range(10):
-        covs = tyler_step(tensor, post, covs)
+        covs = tyler_step(tensor, gamma, covs)
 
     def normalize_trace(m):
         return m * (m.shape[-1] / np.einsum("ii->", m).real)
@@ -217,20 +217,22 @@ def test_criterion_04_reduction_equivalences():
 
     jcfg = JointEmConfig(iterations=12, kappa_max=0.0, fusion="none", seed=0)
     _, post_joint, _, _ = joint_em(x, e, init, jcfg)
-    _, post_cacg, _ = reference.cacgmm_em(x, init, 12)
-    gap_spatial = float(np.max(np.abs(post_joint.gamma - post_cacg.gamma)))
+    _, post_cacg, _, _ = reference.cacgmm_em(x, init, 12)
+    gap_spatial = float(np.max(np.abs(post_joint - post_cacg)))
     assert gap_spatial < 1e-9
 
     jcfg = JointEmConfig(
         iterations=12, kappa_max=35.0, fusion="none", freeze_spatial=True, seed=0
     )
     _, post_joint, _, _ = joint_em(x, e, init, jcfg)
-    _, resp, _ = reference.vmfmm_em(e, init.pi, 12, kappa_max=35.0, prior_mode="per_frame")
+    _, resp, _ = reference.vmfmm_em(
+        e, init.mean(axis=2), 12, kappa_max=35.0, prior_mode="per_frame"
+    )
     # documented relationship: per-bin posteriors equal the per-frame VMFMM
     # posteriors with time-varying priors; the frequency replication scales
     # the M-step weights by F, which cancels in every parameter update
-    spread = float(np.max(np.abs(post_joint.gamma - post_joint.gamma[:, :, :1])))
-    gap_spectral = float(np.max(np.abs(post_joint.gamma[:, :, 0] - resp)))
+    spread = float(np.max(np.abs(post_joint - post_joint[:, :, :1])))
+    gap_spectral = float(np.max(np.abs(post_joint[:, :, 0] - resp)))
     assert spread < 1e-12
     assert gap_spectral < 1e-9
     report(
@@ -269,7 +271,7 @@ def blind_init(rng, n_comp, n_frames, n_bins):
     gamma_t = np.full((n_comp, n_frames), 0.1 / (n_comp - 1))
     gamma_t[labels, np.arange(n_frames)] = 0.9
     gamma_t /= gamma_t.sum(axis=0, keepdims=True)
-    return PosteriorTensor(np.repeat(gamma_t[:, :, None], n_bins, axis=2), gamma_t.copy())
+    return np.repeat(gamma_t[:, :, None], n_bins, axis=2)
 
 
 def test_criterion_05_mask_recovery():

@@ -20,7 +20,6 @@ from reference import HermitianPD, cacg_log_pdf, cholesky_logdet_solve, logsumex
 from mixsep import cacg
 from mixsep.cacg import (
     COV_LOADING,
-    PosteriorTensor,
     StftTensor,
     cacg_log_pdf_stack,
     cacg_m_step,
@@ -256,9 +255,7 @@ class TestCacgLogPdf:
 
 
 def uniform_posterior(n_comp, n_frames, n_bins):
-    gamma = np.full((n_comp, n_frames, n_bins), 1.0 / n_comp)
-    pi = np.full((n_comp, n_frames), 1.0 / n_comp)
-    return PosteriorTensor(gamma, pi)
+    return np.full((n_comp, n_frames, n_bins), 1.0 / n_comp)
 
 
 class TestCacgMStep:
@@ -269,11 +266,9 @@ class TestCacgMStep:
         data = draws.T[:, :, None]  # (C, T, F=1)
         x = tensor(data)
         gamma = np.ones((1, 5000, 1))
-        pi = np.ones((1, 5000))
-        post = PosteriorTensor(gamma, pi)
         covs = identity_stack(1, 1, 4)
         for _ in range(10):
-            covs = tyler_step(x, post, covs)
+            covs = tyler_step(x, gamma, covs)
         got = trace_normalize(covs[0, 0])
         want = trace_normalize(b_true.entries)
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -284,12 +279,12 @@ class TestCacgMStep:
         b_true = random_b(rng, 4)
         draws = sample_cacg(b_true.entries, 5000, seed=101)
         x = tensor(draws.T[:, :, None])
-        post = PosteriorTensor(np.ones((1, 5000, 1)), np.ones((1, 5000)))
+        gamma = np.ones((1, 5000, 1))
         covs = identity_stack(1, 1, 4)
         want = trace_normalize(b_true.entries)
         dists = []
         for _ in range(5):
-            covs = tyler_step(x, post, covs)
+            covs = tyler_step(x, gamma, covs)
             got = trace_normalize(covs[0, 0])
             dists.append(np.linalg.norm(got - want))
         # monotone down to the finite-sample floor; converged iterations may
@@ -302,8 +297,7 @@ class TestCacgMStep:
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         y /= np.linalg.norm(y)
         x = tensor(y[:, None, None])
-        post = PosteriorTensor(np.ones((1, 1, 1)), np.ones((1, 1)))
-        (cov,) = tyler_step(x, post, identity_stack(1, 1, 3))
+        (cov,) = tyler_step(x, np.ones((1, 1, 1)), identity_stack(1, 1, 3))
         got = cov[0]
         assert abs(np.einsum("ii->", got).real - 3.0) < 1e-6
         # dominant eigenvector matches the observation direction
@@ -317,10 +311,9 @@ class TestCacgMStep:
         x = normalize_observations(tensor(data))
         gamma = np.zeros((2, 3, 2))
         gamma[0] = 1.0  # component 1 never responsible
-        post = PosteriorTensor(gamma, gamma.mean(axis=2))
         prev = identity_stack(2, 2, 2)
         prev[1] = np.stack([np.diag([1.5, 0.5]), np.diag([0.5, 1.5])])
-        out = tyler_step(x, post, prev)
+        out = tyler_step(x, gamma, prev)
         assert np.allclose(out[1], prev[1])
 
     def test_inactive_bins_keep_previous_with_given_quad(self):
@@ -330,12 +323,11 @@ class TestCacgMStep:
         gamma = np.zeros((2, 3, 2))
         gamma[0] = 1.0
         gamma[1, :, 1], gamma[0, :, 1] = 0.5, 0.5  # component 1 inactive in bin 0 only
-        post = PosteriorTensor(gamma, gamma.mean(axis=2))
         prev = identity_stack(2, 2, 2)
         prev[1] = np.stack([np.diag([1.5, 0.5]), np.diag([0.5, 1.5])])
         features = outer_features(x)
         _, quad = cacg_log_pdf_stack(prev, x, features)
-        out = cacg_m_step(post, prev, quad, features)
+        out = cacg_m_step(gamma, prev, quad, features)
         assert np.array_equal(out[1, 0], prev[1, 0])
         assert np.max(np.abs(out[1, 1] - prev[1, 1])) > 1e-3
 
@@ -343,8 +335,7 @@ class TestCacgMStep:
         rng = np.random.default_rng(20)
         data = rng.standard_normal((3, 50, 4)) + 1j * rng.standard_normal((3, 50, 4))
         x = normalize_observations(tensor(data))
-        post = uniform_posterior(2, 50, 4)
-        out = tyler_step(x, post, identity_stack(2, 4, 3))
+        out = tyler_step(x, uniform_posterior(2, 50, 4), identity_stack(2, 4, 3))
         traces = np.einsum("fii->f", out[0]).real
         assert np.allclose(traces, 3.0, atol=1e-6)
 
@@ -435,48 +426,48 @@ class TestCacgMStepReusesQuad:
         prev = np.stack(
             [np.stack([random_b(rng, 3).entries for _ in range(5)]) for _ in range(2)]
         )
-        return x, PosteriorTensor(gamma, gamma.mean(axis=2)), prev
+        return x, gamma, prev
 
     def test_e_step_quad_gives_same_update(self):
         # the E-step's forms against the batched reference's
-        x, post, prev = self.scene()
+        x, gamma, prev = self.scene()
         features = outer_features(x)
         _, quad = cacg_log_pdf_stack(prev, x, features)
-        given = cacg_m_step(post, prev, quad, features)
+        given = cacg_m_step(gamma, prev, quad, features)
         y = np.transpose(x.data, (2, 0, 1))  # (F, C, T)
         want = chol_logdet_quad(prev, y[None])[1]
-        computed = cacg_m_step(post, prev, want, features)
+        computed = cacg_m_step(gamma, prev, want, features)
         for a, b in zip(given, computed):
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_quad_is_the_tyler_weight(self):
         # forms of other covariances must change the update
-        x, post, prev = self.scene()
+        x, gamma, prev = self.scene()
         features = outer_features(x)
         _, quad = cacg_log_pdf_stack(identity_stack(2, 5, 3), x, features)
-        given = cacg_m_step(post, prev, quad, features)
-        computed = tyler_step(x, post, prev)
+        given = cacg_m_step(gamma, prev, quad, features)
+        computed = tyler_step(x, gamma, prev)
         assert np.max(np.abs(given[0] - computed[0])) > 1e-3
 
     def test_a_per_bin_scale_of_quad_cancels(self):
         # the trace normalization cancels any factor constant over t, so the
         # E-step may hand over the forms of B / det(B)^{1/C}
-        x, post, prev = self.scene()
+        x, gamma, prev = self.scene()
         features = outer_features(x)
         quad = plain_forms(prev, features)
         scale = np.random.default_rng(23).uniform(1e-6, 1e6, quad.shape[:2])
-        given = cacg_m_step(post, prev, quad * scale[..., None], features)
-        computed = cacg_m_step(post, prev, quad, features)
+        given = cacg_m_step(gamma, prev, quad * scale[..., None], features)
+        computed = cacg_m_step(gamma, prev, quad, features)
         for a, b in zip(given, computed):
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_identity_start_weighs_every_bin_by_one(self):
         # y^H I^{-1} y = |y|^2 = 1 for unit observations, so the EM's
         # identity start passes quad = 1 instead of factorizing identities
-        x, post, _ = self.scene()
+        x, gamma, _ = self.scene()
         identity = identity_stack(2, 5, 3)
-        given = cacg_m_step(post, identity, 1.0, outer_features(x))
-        computed = tyler_step(x, post, identity)
+        given = cacg_m_step(gamma, identity, 1.0, outer_features(x))
+        computed = tyler_step(x, gamma, identity)
         for a, b in zip(given, computed):
             assert np.max(np.abs(a - b)) <= 1e-14
 
@@ -494,21 +485,21 @@ class TestTylerUpdateMatchesTheFormerTwins:
         gamma = rng.uniform(0.05, 1.0, size=(k, t, f))
         gamma[2, :, :4] = 0.0  # component 2 inactive in four bins
         gamma /= gamma.sum(axis=0, keepdims=True)
-        return x, PosteriorTensor(gamma, gamma.mean(axis=2)), outer_features(x)
+        return x, gamma, outer_features(x)
 
     def test_first_m_step_is_the_former_initial_covariances(self):
-        x, post, features = self.scene()
-        got = cacg_m_step(post, identity_stack(3, x.num_bins, 3), 1.0, features)
-        assert np.array_equal(got, reference.initial_covariances(post.gamma, features))
+        x, gamma, features = self.scene()
+        got = cacg_m_step(gamma, identity_stack(3, x.num_bins, 3), 1.0, features)
+        assert np.array_equal(got, reference.initial_covariances(gamma, features))
 
     def test_array_quad_gives_the_former_update_and_is_left_unchanged(self):
-        x, post, features = self.scene()
-        prev = reference.initial_covariances(post.gamma, features)
+        x, gamma, features = self.scene()
+        prev = reference.initial_covariances(gamma, features)
         quad = plain_forms(prev, features)
         kept = quad.copy()
-        got = cacg_m_step(post, prev, quad, features)
+        got = cacg_m_step(gamma, prev, quad, features)
         assert np.array_equal(quad, kept)
-        assert np.array_equal(got, reference.cacg_m_step(x, post, prev, kept.copy(), features))
+        assert np.array_equal(got, reference.cacg_m_step(x, gamma, prev, kept.copy(), features))
         assert np.array_equal(got[2, :4], prev[2, :4])
 
 
@@ -560,9 +551,9 @@ class TestCacgmmEm:
         rng = np.random.default_rng(22)
         data = rng.standard_normal((2, 20, 3)) + 1j * rng.standard_normal((2, 20, 3))
         x = tensor(data)
-        covs, post, trace = spatial_em(x, uniform_posterior(1, 20, 3), 3)
-        assert np.allclose(post.gamma, 1.0)
-        assert np.allclose(post.pi, 1.0)
+        model, gamma, trace = spatial_em(x, uniform_posterior(1, 20, 3), 3)
+        assert np.allclose(gamma, 1.0)
+        assert np.allclose(model.pi, 1.0)
 
     def test_two_source_mask_recovery(self):
         rng = np.random.default_rng(24)
@@ -573,9 +564,9 @@ class TestCacgmmEm:
         gamma = np.full((2, x.num_frames, x.num_bins), 0.1)
         gamma[labels, np.arange(x.num_frames), :] = 0.9
         gamma /= gamma.sum(axis=0, keepdims=True)
-        init = PosteriorTensor(gamma, gamma.mean(axis=2))
-        covs, post, trace = spatial_em(x, init, 40)
+        model, post, trace = spatial_em(x, gamma, 40)
         assert mask_auc(post, masks) >= 0.95
+        covs = model.covariances
         assert covs.shape == (2, x.num_bins, x.num_channels, x.num_channels)
         assert_exactly_hermitian(covs)
 
@@ -586,8 +577,7 @@ class TestCacgmmEm:
             init_rng = np.random.default_rng(seed)
             raw = init_rng.uniform(0.1, 1.0, size=(2, x.num_frames, x.num_bins))
             gamma = raw / raw.sum(axis=0, keepdims=True)
-            init = PosteriorTensor(gamma, gamma.mean(axis=2))
-            _, _, trace = spatial_em(x, init, 30)
+            _, _, trace = spatial_em(x, gamma, 30)
             diffs = np.diff(trace)
             assert np.all(diffs >= -1e-6 * np.abs(trace[:-1]))
 
@@ -596,9 +586,8 @@ class TestCacgmmEm:
         x, _ = two_source_scene(rng, n_frames=80, n_bins=5, n_chan=2)
         raw = rng.uniform(0.1, 1.0, size=(3, 80, 5))
         gamma = raw / raw.sum(axis=0, keepdims=True)
-        init = PosteriorTensor(gamma, gamma.mean(axis=2))
-        _, post, _ = spatial_em(x, init, 5)
-        post.validate()
+        _, post, _ = spatial_em(x, gamma, 5)
+        cacg.check_posterior(post)
 
     def test_argmax_invariant_to_covariance_scaling(self):
         rng = np.random.default_rng(30)
@@ -703,11 +692,11 @@ def floor_covariances(rng, k, f, c, rank):
     return covariances * (c / np.einsum("...ii->...", covariances).real)[..., None, None]
 
 
-def assert_plain_tyler_update(new, x, gamma, pi, covariances):
+def assert_plain_tyler_update(new, x, gamma, covariances):
     """``new`` is the Tyler update of ``covariances`` on the plain forms."""
     features = outer_features(x)
     quad = plain_forms(covariances, features)
-    plain = cacg_m_step(PosteriorTensor(gamma, pi), covariances, quad, features)
+    plain = cacg_m_step(gamma, covariances, quad, features)
     assert np.max(np.abs(new - plain)) <= 1e-12 * np.max(np.abs(plain))
 
 
@@ -750,7 +739,7 @@ class TestLinearEStep:
         np.testing.assert_allclose(unit, want * np.exp(logdet / 4)[..., None], rtol=1e-12)
         pi = np.full((2, 10), 0.5)
         gamma, _, new = e_step(covariances, pi, features)
-        assert_plain_tyler_update(new, x, gamma, pi, covariances)
+        assert_plain_tyler_update(new, x, gamma, covariances)
 
     @pytest.mark.parametrize("rank", [1, 31])
     def test_out_of_range_bins_take_the_log_domain(self, rank, caplog):
@@ -782,7 +771,7 @@ class TestLinearEStep:
         assert np.max(np.abs(gamma - want)) <= 1e-12
         assert abs(loglik - want_ll) <= 1e-12 * abs(want_ll)
         assert np.isfinite(loglik)
-        assert_plain_tyler_update(new, x, gamma, pi, covariances)
+        assert_plain_tyler_update(new, x, gamma, covariances)
 
 
 class TestFormCoefficients:
@@ -835,28 +824,21 @@ class TestPosteriorValidation:
         # plane, with the decisions of a check of every copy
         rng = np.random.default_rng(6)
         plane = rng.dirichlet(np.ones(3), size=8).T  # (K, T)
-        pi = plane.copy()
         if fault == "negative":
             plane[:, 2] = 0.6, -0.1, 0.5  # the column still sums to 1, no entry above 1
         elif fault == "unnormalized":
             plane[:, 5] *= 1.01
-        post = PosteriorTensor(np.broadcast_to(plane[:, :, None], (3, 8, 7)), pi)
-        assert post.gamma.strides[2] == 0
-        copy = PosteriorTensor(post.gamma.copy(), pi)
+        gamma = np.broadcast_to(plane[:, :, None], (3, 8, 7))
+        assert gamma.strides[2] == 0
+        copy = gamma.copy()
         if fault is None:
-            post.validate()
-            copy.validate()
+            cacg.check_posterior(gamma)
+            cacg.check_posterior(copy)
         else:
             message = {"negative": "gamma entries", "unnormalized": "gamma must sum to 1"}[fault]
-            for tensor_ in (post, copy):
+            for posterior in (gamma, copy):
                 with pytest.raises(InvalidInputError, match=message):
-                    tensor_.validate()
-
-    def test_broadcast_prior_is_checked(self):
-        gamma = np.full((2, 4, 3), 0.5)
-        pi = np.broadcast_to(np.array([[0.5], [0.6]]), (2, 4))
-        with pytest.raises(InvalidInputError, match="pi columns"):
-            PosteriorTensor(gamma, pi).validate()
+                    cacg.check_posterior(posterior)
 
 
 class TestStftTensorInvariants:

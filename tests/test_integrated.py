@@ -19,7 +19,6 @@ from scipy.optimize import linear_sum_assignment
 
 from mixsep import cacg, integrated
 from mixsep.cacg import (
-    PosteriorTensor,
     StftTensor,
     cacg_log_pdf_stack,
     em_sweep,
@@ -126,8 +125,8 @@ def m_step(e, post, covariances, noise_index=None, kappa_max=35.0, rng=None):
     """:func:`joint_m_step` as :func:`joint_em` runs it on the posterior
     ``post``: on its frequency sums, with the priors ``update_pi`` makes of
     them."""
-    gbar = post.gamma.sum(axis=2)
-    pi = update_pi(gbar, post.num_bins)
+    gbar = post.sum(axis=2)
+    pi = update_pi(gbar, post.shape[2])
     return joint_m_step(e, gbar, covariances, pi, kappa_max, rng, noise_index)
 
 
@@ -210,7 +209,7 @@ class TestJointMStep:
         from mixsep.vmf import EmbeddingSequence, vmf_m_step
 
         new = m_step(e, post, model.covariances)
-        direct_mu, direct_kappa, _ = vmf_m_step(e, post.gamma[:, :, 0], 35.0)
+        direct_mu, direct_kappa, _ = vmf_m_step(e, post[:, :, 0], 35.0)
         for a_mu, a_kappa, b_mu, b_kappa in zip(new.mu, new.kappa, direct_mu, direct_kappa):
             assert np.allclose(a_mu, b_mu, atol=1e-9)
             assert abs(a_kappa - b_kappa) < 1e-9
@@ -229,8 +228,8 @@ class TestJointMStep:
         # series of the concentration update, a row at the cap included
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=6))
         post = random_soft_posterior(np.random.default_rng(1), 4, x.num_frames, x.num_bins)
-        post.gamma[1] = 0.0
-        post.gamma[1, 7, :] = 1.0  # one frame: saturated, at the cap
+        post[1] = 0.0
+        post[1, 7, :] = 1.0  # one frame: saturated, at the cap
         spatial = identity_stack(4, x.num_bins, x.num_channels)
         new = m_step(e, post, spatial, noise_index=3)
         assert new.kappa[1] == 35.0 and new.kappa[3] == 0.0 and new.kappa[0] > 0.0
@@ -245,13 +244,13 @@ class TestJointMStep:
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=6))
         xn = normalize_observations(x)
         post = random_soft_posterior(np.random.default_rng(1), 4, x.num_frames, x.num_bins)
-        post.gamma[1] = 0.0
-        post.gamma[1, 7, :] = 1.0
+        post[1] = 0.0
+        post[1, 7, :] = 1.0
         features = outer_features(xn)
         identity = identity_stack(4, x.num_bins, x.num_channels)
         covariances = cacg.cacg_m_step(post, identity, 1.0, features)
         mu = np.tile(unit(np.arange(1.0, 17.0)), (4, 1))
-        model = JointModel(covariances, mu, np.full(4, 10.0), post.pi, noise_index=3)
+        model = JointModel(covariances, mu, np.full(4, 10.0), post.mean(axis=2), noise_index=3)
         quad = plain_forms(covariances, features)
         want = reference.joint_m_step(
             xn, e, post, model, quad.copy(), features, 35.0, np.random.default_rng(2)
@@ -266,8 +265,8 @@ class TestJointMStep:
     @pytest.mark.parametrize("freeze_spatial", [False, True])
     def test_initial_model_matches_the_former_first_m_step_to_the_bit(self, freeze_spatial):
         # the first M-step: the Tyler update from identity covariances (or
-        # the identities themselves) and the vMF M-step, with the initial
-        # priors as they are
+        # the identities themselves) and the vMF M-step, with the frequency
+        # mean of the initial posterior as the priors
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], seed=6))
         init = kmeans_init_posterior(e, truth.voiced, 3, x.num_bins, seed=3, with_noise=True)
         config = JointEmConfig(noise_index=3, freeze_spatial=freeze_spatial)
@@ -276,13 +275,13 @@ class TestJointMStep:
         if freeze_spatial:
             covariances = identity_stack(4, x.num_bins, x.num_channels)
         else:
-            covariances = reference.initial_covariances(init.gamma, features)
+            covariances = reference.initial_covariances(init, features)
         mu, kappa, lognorm = reference.spectral_m_step(
-            e, init.gamma.sum(axis=2), config.kappa_max, np.random.default_rng(0), 3
+            e, init.sum(axis=2), config.kappa_max, np.random.default_rng(0), 3
         )
         assert np.array_equal(got.covariances, covariances)
         assert np.array_equal(got.mu, mu) and np.array_equal(got.kappa, kappa)
-        assert np.array_equal(got.lognorm, lognorm) and np.array_equal(got.pi, init.pi)
+        assert np.array_equal(got.lognorm, lognorm) and np.array_equal(got.pi, init.mean(axis=2))
         assert got.noise_index == 3
 
     def test_joint_parameter_recovery(self):
@@ -402,7 +401,7 @@ class TestSpectralFusion:
         x, e, truth, _ = build_meeting(cfg)
         init = kmeans_init_posterior(e, truth.voiced, 6, x.num_bins, seed=2)
         order = [0, 1, 2, 6, 3, 4, 5]
-        init = PosteriorTensor(init.gamma[order], init.pi[order])
+        init = init[order]
         jcfg = JointEmConfig(
             iterations=16, fusion="spectral", tau_spectral=0.7, fusion_start=3,
             noise_index=3, seed=0,
@@ -416,7 +415,7 @@ class TestSpectralFusion:
         assert model.noise_index == noise
         # the pinned row is the one that holds the silence
         assert model.kappa[noise] == 0.0 and np.all(np.delete(model.kappa, noise) > 0.0)
-        assert np.argmax(post.pi[:, ~truth.voiced].mean(axis=1)) == noise
+        assert np.argmax(model.pi[:, ~truth.voiced].mean(axis=1)) == noise
 
 
 class TestIouFusion:
@@ -589,7 +588,7 @@ class TestJointEm:
         cfg = JointEmConfig(iterations=1, fusion="none", noise_index=2, seed=5)
         out1 = joint_em(x, e, init, cfg)
         out2 = joint_em(x, e, init, cfg)
-        assert np.array_equal(out1[1].gamma, out2[1].gamma)
+        assert np.array_equal(out1[1], out2[1])
         assert np.array_equal(out1[3], out2[3])
         assert np.array_equal(out1[0].covariances, out2[0].covariances)
 
@@ -604,7 +603,7 @@ class TestJointEm:
         model, post, events, trace = joint_em(x, e, init, jcfg)
         assert count_speakers(model) == 5
         assert len(events) == 3
-        post.validate()
+        cacg.check_posterior(post)
 
     def test_piecewise_loglik_monotone(self):
         for seed in range(3):
@@ -641,8 +640,7 @@ class TestJointEm:
             prev = covariances if merge is None else merge[2]  # the fused model's stack
             fresh_calls.append(prev.shape[0])
             quad = plain_forms(prev, features)
-            posterior = PosteriorTensor(gamma, np.ones(gamma.shape[:2]))
-            return gamma, ll, cacg.cacg_m_step(posterior, prev, quad, features)
+            return gamma, ll, cacg.cacg_m_step(gamma, prev, quad, features)
 
         monkeypatch.setattr(cacg, "em_sweep", fresh_update)
         fresh = joint_em(x, e, init, jcfg)
@@ -654,7 +652,7 @@ class TestJointEm:
             assert (a.kept, a.removed, a.iteration) == (b.kept, b.removed, b.iteration)
             assert abs(a.similarity - b.similarity) <= 1e-12
         assert np.max(np.abs(reused[3] - fresh[3]) / np.abs(fresh[3])) <= 1e-12
-        assert np.max(np.abs(reused[1].gamma - fresh[1].gamma)) <= 1e-12
+        assert np.max(np.abs(reused[1] - fresh[1])) <= 1e-12
         for a, b in zip(reused[0].covariances, fresh[0].covariances):
             assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -699,7 +697,7 @@ class TestJointEm:
         event = spectral_fusion_check(before, jcfg.tau_spectral, 1, 3)
         assert event == events[0]
         fused, fused_gamma = self.copy_fusion(before, joint_posterior(x, e, before), event)
-        assert np.array_equal(post.gamma, fused_gamma)
+        assert np.array_equal(post, fused_gamma)
         want = m_step(
             e, post, cacg.cacg_m_step(post, fused.covariances, *spatial_forms(xn, fused)),
             fused.noise_index, jcfg.kappa_max, np.random.default_rng(jcfg.seed),
@@ -740,10 +738,10 @@ class TestJointEm:
         finally:
             tracemalloc.stop()
         assert events
-        gamma_bytes = init.gamma.nbytes  # one (K, F, T) float64 array
+        gamma_bytes = init.nbytes  # one (K, F, T) float64 array
         assert gamma_bytes > 100_000
         assert max(peaks[1:]) < peaks[0] + gamma_bytes / 2, (peaks, gamma_bytes)
-        post.validate()
+        cacg.check_posterior(post)
 
     def test_working_set_is_features_posterior_and_forms(self, monkeypatch):
         # the sweep, the run's peak, holds Φ, one posterior and one block's
@@ -764,9 +762,9 @@ class TestJointEm:
         cfg.sample_rate = 4000
         x, e, truth, _ = build_meeting(cfg)
         init = kmeans_init_posterior(e, truth.voiced, 10, x.num_bins, seed=1)
-        per_bin = 8 * (2 * init.num_components + 16) * x.num_frames
+        per_bin = 8 * (2 * len(init) + 16) * x.num_frames
         monkeypatch.setattr(cacg, "SWEEP_BLOCK_BYTES", 4 * per_bin)
-        assert len(cacg._sweep_blocks(init.num_components, 4, x.num_frames, x.num_bins)) == 17
+        assert len(cacg._sweep_blocks(len(init), 4, x.num_frames, x.num_bins)) == 17
         jcfg = JointEmConfig(
             iterations=5, fusion="spectral", fusion_start=1, noise_index=10, seed=0
         )
@@ -778,7 +776,7 @@ class TestJointEm:
             tracemalloc.stop()
         assert events  # each fusion merged the posterior in place
         features = outer_features(x).nbytes
-        gamma = init.gamma.nbytes  # the buffer keeps the initial K rows
+        gamma = init.nbytes  # the buffer keeps the initial K rows
         assert peak < 1.2 * (features + gamma), (peak, features, gamma)
 
     def test_reduction_to_cacgmm_with_zero_kappa(self):
@@ -787,9 +785,9 @@ class TestJointEm:
         init = random_soft_posterior(rng, 2, x.num_frames, x.num_bins)
         jcfg = JointEmConfig(iterations=12, kappa_max=0.0, fusion="none", seed=0)
         model, post_joint, _, _ = joint_em(x, e, init, jcfg)
-        _, post_cacg, _ = reference.cacgmm_em(x, init, 12)
-        assert np.max(np.abs(post_joint.gamma - post_cacg.gamma)) < 1e-9
-        assert np.max(np.abs(post_joint.pi - post_cacg.pi)) < 1e-9
+        _, post_cacg, pi_cacg, _ = reference.cacgmm_em(x, init, 12)
+        assert np.max(np.abs(post_joint - post_cacg)) < 1e-9
+        assert np.max(np.abs(model.pi - pi_cacg)) < 1e-9
 
     def test_reduction_to_tempered_vmfmm_with_frozen_identity_b(self):
         # With B frozen at identity the joint EM equals a VMFMM with
@@ -804,10 +802,12 @@ class TestJointEm:
             iterations=12, kappa_max=35.0, fusion="none", freeze_spatial=True, seed=0
         )
         model, post_joint, _, _ = joint_em(x, e, init, jcfg)
-        _, resp, _ = reference.vmfmm_em(e, init.pi, 12, kappa_max=35.0, prior_mode="per_frame")
-        spread = np.max(np.abs(post_joint.gamma - post_joint.gamma[:, :, :1]))
+        _, resp, _ = reference.vmfmm_em(
+            e, init.mean(axis=2), 12, kappa_max=35.0, prior_mode="per_frame"
+        )
+        spread = np.max(np.abs(post_joint - post_joint[:, :, :1]))
         assert spread < 1e-12  # constant over frequency
-        assert np.max(np.abs(post_joint.gamma[:, :, 0] - resp)) < 1e-9
+        assert np.max(np.abs(post_joint[:, :, 0] - resp)) < 1e-9
 
     def test_fusion_never_below_noise_plus_one(self):
         cfg = tiny_scenario([0], duration_s=5.0, seed=13)
@@ -861,7 +861,7 @@ class TestBlockPartitionInvariance:
         of the first sweep's working set, yield the count, and then check
         the partitions of the sweeps run in the loop body; only the 1-bin
         and the >= F budgets keep their width after a fusion."""
-        per_bin = 8 * (2 * init.num_components + x.num_channels**2) * x.num_frames
+        per_bin = 8 * (2 * len(init) + x.num_channels**2) * x.num_frames
         real = cacg._sweep_blocks
         for bins in TestBlockPartitionInvariance.BLOCKS:
             partitions = []
@@ -893,8 +893,8 @@ class TestBlockPartitionInvariance:
         (model, post, events, trace), *others = runs
         for other_model, other_post, other_events, other_trace in others:
             assert other_events == events
-            assert np.array_equal(other_post.gamma, post.gamma)
-            assert np.array_equal(other_post.pi, post.pi)
+            assert np.array_equal(other_post, post)
+            assert np.array_equal(other_model.pi, model.pi)
             assert np.array_equal(other_model.mu, model.mu)
             assert np.array_equal(other_model.kappa, model.kappa)
             for a, b in zip(other_model.covariances, model.covariances, strict=True):
@@ -925,7 +925,7 @@ class TestBlockPartitionInvariance:
         x, e, truth, _ = build_meeting(cfg)
         base = kmeans_init_posterior(e, truth.voiced, 3, x.num_bins, seed=2)
         split = lambda a: np.concatenate([a[:1] / 2, a[:1] / 2, a[1:]])
-        init = PosteriorTensor(split(base.gamma), split(base.pi))
+        init = split(base)
         jcfg = JointEmConfig(
             iterations=6, fusion="iou", tau_iou=0.8, activity_threshold=0.3, fusion_start=2,
             noise_index=4, seed=0,
@@ -939,11 +939,11 @@ class TestBlockPartitionInvariance:
         x, e, truth, _ = build_meeting(tiny_scenario([0, 1], duration_s=5.0, seed=11, channels=4))
         init = random_soft_posterior(np.random.default_rng(4), 3, x.num_frames, x.num_bins)
         runs = self.runs(monkeypatch, x, init, lambda: spatial_em(x, init, 6, e))
-        (covariances, post, trace), *others = runs
-        for other_covariances, other_post, other_trace in others:
-            assert np.array_equal(other_post.gamma, post.gamma)
-            assert np.array_equal(other_post.pi, post.pi)
-            for a, b in zip(other_covariances, covariances, strict=True):
+        (model, post, trace), *others = runs
+        for other_model, other_post, other_trace in others:
+            assert np.array_equal(other_post, post)
+            assert np.array_equal(other_model.pi, model.pi)
+            for a, b in zip(other_model.covariances, model.covariances, strict=True):
                 assert np.array_equal(a, b)
             assert np.max(np.abs(other_trace - trace) / np.abs(trace)) <= 1e-12
 
@@ -1004,7 +1004,7 @@ class TestRankDeficientArrays:
         init = kmeans_init_posterior(e, truth.voiced, 4, x.num_bins, seed=1)
         jcfg = JointEmConfig(iterations=20, fusion="spectral", fusion_start=5, noise_index=4)
         _, post, events, _ = joint_em(x, e, init, jcfg)
-        post.validate()
+        cacg.check_posterior(post)
         assert events
         # one stack per sweep, and one of the kept row per fusion
         assert len(stacks) == jcfg.iterations + len(events)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from mixsep import cacg, frontend, pipeline
-from mixsep.cacg import PosteriorTensor, StftTensor, scatter_matrices
+from mixsep.cacg import StftTensor, check_posterior, scatter_matrices
 from mixsep.cli import RunConfig
 from mixsep.errors import InvalidInputError
 from mixsep.metrics import der, si_sdr
@@ -60,8 +60,8 @@ class TestInitializeSegment:
         frames = rng.standard_normal((40, 8))
         e = EmbeddingSequence(frames / np.linalg.norm(frames, axis=1, keepdims=True), 125.0)
         init = initialize_segment(x, e, np.zeros(40, dtype=bool), 3)
-        assert init.num_components == 1  # only the noise component remains
-        assert np.all(init.gamma[0] == 1.0)
+        assert len(init) == 1  # only the noise component remains
+        assert np.all(init[0] == 1.0)
 
     def test_single_speaker_dominant_component(self):
         cfg = tiny_scenario([0], k_true=1, duration_s=8.0, overlap=0.0, seed=7, channels=3)
@@ -70,9 +70,9 @@ class TestInitializeSegment:
         vad = frontend.energy_vad(audio, 12.0, 8.0, 25.0, 8.0)
         x_seg, e_seg, v_seg = segment_slices(x, e, vad, truth.segments[0])
         init = initialize_segment(x_seg, e_seg, v_seg, 2, seed=7)
-        assert init.num_components == 3  # two speakers + noise
+        assert len(init) == 3  # two speakers + noise
         voiced = v_seg
-        hard = np.argmax(init.pi[:2][:, voiced], axis=0)
+        hard = np.argmax(init[:2, voiced, 0], axis=0)
         coverage = max(np.mean(hard == 0), np.mean(hard == 1))
         assert coverage >= 0.90
 
@@ -81,17 +81,17 @@ class TestInitializeSegment:
         x_model, e, truth, _ = build_meeting(cfg)
         vad = truth.voiced
         init = initialize_segment(x_model, e, vad, 8, seed=0)
-        assert init.num_components == 9
-        init.validate()
+        assert len(init) == 9
+        check_posterior(init)
 
     def test_noise_assigned_on_silence(self):
         cfg = tiny_scenario([0], duration_s=6.0, seed=4)
         x_model, e, truth, _ = build_meeting(cfg)
         vad = truth.voiced
         init = initialize_segment(x_model, e, vad, 2, seed=0)
-        noise = init.num_components - 1
-        assert np.all(init.pi[noise, ~truth.voiced] == 1.0)
-        assert np.all(init.pi[noise, truth.voiced] == 0.0)
+        noise = len(init) - 1
+        assert np.all(init[noise, ~truth.voiced] == 1.0)
+        assert np.all(init[noise, truth.voiced] == 0.0)
 
     def test_too_few_voiced_frames_lowers_k(self):
         rng = np.random.default_rng(5)
@@ -103,7 +103,7 @@ class TestInitializeSegment:
         voiced[:3] = True
         notes = []
         init = initialize_segment(x, e, voiced, 8, seed=0, notes=notes)
-        assert init.num_components == 4  # 3 voiced frames + noise
+        assert len(init) == 4  # 3 voiced frames + noise
         assert notes and "lowered" in notes[0]
 
     def test_global_mode_uses_meeting_mixture(self):
@@ -114,8 +114,8 @@ class TestInitializeSegment:
         init = initialize_segment(
             x_model, e, vad, 2, mode="global", global_model=mixture
         )
-        init.validate()
-        assert init.num_components == 3
+        check_posterior(init)
+        assert len(init) == 3
 
 
 class TestSmoothAndSegment:
@@ -249,7 +249,7 @@ def oracle_posterior(truth):
     gamma = truth.masks.copy()
     silence = gamma.sum(axis=0) == 0
     gamma = np.concatenate([gamma, silence[None].astype(float)], axis=0)
-    return PosteriorTensor(gamma, gamma.mean(axis=2))
+    return gamma
 
 
 class TestBeamform:
@@ -297,7 +297,7 @@ class TestBeamform:
             return made[-1]
 
         monkeypatch.setattr(pipeline, "_covariance", spy)
-        beamform(x, PosteriorTensor(gamma, gamma.mean(axis=2)), [0, 2])
+        beamform(x, gamma, [0, 2])
         assert len(made) == 2  # the targets' and their distortions'
         for covariances in made:
             assert covariances.shape == (2, f, c, c)
@@ -322,8 +322,7 @@ class TestBeamform:
         gamma = np.zeros((2, n_frames, n_bins))
         gamma[0, active] = 1.0
         gamma[1, ~active] = 1.0
-        post = PosteriorTensor(gamma, gamma.mean(axis=2))
-        out = beamform(x, post, [0])[0]
+        out = beamform(x, gamma, [0])[0]
 
         def snr(sig):
             s = sig[active]
@@ -340,8 +339,7 @@ class TestBeamform:
         x = StftTensor(data, 2000, 64, 50, 16)
         gamma = np.zeros((2, 50, 4))
         gamma[0] = 1.0
-        post = PosteriorTensor(gamma, gamma.mean(axis=2))
-        out = beamform(x, post, [0])[0]
+        out = beamform(x, gamma, [0])[0]
         assert np.all(np.isfinite(out))
 
     def test_gamma_scaling_leaves_weights_unchanged(self):
@@ -352,8 +350,7 @@ class TestBeamform:
         out1 = beamform(x, post, [0])[0]
         # scaling every component's posterior by one constant cancels in the
         # mass-normalized covariances
-        scaled = PosteriorTensor(0.25 * post.gamma, post.pi)
-        out2 = beamform(x, scaled, [0])[0]
+        out2 = beamform(x, 0.25 * post, [0])[0]
         assert np.max(np.abs(out1 - out2)) < 1e-9
 
     def test_batched_targets_match_one_at_a_time(self):
@@ -374,20 +371,16 @@ class TestBeamform:
         data = rng.standard_normal((3, 200, 5)) + 1j * rng.standard_normal((3, 200, 5))
         x = StftTensor(data, 2000, 64, 50, 16)
         a, b = rng.uniform(0.1, 1.0, size=(2, 200, 5))
-        plain = PosteriorTensor(np.stack([a, b]), np.ones((2, 200)) / 2)
-        tiny = PosteriorTensor(np.stack([a, 1e-12 * b]), np.ones((2, 200)) / 2)
-        want = beamform(x, plain, [0])
-        got = beamform(x, tiny, [0])
+        want = beamform(x, np.stack([a, b]), [0])
+        got = beamform(x, np.stack([a, 1e-12 * b]), [0])
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_target_out_of_range(self):
         rng = np.random.default_rng(12)
         data = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
         x = StftTensor(data, 2000, 64, 50, 16)
-        gamma = np.ones((1, 5, 3))
-        post = PosteriorTensor(gamma, np.ones((1, 5)))
         with pytest.raises(InvalidInputError):
-            beamform(x, post, [3])
+            beamform(x, np.ones((1, 5, 3)), [3])
 
 
 def fake_result(protos, utterances, seg_id, start_frame=0, end_frame=100):
@@ -462,13 +455,6 @@ class TestAlignSegments:
             mapping.setdefault(spk, set()).add(got[key])
         assert all(len(v) == 1 for v in mapping.values())
 
-    def test_more_components_than_k_total_rejected(self):
-        rng = np.random.default_rng(4)
-        protos = self.orthonormal(rng, 8, 3)
-        res = fake_result(protos, [[(0.0, 1.0)]] * 3, "seg000")
-        with pytest.raises(InvalidInputError):
-            pipeline._align_with_mapping([res], 2, seed=0)
-
     def test_no_prototypes_empty_diarization(self):
         res = fake_result(np.zeros((0, 8)), [], "seg000")
         assert pipeline._align_with_mapping([res], 2, seed=0)[0].entries == []
@@ -523,18 +509,6 @@ class TestRunMeeting:
             "no segment kept: 0 of 2497 frames voiced (0.0%) with vad_window_s=12 and "
             "vad_threshold_db=8"
         ]
-
-    def test_readme_library_example_keeps_the_speech(self):
-        # the README's library example, with the default VAD settings
-        _, embeddings, _, audio = build_meeting(ScenarioConfig(
-            k_true=2, segments=[SegmentPlan(8.0, [0, 1])], seed=0,
-            sample_rate=8000, stft_size_ms=32.0, window_ms=25.0, shift_ms=8.0))
-        diarization, speaker_audio, report = run_meeting(
-            audio, embeddings, RunConfig(stft_size_ms=32.0, window_ms=25.0,
-                                         shift_ms=8.0, k_init=4, k_total=2))
-        (segment,) = report["segments"]
-        assert segment["error"] is None and segment["speaker_count"] == 2
-        assert diarization.speakers == ["spk00", "spk01"] and len(speaker_audio) == 2
 
     def test_given_embedding_sequence_reports_no_alignment(self):
         # only an EMB1 file read by the run is aligned to the STFT frames; a
@@ -595,6 +569,33 @@ class TestRunMeeting:
         assert sorted(out1[1]) == sorted(out2[1])
         for key in out1[1]:
             assert np.array_equal(out1[1][key], out2[1][key])
+
+    @pytest.mark.parametrize(
+        "setting", [{"init_mode": "global"}, {"fusion": "iou"}], ids=["global_init", "iou_fusion"]
+    )
+    def test_alternative_configurations_end_to_end(self, setting):
+        # the paper's alternatives to per-segment initialization and spectral
+        # fusion, through the whole pipeline: every segment ends without
+        # error, and the pool (which takes the meeting-level mixture of the
+        # global mode with every task) gives the turns and tracks of one process
+        cfg = tiny_scenario(
+            None, k_true=3, segments=[SegmentPlan(5.0, [0, 1]), SegmentPlan(5.0, [1, 2])],
+            seed=5, channels=4,
+        )
+        _, e, _, audio = build_meeting(cfg)
+        runs = [
+            run_meeting(audio, e, tuned_config(
+                k_init=3, max_segment_s=6.0, k_total=3, jobs=jobs, **setting
+            ))
+            for jobs in (1, 2)
+        ]
+        (dia, tracks, report), (dia_pool, tracks_pool, _) = runs
+        assert len(report["segments"]) == 2
+        assert all(segment["error"] is None for segment in report["segments"])
+        assert dia.entries and dia_pool.entries == dia.entries
+        assert sorted(tracks_pool) == sorted(tracks)
+        for label, wave in tracks.items():
+            assert np.array_equal(tracks_pool[label], wave)
 
     def test_each_stft_covers_one_segment(self, monkeypatch):
         # the meeting's STFT is never built: every STFT is one segment's

@@ -4,7 +4,7 @@ from helpers import tiny_scenario
 from reference import sample_cacg
 from scipy import special, stats
 
-from mixsep import synth
+from mixsep import frontend, synth
 from mixsep.errors import ConfigurationError, InvalidInputError
 from mixsep.synth import (
     ScenarioConfig,
@@ -200,3 +200,32 @@ class TestBuildMeeting:
         x, e, truth, audio = build_meeting(cfg)
         assert np.array_equal(truth.cov_true[0], truth.cov_true[1])
         assert not np.allclose(truth.cov_true[0], truth.cov_true[2])
+
+    def test_a_group_led_by_a_later_speaker_shares_its_draws(self):
+        cfg = tiny_scenario([0, 1, 2], duration_s=4.0, seed=9, spatial_groups=[[2, 0]])
+        _, _, truth, _ = build_meeting(cfg)
+        assert np.array_equal(truth.cov_true[0], truth.cov_true[2])
+        assert np.linalg.eigvalsh(truth.cov_true[0]).min() > 0.05  # drawn, not left empty
+
+    @pytest.mark.parametrize("groups", [[[0, 1], [1, 2]], [[0, 3]]])
+    def test_overlapping_or_unknown_spatial_groups_rejected(self, groups):
+        with pytest.raises(ConfigurationError, match="spatial groups"):
+            tiny_scenario([0, 1, 2], spatial_groups=groups)
+
+    @pytest.mark.parametrize("groups", [None, [[0, 1]]])
+    def test_spatial_groups_reach_the_audio(self, groups):
+        # grouped speakers share their FIRs, so the mixture's spatial scatter
+        # on voiced frames is near rank one in every bin; ungrouped it is not
+        cfg = ScenarioConfig(
+            k_true=2, segments=[SegmentPlan(6.0, [0, 1])], overlap=0.4, seed=3,
+            sample_rate=8000, stft_size_ms=32.0, window_ms=25.0, shift_ms=8.0,
+            spatial_groups=groups,
+        )
+        _, _, truth, audio = build_meeting(cfg)
+        y = frontend.stft(audio, 32.0, 25.0, 8.0).data[:, truth.voiced]  # (C, T_voiced, F)
+        vals = np.linalg.eigvalsh(np.einsum("ctf,dtf->fcd", y, y.conj()))
+        ratio = float(np.median(vals[:, -2] / vals[:, -1]))  # 0.34 ungrouped, 3e-4 grouped
+        if groups is None:
+            assert ratio > 0.1
+        else:
+            assert ratio < 1e-3
