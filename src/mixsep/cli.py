@@ -17,7 +17,6 @@ import numpy as np
 from . import frontend, metrics, pipeline, rttm, synth
 from .errors import ConfigurationError, MixsepError
 from .integrated import check_tau
-from .vmf import check_kappa_max
 
 # What an int, float or str setting must hold: a value of another type (a bool,
 # a float count, a string for a number) or a real that is not finite is an
@@ -33,7 +32,8 @@ _SETTING_KINDS = {
 
 @dataclass
 class RunConfig:
-    """All tunables of a batch run; unknown keys are rejected on load."""
+    """The settings that batch runs change; unknown keys are rejected on load.
+    The paper's fixed values are the defaults of the functions that read them."""
 
     inputs: list = field(default_factory=list)  # dicts: id, audio, embeddings
     out_dir: str = "out"
@@ -53,21 +53,13 @@ class RunConfig:
     k_init: int = 10
     init_mode: str = "per_segment"
     init_iterations: int = 30
-    kappa_max: float = 35.0
     embed_dim: int | None = None
     # joint EM and fusion
     em_iterations: int = 100
     fusion: str = "spectral"
     tau_spectral: float = 0.7
-    tau_iou: float = 0.85
-    activity_threshold: float = 0.5
     fusion_start: int = 10
-    k_target: int | None = None
     k_total: int | None = None
-    # smoothing into utterances
-    median_frames: int = 21
-    on_thresh: float = 0.5
-    min_dur_s: float = 0.5
 
     def __post_init__(self):
         for f in fields(self):
@@ -87,17 +79,9 @@ class RunConfig:
             raise ConfigurationError("k_init and iteration counts must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
-        if self.median_frames < 1 or self.median_frames % 2 != 1:
-            raise ConfigurationError(
-                f"median_frames must be odd and >= 1, got {self.median_frames!r}"
-            )
-        check_kappa_max(self.kappa_max)
         check_tau(self.tau_spectral, "tau_spectral")
-        check_tau(self.tau_iou, "tau_iou")
-        for name in ("k_target", "k_total"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigurationError(f"{name} must be >= 1 or null, got {value!r}")
+        if self.k_total is not None and self.k_total < 1:
+            raise ConfigurationError(f"k_total must be >= 1 or null, got {self.k_total!r}")
         for item in self.inputs:
             if not (
                 isinstance(item, dict)
@@ -228,15 +212,18 @@ def _bundle_scores(bundle, run_dir):
     report = json.loads(report_path.read_text()) if report_path.exists() else None
     truth_path = bundle / "truth.json"
     if truth_path.exists() and report is not None:
-        pairing = _pair_counts(json.loads(truth_path.read_text()), report)
-        if pairing:
-            truths, estimates = zip(*pairing)
-            cm = metrics.counting_matrix(truths, estimates)
+        pairs = _pair_counts(json.loads(truth_path.read_text()), report)
+        if pairs:
+            # the 8 x 8 matrix holds the pairs with both counts in 1..8; a
+            # missed segment or an estimate outside them counts as wrong, so
+            # the accuracy is the matrix's times the share of segments it holds
+            in_range = [(t, e) for t, e in pairs if 1 <= t <= 8 and 1 <= e <= 8]
+            cm = metrics.counting_matrix([t for t, _ in in_range], [e for _, e in in_range])
             out["counting"] = {
                 "matrix": cm.counts.tolist(),
-                "accuracy": cm.accuracy,
+                "accuracy": cm.accuracy * cm.total / len(pairs),
                 "correct": cm.correct,
-                "total": cm.total,
+                "total": len(pairs),
             }
     masks_path = bundle / "truth_masks.msk"
     hyp_masks = sorted(run_dir.glob("masks_*.msk"))
@@ -248,7 +235,8 @@ def _bundle_scores(bundle, run_dir):
 
 
 def _pair_counts(truth_meta, report):
-    """Match run segments to truth segments by frame overlap and pair counts."""
+    """(true, estimated) count of every truth segment: the estimate of the
+    error-free run segment that overlaps it most, or 0 where none does."""
     pairs = []
     run_segments = [
         s for s in report.get("segments", []) if not s.get("error") and "speaker_count" in s
@@ -262,8 +250,7 @@ def _pair_counts(truth_meta, report):
             ov = max(0.0, min(e, truth_seg["end_frame"]) - max(s, truth_seg["start_frame"]))
             if ov > best_ov:
                 best, best_ov = seg, ov
-        if best is not None and 1 <= count <= 8 and 1 <= best["speaker_count"] <= 8:
-            pairs.append((count, best["speaker_count"]))
+        pairs.append((count, best["speaker_count"] if best is not None else 0))
     return pairs
 
 

@@ -79,7 +79,7 @@ class JointEmConfig:
     """Tunables of one joint EM run."""
 
     iterations: int = 100
-    kappa_max: float = 35.0
+    kappa_max: float = _vmf.KAPPA_MAX
     fusion: str = "spectral"  # spectral | iou | none
     tau_spectral: float = 0.7
     tau_iou: float = 0.85

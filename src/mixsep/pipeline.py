@@ -21,6 +21,7 @@ from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .integrated import JointEmConfig, count_speakers, joint_em
 from .numerics import _load_stack, min_cost_assignment, psd_solve
 from .vmf import (
+    KAPPA_MAX,
     EmbeddingSequence,
     VmfMixture,
     smooth_one_hot,
@@ -78,10 +79,8 @@ def initialize_segment(
     embeddings: EmbeddingSequence,
     vad: np.ndarray,
     k_init: int,
-    mode: str = "per_segment",
     seed: int = 0,
     iterations: int = 30,
-    kappa_max: float = 35.0,
     global_model: VmfMixture | None = None,
     notes: list | None = None,
 ) -> np.ndarray:
@@ -91,16 +90,15 @@ def initialize_segment(
     per frame) seeds a VMFMM which is fitted on the voiced frames only;
     silence frames are assigned to an additional noise component (the last
     one). The per-frame posterior is replicated across the frequency axis as
-    a read-only broadcast view. In mode "global" a whole-meeting mixture is
-    evaluated instead of fitting fresh components.
+    a read-only broadcast view. A ``global_model`` (the whole-meeting
+    mixture of :func:`fit_global_mixture`) is evaluated instead of fitting
+    fresh components.
 
     Returns:
         The (K, T, F) posterior, ``K = k_init + 1`` components (noise last).
     """
     if k_init < 1:
         raise ConfigurationError("k_init must be >= 1")
-    if mode not in ("per_segment", "global"):
-        raise ConfigurationError(f"unknown initialization mode {mode!r}")
     vad = np.asarray(vad, dtype=bool)
     if vad.shape != (x.num_frames,) or embeddings.num_frames != x.num_frames:
         raise InvalidInputError("frame counts of STFT, VAD and embeddings disagree")
@@ -117,23 +115,19 @@ def initialize_segment(
     gamma_t[k_used, ~vad] = 1.0
     if k_used > 0:
         sub = EmbeddingSequence(embeddings.frames[voiced], embeddings.frame_rate)
-        if mode == "global":
-            if global_model is None:
-                raise ConfigurationError("global mode needs a fitted meeting-level mixture")
+        if global_model is not None:
             resp = vmf_posterior(global_model, sub)[:k_used]
             resp = resp / np.maximum(resp.sum(axis=0, keepdims=True), 1e-30)
         else:
             assign = spherical_kmeans_pp(sub, k_used, seed)
-            resp, _ = _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed)
+            resp, _ = _fit_init_vmfmm(sub, assign, iterations, seed)
         gamma_t[:k_used, voiced] = resp
     return np.broadcast_to(gamma_t[:, :, None], gamma_t.shape + (n_bins,))
 
 
-def _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed):
+def _fit_init_vmfmm(sub, assign, iterations, seed):
     resp = smooth_one_hot(assign)
-    mixture, resp, _ = vmfmm_em(
-        sub, resp, iterations, kappa_max, rng=np.random.default_rng(seed)
-    )
+    mixture, resp, _ = vmfmm_em(sub, resp, iterations, KAPPA_MAX, rng=np.random.default_rng(seed))
     return resp, mixture
 
 
@@ -143,15 +137,14 @@ def fit_global_mixture(
     k_init: int,
     seed: int = 0,
     iterations: int = 30,
-    kappa_max: float = 35.0,
 ) -> VmfMixture:
-    """Whole-meeting VMFMM on the voiced frames, used by mode "global"."""
+    """Whole-meeting VMFMM on the voiced frames, for ``init_mode`` "global"."""
     voiced = np.flatnonzero(vad)
     if voiced.size < k_init:
         raise ConfigurationError("not enough voiced frames for a global fit")
     sub = EmbeddingSequence(embeddings.frames[voiced], embeddings.frame_rate)
     assign = spherical_kmeans_pp(sub, k_init, seed)
-    _, mixture = _fit_init_vmfmm(sub, assign, iterations, kappa_max, seed)
+    _, mixture = _fit_init_vmfmm(sub, assign, iterations, seed)
     return mixture
 
 
@@ -339,10 +332,7 @@ def _segment_task(args):
         if mask_dir is not None:
             write_mask_tensor(f"{mask_dir}/masks_{segment.id}.msk", gamma)
         speaker_rows = model.speaker_indices()
-        intervals = smooth_and_segment(
-            model.pi[speaker_rows], x.frame_rate, config.median_frames, config.on_thresh,
-            config.min_dur_s,
-        )
+        intervals = smooth_and_segment(model.pi[speaker_rows], x.frame_rate)
         offset_s = segment.start_frame / x.frame_rate
         utterances = [[(offset_s + s, offset_s + e) for s, e in iv] for iv in intervals]
         result = SegmentResult(model.mu[speaker_rows], segment, utterances)
@@ -375,15 +365,13 @@ def _fit_segment(x, emb, vad, seed, config, global_model, notes):
         ``(init, model, gamma, events, trace)``.
     """
     init = initialize_segment(
-        x, emb, vad, config.k_init, mode=config.init_mode, seed=seed,
-        iterations=config.init_iterations, kappa_max=config.kappa_max,
+        x, emb, vad, config.k_init, seed=seed, iterations=config.init_iterations,
         global_model=global_model, notes=notes,
     )
     jcfg = JointEmConfig(
-        iterations=config.em_iterations, kappa_max=config.kappa_max, fusion=config.fusion,
-        tau_spectral=config.tau_spectral, tau_iou=config.tau_iou,
-        activity_threshold=config.activity_threshold, fusion_start=config.fusion_start,
-        k_min=config.k_target or 1, noise_index=len(init) - 1, seed=seed,
+        iterations=config.em_iterations, fusion=config.fusion,
+        tau_spectral=config.tau_spectral, fusion_start=config.fusion_start,
+        noise_index=len(init) - 1, seed=seed,
     )
     return (init, *joint_em(x, emb, init, jcfg))
 
@@ -483,6 +471,7 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
     segments = frontend.split_segments(
         vad, config.max_pause_s, config.min_segment_s, config.max_segment_s, frame_rate
     )
+    voiced = np.count_nonzero(vad)
     report = {
         "config": asdict(config),
         "num_frames": int(num_frames),
@@ -490,14 +479,14 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
         "sample_rate": int(audio.sample_rate),
         "embedding_alignment": alignment,
         "num_segments": len(segments),
+        "voiced_fraction": voiced / max(vad.size, 1),
         "segments": [],
         "speakers": [],
     }
     if not segments:
-        voiced = np.count_nonzero(vad)
         logger.warning(
             "no segment kept: %d of %d frames voiced (%.1f%%) with vad_window_s=%g and "
-            "vad_threshold_db=%g", voiced, vad.size, 100.0 * voiced / max(vad.size, 1),
+            "vad_threshold_db=%g", voiced, vad.size, 100.0 * report["voiced_fraction"],
             config.vad_window_s, config.vad_threshold_db,
         )
         return Diarization([]), {}, report
@@ -505,8 +494,7 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
     global_model = None
     if config.init_mode == "global":
         global_model = fit_global_mixture(
-            emb, vad, config.k_init, seed=config.seed, iterations=config.init_iterations,
-            kappa_max=config.kappa_max,
+            emb, vad, config.k_init, seed=config.seed, iterations=config.init_iterations
         )
 
     tasks = []

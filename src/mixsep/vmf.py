@@ -23,6 +23,9 @@ from .numerics import (
 logger = logging.getLogger(__name__)
 
 INIT_SMOOTHING = 0.01
+# The paper's concentration cap: the joint EM's default and the cap of every
+# VMFMM the pipeline fits.
+KAPPA_MAX = 35.0
 # The series behind the normalizer and the concentration update has about
 # kappa/2 terms, and the tests check it up to this concentration.
 KAPPA_MAX_LIMIT = 1e4

@@ -14,6 +14,7 @@ from helpers import wav_bytes
 import mixsep
 from mixsep import cli, frontend, pipeline
 from mixsep.errors import ConfigurationError
+from mixsep.integrated import JointEmConfig
 from mixsep.synth import ScenarioConfig, SegmentPlan
 
 
@@ -76,10 +77,17 @@ class TestRunConfig:
         assert cfg.init_mode == "per_segment"
         assert cfg.fusion == "spectral"
         assert cfg.tau_spectral == 0.7
-        assert cfg.tau_iou == 0.85
         assert cfg.em_iterations == 100
         assert cfg.init_iterations == 30
-        assert cfg.kappa_max == 35.0
+        # the values no run changes are the library's defaults
+        jcfg = JointEmConfig()
+        assert (jcfg.kappa_max, jcfg.tau_iou, jcfg.activity_threshold, jcfg.k_min) == (
+            35.0, 0.85, 0.5, 1
+        )
+        assert mixsep.vmf.KAPPA_MAX == 35.0
+        smoothing = inspect.signature(pipeline.smooth_and_segment).parameters
+        defaults = [smoothing[n].default for n in ("median_frames", "on_thresh", "min_dur_s")]
+        assert defaults == [21, 0.5, 0.5]
         # a VAD floor window longer than the synthetic utterances
         assert cfg.vad_window_s == 12.0
         assert cfg.vad_threshold_db == 8.0
@@ -89,11 +97,6 @@ class TestRunConfig:
     def test_invalid_fusion_rejected(self):
         with pytest.raises(ConfigurationError):
             cli.RunConfig(fusion="never")
-
-    @pytest.mark.parametrize("kappa_max", [-1.0, 1e7])
-    def test_kappa_cap_outside_checked_range_rejected(self, kappa_max):
-        with pytest.raises(ConfigurationError):
-            cli.RunConfig.from_json(json.dumps({"kappa_max": kappa_max}))
 
     @pytest.mark.parametrize(
         "item",
@@ -119,11 +122,10 @@ class TestRunConfig:
             {"tau_spectral": 1.5},
             {"tau_spectral": 0.0},
             {"tau_spectral": float("nan")},
-            {"tau_iou": 1.0},
-            {"tau_iou": -0.2},
+            {"tau_spectral": 1.0},
+            {"tau_spectral": -0.2},
             {"k_total": -1},
             {"k_total": 0},
-            {"k_target": 0},
         ],
     )
     def test_fusion_setting_outside_range_rejected(self, setting):
@@ -131,16 +133,16 @@ class TestRunConfig:
             cli.RunConfig.from_json(json.dumps(setting))
 
     @pytest.mark.parametrize(
-        "setting", [{"seed": -1}, {"median_frames": -1}, {"median_frames": -3}]
+        "setting", [{"seed": -1}, {"k_init": 0}, {"em_iterations": 0}]
     )
-    def test_seed_and_median_outside_range_rejected(self, setting):
+    def test_seed_and_counts_outside_range_rejected(self, setting):
         with pytest.raises(ConfigurationError):
             cli.RunConfig.from_json(json.dumps(setting))
 
     @pytest.mark.parametrize(
         "setting",
         [
-            {"median_frames": 21.0},
+            {"init_iterations": 30.0},
             {"k_init": 4.0},
             {"seed": 1.5},
             {"seed": True},
@@ -149,7 +151,7 @@ class TestRunConfig:
             {"em_iterations": False},
             {"fusion_start": 10.0},
             {"embed_dim": 16.0},
-            {"k_target": True},
+            {"k_total": True},
             {"k_total": 2.5},
         ],
     )
@@ -163,10 +165,10 @@ class TestRunConfig:
         [
             {"vad_threshold_db": "8"},
             {"shift_ms": "8"},
-            {"on_thresh": "0.5"},
-            {"min_dur_s": float("nan")},
+            {"tau_spectral": "0.7"},
+            {"max_pause_s": float("nan")},
             {"max_segment_s": True},
-            {"kappa_max": float("inf")},
+            {"min_segment_s": float("inf")},
             {"window_ms": None},
         ],
     )
@@ -190,8 +192,8 @@ class TestRunConfig:
 
     def test_integer_counts_and_nulls_accepted(self):
         cfg = cli.RunConfig.from_json(json.dumps(
-            {"seed": 3, "jobs": 2, "k_init": 4, "median_frames": 21, "embed_dim": None,
-             "k_target": None, "k_total": 2}
+            {"seed": 3, "jobs": 2, "k_init": 4, "fusion_start": 10, "embed_dim": None,
+             "k_total": 2}
         ))
         assert (cfg.seed, cfg.k_init, cfg.k_total, cfg.embed_dim) == (3, 4, 2, None)
         assert cli.RunConfig(seed=np.int64(7)).seed == 7
@@ -357,6 +359,7 @@ class TestCmdRun:
         assert len(masks) == report["num_segments"]
         # config echo makes the run reproducible from its own output
         assert report["config"]["k_init"] == 4
+        assert 0.0 < report["voiced_fraction"] <= 1.0
 
     def test_missing_embeddings_exit_one(self, bundle, tmp_path, capsys):
         cfg = run_config_dict(bundle, tmp_path / "o")
@@ -396,17 +399,17 @@ class TestCmdRun:
     @pytest.mark.parametrize(
         "setting, flags",
         [
-            ({"median_frames": -1}, []),
+            ({"k_init": 0}, []),
             ({}, ["--seed", "-3"]),
             ({}, ["--jobs", "2", "--seed", "-1"]),
         ],
-        ids=["median_frames", "seed_flag", "seed_flag_with_jobs"],
+        ids=["k_init", "seed_flag", "seed_flag_with_jobs"],
     )
-    def test_seed_or_median_outside_range_exits_one_before_any_segment(
+    def test_seed_or_count_outside_range_exits_one_before_any_segment(
         self, bundle, tmp_path, capsys, monkeypatch, setting, flags
     ):
-        # a negative median window or seed failed only after every segment's
-        # EM; the --seed override is checked as the config file's value is
+        # a negative seed failed only after every segment's EM; the --seed
+        # override is checked as the config file's value is
         meetings = []
         monkeypatch.setattr(pipeline, "run_meeting", lambda *args, **kw: meetings.append(args))
         out_dir = tmp_path / "out"
@@ -417,8 +420,8 @@ class TestCmdRun:
         assert not meetings and not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "setting", [{"median_frames": 21.0}, {"k_init": 4.0}, {"seed": 1.5}],
-        ids=["median_frames", "k_init", "seed"],
+        "setting", [{"fusion_start": 10.0}, {"k_init": 4.0}, {"seed": 1.5}],
+        ids=["fusion_start", "k_init", "seed"],
     )
     def test_non_integer_count_exits_one_before_any_segment(
         self, bundle, tmp_path, capsys, monkeypatch, setting
@@ -436,9 +439,9 @@ class TestCmdRun:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"vad_threshold_db": "8"}, {"on_thresh": "0.5"}, {"min_dur_s": float("nan")},
+        [{"vad_threshold_db": "8"}, {"tau_spectral": "0.7"}, {"max_pause_s": float("nan")},
          {"max_segment_s": True}],
-        ids=["vad_threshold_db", "on_thresh", "min_dur_s", "max_segment_s"],
+        ids=["vad_threshold_db", "tau_spectral", "max_pause_s", "max_segment_s"],
     )
     def test_bad_real_setting_exits_one_before_any_segment(
         self, bundle, tmp_path, capsys, monkeypatch, setting
@@ -450,6 +453,25 @@ class TestCmdRun:
         config.write_text(json.dumps(run_config_dict(bundle, out_dir, **setting)))
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "error: cannot load config" in capsys.readouterr().err
+        assert not meetings and not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("kappa_max", 35.0), ("tau_iou", 0.85), ("activity_threshold", 0.5), ("k_target", 1),
+         ("median_frames", 21), ("on_thresh", 0.5), ("min_dur_s", 0.5)],
+    )
+    def test_removed_setting_exits_one_as_unknown_key(
+        self, bundle, tmp_path, capsys, monkeypatch, key, value
+    ):
+        # the paper's fixed values are library defaults, not run settings:
+        # naming one, even at its value, fails the load
+        meetings = []
+        monkeypatch.setattr(pipeline, "run_meeting", lambda *args, **kw: meetings.append(args))
+        out_dir = tmp_path / "out"
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(run_config_dict(bundle, out_dir, **{key: value})))
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
         assert not meetings and not out_dir.exists()
 
     def test_embedding_alignment_reported(self, finished_run, tmp_path):
@@ -565,6 +587,29 @@ class TestCmdRun:
         assert len(errors) == 1
         assert "injected fault" in errors[0]["error"]
 
+    def test_fewer_voiced_frames_than_k_init_lowers_it(self, tmp_path):
+        # a 1.5 s scene has a few hundred voiced frames: k_init 400 drops to
+        # their count, with a note in the report, and the run succeeds
+        scenario = ScenarioConfig(
+            k_true=2, segments=[SegmentPlan(1.5, [0, 1])], channels=3, embed_dim=16,
+            sample_rate=2000, stft_size_ms=32.0, window_ms=25.0, shift_ms=8.0, seed=3,
+        )
+        bundle = tmp_path / "bundle"
+        assert cli.main(["synth", "--scenario", str(write_scenario(tmp_path, scenario)),
+                         "--out", str(bundle)]) == 0
+        out_dir = tmp_path / "out"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(run_config_dict(
+            bundle, out_dir, k_init=400, init_iterations=2, em_iterations=2, k_total=None
+        )))
+        assert cli.main(["run", "--config", str(config)]) == 0
+        report = json.loads((out_dir / "meet0" / "report.json").read_text())
+        assert report["num_segments"] == 1
+        (segment,) = report["segments"]
+        assert segment["error"] is None
+        assert segment["notes"] and segment["notes"][0].startswith("k_init lowered from 400 to ")
+        assert 1 < segment["initial_components"] <= 400
+
     def test_oversized_segments_partial_and_next_input_runs(self, bundle, tmp_path):
         # two talkers against k_total=1: each meeting's segments fail alone,
         # the run goes on to the second input and exits partial
@@ -608,6 +653,44 @@ class TestCmdScore:
         assert "mask_auc" in scores
         assert scores["der"] < 0.15
         assert scores["mask_auc"] > 0.8
+
+    @pytest.mark.parametrize(
+        "second, correct",
+        [
+            ({"speaker_count": 3, "error": None}, 2),
+            (None, 1),
+            ({"speaker_count": 3, "error": "injected"}, 1),
+            ({"speaker_count": 12, "error": None}, 1),
+        ],
+        ids=["both_right", "missed", "failed", "out_of_range"],
+    )
+    def test_counting_scores_every_truth_segment(self, tmp_path, capsys, second, correct):
+        # a truth segment that no error-free run segment overlaps, or whose
+        # estimate lies outside 1..8, counts as wrong; the matrix holds the rest
+        bundle, run_dir = tmp_path / "bundle", tmp_path / "run"
+        bundle.mkdir()
+        run_dir.mkdir()
+        (bundle / "truth.json").write_text(json.dumps({
+            "frame_rate": 100.0,
+            "segments": [{"id": "a", "start_frame": 0, "end_frame": 100},
+                         {"id": "b", "start_frame": 200, "end_frame": 300}],
+            "segment_counts": [2, 3],
+        }))
+        segments = [{"id": "s0", "start_s": 0.0, "end_s": 1.0, "speaker_count": 2, "error": None}]
+        if second is not None:
+            segments.append({"id": "s1", "start_s": 2.0, "end_s": 3.0, **second})
+        report = {"frame_rate": 100.0, "segments": segments}
+        (run_dir / "report.json").write_text(json.dumps(report))
+        turns = "SPEAKER m 1 0.0 1.0 <NA> <NA> a <NA> <NA>\n"
+        for path in (bundle / "ref.rttm", run_dir / "hyp.rttm"):
+            path.write_text(turns)
+        args = ["--ref", str(bundle / "ref.rttm"), "--hyp", str(run_dir / "hyp.rttm")]
+        assert cli.main(["score", *args, "--bundle", str(bundle)]) == 0
+        counting = json.loads(capsys.readouterr().out)["counting"]
+        assert (counting["correct"], counting["total"]) == (correct, 2)
+        assert counting["accuracy"] == correct / 2
+        matrix = np.array(counting["matrix"])
+        assert matrix[1, 1] == 1 and matrix.sum() == (2 if correct == 2 else 1)
 
     def test_truncated_truth_masks_exit_one_without_traceback(self, finished_run, tmp_path):
         code, out, bundle_dir = finished_run

@@ -839,6 +839,8 @@ class TestJointEm:
             {"tau_iou": 1.0},
             {"tau_iou": np.nan},
             {"k_min": 0},
+            {"tau_iou": -0.2},
+            {"kappa_max": -1.0},
         ],
     )
     def test_fusion_setting_outside_range_rejected(self, setting):

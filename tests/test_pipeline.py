@@ -24,7 +24,7 @@ from mixsep.pipeline import (
     write_mask_tensor,
 )
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting
-from mixsep.vmf import EmbeddingSequence
+from mixsep.vmf import EmbeddingSequence, vmf_posterior
 
 
 def segment_slices(x, e, vad, seg):
@@ -111,11 +111,12 @@ class TestInitializeSegment:
         x_model, e, truth, _ = build_meeting(cfg)
         vad = truth.voiced
         mixture = pipeline.fit_global_mixture(e, vad, 2, seed=0, iterations=15)
-        init = initialize_segment(
-            x_model, e, vad, 2, mode="global", global_model=mixture
-        )
+        init = initialize_segment(x_model, e, vad, 2, global_model=mixture)
         check_posterior(init)
         assert len(init) == 3
+        # the voiced frames take the meeting mixture's posterior
+        resp = vmf_posterior(mixture, EmbeddingSequence(e.frames[vad], e.frame_rate))
+        assert np.allclose(init[:2, vad, 0], resp / resp.sum(axis=0))
 
 
 class TestSmoothAndSegment:
@@ -505,6 +506,7 @@ class TestRunMeeting:
         with caplog.at_level(logging.WARNING, logger="mixsep"):
             dia, _, report = run_meeting(audio, EmbeddingSequence(frames, 125.0), config)
         assert report["num_segments"] == 0 and dia.entries == []
+        assert report["voiced_fraction"] == 0.0
         assert [r.getMessage() for r in caplog.records] == [
             "no segment kept: 0 of 2497 frames voiced (0.0%) with vad_window_s=12 and "
             "vad_threshold_db=8"
