@@ -73,7 +73,7 @@ class RunConfig:
                 raise ConfigurationError(f"{f.name} must be {what}, got {value!r}")
         if self.init_mode not in ("per_segment", "global"):
             raise ConfigurationError(f"unknown init_mode {self.init_mode!r}")
-        if self.fusion not in ("spectral", "iou", "none"):
+        if self.fusion not in ("spectral", "none"):
             raise ConfigurationError(f"unknown fusion strategy {self.fusion!r}")
         if self.k_init < 1 or self.em_iterations < 1 or self.init_iterations < 1:
             raise ConfigurationError("k_init and iteration counts must be >= 1")

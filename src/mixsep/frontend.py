@@ -330,7 +330,8 @@ def ingest_embeddings(
 
     A count mismatch of at most 2 frames is fixed by truncation or edge
     padding; larger mismatches trigger nearest-frame resampling. The
-    alignment action is recorded on the returned sequence.
+    alignment action is recorded on the returned sequence. ``frame_rate``
+    is the STFT frame rate; None gives :class:`EmbeddingSequence`'s default.
     """
     frames = read_f32_tensor(path, EMBEDDING_MAGIC, 2)
     t_file, e_dim = frames.shape
@@ -360,13 +361,8 @@ def ingest_embeddings(
         logger.info("embedding alignment for %s: %s", path, action)
 
     if frame_rate is None:
-        sidecar = str(path) + ".json"
-        try:
-            with open(sidecar) as fh:
-                frame_rate = json.load(fh).get("frame_rate")
-        except OSError:
-            frame_rate = None
-    return EmbeddingSequence.from_raw(frames, frame_rate or 62.5, alignment_action=action)
+        return EmbeddingSequence.from_raw(frames, alignment_action=action)
+    return EmbeddingSequence.from_raw(frames, frame_rate, alignment_action=action)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 One latent source-activity variable per time-frequency bin couples the
 spatial cACG mixture and the spectral vMF mixture: the E-step multiplies
 both likelihoods (the vMF term replicated along frequency), the M-steps
-stay decoupled. Component fusion by prototype cosine similarity (or by
-activity IoU) merges split speakers and thereby counts them.
+stay decoupled. Component fusion by prototype cosine similarity merges
+split speakers and thereby counts them.
 """
 
 from __future__ import annotations
@@ -80,12 +80,9 @@ class JointEmConfig:
 
     iterations: int = 100
     kappa_max: float = _vmf.KAPPA_MAX
-    fusion: str = "spectral"  # spectral | iou | none
+    fusion: str = "spectral"  # spectral | none
     tau_spectral: float = 0.7
-    tau_iou: float = 0.85
-    activity_threshold: float = 0.5
     fusion_start: int = 10
-    k_min: int = 1
     noise_index: int | None = None
     freeze_spatial: bool = False
     seed: int = 0
@@ -93,9 +90,6 @@ class JointEmConfig:
     def __post_init__(self):
         _vmf.check_kappa_max(self.kappa_max)
         check_tau(self.tau_spectral, "tau_spectral")
-        check_tau(self.tau_iou, "tau_iou")
-        if self.k_min < 1:
-            raise ConfigurationError(f"k_min must be >= 1, got {self.k_min!r}")
 
 
 def check_tau(tau: float, name: str = "tau"):
@@ -147,19 +141,26 @@ def fused_covariances(model: JointModel, keep: int, remove: int) -> np.ndarray:
     return covariances
 
 
-def _fuse_top_pair(model, tau, k_min, iteration, score):
-    """The fusion of the speaker pair of highest score if that score exceeds
-    tau, as a :class:`FusionEvent`, or None.
+def spectral_fusion_check(model: JointModel, tau: float, iteration: int = 0):
+    """Decide whether the most similar pair of prototypes fuses: its cosine
+    exceeds tau.
 
-    ``score(speakers)`` returns the symmetric pair-score matrix of the
-    speaker components (noise excluded). Ties go to the first pair in
-    row-major order of its upper triangle.
+    At most one fusion per call. The noise component never takes part, and
+    the last speaker component has no partner. Ties go to the first pair
+    in row-major order of the upper triangle. The check reads the
+    prototypes alone and changes nothing: :func:`joint_em` applies the
+    fusion, where the posteriors add exactly and the spatial covariances
+    combine as the prior-mass-weighted average (:func:`fused_covariances`).
+
+    Returns:
+        The :class:`FusionEvent`, or None.
     """
     check_tau(tau)
     speakers = model.speaker_indices()
-    if len(speakers) <= max(k_min, 1):
+    if len(speakers) < 2:
         return None
-    scores = score(speakers)
+    mu = model.mu[speakers]
+    scores = mu @ mu.T
     scores[np.tri(len(speakers), dtype=bool)] = -np.inf  # only pairs a < b compete
     a, b = divmod(int(scores.argmax()), len(speakers))
     if scores[a, b] <= tau:
@@ -167,53 +168,6 @@ def _fuse_top_pair(model, tau, k_min, iteration, score):
     return FusionEvent(
         kept=speakers[a], removed=speakers[b], similarity=float(scores[a, b]), iteration=iteration
     )
-
-
-def spectral_fusion_check(model: JointModel, tau: float, k_min: int = 1, iteration: int = 0):
-    """Decide whether the most similar pair of prototypes fuses: its cosine
-    exceeds tau.
-
-    At most one fusion per call. The noise component never takes part, and
-    no fusion happens if it would push the speaker count below ``k_min``.
-    The check reads the prototypes alone and changes nothing:
-    :func:`joint_em` applies the fusion, where the posteriors add exactly
-    and the spatial covariances combine as the prior-mass-weighted average
-    (:func:`fused_covariances`).
-
-    Returns:
-        The :class:`FusionEvent`, or None.
-    """
-
-    def cosine(speakers):
-        mu = model.mu[speakers]
-        return mu @ mu.T
-
-    return _fuse_top_pair(model, tau, k_min, iteration, cosine)
-
-
-def iou_fusion_check(
-    model: JointModel,
-    tau: float,
-    activity_threshold: float = 0.5,
-    k_min: int = 1,
-    iteration: int = 0,
-):
-    """Fusion baseline on the intersection-over-union of prior activity.
-
-    A component is active in a frame when its prior exceeds
-    ``activity_threshold``; the pair with the highest IoU above ``tau``
-    fuses, decided from the model alone and returned like the spectral
-    check's. Two empty activity sets have IoU 0.
-    """
-
-    def iou(speakers):
-        active = (model.pi[speakers] > activity_threshold).astype(float)  # (S, T)
-        inter = active @ active.T
-        size = active.sum(axis=1)
-        union = size[:, None] + size[None, :] - inter
-        return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
-
-    return _fuse_top_pair(model, tau, k_min, iteration, iou)
 
 
 def _initial_model(
@@ -247,15 +201,6 @@ def _logits(model: JointModel, embeddings: EmbeddingSequence) -> np.ndarray:
     return _vmf.log_pdf_matrix(model.mu, model.kappa, embeddings.frames, model.lognorm, log_pi)
 
 
-def _fusion(model: JointModel, config: JointEmConfig, it: int) -> FusionEvent | None:
-    """The fusion check of iteration ``it`` on the model alone."""
-    if config.fusion == "none" or it < config.fusion_start:
-        return None
-    if config.fusion == "spectral":
-        return spectral_fusion_check(model, config.tau_spectral, config.k_min, it)
-    return iou_fusion_check(model, config.tau_iou, config.activity_threshold, config.k_min, it)
-
-
 def joint_em(
     x: StftTensor,
     embeddings: EmbeddingSequence,
@@ -268,15 +213,14 @@ def joint_em(
     update :func:`cacg.cacg_m_step` from identity covariances, unless the
     spatial model is frozen, and :func:`joint_m_step` with the frequency
     mean of ``init`` as the priors) and then alternates E- and M-steps.
-    From ``fusion_start`` on, the configured fusion check may merge one
-    pair of components after each E-step. The log-likelihood trace is
+    From ``fusion_start`` on, spectral fusion may merge one pair of
+    components after each E-step. The log-likelihood trace is
     non-decreasing between iterations with an equal component count;
     fusion steps may move the value.
 
-    The fusion decision reads only the prototypes (spectral) or the prior
-    (IoU), which the E-step leaves as they are, so each iteration decides
-    it first and then runs as one :func:`cacg.em_sweep` over blocks of
-    frequencies: per block the E-step, the in-place merge of the fused
+    The fusion decision reads only the prototypes, which the E-step leaves
+    as they are, so each iteration decides it first and then runs as one
+    :func:`cacg.em_sweep` over blocks of frequencies: per block the E-step, the in-place merge of the fused
     pair's posteriors and the Tyler update, which every covariance is
     factorized once for. The prior update (:func:`numerics.update_pi`) and
     the vMF M-step (:func:`joint_m_step`) then read the frequency sums of
@@ -300,7 +244,7 @@ def joint_em(
     """
     if config.iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
-    if config.fusion not in ("spectral", "iou", "none"):
+    if config.fusion not in ("spectral", "none"):
         raise ConfigurationError(f"unknown fusion strategy {config.fusion!r}")
     init = np.asarray(init, dtype=float)
     if embeddings.num_frames != x.num_frames:
@@ -318,7 +262,9 @@ def joint_em(
     trace = []
     spent = None
     for it in range(config.iterations):
-        event = _fusion(model, config, it)
+        event = None
+        if config.fusion == "spectral" and it >= config.fusion_start:
+            event = spectral_fusion_check(model, config.tau_spectral, it)
         fused, merge, noise = model.covariances, None, model.noise_index
         if event is not None:
             logger.debug("fused components %d <- %d at iteration %d", event.kept, event.removed, it)

@@ -226,7 +226,9 @@ def beamform(x: StftTensor, gamma: np.ndarray, targets) -> np.ndarray:
     if np.any(~np.isfinite(denom)) or np.any(denom <= 0.0):
         raise NumericalError("distortion covariance remained singular after loading")
     weights = num / denom[..., None]
-    return np.einsum("sfc,fct->stf", weights.conj(), np.transpose(x.data, (2, 0, 1)))
+    # one batched (S, C) @ (C, T) product per frequency, viewed as (S, T, F)
+    out = np.matmul(weights.conj().transpose(1, 0, 2), np.transpose(x.data, (2, 0, 1)))
+    return out.transpose(1, 2, 0)
 
 
 def _block_scatter(x: StftTensor, weights: np.ndarray) -> np.ndarray:

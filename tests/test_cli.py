@@ -80,10 +80,7 @@ class TestRunConfig:
         assert cfg.em_iterations == 100
         assert cfg.init_iterations == 30
         # the values no run changes are the library's defaults
-        jcfg = JointEmConfig()
-        assert (jcfg.kappa_max, jcfg.tau_iou, jcfg.activity_threshold, jcfg.k_min) == (
-            35.0, 0.85, 0.5, 1
-        )
+        assert JointEmConfig().kappa_max == 35.0
         assert mixsep.vmf.KAPPA_MAX == 35.0
         smoothing = inspect.signature(pipeline.smooth_and_segment).parameters
         defaults = [smoothing[n].default for n in ("median_frames", "on_thresh", "min_dur_s")]
@@ -382,7 +379,9 @@ class TestCmdRun:
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "error: cannot load config" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", [{"tau_spectral": 1.5}, {"k_total": -1}])
+    @pytest.mark.parametrize(
+        "setting", [{"tau_spectral": 1.5}, {"k_total": -1}, {"fusion": "iou"}]
+    )
     def test_fusion_setting_outside_range_exits_one_before_any_segment(
         self, bundle, tmp_path, capsys, monkeypatch, setting
     ):
@@ -463,8 +462,9 @@ class TestCmdRun:
     def test_removed_setting_exits_one_as_unknown_key(
         self, bundle, tmp_path, capsys, monkeypatch, key, value
     ):
-        # the paper's fixed values are library defaults, not run settings:
-        # naming one, even at its value, fails the load
+        # the paper's fixed values are library defaults, not run settings, and
+        # tau_iou and activity_threshold set nothing: naming one, even at a
+        # former value, fails the load
         meetings = []
         monkeypatch.setattr(pipeline, "run_meeting", lambda *args, **kw: meetings.append(args))
         out_dir = tmp_path / "out"

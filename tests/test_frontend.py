@@ -418,12 +418,6 @@ class TestEmbeddings:
         with pytest.raises(InvalidInputError):
             ingest_embeddings(path, 4)
 
-    def test_sidecar_frame_rate(self, tmp_path):
-        path = tmp_path / "e.emb"
-        write_embeddings(path, np.eye(4), frame_rate=125.0)
-        seq = ingest_embeddings(path, 4)
-        assert seq.frame_rate == 125.0
-
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "e.emb"
         path.write_bytes(b"XXXX" + b"\x00" * 12)

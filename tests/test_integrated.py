@@ -32,7 +32,6 @@ from mixsep.integrated import (
     JointModel,
     count_speakers,
     fused_covariances,
-    iou_fusion_check,
     joint_em,
     joint_m_step,
     spectral_fusion_check,
@@ -383,11 +382,14 @@ class TestSpectralFusion:
         event = spectral_fusion_check(model, tau=0.7)
         assert event is None  # the only similar pair involves the noise component
 
-    def test_k_min_blocks_fusion(self):
-        pi, covs, rng = self.setup_scene()
+    def test_last_speaker_never_fuses(self):
+        # one speaker left has no partner, beside the noise component or alone
+        pi, covs, rng = self.setup_scene(n_comp=2)
         mu = unit(rng.standard_normal(8))
-        model = make_fusion_model([mu, mu, unit(np.eye(8)[2])], [5.0] * 3, pi, covs)
-        assert spectral_fusion_check(model, tau=0.7, k_min=3) is None
+        model = make_fusion_model([mu, mu], [5.0, 0.0], pi, covs, noise_index=1)
+        assert spectral_fusion_check(model, tau=0.7) is None
+        model = make_fusion_model([mu], [5.0], pi[:1], covs[:1])
+        assert spectral_fusion_check(model, tau=0.7) is None
 
     def test_noise_index_shifts_after_fusion(self):
         pi, covs, rng = self.setup_scene()
@@ -418,61 +420,13 @@ class TestSpectralFusion:
         assert np.argmax(model.pi[:, ~truth.voiced].mean(axis=1)) == noise
 
 
-class TestIouFusion:
-    def make(self, pi_rows):
-        n_comp = pi_rows.shape[0]
-        covs = [
-            np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy() for _ in range(n_comp)
-        ]
-        mus = [unit(v) for v in np.eye(4)[:n_comp]]
-        return make_fusion_model(mus, [5.0] * n_comp, pi_rows, covs)
-
-    def test_identical_activity_fuses(self):
-        row = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
-        pi = np.stack([row * 0.45, row * 0.45, 0.1 * np.ones(5)])
-        model = self.make(pi)
-        event = iou_fusion_check(model, tau=0.85, activity_threshold=0.3)
-        assert event is not None and event.similarity == pytest.approx(1.0)
-
-    def test_disjoint_activity_no_fusion(self):
-        a = np.array([0.9, 0.9, 0.0, 0.0, 0.0])
-        b = np.array([0.0, 0.0, 0.0, 0.9, 0.9])
-        pi = np.stack([a, b, 1.0 - a - b])
-        model = self.make(pi)
-        event = iou_fusion_check(model, tau=0.1, activity_threshold=0.5)
-        assert event is None
-
-    def test_nine_of_ten_overlap_fuses(self):
-        a = np.zeros(12)
-        b = np.zeros(12)
-        a[:10] = 0.9  # active frames 0..9
-        b[1:11] = 0.9  # active frames 1..10 -> intersection 9, union 11? make it 9/10
-        b = np.zeros(12)
-        b[:9] = 0.9
-        b[10] = 0.0
-        a[9] = 0.9
-        # a active on 0..9 (10 frames), b active on 0..8 (9 frames): IoU = 9/10
-        pi = np.stack([a, b, np.maximum(1.0 - a - b, 0.0)])
-        pi = pi / pi.sum(axis=0, keepdims=True)
-        model = self.make((np.stack([a, b, np.maximum(1.0 - a - b, 0.05)])))
-        event = iou_fusion_check(model, tau=0.85, activity_threshold=0.5)
-        assert event is not None
-        assert event.similarity == pytest.approx(0.9)
-
-    def test_empty_activities_iou_zero(self):
-        pi = np.stack([np.zeros(4), np.zeros(4), np.ones(4)])
-        model = self.make(pi)
-        event = iou_fusion_check(model, tau=0.5, activity_threshold=0.5)
-        assert event is None
-
-
 class TestFusionScorerMatchesPairLoop:
-    """Both fusion checks against a brute-force loop over the speaker pairs."""
+    """The fusion check against a brute-force loop over the speaker pairs."""
 
     @staticmethod
-    def pair_loop(model, score, tau, k_min):
+    def pair_loop(model, score, tau):
         speakers = [k for k in range(model.num_components) if k != model.noise_index]
-        if len(speakers) <= max(k_min, 1):
+        if len(speakers) < 2:
             return None
         best, best_score = None, -np.inf
         for i, a in enumerate(speakers):
@@ -503,15 +457,14 @@ class TestFusionScorerMatchesPairLoop:
         rng = np.random.default_rng(5)
         pool = list(np.eye(4)) + [np.array(s) - 0.5 for s in np.ndindex(2, 2, 2, 2)]
         outcomes = {"fused": 0, "none": 0, "tied": 0}
-        for _ in range(400):
+        for _ in range(1000):
             n_comp = int(rng.integers(2, 8))
             mus = [pool[i] for i in rng.integers(len(pool), size=n_comp)]
             model = self.random_model(rng, mus, rng.uniform(0.0, 1.0, (n_comp, 6)))
             tau = float(rng.choice([0.25, 0.5, 0.7, 0.99]))
-            k_min = int(rng.integers(1, 5))
             cosine = lambda a, b: float(model.mu[a] @ model.mu[b])
-            want = self.pair_loop(model, cosine, tau, k_min)
-            event = spectral_fusion_check(model, tau, k_min=k_min)
+            want = self.pair_loop(model, cosine, tau)
+            event = spectral_fusion_check(model, tau)
             self.assert_same(event, want)
             outcomes["none" if want is None else "fused"] += 1
             if want is not None:
@@ -530,37 +483,13 @@ class TestFusionScorerMatchesPairLoop:
             mus = [unit(v) for v in rng.standard_normal((n_comp, 3))]
             model = self.random_model(rng, mus, rng.uniform(0.0, 1.0, (n_comp, 6)))
             cosine = lambda a, b: float(model.mu[a] @ model.mu[b])
-            want = self.pair_loop(model, cosine, 0.5, 1)
+            want = self.pair_loop(model, cosine, 0.5)
             event = spectral_fusion_check(model, 0.5)
             if want is None:
                 assert event is None
             else:
                 assert (event.kept, event.removed) == want[0]
                 assert event.similarity == pytest.approx(want[1], abs=1e-15)
-
-    def test_iou_matches_pair_loop(self):
-        rng = np.random.default_rng(7)
-        outcomes = {"fused": 0, "none": 0, "empty_union": 0}
-        for _ in range(400):
-            n_comp = int(rng.integers(2, 8))
-            pi = rng.uniform(0.0, 1.0, (n_comp, 5))
-            pi[rng.random(n_comp) < 0.3] = 0.0  # all-inactive rows
-            mus = [unit(v) for v in np.eye(8)[:n_comp]]
-            model = self.random_model(rng, mus, pi)
-            tau = float(rng.choice([0.2, 0.5, 0.6, 0.8]))
-            k_min = int(rng.integers(1, 5))
-            active = pi > 0.5
-
-            def iou(a, b):
-                union = np.logical_or(active[a], active[b]).sum()
-                return np.logical_and(active[a], active[b]).sum() / union if union else 0.0
-
-            want = self.pair_loop(model, iou, tau, k_min)
-            event = iou_fusion_check(model, tau, activity_threshold=0.5, k_min=k_min)
-            self.assert_same(event, want)
-            outcomes["none" if want is None else "fused"] += 1
-            outcomes["empty_union"] += int((~active).all(axis=1).sum() >= 2)
-        assert min(outcomes.values()) > 20, outcomes
 
 
 class TestJointEm:
@@ -694,7 +623,7 @@ class TestJointEm:
         assert [ev.iteration for ev in events] == [3]
 
         xn = normalize_observations(x)
-        event = spectral_fusion_check(before, jcfg.tau_spectral, 1, 3)
+        event = spectral_fusion_check(before, jcfg.tau_spectral, 3)
         assert event == events[0]
         fused, fused_gamma = self.copy_fusion(before, joint_posterior(x, e, before), event)
         assert np.array_equal(post, fused_gamma)
@@ -824,8 +753,10 @@ class TestJointEm:
     def test_invalid_fusion_strategy_rejected(self):
         x, e, truth, _ = build_meeting(tiny_scenario([0], seed=14))
         init = kmeans_init_posterior(e, truth.voiced, 2, x.num_bins)
-        with pytest.raises(ConfigurationError):
-            joint_em(x, e, init, JointEmConfig(fusion="sometimes"))
+        # fusion is spectral or none: "iou" is as unknown as any other value
+        for fusion in ("sometimes", "iou"):
+            with pytest.raises(ConfigurationError, match="unknown fusion strategy"):
+                joint_em(x, e, init, JointEmConfig(fusion=fusion))
 
     def test_kappa_cap_outside_checked_range_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -836,10 +767,10 @@ class TestJointEm:
         [
             {"tau_spectral": 1.5},
             {"tau_spectral": 0.0},
-            {"tau_iou": 1.0},
-            {"tau_iou": np.nan},
-            {"k_min": 0},
-            {"tau_iou": -0.2},
+            {"tau_spectral": 1.0},
+            {"tau_spectral": np.nan},
+            {"kappa_max": np.nan},
+            {"tau_spectral": -0.2},
             {"kappa_max": -1.0},
         ],
     )
@@ -918,22 +849,6 @@ class TestBlockPartitionInvariance:
         )
         runs = self.runs(monkeypatch, x, init, lambda: joint_em(x, e, init, jcfg))
         assert runs[0][2]  # fusion fired
-        self.assert_same_fit(runs)
-
-    def test_iou_fusion(self, monkeypatch):
-        # the first speaker split into two equal halves: their priors stay
-        # equal, so their activity sets coincide and IoU fusion fires
-        cfg = tiny_scenario([0, 1, 2], duration_s=6.0, seed=9, embed_dim=24)
-        x, e, truth, _ = build_meeting(cfg)
-        base = kmeans_init_posterior(e, truth.voiced, 3, x.num_bins, seed=2)
-        split = lambda a: np.concatenate([a[:1] / 2, a[:1] / 2, a[1:]])
-        init = split(base)
-        jcfg = JointEmConfig(
-            iterations=6, fusion="iou", tau_iou=0.8, activity_threshold=0.3, fusion_start=2,
-            noise_index=4, seed=0,
-        )
-        runs = self.runs(monkeypatch, x, init, lambda: joint_em(x, e, init, jcfg))
-        assert [(ev.kept, ev.removed) for ev in runs[0][2]] == [(0, 1)]
         self.assert_same_fit(runs)
 
     def test_cacgmm_em(self, monkeypatch):

@@ -333,6 +333,32 @@ class TestBeamform:
         best_channel = max(snr(x.data[c].copy()) for c in range(n_chan))
         assert snr(out) > best_channel
 
+    @pytest.mark.parametrize("speakers", [2, 1], ids=["two_speakers", "noise_distortion_only"])
+    def test_distortionless_on_the_target_frames(self, speakers):
+        # noiseless rank-one speakers in turn, then faint white noise that the
+        # noise component holds: on its own frames each output is its image
+        # at the reference channel, whatever the distortion covariance pools
+        # (with one speaker, the noise component alone)
+        rng = np.random.default_rng(21)
+        n_chan, n_bins, turn = 4, 9, 80
+        cnormal = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        data = np.zeros((n_chan, (speakers + 1) * turn, n_bins), dtype=complex)
+        gamma = np.zeros((speakers + 1,) + data.shape[1:])
+        images = []
+        for k in range(speakers + 1):
+            frames = slice(k * turn, (k + 1) * turn)
+            gamma[k, frames] = 1.0
+            if k == speakers:
+                data[:, frames] = 1e-4 * cnormal(n_chan, turn, n_bins)
+                break
+            steer, source = cnormal(n_bins, n_chan), cnormal(turn, n_bins)
+            data[:, frames] = np.einsum("fc,tf->ctf", steer, source)
+            images.append(steer[:, 0] * source)
+        out = beamform(StftTensor(data, 2000, 64, 50, 16), gamma, range(speakers))
+        for k, image in enumerate(images):
+            got = out[k, k * turn : (k + 1) * turn]
+            assert np.max(np.abs(got - image)) <= 1e-6 * np.max(np.abs(image))
+
     def test_all_target_gamma_degenerate_distortion(self):
         # distortion covariance comes from floor loading only -> matched filter
         rng = np.random.default_rng(11)
@@ -573,11 +599,11 @@ class TestRunMeeting:
             assert np.array_equal(out1[1][key], out2[1][key])
 
     @pytest.mark.parametrize(
-        "setting", [{"init_mode": "global"}, {"fusion": "iou"}], ids=["global_init", "iou_fusion"]
+        "setting", [{"init_mode": "global"}, {"fusion": "none"}], ids=["global_init", "no_fusion"]
     )
     def test_alternative_configurations_end_to_end(self, setting):
-        # the paper's alternatives to per-segment initialization and spectral
-        # fusion, through the whole pipeline: every segment ends without
+        # the alternatives to per-segment initialization and spectral fusion,
+        # through the whole pipeline: every segment ends without
         # error, and the pool (which takes the meeting-level mixture of the
         # global mode with every task) gives the turns and tracks of one process
         cfg = tiny_scenario(
