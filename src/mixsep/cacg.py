@@ -29,8 +29,8 @@ COV_LOADING = 1e-10
 # Below this per-bin total of the linear-domain E-step, its smaller terms
 # would be subnormal, so such bins are evaluated in the log domain instead.
 LINEAR_TOTAL_FLOOR = 1e-280
-# Frequencies per block of the feature build, cacg_m_step and the beamformer's
-# scatter: only one block's (K, F, T) temporaries exist at a time.
+# Frequencies per block of the feature build, cacg_m_step and the observation
+# sums: only one block's (K, F, T) temporaries exist at a time.
 BLOCK_BINS = 32
 # Bytes of one block's working set in an EM sweep (:func:`em_sweep`): its
 # forms, posterior columns and feature rows, 8 (2K + C^2) T bytes per bin,
@@ -139,7 +139,7 @@ def outer_features(x: StftTensor) -> np.ndarray:
     the pairs ``i < j`` in row-major order, of the channel vectors ``y`` of
     :func:`normalize_observations` of ``x``, to the bit. Both cACG kernels
     are linear in ``y y^H``, so each is one real batched GEMM on these rows
-    (:func:`_forms`, :func:`scatter_matrices`). They take C/2 times the
+    (:func:`_forms`, :func:`_scatter_sums`). They take C/2 times the
     memory of the complex observations: 2x at C = 4, 3.5x at C = 7. They
     are built one block of frequencies at a time (:func:`frequency_blocks`)
     from slices of ``x``, so that no normalized copy of ``x`` exists.
@@ -293,29 +293,45 @@ def _hermitian(sums: np.ndarray) -> np.ndarray:
     return out
 
 
-def scatter_matrices(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(K, F, C, C) weighted scatter sums ``sum_t w_{k,f,t} y_{f,t} y_{f,t}^H``.
+def observation_sums(x: StftTensor, weights: np.ndarray) -> np.ndarray:
+    """(K, F, C^2) packed real sums ``sum_t w y y^H`` of the observations
+    ``y`` as they are, for (K, F, T) ``weights``: one :func:`_outer_rows`
+    build and :func:`_scatter_sums` GEMM per block of
+    :func:`frequency_blocks`, so that one block's rows exist at a time."""
+    y = np.transpose(x.data, (2, 0, 1))
+    sums = np.empty((x.num_bins, weights.shape[0], x.num_channels**2))
+    for block in frequency_blocks(x.num_bins):
+        _scatter_sums(_outer_rows(y[block]), weights[:, block], out=sums[block])
+    return np.swapaxes(sums, 0, 1)
 
-    One real (F, K, T) @ (F, T, C^2) GEMM of the (K, F, T) weights against
-    the :func:`outer_features` of the observations ``y``, unpacked into
-    exactly Hermitian matrices.
-    """
-    return _hermitian(np.swapaxes(_scatter_sums(features, weights), 0, 1))
+
+def _load(sums: np.ndarray) -> np.ndarray:
+    """Add ``COV_LOADING`` times trace/C (times 1 where the trace is not
+    positive) to the diagonal of packed sums, in place; returns the traces."""
+    c = math.isqrt(sums.shape[-1])
+    trace = sums[..., :c].sum(axis=-1)
+    scale = trace / c
+    sums[..., :c] += (COV_LOADING * np.where(scale > 0.0, scale, 1.0))[..., None]
+    return trace
+
+
+def loaded_covariances(sums: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian (..., C, C) covariances of (..., C^2) packed sums
+    (:func:`observation_sums`) and their (...) masses: scaled by the
+    reciprocal mass, floored at 1e-30, loaded (:func:`_load`), unpacked."""
+    sums = sums * (1.0 / np.maximum(mass, 1e-30))[..., None]
+    _load(sums)
+    return _hermitian(sums)
 
 
 def _tyler(sums: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """The (K, F, C, C) covariances of a Tyler update (:func:`cacg_m_step`)
     from its (K, F, C^2) packed scatter sums (:func:`_scatter_sums`) and the
-    previous stack ``prev``: loaded and trace-normalized in place, as
-    :func:`numerics._load_stack` loads, then unpacked, with ``prev`` kept
-    where the sums are zero."""
+    previous stack ``prev``: loaded (:func:`_load`) and trace-normalized in
+    place, then unpacked, with ``prev`` kept where the sums are zero."""
     c = prev.shape[-1]
-    diag = sums[..., :c]
-    trace = diag.sum(axis=-1)
-    inactive = trace == 0.0
-    trace /= c
-    diag += (COV_LOADING * np.where(trace > 0.0, trace, 1.0))[..., None]
-    sums *= (c / diag.sum(axis=-1))[..., None]
+    inactive = _load(sums) == 0.0
+    sums *= (c / sums[..., :c].sum(axis=-1))[..., None]
     new = _hermitian(sums)
     if inactive.any():
         new[inactive] = prev[inactive]

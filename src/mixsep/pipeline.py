@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import frontend
-from .cacg import StftTensor, _outer_rows, frequency_blocks, scatter_matrices
+from .cacg import StftTensor, loaded_covariances, observation_sums
 from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .integrated import JointEmConfig, count_speakers, joint_em
-from .numerics import _load_stack, min_cost_assignment, psd_solve
+from .numerics import min_cost_assignment, psd_solve
 from .vmf import (
     KAPPA_MAX,
     EmbeddingSequence,
@@ -195,9 +195,9 @@ def beamform(x: StftTensor, gamma: np.ndarray, targets) -> np.ndarray:
     """Mask-based MVDR toward each target component (Souden, Benesty & Affes 2010).
 
     Per frequency a component's covariance is its scatter weighted by the
-    (K, T, F) posterior ``gamma`` over its mass; a target's distortion
-    covariance pools all other components. The steering vector is the
-    principal eigenvector of the loaded target covariance and
+    (K, T, F) posterior ``gamma`` over its mass (:mod:`cacg`'s statistics);
+    a target's distortion covariance pools all other components. The
+    steering vector is the principal eigenvector of the target covariance and
     ``w = Phi_d^{-1} v / (v^H Phi_d^{-1} v)``.
 
     Returns:
@@ -206,13 +206,13 @@ def beamform(x: StftTensor, gamma: np.ndarray, targets) -> np.ndarray:
     targets = np.asarray(targets, dtype=int)
     if targets.ndim != 1 or np.any((targets < 0) | (targets >= gamma.shape[0])):
         raise InvalidInputError("target component out of range")
-    scm = _block_scatter(x, np.transpose(gamma, (0, 2, 1)))  # (K, F, C, C)
+    sums = observation_sums(x, np.transpose(gamma, (0, 2, 1)))  # (K, F, C^2)
     mass = gamma.sum(axis=1)  # (K, F)
     # summing the other components' scatter, rather than subtracting the
     # target's from the total, cannot cancel where the target dominates a bin
     others = 1.0 - np.eye(gamma.shape[0])[targets]  # (S, K)
-    phi_t = _covariance(scm[targets], mass[targets])
-    phi_d = _covariance(np.tensordot(others, scm, 1), others @ mass)
+    phi_t = loaded_covariances(sums[targets], mass[targets])
+    phi_d = loaded_covariances(np.tensordot(others, sums, 1), others @ mass)
     _, vecs = np.linalg.eigh(phi_t)
     steer = vecs[..., -1]  # (S, F, C)
     # normalize to channel 0, the reference, so the distortionless output
@@ -229,32 +229,6 @@ def beamform(x: StftTensor, gamma: np.ndarray, targets) -> np.ndarray:
     # one batched (S, C) @ (C, T) product per frequency, viewed as (S, T, F)
     out = np.matmul(weights.conj().transpose(1, 0, 2), np.transpose(x.data, (2, 0, 1)))
     return out.transpose(1, 2, 0)
-
-
-def _block_scatter(x: StftTensor, weights: np.ndarray) -> np.ndarray:
-    """``scatter_matrices(_outer_rows(y), weights)`` of the observations
-    ``y`` as they are, built per block of frequencies
-    (:func:`cacg.frequency_blocks`) from slices of ``x``.
-
-    Every frequency's scatter is its own GEMM, so the result is the same to
-    the bit, while only one block's features are held at a time, never the
-    segment's whole Φ.
-    """
-    c = x.num_channels
-    out = np.empty(weights.shape[:2] + (c, c), dtype=complex)
-    for block in frequency_blocks(x.num_bins):
-        # x was validated when it was built: its slices skip StftTensor's checks
-        rows = _outer_rows(np.transpose(x.data[:, :, block], (2, 0, 1)))
-        out[:, block] = scatter_matrices(rows, weights[:, block])
-    return out
-
-
-def _covariance(scm: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Mass-normalized and loaded (..., F, C, C) scatter, exactly Hermitian
-    with no symmetrization: the scatter is unpacked Hermitian
-    (:func:`cacg.scatter_matrices`), and its pooling weights, mass and
-    loading are real."""
-    return _load_stack(scm / np.maximum(mass, 1e-30)[..., None, None], 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from mixsep.cacg import (
     cacg_log_pdf_stack,
     cacg_m_step,
     em_sweep,
+    loaded_covariances,
     normalize_observations,
+    observation_sums,
     outer_features,
-    scatter_matrices,
 )
 from mixsep.errors import ConfigurationError, InvalidInputError, NumericalError
 from mixsep.integrated import JointEmConfig, joint_em
@@ -402,6 +403,8 @@ class TestQuadForms:
 
 
 class TestScatterMatrices:
+    """The beamformer's statistics: observation sums and loaded covariances."""
+
     @settings(max_examples=60, deadline=None)
     @given(kernel_cases(), st.integers(0, 2**32 - 1))
     def test_matches_einsum(self, case, seed):
@@ -410,10 +413,31 @@ class TestScatterMatrices:
         y = np.transpose(x.data, (2, 0, 1)) * rng.uniform(0.1, 3.0, (x.num_bins, 1, x.num_frames))
         weights = rng.uniform(size=(covariances.shape[0], x.num_bins, x.num_frames))
         want = np.einsum("kft,fit,fjt->kfij", weights, y, y.conj())
-        got = scatter_matrices(cacg._outer_rows(y), weights)
+        got = cacg._hermitian(observation_sums(tensor(np.transpose(y, (1, 2, 0))), weights))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 7])
+    def test_loaded_covariances_match_the_complex_stack_bit_for_bit(self, c):
+        # the packed, real route gives the bits of normalizing the unpacked
+        # complex scatter by its mass and loading it with numerics'
+        # _load_stack, also where the mass is zero and the trace is not
+        # positive; where every sum is zero, only the signs of zeros differ
+        rng = np.random.default_rng(c)
+        sums = rng.standard_normal((3, 11, c * c))
+        sums[..., :c] = np.abs(sums[..., :c]) * rng.uniform(1e-6, 1e3, (3, 11, 1))
+        sums[0, 2] = 0.0
+        sums[1, 4, :c] = 0.0
+        mass = rng.uniform(0.0, 50.0, (3, 11))
+        mass[0, 2] = mass[2, 7] = 0.0
+        scaled = cacg._hermitian(sums) / np.maximum(mass, 1e-30)[..., None, None]
+        want = _load_stack(scaled, COV_LOADING)
+        got = loaded_covariances(sums, mass)
+        assert np.array_equal(got, want)
+        nonzero = np.any(sums != 0.0, axis=-1)
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        assert_exactly_hermitian(got)
 
 
 class TestCacgMStepReusesQuad:

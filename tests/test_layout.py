@@ -1,4 +1,4 @@
-"""The library holds what the program runs.
+"""The library holds what the program runs, and its modules meet at public names.
 
 Every top-level function and class, and every method, in ``src/mixsep`` is
 named by other code of the package, unless the benchmark under
@@ -7,6 +7,10 @@ traced functions); an export in ``mixsep.__all__`` alone does not keep it. Refer
 against live in ``tests/reference.py``. Names count as AST names and
 attributes, never as words in docstrings or comments; dunder methods run
 implicitly and are not checked.
+
+No module of the package imports another's ``_``-prefixed name or reads one
+off an imported package module; a module's own ``_``-prefixed aliases of
+package modules (``from . import cacg as _cacg``) are its local names.
 """
 
 import ast
@@ -94,3 +98,53 @@ def test_benchmark_names_alone_keep_these_definitions():
         "metrics.si_sdr",
         "numerics.chol_logdet_quad",
     }
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(src: Path) -> list:
+    """``module: read`` of every ``_``-prefixed name a package module imports
+    from another (``from .x import _y``) or reads as an attribute of an
+    imported package module (``x._y``)."""
+    modules = {path.stem for path in src.glob("*.py")}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = parse(path)
+        imported = set()  # local names bound to package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if not node.level and not node.module.startswith("mixsep"):
+                    continue  # numpy and the standard library
+                package = node.module in (None, "mixsep")
+                for alias in node.names:
+                    if package and alias.name in modules:
+                        imported.add(alias.asname or alias.name)
+                    elif private(alias.name):
+                        found.append(f"{path.stem}: from {node.module} import {alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("mixsep."):
+                        imported.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr):
+                owner = ast.unparse(node.value)
+                if owner in imported:
+                    found.append(f"{path.stem}: {owner}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_reads(ROOT / "src" / "mixsep") == []
+
+
+def test_private_reads_sees_imports_and_attributes(tmp_path):
+    (tmp_path / "a.py").write_text("def _f():\n    pass\n")
+    (tmp_path / "b.py").write_text(
+        "from . import a as _a\nfrom .a import _f\nfrom mixsep.a import _g\n"
+        "import mixsep.a\n_a._f()\nmixsep.a._h\n_a.__name__\n"
+    )
+    assert sorted(private_reads(tmp_path)) == [
+        "b: _a._f", "b: from a import _f", "b: from mixsep.a import _g", "b: mixsep.a._h"
+    ]

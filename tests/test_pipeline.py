@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from mixsep import cacg, frontend, pipeline
-from mixsep.cacg import StftTensor, check_posterior, scatter_matrices
+from mixsep.cacg import StftTensor, check_posterior
 from mixsep.cli import RunConfig
 from mixsep.errors import InvalidInputError
 from mixsep.metrics import der, si_sdr
@@ -278,26 +278,28 @@ class TestBeamform:
             rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f)), 8000, 256, 200, 64
         )
         weights = np.ascontiguousarray(rng.dirichlet(np.ones(k), size=(f, t)).transpose(2, 0, 1))
-        want = scatter_matrices(cacg._outer_rows(np.transpose(x.data, (2, 0, 1))), weights)
-        assert np.array_equal(pipeline._block_scatter(x, weights), want)
+        rows = cacg._outer_rows(np.transpose(x.data, (2, 0, 1)))
+        want = np.swapaxes(cacg._scatter_sums(rows, weights), 0, 1)
+        assert cacg.observation_sums(x, weights).tobytes() == want.tobytes()
 
     def test_covariances_are_exactly_hermitian_as_computed(self, monkeypatch):
         # the target and distortion covariances need no symmetrization: the
-        # scatter is unpacked Hermitian, pooled and scaled with real weights
+        # packed sums are pooled, scaled and loaded as real numbers, then
+        # unpacked Hermitian
         rng = np.random.default_rng(8)
         c, t, f, k = 4, 60, 9, 3
         x = StftTensor(
             rng.standard_normal((c, t, f)) + 1j * rng.standard_normal((c, t, f)), 2000, 64, 50, 16
         )
         gamma = rng.dirichlet(np.ones(k), size=(t, f)).transpose(2, 0, 1)
-        real = pipeline._covariance
+        real = cacg.loaded_covariances
         made = []
 
-        def spy(scm, mass):
-            made.append(real(scm, mass))
+        def spy(sums, mass):
+            made.append(real(sums, mass))
             return made[-1]
 
-        monkeypatch.setattr(pipeline, "_covariance", spy)
+        monkeypatch.setattr(pipeline, "loaded_covariances", spy)
         beamform(x, gamma, [0, 2])
         assert len(made) == 2  # the targets' and their distortions'
         for covariances in made:
