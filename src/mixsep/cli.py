@@ -30,6 +30,12 @@ _SETTING_KINDS = {
 }
 
 
+def input_id(item: dict) -> str:
+    """The id of a configured input, which names its output directory: its
+    ``id``, or where it has none its audio file's stem."""
+    return item.get("id") or Path(item["audio"]).stem
+
+
 @dataclass
 class RunConfig:
     """The settings that batch runs change; unknown keys are rejected on load.
@@ -49,9 +55,8 @@ class RunConfig:
     max_pause_s: float = 1.0
     min_segment_s: float = 2.0
     max_segment_s: float = 60.0
-    # initialization (per-segment VMF with K=10 is the default configuration)
+    # per-segment initialization (K=10 is the default configuration)
     k_init: int = 10
-    init_mode: str = "per_segment"
     init_iterations: int = 30
     embed_dim: int | None = None
     # joint EM and fusion
@@ -71,8 +76,6 @@ class RunConfig:
             what, valid = _SETTING_KINDS[kind]
             if isinstance(value, bool) or not valid(value):
                 raise ConfigurationError(f"{f.name} must be {what}, got {value!r}")
-        if self.init_mode not in ("per_segment", "global"):
-            raise ConfigurationError(f"unknown init_mode {self.init_mode!r}")
         if self.fusion not in ("spectral", "none"):
             raise ConfigurationError(f"unknown fusion strategy {self.fusion!r}")
         if self.k_init < 1 or self.em_iterations < 1 or self.init_iterations < 1:
@@ -92,6 +95,11 @@ class RunConfig:
                 raise ConfigurationError(
                     f"an input needs string 'audio', 'embeddings' and optional 'id', got {item!r}"
                 )
+        # two inputs of one id would write into one output directory
+        ids = [input_id(item) for item in self.inputs]
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if repeated:
+            raise ConfigurationError(f"inputs share the id {', '.join(repeated)}")
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -122,7 +130,7 @@ def cmd_run(config_path, jobs: int | None = None, seed: int | None = None) -> in
     out_root = Path(config.out_dir)
     partial = False
     for item in config.inputs:
-        ident = item.get("id") or Path(item["audio"]).stem
+        ident = input_id(item)
         audio_path = Path(item["audio"])
         emb_path = Path(item["embeddings"])
         if not audio_path.exists():

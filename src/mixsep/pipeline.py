@@ -23,10 +23,8 @@ from .numerics import min_cost_assignment, psd_solve
 from .vmf import (
     KAPPA_MAX,
     EmbeddingSequence,
-    VmfMixture,
     smooth_one_hot,
     spherical_kmeans_pp,
-    vmf_posterior,
     vmfmm_em,
 )
 
@@ -81,18 +79,16 @@ def initialize_segment(
     k_init: int,
     seed: int = 0,
     iterations: int = 30,
-    global_model: VmfMixture | None = None,
     notes: list | None = None,
 ) -> np.ndarray:
     """Build the initial posterior for the joint EM of one segment.
 
     Spherical k-means++ on the voiced embeddings (``vad`` holds one bool
-    per frame) seeds a VMFMM which is fitted on the voiced frames only;
-    silence frames are assigned to an additional noise component (the last
-    one). The per-frame posterior is replicated across the frequency axis as
-    a read-only broadcast view. A ``global_model`` (the whole-meeting
-    mixture of :func:`fit_global_mixture`) is evaluated instead of fitting
-    fresh components.
+    per frame), smoothed by :func:`vmf.smooth_one_hot`, starts an
+    ``iterations``-step VMFMM fitted on the voiced frames only, with its
+    re-draws seeded by ``seed``; silence frames are assigned to an
+    additional noise component (the last one). The per-frame posterior is
+    replicated across the frequency axis as a read-only broadcast view.
 
     Returns:
         The (K, T, F) posterior, ``K = k_init + 1`` components (noise last).
@@ -115,37 +111,10 @@ def initialize_segment(
     gamma_t[k_used, ~vad] = 1.0
     if k_used > 0:
         sub = EmbeddingSequence(embeddings.frames[voiced], embeddings.frame_rate)
-        if global_model is not None:
-            resp = vmf_posterior(global_model, sub)[:k_used]
-            resp = resp / np.maximum(resp.sum(axis=0, keepdims=True), 1e-30)
-        else:
-            assign = spherical_kmeans_pp(sub, k_used, seed)
-            resp, _ = _fit_init_vmfmm(sub, assign, iterations, seed)
+        start = smooth_one_hot(spherical_kmeans_pp(sub, k_used, seed))
+        _, resp, _ = vmfmm_em(sub, start, iterations, KAPPA_MAX, rng=np.random.default_rng(seed))
         gamma_t[:k_used, voiced] = resp
     return np.broadcast_to(gamma_t[:, :, None], gamma_t.shape + (n_bins,))
-
-
-def _fit_init_vmfmm(sub, assign, iterations, seed):
-    resp = smooth_one_hot(assign)
-    mixture, resp, _ = vmfmm_em(sub, resp, iterations, KAPPA_MAX, rng=np.random.default_rng(seed))
-    return resp, mixture
-
-
-def fit_global_mixture(
-    embeddings: EmbeddingSequence,
-    vad: np.ndarray,
-    k_init: int,
-    seed: int = 0,
-    iterations: int = 30,
-) -> VmfMixture:
-    """Whole-meeting VMFMM on the voiced frames, for ``init_mode`` "global"."""
-    voiced = np.flatnonzero(vad)
-    if voiced.size < k_init:
-        raise ConfigurationError("not enough voiced frames for a global fit")
-    sub = EmbeddingSequence(embeddings.frames[voiced], embeddings.frame_rate)
-    assign = spherical_kmeans_pp(sub, k_init, seed)
-    _, mixture = _fit_init_vmfmm(sub, assign, iterations, seed)
-    return mixture
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +267,11 @@ def _segment_task(args):
 
     A failure fails this segment alone; see :func:`_separate` for ``tracks``.
     """
-    segment, audio, emb, vad, seed, config, global_model, mask_dir = args
+    segment, audio, emb, vad, seed, config, mask_dir = args
     notes: list = []
     try:
         x = frontend.stft(audio, config.stft_size_ms, config.window_ms, config.shift_ms)
-        init, model, gamma, events, trace = _fit_segment(
-            x, emb, vad, seed, config, global_model, notes
-        )
+        init, model, gamma, events, trace = _fit_segment(x, emb, vad, seed, config, notes)
         if mask_dir is not None:
             write_mask_tensor(f"{mask_dir}/masks_{segment.id}.msk", gamma)
         speaker_rows = model.speaker_indices()
@@ -334,15 +301,14 @@ def _segment_task(args):
         return {"id": segment.id, "error": f"{type(exc).__name__}: {exc}", "notes": notes}, None, {}
 
 
-def _fit_segment(x, emb, vad, seed, config, global_model, notes):
+def _fit_segment(x, emb, vad, seed, config, notes):
     """Initialize one segment and run its joint EM.
 
     Returns:
         ``(init, model, gamma, events, trace)``.
     """
     init = initialize_segment(
-        x, emb, vad, config.k_init, seed=seed, iterations=config.init_iterations,
-        global_model=global_model, notes=notes,
+        x, emb, vad, config.k_init, seed=seed, iterations=config.init_iterations, notes=notes
     )
     jcfg = JointEmConfig(
         iterations=config.em_iterations, fusion=config.fusion,
@@ -467,12 +433,6 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
         )
         return Diarization([]), {}, report
 
-    global_model = None
-    if config.init_mode == "global":
-        global_model = fit_global_mixture(
-            emb, vad, config.k_init, seed=config.seed, iterations=config.init_iterations
-        )
-
     tasks = []
     for si, seg in enumerate(segments):
         frames = slice(seg.start_frame, seg.end_frame)
@@ -481,7 +441,7 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
             seg, frontend.AudioBuffer(samples, audio.sample_rate),
             EmbeddingSequence(emb.frames[frames], emb.frame_rate),
             vad[frames], int(config.seed) + 7919 * si,
-            config, global_model, mask_dir,
+            config, mask_dir,
         ))
 
     if pool is not None and len(tasks) > 1:

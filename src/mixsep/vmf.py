@@ -346,15 +346,6 @@ def vmfmm_em(
     return VmfMixture(mu, kappa, weights), resp, np.asarray(trace)
 
 
-def vmf_posterior(mixture: VmfMixture, embeddings: EmbeddingSequence) -> np.ndarray:
-    """E-step posterior of an already-fitted mixture on new frames."""
-    with np.errstate(divide="ignore"):
-        log_w = np.log(mixture.weights)[:, None]
-    return normalize_logits(
-        log_pdf_matrix(mixture.mu, mixture.kappa, embeddings.frames, log_prior=log_w)
-    )[0]
-
-
 def smooth_one_hot(assign: np.ndarray) -> np.ndarray:
     """Spread the floor mass ``INIT_SMOOTHING`` from one-hot assignments over
     the other rows."""

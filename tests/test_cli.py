@@ -70,11 +70,13 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError):
             cli.RunConfig.from_json(json.dumps({"frobnicate": 1}))
+        # a segment has one start, so no setting selects it
+        with pytest.raises(ConfigurationError, match="unknown config keys: init_mode"):
+            cli.RunConfig.from_json(json.dumps({"init_mode": "global"}))
 
     def test_defaults_match_reference_configuration(self):
         cfg = cli.RunConfig()
         assert cfg.k_init == 10
-        assert cfg.init_mode == "per_segment"
         assert cfg.fusion == "spectral"
         assert cfg.tau_spectral == 0.7
         assert cfg.em_iterations == 100
@@ -176,7 +178,7 @@ class TestRunConfig:
             cli.RunConfig.from_json(json.dumps(setting))
 
     @pytest.mark.parametrize(
-        "setting", [{"out_dir": 5}, {"out_dir": None}, {"init_mode": 3}, {"fusion": None}]
+        "setting", [{"out_dir": 5}, {"out_dir": None}, {"fusion": 3}, {"fusion": None}]
     )
     def test_non_string_setting_rejected(self, setting):
         # a number or null out_dir ended in a traceback after the load
@@ -472,6 +474,27 @@ class TestCmdRun:
         config.write_text(json.dumps(run_config_dict(bundle, out_dir, **{key: value})))
         assert cli.main(["run", "--config", str(config)]) == 1
         assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not meetings and not out_dir.exists()
+
+    @pytest.mark.parametrize("named", [True, False], ids=["repeated_id", "shared_audio_stem"])
+    def test_inputs_sharing_an_id_exit_one_before_any_directory(
+        self, bundle, tmp_path, capsys, monkeypatch, named
+    ):
+        # an input's id (by default its audio file's stem) names its output
+        # directory: the second meeting overwrote the first one's files
+        meetings = []
+        monkeypatch.setattr(pipeline, "run_meeting", lambda *args, **kw: meetings.append(args))
+        out_dir = tmp_path / "out"
+        cfg = run_config_dict(bundle, out_dir)
+        item = cfg["inputs"][0]
+        if not named:
+            del item["id"]
+        cfg["inputs"].append(dict(item))
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(config)]) == 1
+        ident = "meet0" if named else "audio"
+        assert f"inputs share the id {ident}" in capsys.readouterr().err
         assert not meetings and not out_dir.exists()
 
     def test_embedding_alignment_reported(self, finished_run, tmp_path):

@@ -24,7 +24,13 @@ from mixsep.pipeline import (
     write_mask_tensor,
 )
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting
-from mixsep.vmf import EmbeddingSequence, vmf_posterior
+from mixsep.vmf import (
+    KAPPA_MAX,
+    EmbeddingSequence,
+    smooth_one_hot,
+    spherical_kmeans_pp,
+    vmfmm_em,
+)
 
 
 def segment_slices(x, e, vad, seg):
@@ -106,17 +112,25 @@ class TestInitializeSegment:
         assert len(init) == 4  # 3 voiced frames + noise
         assert notes and "lowered" in notes[0]
 
-    def test_global_mode_uses_meeting_mixture(self):
+    def test_one_start_chain(self):
+        # the one segment start: k-means++ on the voiced embeddings, smoothed,
+        # then the VMFMM with its re-draws seeded by the segment's seed; the
+        # unvoiced frames are noise, and every frequency is one broadcast plane
         cfg = tiny_scenario([0, 1], duration_s=8.0, seed=6)
         x_model, e, truth, _ = build_meeting(cfg)
         vad = truth.voiced
-        mixture = pipeline.fit_global_mixture(e, vad, 2, seed=0, iterations=15)
-        init = initialize_segment(x_model, e, vad, 2, global_model=mixture)
-        check_posterior(init)
-        assert len(init) == 3
-        # the voiced frames take the meeting mixture's posterior
-        resp = vmf_posterior(mixture, EmbeddingSequence(e.frames[vad], e.frame_rate))
-        assert np.allclose(init[:2, vad, 0], resp / resp.sum(axis=0))
+        seed, iterations = 3, 15
+        init = initialize_segment(x_model, e, vad, 2, seed=seed, iterations=iterations)
+        sub = EmbeddingSequence(e.frames[vad], e.frame_rate)
+        _, resp, _ = vmfmm_em(
+            sub, smooth_one_hot(spherical_kmeans_pp(sub, 2, seed)), iterations, KAPPA_MAX,
+            rng=np.random.default_rng(seed),
+        )
+        assert init.shape == (3, x_model.num_frames, x_model.num_bins)
+        assert np.array_equal(init[:2, vad, 0], resp)
+        assert np.all(init[2, vad] == 0.0)
+        assert np.all(init[:2, ~vad] == 0.0) and np.all(init[2, ~vad] == 1.0)
+        assert init.strides[2] == 0
 
 
 class TestSmoothAndSegment:
@@ -600,14 +614,11 @@ class TestRunMeeting:
         for key in out1[1]:
             assert np.array_equal(out1[1][key], out2[1][key])
 
-    @pytest.mark.parametrize(
-        "setting", [{"init_mode": "global"}, {"fusion": "none"}], ids=["global_init", "no_fusion"]
-    )
+    @pytest.mark.parametrize("setting", [{"fusion": "none"}], ids=["no_fusion"])
     def test_alternative_configurations_end_to_end(self, setting):
-        # the alternatives to per-segment initialization and spectral fusion,
-        # through the whole pipeline: every segment ends without
-        # error, and the pool (which takes the meeting-level mixture of the
-        # global mode with every task) gives the turns and tracks of one process
+        # the alternative to spectral fusion, through the whole pipeline:
+        # every segment ends without error, and the pool gives the turns and
+        # tracks of one process
         cfg = tiny_scenario(
             None, k_true=3, segments=[SegmentPlan(5.0, [0, 1]), SegmentPlan(5.0, [1, 2])],
             seed=5, channels=4,
