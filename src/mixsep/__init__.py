@@ -2,19 +2,13 @@
 
 An integrated von-Mises-Fisher / complex Angular Central Gaussian mixture
 model fitted with EM, per-segment speaker counting by component fusion, and
-cross-segment speaker alignment by prototype clustering.
+cross-segment speaker alignment by merging prototypes under a cannot-link rule.
 """
 
 from .cacg import StftTensor
 from .errors import ConfigurationError, InvalidInputError, MixsepError, NumericalError
 from .frontend import AudioBuffer, SegmentSpec
-from .integrated import (
-    FusionEvent,
-    JointEmConfig,
-    JointModel,
-    count_speakers,
-    joint_em,
-)
+from .integrated import FusionEvent, JointEmConfig, JointModel, joint_em
 from .pipeline import Diarization, SegmentResult, run_meeting
 from .synth import ScenarioConfig, SegmentPlan, build_meeting, sample_vmf
 from .vmf import EmbeddingSequence, VmfMixture, vmfmm_em
@@ -39,7 +33,6 @@ __all__ = [
     "StftTensor",
     "VmfMixture",
     "build_meeting",
-    "count_speakers",
     "joint_em",
     "run_meeting",
     "sample_vmf",

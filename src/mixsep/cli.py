@@ -95,8 +95,11 @@ class RunConfig:
                 raise ConfigurationError(
                     f"an input needs string 'audio', 'embeddings' and optional 'id', got {item!r}"
                 )
-        # two inputs of one id would write into one output directory
+        # an id names an output directory: one plain path component, not shared
         ids = [input_id(item) for item in self.inputs]
+        for ident in ids:
+            if ident in ("", ".", "..") or "/" in ident or "\\" in ident:
+                raise ConfigurationError(f"an input id must be one plain path component, got {ident!r}")
         repeated = sorted({i for i in ids if ids.count(i) > 1})
         if repeated:
             raise ConfigurationError(f"inputs share the id {', '.join(repeated)}")

@@ -286,8 +286,3 @@ def joint_em(
         # the posterior is spent: the next E-step writes into its buffer
         spent = gamma.swapaxes(1, 2)
     return model, gamma, events, np.asarray(trace)
-
-
-def count_speakers(model: JointModel) -> int:
-    """Number of speaker components (the noise component does not count)."""
-    return model.num_components - (1 if model.noise_index is not None else 0)

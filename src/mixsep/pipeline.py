@@ -18,8 +18,8 @@ import numpy as np
 from . import frontend
 from .cacg import StftTensor, loaded_covariances, observation_sums
 from .errors import ConfigurationError, InvalidInputError, NumericalError
-from .integrated import JointEmConfig, count_speakers, joint_em
-from .numerics import min_cost_assignment, psd_solve
+from .integrated import JointEmConfig, joint_em
+from .numerics import psd_solve
 from .vmf import (
     KAPPA_MAX,
     EmbeddingSequence,
@@ -56,16 +56,16 @@ class Diarization:
 
 @dataclass
 class SegmentResult:
-    """What one segment sends back for alignment and audio reassembly.
-
-    Only what the meeting-level reduction reads travels back from a pool
-    worker; the posterior masks go to MSK1 files (``masks_<segment>.msk``)
-    instead.
+    """What one segment sends back for alignment and audio reassembly: one
+    row per speaker, a speaker component with at least one utterance after
+    :func:`smooth_and_segment`. Only what the meeting-level reduction reads
+    travels back from a pool worker; the posterior masks go to MSK1 files
+    (``masks_<segment>.msk``) instead.
     """
 
-    prototypes: np.ndarray  # (K_speakers, E), noise excluded
+    prototypes: np.ndarray  # (S, E), one per speaker
     segment: frontend.SegmentSpec
-    utterances: list  # per speaker component: list of (start_s, end_s), absolute
+    utterances: list  # per speaker: non-empty list of (start_s, end_s), absolute
 
 
 # ---------------------------------------------------------------------------
@@ -204,43 +204,51 @@ def beamform(x: StftTensor, gamma: np.ndarray, targets) -> np.ndarray:
 # Cross-segment alignment
 
 
-def _align_with_mapping(results: list, k_total: int, seed: int = 0):
+def _align_with_mapping(results: list, tau: float, k_max: int | None = None):
     """Assign global speaker identities across segments.
 
-    All prototypes are pooled and clustered with spherical k-means; within
-    each segment the local components are matched to cluster centroids by
-    min-cost assignment on negated cosine similarity, so two local
-    components never share a global id.
+    Every speaker starts as a cluster of its own. The pair of clusters whose
+    normalized prototype sums have the highest cosine merges, if the two
+    share no segment (a segment's speakers are different people: the
+    cannot-link rule of COP-k-means, Wagstaff et al. 2001), while that
+    cosine exceeds ``tau`` or more than ``k_max`` clusters remain; ties go
+    to the first pair in row-major order. Where more than ``k_max`` remain
+    and every pair shares a segment, one WARNING, and the clusters stay.
+    Labels are numbered in the order of each cluster's first turn.
 
     Returns:
         ``(diarization, mapping)``: the global turns, and per segment id the
         map from local speaker row to global label.
     """
-    pools = [r.prototypes for r in results if r.prototypes.shape[0] > 0]
-    if not pools:
-        return Diarization([]), {}
-    protos = np.concatenate(pools, axis=0)
-    n_clusters = min(k_total, protos.shape[0])
-    assign = spherical_kmeans_pp(EmbeddingSequence(protos), n_clusters, seed)
-    centroids = assign @ protos
-    norms = np.linalg.norm(centroids, axis=1, keepdims=True)
-    centroids = np.where(norms > 1e-12, centroids / np.maximum(norms, 1e-30), 0.0)
+    clusters = [[(si, row)] for si, r in enumerate(results) for row in range(len(r.prototypes))]
+    sums = np.array([proto for r in results for proto in r.prototypes])  # (n, E)
+    segments = np.eye(len(results), dtype=bool)[[c[0][0] for c in clusters]]  # (n, S)
+    while len(clusters) > 1:
+        unit = sums / np.maximum(np.linalg.norm(sums, axis=1, keepdims=True), 1e-30)
+        cos = unit @ unit.T
+        cos[(segments @ segments.T) | np.tri(len(clusters), dtype=bool)] = -np.inf
+        a, b = divmod(int(cos.argmax()), len(clusters))
+        if cos[a, b] <= tau and (k_max is None or len(clusters) <= k_max):
+            break
+        if cos[a, b] == -np.inf:
+            logger.warning("alignment keeps %d speakers, more than %d: every pair shares a "
+                           "segment", len(clusters), k_max)
+            break
+        sums[a] += sums[b]
+        segments[a] |= segments[b]
+        clusters[a] += clusters.pop(b)
+        sums, segments = np.delete(sums, b, axis=0), np.delete(segments, b, axis=0)
 
-    entries = []
-    mapping = {}
-    for r in results:
-        if r.prototypes.shape[0] == 0:
-            mapping[r.segment.id] = {}
-            continue
-        sims = r.prototypes @ centroids.T  # (K_local, n_clusters)
-        rows, cols = min_cost_assignment(-sims)
-        local_map = {}
-        for local, cluster in zip(rows, cols):
-            label = f"spk{cluster:02d}"
-            local_map[int(local)] = label
-            for start, end in r.utterances[local]:
-                entries.append((label, start, end, r.segment.id))
-        mapping[r.segment.id] = local_map
+    def first_turn(members):
+        return min(turn for si, row in members for turn in results[si].utterances[row])
+
+    entries, mapping = [], {r.segment.id: {} for r in results}
+    for number, members in enumerate(sorted(clusters, key=first_turn)):
+        label = f"spk{number:02d}"
+        for si, row in members:
+            r = results[si]
+            mapping[r.segment.id][row] = label
+            entries.extend((label, start, end, r.segment.id) for start, end in r.utterances[row])
     return Diarization(entries), mapping
 
 
@@ -276,10 +284,13 @@ def _segment_task(args):
             write_mask_tensor(f"{mask_dir}/masks_{segment.id}.msk", gamma)
         speaker_rows = model.speaker_indices()
         intervals = smooth_and_segment(model.pi[speaker_rows], x.frame_rate)
+        # a speaker is a speaker component with at least one utterance
+        rows = [row for row, iv in zip(speaker_rows, intervals) if iv]
+        intervals = [iv for iv in intervals if iv]
         offset_s = segment.start_frame / x.frame_rate
         utterances = [[(offset_s + s, offset_s + e) for s, e in iv] for iv in intervals]
-        result = SegmentResult(model.mu[speaker_rows], segment, utterances)
-        tracks = _separate(x, gamma, speaker_rows, intervals)
+        result = SegmentResult(model.mu[rows], segment, utterances)
+        tracks = _separate(x, gamma, rows, intervals)
         report = {
             "id": segment.id,
             "start_s": offset_s,
@@ -287,7 +298,7 @@ def _segment_task(args):
             "frames": int(x.num_frames),
             "initial_components": len(init),
             "final_components": int(model.num_components),
-            "speaker_count": int(count_speakers(model)),
+            "speaker_count": len(rows),
             "fusion_events": [
                 {**asdict(ev), "similarity": round(ev.similarity, 6)} for ev in events
             ],
@@ -298,7 +309,7 @@ def _segment_task(args):
         return report, result, tracks
     except Exception as exc:  # segment failures must not kill the meeting
         logger.exception("segment %s failed", segment.id)
-        return {"id": segment.id, "error": f"{type(exc).__name__}: {exc}", "notes": notes}, None, {}
+        return {"id": segment.id, "error": f"{type(exc).__name__}: {exc}", "notes": notes}, None, []
 
 
 def _fit_segment(x, emb, vad, seed, config, notes):
@@ -318,28 +329,24 @@ def _fit_segment(x, emb, vad, seed, config, notes):
     return (init, *joint_em(x, emb, init, jcfg))
 
 
-def _separate(x, gamma, speaker_rows, intervals):
-    """Beamform every speaker that has utterances and gate it to them.
-
-    Returns:
-        ``{speaker row: waveform}`` over the segment's samples.
-    """
-    rows = [row for row, iv in enumerate(intervals) if iv]
+def _separate(x, gamma, rows, intervals):
+    """Beamform each component of ``rows`` and gate it to its ``intervals``:
+    one waveform per row, over the segment's samples."""
     if not rows:
-        return {}
-    spec = beamform(x, gamma, [speaker_rows[row] for row in rows])
+        return []
+    spec = beamform(x, gamma, rows)
     waves = frontend.istft(spec, x.stft_size, x.window_size, x.shift)
     hop, win, frame_rate = x.shift, x.window_size, x.frame_rate
     pad_s = 0.3  # seconds around detected utterances, keeps overlapped onsets
     n_samples = waves.shape[-1]
-    tracks = {}
-    for row, wave in zip(rows, waves):
+    tracks = []
+    for wave, spans in zip(waves, intervals):
         gate = np.zeros(n_samples)
-        for start_s, end_s in intervals[row]:
+        for start_s, end_s in spans:
             a = max(0, int(round((start_s - pad_s) * frame_rate))) * hop
             b = min(n_samples, (int(round((end_s + pad_s) * frame_rate)) - 1) * hop + win)
             gate[a:b] = 1.0
-        tracks[row] = wave * gate
+        tracks.append(wave * gate)
     return tracks
 
 
@@ -357,10 +364,10 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
     With ``jobs > 1`` the process pool is started first: its fork-context
     workers all fork at the first submission, so a no-op is submitted
     before the meeting is loaded, and they start without its samples. They
-    fork with ``numpy.random`` loaded, which every segment's k-means++ and
-    this process's alignment need, so no worker imports it on its first
-    segment. The pool has at most one worker per CPU this process may run
-    on (:func:`usable_cpus`); a larger ``jobs`` is capped, with an INFO log.
+    fork with ``numpy.random`` loaded, which every segment's k-means++
+    needs, so no worker imports it on its first segment. The pool has at
+    most one worker per CPU this process may run on (:func:`usable_cpus`);
+    a larger ``jobs`` is capped, with an INFO log.
 
     Args:
         recording: AudioBuffer or path to a WAV file.
@@ -454,27 +461,25 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
     for seg_report, result, tracks in outcomes:
         if result is None:
             continue
-        n_speakers = result.prototypes.shape[0]
-        if config.k_total and n_speakers > config.k_total:
+        if config.k_total and len(result.prototypes) > config.k_total:
             # a segment with more speakers than the meeting cannot be aligned:
             # it fails alone and the meeting goes on
-            message = f"has {n_speakers} components, more than k_total={config.k_total}"
+            message = f"has {len(result.prototypes)} speakers, more than k_total={config.k_total}"
             logger.warning("segment %s %s", result.segment.id, message)
             seg_report["error"] = message
             continue
         kept.append((result, tracks))
-    results = [result for result, _ in kept]
-    k_total = config.k_total or max(
-        (r.prototypes.shape[0] for r in results), default=1
+    # one threshold means "same speaker" within a segment (fusion) and
+    # across segments; k_total only bounds the meeting's count
+    diarization, assignments = _align_with_mapping(
+        [result for result, _ in kept], config.tau_spectral, config.k_total
     )
-    diarization, assignments = _align_with_mapping(results, k_total, seed=config.seed)
 
-    # reassemble per-speaker audio with global identities; alignment labels
-    # every local row, since no segment has more rows than clusters
+    # reassemble per-speaker audio under the global labels
     speaker_audio = {}
     for result, tracks in kept:
         offset = result.segment.start_frame * hop
-        for row, wave in tracks.items():
+        for row, wave in enumerate(tracks):
             label = assignments[result.segment.id][row]
             track = speaker_audio.setdefault(label, np.zeros(audio.num_samples))
             end = min(audio.num_samples, offset + wave.shape[0])

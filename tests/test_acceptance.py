@@ -28,7 +28,6 @@ from mixsep.cli import RunConfig
 from mixsep.integrated import (
     JointEmConfig,
     JointModel,
-    count_speakers,
     fused_covariances,
     joint_em,
     spectral_fusion_check,
@@ -331,7 +330,7 @@ def test_criterion_06_speaker_counting():
         )
         model, _, _, _ = joint_em(x, e, init, jcfg)
         truths.append(n_active)
-        estimates.append(count_speakers(model))
+        estimates.append(len(model.speaker_indices()))  # components, noise excluded
     matrix = counting_matrix(truths, estimates)
     accuracy = matrix.accuracy
     max_under = int(np.max(np.array(truths) - np.array(estimates)))
@@ -426,7 +425,7 @@ def test_criterion_08_segment_alignment():
             )
             for local, true_speaker in enumerate(perm):
                 truth_map[(f"seg{si:03d}", utts[local][0][0])] = int(true_speaker)
-        dia = pipeline._align_with_mapping(results, 4, seed=meeting)[0]
+        dia = pipeline._align_with_mapping(results, 0.7, 4)[0]
         # identity recovery: one global label per true speaker, consistently
         label_of_truth = {}
         ok = True

@@ -116,6 +116,26 @@ class TestRunConfig:
         cli.RunConfig(inputs=[{"audio": "a.wav", "embeddings": "e.emb"}])
 
     @pytest.mark.parametrize(
+        "item",
+        [
+            {"id": "../esc"},
+            {"id": "x/../a"},
+            {"id": "a\\b"},
+            {"id": ".."},
+            {"id": "."},
+            {"audio": "..", "id": ""},
+            {"audio": "/"},
+        ],
+        ids=["parent_escape", "nested", "backslash", "dotdot", "dot", "dotdot_stem", "empty_stem"],
+    )
+    def test_id_that_is_not_one_plain_path_component_rejected(self, item):
+        # an input's id names its directory under out_dir: "../esc" wrote
+        # outside it, and "a" and "x/../a" named one directory
+        item = {"audio": "a.wav", "embeddings": "e.emb", **item}
+        with pytest.raises(ConfigurationError, match="one plain path component"):
+            cli.RunConfig(inputs=[item])
+
+    @pytest.mark.parametrize(
         "setting",
         [
             {"tau_spectral": 1.5},

@@ -443,7 +443,7 @@ class TestAlignSegments:
         rng = np.random.default_rng(0)
         protos = self.orthonormal(rng, 8, 2)
         res = fake_result(protos, [[(0.0, 1.0)], [(1.0, 2.0)]], "seg000")
-        dia = pipeline._align_with_mapping([res], 2, seed=0)[0]
+        dia = pipeline._align_with_mapping([res], 0.7, 2)[0]
         assert len(dia.entries) == 2
         assert len(set(spk for spk, *_ in dia.entries)) == 2
 
@@ -455,7 +455,7 @@ class TestAlignSegments:
         )
         r1 = fake_result(protos, [[(0.0, 1.0)], [(1.0, 2.0)]], "seg000")
         r2 = fake_result(protos[::-1].copy(), [[(10.0, 11.0)], [(11.0, 12.0)]], "seg001")
-        dia = pipeline._align_with_mapping([r1, r2], 2, seed=0)[0]
+        dia = pipeline._align_with_mapping([r1, r2], 0.7, 2)[0]
         by_seg = {}
         for spk, s, e, seg in dia.entries:
             by_seg.setdefault(seg, {})[round(s)] = spk
@@ -470,7 +470,7 @@ class TestAlignSegments:
             fake_result(protos, [[(i * 10.0, i * 10.0 + 1)], [(i * 10.0 + 1, i * 10.0 + 2)], [(i * 10.0 + 2, i * 10.0 + 3)]], f"seg{i:03d}")
             for i in range(3)
         ]
-        dia = pipeline._align_with_mapping(results, 3, seed=1)[0]
+        dia = pipeline._align_with_mapping(results, 0.7, 3)[0]
         labels_per_seg = {}
         for spk, s, e, seg in dia.entries:
             labels_per_seg.setdefault(seg, []).append((s, spk))
@@ -484,11 +484,11 @@ class TestAlignSegments:
         protos = self.orthonormal(rng, 16, 4)
         utts = [[(float(i), float(i) + 0.5)] for i in range(4)]
         base = pipeline._align_with_mapping(
-            [fake_result(protos, utts, "seg000")], 4, seed=5
+            [fake_result(protos, utts, "seg000")], 0.7, 4
         )[0]
         perm = rng.permutation(4)
         shuffled = pipeline._align_with_mapping(
-            [fake_result(protos[perm], [utts[p] for p in perm], "seg000")], 4, seed=5
+            [fake_result(protos[perm], [utts[p] for p in perm], "seg000")], 0.7, 4
         )[0]
         want = {(s, e): spk for spk, s, e, _ in base.entries}
         got = {(s, e): spk for spk, s, e, _ in shuffled.entries}
@@ -500,7 +500,106 @@ class TestAlignSegments:
 
     def test_no_prototypes_empty_diarization(self):
         res = fake_result(np.zeros((0, 8)), [], "seg000")
-        assert pipeline._align_with_mapping([res], 2, seed=0)[0].entries == []
+        assert pipeline._align_with_mapping([res], 0.7, 2)[0].entries == []
+
+    def meeting(self, rng, speakers, segments, dim=16, jitter=0.05):
+        """Segments of 2-3 of ``speakers`` true speakers each, local rows in a
+        random order, prototypes jittered around orthonormal ones; returns the
+        results and the true speaker of every (segment, turn start)."""
+        protos = self.orthonormal(rng, dim, speakers)
+        results, truth = [], {}
+        for si in range(segments):
+            active = rng.permutation(speakers)[: rng.integers(2, 4)]
+            local = protos[active] + jitter * rng.standard_normal((len(active), dim))
+            local /= np.linalg.norm(local, axis=1, keepdims=True)
+            utts = [[(si * 100.0 + i * 10.0, si * 100.0 + i * 10.0 + 5.0)] for i in range(len(active))]
+            results.append(fake_result(local, utts, f"seg{si:03d}"))
+            truth.update({(f"seg{si:03d}", utts[i][0][0]): int(k) for i, k in enumerate(active)})
+        return results, truth
+
+    @pytest.mark.parametrize("k_max", [None, 4, 6], ids=["unset", "exact", "above"])
+    def test_meeting_count_found_without_and_under_a_loose_bound(self, k_max):
+        # k_total is an upper bound: unset or above the truth, the merge
+        # under tau finds the four speakers and labels each one consistently
+        for meeting in range(5):
+            results, truth = self.meeting(np.random.default_rng(30 + meeting), 4, 5)
+            dia = pipeline._align_with_mapping(results, 0.7, k_max)[0]
+            pairs = {(truth[(seg, start)], spk) for spk, start, _, seg in dia.entries}
+            assert len(pairs) == len({k for k, _ in pairs}) == len(dia.speakers) == 4
+
+    def test_bound_forces_a_merge_below_tau(self):
+        # two orthogonal speakers in two segments stay apart under tau alone;
+        # k_total=1 merges them although their cosine is 0
+        protos = self.orthonormal(np.random.default_rng(4), 8, 2)
+        results = [
+            fake_result(protos[:1], [[(0.0, 1.0)]], "seg000"),
+            fake_result(protos[1:], [[(5.0, 6.0)]], "seg001"),
+        ]
+        assert pipeline._align_with_mapping(results, 0.7)[0].speakers == ["spk00", "spk01"]
+        dia, mapping = pipeline._align_with_mapping(results, 0.7, 1)
+        assert dia.speakers == ["spk00"]
+        assert mapping == {"seg000": {0: "spk00"}, "seg001": {0: "spk00"}}
+
+    def test_cannot_link_blocking_the_bound_warns_once(self, caplog):
+        # three segments of two speakers whose matches chain: a1 = b1, a2 = c1
+        # and b2 = c2 merge first, and then every pair of the three clusters
+        # shares a segment, so k_total=2 cannot be reached
+        u, v, w = self.orthonormal(np.random.default_rng(5), 8, 3)
+        results = [
+            fake_result(np.stack([u, v]), [[(0.0, 1.0)], [(1.0, 2.0)]], "a"),
+            fake_result(np.stack([u, w]), [[(10.0, 11.0)], [(11.0, 12.0)]], "b"),
+            fake_result(np.stack([v, w]), [[(20.0, 21.0)], [(21.0, 22.0)]], "c"),
+        ]
+        with caplog.at_level(logging.WARNING, logger="mixsep.pipeline"):
+            _, mapping = pipeline._align_with_mapping(results, 0.7, 2)
+        assert [r.getMessage() for r in caplog.records] == [
+            "alignment keeps 3 speakers, more than 2: every pair shares a segment"
+        ]
+        assert mapping == {
+            "a": {0: "spk00", 1: "spk01"},
+            "b": {0: "spk00", 1: "spk02"},
+            "c": {0: "spk01", 1: "spk02"},
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 4), min_size=1, max_size=5),
+        st.integers(2, 6),
+        st.floats(0.01, 0.99),
+        st.one_of(st.none(), st.integers(1, 6)),
+    )
+    def test_speakers_of_one_segment_never_share_a_label(self, seed, sizes, dim, tau, k_max):
+        rng = np.random.default_rng(seed)
+        results = []
+        for si, size in enumerate(sizes):
+            protos = rng.standard_normal((size, dim))
+            protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+            utts = [[(float(rng.uniform(0, 100)), 101.0)] for _ in range(size)]
+            results.append(fake_result(protos, utts, f"seg{si:03d}"))
+        _, mapping = pipeline._align_with_mapping(results, tau, k_max)
+        for r in results:
+            labels = mapping[r.segment.id]
+            assert sorted(labels) == list(range(len(r.prototypes)))
+            assert len(set(labels.values())) == len(labels)
+
+    def test_labels_do_not_depend_on_row_or_segment_order(self):
+        # no seed: permuting the rows of every segment and the segments
+        # themselves gives the same turns under the same labels, numbered by
+        # each speaker's first turn
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            results, _ = self.meeting(rng, 5, 6)
+            base = pipeline._align_with_mapping(results, 0.7)[0]
+            shuffled = []
+            for si in rng.permutation(len(results)):
+                r = results[si]
+                perm = rng.permutation(len(r.prototypes))
+                shuffled.append(fake_result(
+                    r.prototypes[perm], [r.utterances[p] for p in perm], r.segment.id
+                ))
+            assert pipeline._align_with_mapping(shuffled, 0.7)[0].entries == base.entries
+            assert base.entries[0][0] == "spk00"
 
 
 class TestMaskTensorIo:
@@ -588,18 +687,18 @@ class TestRunMeeting:
         assert len(spk_audio) == 3
 
     def test_oversized_segment_fails_alone(self):
-        # three talkers counted as four: the segment cannot be aligned against
-        # k_total=3, so it reports an error and the meeting still returns
+        # three talkers against k_total=2: the segment cannot be aligned, so
+        # it reports an error and the meeting still returns
         cfg = tiny_scenario([0, 1, 2], duration_s=5.0, seed=4, channels=3)
         _, e, _, audio = build_meeting(cfg)
         config = RunConfig(
             stft_size_ms=32.0, window_ms=25.0, shift_ms=8.0, vad_window_s=12,
-            vad_threshold_db=8, min_segment_s=1, k_total=3, seed=1,
+            vad_threshold_db=8, min_segment_s=1, k_total=2, seed=1,
         )
         dia, spk_audio, report = run_meeting(audio, e, config)
         (segment,) = report["segments"]
-        assert segment["speaker_count"] == 4
-        assert segment["error"] == "has 4 components, more than k_total=3"
+        assert segment["speaker_count"] == 3
+        assert segment["error"] == "has 3 speakers, more than k_total=2"
         assert dia.entries == [] and spk_audio == {}
         assert report["sample_rate"] == audio.sample_rate
 
@@ -748,8 +847,8 @@ COUNTING_SCENES = [(1 + i % 5, 4100 + i) for i in range(15)]
 @pytest.mark.parametrize("n_active, seed", COUNTING_SCENES)
 def test_pipeline_counts_the_active_speakers(n_active, seed):
     # the pipeline end to end, energy VAD and per-segment initialization
-    # included: as many speakers get turns as are active, and the segment's
-    # count (its speaker components) is never below the truth
+    # included: as many speakers get turns as are active, and the segment
+    # counts them (its speaker components with utterances)
     active = sorted(np.random.default_rng(seed).choice(8, size=n_active, replace=False).tolist())
     cfg = ScenarioConfig(
         k_true=8, segments=[SegmentPlan(3.2, active)], channels=3, embed_dim=24,
@@ -765,4 +864,4 @@ def test_pipeline_counts_the_active_speakers(n_active, seed):
     dia, _, report = run_meeting(audio, e, config)
     assert len(dia.speakers) == n_active
     assert report["segments"]
-    assert all(seg["speaker_count"] >= n_active for seg in report["segments"])
+    assert all(seg["speaker_count"] == n_active for seg in report["segments"])
