@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -74,49 +75,62 @@ class SegmentSpec:
 # WAV input/output
 
 
-def read_wav(path) -> AudioBuffer:
-    """Read a RIFF/WAVE file (PCM 16/24-bit or 32-bit float, multichannel).
+def read_wav(path, start: int = 0, stop: int | None = None) -> AudioBuffer:
+    """Read frames ``[start, stop)`` of a RIFF/WAVE file (PCM 16/24-bit or
+    32-bit float, multichannel), the range clipped to the recording.
 
-    The data chunk is read in place, at its offset in the file's bytes, and
-    converted to float64 once.
+    The chunk headers are read by seeking past the chunks; of the data chunk
+    only the range's bytes are read, and converted to float64 once. The
+    whole file is checked as for a whole read, and the result equals the
+    slice ``read_wav(path).samples[:, start:stop]`` to the bit.
     """
+    if start < 0 or (stop is not None and stop < 0):
+        raise InvalidInputError(f"frame range [{start}, {stop}) is negative")
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise InvalidInputError(f"{path} is not a RIFF/WAVE file")
-    pos = 12
-    fmt = None
-    data = None  # offset and size of the data chunk
-    while pos + 8 <= len(blob):
-        cid = blob[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", blob, pos + 4)
-        start = pos + 8
-        if cid == b"fmt ":
-            fmt = blob[start : start + size]
-        elif cid == b"data":
-            if len(blob) - start < size:
-                raise InvalidInputError(f"{path}: truncated data chunk")
-            data = (start, size)
-        pos = start + size + (size & 1)
-    if fmt is None or data is None:
-        raise InvalidInputError(f"{path} misses fmt or data chunk")
-    if len(fmt) < 16:
-        raise InvalidInputError(f"{path}: fmt chunk of {len(fmt)} bytes, need 16")
-    tag, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
-    if tag == 0xFFFE:  # extensible: actual format in the first subformat bytes
-        if len(fmt) < 26:
-            raise InvalidInputError(f"{path}: extensible fmt chunk of {len(fmt)} bytes, need 26")
-        tag = struct.unpack("<H", fmt[24:26])[0]
-    frame_bytes = channels * bits // 8
-    if frame_bytes == 0:
-        raise InvalidInputError(f"{path}: {channels} channels of {bits} bits per sample")
-    offset, size = data
-    n = size // frame_bytes
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise InvalidInputError(f"{path} is not a RIFF/WAVE file")
+        pos = 12
+        fmt = None
+        data = None  # offset and size of the data chunk
+        while pos + 8 <= file_size:
+            fh.seek(pos)
+            cid, size = struct.unpack("<4sI", fh.read(8))
+            begin = pos + 8
+            if cid == b"fmt ":
+                fmt = fh.read(min(size, file_size - begin))
+            elif cid == b"data":
+                if file_size - begin < size:
+                    raise InvalidInputError(f"{path}: truncated data chunk")
+                data = (begin, size)
+            pos = begin + size + (size & 1)
+        if fmt is None or data is None:
+            raise InvalidInputError(f"{path} misses fmt or data chunk")
+        if len(fmt) < 16:
+            raise InvalidInputError(f"{path}: fmt chunk of {len(fmt)} bytes, need 16")
+        tag, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
+        if tag == 0xFFFE:  # extensible: actual format in the first subformat bytes
+            if len(fmt) < 26:
+                raise InvalidInputError(
+                    f"{path}: extensible fmt chunk of {len(fmt)} bytes, need 26"
+                )
+            tag = struct.unpack("<H", fmt[24:26])[0]
+        frame_bytes = channels * bits // 8
+        if frame_bytes == 0:
+            raise InvalidInputError(f"{path}: {channels} channels of {bits} bits per sample")
+        offset, size = data
+        total = size // frame_bytes
+        stop = total if stop is None else min(stop, total)
+        start = min(start, stop)
+        n = stop - start
+        fh.seek(offset + start * frame_bytes)
+        blob = fh.read(n * frame_bytes)
     if tag == 1 and bits == 16:
-        flat = np.frombuffer(blob, "<i2", n * channels, offset).astype(float)
+        flat = np.frombuffer(blob, "<i2", n * channels).astype(float)
         flat /= 32768.0
     elif tag == 1 and bits == 24:
-        raw = np.frombuffer(blob, np.uint8, n * frame_bytes, offset).reshape(-1, 3)
+        raw = np.frombuffer(blob, np.uint8, n * frame_bytes).reshape(-1, 3)
         ints = (
             raw[:, 0].astype(np.int32)
             | (raw[:, 1].astype(np.int32) << 8)
@@ -125,7 +139,7 @@ def read_wav(path) -> AudioBuffer:
         ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
         flat = ints.astype(float) / float(1 << 23)
     elif tag == 3 and bits == 32:
-        flat = np.frombuffer(blob, "<f4", n * channels, offset).astype(float)
+        flat = np.frombuffer(blob, "<f4", n * channels).astype(float)
     else:
         raise InvalidInputError(f"unsupported WAV format tag={tag} bits={bits}")
     samples = flat.reshape(n, channels).T
@@ -292,11 +306,14 @@ def write_embeddings(path, frames: np.ndarray, frame_rate: float | None = None):
 
 
 def write_f32_tensor(path, magic: bytes, tensor: np.ndarray):
-    """Write an up to 3-d tensor as :func:`read_f32_tensor` reads it, unused shape fields 0."""
-    tensor = np.asarray(tensor, dtype="<f4")
+    """Write an up to 3-d tensor as :func:`read_f32_tensor` reads it, unused shape fields 0.
+
+    The row-major float32 payload is built once and written from its buffer.
+    """
+    tensor = np.ascontiguousarray(tensor, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<III", *tensor.shape, *[0] * (3 - tensor.ndim)))
-        fh.write(tensor.tobytes())
+        fh.write(tensor)
 
 
 def read_f32_tensor(path, magic: bytes, ndim: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Meeting pipeline: initialization, per-segment joint EM, smoothing,
 beamforming, cross-segment speaker alignment and result serialization.
 
-Segments are independent work units that carry their own samples (the
+Segments are independent work units that carry their own samples, or the
+sample range of the meeting's WAV file that they read themselves (the
 meeting's STFT is never built whole); with ``jobs > 1`` they run in a process
 pool and the collected results are reduced serially (alignment, report).
 """
@@ -273,28 +274,34 @@ def read_mask_tensor(path) -> np.ndarray:
 def _segment_task(args):
     """One segment from its samples to ``(report, result or None, tracks)``.
 
-    A failure fails this segment alone; see :func:`_separate` for ``tracks``.
+    The samples come as an :class:`frontend.AudioBuffer`, or as a WAV
+    file's ``(path, start, stop)`` sample range, which the task reads. A
+    failure fails this segment alone; see :func:`_gated_tracks` for
+    ``tracks``.
     """
     segment, audio, emb, vad, seed, config, mask_dir = args
     notes: list = []
     try:
+        if not isinstance(audio, frontend.AudioBuffer):
+            audio = frontend.read_wav(*audio)
         x = frontend.stft(audio, config.stft_size_ms, config.window_ms, config.shift_ms)
+        del audio  # a range read here is freed before the EM
         init, model, gamma, events, trace = _fit_segment(x, emb, vad, seed, config, notes)
         if mask_dir is not None:
             write_mask_tensor(f"{mask_dir}/masks_{segment.id}.msk", gamma)
         speaker_rows = model.speaker_indices()
-        intervals = smooth_and_segment(model.pi[speaker_rows], x.frame_rate)
+        frame_rate = x.frame_rate
+        intervals = smooth_and_segment(model.pi[speaker_rows], frame_rate)
         # a speaker is a speaker component with at least one utterance
         rows = [row for row, iv in zip(speaker_rows, intervals) if iv]
         intervals = [iv for iv in intervals if iv]
-        offset_s = segment.start_frame / x.frame_rate
+        offset_s = segment.start_frame / frame_rate
         utterances = [[(offset_s + s, offset_s + e) for s, e in iv] for iv in intervals]
         result = SegmentResult(model.mu[rows], segment, utterances)
-        tracks = _separate(x, gamma, rows, intervals)
         report = {
             "id": segment.id,
             "start_s": offset_s,
-            "end_s": segment.end_frame / x.frame_rate,
+            "end_s": segment.end_frame / frame_rate,
             "frames": int(x.num_frames),
             "initial_components": len(init),
             "final_components": int(model.num_components),
@@ -306,7 +313,12 @@ def _segment_task(args):
             "notes": notes,
             "error": None,
         }
-        return report, result, tracks
+        spec = beamform(x, gamma, rows) if rows else None
+        sizes = (x.stft_size, x.window_size, x.shift)
+        # the STFT and the posterior, the segment's largest arrays after Φ,
+        # are freed before the iSTFT: beamforming was their last reader
+        del x, gamma
+        return report, result, _gated_tracks(spec, sizes, frame_rate, intervals)
     except Exception as exc:  # segment failures must not kill the meeting
         logger.exception("segment %s failed", segment.id)
         return {"id": segment.id, "error": f"{type(exc).__name__}: {exc}", "notes": notes}, None, []
@@ -329,14 +341,14 @@ def _fit_segment(x, emb, vad, seed, config, notes):
     return (init, *joint_em(x, emb, init, jcfg))
 
 
-def _separate(x, gamma, rows, intervals):
-    """Beamform each component of ``rows`` and gate it to its ``intervals``:
-    one waveform per row, over the segment's samples."""
-    if not rows:
+def _gated_tracks(spec, sizes, frame_rate, intervals):
+    """Invert the beamformed (S, T, F) ``spec`` (None for no speaker) with
+    the STFT's ``(stft_size, window_size, shift)`` and gate each row to its
+    ``intervals``: one waveform per row, over the segment's samples."""
+    if spec is None:
         return []
-    spec = beamform(x, gamma, rows)
-    waves = frontend.istft(spec, x.stft_size, x.window_size, x.shift)
-    hop, win, frame_rate = x.shift, x.window_size, x.frame_rate
+    nfft, win, hop = sizes
+    waves = frontend.istft(spec, nfft, win, hop)
     pad_s = 0.3  # seconds around detected utterances, keeps overlapped onsets
     n_samples = waves.shape[-1]
     tracks = []
@@ -369,6 +381,10 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
     most one worker per CPU this process may run on (:func:`usable_cpus`);
     a larger ``jobs`` is capped, with an INFO log.
 
+    A WAV file is read once for the VAD and the segments, and its samples
+    are then dropped: each segment task reads its own sample range. An
+    AudioBuffer's segments are sent as slices.
+
     Args:
         recording: AudioBuffer or path to a WAV file.
         embeddings: EmbeddingSequence or path to an EMB1 file.
@@ -397,17 +413,21 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
 def _run_meeting(recording, embeddings, config, mask_dir, pool):
     """:func:`run_meeting` with the process pool ``pool``, or None to run
     the segments in this process."""
-    audio = frontend.read_wav(recording) if not isinstance(recording, frontend.AudioBuffer) else recording
+    from_file = not isinstance(recording, frontend.AudioBuffer)
+    audio = frontend.read_wav(recording) if from_file else recording
     if audio.num_channels < 2:
         raise InvalidInputError("multichannel model requires C >= 2")
+    num_samples, sample_rate = audio.num_samples, audio.sample_rate
     _, win, hop = frontend.stft_sizes(
-        audio.sample_rate, config.stft_size_ms, config.window_ms, config.shift_ms
+        sample_rate, config.stft_size_ms, config.window_ms, config.shift_ms
     )
-    num_frames = frontend.num_stft_frames(audio.num_samples, win, hop)
-    frame_rate = audio.sample_rate / hop
+    num_frames = frontend.num_stft_frames(num_samples, win, hop)
+    frame_rate = sample_rate / hop
     vad = frontend.energy_vad(
         audio, config.vad_window_s, config.vad_threshold_db, config.window_ms, config.shift_ms
     )
+    if from_file:
+        audio = None  # the WAV's samples are dropped: each task reads its own range
     if isinstance(embeddings, EmbeddingSequence):
         emb, alignment = embeddings, None
         if emb.num_frames != num_frames:
@@ -425,7 +445,7 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
         "config": asdict(config),
         "num_frames": int(num_frames),
         "frame_rate": frame_rate,
-        "sample_rate": int(audio.sample_rate),
+        "sample_rate": int(sample_rate),
         "embedding_alignment": alignment,
         "num_segments": len(segments),
         "voiced_fraction": voiced / max(vad.size, 1),
@@ -443,9 +463,13 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
     tasks = []
     for si, seg in enumerate(segments):
         frames = slice(seg.start_frame, seg.end_frame)
-        samples = audio.samples[:, seg.start_frame * hop : (seg.end_frame - 1) * hop + win]
+        start, stop = seg.start_frame * hop, (seg.end_frame - 1) * hop + win
+        if from_file:
+            samples = (recording, start, stop)
+        else:
+            samples = frontend.AudioBuffer(audio.samples[:, start:stop], sample_rate)
         tasks.append((
-            seg, frontend.AudioBuffer(samples, audio.sample_rate),
+            seg, samples,
             EmbeddingSequence(emb.frames[frames], emb.frame_rate),
             vad[frames], int(config.seed) + 7919 * si,
             config, mask_dir,
@@ -481,8 +505,8 @@ def _run_meeting(recording, embeddings, config, mask_dir, pool):
         offset = result.segment.start_frame * hop
         for row, wave in enumerate(tracks):
             label = assignments[result.segment.id][row]
-            track = speaker_audio.setdefault(label, np.zeros(audio.num_samples))
-            end = min(audio.num_samples, offset + wave.shape[0])
+            track = speaker_audio.setdefault(label, np.zeros(num_samples))
+            end = min(num_samples, offset + wave.shape[0])
             track[offset:end] += wave[: end - offset]
     report["speakers"] = diarization.speakers
     return diarization, speaker_audio, report

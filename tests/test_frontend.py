@@ -335,6 +335,58 @@ class TestWav:
         want = np.array(values) / float(1 << 23)
         assert np.array_equal(audio.samples[0], want)
 
+    @staticmethod
+    def range_file(fmt, frames=50, channels=3):
+        """A WAV file of ``frames`` random frames in ``fmt``, a LIST chunk after its data."""
+        rng = np.random.default_rng(11)
+        if fmt == "float32":
+            payload = rng.uniform(-1.0, 1.0, (frames, channels)).astype("<f4").tobytes()
+            tag, bits = 3, 32
+        elif fmt == "pcm24":
+            payload = rng.integers(0, 256, frames * channels * 3, dtype=np.uint8).tobytes()
+            tag, bits = 1, 24
+        else:  # pcm16, plain or as the subformat of an extensible header
+            payload = rng.integers(-32768, 32768, (frames, channels), dtype="<i2").tobytes()
+            tag, bits = (0xFFFE if fmt == "extensible" else 1), 16
+        block = channels * bits // 8
+        fmt_chunk = struct.pack("<HHIIHH", tag, channels, 8000, 8000 * block, block, bits)
+        if fmt == "extensible":  # cbSize, valid bits, channel mask, subformat GUID
+            fmt_chunk += struct.pack("<HHI", 22, bits, 0) + struct.pack("<H", 1) + b"\x00" * 14
+        return wav_bytes(fmt_chunk, payload) + b"LIST" + struct.pack("<I", 4) + b"INFO"
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "float32", "extensible"])
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(0, 10), (20, 31), (40, 50), (45, 80), (25, 25), (60, 70), (0, None), (37, None)],
+        ids=["start", "middle", "end", "past_end", "empty", "beyond", "whole", "to_end"],
+    )
+    def test_range_is_the_slice_of_the_whole_read_bit_for_bit(self, tmp_path, fmt, start, stop):
+        path = tmp_path / "r.wav"
+        path.write_bytes(self.range_file(fmt))
+        whole = read_wav(path)
+        assert whole.num_samples == 50
+        want = whole.samples[:, start:stop]
+        got = read_wav(path, start, stop)
+        assert got.sample_rate == whole.sample_rate == 8000
+        assert got.samples.dtype == want.dtype and got.samples.shape == want.shape
+        assert got.samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("start, stop", [(0, 10), (20, 30), (0, None), (5, 5), (90, 99)])
+    def test_truncated_data_chunk_raises_for_every_range(self, tmp_path, start, stop):
+        data = self.range_file("pcm16")
+        # the data chunk declares 300 bytes (50 frames); cut the file after 40 frames
+        cut = data.index(b"data") + 8 + 40 * 6
+        path = tmp_path / "t.wav"
+        path.write_bytes(data[:cut])
+        with pytest.raises(InvalidInputError, match="truncated data chunk"):
+            read_wav(path, start, stop)
+
+    def test_negative_range_rejected(self, tmp_path):
+        path = tmp_path / "r.wav"
+        path.write_bytes(self.range_file("pcm16"))
+        with pytest.raises(InvalidInputError, match="negative"):
+            read_wav(path, -1, 5)
+
     def test_rejects_non_wav(self, tmp_path):
         path = tmp_path / "bad.wav"
         path.write_bytes(b"not a riff file")
@@ -573,6 +625,14 @@ class TestF32TensorFiles:
 
     def test_three_dimensional_bytes(self, tmp_path):
         tensor = np.linspace(0.0, 1.0, 24).reshape(2, 3, 4)
+        write_f32_tensor(tmp_path / "m.msk", b"MSK1", tensor)
+        expected = b"MSK1" + struct.pack("<III", 2, 3, 4) + tensor.astype("<f4").tobytes()
+        assert (tmp_path / "m.msk").read_bytes() == expected
+
+    def test_strided_view_written_in_row_major_order(self, tmp_path):
+        # the joint EM's posterior is a (K, T, F) view of a (K, F, T) buffer
+        buffer = np.linspace(0.0, 1.0, 24).reshape(2, 4, 3)
+        tensor = buffer.swapaxes(1, 2)
         write_f32_tensor(tmp_path / "m.msk", b"MSK1", tensor)
         expected = b"MSK1" + struct.pack("<III", 2, 3, 4) + tensor.astype("<f4").tobytes()
         assert (tmp_path / "m.msk").read_bytes() == expected

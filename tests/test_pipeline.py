@@ -1,4 +1,5 @@
 import logging
+import pickle
 from concurrent.futures import Future
 
 import numpy as np
@@ -807,6 +808,55 @@ class TestRunMeeting:
         assert any("capped at the 3 CPUs" in r.getMessage() for r in caplog.records)
         assert got[0].entries == want[0].entries
         assert got[2]["num_segments"] >= 2
+
+    def test_wav_path_sends_ranges_not_samples_and_changes_no_output(self, monkeypatch, tmp_path):
+        # a WAV path's tasks carry (path, start, stop) for the worker to
+        # read; the run equals the run on the file's AudioBuffer, in one
+        # process and in the pool
+        cfg = tiny_scenario(
+            None, k_true=2, segments=[SegmentPlan(4.0, [0, 1]), SegmentPlan(4.0, [0, 1])],
+            seed=6, channels=3, embed_dim=8,
+        )
+        _, e, _, built = build_meeting(cfg)
+        path = tmp_path / "meeting.wav"
+        frontend.write_wav(path, built)
+        audio = frontend.read_wav(path)
+        sizes = []
+
+        class MeasuredPool(pipeline.ProcessPoolExecutor):
+            def map(self, fn, items):
+                items = list(items)
+                sizes.append([len(pickle.dumps(item)) for item in items])
+                return super().map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", MeasuredPool)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        runs = {}
+        for jobs in (1, 2):
+            config = tuned_config(k_init=3, em_iterations=5, init_iterations=5,
+                                  max_segment_s=5.0, jobs=jobs)
+            for name, recording in (("path", path), ("buffer", audio)):
+                mask_dir = tmp_path / f"{name}{jobs}"
+                mask_dir.mkdir()
+                runs[name, jobs] = run_meeting(recording, e, config, mask_dir=str(mask_dir))
+        path_sizes, buffer_sizes = sizes
+        assert len(path_sizes) == len(buffer_sizes) >= 2
+        assert max(path_sizes) < 64 * 1024 < min(buffer_sizes)
+        dia, tracks, report = runs["buffer", 1]
+        assert dia.entries and all(s["error"] is None for s in report["segments"])
+        masks = sorted(p.name for p in (tmp_path / "buffer1").iterdir())
+        assert len(masks) == report["num_segments"]
+        for key, (got_dia, got_tracks, got_report) in runs.items():
+            assert got_dia.entries == dia.entries, key
+            assert got_report["segments"] == report["segments"], key
+            assert sorted(got_tracks) == sorted(tracks), key
+            for label, wave in tracks.items():
+                assert got_tracks[label].tobytes() == wave.tobytes(), (key, label)
+            mask_dir = tmp_path / f"{key[0]}{key[1]}"
+            assert sorted(p.name for p in mask_dir.iterdir()) == masks, key
+            for name in masks:
+                got = (mask_dir / name).read_bytes()
+                assert got == (tmp_path / "buffer1" / name).read_bytes(), (key, name)
 
     def test_nan_embedding_row_fails_before_any_segment(self, monkeypatch):
         # a NaN row in a segment's frames is rejected as the segment's
