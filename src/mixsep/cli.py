@@ -80,6 +80,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown fusion strategy {self.fusion!r}")
         if self.k_init < 1 or self.em_iterations < 1 or self.init_iterations < 1:
             raise ConfigurationError("k_init and iteration counts must be >= 1")
+        if self.jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs!r}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
         check_tau(self.tau_spectral, "tau_spectral")
@@ -95,11 +97,14 @@ class RunConfig:
                 raise ConfigurationError(
                     f"an input needs string 'audio', 'embeddings' and optional 'id', got {item!r}"
                 )
-        # an id names an output directory: one plain path component, not shared
+        # an id names an output directory and the RTTM's file field: one
+        # plain path component without whitespace, not shared
         ids = [input_id(item) for item in self.inputs]
         for ident in ids:
-            if ident in ("", ".", "..") or "/" in ident or "\\" in ident:
-                raise ConfigurationError(f"an input id must be one plain path component, got {ident!r}")
+            if ident in (".", "..") or "/" in ident or "\\" in ident or ident.split() != [ident]:
+                raise ConfigurationError(
+                    f"an input id must be one plain path component, no whitespace: {ident!r}"
+                )
         repeated = sorted({i for i in ids if ids.count(i) > 1})
         if repeated:
             raise ConfigurationError(f"inputs share the id {', '.join(repeated)}")

@@ -132,23 +132,18 @@ def chol_logdet_quad(mats: np.ndarray, rhs: np.ndarray):
 
 
 def psd_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``M x = rhs`` for Hermitian PD stacks via loaded Cholesky."""
+    """Solve ``M x = v`` for a (..., C, C) Hermitian PD stack and (..., C)
+    vectors ``v`` via loaded Cholesky."""
     mats = np.asarray(mats, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
-    single = rhs.ndim == mats.ndim - 1
-    if single:
-        rhs = rhs[..., None]
+    rhs = np.asarray(rhs, dtype=complex)[..., None]
     L = chol_with_loading(mats)
     z = np.linalg.solve(L, np.broadcast_to(rhs, L.shape[:-2] + rhs.shape[-2:]))
-    x = np.linalg.solve(np.conj(np.swapaxes(L, -1, -2)), z)
-    if single:
-        x = x[..., 0]
-    return x
+    return np.linalg.solve(np.conj(np.swapaxes(L, -1, -2)), z)[..., 0]
 
 
-# Above this argument the largest series terms come near exp(709), the
-# float64 overflow, so they are shifted by their maximum first.
-_BESSEL_SHIFT_ABOVE = 500.0
+# The paper's concentration cap, and the largest kappa the Bessel series
+# serves: every VMFMM the pipeline fits and the joint EM's default use it.
+KAPPA_MAX = 35.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -192,17 +187,14 @@ def bessel_i_series(nu: float, kappa):
     - ln Gamma(nu+1)``. The vMF normalizer needs exactly ``log_series``, so
     it never forms and cancels ``nu ln kappa``.
 
-    Against mpmath at 40 digits, A is off by about 4e-16 at the default cap
-    ``vmf.KAPPA_MAX`` = 35 but by about 3e-13 absolute at kappa near 9400,
-    below ``vmf.KAPPA_MAX_LIMIT`` (E = 2; 1.4e-13 at E = 16): the log-gamma
-    table's cumulative sums and the ``2m ln kappa`` products carry their
-    rounding into thousands of terms. The Newton slope of the vMF M-step,
-    ``1 - A (A + (E-1)/kappa)``, is then right to 2e-12 relative at 35 but
-    off by 1e-4 there, so Newton converges only linearly near the limit.
+    Against mpmath at 40 digits, A is off by about 4e-16 at ``KAPPA_MAX``,
+    and the Newton slope of the vMF M-step, ``1 - A (A + (E-1)/kappa)``, is
+    right to 2e-12 relative there. The largest term is below ``e^kappa``,
+    far from the float64 overflow at ``exp(709)``.
 
     Args:
         nu: order, >= 0.
-        kappa: array of arguments, each > 0.
+        kappa: array of arguments, each in (0, ``KAPPA_MAX``].
 
     Returns:
         ``(log_series, ratio)``, arrays of the shape of ``kappa``.
@@ -213,17 +205,10 @@ def bessel_i_series(nu: float, kappa):
     two_m, lgam, weights = _bessel_terms(float(nu), n_terms)
     terms = np.log(kappa)[..., None] * two_m
     terms -= lgam
-    shifted = peak > _BESSEL_SHIFT_ABOVE
-    if shifted:
-        top = terms.max(axis=-1, keepdims=True)
-        terms -= top
     np.exp(terms, out=terms)
     sums = terms @ weights
     total = sums[..., 0]
-    log_series = np.log(total)
-    if shifted:
-        log_series += top[..., 0]
-    return log_series, kappa * sums[..., 1] / total
+    return np.log(total), kappa * sums[..., 1] / total
 
 
 def log_vmf_normalizer(embed_dim: int, kappa):
@@ -235,13 +220,12 @@ def log_vmf_normalizer(embed_dim: int, kappa):
     :func:`bessel_i_series`, so a caller that already holds the series at
     kappa needs no further series.
     Within 1e-12 relative of a 60-digit reference for E from 2 to 256 and
-    kappa from 1e-8 to 1e4, the range the tests check. Finite for any finite
-    kappa, but the series of :func:`bessel_i_series` has about kappa/2
-    terms, so cost and memory grow linearly with kappa.
+    kappa from 1e-8 to ``KAPPA_MAX``.
 
     Args:
         embed_dim: dimension E of the hypersphere's ambient space, E >= 2.
-        kappa: concentration, >= 0; a float, or an array of them.
+        kappa: concentration in [0, ``KAPPA_MAX``]; a float, or an array of
+            them.
 
     Returns:
         ln c(kappa): a float for a float, an array of its shape for an array.
@@ -249,8 +233,9 @@ def log_vmf_normalizer(embed_dim: int, kappa):
     if embed_dim < 2 or int(embed_dim) != embed_dim:
         raise InvalidInputError("embedding dimension must be an integer >= 2")
     k = np.asarray(kappa, dtype=float)
-    if not np.all((k >= 0.0) & np.isfinite(k)):
-        raise InvalidInputError("kappa must be finite and >= 0")
+    # false on NaN as well
+    if not np.all((k >= 0.0) & (k <= KAPPA_MAX)):
+        raise InvalidInputError(f"kappa must lie in [0, {KAPPA_MAX:g}]")
     half = embed_dim / 2.0
     log_series = np.zeros(k.shape)  # its kappa = 0 limit
     pos = k > 0.0

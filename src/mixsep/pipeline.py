@@ -396,7 +396,7 @@ def run_meeting(recording, embeddings, config, mask_dir=None):
         ``(diarization, speaker_audio, report)`` where ``speaker_audio`` maps
         global speaker ids to meeting-length waveforms.
     """
-    jobs = max(1, int(config.jobs))
+    jobs = config.jobs
     cpus = usable_cpus()
     if jobs > cpus:
         logger.info("jobs=%d capped at the %d CPUs this process may use", jobs, cpus)

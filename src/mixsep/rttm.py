@@ -9,9 +9,15 @@ def write_rttm(path, turns, file_id: str):
     """Write SPEAKER lines with 3-decimal start/duration.
 
     ``turns`` is an iterable of (speaker, start_s, end_s); lines are sorted
-    by (start, speaker) so identical inputs produce identical bytes.
+    by (start, speaker) so identical inputs produce identical bytes. The
+    file id and every speaker label must be one field, nonempty and without
+    whitespace, for :func:`read_rttm` to read the lines back; nothing is
+    written otherwise.
     """
     rows = sorted((float(s), str(spk), float(e)) for spk, s, e in turns)
+    for field in (file_id, *(speaker for _, speaker, _ in rows)):
+        if field.split() != [field]:
+            raise InvalidInputError(f"RTTM field {field!r} is empty or holds whitespace")
     with open(path, "w") as fh:
         for start, speaker, end in rows:
             fh.write(

@@ -17,24 +17,19 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 from .numerics import (
-    bessel_i_series, log_vmf_normalizer, normalize_logits, uniform_log_density, update_pi,
+    KAPPA_MAX, bessel_i_series, log_vmf_normalizer, normalize_logits, uniform_log_density,
+    update_pi,
 )
 
 logger = logging.getLogger(__name__)
 
 INIT_SMOOTHING = 0.01
-# The paper's concentration cap: the joint EM's default and the cap of every
-# VMFMM the pipeline fits.
-KAPPA_MAX = 35.0
-# The series behind the normalizer and the concentration update has about
-# kappa/2 terms, and the tests check it up to this concentration.
-KAPPA_MAX_LIMIT = 1e4
 
 
 def check_kappa_max(kappa_max):
-    """Raise unless the concentration cap lies in [0, KAPPA_MAX_LIMIT]."""
-    if not 0.0 <= kappa_max <= KAPPA_MAX_LIMIT:
-        raise ConfigurationError(f"kappa_max must lie in [0, {KAPPA_MAX_LIMIT:g}], got {kappa_max!r}")
+    """Raise unless the concentration cap lies in [0, KAPPA_MAX]."""
+    if not 0.0 <= kappa_max <= KAPPA_MAX:
+        raise ConfigurationError(f"kappa_max must lie in [0, {KAPPA_MAX:g}], got {kappa_max!r}")
 
 
 @dataclass(frozen=True)
@@ -124,19 +119,12 @@ def log_pdf_matrix(
     return out
 
 
-# Nodes of the table of A_E per unit of ln(1 + kappa): 460 for a cap of 35,
-# 1180 for 1e4. The cubic read of the inverse starts a solve within 2e-9
-# relative up to kappa = 1000 and within 1e-7 near 1e4, where the slope of
-# A_E cancels (for E = 2, the worst case, measured against the converged root).
+# Nodes of the table of A_E per unit of ln(1 + kappa): 460 for a cap of 35.
+# The cubic read of the inverse starts a solve so near the root that the
+# first Newton step is below 1e-8 relative (1.4e-9 at most) for every cap up
+# to KAPPA_MAX and E from 2 to 256. The error squares, so a second step
+# would already be below a stop rule of 1e-12 relative: one step suffices.
 _NODES_PER_LOG_UNIT = 128
-# Arguments per series call while a table is built, so that each call sums
-# only as many terms as its own largest argument needs.
-_BUILD_CHUNK = 256
-# A Newton step below this, relative, leaves the next one below the stop rule
-# of 1e-12: the error squares or, where the computed slope
-# 1 - A (A + (E-1)/kappa) cancels (to 1e-4 relative at kappa = 1e4), still
-# shrinks 1e4-fold.
-_ONE_STEP = 1e-8
 
 
 @functools.lru_cache(maxsize=64)
@@ -157,9 +145,7 @@ def _ratio_table(dim: int, kappa_max: float):
     kappa = np.expm1(np.linspace(0.0, top, max(2, math.ceil(top * _NODES_PER_LOG_UNIT) + 1)))
     kappa[-1] = kappa_max
     ratio, log_series = np.zeros(kappa.size), np.zeros(kappa.size)
-    for lo in range(1, kappa.size, _BUILD_CHUNK):
-        part = slice(lo, lo + _BUILD_CHUNK)
-        log_series[part], ratio[part] = bessel_i_series(dim / 2.0 - 1.0, kappa[part])
+    log_series[1:], ratio[1:] = bessel_i_series(dim / 2.0 - 1.0, kappa[1:])
     dkappa = np.full(kappa.size, float(dim))
     dkappa[1:] = 1.0 / (1.0 - ratio[1:] * (ratio[1:] + (dim - 1.0) / kappa[1:]))
     width = np.diff(ratio)
@@ -187,25 +173,23 @@ def _table_start(table, rbar: np.ndarray) -> np.ndarray:
 def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float):
     """Concentration update of every component: the root of
     ``A_E(kappa) = rbar`` read from a table of the inverse of A_E and
-    polished by Newton steps.
+    polished by one Newton step.
 
     The cached table (:func:`_ratio_table`) gives each component its start;
     one Newton step on the exact condition, vectorized over the components,
-    polishes it, and a second one follows for the components whose first
-    step was not below 1e-8 relative, so that the next step would not pass
-    the stop rule of 1e-12 relative. The polish keeps the M-step an argmax,
-    so the EM likelihood stays monotone. A step is skipped where the slope
-    is not positive. A saturated ``rbar``, or one at or above
-    A_E(kappa_max), gives ``kappa_max`` (the constrained maximum); ``rbar``
-    0 gives 0. Results are capped at ``kappa_max``.
+    polishes it to within 1e-12 relative (see ``_NODES_PER_LOG_UNIT``). The
+    polish keeps the M-step an argmax, so the EM likelihood stays monotone.
+    The step is skipped where the slope is not positive. A saturated
+    ``rbar``, or one at or above A_E(kappa_max), gives ``kappa_max`` (the
+    constrained maximum); ``rbar`` 0 gives 0. Results are capped at
+    ``kappa_max``.
 
     Returns ``(kappa, log_series)``: ``log_series`` is the first result of
     :func:`numerics.bessel_i_series` at each estimate (0 at kappa 0), the
-    last step's evaluation carried to its result by the second-order
-    expansion ``d log_series / d kappa = A_E``, ``d A_E / d kappa =
-    slope``, or the table's value at the cap. It gives the next E-step its
-    normalizers, so one EM iteration evaluates the series once, or twice
-    where a second step runs.
+    step's evaluation carried to its result by the second-order expansion
+    ``d log_series / d kappa = A_E``, ``d A_E / d kappa = slope``, or the
+    table's value at the cap. It gives the next E-step its normalizers, so
+    one EM iteration evaluates the series once.
     """
     kappa_max = float(kappa_max)
     if kappa_max <= 0.0:
@@ -218,21 +202,16 @@ def _kappa_estimates(rbar: np.ndarray, dim: int, kappa_max: float):
     live = ((rbar > 0.0) & ~capped).nonzero()[0]
     if live.size == 0:
         return kappa, log_series
-    # the Newton steps work on the live components' own (n,) arrays
+    # the Newton step works on the live components' own (n,) arrays
     r = rbar[live]
     k = _table_start(table, r)
-    for _ in range(2):
-        series, ratio = bessel_i_series(dim / 2.0 - 1.0, k)
-        slope = 1.0 - ratio * (ratio + (dim - 1.0) / k)
-        step = (ratio - r) / np.where(slope > 1e-14, slope, np.inf)
-        new = np.minimum(k - step, kappa_max)
-        moved = new - k
-        kappa[live] = new
-        log_series[live] = series + moved * (ratio + 0.5 * slope * moved)
-        again = np.abs(step) >= _ONE_STEP * np.maximum(new, 1.0)
-        if not again.any():
-            break
-        live, r, k = live[again], r[again], new[again]
+    series, ratio = bessel_i_series(dim / 2.0 - 1.0, k)
+    slope = 1.0 - ratio * (ratio + (dim - 1.0) / k)
+    step = (ratio - r) / np.where(slope > 1e-14, slope, np.inf)
+    new = np.minimum(k - step, kappa_max)
+    moved = new - k
+    kappa[live] = new
+    log_series[live] = series + moved * (ratio + 0.5 * slope * moved)
     return kappa, log_series
 
 
@@ -255,7 +234,7 @@ def vmf_m_step(
         embeddings: (T, E) unit rows.
         resp: (K, T) nonnegative weights; frequency-summed responsibilities
             may exceed 1 per entry, only relative weights matter.
-        kappa_max: concentration cap, in [0, KAPPA_MAX_LIMIT].
+        kappa_max: concentration cap, in [0, KAPPA_MAX].
         rng: generator for degenerate re-draws (seeded default if omitted).
 
     Returns:
@@ -307,8 +286,7 @@ def vmfmm_em(
     latter by :func:`numerics.update_pi`, from the current responsibilities)
     followed by the E-step, whose per-frame normalizers accumulate the
     log-likelihood trace. The E-step takes its vMF normalizers from the
-    M-step, so an iteration sums the Bessel series once (twice where a
-    concentration needs a second Newton step).
+    M-step, so an iteration sums the Bessel series once.
 
     Args:
         embeddings: observation sequence.

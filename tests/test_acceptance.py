@@ -35,7 +35,7 @@ from mixsep.integrated import (
 from mixsep.metrics import counting_matrix, der, mask_auc, si_sdr
 from mixsep.numerics import log_vmf_normalizer
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting, sample_vmf
-from mixsep.vmf import EmbeddingSequence, vmf_m_step, vmfmm_em
+from mixsep.vmf import KAPPA_MAX, EmbeddingSequence, vmf_m_step, vmfmm_em
 
 
 def report(criterion, message):
@@ -173,7 +173,7 @@ def test_criterion_03_parameter_recovery():
     mu_true /= np.linalg.norm(mu_true)
     frames = sample_vmf(mu_true, 20.0, 5000, seed=77)
     (mu,), (kappa,), _ = vmf_m_step(
-        EmbeddingSequence(frames), np.ones((1, 5000)), kappa_max=1000.0
+        EmbeddingSequence(frames), np.ones((1, 5000)), kappa_max=KAPPA_MAX
     )
     cosine = float(mu @ mu_true)
     kappa_err = abs(kappa - 20.0) / 20.0

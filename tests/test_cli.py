@@ -125,12 +125,19 @@ class TestRunConfig:
             {"id": "."},
             {"audio": "..", "id": ""},
             {"audio": "/"},
+            {"id": "my meeting"},
+            {"id": "tab\tid"},
+            {"audio": "my meeting.wav"},
         ],
-        ids=["parent_escape", "nested", "backslash", "dotdot", "dot", "dotdot_stem", "empty_stem"],
+        ids=[
+            "parent_escape", "nested", "backslash", "dotdot", "dot", "dotdot_stem", "empty_stem",
+            "space", "tab", "space_in_stem",
+        ],
     )
     def test_id_that_is_not_one_plain_path_component_rejected(self, item):
         # an input's id names its directory under out_dir: "../esc" wrote
-        # outside it, and "a" and "x/../a" named one directory
+        # outside it, and "a" and "x/../a" named one directory. It is also
+        # the RTTM's file field: "my meeting" was read back as file "my"
         item = {"audio": "a.wav", "embeddings": "e.emb", **item}
         with pytest.raises(ConfigurationError, match="one plain path component"):
             cli.RunConfig(inputs=[item])
@@ -152,7 +159,7 @@ class TestRunConfig:
             cli.RunConfig.from_json(json.dumps(setting))
 
     @pytest.mark.parametrize(
-        "setting", [{"seed": -1}, {"k_init": 0}, {"em_iterations": 0}]
+        "setting", [{"seed": -1}, {"k_init": 0}, {"em_iterations": 0}, {"jobs": 0}, {"jobs": -3}]
     )
     def test_seed_and_counts_outside_range_rejected(self, setting):
         with pytest.raises(ConfigurationError):
@@ -423,14 +430,17 @@ class TestCmdRun:
             ({"k_init": 0}, []),
             ({}, ["--seed", "-3"]),
             ({}, ["--jobs", "2", "--seed", "-1"]),
+            ({"jobs": 0}, []),
+            ({}, ["--jobs", "-3"]),
         ],
-        ids=["k_init", "seed_flag", "seed_flag_with_jobs"],
+        ids=["k_init", "seed_flag", "seed_flag_with_jobs", "jobs", "jobs_flag"],
     )
     def test_seed_or_count_outside_range_exits_one_before_any_segment(
         self, bundle, tmp_path, capsys, monkeypatch, setting, flags
     ):
-        # a negative seed failed only after every segment's EM; the --seed
-        # override is checked as the config file's value is
+        # a negative seed failed only after every segment's EM, and a jobs
+        # value below 1 ran serially without a word; the --seed and --jobs
+        # overrides are checked as the config file's values are
         meetings = []
         monkeypatch.setattr(pipeline, "run_meeting", lambda *args, **kw: meetings.append(args))
         out_dir = tmp_path / "out"

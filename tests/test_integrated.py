@@ -758,8 +758,10 @@ class TestJointEm:
                 joint_em(x, e, init, JointEmConfig(fusion=fusion))
 
     def test_kappa_cap_outside_checked_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            JointEmConfig(kappa_max=1e7)
+        for cap in (np.nextafter(35.0, 36.0), 36.0, 1e7):
+            with pytest.raises(ConfigurationError, match=r"kappa_max must lie in \[0, 35\]"):
+                JointEmConfig(kappa_max=cap)
+        assert JointEmConfig(kappa_max=35.0).kappa_max == JointEmConfig(kappa_max=35).kappa_max
 
     @pytest.mark.parametrize(
         "setting",

@@ -169,11 +169,9 @@ def reference_m_step(frames, resp, kappa_max, rng):
 
 class TestKappaUpdateMatchesScalarNewton:
     @pytest.mark.parametrize("dim", [3, 16, 24, 64])
-    @pytest.mark.parametrize("kappa_max", [35.0, 1000.0])
+    @pytest.mark.parametrize("kappa_max", [5.0, 35.0])
     def test_every_branch(self, dim, kappa_max):
-        # Newton stops at steps of 1e-12 relative, and near a cap of 1000 the
-        # slope 1 - A^2 - (E-1) A / kappa cancels down to about 1e-6, so two
-        # Bessel evaluations that differ in the last bit agree to ~1e-11 there
+        # Newton stops at steps of 1e-12 relative
         cap = reference_bessel_ratio(dim, kappa_max)
         rbar = np.concatenate([
             [0.0, 1e-9, 1.0, 1.0 - 1e-13],  # zero start, tiny, saturated
@@ -191,13 +189,13 @@ class TestKappaUpdateMatchesScalarNewton:
 
     def test_table_solve_matches_array_newton(self):
         # the table start and its polish reach the root the Newton steps from
-        # Banerjee's start reach, to the bound test_every_branch allows near a
-        # cap of 1000; the 0 and cap branches agree exactly
+        # Banerjee's start reach, to the bound test_every_branch allows; the 0
+        # and cap branches agree exactly
         rng = np.random.default_rng(17)
         for _ in range(3000):
             count = int(rng.integers(1, 13))
             dim = int(rng.choice([2, 3, 8, 16, 24, 64, 256]))
-            kappa_max = float(rng.choice([0.0, 1.0, 35.0, 1000.0, 1e4]))
+            kappa_max = float(rng.choice([0.0, 0.01, 1.0, 5.0, 35.0]))
             rbar = rng.uniform(0.0, 1.0, count) ** float(rng.choice([0.1, 1.0, 4.0]))
             rbar[rng.uniform(size=count) < 0.1] = 1.0
             got, _ = vmf._kappa_estimates(rbar, dim, kappa_max)
@@ -208,17 +206,18 @@ class TestKappaUpdateMatchesScalarNewton:
             assert np.allclose(got, want, rtol=1e-10, atol=0.0), case
 
     def test_integer_cap_keeps_float_estimates(self):
-        # a JSON config passes "kappa_max": 50 through as an int
+        # a caller may pass the cap as the int 35
+        cap = int(vmf.KAPPA_MAX)
         rbar = np.concatenate([[0.0, 1.0], np.linspace(0.05, 0.95, 19)])
-        got, _ = vmf._kappa_estimates(rbar, 16, 50)
-        want = np.array([reference_kappa(r, 16, 50.0) for r in rbar])
+        got, _ = vmf._kappa_estimates(rbar, 16, cap)
+        want = np.array([reference_kappa(r, 16, vmf.KAPPA_MAX) for r in rbar])
         assert got.dtype == np.float64
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
         assert np.any(got != np.round(got))
         frames = sample_vmf(unit(np.arange(1.0, 9.0)), 20.0, 100, seed=4)
         resp = np.random.default_rng(2).uniform(0.0, 1.0, size=(3, 100))
-        _, as_int, _ = vmf_m_step(EmbeddingSequence(frames), resp, 50)
-        _, as_float, _ = vmf_m_step(EmbeddingSequence(frames), resp, 50.0)
+        _, as_int, _ = vmf_m_step(EmbeddingSequence(frames), resp, cap)
+        _, as_float, _ = vmf_m_step(EmbeddingSequence(frames), resp, vmf.KAPPA_MAX)
         assert np.array_equal(as_int, as_float)
 
     def test_m_step_matches_per_component_loop(self, caplog):
@@ -265,7 +264,7 @@ class TestMStepChecks:
 
 class TestLognormHandoff:
     @pytest.mark.parametrize("dim", [2, 3, 16, 24, 64, 256])
-    @pytest.mark.parametrize("kappa_max", [1.0, 35.0, 1000.0, 1e4])
+    @pytest.mark.parametrize("kappa_max", [0.01, 1.0, 5.0, 35.0])
     def test_handed_on_series_gives_the_normalizer(self, dim, kappa_max):
         rbar = np.concatenate([[0.0, 1e-9, 1.0], np.linspace(0.01, 0.99, 99)])
         kappa, log_series = vmf._kappa_estimates(rbar, dim, kappa_max)
@@ -299,24 +298,30 @@ class TestLognormHandoff:
         assert np.array_equal(plain, kappa)
         assert np.array_equal(uniform_log_density(16) - series, lognorm)
 
-    def test_a_far_start_takes_a_second_step(self, monkeypatch):
-        # at kappa near 1e4 and E = 2 the slope of A_E cancels to about 1e-4
-        # relative, and the table starts about 1e-7 off: the first step is not
-        # below 1e-8, so a second one follows; a start at kappa_max = 35 needs one
-        near = bessel_i_series(0.0, np.array([9376.0]))[1]
-        inner = bessel_i_series(11.0, np.array([12.5, 30.0]))[1]
-        vmf._kappa_estimates(near, 2, 1e4)  # builds the tables
-        vmf._kappa_estimates(inner, 24, 35.0)
+    @pytest.mark.parametrize("kappa_max", [0.01, 1.0, 5.0, 35.0])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16, 64, 256])
+    def test_one_newton_step_suffices(self, monkeypatch, dim, kappa_max):
+        # the first Newton step from the table start is below 1e-8 relative,
+        # so its error, which squares, leaves a second step below the
+        # reference's stop rule of 1e-12: the estimate takes one series call
+        table = vmf._ratio_table(dim, kappa_max)
+        ratios = table[0]
+        rbar = np.concatenate([
+            np.geomspace(1e-9, 1e-2, 40),
+            np.linspace(0.0, 1.0, 4001),
+            ratios[-1] * (1.0 - np.geomspace(1e-12, 1e-2, 40)),
+        ])
+        rbar = rbar[(rbar > 0.0) & (rbar < ratios[-1])]
+        start = vmf._table_start(table, rbar)
+        ratio = bessel_i_series(dim / 2.0 - 1.0, start)[1]
+        slope = 1.0 - ratio * (ratio + (dim - 1.0) / start)
+        step = (ratio - rbar) / slope
+        assert np.all(np.abs(step) < 1e-8 * np.maximum(start - step, 1.0))
         calls = count_series_calls(monkeypatch)
-        got, log_series = vmf._kappa_estimates(near, 2, 1e4)
-        assert len(calls) == 2
-        assert np.allclose(got, kappa_newton_arrays(near, 2, 1e4), rtol=1e-10, atol=0.0)
-        want = log_vmf_normalizer(2, got)
-        assert np.all(np.abs(uniform_log_density(2) - log_series - want) <= 1e-12 * np.abs(want))
-        calls.clear()
-        got, _ = vmf._kappa_estimates(inner, 24, 35.0)
+        got, _ = vmf._kappa_estimates(rbar, dim, kappa_max)
         assert len(calls) == 1
-        assert np.allclose(got, [12.5, 30.0], rtol=1e-13, atol=0.0)
+        want = kappa_newton_arrays(rbar, dim, kappa_max)
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
     def test_vmfmm_em_sums_the_series_once_per_iteration(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -332,9 +337,8 @@ class TestLognormHandoff:
         first = len(calls)
         calls.clear()
         vmfmm_em(e, init, 12, 35.0)
-        # one per iteration: below a cap of 1000 the first Newton step always
-        # passes (a second would add one), and the E-step sums none; up to
-        # four Newton steps and a fresh normalizer would be five
+        # one per iteration: the M-step's one Newton step, and the E-step sums
+        # none; up to four Newton steps and a fresh normalizer would be five
         assert first == 1 and len(calls) - first == 11
 
 
@@ -358,7 +362,7 @@ class TestVmfMStep:
         mu = unit(np.sin(np.arange(16.0) + 0.3))
         frames = sample_vmf(mu, 20.0, 5000, seed=1234)
         resp = np.ones((1, 5000))
-        (got_mu,), (kappa,), _ = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=1000.0)
+        (got_mu,), (kappa,), _ = vmf_m_step(EmbeddingSequence(frames), resp, vmf.KAPPA_MAX)
         assert float(got_mu @ mu) >= 0.999
         assert abs(kappa - 20.0) <= 2.0
 
@@ -374,16 +378,18 @@ class TestVmfMStep:
         frames = sample_vmf(unit(rng.standard_normal(6)), 10.0, 200, seed=3)
         resp = rng.uniform(0.2, 1.0, size=(2, 200))
         rot = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-        base = vmf_m_step(EmbeddingSequence(frames), resp, kappa_max=50.0)
-        rotated = vmf_m_step(EmbeddingSequence(frames @ rot.T), resp, kappa_max=50.0)
+        base = vmf_m_step(EmbeddingSequence(frames), resp, vmf.KAPPA_MAX)
+        rotated = vmf_m_step(EmbeddingSequence(frames @ rot.T), resp, vmf.KAPPA_MAX)
         for b_mu, b_kappa, r_mu, r_kappa in zip(*base[:2], *rotated[:2]):
             assert np.allclose(rot @ b_mu, r_mu, atol=1e-9)
             assert abs(b_kappa - r_kappa) < 1e-9
 
 
-    @pytest.mark.parametrize("kappa_max", [-1.0, vmf.KAPPA_MAX_LIMIT * 1.01, math.nan])
+    @pytest.mark.parametrize(
+        "kappa_max", [-1.0, np.nextafter(vmf.KAPPA_MAX, 36.0), 36.0, 10100.0, math.nan]
+    )
     def test_cap_outside_checked_range_rejected(self, kappa_max):
-        # the series has about kappa/2 terms: an unbounded cap is unbounded memory
+        # the series and the table serve concentrations up to KAPPA_MAX only
         frames = np.stack([unit([1.0, 2.0, 3.0]), unit([0.0, 1.0, 0.0])])
         with pytest.raises(ConfigurationError):
             vmf_m_step(EmbeddingSequence(frames), np.ones((1, 2)), kappa_max)
@@ -429,6 +435,15 @@ class TestVmfmmEm:
         init = smooth_one_hot(spherical_kmeans_pp(seq, 2, seed=1))
         _, resp, _ = vmfmm_em(seq, init, 10, kappa_max=35.0)
         assert np.allclose(resp.sum(axis=0), 1.0, atol=1e-9)
+
+    def test_cap_above_kappa_max_rejected(self):
+        frames = sample_vmf(unit([1.0, 2.0, 0.5]), 10.0, 12, seed=2)
+        init = np.full((2, 12), 0.5)
+        with pytest.raises(ConfigurationError, match="kappa_max must lie in"):
+            vmfmm_em(EmbeddingSequence(frames), init, 3, kappa_max=36.0)
+        for cap in (35.0, 35):
+            mixture, _, _ = vmfmm_em(EmbeddingSequence(frames), init, 3, kappa_max=cap)
+            assert mixture.kappa.max() <= 35.0
 
     def test_more_components_than_frames_rejected(self):
         frames = sample_vmf(unit([1.0, 0, 0]), 5.0, 4, seed=2)
