@@ -16,7 +16,7 @@ import numpy as np
 
 from . import frontend, metrics, pipeline, rttm, synth
 from .errors import ConfigurationError, MixsepError
-from .integrated import check_tau
+from .integrated import JointEmConfig
 
 # What an int, float or str setting must hold: a value of another type (a bool,
 # a float count, a string for a number) or a real that is not finite is an
@@ -76,17 +76,34 @@ class RunConfig:
             what, valid = _SETTING_KINDS[kind]
             if isinstance(value, bool) or not valid(value):
                 raise ConfigurationError(f"{f.name} must be {what}, got {value!r}")
-        if self.fusion not in ("spectral", "none"):
-            raise ConfigurationError(f"unknown fusion strategy {self.fusion!r}")
-        if self.k_init < 1 or self.em_iterations < 1 or self.init_iterations < 1:
-            raise ConfigurationError("k_init and iteration counts must be >= 1")
+        # the joint EM's settings are checked where the EM keeps its rules
+        JointEmConfig(
+            iterations=self.em_iterations, fusion=self.fusion,
+            tau_spectral=self.tau_spectral, fusion_start=self.fusion_start,
+        )
+        if self.k_init < 1 or self.init_iterations < 1:
+            raise ConfigurationError("k_init and init_iterations must be >= 1")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs!r}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
-        check_tau(self.tau_spectral, "tau_spectral")
         if self.k_total is not None and self.k_total < 1:
             raise ConfigurationError(f"k_total must be >= 1 or null, got {self.k_total!r}")
+        if self.embed_dim is not None and self.embed_dim < 2:
+            raise ConfigurationError(f"embed_dim must be >= 2 or null, got {self.embed_dim!r}")
+        # a recording must be framed and a segment kept; whether the sizes
+        # are whole samples depends on each WAV's rate and is checked per input
+        for name in ("stft_size_ms", "window_ms", "shift_ms", "vad_window_s", "max_segment_s"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if self.window_ms > self.stft_size_ms:
+            raise ConfigurationError("window_ms must not exceed stft_size_ms")
+        if not 0.0 <= self.min_segment_s <= self.max_segment_s:
+            raise ConfigurationError(
+                f"min_segment_s must lie in [0, max_segment_s], got {self.min_segment_s!r}"
+            )
+        if self.max_pause_s < 0.0:
+            raise ConfigurationError(f"max_pause_s must be >= 0, got {self.max_pause_s!r}")
         for item in self.inputs:
             if not (
                 isinstance(item, dict)

@@ -28,17 +28,16 @@ logger = logging.getLogger(__name__)
 class JointModel:
     """Joint model state: spatial covariances, vMF prototypes and tied priors.
 
-    ``lognorm`` holds the vMF log normalizers ``ln c(kappa)`` where the
-    M-step handed them on with the concentrations; the E-step computes them
-    from ``kappa`` where it is None.
+    ``lognorm`` holds the vMF log normalizers ``ln c(kappa)`` that the
+    M-step handed on with the concentrations.
     """
 
     covariances: np.ndarray  # (K, F, C, C) Hermitian PD
     mu: np.ndarray  # (K, E) unit prototypes
     kappa: np.ndarray  # (K,) concentrations
     pi: np.ndarray  # (K, T)
+    lognorm: np.ndarray  # (K,)
     noise_index: int | None = None
-    lognorm: np.ndarray | None = None  # (K,)
 
     def __post_init__(self):
         self.covariances = np.asarray(self.covariances, dtype=complex)
@@ -53,7 +52,7 @@ class JointModel:
             raise InvalidInputError("pi rows must match the component count")
         if self.noise_index is not None and not 0 <= self.noise_index < shape[0]:
             raise InvalidInputError("noise index out of range")
-        if self.lognorm is not None and np.shape(self.lognorm) != self.kappa.shape:
+        if np.shape(self.lognorm) != self.kappa.shape:
             raise InvalidInputError("lognorm must hold one value per component")
 
     @property
@@ -88,8 +87,14 @@ class JointEmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.iterations < 1:
+            raise ConfigurationError("iterations must be >= 1")
         _vmf.check_kappa_max(self.kappa_max)
+        if self.fusion not in ("spectral", "none"):
+            raise ConfigurationError(f"unknown fusion strategy {self.fusion!r}")
         check_tau(self.tau_spectral, "tau_spectral")
+        if self.fusion_start < 0:
+            raise ConfigurationError(f"fusion_start must be >= 0, got {self.fusion_start!r}")
 
 
 def check_tau(tau: float, name: str = "tau"):
@@ -120,7 +125,7 @@ def joint_m_step(
     if noise_index is not None:
         kappa[noise_index] = 0.0
         lognorm[noise_index] = uniform_log_density(embeddings.dim)
-    return JointModel(covariances, mu, kappa, pi, noise_index, lognorm)
+    return JointModel(covariances, mu, kappa, pi, lognorm, noise_index)
 
 
 def fused_covariances(model: JointModel, keep: int, remove: int) -> np.ndarray:
@@ -242,10 +247,6 @@ def joint_em(
         ``(model, gamma, fusion_events, loglik_trace)``, ``gamma`` the
         final (K', T, F) posterior.
     """
-    if config.iterations < 1:
-        raise ConfigurationError("iterations must be >= 1")
-    if config.fusion not in ("spectral", "none"):
-        raise ConfigurationError(f"unknown fusion strategy {config.fusion!r}")
     init = np.asarray(init, dtype=float)
     if embeddings.num_frames != x.num_frames:
         raise InvalidInputError("embedding frames do not match STFT frames")

@@ -211,39 +211,6 @@ def bessel_i_series(nu: float, kappa):
     return np.log(total), kappa * sums[..., 1] / total
 
 
-def log_vmf_normalizer(embed_dim: int, kappa):
-    """Log normalizer ln c(kappa) of the von-Mises-Fisher density.
-
-    ``c(kappa) = kappa^(E/2-1) / ((2 pi)^(E/2) I_(E/2-1)(kappa))`` with the
-    continuous limit at ``kappa = 0`` (the uniform density on the sphere).
-    It is :func:`uniform_log_density` less the first result of
-    :func:`bessel_i_series`, so a caller that already holds the series at
-    kappa needs no further series.
-    Within 1e-12 relative of a 60-digit reference for E from 2 to 256 and
-    kappa from 1e-8 to ``KAPPA_MAX``.
-
-    Args:
-        embed_dim: dimension E of the hypersphere's ambient space, E >= 2.
-        kappa: concentration in [0, ``KAPPA_MAX``]; a float, or an array of
-            them.
-
-    Returns:
-        ln c(kappa): a float for a float, an array of its shape for an array.
-    """
-    if embed_dim < 2 or int(embed_dim) != embed_dim:
-        raise InvalidInputError("embedding dimension must be an integer >= 2")
-    k = np.asarray(kappa, dtype=float)
-    # false on NaN as well
-    if not np.all((k >= 0.0) & (k <= KAPPA_MAX)):
-        raise InvalidInputError(f"kappa must lie in [0, {KAPPA_MAX:g}]")
-    half = embed_dim / 2.0
-    log_series = np.zeros(k.shape)  # its kappa = 0 limit
-    pos = k > 0.0
-    log_series[pos] = bessel_i_series(half - 1.0, k[pos])[0]
-    out = uniform_log_density(embed_dim) - log_series
-    return float(out) if out.ndim == 0 else out
-
-
 @functools.lru_cache(maxsize=64)
 def uniform_log_density(embed_dim: int) -> float:
     """ln c(0): the log density of the uniform distribution on the unit

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 from .numerics import (
-    KAPPA_MAX, bessel_i_series, log_vmf_normalizer, normalize_logits, uniform_log_density,
-    update_pi,
+    KAPPA_MAX, bessel_i_series, normalize_logits, uniform_log_density, update_pi,
 )
 
 logger = logging.getLogger(__name__)
@@ -42,8 +41,9 @@ class EmbeddingSequence:
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=float)
-        if frames.ndim != 2:
-            raise InvalidInputError("frames must be a T x E matrix")
+        # the vMF density on the sphere of R^E needs E >= 2
+        if frames.ndim != 2 or frames.shape[1] < 2:
+            raise InvalidInputError("frames must be a T x E matrix with E >= 2")
         norms = np.linalg.norm(frames, axis=1)
         # false on NaN, so a NaN row is rejected too
         if frames.shape[0] and not np.max(np.abs(norms - 1.0)) <= 1e-6:
@@ -96,26 +96,22 @@ def log_pdf_matrix(
     mu: np.ndarray,
     kappa: np.ndarray,
     frames: np.ndarray,
-    lognorm: np.ndarray | None = None,
-    log_prior: np.ndarray | None = None,
+    lognorm: np.ndarray,
+    log_prior: np.ndarray,
 ) -> np.ndarray:
-    """(K, T) vMF log densities ``ln c(kappa_k) + kappa_k mu_k . e_t`` of (K, E)
-    prototypes with (K,) concentrations; frames are assumed unit rows.
+    """(K, T) mixture logits ``log_prior + ln c(kappa_k) + kappa_k mu_k . e_t``
+    of (K, E) prototypes with (K,) concentrations; frames are assumed unit
+    rows.
 
-    ``lognorm`` holds the (K,) ``ln c(kappa_k)`` where the caller has them:
-    the EMs pass what :func:`vmf_m_step` handed on with the concentrations,
-    so their E-step evaluates no Bessel series. Without it the normalizers
-    come from :func:`numerics.log_vmf_normalizer`. ``log_prior``, (K, 1) or
-    (K, T), is added last, which gives the mixture logits: the same values
-    as ``log_prior + log_pdf_matrix(...)``, formed in one buffer.
+    ``lognorm`` holds the (K,) ``ln c(kappa_k)`` that :func:`vmf_m_step`
+    handed on with the concentrations, so the E-step evaluates no Bessel
+    series. ``log_prior``, (K, 1) or (K, T), is added last: the same values
+    as ``log_prior`` plus the vMF log densities, formed in one buffer.
     """
-    if lognorm is None:
-        lognorm = log_vmf_normalizer(mu.shape[1], kappa)
     out = mu @ frames.T
     out *= kappa[:, None]
     out += lognorm[:, None]
-    if log_prior is not None:
-        out += log_prior
+    out += log_prior
     return out
 
 

@@ -2,10 +2,12 @@
 
 Scalar ones: one matrix, one vector, one component at a time, with a
 triangular solve where the kernels invert their factors: slow and plain on
-purpose. The earlier second implementations of the EM's M-steps, kept as
-they were, which the program's one implementation of each step must match
-bit for bit. And the standalone cACGMM and per-frame VMFMM EMs, which the
-joint EM must reduce to, with the cACG sampler.
+purpose. The vMF log normalizer from the series at any kappa, which the
+normalizers the vMF M-step hands on must match. The earlier second
+implementations of the EM's M-steps, kept as they were, which the
+program's one implementation of each step must match bit for bit. And the
+standalone cACGMM and per-frame VMFMM EMs, which the joint EM must reduce
+to, with the cACG sampler.
 """
 
 import math
@@ -26,9 +28,9 @@ from mixsep.cacg import (
 from mixsep.errors import ConfigurationError, InvalidInputError, NumericalError
 from mixsep.integrated import JointModel
 from mixsep.numerics import (
+    KAPPA_MAX,
     bessel_i_series,
     chol_with_loading,
-    log_vmf_normalizer,
     normalize_logits,
     uniform_log_density,
     update_pi,
@@ -104,6 +106,38 @@ def cacg_log_pdf(b: HermitianPD, y: np.ndarray) -> float:
         - float(logdet)
         - c * math.log(float(quad))
     )
+
+
+def log_vmf_normalizer(embed_dim: int, kappa):
+    """Log normalizer ln c(kappa) of the von-Mises-Fisher density.
+
+    ``c(kappa) = kappa^(E/2-1) / ((2 pi)^(E/2) I_(E/2-1)(kappa))`` with the
+    continuous limit at ``kappa = 0`` (the uniform density on the sphere):
+    ``uniform_log_density`` less the first result of ``bessel_i_series``,
+    evaluated afresh at kappa. The reference of the normalizers that
+    ``vmf.vmf_m_step`` hands on with its concentrations.
+    Within 1e-12 relative of a 60-digit reference for E from 2 to 256 and
+    kappa from 1e-8 to ``KAPPA_MAX``.
+
+    Args:
+        embed_dim: dimension E of the hypersphere's ambient space, E >= 2.
+        kappa: concentration in [0, ``KAPPA_MAX``]; a float, or an array of
+            them.
+
+    Returns:
+        ln c(kappa): a float for a float, an array of its shape for an array.
+    """
+    if embed_dim < 2 or int(embed_dim) != embed_dim:
+        raise InvalidInputError("embedding dimension must be an integer >= 2")
+    k = np.asarray(kappa, dtype=float)
+    # false on NaN as well
+    if not np.all((k >= 0.0) & (k <= KAPPA_MAX)):
+        raise InvalidInputError(f"kappa must lie in [0, {KAPPA_MAX:g}]")
+    log_series = np.zeros(k.shape)  # its kappa = 0 limit
+    pos = k > 0.0
+    log_series[pos] = bessel_i_series(embed_dim / 2.0 - 1.0, k[pos])[0]
+    out = uniform_log_density(embed_dim) - log_series
+    return float(out) if out.ndim == 0 else out
 
 
 def vmf_log_pdf(mu: np.ndarray, kappa: float, e: np.ndarray) -> float:
@@ -271,7 +305,7 @@ def joint_m_step(x, embeddings, gamma, model, quad, features, kappa_max=35.0, rn
     gbar = gamma.sum(axis=2)  # (K, T)
     mu, kappa, lognorm = spectral_m_step(embeddings, gbar, kappa_max, rng, model.noise_index)
     pi = update_pi(gbar, gamma.shape[2])
-    return JointModel(covariances, mu, kappa, pi, model.noise_index, lognorm)
+    return JointModel(covariances, mu, kappa, pi, lognorm, model.noise_index)
 
 
 def spectral_m_step(embeddings, gbar, kappa_max, rng, noise_index):

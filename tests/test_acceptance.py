@@ -20,6 +20,7 @@ from helpers import (
     tyler_step,
     unit_observations,
 )
+from reference import log_vmf_normalizer
 from scipy.optimize import linear_sum_assignment
 
 from mixsep import frontend, pipeline, rttm
@@ -33,7 +34,6 @@ from mixsep.integrated import (
     spectral_fusion_check,
 )
 from mixsep.metrics import counting_matrix, der, mask_auc, si_sdr
-from mixsep.numerics import log_vmf_normalizer
 from mixsep.synth import ScenarioConfig, SegmentPlan, build_meeting, sample_vmf
 from mixsep.vmf import KAPPA_MAX, EmbeddingSequence, vmf_m_step, vmfmm_em
 
@@ -375,6 +375,7 @@ def test_criterion_07_fusion_algebra():
         np.stack([mu, mu, other]),
         np.full(3, 10.0),
         pi,
+        np.full(3, log_vmf_normalizer(8, 10.0)),
     )
     event = spectral_fusion_check(model, tau=0.9)
     assert event is not None and (event.kept, event.removed) == (0, 1)

@@ -152,6 +152,7 @@ class TestRunConfig:
             {"tau_spectral": -0.2},
             {"k_total": -1},
             {"k_total": 0},
+            {"fusion_start": -1},
         ],
     )
     def test_fusion_setting_outside_range_rejected(self, setting):
@@ -159,10 +160,41 @@ class TestRunConfig:
             cli.RunConfig.from_json(json.dumps(setting))
 
     @pytest.mark.parametrize(
-        "setting", [{"seed": -1}, {"k_init": 0}, {"em_iterations": 0}, {"jobs": 0}, {"jobs": -3}]
+        "setting",
+        [
+            {"seed": -1}, {"k_init": 0}, {"em_iterations": 0}, {"jobs": 0}, {"jobs": -3},
+            {"embed_dim": 1}, {"embed_dim": 0},
+        ],
     )
     def test_seed_and_counts_outside_range_rejected(self, setting):
         with pytest.raises(ConfigurationError):
+            cli.RunConfig.from_json(json.dumps(setting))
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"window_ms": 0.0}, "window_ms must be > 0"),
+            ({"stft_size_ms": 0.0}, "stft_size_ms must be > 0"),
+            ({"shift_ms": 0.0}, "shift_ms must be > 0"),
+            ({"shift_ms": -8.0}, "shift_ms must be > 0"),
+            ({"vad_window_s": 0.0}, "vad_window_s must be > 0"),
+            ({"max_segment_s": 0.0}, "max_segment_s must be > 0"),
+            ({"stft_size_ms": 16.0}, "window_ms must not exceed stft_size_ms"),
+            ({"window_ms": 80.0}, "window_ms must not exceed stft_size_ms"),
+            ({"min_segment_s": -1.0}, r"min_segment_s must lie in \[0, max_segment_s\]"),
+            ({"max_segment_s": 0.5, "min_segment_s": 1.0}, "min_segment_s must lie in"),
+            ({"max_pause_s": -0.5}, "max_pause_s must be >= 0"),
+        ],
+        ids=[
+            "window_zero", "stft_zero", "shift_zero", "shift_negative", "vad_window_zero",
+            "max_segment_zero", "stft_below_window", "window_above_stft", "min_segment_negative",
+            "min_segment_above_max", "max_pause_negative",
+        ],
+    )
+    def test_setting_that_cannot_frame_or_keep_a_segment_rejected(self, setting, message):
+        # each ran to exit 0 with no segment, or failed only after the
+        # meeting's output directory was made
+        with pytest.raises(ConfigurationError, match=message):
             cli.RunConfig.from_json(json.dumps(setting))
 
     @pytest.mark.parametrize(
@@ -409,7 +441,8 @@ class TestCmdRun:
         assert "error: cannot load config" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "setting", [{"tau_spectral": 1.5}, {"k_total": -1}, {"fusion": "iou"}]
+        "setting",
+        [{"tau_spectral": 1.5}, {"k_total": -1}, {"fusion": "iou"}, {"fusion_start": -1}],
     )
     def test_fusion_setting_outside_range_exits_one_before_any_segment(
         self, bundle, tmp_path, capsys, monkeypatch, setting
@@ -432,8 +465,9 @@ class TestCmdRun:
             ({}, ["--jobs", "2", "--seed", "-1"]),
             ({"jobs": 0}, []),
             ({}, ["--jobs", "-3"]),
+            ({"embed_dim": 1}, []),
         ],
-        ids=["k_init", "seed_flag", "seed_flag_with_jobs", "jobs", "jobs_flag"],
+        ids=["k_init", "seed_flag", "seed_flag_with_jobs", "jobs", "jobs_flag", "embed_dim"],
     )
     def test_seed_or_count_outside_range_exits_one_before_any_segment(
         self, bundle, tmp_path, capsys, monkeypatch, setting, flags
@@ -485,6 +519,43 @@ class TestCmdRun:
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "error: cannot load config" in capsys.readouterr().err
         assert not meetings and not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"window_ms": 0.0}, {"max_segment_s": 0.5}, {"vad_window_s": 0.0},
+         {"stft_size_ms": 16.0}],
+        ids=["window_ms", "max_segment_s", "vad_window_s", "stft_size_ms"],
+    )
+    def test_setting_that_cannot_frame_or_keep_a_segment_exits_one_before_any_directory(
+        self, bundle, tmp_path, capsys, monkeypatch, setting
+    ):
+        # the first three ran to exit 0 with no segment (the last with 67 %
+        # of the frames voiced, as max_segment_s fell below min_segment_s),
+        # and a window above the STFT size failed after the meeting's
+        # directory was made
+        meetings = []
+        monkeypatch.setattr(pipeline, "run_meeting", lambda *args, **kw: meetings.append(args))
+        out_dir = tmp_path / "out"
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(run_config_dict(bundle, out_dir, **setting)))
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "error: cannot load config" in capsys.readouterr().err
+        assert not meetings and not out_dir.exists()
+
+    def test_embeddings_of_one_column_exit_one(self, bundle, tmp_path, capsys):
+        # unit rows of one column ran through every segment's EM to exit 0,
+        # dividing by zero in the concentration table on the way
+        frames = frontend.read_f32_tensor(
+            bundle / "embeddings.emb", frontend.EMBEDDING_MAGIC, 2
+        )
+        emb = tmp_path / "one.emb"
+        frontend.write_embeddings(emb, np.where(frames[:, :1] < 0.0, -1.0, 1.0))
+        cfg = run_config_dict(bundle, tmp_path / "o")
+        cfg["inputs"][0]["embeddings"] = str(emb)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "error: meet0: frames must be a T x E matrix with E >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, value",

@@ -15,6 +15,7 @@ from helpers import (
     tiny_scenario,
     unit_observations,
 )
+from reference import log_vmf_normalizer
 from scipy.optimize import linear_sum_assignment
 
 from mixsep import cacg, integrated
@@ -35,7 +36,7 @@ from mixsep.integrated import (
     joint_m_step,
     spectral_fusion_check,
 )
-from mixsep.numerics import chol_logdet_quad, log_vmf_normalizer, update_pi
+from mixsep.numerics import chol_logdet_quad, update_pi
 from mixsep.synth import build_meeting
 from mixsep.vmf import log_pdf_matrix
 
@@ -46,16 +47,24 @@ def unit(v):
 
 
 def model_from_truth(truth, x, pi=None, kappa=30.0, noise_index=None):
-    k_true = truth.mu_true.shape[0]
+    k_true, dim = truth.mu_true.shape
     if pi is None:
         pi = np.full((k_true, x.num_frames), 1.0 / k_true)
-    return JointModel(truth.cov_true.copy(), truth.mu_true, np.full(k_true, kappa), pi, noise_index)
+    kappas = np.full(k_true, kappa)
+    return JointModel(
+        truth.cov_true.copy(), truth.mu_true, kappas, pi, log_vmf_normalizer(dim, kappas),
+        noise_index,
+    )
 
 
 class TestJointModelChecks:
     @staticmethod
     def parts():
-        return identity_stack(2, 3, 2), np.eye(4)[:2], np.array([5.0, 0.0]), np.full((2, 6), 0.5)
+        kappa = np.array([5.0, 0.0])
+        return (
+            identity_stack(2, 3, 2), np.eye(4)[:2], kappa, np.full((2, 6), 0.5),
+            log_vmf_normalizer(4, kappa),
+        )
 
     def test_valid_parts_accepted(self):
         model = JointModel(*self.parts())
@@ -63,25 +72,25 @@ class TestJointModelChecks:
 
     @pytest.mark.parametrize("row", [[2.0, 0.0, 0.0, 0.0], [0.0] * 4, [np.nan, 0.0, 0.0, 0.0]])
     def test_non_unit_prototype_rejected(self, row):
-        spatial, mu, kappa, pi = self.parts()
+        spatial, mu, kappa, pi, lognorm = self.parts()
         mu[1] = row
         with pytest.raises(InvalidInputError):
-            JointModel(spatial, mu, kappa, pi)
+            JointModel(spatial, mu, kappa, pi, lognorm)
 
     @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
     def test_bad_kappa_rejected(self, bad):
-        spatial, mu, kappa, pi = self.parts()
+        spatial, mu, kappa, pi, lognorm = self.parts()
         kappa[0] = bad
         with pytest.raises(InvalidInputError):
-            JointModel(spatial, mu, kappa, pi)
+            JointModel(spatial, mu, kappa, pi, lognorm)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_prototype_count_must_match_spatial(self, rows):
-        spatial, _, kappa, pi = self.parts()
+        spatial, _, kappa, pi, lognorm = self.parts()
         with pytest.raises(InvalidInputError):
-            JointModel(spatial, np.eye(4)[:rows], kappa, pi)
+            JointModel(spatial, np.eye(4)[:rows], kappa, pi, lognorm)
         with pytest.raises(InvalidInputError):
-            JointModel(spatial, np.eye(4)[:2], np.full(rows, 5.0), pi)
+            JointModel(spatial, np.eye(4)[:2], np.full(rows, 5.0), pi, lognorm)
 
     @pytest.mark.parametrize(
         "covariances",
@@ -95,21 +104,28 @@ class TestJointModelChecks:
         ids=["ndim_3", "ndim_5", "non_square", "k_below_mu", "k_above_mu"],
     )
     def test_bad_covariance_shape_rejected(self, covariances):
-        _, mu, kappa, pi = self.parts()
+        _, mu, kappa, pi, lognorm = self.parts()
         with pytest.raises(InvalidInputError):
-            JointModel(covariances, mu, kappa, pi)
+            JointModel(covariances, mu, kappa, pi, lognorm)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_lognorm_rows_must_match_kappa(self, rows):
-        covariances, mu, kappa, pi = self.parts()
+        covariances, mu, kappa, pi, _ = self.parts()
         with pytest.raises(InvalidInputError):
             JointModel(covariances, mu, kappa, pi, lognorm=np.zeros(rows))
 
+    def test_lognorm_is_required(self):
+        # the E-step reads the normalizers the M-step hands on; a model
+        # without them cannot be built
+        covariances, mu, kappa, pi, _ = self.parts()
+        with pytest.raises(TypeError, match="lognorm"):
+            JointModel(covariances, mu, kappa, pi)
+
     @pytest.mark.parametrize("rows", [1, 3])
     def test_pi_rows_must_match_covariances(self, rows):
-        covariances, mu, kappa, _ = self.parts()
+        covariances, mu, kappa, _, lognorm = self.parts()
         with pytest.raises(InvalidInputError):
-            JointModel(covariances, mu, kappa, np.full((rows, 6), 1.0 / rows))
+            JointModel(covariances, mu, kappa, np.full((rows, 6), 1.0 / rows), lognorm)
 
 
 def joint_posterior(x, e, model):
@@ -160,10 +176,13 @@ class TestJointEStep:
         spatial = identity_stack(k_true, x.num_bins, x.num_channels)
         kappa = np.full(k_true, 35.0)
         pi = np.full((k_true, x.num_frames), 1.0 / k_true)
-        gamma = joint_posterior(xn, e, JointModel(spatial, truth.mu_true, kappa, pi))
+        lognorm = log_vmf_normalizer(e.dim, kappa)
+        gamma = joint_posterior(xn, e, JointModel(spatial, truth.mu_true, kappa, pi, lognorm))
         # constant over frequency
         assert np.max(np.abs(gamma - gamma[:, :, :1])) < 1e-12
-        logits = np.log(pi) + log_pdf_matrix(truth.mu_true, kappa, e.frames)
+        logits = np.log(pi) + log_pdf_matrix(
+            truth.mu_true, kappa, e.frames, lognorm, np.zeros((k_true, 1))
+        )
         want = np.exp(logits - logits.max(axis=0, keepdims=True))
         want /= want.sum(axis=0, keepdims=True)
         assert np.max(np.abs(gamma[:, :, 0] - want)) < 1e-12
@@ -181,6 +200,7 @@ class TestJointEStep:
             spectral_only.mu,
             spectral_only.kappa,
             spectral_only.pi,
+            spectral_only.lognorm,
         )
         acc_joint = bin_accuracy(joint_posterior(xn, e, joint), truth)
         acc_spatial = bin_accuracy(joint_posterior(xn, e, spatial_only), truth)
@@ -248,7 +268,10 @@ class TestJointMStep:
         identity = identity_stack(4, x.num_bins, x.num_channels)
         covariances = cacg.cacg_m_step(post, identity, 1.0, features)
         mu = np.tile(unit(np.arange(1.0, 17.0)), (4, 1))
-        model = JointModel(covariances, mu, np.full(4, 10.0), post.mean(axis=2), noise_index=3)
+        model = JointModel(
+            covariances, mu, np.full(4, 10.0), post.mean(axis=2),
+            np.full(4, log_vmf_normalizer(16, 10.0)), noise_index=3,
+        )
         quad = plain_forms(covariances, features)
         want = reference.joint_m_step(
             xn, e, post, model, quad.copy(), features, 35.0, np.random.default_rng(2)
@@ -309,7 +332,8 @@ class TestJointMStep:
 
 
 def make_fusion_model(mus, kappas, pi, covs, noise_index=None):
-    return JointModel(np.stack(covs), np.stack(mus), kappas, pi, noise_index)
+    lognorm = log_vmf_normalizer(len(mus[0]), kappas)
+    return JointModel(np.stack(covs), np.stack(mus), kappas, pi, lognorm, noise_index)
 
 
 class TestSpectralFusion:
@@ -599,7 +623,7 @@ class TestJointEm:
             noise -= 1
         fused = JointModel(
             fused_covariances(model, keep, remove), np.delete(model.mu, remove, axis=0),
-            np.delete(model.kappa, remove), pi, noise,
+            np.delete(model.kappa, remove), pi, np.delete(model.lognorm, remove), noise,
         )
         return fused, fused_gamma
 
@@ -773,6 +797,8 @@ class TestJointEm:
             {"kappa_max": np.nan},
             {"tau_spectral": -0.2},
             {"kappa_max": -1.0},
+            {"fusion_start": -1},
+            {"iterations": 0},
         ],
     )
     def test_fusion_setting_outside_range_rejected(self, setting):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import HermitianPD, cholesky_logdet_solve, logsumexp
+from reference import HermitianPD, cholesky_logdet_solve, log_vmf_normalizer, logsumexp
 from scipy.optimize import linear_sum_assignment
 
 from mixsep.errors import InvalidInputError, NumericalError
@@ -17,7 +17,6 @@ from mixsep.numerics import (
     bessel_i_series,
     chol_logdet_quad,
     chol_with_loading,
-    log_vmf_normalizer,
     min_cost_assignment,
     normalize_logits,
     psd_solve,

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 import reference
 from helpers import count_series_calls
-from reference import kappa_newton_arrays, vmf_log_pdf
+from reference import kappa_newton_arrays, log_vmf_normalizer, vmf_log_pdf
 from reference import spherical_kmeans_pp as reference_kmeans
 from scipy import special
 from scipy.optimize import linear_sum_assignment
 
 from mixsep import vmf
 from mixsep.errors import ConfigurationError, InvalidInputError
-from mixsep.numerics import bessel_i_series, log_vmf_normalizer, uniform_log_density, update_pi
+from mixsep.numerics import bessel_i_series, uniform_log_density, update_pi
 from mixsep.synth import sample_vmf
 from mixsep.vmf import (
     EmbeddingSequence,
@@ -85,7 +85,7 @@ class TestLogPdfMatrix:
         kappa = np.array([0.0, 1e-3, 0.7, 9.0, 20.0, 35.0])  # from 0 to the default cap
         frames = rng.standard_normal((30, 8))
         frames /= np.linalg.norm(frames, axis=1, keepdims=True)
-        got = log_pdf_matrix(mu, kappa, frames)
+        got = log_pdf_matrix(mu, kappa, frames, log_vmf_normalizer(8, kappa), np.zeros((6, 1)))
         assert got.shape == (6, 30)
         for k in range(6):
             for t in range(30):
@@ -96,18 +96,22 @@ class TestLogPdfMatrix:
     @pytest.mark.parametrize("handed_on", [False, True])
     def test_log_prior_added_in_place_is_the_sum(self, per_frame, handed_on):
         # the logits formed in one buffer are the prior plus the densities,
-        # to the bit
+        # to the bit, for the M-step's handed-on parameters and for set ones
         rng = np.random.default_rng(21)
         mu = rng.standard_normal((5, 24))
         mu /= np.linalg.norm(mu, axis=1, keepdims=True)
         kappa = np.array([0.0, 0.4, 7.0, 21.0, 35.0])
         frames = rng.standard_normal((40, 24))
         frames /= np.linalg.norm(frames, axis=1, keepdims=True)
-        lognorm = log_vmf_normalizer(24, kappa) if handed_on else None
+        if handed_on:
+            resp = rng.uniform(0.0, 1.0, size=(5, 40))
+            mu, kappa, lognorm = vmf_m_step(EmbeddingSequence(frames), resp, 35.0)
+        else:
+            lognorm = log_vmf_normalizer(24, kappa)
         weights = rng.dirichlet(np.ones(5), size=40).T if per_frame else rng.dirichlet(np.ones(5))
         log_prior = np.log(weights if per_frame else weights[:, None])
         got = log_pdf_matrix(mu, kappa, frames, lognorm, log_prior)
-        want = log_prior + log_pdf_matrix(mu, kappa, frames, lognorm)
+        want = log_prior + log_pdf_matrix(mu, kappa, frames, lognorm, np.zeros((5, 1)))
         assert got.tobytes() == want.tobytes()
 
 
@@ -579,3 +583,11 @@ class TestEmbeddingSequence:
     def test_nan_row_rejected(self):
         with pytest.raises(InvalidInputError, match="unit length"):
             EmbeddingSequence(np.array([[np.nan, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("make", [EmbeddingSequence, EmbeddingSequence.from_raw])
+    def test_fewer_than_two_columns_rejected(self, make):
+        # the vMF density lives on the unit sphere of R^E with E >= 2: unit
+        # rows of one column ran through the EM, dividing by zero in the
+        # concentration table on the way
+        with pytest.raises(InvalidInputError, match="E >= 2"):
+            make(np.array([[1.0], [-1.0], [1.0]]))
